@@ -148,14 +148,13 @@ fn bench_streaming(c: &mut Criterion) {
     g.finish();
 }
 
-/// The k-way merge behind every streamed path, serial vs the
-/// tournament-partitioned parallel variant (byte-identical output):
-/// the phase-study table split into 8 canonically sorted runs, merged
-/// into a counting sink.
+/// The serial k-way merge behind every streamed path: the phase-study
+/// table split into 8 canonically sorted runs, merged into a counting
+/// sink.
 fn bench_merge(c: &mut Criterion) {
     use botscope_weblog::sink::{CountingSink, RowSink};
     use botscope_weblog::table::LogTable;
-    use botscope_weblog::{merge_runs, merge_runs_parallel, MergeRun};
+    use botscope_weblog::{merge_runs, MergeRun};
 
     let cfg = SimConfig { scale: 0.05, sites: 8, ..SimConfig::default() };
     let table = phase_study_table(&cfg).sim.table;
@@ -184,20 +183,6 @@ fn bench_merge(c: &mut Criterion) {
             BatchSize::SmallInput,
         );
     });
-    let hardware = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    for workers in [2usize, hardware.min(8)] {
-        g.bench_function(format!("merge_runs_parallel/8_runs/workers={workers}"), |b| {
-            b.iter_batched(
-                make_runs,
-                |runs| {
-                    let mut counter = CountingSink::default();
-                    merge_runs_parallel(runs, &mut [&mut counter as &mut dyn RowSink], workers)
-                        .expect("merge")
-                },
-                BatchSize::SmallInput,
-            );
-        });
-    }
     g.finish();
 }
 

@@ -17,7 +17,7 @@
 //!    skipped-robots.txt rows (Table 7).
 //!
 //! Steps 3–4 are independent per bot, so they fan out over the same
-//! `std::thread::scope` worker pattern simnet generation uses
+//! `simnet::engine::run_indexed` worker pool simnet generation uses
 //! (`BOTSCOPE_THREADS` knob); the merge is by bot name, making the
 //! output identical at any worker count.
 
@@ -32,7 +32,7 @@ use botscope_weblog::table::{LogTable, RecordRow};
 use botscope_weblog::time::Timestamp;
 
 use botscope_simnet::belief::{BeliefAtlas, BeliefTimeline};
-use botscope_simnet::engine::{worker_threads, GroundTruth};
+use botscope_simnet::engine::{run_indexed, worker_threads, GroundTruth};
 use botscope_simnet::phases::{is_exempt_agent, PhaseSchedule, PolicyVersion};
 use botscope_simnet::scenario::{phase_study_table, PhaseStudyTableOutput};
 use botscope_simnet::server::PolicyCorpus;
@@ -44,7 +44,7 @@ use crate::metrics::{
     endpoint_counts, endpoint_counts_rows, DirectiveCounts, PathClasses, CRAWL_DELAY_SECS,
 };
 use crate::pipeline::{
-    run_indexed, standardize_rows, standardize_table_with_threads, BotRowView, StandardizedTable,
+    standardize_rows, standardize_table_with_threads, BotRowView, StandardizedTable,
 };
 use crate::spoofdetect::{
     analyze_bot_rows, SpoofFinding, SpoofReport, DOMINANCE_THRESHOLD, MIN_DETECT_REQUESTS,

@@ -29,7 +29,7 @@
 //! cache is operating exactly as RFC 9309 permits.
 //!
 //! **Execution shape.** [`attribute_table`] and [`score_table`] fan out
-//! per-bot stages over `std::thread::scope` workers with a
+//! per-bot stages over the `run_indexed` worker pool with a
 //! deterministic bot-name merge, exactly as
 //! [`Experiment::analyze_table`](crate::analyze::Experiment::analyze_table)
 //! does. Timelines are stepwise and log rows arrive in chronological
@@ -54,14 +54,14 @@
 use std::collections::{BTreeMap, HashMap};
 
 use botscope_simnet::belief::{BeliefAtlas, BeliefTimeline, BelievedPolicy};
-use botscope_simnet::engine::worker_threads;
+use botscope_simnet::engine::{run_indexed, worker_threads};
 use botscope_simnet::server::PolicyCorpus;
 use botscope_useragent::Standardizer;
 use botscope_weblog::intern::Sym;
 use botscope_weblog::table::{LogTable, RecordRow};
 
 use crate::metrics::DirectiveCounts;
-use crate::pipeline::{run_indexed, standardize_table, standardize_table_with_threads, BotRowView};
+use crate::pipeline::{standardize_table, standardize_table_with_threads, BotRowView};
 
 /// Which policy a metric is computed against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -296,7 +296,7 @@ pub fn attribute_table(
 }
 
 /// [`attribute_table`] with an explicit worker count: one stage per
-/// bot over `std::thread::scope` workers, merged in bot-name order.
+/// bot over [`run_indexed`] workers, merged in bot-name order.
 /// Output is identical at any worker count.
 pub fn attribute_table_with_threads(
     table: &LogTable,

@@ -6,6 +6,7 @@
 
 use std::collections::BTreeMap;
 
+use botscope_simnet::engine::run_indexed;
 use botscope_useragent::{BotCategory, Standardizer};
 use botscope_weblog::intern::Sym;
 use botscope_weblog::record::AccessRecord;
@@ -247,49 +248,6 @@ pub fn standardize_rows<'t>(
     let bots: BTreeMap<String, BotRowView<'t>> =
         views.into_iter().map(|v| (v.name.clone(), v)).collect();
     StandardizedTable { table, bots, anonymous }
-}
-
-/// Run `f(0..n)` across `threads` scoped workers and return the results
-/// in index order — the workspace's shared fan-out shape (simnet
-/// generation units, distinct-agent standardization, per-bot analysis).
-/// `f` must be a pure function of its index for the output to be
-/// worker-count invariant; the pool only changes execution order.
-/// Serial (no spawns) when `threads` is 1 or there is at most one item.
-pub(crate) fn run_indexed<T: Send>(
-    n: usize,
-    threads: usize,
-    f: impl Fn(usize) -> T + Sync,
-) -> Vec<T> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-    assert!(threads >= 1, "at least one worker required");
-    if threads == 1 || n <= 1 {
-        return (0..n).map(f).collect();
-    }
-    // Hand out work in chunks: per-index locking would swamp sub-µs
-    // items (distinct-agent standardization) with contention, while
-    // large fixed chunks would load-balance badly over very uneven items
-    // (per-bot row counts are heavy-tailed). n/(threads·8) strikes the
-    // balance; the clamp keeps chunks sane at both extremes.
-    let chunk = (n / (threads * 8)).clamp(1, 1024);
-    let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<(usize, Vec<T>)>> = Mutex::new(Vec::new());
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(n) {
-            scope.spawn(|| loop {
-                let start = next.fetch_add(chunk, Ordering::Relaxed);
-                if start >= n {
-                    break;
-                }
-                let end = (start + chunk).min(n);
-                let out: Vec<T> = (start..end).map(&f).collect();
-                results.lock().expect("no poisoned workers").push((start, out));
-            });
-        }
-    });
-    let mut v = results.into_inner().expect("workers joined");
-    v.sort_by_key(|&(start, _)| start);
-    v.into_iter().flat_map(|(_, chunk)| chunk).collect()
 }
 
 /// An empty [`BotRowView`] carrying a spec's metadata.

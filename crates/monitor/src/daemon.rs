@@ -13,7 +13,7 @@
 //! **Scheduling.** Each agent's due times sit in a binary-heap event
 //! queue keyed `(time, agent)`. The queue is sharded: agents are split
 //! into fixed-size chunks (the chunk grid is independent of the worker
-//! count), chunks are processed by `std::thread::scope` workers, and
+//! count), chunks are processed by the `run_indexed` worker pool, and
 //! per-chunk [`FetchEventLog`] shards are absorbed in chunk order and
 //! canonically sorted. Because every agent stream derives from
 //! `child_seed(seed, agent)` and the transport is a pure function of
@@ -22,8 +22,6 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -34,7 +32,7 @@ use botscope_robotstxt::diff::{diff, summarize, PolicyChange};
 use botscope_robotstxt::fetch::{EffectivePolicy, FetchOutcome, RobotsCache};
 use botscope_simnet::belief::{BeliefAtlas, BeliefTimeline, BelievedPolicy};
 use botscope_simnet::fleet::{build_fleet, SimBot};
-use botscope_simnet::{child_seed, worker_threads, PolicyVersion};
+use botscope_simnet::{child_seed, run_indexed, worker_threads, PolicyVersion};
 use botscope_weblog::fetchlog::FetchEventLog;
 use botscope_weblog::intern::Sym;
 use botscope_weblog::iphash::IpHasher;
@@ -388,39 +386,14 @@ pub fn run_with_beliefs(cfg: &MonitorConfig, threads: usize) -> (MonitorOutput, 
 /// Run the chunked scheduler and return per-chunk shards in chunk-grid
 /// order.
 fn run_shards(run: &DaemonRun<'_>, hasher: &IpHasher, threads: usize) -> Vec<Shard> {
-    assert!(threads >= 1, "at least one worker required");
     let n_agents = run.cfg.sites * run.fleet.len();
     let chunk_size = chunk_agents(n_agents);
     let n_chunks = n_agents.div_ceil(chunk_size);
-
-    let run_chunk = |chunk: usize| -> Shard {
+    run_indexed(n_chunks, threads, |chunk| {
         let lo = chunk * chunk_size;
         let hi = (lo + chunk_size).min(n_agents);
         run_agents(run, hasher, lo, hi)
-    };
-
-    let threads = threads.min(n_chunks.max(1));
-    if threads == 1 {
-        return (0..n_chunks).map(run_chunk).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<(usize, Shard)>> = Mutex::new(Vec::with_capacity(n_chunks));
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let chunk = next.fetch_add(1, Ordering::Relaxed);
-                if chunk >= n_chunks {
-                    break;
-                }
-                let shard = run_chunk(chunk);
-                results.lock().expect("no poisoned workers").push((chunk, shard));
-            });
-        }
-    });
-    let mut shards = results.into_inner().expect("workers joined");
-    // Merge must follow the fixed chunk grid, not completion order.
-    shards.sort_by_key(|&(chunk, _)| chunk);
-    shards.into_iter().map(|(_, shard)| shard).collect()
+    })
 }
 
 /// The counters, deduplicated transitions, and deployment windows every

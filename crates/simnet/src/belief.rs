@@ -56,8 +56,8 @@ pub enum BelievedPolicy {
 
 impl BelievedPolicy {
     /// Whether `agent` may fetch `path` under this belief. `corpus`
-    /// resolves [`BelievedPolicy::Version`] through its active matcher
-    /// (the compiled automaton by default).
+    /// resolves [`BelievedPolicy::Version`] through its compiled
+    /// automaton.
     pub fn allows(self, corpus: &PolicyCorpus, agent: &str, path: &str) -> bool {
         match self {
             BelievedPolicy::Unfetched | BelievedPolicy::AllowAll => true,
@@ -400,7 +400,6 @@ mod tests {
     #[test]
     fn lens_reproduces_version_branches_for_the_fleet() {
         use crate::fleet::build_fleet;
-        use crate::server::MatcherMode;
 
         let beliefs = [
             BelievedPolicy::Unfetched,
@@ -411,17 +410,29 @@ mod tests {
             BelievedPolicy::Version(PolicyVersion::V2EndpointOnly),
             BelievedPolicy::Version(PolicyVersion::V3DisallowAll),
         ];
-        let compiled = PolicyCorpus::with_mode(MatcherMode::Compiled);
-        let interpreted = PolicyCorpus::with_mode(MatcherMode::Interpreted);
+        let corpus = PolicyCorpus::new();
         for bot in build_fleet() {
             let agent = bot.spec.canonical;
             for believed in beliefs {
-                let lens = believed.lens(&compiled, agent, bot.exempt);
-                assert_eq!(
-                    lens,
-                    believed.lens(&interpreted, agent, bot.exempt),
-                    "matcher modes disagree: {agent} {believed:?}"
-                );
+                let lens = believed.lens(&corpus, agent, bot.exempt);
+                // Every probe the lens sends through the compiled automata
+                // must agree with the interpreted matcher (the oracle).
+                if let BelievedPolicy::Version(v) = believed {
+                    let token = if bot.exempt { agent } else { "*" };
+                    let doc = corpus.doc(v);
+                    for probe in [PROBE_CONTENT, PROBE_PAGEDATA] {
+                        assert_eq!(
+                            corpus.check(v, token, probe),
+                            doc.is_allowed(token, probe).allow,
+                            "matchers disagree: {agent} {believed:?} {probe}"
+                        );
+                    }
+                    assert_eq!(
+                        corpus.delay(v, token),
+                        doc.crawl_delay(token),
+                        "matchers disagree: {agent} {believed:?}"
+                    );
+                }
                 // The lens must reproduce the engine's historical
                 // hard-coded per-variant branches exactly.
                 let expect_disallow = match believed {

@@ -10,11 +10,11 @@
 //!
 //! That independence is what the parallel path exploits: each stream is
 //! a **generation unit** that emits interned rows into its own
-//! [`LogTable`] shard; shards are distributed over `std::thread::scope`
-//! workers, concatenated in unit order, and stable-sorted by timestamp.
-//! The result is byte-identical for a fixed seed no matter how many
-//! workers run ([`worker_threads`] reads `BOTSCOPE_THREADS`, defaulting
-//! to the machine's available parallelism).
+//! [`LogTable`] shard; shards are distributed over the [`run_indexed`]
+//! worker pool, concatenated in unit order, and stable-sorted by
+//! timestamp. The result is byte-identical for a fixed seed no matter
+//! how many workers run ([`worker_threads`] reads `BOTSCOPE_THREADS`,
+//! defaulting to the machine's available parallelism).
 
 use std::collections::BTreeMap;
 use std::fs::File;
@@ -34,7 +34,7 @@ use botscope_weblog::record::AccessRecord;
 use botscope_weblog::sink::RowSink;
 use botscope_weblog::table::{LogTable, RecordRow};
 use botscope_weblog::time::Timestamp;
-use botscope_weblog::{merge_runs_parallel, MergeRun};
+use botscope_weblog::{merge_runs, MergeRun};
 
 use crate::behavior::{BotBehavior, RobotsCheckPolicy};
 use crate::belief::{LensTable, PolicyOracle, ScheduleOracle};
@@ -116,6 +116,40 @@ pub fn worker_threads_from(env: Option<&str>, hardware: usize) -> usize {
         .unwrap_or_else(|| hardware.max(1))
 }
 
+/// Run `f(0..n)` across `threads` scoped workers and return the results
+/// in index order — the workspace's one fan-out pool (generation units,
+/// monitor chunks, distinct-agent standardization, per-bot analysis and
+/// attribution). Workers claim one index at a time, so very uneven items
+/// (heavy-tailed per-bot row counts) still balance; callers with many
+/// tiny items pre-chunk them. `f` must be a pure function of its index
+/// for the output to be worker-count invariant: the pool only changes
+/// execution order. Serial (no spawns) when `threads` is 1 or there is at
+/// most one item.
+pub fn run_indexed<T: Send>(n: usize, threads: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    assert!(threads >= 1, "at least one worker required");
+    if threads == 1 || n <= 1 {
+        return (0..n).map(f).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let results: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(n));
+    std::thread::scope(|scope| {
+        for _ in 0..threads.min(n) {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                let out = f(i);
+                results.lock().expect("no poisoned workers").push((i, out));
+            });
+        }
+    });
+    let mut results = results.into_inner().expect("workers joined");
+    // Completion order is scheduling noise; index order is the contract.
+    results.sort_unstable_by_key(|&(i, _)| i);
+    results.into_iter().map(|(_, out)| out).collect()
+}
+
 /// Precomputed page pools per site, shared read-only across workers so
 /// the per-fetch pick never rebuilds a filtered vector.
 struct SitePools<'a> {
@@ -166,7 +200,7 @@ pub(crate) struct World<'a> {
     estate: &'a [Site],
     pools: Vec<SitePools<'a>>,
     /// The policy corpus every session's believed policy is projected
-    /// through (compiled automata by default, `BOTSCOPE_MATCHER` selects).
+    /// through (its compiled automata).
     corpus: PolicyCorpus,
     /// Session-target weights per site (experiment site is the heavy one).
     site_weights: Vec<f64>,
@@ -343,7 +377,7 @@ pub fn simulate(cfg: &SimConfig, schedule: &PhaseSchedule) -> SimOutput {
 }
 
 /// Run the generator into a [`LogTable`], sharding generation units over
-/// [`worker_threads`] scoped workers.
+/// [`worker_threads`] workers.
 pub fn simulate_table(cfg: &SimConfig, schedule: &PhaseSchedule) -> SimTableOutput {
     simulate_table_with_threads(cfg, schedule, worker_threads())
 }
@@ -410,42 +444,19 @@ pub fn simulate_table_oracle<O: PolicyOracle>(
         }
     };
 
-    let mut shards: Vec<(usize, Shard)> = Vec::with_capacity(n_units);
-    let threads = threads.min(n_units);
-    if threads == 1 {
-        for unit in 0..n_units {
-            shards.push((unit, run_unit(unit)));
-        }
-    } else {
-        let next = AtomicUsize::new(0);
-        let results: Mutex<Vec<(usize, Shard)>> = Mutex::new(Vec::with_capacity(n_units));
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let unit = next.fetch_add(1, Ordering::Relaxed);
-                    if unit >= n_units {
-                        break;
-                    }
-                    let shard = run_unit(unit);
-                    results.lock().expect("no poisoned workers").push((unit, shard));
-                });
-            }
-        });
-        shards = results.into_inner().expect("workers joined");
-        // Concatenation must follow unit order, not completion order, so
-        // the later stable sort sees the exact serial emission sequence.
-        shards.sort_by_key(|&(unit, _)| unit);
-    }
+    // Shards come back in unit order, so the stable sort below sees the
+    // exact serial emission sequence.
+    let shards: Vec<Shard> = run_indexed(n_units, threads, run_unit);
 
     drop(gen_span);
     obs.counter("simnet_units_total").add(n_units as u64);
 
-    let total_rows: usize = shards.iter().map(|(_, s)| s.table.len()).sum();
+    let total_rows: usize = shards.iter().map(|s| s.table.len()).sum();
     obs.counter("simnet_rows_total").add(total_rows as u64);
     let merge_span = obs.phase("simnet_absorb_sort");
     let mut table = LogTable::with_capacity(total_rows, 1024);
     let mut truth = GroundTruth::default();
-    for (_, shard) in &shards {
+    for shard in &shards {
         table.absorb(&shard.table);
         for (bot, count) in &shard.planted {
             *truth.spoofed_requests.entry(bot.clone()).or_default() += count;
@@ -496,8 +507,8 @@ pub struct SimStreamOutput {
 }
 
 /// Run the generator straight into row sinks with bounded memory:
-/// workers spill canonically sorted binary runs to disk, and a k-way
-/// merge streams the global canonical order into `sinks` without ever
+/// workers spill canonically sorted binary runs to disk, and one serial
+/// k-way merge streams the global canonical order into `sinks` without ever
 /// materializing the table. Output bytes are identical to writing
 /// [`simulate_table`]'s result, at any worker count.
 pub fn simulate_stream(
@@ -581,31 +592,7 @@ pub fn simulate_stream_oracle<O: PolicyOracle>(
         Ok(UnitRuns { interner, paths, planted })
     };
 
-    let threads = threads.min(n_units);
-    let mut units: Vec<(usize, io::Result<UnitRuns>)> = Vec::with_capacity(n_units);
-    if threads == 1 {
-        for unit in 0..n_units {
-            units.push((unit, run_unit(unit)));
-        }
-    } else {
-        let next = AtomicUsize::new(0);
-        let results: Mutex<Vec<(usize, io::Result<UnitRuns>)>> =
-            Mutex::new(Vec::with_capacity(n_units));
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let unit = next.fetch_add(1, Ordering::Relaxed);
-                    if unit >= n_units {
-                        break;
-                    }
-                    let out = run_unit(unit);
-                    results.lock().expect("no poisoned workers").push((unit, out));
-                });
-            }
-        });
-        units = results.into_inner().expect("workers joined");
-        units.sort_by_key(|&(unit, _)| unit);
-    }
+    let units: Vec<io::Result<UnitRuns>> = run_indexed(n_units, threads, run_unit);
 
     // Runs enter the merge in (unit, run) order: a unit's runs are
     // consecutive emission-position blocks, so this global order makes
@@ -618,7 +605,7 @@ pub fn simulate_stream_oracle<O: PolicyOracle>(
     let mut spilled: Vec<PathBuf> = Vec::new();
     let merged: io::Result<u64> = (|| {
         let mut runs: Vec<MergeRun> = Vec::new();
-        for (_, result) in units {
+        for result in units {
             let unit_runs = result?;
             spilled.extend(unit_runs.paths.iter().cloned());
             for (bot, count) in &unit_runs.planted {
@@ -635,10 +622,10 @@ pub fn simulate_stream_oracle<O: PolicyOracle>(
                 runs.push(MergeRun::from_sorted_stream(unit_runs.interner.clone(), Box::new(bin)));
             }
         }
-        // Tournament merge over the spilled runs, fanned across the same
-        // worker budget generation used; byte-identical to the serial
-        // merge at any worker count.
-        merge_runs_parallel(runs, sinks, threads)
+        // One serial merge: a per-row cross-thread hand-off costs more
+        // than the heap work it would spread, so `threads` drives
+        // generation only.
+        merge_runs(runs, sinks)
     })();
     drop(merge_span);
     obs.counter("simnet_spill_runs_total").add(spilled.len() as u64);
@@ -1135,6 +1122,27 @@ mod tests {
         assert_eq!(worker_threads_from(Some("lots"), 3), 3);
         assert_eq!(worker_threads_from(Some(""), 3), 3);
         assert_eq!(worker_threads_from(Some("-1"), 3), 3);
+    }
+
+    #[test]
+    fn run_indexed_returns_index_order_at_any_worker_count() {
+        // Uneven work: every seventh item spins far longer than the rest,
+        // so completion order differs from index order under a pool.
+        let work = |i: usize| -> (usize, u64) {
+            let spins = if i.is_multiple_of(7) { 20_000 } else { 10 };
+            let mut acc = i as u64;
+            for k in 0..spins {
+                acc = std::hint::black_box(acc.wrapping_mul(6364136223846793005).wrapping_add(k));
+            }
+            (i, acc)
+        };
+        for n in [0, 1, 2, 257] {
+            let serial: Vec<(usize, u64)> = (0..n).map(work).collect();
+            for threads in [1, 2, 8] {
+                let pooled = run_indexed(n, threads, work);
+                assert_eq!(pooled, serial, "n={n} threads={threads}");
+            }
+        }
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub mod spoof;
 pub use belief::{BeliefAtlas, BeliefTimeline, BelievedPolicy, PolicyOracle, ScheduleOracle};
 pub use config::SimConfig;
 pub use engine::{
-    child_seed, worker_threads, worker_threads_from, SimOutput, SimStreamOutput, SimTableOutput,
-    StreamOptions,
+    child_seed, run_indexed, worker_threads, worker_threads_from, SimOutput, SimStreamOutput,
+    SimTableOutput, StreamOptions,
 };
 pub use phases::{PhaseSchedule, PolicyVersion};

@@ -14,31 +14,6 @@ use botscope_weblog::time::Timestamp;
 
 use crate::phases::{PhaseSchedule, PolicyVersion};
 
-/// Which matcher implementation answers policy checks.
-///
-/// The compiled automaton is the default; the interpreted rule-list scan is
-/// kept selectable (`BOTSCOPE_MATCHER=interpreted`) so CI can verify the
-/// two produce byte-identical simulation output.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MatcherMode {
-    /// Compiled per-group automata (`botscope_robotstxt::compiled`).
-    #[default]
-    Compiled,
-    /// Interpreted per-rule scan (`RobotsTxt::is_allowed`).
-    Interpreted,
-}
-
-impl MatcherMode {
-    /// Read the mode from `BOTSCOPE_MATCHER` (`compiled` | `interpreted`,
-    /// default compiled; unknown values fall back to the default).
-    pub fn from_env() -> MatcherMode {
-        match std::env::var("BOTSCOPE_MATCHER").as_deref() {
-            Ok("interpreted") => MatcherMode::Interpreted,
-            _ => MatcherMode::Compiled,
-        }
-    }
-}
-
 /// The four experimental policy files, rendered once (the text a server
 /// puts on the wire), parsed once (the document a crawler-side cache
 /// evaluates and diffs), and compiled once (the automaton every admission
@@ -48,7 +23,6 @@ pub struct PolicyCorpus {
     texts: [String; 4],
     docs: [RobotsTxt; 4],
     compiled: [CompiledPolicy; 4],
-    mode: MatcherMode,
 }
 
 impl Default for PolicyCorpus {
@@ -58,23 +32,12 @@ impl Default for PolicyCorpus {
 }
 
 impl PolicyCorpus {
-    /// Render, parse and compile all four versions; the matcher mode comes
-    /// from `BOTSCOPE_MATCHER` (compiled by default).
+    /// Render, parse and compile all four versions.
     pub fn new() -> PolicyCorpus {
-        PolicyCorpus::with_mode(MatcherMode::from_env())
-    }
-
-    /// Render, parse and compile all four versions with an explicit mode.
-    pub fn with_mode(mode: MatcherMode) -> PolicyCorpus {
         let docs = PolicyVersion::ALL.map(super::phases::PolicyVersion::robots_txt);
         let texts = [0, 1, 2, 3].map(|i: usize| docs[i].to_string());
         let compiled = [0, 1, 2, 3].map(|i: usize| CompiledPolicy::compile(&docs[i]));
-        PolicyCorpus { texts, docs, compiled, mode }
-    }
-
-    /// The active matcher mode.
-    pub fn mode(&self) -> MatcherMode {
-        self.mode
+        PolicyCorpus { texts, docs, compiled }
     }
 
     /// The serialized robots.txt body of `version`.
@@ -92,23 +55,17 @@ impl PolicyCorpus {
         &self.compiled[version.index()]
     }
 
-    /// Whether `agent` may fetch `path` under `version`, via the active
-    /// matcher. The two matchers are differentially tested to agree on
-    /// every decision, so the mode never changes simulation output.
+    /// Whether `agent` may fetch `path` under `version`, via the compiled
+    /// automaton. It is differentially tested against the interpreted
+    /// [`RobotsTxt::is_allowed`] on every decision.
     pub fn check(&self, version: PolicyVersion, agent: &str, path: &str) -> bool {
-        match self.mode {
-            MatcherMode::Compiled => self.compiled[version.index()].check(agent, path).allow,
-            MatcherMode::Interpreted => self.docs[version.index()].is_allowed(agent, path).allow,
-        }
+        self.compiled[version.index()].check(agent, path).allow
     }
 
-    /// The crawl delay `version` declares for `agent`, via the active
-    /// matcher.
+    /// The crawl delay `version` declares for `agent`, via the compiled
+    /// automaton.
     pub fn delay(&self, version: PolicyVersion, agent: &str) -> Option<f64> {
-        match self.mode {
-            MatcherMode::Compiled => self.compiled[version.index()].crawl_delay(agent),
-            MatcherMode::Interpreted => self.docs[version.index()].crawl_delay(agent),
-        }
+        self.compiled[version.index()].crawl_delay(agent)
     }
 }
 
@@ -235,8 +192,9 @@ mod tests {
 
     #[test]
     fn matcher_modes_agree_on_corpus_decisions() {
-        let compiled = PolicyCorpus::with_mode(MatcherMode::Compiled);
-        let interpreted = PolicyCorpus::with_mode(MatcherMode::Interpreted);
+        // The compiled automata against the interpreted matcher (the
+        // oracle) over the corpus's own documents.
+        let corpus = PolicyCorpus::new();
         let agents = ["Googlebot", "Googlebot-Image", "GPTBot", "ClaudeBot", "*", "ia_archiver"];
         let paths = [
             "/",
@@ -247,15 +205,16 @@ mod tests {
             "/robots.txt",
         ];
         for v in PolicyVersion::ALL {
+            let doc = corpus.doc(v);
             for agent in agents {
                 for path in paths {
                     assert_eq!(
-                        compiled.check(v, agent, path),
-                        interpreted.check(v, agent, path),
+                        corpus.check(v, agent, path),
+                        doc.is_allowed(agent, path).allow,
                         "{v:?} {agent} {path}"
                     );
                 }
-                assert_eq!(compiled.delay(v, agent), interpreted.delay(v, agent), "{v:?} {agent}");
+                assert_eq!(corpus.delay(v, agent), doc.crawl_delay(agent), "{v:?} {agent}");
             }
         }
     }

@@ -82,7 +82,7 @@ pub mod time;
 pub use fetchlog::FetchEventLog;
 pub use intern::{StringInterner, Sym};
 pub use iphash::IpHasher;
-pub use merge::{merge_runs, merge_runs_parallel, MergeRun};
+pub use merge::{merge_runs, MergeRun};
 pub use record::AccessRecord;
 pub use session::{sessionize, Session, SESSION_GAP_SECS};
 pub use stream::RowStream;

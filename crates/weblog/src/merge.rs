@@ -16,22 +16,10 @@
 //! the run index as the final tiebreak, so rows with equal canonical
 //! keys drain in run order — which is exactly where a stable sort of
 //! the concatenation would put them.
-//!
-//! [`merge_runs_parallel`] keeps that guarantee while spreading the heap
-//! work over worker threads: runs are partitioned into **contiguous**
-//! groups, each group runs its own local heap merge on a worker and
-//! streams `(key, record)` pairs through a bounded channel, and the
-//! calling thread runs a final tournament over the group heads with the
-//! group index as the tiebreak. Because groups are contiguous in run
-//! order, (group index, local run index) orders equal-key rows exactly
-//! like the global run index does — so the output is byte-identical to
-//! [`merge_runs`] regardless of thread scheduling, and memory stays
-//! bounded by the channel depth per group.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, HashMap};
 use std::io;
-use std::sync::mpsc::SyncSender;
 use std::sync::Arc;
 
 use crate::codec::DecodeError;
@@ -175,149 +163,6 @@ fn build_rank_tables(runs: &[MergeRun]) -> Vec<Arc<Vec<u32>>> {
                 .clone()
         })
         .collect()
-}
-
-/// Canonical sort key without a run tiebreak: what a group worker ships
-/// alongside each materialized record.
-type GroupKey = (Timestamp, u32, u64, u32);
-
-/// Bounded depth of each group's output channel. Memory during a parallel
-/// merge is `groups × CHANNEL_DEPTH` in-flight records plus one row per
-/// run — still bounded, never a materialized table.
-const CHANNEL_DEPTH: usize = 1024;
-
-/// [`merge_runs`] with the per-run heap work fanned over `workers`
-/// threads. Output is **byte-identical** to the serial merge at any
-/// worker count and under any thread scheduling (see module docs); falls
-/// back to the serial path when `workers <= 1` or there are fewer than
-/// two runs.
-pub fn merge_runs_parallel(
-    runs: Vec<MergeRun>,
-    sinks: &mut [&mut dyn RowSink],
-    workers: usize,
-) -> io::Result<u64> {
-    let groups = workers.min(runs.len());
-    if groups <= 1 {
-        return merge_runs(runs, sinks);
-    }
-    let obs = botscope_obs::global();
-    let _span = obs.span("weblog_merge_parallel");
-    obs.counter("weblog_merge_runs_total").add(runs.len() as u64);
-    obs.counter("weblog_merge_groups_total").add(groups as u64);
-    let per_run_ranks = build_rank_tables(&runs);
-
-    // Contiguous partition: group g takes the next `base (+1)` runs in
-    // run order. Contiguity is what makes (group, local run) order equal
-    // to global run order for equal keys.
-    let mut parts: Vec<Vec<(MergeRun, Arc<Vec<u32>>)>> = Vec::with_capacity(groups);
-    let base = runs.len() / groups;
-    let extra = runs.len() % groups;
-    let mut paired: std::vec::IntoIter<(MergeRun, Arc<Vec<u32>>)> =
-        runs.into_iter().zip(per_run_ranks).collect::<Vec<_>>().into_iter();
-    for g in 0..groups {
-        let take = base + usize::from(g < extra);
-        parts.push(paired.by_ref().take(take).collect());
-    }
-
-    let mut rows = 0u64;
-    let merged: io::Result<()> = std::thread::scope(|scope| {
-        let mut rxs = Vec::with_capacity(groups);
-        for part in parts {
-            let (tx, rx) = std::sync::mpsc::sync_channel(CHANNEL_DEPTH);
-            scope.spawn(move || group_merge(part, &tx));
-            rxs.push(rx);
-        }
-
-        // Final tournament over the group heads: group index breaks ties.
-        let mut heap: BinaryHeap<Reverse<(GroupKey, usize)>> = BinaryHeap::with_capacity(groups);
-        let mut current: Vec<Option<AccessRecord>> = (0..groups).map(|_| None).collect();
-        let pull = |g: usize,
-                    heap: &mut BinaryHeap<Reverse<(GroupKey, usize)>>,
-                    current: &mut Vec<Option<AccessRecord>>|
-         -> io::Result<()> {
-            match rxs[g].recv() {
-                Ok(Ok((key, record))) => {
-                    heap.push(Reverse((key, g)));
-                    current[g] = Some(record);
-                    Ok(())
-                }
-                Ok(Err(e)) => Err(e),
-                // Disconnect: the group is exhausted.
-                Err(_) => Ok(()),
-            }
-        };
-        for g in 0..groups {
-            pull(g, &mut heap, &mut current)?;
-        }
-        while let Some(Reverse((_, g))) = heap.pop() {
-            let record = current[g].take().expect("heap entry implies a current record");
-            for sink in sinks.iter_mut() {
-                sink.write_row(&record)?;
-            }
-            rows += 1;
-            pull(g, &mut heap, &mut current)?;
-        }
-        Ok(())
-        // An early `?` drops `rxs` here; workers then fail their `send`
-        // and exit, so the scope join cannot deadlock.
-    });
-    merged?;
-    for sink in sinks.iter_mut() {
-        sink.finish()?;
-    }
-    obs.counter("weblog_merge_rows_total").add(rows);
-    Ok(rows)
-}
-
-/// One group worker: a local heap merge over its contiguous slice of
-/// runs, shipping materialized records in canonical order. Local run
-/// index breaks equal-key ties, exactly like the serial merge does.
-fn group_merge(
-    mut part: Vec<(MergeRun, Arc<Vec<u32>>)>,
-    tx: &SyncSender<io::Result<(GroupKey, AccessRecord)>>,
-) {
-    type Key = (Timestamp, u32, u64, u32, usize);
-    let key_of = |ranks: &[u32], row: &RecordRow, run: usize| -> Key {
-        (row.timestamp, ranks[row.useragent.index()], row.ip_hash, ranks[row.uri_path.index()], run)
-    };
-    let decode_err = |e: DecodeError| io::Error::new(io::ErrorKind::InvalidData, e.to_string());
-
-    let mut heap: BinaryHeap<Reverse<Key>> = BinaryHeap::with_capacity(part.len());
-    let mut current: Vec<Option<RecordRow>> = part.iter().map(|_| None).collect();
-    for (i, (run, ranks)) in part.iter_mut().enumerate() {
-        match run.next() {
-            Some(Ok(row)) => {
-                heap.push(Reverse(key_of(ranks, &row, i)));
-                current[i] = Some(row);
-            }
-            Some(Err(e)) => {
-                let _ = tx.send(Err(decode_err(e)));
-                return;
-            }
-            None => {}
-        }
-    }
-    while let Some(Reverse(key)) = heap.pop() {
-        let i = key.4;
-        let row = current[i].take().expect("heap entry implies a current row");
-        let record = materialize(&part[i].0.interner, &row);
-        if tx.send(Ok(((key.0, key.1, key.2, key.3), record))).is_err() {
-            // Receiver gone (error or early exit downstream): stop quietly.
-            return;
-        }
-        match part[i].0.next() {
-            Some(Ok(next)) => {
-                let ranks = &part[i].1;
-                heap.push(Reverse(key_of(ranks, &next, i)));
-                current[i] = Some(next);
-            }
-            Some(Err(e)) => {
-                let _ = tx.send(Err(decode_err(e)));
-                return;
-            }
-            None => {}
-        }
-    }
 }
 
 #[cfg(test)]
@@ -472,94 +317,6 @@ mod tests {
         let mut sinks: Vec<&mut dyn RowSink> = vec![&mut sink];
         assert_eq!(merge_runs(Vec::new(), &mut sinks).unwrap(), 0);
         assert!(sink.table.is_empty());
-        let mut sinks: Vec<&mut dyn RowSink> = vec![&mut sink];
-        assert_eq!(merge_runs_parallel(Vec::new(), &mut sinks, 4).unwrap(), 0);
-    }
-
-    #[test]
-    fn parallel_merge_matches_serial_at_every_worker_count() {
-        let sets = run_sets();
-        for workers in [1, 2, 3, 4, 8] {
-            let runs: Vec<MergeRun> =
-                sets.iter().map(|rs| MergeRun::from_table(LogTable::from_records(rs))).collect();
-            let mut sink = TableSink::new();
-            let mut sinks: Vec<&mut dyn RowSink> = vec![&mut sink];
-            let n = merge_runs_parallel(runs, &mut sinks, workers).unwrap();
-            assert_eq!(n, 7, "workers={workers}");
-            assert_eq!(sink.table.to_records(), reference(&sets), "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn parallel_merge_keeps_equal_keys_in_run_order() {
-        // Four runs of identical canonical keys, distinguishable by
-        // payload; every grouping must preserve global run order.
-        let sets: Vec<Vec<AccessRecord>> = (0..4u64)
-            .map(|i| vec![AccessRecord { bytes: 100 + i, ..rec("a", 1, 10, "/y") }])
-            .collect();
-        for workers in [2, 3, 4] {
-            let runs: Vec<MergeRun> =
-                sets.iter().map(|rs| MergeRun::from_table(LogTable::from_records(rs))).collect();
-            let mut sink = TableSink::new();
-            let mut sinks: Vec<&mut dyn RowSink> = vec![&mut sink];
-            merge_runs_parallel(runs, &mut sinks, workers).unwrap();
-            let bytes: Vec<u64> = sink.table.to_records().iter().map(|r| r.bytes).collect();
-            assert_eq!(bytes, vec![100, 101, 102, 103], "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn parallel_merge_over_raw_streams_matches_reference() {
-        // The engine's spill shape under the parallel merge: shared unit
-        // interner, raw-mode binary runs, two workers.
-        let sets = run_sets();
-        let mut unit = LogTable::new();
-        let mut bins: Vec<Vec<u8>> = Vec::new();
-        for rs in &sets {
-            let rows: Vec<RecordRow> = rs
-                .iter()
-                .map(|r| {
-                    unit.push_record(r);
-                    *unit.rows().last().expect("pushed")
-                })
-                .collect();
-            let mut run = LogTable::from_parts(unit.interner().clone(), rows);
-            run.sort_canonical();
-            let mut bytes = Vec::new();
-            crate::colfmt::write_table(&mut bytes, &run).unwrap();
-            bins.push(bytes);
-        }
-        let shared = Arc::new(unit.interner().clone());
-        let runs: Vec<MergeRun> = bins
-            .iter()
-            .map(|bytes| {
-                let reader =
-                    crate::colfmt::BinReader::new_raw(std::io::Cursor::new(bytes.clone())).unwrap();
-                MergeRun::from_sorted_stream(shared.clone(), Box::new(reader))
-            })
-            .collect();
-        let mut sink = TableSink::new();
-        let mut sinks: Vec<&mut dyn RowSink> = vec![&mut sink];
-        merge_runs_parallel(runs, &mut sinks, 2).unwrap();
-        assert_eq!(sink.table.to_records(), reference(&sets));
-    }
-
-    #[test]
-    fn parallel_merge_surfaces_decode_errors() {
-        let mut table = LogTable::from_records(&[rec("a", 1, 10, "/y"), rec("b", 2, 20, "/z")]);
-        table.sort_canonical();
-        let mut bytes = Vec::new();
-        crate::colfmt::write_table(&mut bytes, &table).unwrap();
-        bytes.pop();
-        bytes.truncate(bytes.len().saturating_sub(10));
-        let reader = crate::colfmt::BinReader::new(std::io::Cursor::new(bytes)).unwrap();
-        let bad =
-            MergeRun::from_sorted_stream(Arc::new(table.interner().clone()), Box::new(reader));
-        let good = MergeRun::from_table(LogTable::from_records(&[rec("c", 3, 30, "/q")]));
-        let mut sink = TableSink::new();
-        let mut sinks: Vec<&mut dyn RowSink> = vec![&mut sink];
-        let e = merge_runs_parallel(vec![bad, good], &mut sinks, 2).unwrap_err();
-        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

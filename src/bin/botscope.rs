@@ -145,15 +145,21 @@ GLOBAL FLAGS (any subcommand):
 
 ENVIRONMENT:
   BOTSCOPE_THREADS
-      Worker threads for log generation (simulate) and the monitor's
-      event-queue shards (monitor). Defaults to the machine's
-      available parallelism; the output is byte-identical for a fixed
-      seed at any thread count.
+      Worker threads for log generation (simulate), the monitor's
+      event-queue shards (monitor), attribution (simulate --coupled)
+      and per-bot analysis (analyze). The --stream k-way merge is
+      serial. Defaults to the machine's available parallelism; the
+      output is byte-identical for a fixed seed at any thread count.
 ";
 
 fn main() -> ExitCode {
     let started = std::time::Instant::now();
     let mut args: Vec<String> = std::env::args().skip(1).collect();
+    // `--help`/`-h` anywhere (e.g. `simulate --help`) means `help`.
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        print!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
     let telemetry = match Telemetry::extract(&mut args) {
         Ok(t) => t,
         Err(message) => {
@@ -169,7 +175,7 @@ fn main() -> ExitCode {
         Some("analyze") => cmd_analyze(&args[1..]),
         Some("simulate") => cmd_simulate(&args[1..]),
         Some("monitor") => cmd_monitor(&args[1..]),
-        Some("help") | Some("--help") | Some("-h") | None => {
+        Some("help") | None => {
             print!("{USAGE}");
             Ok(())
         }

@@ -14,9 +14,16 @@ fn write_temp(name: &str, content: &str) -> std::path::PathBuf {
 
 #[test]
 fn help_prints_usage() {
-    for args in [vec!["help"], vec!["--help"], vec![]] {
+    for args in [
+        vec!["help"],
+        vec!["--help"],
+        vec![],
+        vec!["simulate", "--help"],
+        vec!["monitor", "-h"],
+        vec!["analyze", "--help"],
+    ] {
         let out = botscope(&args);
-        assert!(out.status.success());
+        assert!(out.status.success(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
         let text = String::from_utf8_lossy(&out.stdout);
         assert!(text.contains("USAGE"), "{text}");
         assert!(text.contains("botscope check"));
