@@ -1,5 +1,6 @@
 //! Criterion benches for the coupled pipeline: belief collection →
-//! belief-driven generation, plus the attribution scoring stage alone.
+//! belief-driven generation, plus the attribution scoring stage and the
+//! CSV encode behind `simulate --coupled --out` alone.
 //!
 //! The headline line is `coupled/scale_1.0_attributed`: the full
 //! 8-week, scale-1.0, 36-site coupled study — belief daemon over the
@@ -14,6 +15,7 @@ use botscope_core::attribution::attribute_table_with_threads;
 use botscope_monitor::{run_coupled_with_threads, CoupledConfig, RefreshModel, ScenarioKind};
 use botscope_simnet::server::PolicyCorpus;
 use botscope_simnet::SimConfig;
+use botscope_weblog::codec;
 
 fn config(scale: f64) -> CoupledConfig {
     CoupledConfig {
@@ -111,5 +113,28 @@ fn bench_attribution(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_coupled, bench_paper_scale, bench_attribution);
+/// The CSV encode of a coupled log (scale 0.25, all 36 estate sites)
+/// into memory: `codec::write_table`, the `--out` stage of
+/// `simulate --coupled`, without the file system.
+fn bench_codec(c: &mut Criterion) {
+    let mut g = c.benchmark_group("codec");
+    g.sample_size(10);
+    let cfg =
+        CoupledConfig { sim: SimConfig { scale: 0.25, ..paper_config().sim }, ..paper_config() };
+    let table = run_coupled_with_threads(&cfg, 1).sim.table;
+    let mut probe = Vec::new();
+    codec::write_table(&mut probe, &table).expect("encode into memory");
+    let bytes = probe.len();
+    g.throughput(Throughput::Bytes(bytes as u64));
+    g.bench_function("write_table", |b| {
+        b.iter(|| {
+            let mut out = Vec::with_capacity(bytes);
+            codec::write_table(&mut out, &table).expect("encode into memory");
+            black_box(out.len())
+        });
+    });
+    g.finish();
+}
+
+criterion_group!(benches, bench_coupled, bench_paper_scale, bench_attribution, bench_codec);
 criterion_main!(benches);

@@ -34,10 +34,9 @@
 //! [`Experiment::analyze_table`](crate::analyze::Experiment::analyze_table)
 //! does. Timelines are stepwise and log rows arrive in chronological
 //! order, so per-(bot, site) [`TimelineCursor`]s replace the per-row
-//! binary searches with amortized-O(1) forward steps. The original
-//! serial binary-search code survives as
-//! [`attribute_table_reference`]/[`score_table_reference`], pinned
-//! against the parallel path by the `attribution_equiv` proptests.
+//! binary searches with amortized-O(1) forward steps. The
+//! `attribution_equiv` proptests pin both against serial oracles
+//! written over the public belief and corpus APIs.
 //!
 //! **Granularity caveat.** Scoring is per access, at the access's own
 //! instant — the only vantage point a log analyst has. The generation
@@ -61,7 +60,7 @@ use botscope_weblog::intern::Sym;
 use botscope_weblog::table::{LogTable, RecordRow};
 
 use crate::metrics::DirectiveCounts;
-use crate::pipeline::{standardize_table, standardize_table_with_threads, BotRowView};
+use crate::pipeline::{standardize_table_with_threads, BotRowView};
 
 /// Which policy a metric is computed against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -400,69 +399,6 @@ fn attribute_bot(
     (counts, stats)
 }
 
-/// Serial binary-search reference for [`attribute_table`]: the original
-/// single-threaded implementation with per-row [`BeliefTimeline::at`]
-/// lookups, kept as an independently-written oracle for the
-/// `attribution_equiv` proptests. Not a production path.
-pub fn attribute_table_reference(
-    table: &LogTable,
-    beliefs: &BeliefAtlas,
-    served: &[BeliefTimeline],
-    corpus: &PolicyCorpus,
-) -> BTreeMap<String, AttributionCounts> {
-    let logs = standardize_table(table);
-    let robots = table.interner().get("/robots.txt");
-    let site_of = site_index_of(table, served.len().min(beliefs.n_sites()));
-    let bot_index: BTreeMap<&str, usize> =
-        beliefs.bots.iter().enumerate().map(|(i, name)| (name.as_str(), i)).collect();
-
-    let mut out = BTreeMap::new();
-    for view in logs.bots.values() {
-        let Some(&bot) = bot_index.get(view.name.as_str()) else {
-            continue;
-        };
-        let mut cache = AllowCache::new(corpus, &view.name);
-        let mut counts = AttributionCounts::default();
-        for row in &view.rows {
-            if Some(row.uri_path) == robots {
-                continue;
-            }
-            let Some(site) = site_of[row.sitename.index()] else {
-                continue;
-            };
-            let t = row.timestamp.unix();
-            let believed = beliefs.timeline(bot, site).at(t);
-            let served_policy = served[site].at(t);
-            let allowed_believed = cache.allows(table, believed, row.uri_path);
-            let allowed_served = cache.allows(table, served_policy, row.uri_path);
-
-            counts.accesses += 1;
-            if !allowed_believed {
-                counts.believed_violations += 1;
-            }
-            if allowed_served {
-                counts.allowed_served += 1;
-                continue;
-            }
-            if !allowed_believed || believed == BelievedPolicy::Unfetched {
-                counts.deliberate += 1;
-            } else {
-                match believed {
-                    BelievedPolicy::Version(_) => counts.stale_cache += 1,
-                    BelievedPolicy::AllowAll => counts.fetch_artifact += 1,
-                    BelievedPolicy::Unfetched | BelievedPolicy::DisallowAll => {
-                        unreachable!("allowed page fetch under {believed:?}")
-                    }
-                }
-            }
-        }
-        if counts.accesses > 0 {
-            out.insert(view.name.clone(), counts);
-        }
-    }
-    out
-}
-
 // ---------------------------------------------------------------------
 // Basis scoring.
 // ---------------------------------------------------------------------
@@ -614,83 +550,6 @@ fn score_bot(
         }
     }
     (score, stats)
-}
-
-/// Serial binary-search reference for [`score_table`]: the original
-/// single-threaded implementation, kept as an independently-written
-/// oracle for the `attribution_equiv` proptests. Not a production path.
-pub fn score_table_reference(
-    table: &LogTable,
-    beliefs: &BeliefAtlas,
-    served: &[BeliefTimeline],
-    corpus: &PolicyCorpus,
-    basis: PolicyBasis,
-) -> BTreeMap<String, PolicyScore> {
-    let logs = standardize_table(table);
-    let site_of = site_index_of(table, served.len().min(beliefs.n_sites()));
-    let bot_index: BTreeMap<&str, usize> =
-        beliefs.bots.iter().enumerate().map(|(i, name)| (name.as_str(), i)).collect();
-
-    let mut out = BTreeMap::new();
-    for view in logs.bots.values() {
-        let Some(&bot) = bot_index.get(view.name.as_str()) else {
-            continue;
-        };
-        let policy_at = |site: usize, t: u64| -> BelievedPolicy {
-            match basis {
-                PolicyBasis::Believed => beliefs.timeline(bot, site).at(t),
-                PolicyBasis::Served => served[site].at(t),
-            }
-        };
-        let mut cache = AllowCache::new(corpus, &view.name);
-        let mut score = PolicyScore::default();
-
-        let mut by_tau: HashMap<(Sym, u64, Sym), Vec<&RecordRow>> = HashMap::new();
-        for &row in &view.rows {
-            let Some(site) = site_of[row.sitename.index()] else {
-                continue;
-            };
-            let policy = policy_at(site, row.timestamp.unix());
-            score.allowed.trials += 1;
-            if cache.allows(table, policy, row.uri_path) {
-                score.allowed.successes += 1;
-            }
-            by_tau.entry((row.asn, row.ip_hash, row.useragent)).or_default().push(row);
-        }
-
-        let mut groups: Vec<Vec<&RecordRow>> = by_tau.into_values().collect();
-        for rows in &mut groups {
-            rows.sort_by_key(|r| r.timestamp);
-            if rows.len() == 1 {
-                let row = rows[0];
-                let site = site_of[row.sitename.index()].expect("filtered above");
-                let policy = policy_at(site, row.timestamp.unix());
-                if policy.crawl_delay(corpus, &view.name).is_some() {
-                    score.crawl_delay.successes += 1;
-                    score.crawl_delay.trials += 1;
-                }
-                continue;
-            }
-            for pair in rows.windows(2) {
-                let later = pair[1];
-                let site = site_of[later.sitename.index()].expect("filtered above");
-                let policy = policy_at(site, later.timestamp.unix());
-                let Some(required) = policy.crawl_delay(corpus, &view.name) else {
-                    continue;
-                };
-                let delta = later.timestamp.unix() - pair[0].timestamp.unix();
-                score.crawl_delay.trials += 1;
-                if delta as f64 >= required {
-                    score.crawl_delay.successes += 1;
-                }
-            }
-        }
-
-        if score.allowed.trials > 0 {
-            out.insert(view.name.clone(), score);
-        }
-    }
-    out
 }
 
 // ---------------------------------------------------------------------

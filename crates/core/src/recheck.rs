@@ -14,8 +14,9 @@ use std::collections::BTreeMap;
 use botscope_simnet::PolicyVersion;
 use botscope_stats::window::{window_coverage, PAPER_WINDOWS_HOURS};
 use botscope_useragent::BotCategory;
+use botscope_weblog::intern::StringInterner;
 use botscope_weblog::record::AccessRecord;
-use botscope_weblog::table::LogTable;
+use botscope_weblog::table::{LogTable, RecordRow};
 
 use crate::metrics::PathClasses;
 use crate::pipeline::{standardize_table, StandardizedLogs, StandardizedTable};
@@ -387,14 +388,20 @@ impl RecheckAccumulator {
         }
     }
 
-    /// Absorb one streamed record. Known bots register a row view even
-    /// when the row is not a robots.txt fetch (Table 7's never-checker
-    /// rows); anonymous agents are ignored, as in standardization.
-    pub fn push(&mut self, record: &AccessRecord) {
-        let Self { ua_cache, standardizer, .. } = self;
-        let spec = *ua_cache
-            .entry(record.useragent.clone())
-            .or_insert_with(|| standardizer.standardize(&record.useragent).map(|s| s.bot));
+    /// Absorb one streamed row, resolving its fields through `strings`.
+    /// Known bots register a row view even when the row is not a
+    /// robots.txt fetch (Table 7's never-checker rows); anonymous agents
+    /// are ignored, as in standardization.
+    pub fn push(&mut self, row: &RecordRow, strings: &StringInterner) {
+        let useragent = strings.resolve(row.useragent);
+        let spec = match self.ua_cache.get(useragent) {
+            Some(&spec) => spec,
+            None => {
+                let spec = self.standardizer.standardize(useragent).map(|s| s.bot);
+                self.ua_cache.insert(useragent.to_string(), spec);
+                spec
+            }
+        };
         let Some(bot) = spec else {
             return;
         };
@@ -404,15 +411,15 @@ impl RecheckAccumulator {
             hit: [false; 4],
             windows: PAPER_WINDOWS_HOURS.map(|h| WindowAccum::new(h * 3600)),
         });
-        if !record.is_robots_fetch() {
+        if strings.resolve(row.uri_path) != "/robots.txt" {
             return;
         }
         accum.checks += 1;
-        let t = record.timestamp.unix();
+        let t = row.timestamp.unix();
         for w in &mut accum.windows {
             w.push(t, self.horizon_end);
         }
-        if let Some(spans) = self.windows.get(&record.sitename) {
+        if let Some(spans) = self.windows.get(strings.resolve(row.sitename)) {
             if let Some(&(version, _, _)) = spans.iter().find(|&&(_, from, to)| t >= from && t < to)
             {
                 accum.hit[version.index()] = true;
@@ -470,8 +477,8 @@ impl RecheckAccumulator {
 }
 
 impl botscope_weblog::sink::RowSink for RecheckAccumulator {
-    fn write_row(&mut self, record: &AccessRecord) -> std::io::Result<()> {
-        self.push(record);
+    fn write_row(&mut self, row: &RecordRow, strings: &StringInterner) -> std::io::Result<()> {
+        self.push(row, strings);
         Ok(())
     }
 }

@@ -1,7 +1,14 @@
 //! Equivalence of the parallel, cursor-based attribution pipeline with
-//! its serial binary-search reference — across worker counts — and of
-//! the believed-basis experiment analysis with a post-hoc correction of
-//! the served-basis input.
+//! serial oracles — across worker counts — and of the believed-basis
+//! experiment analysis with a post-hoc correction of the served-basis
+//! input.
+//!
+//! The oracles below restate attribution and basis scoring from their
+//! definitions over public APIs only: per-row [`BeliefTimeline::at`]
+//! binary searches, the interpreted matcher behind
+//! [`PolicyCorpus::doc`], sitenames parsed from their strings, and τ
+//! keyed by resolved (ASN, IP hash, raw user agent). They share no
+//! cursor, cache or compiled-automaton code with the pipeline.
 //!
 //! Belief atlases and served timelines are synthesized from a seed (an
 //! xorshift walk over policy states), independently of the generated
@@ -10,9 +17,11 @@
 //! stale-cache, fetch-artifact) shows up.
 
 use botscope_core::analyze::{BeliefContext, Experiment};
+use std::collections::{BTreeMap, HashMap};
+
 use botscope_core::attribution::{
-    attribute_table_reference, attribute_table_with_threads, excusal_mask, score_table_reference,
-    score_table_with_threads, PolicyBasis,
+    attribute_table_with_threads, excusal_mask, score_table_with_threads, AttributionCounts,
+    PolicyBasis, PolicyScore,
 };
 use botscope_core::pipeline::standardize_table;
 use botscope_simnet::belief::{BeliefAtlas, BeliefTimeline, BelievedPolicy};
@@ -20,11 +29,180 @@ use botscope_simnet::phases::PolicyVersion;
 use botscope_simnet::scenario::phase_study_table;
 use botscope_simnet::server::PolicyCorpus;
 use botscope_simnet::SimConfig;
+use botscope_weblog::intern::Sym;
 use botscope_weblog::record::AccessRecord;
+use botscope_weblog::table::LogTable;
 
 use proptest::prelude::*;
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
+
+/// Whether `agent` may fetch `path` under `policy`: a believed version
+/// answers through the interpreted matcher; a fetch-layer allow-all (or
+/// no fetch yet) allows everything; disallow-all leaves only
+/// robots.txt itself reachable.
+fn oracle_allows(corpus: &PolicyCorpus, policy: BelievedPolicy, agent: &str, path: &str) -> bool {
+    match policy {
+        BelievedPolicy::Unfetched | BelievedPolicy::AllowAll => true,
+        BelievedPolicy::Version(v) => corpus.doc(v).is_allowed(agent, path).allow,
+        BelievedPolicy::DisallowAll => path == "/robots.txt",
+    }
+}
+
+/// The crawl delay `policy` sets for `agent`: only a believed version
+/// carries one.
+fn oracle_delay(corpus: &PolicyCorpus, policy: BelievedPolicy, agent: &str) -> Option<f64> {
+    match policy {
+        BelievedPolicy::Version(v) => corpus.doc(v).crawl_delay(agent),
+        _ => None,
+    }
+}
+
+/// Estate index of `site-NN.example.edu`, for sites below `n_sites`.
+fn oracle_site(name: &str, n_sites: usize) -> Option<usize> {
+    let digits = name.strip_prefix("site-")?.strip_suffix(".example.edu")?;
+    let site: usize = digits.parse().ok()?;
+    (site < n_sites && format!("site-{site:02}.example.edu") == name).then_some(site)
+}
+
+/// Memoized [`oracle_allows`] for one bot: the interpreted matcher is
+/// slow in debug builds, and a run touches few (policy, path) pairs.
+struct OracleAllows<'a> {
+    corpus: &'a PolicyCorpus,
+    agent: &'a str,
+    memo: HashMap<(BelievedPolicy, Sym), bool>,
+}
+
+impl OracleAllows<'_> {
+    fn allows(&mut self, table: &LogTable, policy: BelievedPolicy, path: Sym) -> bool {
+        let Self { corpus, agent, memo } = self;
+        *memo
+            .entry((policy, path))
+            .or_insert_with(|| oracle_allows(corpus, policy, agent, table.resolve(path)))
+    }
+}
+
+/// Serial oracle for `attribute_table`: every monitored bot's page
+/// accesses on estate sites, judged at their own instant against the
+/// believed and the served policy. A served violation is deliberate when
+/// the bot's belief forbade it too or it never fetched robots.txt, a
+/// stale cache when a believed version allowed it, and a fetch artifact
+/// when a fetch-layer allow-all did.
+fn attribute_oracle(
+    table: &LogTable,
+    beliefs: &BeliefAtlas,
+    served: &[BeliefTimeline],
+    corpus: &PolicyCorpus,
+) -> BTreeMap<String, AttributionCounts> {
+    let n_sites = served.len().min(beliefs.n_sites());
+    let mut out = BTreeMap::new();
+    for view in standardize_table(table).bots.values() {
+        let Some(bot) = beliefs.bots.iter().position(|b| *b == view.name) else {
+            continue;
+        };
+        let mut allows = OracleAllows { corpus, agent: &view.name, memo: HashMap::new() };
+        let mut counts = AttributionCounts::default();
+        for row in &view.rows {
+            if table.resolve(row.uri_path) == "/robots.txt" {
+                continue;
+            }
+            let Some(site) = oracle_site(table.resolve(row.sitename), n_sites) else {
+                continue;
+            };
+            let t = row.timestamp.unix();
+            let believed = beliefs.timeline(bot, site).at(t);
+            let allowed_believed = allows.allows(table, believed, row.uri_path);
+            let allowed_served = allows.allows(table, served[site].at(t), row.uri_path);
+            counts.accesses += 1;
+            counts.believed_violations += u64::from(!allowed_believed);
+            match believed {
+                _ if allowed_served => counts.allowed_served += 1,
+                _ if !allowed_believed => counts.deliberate += 1,
+                BelievedPolicy::Unfetched => counts.deliberate += 1,
+                BelievedPolicy::Version(_) => counts.stale_cache += 1,
+                BelievedPolicy::AllowAll => counts.fetch_artifact += 1,
+                BelievedPolicy::DisallowAll => {
+                    unreachable!("allowed page fetch under disallow-all")
+                }
+            }
+        }
+        if counts.accesses > 0 {
+            out.insert(view.name.clone(), counts);
+        }
+    }
+    out
+}
+
+/// τ = (ASN, IP hash, raw user agent), resolved.
+type Tau<'t> = (&'t str, u64, &'t str);
+
+/// Serial oracle for `score_table`: every estate-site access is an
+/// allowed-target trial, a success when the basis policy allowed it.
+/// Within each τ = (ASN, IP hash, raw user agent) group in time order,
+/// each inter-access delta is a crawl-delay trial while the basis policy
+/// live at the later access sets a delay, and a success when it meets
+/// that delay; a single-access group under a live delay counts as one
+/// compliant instance.
+fn score_oracle(
+    table: &LogTable,
+    beliefs: &BeliefAtlas,
+    served: &[BeliefTimeline],
+    corpus: &PolicyCorpus,
+    basis: PolicyBasis,
+) -> BTreeMap<String, PolicyScore> {
+    let n_sites = served.len().min(beliefs.n_sites());
+    let mut out = BTreeMap::new();
+    for view in standardize_table(table).bots.values() {
+        let Some(bot) = beliefs.bots.iter().position(|b| *b == view.name) else {
+            continue;
+        };
+        let policy_at = |site: usize, t: u64| match basis {
+            PolicyBasis::Believed => beliefs.timeline(bot, site).at(t),
+            PolicyBasis::Served => served[site].at(t),
+        };
+        let delay_at = |site: usize, t: u64| oracle_delay(corpus, policy_at(site, t), &view.name);
+        let mut allows = OracleAllows { corpus, agent: &view.name, memo: HashMap::new() };
+        let mut score = PolicyScore::default();
+        // τ → the group's (instant, site) accesses.
+        let mut by_tau: BTreeMap<Tau<'_>, Vec<(u64, usize)>> = BTreeMap::new();
+        for row in &view.rows {
+            let Some(site) = oracle_site(table.resolve(row.sitename), n_sites) else {
+                continue;
+            };
+            let t = row.timestamp.unix();
+            score.allowed.trials += 1;
+            if allows.allows(table, policy_at(site, t), row.uri_path) {
+                score.allowed.successes += 1;
+            }
+            let tau = (table.resolve(row.asn), row.ip_hash, table.resolve(row.useragent));
+            by_tau.entry(tau).or_default().push((t, site));
+        }
+        for accesses in by_tau.values_mut() {
+            accesses.sort_by_key(|&(t, _)| t);
+            if let [(t, site)] = accesses[..] {
+                if delay_at(site, t).is_some() {
+                    score.crawl_delay.trials += 1;
+                    score.crawl_delay.successes += 1;
+                }
+                continue;
+            }
+            for pair in accesses.windows(2) {
+                let (earlier, (t, site)) = (pair[0].0, pair[1]);
+                let Some(required) = delay_at(site, t) else {
+                    continue;
+                };
+                score.crawl_delay.trials += 1;
+                if (t - earlier) as f64 >= required {
+                    score.crawl_delay.successes += 1;
+                }
+            }
+        }
+        if score.allowed.trials > 0 {
+            out.insert(view.name.clone(), score);
+        }
+    }
+    out
+}
 
 /// Tiny deterministic generator for timeline synthesis.
 struct XorShift(u64);
@@ -79,7 +257,7 @@ fn random_timeline(rng: &mut XorShift, lo: u64, hi: u64, max_transitions: u64) -
 
 /// Generated traffic plus synthetic belief/served state.
 struct Fixture {
-    table: botscope_weblog::table::LogTable,
+    table: LogTable,
     schedule: botscope_simnet::phases::PhaseSchedule,
     beliefs: BeliefAtlas,
     served: Vec<BeliefTimeline>,
@@ -107,10 +285,10 @@ fn fixture(seed: u64, scale: f64, sites: usize) -> Fixture {
     Fixture { table: out.sim.table, schedule: out.schedule, beliefs, served }
 }
 
-/// Parallel attribute/score ≡ their serial references at 1/2/8 workers.
+/// Parallel attribute/score ≡ their serial oracles at 1/2/8 workers.
 fn check_attribution_equiv(fx: &Fixture) {
     let corpus = PolicyCorpus::new();
-    let attr_ref = attribute_table_reference(&fx.table, &fx.beliefs, &fx.served, &corpus);
+    let attr_ref = attribute_oracle(&fx.table, &fx.beliefs, &fx.served, &corpus);
     assert!(
         attr_ref.values().any(|c| c.violations_served() > 0),
         "synthetic timelines should produce violations"
@@ -120,8 +298,7 @@ fn check_attribution_equiv(fx: &Fixture) {
             attribute_table_with_threads(&fx.table, &fx.beliefs, &fx.served, &corpus, threads);
         assert_eq!(attr, attr_ref, "attribute_table at {threads} workers");
         for basis in [PolicyBasis::Believed, PolicyBasis::Served] {
-            let score_ref =
-                score_table_reference(&fx.table, &fx.beliefs, &fx.served, &corpus, basis);
+            let score_ref = score_oracle(&fx.table, &fx.beliefs, &fx.served, &corpus, basis);
             let score = score_table_with_threads(
                 &fx.table,
                 &fx.beliefs,
@@ -150,7 +327,7 @@ fn check_believed_basis_equiv(fx: &Fixture) {
         .filter(|&(_, &excused)| !excused)
         .map(|(row, _)| fx.table.materialize(row))
         .collect();
-    let posthoc_table = botscope_weblog::table::LogTable::from_records(&kept);
+    let posthoc_table = LogTable::from_records(&kept);
     let posthoc = Experiment::analyze_table_with_threads(&posthoc_table, &fx.schedule, 1);
 
     for threads in WORKER_COUNTS {

@@ -59,12 +59,12 @@ fn assert_stream_matches_batch(
     windows: &SiteVersionWindows,
     horizon_end: u64,
 ) {
+    let table = LogTable::from_records(records);
     let mut acc = RecheckAccumulator::new(windows.clone(), horizon_end);
-    for r in records {
-        acc.push(r);
+    for row in table.rows() {
+        acc.push(row, table.interner());
     }
 
-    let table = LogTable::from_records(records);
     let batch_agg = by_category(&profiles_from_table(&table, horizon_end));
     let batch_matrix = phase_check_matrix(&table, windows);
 

@@ -113,6 +113,15 @@ pub enum ParseWarning {
         /// The directive key, lowercased.
         key: String,
     },
+    /// The input was not valid UTF-8: every octet outside a valid
+    /// sequence was percent-encoded as `%XX` before parsing (RFC 9309
+    /// §2.2.2), so a pattern such as `/caf\xE9` survives as `/caf%E9`.
+    InvalidUtf8 {
+        /// 1-based line of the first invalid octet.
+        line: usize,
+        /// Number of octets percent-encoded.
+        octets: usize,
+    },
     /// Input exceeded the 500 KiB cap and was truncated (RFC 9309 §2.5
     /// requires parsers to handle at least 500 KiB; we parse exactly that
     /// much and ignore the rest).

@@ -27,6 +27,37 @@ impl RobotsTxt {
     pub fn parse(input: &str) -> RobotsTxt {
         parse(input)
     }
+
+    /// Parse a robots.txt body given as raw bytes, as files and HTTP
+    /// bodies arrive. Valid UTF-8 parses exactly like
+    /// [`RobotsTxt::parse`]. Otherwise every octet outside a valid UTF-8
+    /// sequence (a Latin-1 `é`, say) is percent-encoded as uppercase
+    /// `%XX`, as RFC 9309 §2.2.2 asks for non-ASCII octets and as the
+    /// pattern normalizer already spells raw octets, and the document
+    /// leads with a [`ParseWarning::InvalidUtf8`]. Never fails.
+    pub fn parse_bytes(input: &[u8]) -> RobotsTxt {
+        if let Ok(text) = std::str::from_utf8(input) {
+            return parse(text);
+        }
+        const HEX: &[u8; 16] = b"0123456789ABCDEF";
+        let mut text = String::with_capacity(input.len() + 16);
+        let (mut line, mut octets) = (0, 0);
+        for chunk in input.utf8_chunks() {
+            text.push_str(chunk.valid());
+            if octets == 0 && !chunk.invalid().is_empty() {
+                line = 1 + text.bytes().filter(|&b| b == b'\n').count();
+            }
+            for &b in chunk.invalid() {
+                text.push('%');
+                text.push(char::from(HEX[usize::from(b >> 4)]));
+                text.push(char::from(HEX[usize::from(b & 0xF)]));
+            }
+            octets += chunk.invalid().len();
+        }
+        let mut doc = parse(&text);
+        doc.warnings.insert(0, ParseWarning::InvalidUtf8 { line, octets });
+        doc
+    }
 }
 
 /// Parse a robots.txt body into a document. See [`RobotsTxt::parse`].
@@ -273,6 +304,25 @@ mod tests {
         assert!(r.groups.is_empty());
         assert!(r.warnings.is_empty());
         assert_eq!(r, RobotsTxt::allow_all());
+    }
+
+    #[test]
+    fn parse_bytes_matches_parse_on_utf8() {
+        let text = "User-agent: *\nDisallow: /café/\nAllow: /ok\n";
+        assert_eq!(RobotsTxt::parse_bytes(text.as_bytes()), parse(text));
+    }
+
+    #[test]
+    fn parse_bytes_percent_encodes_invalid_octets() {
+        // Latin-1 é (0xE9) on line 2, plus a truncated UTF-8 sequence
+        // (the first two bytes of a three-byte char) at the very end.
+        let r = RobotsTxt::parse_bytes(b"User-agent: *\nDisallow: /caf\xE9/\nAllow: /x\xE2\x82");
+        assert_eq!(r.warnings[0], ParseWarning::InvalidUtf8 { line: 2, octets: 3 });
+        assert_eq!(r.groups[0].rules[0].pattern.as_str(), "/caf%E9/");
+        assert_eq!(r.groups[0].rules[1].pattern.as_str(), "/x%E2%82");
+        assert!(!r.is_allowed("bot", "/caf%E9/menu").allow);
+        assert!(!r.is_allowed("bot", "/caf%e9/menu").allow, "percent case is normalized");
+        assert!(r.is_allowed("bot", "/café/").allow, "é in UTF-8 is a different path");
     }
 
     #[test]

@@ -5,12 +5,14 @@
 //! static, so a serde stack would add dependency weight without value
 //! (see DESIGN.md §7).
 
-use std::fmt::Write as _;
 use std::io::{self, BufRead, Write};
 
+use crate::fieldfmt::{push_decimal, push_hex16, SymBytes};
+use crate::intern::StringInterner;
 use crate::record::AccessRecord;
-use crate::table::LogTable;
-use crate::time::Timestamp;
+use crate::sink::{CsvSink, RowSink};
+use crate::table::{LogTable, RecordRow};
+use crate::time::{Iso8601Writer, Timestamp};
 
 /// The header row.
 pub const HEADER: &str = "useragent,timestamp,ip_hash,asn,sitename,uri_path,status,bytes,referer";
@@ -39,37 +41,93 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-/// Quote a field if it contains a comma, quote, or newline.
-fn quote(field: &str, out: &mut String) {
-    if field.contains([',', '"', '\n', '\r']) {
-        out.push('"');
-        for ch in field.chars() {
-            if ch == '"' {
-                out.push('"');
+/// Append `field`, quoted per RFC 4180 if it contains a comma, quote,
+/// or line break.
+fn quote_into(field: &str, out: &mut Vec<u8>) {
+    if field.bytes().any(|b| matches!(b, b',' | b'"' | b'\n' | b'\r')) {
+        out.push(b'"');
+        for b in field.bytes() {
+            if b == b'"' {
+                out.push(b'"');
             }
-            out.push(ch);
+            out.push(b);
         }
-        out.push('"');
+        out.push(b'"');
     } else {
-        out.push_str(field);
+        out.extend_from_slice(field.as_bytes());
     }
+}
+
+/// Append `,ip_hash,` with the hash as 16 hex digits.
+fn push_ip_hash(out: &mut Vec<u8>, ip_hash: u64) {
+    out.push(b',');
+    push_hex16(out, ip_hash);
+    out.push(b',');
+}
+
+/// Append `,status,bytes,`.
+fn push_status_bytes(out: &mut Vec<u8>, status: u16, bytes: u64) {
+    out.push(b',');
+    push_decimal(out, u64::from(status), 0);
+    out.push(b',');
+    push_decimal(out, bytes, 0);
+    out.push(b',');
 }
 
 /// Encode one record as a CSV line (no trailing newline).
 pub fn encode_record(r: &AccessRecord) -> String {
-    let mut out = String::with_capacity(128);
-    quote(&r.useragent, &mut out);
-    out.push(',');
-    out.push_str(&r.timestamp.to_iso8601());
-    let _ = write!(out, ",{:016x},", r.ip_hash);
-    quote(&r.asn, &mut out);
-    out.push(',');
-    quote(&r.sitename, &mut out);
-    out.push(',');
-    quote(&r.uri_path, &mut out);
-    let _ = write!(out, ",{},{},", r.status, r.bytes);
-    quote(r.referer.as_deref().unwrap_or(""), &mut out);
-    out
+    let mut out = Vec::with_capacity(128);
+    quote_into(&r.useragent, &mut out);
+    out.push(b',');
+    Iso8601Writer::new().push(&mut out, r.timestamp);
+    push_ip_hash(&mut out, r.ip_hash);
+    quote_into(&r.asn, &mut out);
+    out.push(b',');
+    quote_into(&r.sitename, &mut out);
+    out.push(b',');
+    quote_into(&r.uri_path, &mut out);
+    push_status_bytes(&mut out, r.status, r.bytes);
+    quote_into(r.referer.as_deref().unwrap_or(""), &mut out);
+    String::from_utf8(out).expect("CSV of UTF-8 fields is UTF-8")
+}
+
+/// The CSV row encoder behind [`write_table`] and
+/// [`crate::sink::CsvSink`]: the same line as [`encode_record`], with
+/// every string field copied from a per-symbol cache of its quoted
+/// bytes and the timestamp's date prefix cached per day.
+#[derive(Debug, Clone)]
+pub(crate) struct CsvEncoder {
+    strings: SymBytes,
+    time: Iso8601Writer,
+}
+
+impl CsvEncoder {
+    pub(crate) fn new() -> CsvEncoder {
+        CsvEncoder { strings: SymBytes::new(quote_into), time: Iso8601Writer::new() }
+    }
+
+    /// Append `row` as one CSV line, newline included.
+    pub(crate) fn push_row(
+        &mut self,
+        out: &mut Vec<u8>,
+        row: &RecordRow,
+        strings: &StringInterner,
+    ) {
+        self.strings.push(out, row.useragent, strings);
+        out.push(b',');
+        self.time.push(out, row.timestamp);
+        push_ip_hash(out, row.ip_hash);
+        self.strings.push(out, row.asn, strings);
+        out.push(b',');
+        self.strings.push(out, row.sitename, strings);
+        out.push(b',');
+        self.strings.push(out, row.uri_path, strings);
+        push_status_bytes(out, row.status, row.bytes);
+        if let Some(referer) = row.referer {
+            self.strings.push(out, referer, strings);
+        }
+        out.push(b'\n');
+    }
 }
 
 /// Encode a full dataset with header.
@@ -274,19 +332,15 @@ pub fn decode_table_read<R: BufRead>(mut reader: R) -> Result<LogTable, DecodeEr
     }
 }
 
-/// Encode a table to a writer, streaming row by row (header included).
+/// Encode a table to a writer (header included) through a
+/// [`CsvSink`], so the bytes equal streaming the same rows into one.
+/// Flushes `w`.
 pub fn write_table<W: Write>(w: &mut W, table: &LogTable) -> io::Result<()> {
-    w.write_all(HEADER.as_bytes())?;
-    w.write_all(b"\n")?;
-    let mut line = String::with_capacity(160);
+    let mut sink = CsvSink::new(w)?;
     for row in table.rows() {
-        line.clear();
-        let r = table.materialize(row);
-        line.push_str(&encode_record(&r));
-        line.push('\n');
-        w.write_all(line.as_bytes())?;
+        sink.write_row(row, table.interner())?;
     }
-    Ok(())
+    sink.finish()
 }
 
 /// Encode a whole table as a CSV string (header included). Equivalent

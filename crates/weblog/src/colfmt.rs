@@ -36,8 +36,7 @@
 use std::io::{self, BufRead, Write};
 
 use crate::codec::DecodeError;
-use crate::intern::{StringInterner, Sym};
-use crate::record::AccessRecord;
+use crate::intern::{StringInterner, Sym, SymMap};
 use crate::sink::RowSink;
 use crate::table::{LogTable, RecordRow};
 use crate::time::Timestamp;
@@ -81,14 +80,17 @@ fn encode_row(row: &RecordRow, buf: &mut [u8; ROW_BYTES]) {
     buf[44..46].copy_from_slice(&row.status.to_le_bytes());
 }
 
-fn write_dict_entries<W: Write>(w: &mut W, entries: &[&str]) -> io::Result<()> {
+/// Append one dictionary entry (length-prefixed UTF-8) to a page body.
+fn push_dict_entry(body: &mut Vec<u8>, s: &str) {
+    body.extend_from_slice(&(s.len() as u32).to_le_bytes());
+    body.extend_from_slice(s.as_bytes());
+}
+
+/// Write a dictionary page of `count` entries encoded in `body`.
+fn write_dict_page<W: Write>(w: &mut W, count: u32, body: &[u8]) -> io::Result<()> {
     w.write_all(&[TAG_DICT])?;
-    w.write_all(&(entries.len() as u32).to_le_bytes())?;
-    for s in entries {
-        w.write_all(&(s.len() as u32).to_le_bytes())?;
-        w.write_all(s.as_bytes())?;
-    }
-    Ok(())
+    w.write_all(&count.to_le_bytes())?;
+    w.write_all(body)
 }
 
 fn write_row_page<W: Write>(w: &mut W, rows: &[RecordRow]) -> io::Result<()> {
@@ -114,8 +116,11 @@ pub fn write_table<W: Write>(w: &mut W, table: &LogTable) -> io::Result<()> {
     w.write_all(&MAGIC)?;
     w.write_all(&VERSION.to_le_bytes())?;
     if !table.interner().is_empty() {
-        let entries: Vec<&str> = table.interner().iter().map(|(_, s)| s).collect();
-        write_dict_entries(w, &entries)?;
+        let mut body = Vec::new();
+        for (_, s) in table.interner().iter() {
+            push_dict_entry(&mut body, s);
+        }
+        write_dict_page(w, table.interner().len() as u32, &body)?;
     }
     for chunk in table.rows().chunks(PAGE_ROWS) {
         write_row_page(w, chunk)?;
@@ -123,7 +128,8 @@ pub fn write_table<W: Write>(w: &mut W, table: &LogTable) -> io::Result<()> {
     w.write_all(&[TAG_END])
 }
 
-/// Streams rows into the binary format, interning strings on the fly.
+/// Streams rows into the binary format, building the file dictionary
+/// on the fly.
 ///
 /// Every [`PAGE_ROWS`] rows (configurable via
 /// [`BinSink::with_page_rows`]) the sink emits a dictionary page holding
@@ -132,16 +138,22 @@ pub fn write_table<W: Write>(w: &mut W, table: &LogTable) -> io::Result<()> {
 /// row that references it. [`RowSink::finish`] writes the remainder, the
 /// end marker, and flushes.
 ///
-/// Strings are interned in record-field order (useragent, asn,
-/// sitename, uri_path, referer), matching
-/// [`crate::table::LogTable::push_record`]: feeding the same records in
+/// Incoming symbols get file ids on first sight, in field order
+/// (useragent, asn, sitename, uri_path, referer), matching
+/// [`crate::table::LogTable::push_record`]: feeding the same rows in
 /// the same order as a materialized table produces the same dictionary.
+/// Each symbol is resolved once; the sink keeps no strings beyond the
+/// pending dictionary page.
 #[derive(Debug)]
 pub struct BinSink<W: Write> {
     writer: W,
-    interner: StringInterner,
-    /// Interner entries already written in a dictionary page.
-    dict_flushed: usize,
+    /// Incoming symbol → file dictionary id.
+    ids: SymMap,
+    /// File dictionary ids assigned so far.
+    defined: usize,
+    /// Entries first seen since the last page, encoded.
+    dict_page: Vec<u8>,
+    dict_page_entries: u32,
     rows: Vec<RecordRow>,
     page_rows: usize,
     finished: bool,
@@ -154,8 +166,10 @@ impl<W: Write> BinSink<W> {
         writer.write_all(&VERSION.to_le_bytes())?;
         Ok(BinSink {
             writer,
-            interner: StringInterner::new(),
-            dict_flushed: 0,
+            ids: SymMap::new(),
+            defined: 0,
+            dict_page: Vec::new(),
+            dict_page_entries: 0,
             rows: Vec::new(),
             page_rows: PAGE_ROWS,
             finished: false,
@@ -171,22 +185,16 @@ impl<W: Write> BinSink<W> {
         self
     }
 
-    /// The dictionary built so far.
-    pub fn interner(&self) -> &StringInterner {
-        &self.interner
-    }
-
     /// Unwrap the inner writer.
     pub fn into_inner(self) -> W {
         self.writer
     }
 
     fn flush_page(&mut self) -> io::Result<()> {
-        if self.interner.len() > self.dict_flushed {
-            let fresh: Vec<&str> =
-                self.interner.iter().skip(self.dict_flushed).map(|(_, s)| s).collect();
-            write_dict_entries(&mut self.writer, &fresh)?;
-            self.dict_flushed = self.interner.len();
+        if self.dict_page_entries > 0 {
+            write_dict_page(&mut self.writer, self.dict_page_entries, &self.dict_page)?;
+            self.dict_page.clear();
+            self.dict_page_entries = 0;
         }
         if !self.rows.is_empty() {
             write_row_page(&mut self.writer, &self.rows)?;
@@ -197,18 +205,16 @@ impl<W: Write> BinSink<W> {
 }
 
 impl<W: Write> RowSink for BinSink<W> {
-    fn write_row(&mut self, record: &AccessRecord) -> io::Result<()> {
-        let row = RecordRow {
-            useragent: self.interner.intern(&record.useragent),
-            asn: self.interner.intern(&record.asn),
-            sitename: self.interner.intern(&record.sitename),
-            uri_path: self.interner.intern(&record.uri_path),
-            referer: record.referer.as_deref().map(|s| self.interner.intern(s)),
-            timestamp: record.timestamp,
-            ip_hash: record.ip_hash,
-            bytes: record.bytes,
-            status: record.status,
-        };
+    fn write_row(&mut self, row: &RecordRow, strings: &StringInterner) -> io::Result<()> {
+        let BinSink { ids, defined, dict_page, dict_page_entries, .. } = self;
+        let row = row.map_syms(|sym| {
+            ids.map(sym, || {
+                push_dict_entry(dict_page, strings.resolve(sym));
+                *dict_page_entries += 1;
+                *defined += 1;
+                Sym::from_index(*defined - 1)
+            })
+        });
         self.rows.push(row);
         if self.rows.len() >= self.page_rows {
             self.flush_page()?;
@@ -477,6 +483,7 @@ pub fn read_table<R: BufRead>(reader: R) -> Result<LogTable, DecodeError> {
 mod tests {
     use super::*;
     use crate::codec;
+    use crate::record::AccessRecord;
 
     fn sample(i: u64) -> AccessRecord {
         AccessRecord {
@@ -532,8 +539,8 @@ mod tests {
         write_table(&mut whole, &table).unwrap();
 
         let mut sink = BinSink::new(Vec::new()).unwrap().with_page_rows(4);
-        for r in table.iter_records() {
-            sink.write_row(&r).unwrap();
+        for row in table.rows() {
+            sink.write_row(row, table.interner()).unwrap();
         }
         sink.finish().unwrap();
         let streamed = sink.into_inner();
@@ -549,8 +556,8 @@ mod tests {
         let mut outs = Vec::new();
         for _ in 0..2 {
             let mut sink = BinSink::new(Vec::new()).unwrap().with_page_rows(7);
-            for r in table.iter_records() {
-                sink.write_row(&r).unwrap();
+            for row in table.rows() {
+                sink.write_row(row, table.interner()).unwrap();
             }
             sink.finish().unwrap();
             outs.push(sink.into_inner());
@@ -560,8 +567,9 @@ mod tests {
 
     #[test]
     fn finish_is_idempotent() {
+        let table = LogTable::from_records(&[sample(1)]);
         let mut sink = BinSink::new(Vec::new()).unwrap();
-        sink.write_row(&sample(1)).unwrap();
+        sink.write_row(&table.rows()[0], table.interner()).unwrap();
         sink.finish().unwrap();
         sink.finish().unwrap();
         let bytes = sink.into_inner();

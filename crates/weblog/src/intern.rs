@@ -137,6 +137,31 @@ impl StringInterner {
     }
 }
 
+/// A map from the symbols of one interner onto another symbol space,
+/// filled on first sight: the source interner may keep growing, and
+/// each of its symbols is resolved and assigned exactly once.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SymMap {
+    /// Source symbol index → assigned symbol.
+    targets: Vec<Option<Sym>>,
+}
+
+impl SymMap {
+    /// An empty map.
+    pub(crate) fn new() -> SymMap {
+        SymMap::default()
+    }
+
+    /// The symbol assigned to `sym`, calling `assign` on its first sight.
+    pub(crate) fn map(&mut self, sym: Sym, assign: impl FnOnce() -> Sym) -> Sym {
+        let i = sym.index();
+        if i >= self.targets.len() {
+            self.targets.resize(i + 1, None);
+        }
+        *self.targets[i].get_or_insert_with(assign)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,6 +216,30 @@ mod tests {
         by_rank.sort();
         let ordered: Vec<&str> = by_rank.into_iter().map(|(_, s)| s).collect();
         assert_eq!(ordered, vec!["", "apple", "banana", "pear"]);
+    }
+
+    #[test]
+    fn sym_map_assigns_once_on_first_sight() {
+        let mut source = StringInterner::new();
+        let mut target = StringInterner::new();
+        target.intern("pre-existing");
+        let mut map = SymMap::new();
+        let b = source.intern("b");
+        let a = source.intern("a");
+        let mut calls = 0;
+        let mut remap = |sym: Sym, source: &StringInterner| {
+            map.map(sym, || {
+                calls += 1;
+                target.intern(source.resolve(sym))
+            })
+        };
+        let a2 = remap(a, &source);
+        let b2 = remap(b, &source);
+        assert_eq!(remap(a, &source), a2);
+        let c = source.intern("c");
+        let c2 = remap(c, &source);
+        assert_eq!(calls, 3);
+        assert_eq!([a2.index(), b2.index(), c2.index()], [1, 2, 3]);
     }
 
     #[test]

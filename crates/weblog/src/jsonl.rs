@@ -5,53 +5,126 @@
 //! 8259 string-escaping rules — the fixed schema makes a serde stack
 //! unnecessary (DESIGN.md §7); re-import uses the CSV codec.
 
-use std::fmt::Write as _;
+use std::io::{self, Write};
 
+use crate::fieldfmt::{push_decimal, push_hex16, SymBytes};
+use crate::intern::StringInterner;
 use crate::record::AccessRecord;
+use crate::sink::{JsonlSink, RowSink};
+use crate::table::{LogTable, RecordRow};
+use crate::time::{Iso8601Writer, Timestamp};
 
-/// Escape a string per RFC 8259 §7 into `out` (with surrounding quotes).
-fn escape_into(s: &str, out: &mut String) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+/// Append `s` as a JSON string, escaped per RFC 8259 §7 (quotes
+/// included). Multi-byte UTF-8 passes through unescaped.
+fn escape_into(s: &str, out: &mut Vec<u8>) {
+    out.push(b'"');
+    for b in s.bytes() {
+        match b {
+            b'"' => out.extend_from_slice(b"\\\""),
+            b'\\' => out.extend_from_slice(b"\\\\"),
+            b'\n' => out.extend_from_slice(b"\\n"),
+            b'\r' => out.extend_from_slice(b"\\r"),
+            b'\t' => out.extend_from_slice(b"\\t"),
+            0x08 => out.extend_from_slice(b"\\b"),
+            0x0C => out.extend_from_slice(b"\\f"),
+            b if b < 0x20 => {
+                const HEX: &[u8; 16] = b"0123456789abcdef";
+                out.extend_from_slice(b"\\u00");
+                out.extend_from_slice(&[HEX[usize::from(b >> 4)], HEX[usize::from(b & 0xF)]]);
             }
-            c => out.push(c),
+            b => out.push(b),
         }
     }
-    out.push('"');
+    out.push(b'"');
+}
+
+/// Append `,"timestamp":"…","ip_hash":"…"`.
+fn push_time_ip(out: &mut Vec<u8>, time: &mut Iso8601Writer, t: Timestamp, ip_hash: u64) {
+    out.extend_from_slice(b",\"timestamp\":\"");
+    time.push(out, t);
+    out.extend_from_slice(b"\",\"ip_hash\":\"");
+    push_hex16(out, ip_hash);
+    out.push(b'"');
+}
+
+/// Append `,"status":N,"bytes":N,"referer":`.
+fn push_status_bytes(out: &mut Vec<u8>, status: u16, bytes: u64) {
+    out.extend_from_slice(b",\"status\":");
+    push_decimal(out, u64::from(status), 0);
+    out.extend_from_slice(b",\"bytes\":");
+    push_decimal(out, bytes, 0);
+    out.extend_from_slice(b",\"referer\":");
 }
 
 /// Encode one record as a single JSON object (no trailing newline).
 pub fn encode_record(r: &AccessRecord) -> String {
-    let mut out = String::with_capacity(192);
-    out.push_str("{\"useragent\":");
+    let mut out = Vec::with_capacity(192);
+    out.extend_from_slice(b"{\"useragent\":");
     escape_into(&r.useragent, &mut out);
-    out.push_str(",\"timestamp\":");
-    escape_into(&r.timestamp.to_iso8601(), &mut out);
-    let _ = write!(out, ",\"ip_hash\":\"{:016x}\"", r.ip_hash);
-    out.push_str(",\"asn\":");
+    push_time_ip(&mut out, &mut Iso8601Writer::new(), r.timestamp, r.ip_hash);
+    out.extend_from_slice(b",\"asn\":");
     escape_into(&r.asn, &mut out);
-    out.push_str(",\"sitename\":");
+    out.extend_from_slice(b",\"sitename\":");
     escape_into(&r.sitename, &mut out);
-    out.push_str(",\"uri_path\":");
+    out.extend_from_slice(b",\"uri_path\":");
     escape_into(&r.uri_path, &mut out);
-    let _ = write!(out, ",\"status\":{},\"bytes\":{}", r.status, r.bytes);
-    out.push_str(",\"referer\":");
+    push_status_bytes(&mut out, r.status, r.bytes);
     match &r.referer {
         Some(referer) => escape_into(referer, &mut out),
-        None => out.push_str("null"),
+        None => out.extend_from_slice(b"null"),
     }
-    out.push('}');
-    out
+    out.push(b'}');
+    String::from_utf8(out).expect("JSON of UTF-8 fields is UTF-8")
+}
+
+/// The JSONL row encoder behind [`write_table`] and
+/// [`crate::sink::JsonlSink`]: the same object as [`encode_record`],
+/// with every string field copied from a per-symbol cache of its
+/// escaped bytes and the timestamp's date prefix cached per day.
+#[derive(Debug, Clone)]
+pub(crate) struct JsonlEncoder {
+    strings: SymBytes,
+    time: Iso8601Writer,
+}
+
+impl JsonlEncoder {
+    pub(crate) fn new() -> JsonlEncoder {
+        JsonlEncoder { strings: SymBytes::new(escape_into), time: Iso8601Writer::new() }
+    }
+
+    /// Append `row` as one JSON object line, newline included.
+    pub(crate) fn push_row(
+        &mut self,
+        out: &mut Vec<u8>,
+        row: &RecordRow,
+        strings: &StringInterner,
+    ) {
+        out.extend_from_slice(b"{\"useragent\":");
+        self.strings.push(out, row.useragent, strings);
+        push_time_ip(out, &mut self.time, row.timestamp, row.ip_hash);
+        out.extend_from_slice(b",\"asn\":");
+        self.strings.push(out, row.asn, strings);
+        out.extend_from_slice(b",\"sitename\":");
+        self.strings.push(out, row.sitename, strings);
+        out.extend_from_slice(b",\"uri_path\":");
+        self.strings.push(out, row.uri_path, strings);
+        push_status_bytes(out, row.status, row.bytes);
+        match row.referer {
+            Some(referer) => self.strings.push(out, referer, strings),
+            None => out.extend_from_slice(b"null"),
+        }
+        out.extend_from_slice(b"}\n");
+    }
+}
+
+/// Encode a table as JSON Lines through a [`JsonlSink`], so the bytes
+/// equal streaming the same rows into one. Flushes `w`.
+pub fn write_table<W: Write>(w: &mut W, table: &LogTable) -> io::Result<()> {
+    let mut sink = JsonlSink::new(w);
+    for row in table.rows() {
+        sink.write_row(row, table.interner())?;
+    }
+    sink.finish()
 }
 
 /// Encode a dataset: one JSON object per line.

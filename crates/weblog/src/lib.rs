@@ -26,8 +26,10 @@
 //!   model as [`LogTable`], persisted; decodes with bounded memory and
 //!   hardened against corrupt input,
 //! * [`sink`] — row-streaming output ([`sink::RowSink`]): producers
-//!   with a deterministic row order write CSV/JSONL/binary incrementally
-//!   instead of materializing a full table first,
+//!   with a deterministic row order hand interned rows to CSV/JSONL/
+//!   binary encoders incrementally instead of materializing a full
+//!   table first; the text encoders copy per-symbol cached bytes,
+//!   never an [`AccessRecord`],
 //! * [`stream`] — the input-side dual ([`stream::RowStream`]): pull-based
 //!   interned-row readers over CSV, binary, or in-memory tables,
 //! * [`merge`] — the shared k-way merge of canonically sorted runs
@@ -66,6 +68,7 @@
 pub mod codec;
 pub mod colfmt;
 pub mod fetchlog;
+mod fieldfmt;
 pub mod filter;
 pub mod intern;
 pub mod iphash;

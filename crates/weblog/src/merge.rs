@@ -4,9 +4,17 @@
 //! event shards) each emit rows in the canonical order
 //! `(timestamp, useragent, ip_hash, uri_path)` — as an in-memory table
 //! or as sorted runs spilled to disk. [`merge_runs`] merges any number
-//! of such runs into one globally ordered stream of
-//! [`AccessRecord`]s pushed through [`RowSink`]s, holding only one row
-//! per run in memory.
+//! of such runs into one globally ordered stream of interned
+//! [`RecordRow`]s pushed through [`RowSink`]s, holding only one row per
+//! run in memory.
+//!
+//! Runs carry their own interners. The merge gathers every run's
+//! strings into one merged [`StringInterner`] whose symbols are
+//! interned in byte-lexicographic order, so a merged symbol's index is
+//! its global rank. Each popped row is remapped into that interner
+//! through a per-run table, and sinks receive `(&row, &merged)`: heap
+//! comparisons are over integers, and no row is ever materialized into
+//! owned strings.
 //!
 //! ## Equivalence to materialize-then-sort
 //!
@@ -18,13 +26,12 @@
 //! the concatenation would put them.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::io;
 use std::sync::Arc;
 
 use crate::codec::DecodeError;
-use crate::intern::StringInterner;
-use crate::record::AccessRecord;
+use crate::intern::{StringInterner, Sym};
 use crate::sink::RowSink;
 use crate::stream::RowStream;
 use crate::table::{LogTable, RecordRow};
@@ -70,46 +77,39 @@ impl MergeRun {
     }
 }
 
-fn materialize(interner: &StringInterner, row: &RecordRow) -> AccessRecord {
-    AccessRecord {
-        useragent: interner.resolve(row.useragent).to_string(),
-        timestamp: row.timestamp,
-        ip_hash: row.ip_hash,
-        asn: interner.resolve(row.asn).to_string(),
-        sitename: interner.resolve(row.sitename).to_string(),
-        uri_path: interner.resolve(row.uri_path).to_string(),
-        status: row.status,
-        bytes: row.bytes,
-        referer: row.referer.map(|s| interner.resolve(s).to_string()),
-    }
-}
-
 /// Merge canonically sorted `runs` into every sink, in the global
 /// canonical order with run index as the tiebreak (see module docs for
 /// why that reproduces materialize-then-stable-sort byte-for-byte).
-/// Calls [`RowSink::finish`] on every sink after the last row and
-/// returns the number of rows merged. Decode errors from stream-backed
-/// runs surface as [`io::ErrorKind::InvalidData`].
+/// Every sink sees one merged interner (see module docs). Calls
+/// [`RowSink::finish`] on every sink after the last row and returns the
+/// number of rows merged. Decode errors from stream-backed runs surface
+/// as [`io::ErrorKind::InvalidData`].
 pub fn merge_runs(mut runs: Vec<MergeRun>, sinks: &mut [&mut dyn RowSink]) -> io::Result<u64> {
     let obs = botscope_obs::global();
     let _span = obs.span("weblog_merge");
     obs.counter("weblog_merge_runs_total").add(runs.len() as u64);
-    let per_run_ranks = build_rank_tables(&runs);
+    let (merged, remaps) = merge_interners(&runs);
 
-    // (timestamp, ua rank, ip hash, path rank, run index).
-    type Key = (Timestamp, u32, u64, u32, usize);
-    let key_of = |ranks: &[u32], row: &RecordRow, run: usize| -> Key {
-        (row.timestamp, ranks[row.useragent.index()], row.ip_hash, ranks[row.uri_path.index()], run)
+    // (timestamp, ua, ip hash, path, run index): merged symbols order
+    // exactly like their strings.
+    type Key = (Timestamp, Sym, u64, Sym, usize);
+    let key_of = |row: &RecordRow, run: usize| -> Key {
+        (row.timestamp, row.useragent, row.ip_hash, row.uri_path, run)
     };
-    let decode_err = |e: DecodeError| io::Error::new(io::ErrorKind::InvalidData, e.to_string());
+    let pull = |runs: &mut [MergeRun], i: usize| -> io::Result<Option<RecordRow>> {
+        match runs[i].next() {
+            None => Ok(None),
+            Some(Err(e)) => Err(io::Error::new(io::ErrorKind::InvalidData, e.to_string())),
+            Some(Ok(row)) => Ok(Some(row.map_syms(|sym| remaps[i][sym.index()]))),
+        }
+    };
 
     let mut heap: BinaryHeap<Reverse<Key>> = BinaryHeap::with_capacity(runs.len());
     let mut current: Vec<Option<RecordRow>> = runs.iter().map(|_| None).collect();
-    for (i, run) in runs.iter_mut().enumerate() {
-        if let Some(row) = run.next() {
-            let row = row.map_err(decode_err)?;
-            heap.push(Reverse(key_of(&per_run_ranks[i], &row, i)));
-            current[i] = Some(row);
+    for (i, slot) in current.iter_mut().enumerate() {
+        if let Some(row) = pull(&mut runs, i)? {
+            heap.push(Reverse(key_of(&row, i)));
+            *slot = Some(row);
         }
     }
 
@@ -117,14 +117,12 @@ pub fn merge_runs(mut runs: Vec<MergeRun>, sinks: &mut [&mut dyn RowSink]) -> io
     while let Some(Reverse(key)) = heap.pop() {
         let i = key.4;
         let row = current[i].take().expect("heap entry implies a current row");
-        let record = materialize(&runs[i].interner, &row);
         for sink in sinks.iter_mut() {
-            sink.write_row(&record)?;
+            sink.write_row(&row, &merged)?;
         }
         rows += 1;
-        if let Some(next) = runs[i].next() {
-            let next = next.map_err(decode_err)?;
-            heap.push(Reverse(key_of(&per_run_ranks[i], &next, i)));
+        if let Some(next) = pull(&mut runs, i)? {
+            heap.push(Reverse(key_of(&next, i)));
             current[i] = Some(next);
         }
     }
@@ -135,39 +133,53 @@ pub fn merge_runs(mut runs: Vec<MergeRun>, sinks: &mut [&mut dyn RowSink]) -> io
     Ok(rows)
 }
 
-/// Global byte-lexicographic ranks across every run's interner, so heap
-/// comparisons are over integers, never strings. Stream-backed runs must
-/// supply their final interner up front (the `from_sorted_stream`
-/// contract), which makes the rank tables total. Runs sharing one `Arc`
-/// interner (a spilling worker's runs all do) share one rank table:
-/// per-run cost must not scale with dictionary size, or a wide merge over
-/// a large-dictionary unit blows the memory budget.
-fn build_rank_tables(runs: &[MergeRun]) -> Vec<Arc<Vec<u32>>> {
-    let mut seen: BTreeSet<*const StringInterner> = BTreeSet::new();
-    let mut global: BTreeSet<&str> = BTreeSet::new();
+/// The merged interner — every run's strings, interned in
+/// byte-lexicographic order so a symbol's index is its global rank —
+/// plus one table per run mapping the run's symbol indices to merged
+/// symbols. Stream-backed runs must supply their final interner up
+/// front (the `from_sorted_stream` contract), which makes the tables
+/// total. Runs sharing one `Arc` interner (a spilling worker's runs all
+/// do) share one table: per-run cost must not scale with dictionary
+/// size, or a wide merge over a large-dictionary unit blows the memory
+/// budget.
+fn merge_interners(runs: &[MergeRun]) -> (StringInterner, Vec<Arc<Vec<Sym>>>) {
+    let mut seen: HashSet<*const StringInterner> = HashSet::new();
+    let mut all: Vec<&str> = Vec::new();
     for run in runs {
         if seen.insert(Arc::as_ptr(&run.interner)) {
-            for (_, s) in run.interner.iter() {
-                global.insert(s);
-            }
+            all.extend(run.interner.iter().map(|(_, s)| s));
         }
     }
-    let rank_of: HashMap<&str, u32> =
-        global.into_iter().enumerate().map(|(i, s)| (s, i as u32)).collect();
-    let mut cache: HashMap<*const StringInterner, Arc<Vec<u32>>> = HashMap::new();
-    runs.iter()
+    all.sort_unstable();
+    all.dedup();
+    let mut merged = StringInterner::with_capacity(all.len());
+    for s in all {
+        merged.intern(s);
+    }
+    let mut tables: HashMap<*const StringInterner, Arc<Vec<Sym>>> = HashMap::new();
+    let remaps = runs
+        .iter()
         .map(|run| {
-            cache
+            tables
                 .entry(Arc::as_ptr(&run.interner))
-                .or_insert_with(|| Arc::new(run.interner.iter().map(|(_, s)| rank_of[s]).collect()))
+                .or_insert_with(|| {
+                    Arc::new(
+                        run.interner
+                            .iter()
+                            .map(|(_, s)| merged.get(s).expect("every run string is merged"))
+                            .collect(),
+                    )
+                })
                 .clone()
         })
-        .collect()
+        .collect();
+    (merged, remaps)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::AccessRecord;
     use crate::sink::TableSink;
 
     fn rec(ua: &str, ip: u64, t: u64, path: &str) -> AccessRecord {

@@ -42,6 +42,23 @@ pub struct RecordRow {
     pub status: u16,
 }
 
+impl RecordRow {
+    /// This row with every symbol passed through `f`, visited in field
+    /// order: useragent, asn, sitename, uri_path, referer. Dictionary
+    /// builders rely on that order to assign ids exactly as
+    /// [`LogTable::push_record`] interns.
+    pub(crate) fn map_syms(&self, mut f: impl FnMut(Sym) -> Sym) -> RecordRow {
+        RecordRow {
+            useragent: f(self.useragent),
+            asn: f(self.asn),
+            sitename: f(self.sitename),
+            uri_path: f(self.uri_path),
+            referer: self.referer.map(f),
+            ..*self
+        }
+    }
+}
+
 /// An in-progress session during row sessionization:
 /// (start, end, accesses, bytes, urls as symbol pairs).
 type PendingSession = (Timestamp, Timestamp, u64, u64, Vec<(Sym, Sym)>);
@@ -193,17 +210,9 @@ impl LogTable {
     pub fn absorb(&mut self, other: &LogTable) {
         // Remap each of the shard's symbols once, not once per row.
         let remap: Vec<Sym> = other.interner.iter().map(|(_, s)| self.interner.intern(s)).collect();
-        let m = |sym: Sym| remap[sym.index()];
         self.rows.reserve(other.rows.len());
         for row in &other.rows {
-            self.rows.push(RecordRow {
-                useragent: m(row.useragent),
-                asn: m(row.asn),
-                sitename: m(row.sitename),
-                uri_path: m(row.uri_path),
-                referer: row.referer.map(m),
-                ..*row
-            });
+            self.rows.push(row.map_syms(|sym| remap[sym.index()]));
         }
     }
 

@@ -8,6 +8,8 @@
 
 use std::fmt;
 
+use crate::fieldfmt::push_decimal;
+
 /// A UTC timestamp in whole seconds since the unix epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Timestamp(u64);
@@ -119,13 +121,11 @@ impl Timestamp {
         }
     }
 
-    /// Format as `YYYY-MM-DDTHH:MM:SSZ`.
+    /// Format as `YYYY-MM-DDTHH:MM:SSZ` (through [`Iso8601Writer`]).
     pub fn to_iso8601(self) -> String {
-        let c = self.civil();
-        format!(
-            "{:04}-{:02}-{:02}T{:02}:{:02}:{:02}Z",
-            c.year, c.month, c.day, c.hour, c.minute, c.second
-        )
+        let mut out = Vec::with_capacity(20);
+        Iso8601Writer::new().push(&mut out, self);
+        String::from_utf8(out).expect("ISO-8601 output is ASCII")
     }
 
     /// Parse `YYYY-MM-DDTHH:MM:SSZ` (also accepts a space separator and a
@@ -195,6 +195,54 @@ impl Timestamp {
     /// This timestamp plus `secs` seconds.
     pub fn plus_secs(self, secs: u64) -> Timestamp {
         Timestamp(self.0 + secs)
+    }
+}
+
+/// The one ISO-8601 timestamp formatter: writes `YYYY-MM-DDTHH:MM:SSZ`
+/// straight into a byte buffer (years past 9999 print in full, as
+/// `{:04}` would).
+///
+/// The `YYYY-MM-DDT` prefix is cached for the last day written, so a
+/// chronological stream of rows pays the civil-date conversion once per
+/// day and formats only the fixed-width time of day per row. Any order
+/// of timestamps is correct; out-of-order days just refill the cache.
+#[derive(Debug, Clone, Default)]
+pub struct Iso8601Writer {
+    /// Day number (unix seconds / 86 400) plus `YYYY-MM-DDT` for it.
+    prefix: Option<(u64, Vec<u8>)>,
+}
+
+impl Iso8601Writer {
+    /// A writer with an empty prefix cache.
+    pub fn new() -> Iso8601Writer {
+        Iso8601Writer::default()
+    }
+
+    /// Append `t` as `YYYY-MM-DDTHH:MM:SSZ` to `out`.
+    pub fn push(&mut self, out: &mut Vec<u8>, t: Timestamp) {
+        let day = t.0 / 86_400;
+        match &self.prefix {
+            Some((cached, prefix)) if *cached == day => out.extend_from_slice(prefix),
+            _ => {
+                let (year, month, day_of_month) = civil_from_days(day as i64);
+                let mut prefix = Vec::with_capacity(20);
+                // Civil years of u64 timestamps are >= 1970: the cast is exact.
+                push_decimal(&mut prefix, year as u64, 4);
+                prefix.push(b'-');
+                push_decimal(&mut prefix, u64::from(month), 2);
+                prefix.push(b'-');
+                push_decimal(&mut prefix, u64::from(day_of_month), 2);
+                prefix.push(b'T');
+                out.extend_from_slice(&prefix);
+                self.prefix = Some((day, prefix));
+            }
+        }
+        let rem = t.0 % 86_400;
+        let two = |v: u64| [b'0' + (v / 10) as u8, b'0' + (v % 10) as u8];
+        let [h1, h0] = two(rem / 3600);
+        let [m1, m0] = two(rem % 3600 / 60);
+        let [s1, s0] = two(rem % 60);
+        out.extend_from_slice(&[h1, h0, b':', m1, m0, b':', s1, s0, b'Z']);
     }
 }
 

@@ -1,15 +1,17 @@
 //! Property-based tests for the web-log substrate.
 
 use botscope_weblog::codec::{
-    decode, decode_stream, decode_table, decode_table_read, encode, HEADER,
+    self, decode, decode_stream, decode_table, decode_table_read, encode, HEADER,
 };
 use botscope_weblog::colfmt;
+use botscope_weblog::jsonl;
+use botscope_weblog::merge::{merge_runs, MergeRun};
 use botscope_weblog::record::AccessRecord;
 use botscope_weblog::session::sessionize;
-use botscope_weblog::sink::RowSink;
+use botscope_weblog::sink::{CsvSink, JsonlSink, RowSink, TableSink};
 use botscope_weblog::summary::DatasetSummary;
 use botscope_weblog::table::LogTable;
-use botscope_weblog::time::Timestamp;
+use botscope_weblog::time::{Iso8601Writer, Timestamp};
 use proptest::prelude::*;
 
 /// `decode_stream` (and the table decoders) must agree with `decode` on
@@ -77,7 +79,224 @@ fn record_strategy() -> impl Strategy<Value = AccessRecord> {
         )
 }
 
+/// Pieces of hostile string fields: CSV and JSON metacharacters, line
+/// breaks, control bytes, and non-ASCII.
+const HOSTILE_PARTS: [&str; 15] = [
+    ",", "\"", "\r", "\n", "\r\n", "\\", "\t", "\u{1}", "\u{7f}", "é", "日本", "🤖", "a", " ", "/",
+];
+
+/// A string field drawn to break naive encoders: empty, printable
+/// ASCII, or a run of [`HOSTILE_PARTS`].
+fn hostile_field() -> impl Strategy<Value = String> {
+    (0u8..3, "[ -~]{0,20}", prop::collection::vec(0..HOSTILE_PARTS.len(), 0..12)).prop_map(
+        |(kind, ascii, parts)| match kind {
+            0 => String::new(),
+            1 => ascii,
+            _ => parts.into_iter().map(|i| HOSTILE_PARTS[i]).collect(),
+        },
+    )
+}
+
+/// Records whose every string field is hostile.
+fn hostile_record() -> impl Strategy<Value = AccessRecord> {
+    (
+        (hostile_field(), hostile_field(), hostile_field(), hostile_field()),
+        any::<u64>(),
+        any::<u64>(),
+        any::<u16>(),
+        any::<u64>(),
+        proptest::option::of(hostile_field()),
+    )
+        .prop_map(
+            |((useragent, asn, sitename, uri_path), secs, ip_hash, status, bytes, referer)| {
+                AccessRecord {
+                    useragent,
+                    timestamp: Timestamp::from_unix(secs),
+                    ip_hash,
+                    asn,
+                    sitename,
+                    uri_path,
+                    status,
+                    bytes,
+                    referer,
+                }
+            },
+        )
+}
+
+/// Records over small pools, so runs share strings and canonical keys
+/// tie often.
+fn pooled_record() -> impl Strategy<Value = AccessRecord> {
+    const AGENTS: [&str; 4] = ["GPTBot/1.2", "bot, \"quoted\"", "é-bot", ""];
+    const PATHS: [&str; 4] = ["/", "/robots.txt", "/a\nb", "/ü"];
+    const REFERERS: [&str; 2] = ["https://r.example/", "x,\"y\""];
+    (
+        (0..AGENTS.len(), 0u64..4, 0u64..3, 0u8..2, 0u8..2, 0..PATHS.len()),
+        proptest::option::of(0..REFERERS.len()),
+        0u64..1_000,
+    )
+        .prop_map(|((agent, t, ip_hash, asn, site, path), referer, bytes)| AccessRecord {
+            useragent: AGENTS[agent].into(),
+            timestamp: Timestamp::from_unix(1_739_318_400 + t * 43_200),
+            ip_hash,
+            asn: ["GOOGLE", "AS,1"][usize::from(asn)].into(),
+            sitename: format!("site-{site:02}.example.edu"),
+            uri_path: PATHS[path].into(),
+            status: 200,
+            bytes,
+            referer: referer.map(|i| REFERERS[i].into()),
+        })
+}
+
+/// The formatting `Timestamp::to_iso8601` used before
+/// [`Iso8601Writer`].
+fn format_iso(t: Timestamp) -> String {
+    let c = t.civil();
+    format!(
+        "{:04}-{:02}-{:02}T{:02}:{:02}:{:02}Z",
+        c.year, c.month, c.day, c.hour, c.minute, c.second
+    )
+}
+
+/// Stream `table`'s rows through `sink`, then finish it.
+fn feed(sink: &mut dyn RowSink, table: &LogTable) {
+    for row in table.rows() {
+        sink.write_row(row, table.interner()).expect("write row");
+    }
+    sink.finish().expect("finish");
+}
+
+#[test]
+fn iso_writer_matches_format_across_calendar_boundaries() {
+    // Midnights either side of month ends, year ends, leap days
+    // (2000 leap century, 2100 not leap, 2024 leap, 2025 not) and the
+    // four-to-five-digit year rollover, written through one writer so
+    // the per-day prefix cache is exercised at every boundary.
+    let mut writer = Iso8601Writer::new();
+    let mut days = Vec::new();
+    for (y, m, d) in [
+        (1970, 1, 1),
+        (1999, 12, 31),
+        (2000, 2, 28),
+        (2000, 2, 29),
+        (2000, 3, 1),
+        (2024, 2, 29),
+        (2025, 2, 28),
+        (2025, 3, 1),
+        (2025, 12, 31),
+        (2100, 2, 28),
+        (2100, 3, 1),
+        (9999, 12, 31),
+    ] {
+        days.push(Timestamp::from_date(y, m, d).unix() / 86_400);
+    }
+    for day in days {
+        let midnight = day * 86_400;
+        for secs in [
+            midnight.saturating_sub(1),
+            midnight,
+            midnight + 1,
+            midnight + 86_399,
+            midnight + 86_400,
+        ] {
+            let t = Timestamp::from_unix(secs);
+            let mut out = Vec::new();
+            writer.push(&mut out, t);
+            assert_eq!(String::from_utf8(out).unwrap(), format_iso(t), "{secs}");
+            assert_eq!(t.to_iso8601(), format_iso(t), "{secs}");
+        }
+    }
+}
+
 proptest! {
+    #[test]
+    fn iso_writer_matches_format_on_random_instants(secs in any::<u64>()) {
+        let t = Timestamp::from_unix(secs);
+        prop_assert_eq!(t.to_iso8601(), format_iso(t));
+    }
+
+    #[test]
+    fn iso_writer_cache_matches_format_on_any_sequence(
+        instants in prop::collection::vec(0u64..400_000_000_000, 0..40),
+        sorted in any::<bool>(),
+    ) {
+        // Chronological streams hit the per-day cache; shuffled ones
+        // refill it. Both must equal formatting each instant afresh.
+        let mut instants = instants;
+        if sorted {
+            instants.sort_unstable();
+        }
+        let mut writer = Iso8601Writer::new();
+        let mut out = Vec::new();
+        let mut expect = String::new();
+        for &secs in &instants {
+            writer.push(&mut out, Timestamp::from_unix(secs));
+            expect.push_str(&format_iso(Timestamp::from_unix(secs)));
+        }
+        prop_assert_eq!(String::from_utf8(out).expect("ASCII"), expect);
+    }
+
+    #[test]
+    fn text_encoders_match_per_record_reference(
+        records in prop::collection::vec(hostile_record(), 0..40),
+    ) {
+        let table = LogTable::from_records(&records);
+        let csv_lines: String = records.iter().map(|r| codec::encode_record(r) + "\n").collect();
+        let csv_expect = format!("{HEADER}\n{csv_lines}").into_bytes();
+        let jsonl_expect: Vec<u8> =
+            records.iter().flat_map(|r| (jsonl::encode_record(r) + "\n").into_bytes()).collect();
+
+        let mut csv = Vec::new();
+        codec::write_table(&mut csv, &table).expect("write csv");
+        prop_assert_eq!(&csv, &csv_expect);
+        let mut sink = CsvSink::new(Vec::new()).expect("csv sink");
+        feed(&mut sink, &table);
+        prop_assert_eq!(&sink.into_inner(), &csv_expect);
+
+        let mut json = Vec::new();
+        jsonl::write_table(&mut json, &table).expect("write jsonl");
+        prop_assert_eq!(&json, &jsonl_expect);
+        let mut sink = JsonlSink::new(Vec::new());
+        feed(&mut sink, &table);
+        prop_assert_eq!(&sink.into_inner(), &jsonl_expect);
+    }
+
+    #[test]
+    fn every_sink_through_merge_matches_stable_sorted_reference(
+        runs in prop::collection::vec(prop::collection::vec(pooled_record(), 0..25), 3..6),
+    ) {
+        // Each run interns on its own, so symbol ids disagree across
+        // runs; the merge must still emit the concatenate-then-stable-
+        // sort order, and every sink the bytes of that order.
+        let mut sorted: Vec<AccessRecord> = runs.concat();
+        sorted.sort_by(|a, b| {
+            (a.timestamp, &a.useragent, a.ip_hash, &a.uri_path)
+                .cmp(&(b.timestamp, &b.useragent, b.ip_hash, &b.uri_path))
+        });
+        let merge_runs_of = || runs.iter().map(|rs| MergeRun::from_table(LogTable::from_records(rs)));
+
+        let mut csv = CsvSink::new(Vec::new()).expect("csv sink");
+        let mut json = JsonlSink::new(Vec::new());
+        let mut bin = colfmt::BinSink::new(Vec::new()).expect("bin sink");
+        let mut table = TableSink::new();
+        let n = merge_runs(
+            merge_runs_of().collect(),
+            &mut [&mut csv as &mut dyn RowSink, &mut json, &mut bin, &mut table],
+        )
+        .expect("merge");
+        prop_assert_eq!(n as usize, sorted.len());
+
+        prop_assert_eq!(csv.into_inner(), encode(&sorted).into_bytes());
+        prop_assert_eq!(json.into_inner(), jsonl::encode(&sorted).into_bytes());
+        prop_assert_eq!(table.table.to_records(), sorted.clone());
+        // BinSink assigns file ids in field order on first sight, as
+        // push_record interns: below one page of rows its bytes are the
+        // whole-table writer's over the sorted records.
+        let mut bin_expect = Vec::new();
+        colfmt::write_table(&mut bin_expect, &LogTable::from_records(&sorted)).expect("encode");
+        prop_assert_eq!(bin.into_inner(), bin_expect);
+    }
+
     #[test]
     fn csv_roundtrip(records in prop::collection::vec(record_strategy(), 0..30)) {
         // Fields containing raw newlines can't survive a line-oriented
@@ -247,8 +466,8 @@ proptest! {
 
         // Streaming writer (dictionary deltas, sink-side re-interning).
         let mut sink = colfmt::BinSink::new(Vec::new()).expect("bin sink");
-        for r in &records {
-            sink.write_row(r).expect("write row");
+        for row in table.rows() {
+            sink.write_row(row, table.interner()).expect("write row");
         }
         sink.finish().expect("finish");
         let streamed_bytes = sink.into_inner();
@@ -288,14 +507,15 @@ proptest! {
         // Two chunks through one sink exercise dictionary-delta pages:
         // chunk b's new strings arrive in a later dict page and must
         // remap onto the reader's interner cleanly.
+        let expect: Vec<AccessRecord> = a.into_iter().chain(b).collect();
+        let table = LogTable::from_records(&expect);
         let mut sink = colfmt::BinSink::new(Vec::new()).expect("bin sink").with_page_rows(7);
-        for r in a.iter().chain(&b) {
-            sink.write_row(r).expect("write row");
+        for row in table.rows() {
+            sink.write_row(row, table.interner()).expect("write row");
         }
         sink.finish().expect("finish");
         let bytes = sink.into_inner();
         let back = colfmt::read_table(&bytes[..]).expect("decode");
-        let expect: Vec<AccessRecord> = a.into_iter().chain(b).collect();
         prop_assert_eq!(back.to_records(), expect);
     }
 

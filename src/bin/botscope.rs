@@ -349,6 +349,14 @@ fn read_file(path: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
 }
 
+/// Read and parse a robots.txt file from its raw bytes: octets that are
+/// not UTF-8 (Latin-1 files) are percent-encoded with a parse warning,
+/// never an error.
+fn read_robots(path: &str) -> Result<RobotsTxt, String> {
+    let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    Ok(RobotsTxt::parse_bytes(&bytes))
+}
+
 fn cmd_check(args: &[String]) -> Result<(), String> {
     let [file, agent, paths @ ..] = args else {
         return Err("usage: botscope check <robots.txt> <agent> <path>...".into());
@@ -356,7 +364,7 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
     if paths.is_empty() {
         return Err("no paths given".into());
     }
-    let doc = RobotsTxt::parse(&read_file(file)?);
+    let doc = read_robots(file)?;
     if !doc.warnings.is_empty() {
         eprintln!(
             "note: {} parse warning(s); run `botscope audit` for details",
@@ -453,12 +461,12 @@ fn cmd_admit(args: &[String]) -> Result<(), String> {
     // Register every queried site; compilation stays lazy so the first
     // check against each site pays its compile below, inside the timed
     // loop — that cost is what the stderr summary reports.
-    let robots_text = robots_file.map(read_file).transpose()?;
+    let robots_doc = robots_file.map(read_robots).transpose()?;
     let mut estate = PolicyEstate::new();
     for &(_, site, _) in &queries {
         if estate.doc(site).is_none() {
-            match &robots_text {
-                Some(text) => estate.insert_text(site, text),
+            match &robots_doc {
+                Some(doc) => estate.insert(site, doc.clone()),
                 None => estate.insert(site, admit_site_version(site).robots_txt()),
             }
         }
@@ -624,7 +632,7 @@ fn audit_files(
     let mut denied = 0usize;
     let mut json_out = String::from("{\"files\":[");
     for (fi, file) in files.iter().enumerate() {
-        let doc = RobotsTxt::parse(&read_file(file)?);
+        let doc = read_robots(file)?;
         let mut analysis = analyze(&doc);
         analysis.findings.retain(|f| f.severity >= severity);
         if let Some(threshold) = deny {
@@ -846,8 +854,8 @@ fn cmd_diff(args: &[String]) -> Result<(), String> {
     let [old_file, new_file, agents @ ..] = args else {
         return Err("usage: botscope diff <old> <new> [agent]...".into());
     };
-    let old = RobotsTxt::parse(&read_file(old_file)?);
-    let new = RobotsTxt::parse(&read_file(new_file)?);
+    let old = read_robots(old_file)?;
+    let new = read_robots(new_file)?;
 
     let default_agents = ["Googlebot", "GPTBot", "ClaudeBot", "Bytespider", "anybot"];
     let agents: Vec<&str> = if agents.is_empty() {
@@ -1179,13 +1187,7 @@ fn cmd_monitor(args: &[String]) -> Result<(), String> {
         write_csv(path, &out.table)?;
     }
     if let Some(path) = &jsonl_path {
-        let table = &out.table;
-        write_output(path, |w| {
-            for record in table.iter_records() {
-                writeln!(w, "{}", botscope::weblog::jsonl::encode_record(&record))?;
-            }
-            Ok(())
-        })?;
+        write_output(path, |mut w| botscope::weblog::jsonl::write_table(&mut w, &out.table))?;
     }
     if let Some(path) = &changes_path {
         write_changes(path, &out.changes)?;

@@ -115,6 +115,35 @@ fn admit_rejects_malformed_queries_cleanly() {
 }
 
 #[test]
+fn latin1_robots_files_are_read_with_percent_encoded_octets() {
+    // One Latin-1 byte (0xE9) used to fail the whole read as not UTF-8.
+    let root = env!("CARGO_MANIFEST_DIR");
+    let latin1 = format!("{root}/tests/fixtures/audit/latin1.robots.txt");
+    let out = botscope(&["check", &latin1, "GPTBot", "/caf%E9/x", "/caf%e9/menu", "/other"]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("DENY  /caf%E9/x"), "{text}");
+    assert!(text.contains("ALLOW /caf%e9/menu"), "{text}");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("1 parse warning"));
+
+    let out = botscope(&["audit", &latin1]);
+    assert!(out.status.success());
+    assert!(String::from_utf8_lossy(&out.stdout).contains("InvalidUtf8 { line: 2, octets: 2 }"));
+
+    let utf8 = write_temp("latin1-diff-new.txt", "User-agent: *\nDisallow: /caf%E9/\n");
+    let out = botscope(&["diff", &latin1, utf8.to_str().unwrap(), "GPTBot"]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let _ = std::fs::remove_file(utf8);
+
+    let queries =
+        write_temp("latin1-queries.csv", "agent,site,path\nGPTBot,a.example.edu,/caf%E9/\n");
+    let out = botscope(&["admit", "--robots", &latin1, queries.to_str().unwrap()]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("DENY  GPTBot a.example.edu /caf%E9/"));
+    let _ = std::fs::remove_file(queries);
+}
+
+#[test]
 fn check_missing_file_fails_cleanly() {
     let out = botscope(&["check", "/no/such/file", "bot", "/x"]);
     assert!(!out.status.success());
