@@ -6,47 +6,43 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 
-use botscope_core::metrics::{crawl_delay_counts, disallow_counts, endpoint_counts};
-use botscope_core::pipeline::standardize;
-use botscope_core::spoofdetect::detect;
+use botscope_core::metrics::{
+    crawl_delay_counts_rows, disallow_counts_rows, endpoint_counts_rows, PathClasses,
+};
+use botscope_core::pipeline::standardize_table;
+use botscope_core::spoofdetect::detect_rows;
 use botscope_core::Experiment;
-use botscope_simnet::scenario::{full_study, phase_study_table};
+use botscope_simnet::scenario::{full_study_table, phase_study_table};
 use botscope_simnet::SimConfig;
-use botscope_weblog::record::AccessRecord;
-use botscope_weblog::session::sessionize;
-
-fn dataset() -> Vec<AccessRecord> {
-    let cfg = SimConfig { days: 10, scale: 0.05, ..SimConfig::default() };
-    full_study(&cfg).records
-}
 
 fn bench_pipeline(c: &mut Criterion) {
-    let records = dataset();
-    let n = records.len() as u64;
+    let cfg = SimConfig { days: 10, scale: 0.05, ..SimConfig::default() };
+    let table = full_study_table(&cfg).table;
 
     let mut g = c.benchmark_group("pipeline");
-    g.throughput(Throughput::Elements(n));
+    g.throughput(Throughput::Elements(table.len() as u64));
 
-    g.bench_function("standardize", |b| b.iter(|| standardize(black_box(&records))));
+    g.bench_function("standardize", |b| b.iter(|| standardize_table(black_box(&table))));
 
-    g.bench_function("sessionize_5min", |b| b.iter(|| sessionize(black_box(&records), 300)));
+    g.bench_function("sessionize_5min", |b| b.iter(|| black_box(&table).sessionize(300)));
 
-    let logs = standardize(&records);
-    let per_bot = logs.per_bot_records();
-    g.bench_function("spoof_detect", |b| b.iter(|| detect(black_box(&per_bot))));
+    let logs = standardize_table(&table);
+    let per_bot = logs.per_bot_rows();
+    g.bench_function("spoof_detect", |b| b.iter(|| detect_rows(&table, black_box(&per_bot))));
 
     // Metric throughput over the busiest bot.
-    let busiest = per_bot.values().max_by_key(|v| v.len()).cloned().expect("non-empty dataset");
+    let busiest = per_bot.values().max_by_key(|v| v.len()).expect("non-empty dataset");
+    let classes = PathClasses::new(&table);
     g.throughput(Throughput::Elements(busiest.len() as u64));
     g.bench_function("crawl_delay_metric", |b| {
-        b.iter_batched(
-            || busiest.clone(),
-            |records| crawl_delay_counts(&records, 30),
-            BatchSize::SmallInput,
-        );
+        b.iter(|| crawl_delay_counts_rows(black_box(busiest), 30));
     });
-    g.bench_function("endpoint_metric", |b| b.iter(|| endpoint_counts(black_box(&busiest))));
-    g.bench_function("disallow_metric", |b| b.iter(|| disallow_counts(black_box(&busiest))));
+    g.bench_function("endpoint_metric", |b| {
+        b.iter(|| endpoint_counts_rows(&classes, black_box(busiest)));
+    });
+    g.bench_function("disallow_metric", |b| {
+        b.iter(|| disallow_counts_rows(&classes, black_box(busiest)));
+    });
     g.finish();
 }
 

@@ -3,24 +3,26 @@
 //! promise-vs-practice, and honeypot corroboration of spoofing (§6
 //! future work).
 
-use botscope_core::pipeline::standardize;
-use botscope_core::{adaptation, honeypot, promise, spoofdetect};
-use botscope_simnet::scenario::phase_study;
+use botscope_core::pipeline::standardize_table;
+use botscope_core::spoofdetect::detect_rows;
+use botscope_core::{adaptation, honeypot, promise, Experiment};
+use botscope_simnet::scenario::phase_study_table;
 
 fn main() {
     let cfg = botscope_bench::phase_config();
-    let study = phase_study(&cfg);
+    let study = phase_study_table(&cfg);
+    let table = &study.sim.table;
 
     // Adaptation: how long until bots notice each new file?
-    let logs = standardize(&study.sim.records);
+    let logs = standardize_table(table);
     let lags = adaptation::awareness_lags(&logs, &study.schedule);
     println!("{}", adaptation::render(&adaptation::by_category(&lags)));
 
     // Promise vs practice.
-    let exp = botscope_core::Experiment::analyze(&study.sim.records, &study.schedule);
+    let exp = Experiment::analyze_table(table, &study.schedule);
     println!("{}", promise::render(&exp));
 
     // Honeypot trap analysis + spoof corroboration.
-    let spoof = spoofdetect::detect(&logs.per_bot_records());
+    let spoof = detect_rows(table, &logs.per_bot_rows());
     println!("{}", honeypot::render(&logs, &spoof));
 }

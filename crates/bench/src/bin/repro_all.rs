@@ -1,5 +1,6 @@
 //! Runs the entire reproduction: every table and figure, in paper order.
-//! This is the binary EXPERIMENTS.md is generated from.
+//! This is the single entry point for the paper's artifacts; `extensions`
+//! prints the analyses that go beyond the paper.
 use botscope_core::report;
 
 fn main() {

@@ -1,7 +1,7 @@
 //! Shared configuration for the reproduction binaries.
 //!
-//! Every table/figure binary uses the same two scenario configurations so
-//! numbers are comparable across binaries and runs:
+//! `repro_all` and `extensions` use the same two scenario configurations
+//! so numbers are comparable across binaries and runs:
 //!
 //! * [`full_config`] — study 1 (paper §3/§5): 36 sites, 46 days, scale
 //!   0.1 (≈ a tenth of the paper's raw volume; all shapes preserved),
@@ -17,7 +17,7 @@
 
 use botscope_core::report::FullStudyReport;
 use botscope_core::Experiment;
-use botscope_simnet::scenario::full_study;
+use botscope_simnet::scenario::full_study_table;
 use botscope_simnet::SimConfig;
 
 /// Read an env-var override.
@@ -49,9 +49,7 @@ pub fn phase_config() -> SimConfig {
 
 /// Generate the passive study and compute its report.
 pub fn full_report() -> FullStudyReport {
-    let cfg = full_config();
-    let out = full_study(&cfg);
-    FullStudyReport::new(&out.records)
+    FullStudyReport::from_table(&full_study_table(&full_config()).table)
 }
 
 /// Generate and analyze the phase study.

@@ -14,7 +14,8 @@ use botscope_useragent::BotCategory;
 
 use botscope_simnet::phases::{PhaseSchedule, PolicyVersion};
 
-use crate::pipeline::StandardizedLogs;
+use crate::metrics::PathClasses;
+use crate::pipeline::StandardizedTable;
 
 /// One bot's awareness lag for one phase.
 #[derive(Debug, Clone, PartialEq)]
@@ -35,13 +36,14 @@ pub struct AwarenessLag {
 ///
 /// Lags use estate-wide robots.txt fetches (a bot that refreshed any of
 /// the institution's policy files demonstrably re-consulted policy).
-pub fn awareness_lags(logs: &StandardizedLogs<'_>, schedule: &PhaseSchedule) -> Vec<AwarenessLag> {
+pub fn awareness_lags(logs: &StandardizedTable<'_>, schedule: &PhaseSchedule) -> Vec<AwarenessLag> {
+    let classes = PathClasses::new(logs.table);
     let mut out = Vec::new();
     for view in logs.bots.values() {
         let mut checks: Vec<u64> = view
-            .records
+            .rows
             .iter()
-            .filter(|r| r.is_robots_fetch())
+            .filter(|r| classes.is_robots(r.uri_path))
             .map(|r| r.timestamp.unix())
             .collect();
         checks.sort_unstable();
@@ -122,9 +124,10 @@ pub fn for_bot<'a>(lags: &'a [AwarenessLag], bot: &str) -> Vec<&'a AwarenessLag>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::standardize;
+    use crate::pipeline::standardize_table;
     use botscope_simnet::phases::PhaseSchedule;
     use botscope_weblog::record::AccessRecord;
+    use botscope_weblog::table::LogTable;
     use botscope_weblog::time::Timestamp;
 
     fn rec(ua: &str, t: u64, path: &str) -> AccessRecord {
@@ -155,7 +158,8 @@ mod tests {
             rec("Mozilla/5.0 (compatible; GPTBot/1.1)", DAY, "/robots.txt"),
             rec("Mozilla/5.0 (compatible; GPTBot/1.1)", 16 * DAY, "/robots.txt"),
         ];
-        let logs = standardize(&records);
+        let table = LogTable::from_records(&records);
+        let logs = standardize_table(&table);
         let lags = awareness_lags(&logs, &schedule());
         let gpt = for_bot(&lags, "GPTBot");
         assert_eq!(gpt.len(), 4);
@@ -168,7 +172,8 @@ mod tests {
     #[test]
     fn never_checker_has_all_none() {
         let records = vec![rec("axios/1.6.2", DAY, "/page"), rec("axios/1.6.2", 20 * DAY, "/x")];
-        let logs = standardize(&records);
+        let table = LogTable::from_records(&records);
+        let logs = standardize_table(&table);
         let lags = awareness_lags(&logs, &schedule());
         assert!(for_bot(&lags, "Axios").iter().all(|l| l.lag_secs.is_none()));
     }
@@ -184,7 +189,8 @@ mod tests {
             // Axios (Other): never.
             rec("axios/1.6.2", DAY, "/page"),
         ];
-        let logs = standardize(&records);
+        let table = LogTable::from_records(&records);
+        let logs = standardize_table(&table);
         let lags = awareness_lags(&logs, &schedule());
         let cats = by_category(&lags);
         let seo = cats.iter().find(|c| c.category == BotCategory::SeoCrawler).unwrap();
@@ -198,7 +204,8 @@ mod tests {
     #[test]
     fn render_has_all_categories() {
         let records = vec![rec("Mozilla/5.0 (compatible; SemrushBot/7~bl)", 100, "/robots.txt")];
-        let logs = standardize(&records);
+        let table = LogTable::from_records(&records);
+        let logs = standardize_table(&table);
         let lags = awareness_lags(&logs, &schedule());
         let text = render(&by_category(&lags));
         assert!(text.contains("SEO Crawlers"));

@@ -26,7 +26,6 @@ use std::collections::BTreeMap;
 use botscope_stats::describe::WeightedMeanAccumulator;
 use botscope_stats::ztest::{two_proportion_z_test, ZTestResult};
 use botscope_useragent::{BotCategory, RobotsPromise};
-use botscope_weblog::record::AccessRecord;
 use botscope_weblog::session::SESSION_GAP_SECS;
 use botscope_weblog::table::{LogTable, RecordRow};
 use botscope_weblog::time::Timestamp;
@@ -40,8 +39,8 @@ use botscope_simnet::SimConfig;
 
 use crate::attribution::{excusal_mask, PolicyBasis};
 use crate::metrics::{
-    crawl_delay_counts, crawl_delay_counts_rows, disallow_counts, disallow_counts_rows,
-    endpoint_counts, endpoint_counts_rows, DirectiveCounts, PathClasses, CRAWL_DELAY_SECS,
+    crawl_delay_counts_rows, disallow_counts_rows, endpoint_counts_rows, DirectiveCounts,
+    PathClasses, CRAWL_DELAY_SECS,
 };
 use crate::pipeline::{
     standardize_rows, standardize_table_with_threads, BotRowView, StandardizedTable,
@@ -84,16 +83,7 @@ impl Directive {
         }
     }
 
-    /// Compute this directive's compliance counts over a record set.
-    pub fn counts(self, records: &[&AccessRecord]) -> DirectiveCounts {
-        match self {
-            Directive::CrawlDelay => crawl_delay_counts(records, CRAWL_DELAY_SECS),
-            Directive::Endpoint => endpoint_counts(records),
-            Directive::Disallow => disallow_counts(records),
-        }
-    }
-
-    /// Row-native [`Directive::counts`].
+    /// Compute this directive's compliance counts over a row set.
     pub fn counts_rows(self, classes: &PathClasses, rows: &[&RecordRow]) -> DirectiveCounts {
         match self {
             Directive::CrawlDelay => crawl_delay_counts_rows(rows, CRAWL_DELAY_SECS),
@@ -217,14 +207,7 @@ impl Experiment {
         exp
     }
 
-    /// Analyze an arbitrary record set against a schedule. Thin adapter
-    /// over [`Experiment::analyze_table`]: the records are interned once
-    /// and every downstream stage runs on symbol-keyed rows.
-    pub fn analyze(records: &[AccessRecord], schedule: &PhaseSchedule) -> Experiment {
-        Experiment::analyze_table(&LogTable::from_records(records), schedule)
-    }
-
-    /// Analyze an interned table against a schedule — the native path.
+    /// Analyze an interned table against a schedule.
     ///
     /// This is a single-pass engine: the estate is standardized **once**,
     /// every bot's rows are bucketed into the four phase windows (and

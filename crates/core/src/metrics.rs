@@ -24,7 +24,6 @@
 //!   `/robots.txt`, the only permitted target under full denial.
 
 use botscope_weblog::intern::Sym;
-use botscope_weblog::record::AccessRecord;
 use botscope_weblog::table::{LogTable, RecordRow};
 
 /// A success/trial pair; the unit every metric returns.
@@ -61,71 +60,8 @@ impl DirectiveCounts {
 /// The crawl-delay requirement of the paper's v1 file, in seconds.
 pub const CRAWL_DELAY_SECS: u64 = 30;
 
-/// Crawl-delay compliance for a record set, stratified by the full
-/// (ASN, IP hash, raw user agent) τ-tuple exactly as §4.2 prescribes
-/// (see the module docs for the normative definition).
-///
-/// Callers typically pass one *canonical bot*'s records; since a
-/// canonical bot pools raw UA variants, the raw agent stays part of the
-/// key here so variants never share a τ group. Records may be unsorted.
-pub fn crawl_delay_counts(records: &[&AccessRecord], delay_secs: u64) -> DirectiveCounts {
-    use std::collections::BTreeMap;
-    let mut by_tau: BTreeMap<(&str, u64, &str), Vec<u64>> = BTreeMap::new();
-    for r in records {
-        by_tau.entry(r.tau_ref()).or_default().push(r.timestamp.unix());
-    }
-    let mut counts = DirectiveCounts::default();
-    for (_, mut times) in by_tau {
-        times.sort_unstable();
-        if times.len() == 1 {
-            // Single access: counted as compliant.
-            counts.successes += 1;
-            counts.trials += 1;
-            continue;
-        }
-        for pair in times.windows(2) {
-            let delta = pair[1] - pair[0];
-            counts.trials += 1;
-            if delta >= delay_secs {
-                counts.successes += 1;
-            }
-        }
-    }
-    counts
-}
-
-/// Endpoint-access compliance: allowed targets are `/robots.txt` and the
-/// `/page-data/` prefix (paper §4.2, v2 analysis).
-pub fn endpoint_counts(records: &[&AccessRecord]) -> DirectiveCounts {
-    let mut counts = DirectiveCounts::default();
-    for r in records {
-        counts.trials += 1;
-        if r.is_robots_fetch() || r.uri_path.starts_with("/page-data/") {
-            counts.successes += 1;
-        }
-    }
-    counts
-}
-
-/// Disallow compliance: the only allowed target is `/robots.txt`
-/// (paper §4.2, v3 analysis).
-pub fn disallow_counts(records: &[&AccessRecord]) -> DirectiveCounts {
-    let mut counts = DirectiveCounts::default();
-    for r in records {
-        counts.trials += 1;
-        if r.is_robots_fetch() {
-            counts.successes += 1;
-        }
-    }
-    counts
-}
-
-// ---------------------------------------------------------------------
-// Row-native metrics (the interned hot path).
-// ---------------------------------------------------------------------
-
 /// Per-symbol path classification, computed once per table so the
-/// row-native metrics never touch a string.
+/// metrics never touch a string.
 #[derive(Debug, Clone)]
 pub struct PathClasses {
     flags: Vec<u8>,
@@ -166,8 +102,14 @@ impl PathClasses {
     }
 }
 
-/// Row-native [`crawl_delay_counts`]: the (ASN, IP hash, raw user
-/// agent) τ-stratification keyed by symbols instead of strings.
+/// Crawl-delay compliance for a row set, stratified by the full
+/// (ASN, IP hash, raw user agent) τ-tuple exactly as §4.2 prescribes
+/// (see the module docs for the normative definition), keyed by
+/// symbols so the scan never touches a string.
+///
+/// Callers typically pass one *canonical bot*'s rows; since a canonical
+/// bot pools raw UA variants, the raw agent stays part of the key here
+/// so variants never share a τ group. Rows may be unsorted.
 pub fn crawl_delay_counts_rows(rows: &[&RecordRow], delay_secs: u64) -> DirectiveCounts {
     use std::collections::HashMap;
     let mut by_tau: HashMap<(Sym, u64, Sym), Vec<u64>> = HashMap::new();
@@ -194,7 +136,8 @@ pub fn crawl_delay_counts_rows(rows: &[&RecordRow], delay_secs: u64) -> Directiv
     counts
 }
 
-/// Row-native [`endpoint_counts`].
+/// Endpoint-access compliance: allowed targets are `/robots.txt` and the
+/// `/page-data/` prefix (paper §4.2, v2 analysis).
 pub fn endpoint_counts_rows(classes: &PathClasses, rows: &[&RecordRow]) -> DirectiveCounts {
     let mut counts = DirectiveCounts::default();
     for r in rows {
@@ -206,7 +149,8 @@ pub fn endpoint_counts_rows(classes: &PathClasses, rows: &[&RecordRow]) -> Direc
     counts
 }
 
-/// Row-native [`disallow_counts`].
+/// Disallow compliance: the only allowed target is `/robots.txt`
+/// (paper §4.2, v3 analysis).
 pub fn disallow_counts_rows(classes: &PathClasses, rows: &[&RecordRow]) -> DirectiveCounts {
     let mut counts = DirectiveCounts::default();
     for r in rows {
@@ -234,6 +178,7 @@ pub fn crawl_delay_by_useragent(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use botscope_weblog::record::AccessRecord;
     use botscope_weblog::time::Timestamp;
 
     fn rec(ip: u64, t: u64, path: &str) -> AccessRecord {
@@ -250,21 +195,36 @@ mod tests {
         }
     }
 
+    /// Crawl-delay counts of `records` at the paper's 30 s requirement.
+    fn crawl_delay(records: &[AccessRecord]) -> DirectiveCounts {
+        let table = LogTable::from_records(records);
+        let rows: Vec<&RecordRow> = table.rows().iter().collect();
+        crawl_delay_counts_rows(&rows, 30)
+    }
+
+    fn endpoint(records: &[AccessRecord]) -> DirectiveCounts {
+        let table = LogTable::from_records(records);
+        let rows: Vec<&RecordRow> = table.rows().iter().collect();
+        endpoint_counts_rows(&PathClasses::new(&table), &rows)
+    }
+
+    fn disallow(records: &[AccessRecord]) -> DirectiveCounts {
+        let table = LogTable::from_records(records);
+        let rows: Vec<&RecordRow> = table.rows().iter().collect();
+        disallow_counts_rows(&PathClasses::new(&table), &rows)
+    }
+
     #[test]
     fn crawl_delay_counting() {
         // One τ, deltas 40 and 10: one compliant of two.
-        let rs = [rec(1, 0, "/a"), rec(1, 40, "/b"), rec(1, 50, "/c")];
-        let refs: Vec<&AccessRecord> = rs.iter().collect();
-        let c = crawl_delay_counts(&refs, 30);
+        let c = crawl_delay(&[rec(1, 0, "/a"), rec(1, 40, "/b"), rec(1, 50, "/c")]);
         assert_eq!(c, DirectiveCounts { successes: 1, trials: 2 });
         assert_eq!(c.ratio(), Some(0.5));
     }
 
     #[test]
     fn single_access_is_compliant() {
-        let rs = [rec(1, 0, "/a")];
-        let refs: Vec<&AccessRecord> = rs.iter().collect();
-        let c = crawl_delay_counts(&refs, 30);
+        let c = crawl_delay(&[rec(1, 0, "/a")]);
         assert_eq!(c, DirectiveCounts { successes: 1, trials: 1 });
         assert_eq!(c.ratio(), Some(1.0));
     }
@@ -274,50 +234,48 @@ mod tests {
         // Two IPs interleaved in time. Pooled naively the deltas would be
         // tiny; stratified each IP is slow and fully compliant — the
         // paper's reason for τ-tuples.
-        let rs = [rec(1, 0, "/a"), rec(2, 5, "/a"), rec(1, 60, "/b"), rec(2, 65, "/b")];
-        let refs: Vec<&AccessRecord> = rs.iter().collect();
-        let c = crawl_delay_counts(&refs, 30);
+        let c =
+            crawl_delay(&[rec(1, 0, "/a"), rec(2, 5, "/a"), rec(1, 60, "/b"), rec(2, 65, "/b")]);
         assert_eq!(c, DirectiveCounts { successes: 2, trials: 2 });
     }
 
     #[test]
+    fn unsorted_rows_are_ordered_per_tau() {
+        // Deltas are taken in time order whatever the row order: 0→40→50
+        // gives one compliant delta of two.
+        let c = crawl_delay(&[rec(1, 50, "/c"), rec(1, 0, "/a"), rec(1, 40, "/b")]);
+        assert_eq!(c, DirectiveCounts { successes: 1, trials: 2 });
+    }
+
+    #[test]
     fn exact_threshold_counts_as_compliant() {
-        let rs = [rec(1, 0, "/a"), rec(1, 30, "/b")];
-        let refs: Vec<&AccessRecord> = rs.iter().collect();
-        assert_eq!(crawl_delay_counts(&refs, 30).ratio(), Some(1.0));
-        let rs = [rec(1, 0, "/a"), rec(1, 29, "/b")];
-        let refs: Vec<&AccessRecord> = rs.iter().collect();
-        assert_eq!(crawl_delay_counts(&refs, 30).ratio(), Some(0.0));
+        assert_eq!(crawl_delay(&[rec(1, 0, "/a"), rec(1, 30, "/b")]).ratio(), Some(1.0));
+        assert_eq!(crawl_delay(&[rec(1, 0, "/a"), rec(1, 29, "/b")]).ratio(), Some(0.0));
     }
 
     #[test]
     fn endpoint_metric() {
-        let rs = [
+        let c = endpoint(&[
             rec(1, 0, "/robots.txt"),
             rec(1, 1, "/page-data/x/page-data.json"),
             rec(1, 2, "/news/item-001"),
             rec(1, 3, "/page-data-fake"), // prefix must include the slash
-        ];
-        let refs: Vec<&AccessRecord> = rs.iter().collect();
-        let c = endpoint_counts(&refs);
+        ]);
         assert_eq!(c, DirectiveCounts { successes: 2, trials: 4 });
     }
 
     #[test]
     fn disallow_metric() {
-        let rs = [rec(1, 0, "/robots.txt"), rec(1, 1, "/a"), rec(1, 2, "/b")];
-        let refs: Vec<&AccessRecord> = rs.iter().collect();
-        let c = disallow_counts(&refs);
+        let c = disallow(&[rec(1, 0, "/robots.txt"), rec(1, 1, "/a"), rec(1, 2, "/b")]);
         assert_eq!(c, DirectiveCounts { successes: 1, trials: 3 });
         assert!((c.ratio().unwrap() - 1.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_inputs() {
-        let empty: Vec<&AccessRecord> = vec![];
-        assert_eq!(crawl_delay_counts(&empty, 30).trials, 0);
-        assert_eq!(endpoint_counts(&empty).trials, 0);
-        assert_eq!(disallow_counts(&empty).ratio(), None);
+        assert_eq!(crawl_delay(&[]).trials, 0);
+        assert_eq!(endpoint(&[]).trials, 0);
+        assert_eq!(disallow(&[]).ratio(), None);
     }
 
     #[test]
@@ -325,29 +283,6 @@ mod tests {
         let mut a = DirectiveCounts { successes: 1, trials: 2 };
         a.merge(DirectiveCounts { successes: 3, trials: 4 });
         assert_eq!(a.as_tuple(), (4, 6));
-    }
-
-    #[test]
-    fn row_metrics_match_record_metrics() {
-        let records = vec![
-            rec(1, 0, "/robots.txt"),
-            rec(1, 40, "/page-data/x/page-data.json"),
-            rec(1, 50, "/news/item-001"),
-            rec(2, 5, "/page-data-fake"),
-            rec(2, 65, "/a"),
-        ];
-        let table = LogTable::from_records(&records);
-        let classes = PathClasses::new(&table);
-        let row_refs: Vec<&RecordRow> = table.rows().iter().collect();
-        let rec_refs: Vec<&AccessRecord> = records.iter().collect();
-
-        assert_eq!(crawl_delay_counts_rows(&row_refs, 30), crawl_delay_counts(&rec_refs, 30));
-        assert_eq!(endpoint_counts_rows(&classes, &row_refs), endpoint_counts(&rec_refs));
-        assert_eq!(disallow_counts_rows(&classes, &row_refs), disallow_counts(&rec_refs));
-
-        let empty_rows: Vec<&RecordRow> = vec![];
-        assert_eq!(crawl_delay_counts_rows(&empty_rows, 30).trials, 0);
-        assert_eq!(endpoint_counts_rows(&classes, &empty_rows).ratio(), None);
     }
 
     #[test]
@@ -371,34 +306,20 @@ mod tests {
         // interleaved 5 s apart. Pooled under (ASN, IP) alone the deltas
         // would be 5 s (non-compliant); stratified by the full τ-tuple
         // each variant is its own slow, fully compliant client.
-        let rs = [
+        let c = crawl_delay(&[
             rec_ua("GPTBot/1.1", 1, 0, "/a"),
             rec_ua("GPTBot/1.2", 1, 5, "/a"),
             rec_ua("GPTBot/1.1", 1, 60, "/b"),
             rec_ua("GPTBot/1.2", 1, 65, "/b"),
-        ];
-        let refs: Vec<&AccessRecord> = rs.iter().collect();
-        let c = crawl_delay_counts(&refs, 30);
+        ]);
         assert_eq!(c, DirectiveCounts { successes: 2, trials: 2 });
-
-        // The row path stratifies identically.
-        let table = LogTable::from_records(&rs);
-        let row_refs: Vec<&RecordRow> = table.rows().iter().collect();
-        assert_eq!(crawl_delay_counts_rows(&row_refs, 30), c);
     }
 
     #[test]
     fn single_access_ua_variants_each_count_once() {
         // One access per variant on a shared ASN/IP: two single-access τ
         // groups, each counted as one compliant instance.
-        let rs = [rec_ua("GPTBot/1.1", 1, 0, "/a"), rec_ua("GPTBot/1.2", 1, 1, "/a")];
-        let refs: Vec<&AccessRecord> = rs.iter().collect();
-        assert_eq!(crawl_delay_counts(&refs, 30), DirectiveCounts { successes: 2, trials: 2 });
-        let table = LogTable::from_records(&rs);
-        let row_refs: Vec<&RecordRow> = table.rows().iter().collect();
-        assert_eq!(
-            crawl_delay_counts_rows(&row_refs, 30),
-            DirectiveCounts { successes: 2, trials: 2 }
-        );
+        let c = crawl_delay(&[rec_ua("GPTBot/1.1", 1, 0, "/a"), rec_ua("GPTBot/1.2", 1, 1, "/a")]);
+        assert_eq!(c, DirectiveCounts { successes: 2, trials: 2 });
     }
 }

@@ -10,7 +10,6 @@
 use std::collections::BTreeMap;
 
 use botscope_weblog::intern::Sym;
-use botscope_weblog::record::AccessRecord;
 use botscope_weblog::table::{LogTable, RecordRow};
 
 /// The paper's dominance threshold.
@@ -56,89 +55,12 @@ impl SpoofReport {
     }
 }
 
-/// Analyze one bot's records under the dominance heuristic.
+/// Analyze one bot's rows under the dominance heuristic. Per-ASN counts
+/// are keyed by symbol, and names are resolved only for the finding
+/// itself.
 ///
 /// Returns `None` when the bot is not flagged: fewer than `min_requests`
 /// observations, a single ASN, or dominance below `threshold`.
-pub fn analyze_bot(
-    bot: &str,
-    records: &[&AccessRecord],
-    threshold: f64,
-    min_requests: u64,
-) -> Option<SpoofFinding> {
-    assert!((0.0..=1.0).contains(&threshold), "threshold {threshold} not a probability");
-    let total = records.len() as u64;
-    if total < min_requests {
-        return None;
-    }
-    let mut per_asn: BTreeMap<&str, u64> = BTreeMap::new();
-    for r in records {
-        *per_asn.entry(r.asn.as_str()).or_default() += 1;
-    }
-    if per_asn.len() < 2 {
-        return None;
-    }
-    let (&main_asn, &main_count) = per_asn
-        .iter()
-        .max_by_key(|&(name, &count)| (count, std::cmp::Reverse(name)))
-        .expect("non-empty");
-    let main_share = main_count as f64 / total as f64;
-    if main_share < threshold {
-        return None;
-    }
-    let mut suspicious: Vec<(String, u64)> = per_asn
-        .iter()
-        .filter(|&(&name, _)| name != main_asn)
-        .map(|(&name, &count)| (name.to_string(), count))
-        .collect();
-    suspicious.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    let spoofed_requests = suspicious.iter().map(|&(_, c)| c).sum();
-    Some(SpoofFinding {
-        bot: bot.to_string(),
-        main_asn: main_asn.to_string(),
-        main_share,
-        suspicious,
-        total_requests: total,
-        spoofed_requests,
-    })
-}
-
-/// Analyze a per-bot partition of the dataset with the paper's threshold
-/// and a minimum of 10 observations per bot.
-pub fn detect(per_bot: &BTreeMap<String, Vec<&AccessRecord>>) -> SpoofReport {
-    detect_with(per_bot, DOMINANCE_THRESHOLD, MIN_DETECT_REQUESTS)
-}
-
-/// [`detect`] with explicit parameters (the §5.2 limitations call the 90 %
-/// threshold "somewhat arbitrary"; the ablation bench sweeps it here).
-pub fn detect_with(
-    per_bot: &BTreeMap<String, Vec<&AccessRecord>>,
-    threshold: f64,
-    min_requests: u64,
-) -> SpoofReport {
-    let mut findings: Vec<SpoofFinding> = per_bot
-        .iter()
-        .filter_map(|(bot, records)| analyze_bot(bot, records, threshold, min_requests))
-        .collect();
-    findings.sort_by(|a, b| a.bot.cmp(&b.bot));
-    SpoofReport { findings }
-}
-
-/// Partition one bot's records into (legitimate, possibly-spoofed) using a
-/// finding.
-pub fn split_records<'a>(
-    finding: &SpoofFinding,
-    records: &[&'a AccessRecord],
-) -> (Vec<&'a AccessRecord>, Vec<&'a AccessRecord>) {
-    records.iter().partition(|r| r.asn == finding.main_asn)
-}
-
-// ---------------------------------------------------------------------
-// Row-native detection (the interned hot path).
-// ---------------------------------------------------------------------
-
-/// Row-native [`analyze_bot`]: per-ASN counts are keyed by symbol, and
-/// names are resolved only for the finding itself.
 pub fn analyze_bot_rows(
     table: &LogTable,
     bot: &str,
@@ -184,12 +106,15 @@ pub fn analyze_bot_rows(
     })
 }
 
-/// Row-native [`detect`] over a per-bot partition of a table.
+/// Analyze a per-bot partition of a table with the paper's threshold
+/// and a minimum of 10 observations per bot.
 pub fn detect_rows(table: &LogTable, per_bot: &BTreeMap<String, Vec<&RecordRow>>) -> SpoofReport {
     detect_rows_with(table, per_bot, DOMINANCE_THRESHOLD, MIN_DETECT_REQUESTS)
 }
 
-/// [`detect_rows`] with explicit parameters.
+/// [`detect_rows`] with explicit parameters (the §5.2 limitations call
+/// the 90 % threshold "somewhat arbitrary"; the ablation bench sweeps it
+/// here).
 pub fn detect_rows_with(
     table: &LogTable,
     per_bot: &BTreeMap<String, Vec<&RecordRow>>,
@@ -204,7 +129,8 @@ pub fn detect_rows_with(
     SpoofReport { findings }
 }
 
-/// Row-native [`split_records`].
+/// Partition one bot's rows into (legitimate, possibly-spoofed) using a
+/// finding.
 pub fn split_rows<'t>(
     finding: &SpoofFinding,
     table: &LogTable,
@@ -220,6 +146,7 @@ pub fn split_rows<'t>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use botscope_weblog::record::AccessRecord;
     use botscope_weblog::time::Timestamp;
 
     fn rec(asn: &str, t: u64) -> AccessRecord {
@@ -236,8 +163,16 @@ mod tests {
         }
     }
 
-    fn refs(v: &[AccessRecord]) -> Vec<&AccessRecord> {
-        v.iter().collect()
+    /// [`analyze_bot_rows`] over all of `records`.
+    fn analyze(
+        bot: &str,
+        records: &[AccessRecord],
+        threshold: f64,
+        min_requests: u64,
+    ) -> Option<SpoofFinding> {
+        let table = LogTable::from_records(records);
+        let rows: Vec<&RecordRow> = table.rows().iter().collect();
+        analyze_bot_rows(&table, bot, &rows, threshold, min_requests)
     }
 
     #[test]
@@ -246,33 +181,34 @@ mod tests {
         rs.push(rec("M247", 100));
         rs.push(rec("M247", 101));
         rs.push(rec("PROSPERO-AS", 102));
-        let f = analyze_bot("Googlebot", &refs(&rs), 0.9, 10).expect("flagged");
+        let f = analyze("Googlebot", &rs, 0.9, 10).expect("flagged");
+        assert_eq!(f.bot, "Googlebot");
         assert_eq!(f.main_asn, "GOOGLE");
-        assert!(f.main_share > 0.9);
+        assert!((f.main_share - 95.0 / 98.0).abs() < 1e-12);
+        assert_eq!(f.total_requests, 98);
         assert_eq!(f.spoofed_requests, 3);
-        assert_eq!(f.suspicious[0], ("M247".to_string(), 2));
-        assert_eq!(f.suspicious[1], ("PROSPERO-AS".to_string(), 1));
+        assert_eq!(f.suspicious, vec![("M247".to_string(), 2), ("PROSPERO-AS".to_string(), 1)]);
     }
 
     #[test]
     fn single_asn_not_flagged() {
         let rs: Vec<AccessRecord> = (0..50).map(|t| rec("GOOGLE", t)).collect();
-        assert!(analyze_bot("b", &refs(&rs), 0.9, 10).is_none());
+        assert!(analyze("b", &rs, 0.9, 10).is_none());
     }
 
     #[test]
     fn balanced_traffic_not_flagged() {
         let mut rs: Vec<AccessRecord> = (0..50).map(|t| rec("GOOGLE", t)).collect();
         rs.extend((0..50).map(|t| rec("AMAZON-02", 100 + t)));
-        assert!(analyze_bot("b", &refs(&rs), 0.9, 10).is_none());
+        assert!(analyze("b", &rs, 0.9, 10).is_none());
     }
 
     #[test]
     fn few_requests_not_flagged() {
         let rs = vec![rec("GOOGLE", 0), rec("M247", 1)];
-        assert!(analyze_bot("b", &refs(&rs), 0.9, 10).is_none());
+        assert!(analyze("b", &rs, 0.9, 10).is_none());
         // But allowed with min_requests 1.
-        assert!(analyze_bot("b", &refs(&rs), 0.5, 1).is_some());
+        assert!(analyze("b", &rs, 0.5, 1).is_some());
     }
 
     #[test]
@@ -280,34 +216,48 @@ mod tests {
         // Exactly 90%: 90 of 100.
         let mut rs: Vec<AccessRecord> = (0..90).map(|t| rec("A", t)).collect();
         rs.extend((0..10).map(|t| rec("B", 1000 + t)));
-        assert!(analyze_bot("b", &refs(&rs), 0.9, 10).is_some(), "90% meets ≥90%");
+        assert!(analyze("b", &rs, 0.9, 10).is_some(), "90% meets ≥90%");
         // 89 of 100 does not.
         let mut rs: Vec<AccessRecord> = (0..89).map(|t| rec("A", t)).collect();
         rs.extend((0..11).map(|t| rec("B", 1000 + t)));
-        assert!(analyze_bot("b", &refs(&rs), 0.9, 10).is_none());
+        assert!(analyze("b", &rs, 0.9, 10).is_none());
+    }
+
+    #[test]
+    fn dominance_tie_breaks_to_the_smaller_name() {
+        // 50/50 between two ASNs at threshold 0.5: the main ASN is the
+        // lexicographically smaller name, whatever the interning order.
+        let mut rs: Vec<AccessRecord> = (0..5).map(|t| rec("ZAYO", t)).collect();
+        rs.extend((0..5).map(|t| rec("AMAZON-02", 10 + t)));
+        let f = analyze("b", &rs, 0.5, 1).expect("flagged at 0.5");
+        assert_eq!(f.main_asn, "AMAZON-02");
+        assert_eq!(f.suspicious, vec![("ZAYO".to_string(), 5)]);
     }
 
     #[test]
     fn split_partitions_correctly() {
         let mut rs: Vec<AccessRecord> = (0..95).map(|t| rec("GOOGLE", t)).collect();
         rs.push(rec("M247", 100));
-        let all = refs(&rs);
-        let f = analyze_bot("b", &all, 0.9, 10).unwrap();
-        let (legit, spoofed) = split_records(&f, &all);
+        let table = LogTable::from_records(&rs);
+        let rows: Vec<&RecordRow> = table.rows().iter().collect();
+        let f = analyze_bot_rows(&table, "b", &rows, 0.9, 10).unwrap();
+        let (legit, spoofed) = split_rows(&f, &table, &rows);
         assert_eq!(legit.len(), 95);
         assert_eq!(spoofed.len(), 1);
-        assert_eq!(spoofed[0].asn, "M247");
+        assert_eq!(table.resolve(spoofed[0].asn), "M247");
     }
 
     #[test]
     fn report_totals() {
-        let mut per_bot: BTreeMap<String, Vec<&AccessRecord>> = BTreeMap::new();
         let a: Vec<AccessRecord> =
             (0..95).map(|t| rec("GOOGLE", t)).chain([rec("M247", 99)]).collect();
         let b: Vec<AccessRecord> = (0..20).map(|t| rec("OVH", t)).collect();
-        per_bot.insert("flagged".into(), a.iter().collect());
-        per_bot.insert("clean".into(), b.iter().collect());
-        let report = detect(&per_bot);
+        let table = LogTable::from_records(&[a, b].concat());
+        let (rows_a, rows_b) = table.rows().split_at(96);
+        let mut per_bot: BTreeMap<String, Vec<&RecordRow>> = BTreeMap::new();
+        per_bot.insert("flagged".into(), rows_a.iter().collect());
+        per_bot.insert("clean".into(), rows_b.iter().collect());
+        let report = detect_rows(&table, &per_bot);
         assert_eq!(report.findings.len(), 1);
         assert_eq!(report.total_spoofed(), 1);
         assert!(report.finding_for("flagged").is_some());
@@ -317,30 +267,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "not a probability")]
     fn bad_threshold_panics() {
-        let _ = analyze_bot("b", &[], 1.5, 1);
-    }
-
-    #[test]
-    fn row_detection_matches_record_detection() {
-        let mut rs: Vec<AccessRecord> = (0..95).map(|t| rec("GOOGLE", t)).collect();
-        rs.push(rec("M247", 100));
-        rs.push(rec("M247", 101));
-        rs.push(rec("PROSPERO-AS", 102));
-        let table = LogTable::from_records(&rs);
-        let row_refs: Vec<&RecordRow> = table.rows().iter().collect();
-
-        let by_rows = analyze_bot_rows(&table, "Googlebot", &row_refs, 0.9, 10).expect("flagged");
-        let by_records = analyze_bot("Googlebot", &refs(&rs), 0.9, 10).expect("flagged");
-        assert_eq!(by_rows, by_records);
-
-        let (legit, spoofed) = split_rows(&by_rows, &table, &row_refs);
-        assert_eq!(legit.len(), 95);
-        assert_eq!(spoofed.len(), 3);
-
-        let mut per_bot: BTreeMap<String, Vec<&RecordRow>> = BTreeMap::new();
-        per_bot.insert("Googlebot".into(), row_refs);
-        let report = detect_rows(&table, &per_bot);
-        assert_eq!(report.findings, vec![by_records]);
+        let _ = analyze("b", &[], 1.5, 1);
     }
 
     #[test]

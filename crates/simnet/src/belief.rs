@@ -144,7 +144,7 @@ pub struct PolicyLens {
 ///
 /// A lens is a pure function of `(believed policy, bot)`, and the
 /// believed policy ranges over only the corpus versions plus three
-/// trivial states — so [`simulate`](crate::engine::simulate)-scale
+/// trivial states — so [`simulate_table`](crate::engine::simulate_table)-scale
 /// callers precompute the four version lenses per bot and resolve each
 /// session's belief against the table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

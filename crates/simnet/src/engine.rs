@@ -30,7 +30,6 @@ use botscope_asn::ip_for;
 use botscope_weblog::colfmt;
 use botscope_weblog::intern::{StringInterner, Sym};
 use botscope_weblog::iphash::IpHasher;
-use botscope_weblog::record::AccessRecord;
 use botscope_weblog::sink::RowSink;
 use botscope_weblog::table::{LogTable, RecordRow};
 use botscope_weblog::time::Timestamp;
@@ -45,7 +44,7 @@ use crate::server::PolicyCorpus;
 use crate::site::{Page, PageKind, Site, DIRECTORY_SITE, EXPERIMENT_SITE};
 
 /// Ground truth planted by the generator, for validation by tests and the
-/// EXPERIMENTS.md harness.
+/// reproduction binaries.
 #[derive(Debug, Clone, Default)]
 pub struct GroundTruth {
     /// Planted behaviour per canonical bot name.
@@ -56,16 +55,7 @@ pub struct GroundTruth {
     pub spoofed_requests: BTreeMap<String, u64>,
 }
 
-/// The generator's output, materialized for record-slice consumers.
-#[derive(Debug, Clone, Default)]
-pub struct SimOutput {
-    /// All access records, time-sorted.
-    pub records: Vec<AccessRecord>,
-    /// What was planted.
-    pub truth: GroundTruth,
-}
-
-/// The generator's native output: the interned table.
+/// The generator's output: the interned table.
 #[derive(Debug, Clone, Default)]
 pub struct SimTableOutput {
     /// All access rows, time-sorted, with their interner.
@@ -367,13 +357,6 @@ impl ShardWriter {
             }
         }
     }
-}
-
-/// Run the generator for the given config and robots.txt schedule,
-/// materializing `Vec<AccessRecord>` output (compatibility path).
-pub fn simulate(cfg: &SimConfig, schedule: &PhaseSchedule) -> SimOutput {
-    let out = simulate_table(cfg, schedule);
-    SimOutput { records: out.table.to_records(), truth: out.truth }
 }
 
 /// Run the generator into a [`LogTable`], sharding generation units over
@@ -897,23 +880,28 @@ mod tests {
         PhaseSchedule::always_base(EXPERIMENT_SITE, cfg.start, cfg.end())
     }
 
+    /// How many rows of `table` satisfy `pred(row, useragent)`.
+    fn count_rows(table: &LogTable, pred: impl Fn(&RecordRow, &str) -> bool) -> usize {
+        table.rows().iter().filter(|r| pred(r, table.resolve(r.useragent))).count()
+    }
+
     #[test]
     fn deterministic_output() {
         let cfg = small_cfg();
         let schedule = base_schedule(&cfg);
-        let a = simulate(&cfg, &schedule);
-        let b = simulate(&cfg, &schedule);
-        assert_eq!(a.records, b.records);
-        assert!(!a.records.is_empty());
+        let a = simulate_table(&cfg, &schedule);
+        let b = simulate_table(&cfg, &schedule);
+        assert_eq!(a.table.to_records(), b.table.to_records());
+        assert!(!a.table.is_empty());
     }
 
     #[test]
     fn different_seeds_differ() {
         let cfg = small_cfg();
         let schedule = base_schedule(&cfg);
-        let a = simulate(&cfg, &schedule);
-        let b = simulate(&SimConfig { seed: 1234, ..cfg.clone() }, &schedule);
-        assert_ne!(a.records, b.records);
+        let a = simulate_table(&cfg, &schedule);
+        let b = simulate_table(&SimConfig { seed: 1234, ..cfg.clone() }, &schedule);
+        assert_ne!(a.table.to_records(), b.table.to_records());
     }
 
     #[test]
@@ -933,18 +921,14 @@ mod tests {
     }
 
     #[test]
-    fn table_and_record_paths_agree() {
+    fn interned_table_undercuts_owned_records() {
         let cfg = small_cfg();
-        let schedule = base_schedule(&cfg);
-        let records = simulate(&cfg, &schedule).records;
-        let table = simulate_table(&cfg, &schedule).table;
-        assert_eq!(table.to_records(), records);
-        // The interned representation is the compact one.
+        let table = simulate_table(&cfg, &base_schedule(&cfg)).table;
+        let records_heap = botscope_weblog::table::records_heap_bytes(&table.to_records());
         assert!(
-            table.heap_bytes() < botscope_weblog::table::records_heap_bytes(&records),
-            "table {}B should undercut records {}B",
+            table.heap_bytes() < records_heap,
+            "table {}B should undercut records {records_heap}B",
             table.heap_bytes(),
-            botscope_weblog::table::records_heap_bytes(&records)
         );
     }
 
@@ -952,21 +936,20 @@ mod tests {
     fn records_sorted_and_in_window() {
         let cfg = small_cfg();
         let schedule = base_schedule(&cfg);
-        let out = simulate(&cfg, &schedule);
-        assert!(out.records.windows(2).all(|w| w[0].timestamp <= w[1].timestamp));
+        let rows = simulate_table(&cfg, &schedule).table.into_parts().1;
+        assert!(rows.windows(2).all(|w| w[0].timestamp <= w[1].timestamp));
         // Sessions may start just before the horizon and run slightly past
         // it; allow one hour of slack.
         let hard_end = cfg.end().plus_secs(3600 * 2);
-        assert!(out.records.iter().all(|r| r.timestamp >= cfg.start && r.timestamp < hard_end));
+        assert!(rows.iter().all(|r| r.timestamp >= cfg.start && r.timestamp < hard_end));
     }
 
     #[test]
     fn heavy_bots_dominate() {
         let cfg = SimConfig { days: 4, ..small_cfg() };
         let schedule = base_schedule(&cfg);
-        let out = simulate(&cfg, &schedule);
-        let count =
-            |needle: &str| out.records.iter().filter(|r| r.useragent.contains(needle)).count();
+        let table = simulate_table(&cfg, &schedule).table;
+        let count = |needle: &str| count_rows(&table, |_, ua| ua.contains(needle));
         assert!(count("YisouSpider") > count("GPTBot"), "Table 3 ordering");
         assert!(count("Applebot") > count("ClaudeBot"));
     }
@@ -975,101 +958,70 @@ mod tests {
     fn robots_checks_present_for_checking_bots() {
         let cfg = SimConfig { days: 4, scale: 0.05, ..small_cfg() };
         let schedule = base_schedule(&cfg);
-        let out = simulate(&cfg, &schedule);
-        let robots_by_gpt = out
-            .records
-            .iter()
-            .filter(|r| r.useragent.contains("GPTBot") && r.is_robots_fetch())
-            .count();
+        let table = simulate_table(&cfg, &schedule).table;
+        let robots_by_gpt =
+            count_rows(&table, |r, ua| ua.contains("GPTBot") && table.is_robots_fetch(r));
         assert!(robots_by_gpt > 0, "GPTBot checks robots.txt every 24h");
         // Never-checkers never fetch it.
-        let robots_by_axios = out
-            .records
-            .iter()
-            .filter(|r| r.useragent.starts_with("axios") && r.is_robots_fetch())
-            .count();
+        let robots_by_axios =
+            count_rows(&table, |r, ua| ua.starts_with("axios") && table.is_robots_fetch(r));
         assert_eq!(robots_by_axios, 0);
+    }
+
+    /// Experiment-site page fetches (robots.txt excluded) by agents
+    /// containing `needle`, with v3 (disallow-all) live all horizon.
+    fn pages_under_disallow_all(needle: &str) -> usize {
+        let cfg = SimConfig {
+            days: 6,
+            scale: 0.3,
+            sites: 3,
+            spoofing: false,
+            anon_traffic: false,
+            ..small_cfg()
+        };
+        let schedule = PhaseSchedule {
+            phases: vec![crate::phases::Phase {
+                version: PolicyVersion::V3DisallowAll,
+                start: cfg.start,
+                end: cfg.end().plus_secs(86_400 * 2),
+            }],
+            experiment_site: EXPERIMENT_SITE,
+        };
+        let table = simulate_table(&cfg, &schedule).table;
+        count_rows(&table, |r, ua| {
+            ua.contains(needle)
+                && table.resolve(r.sitename) == "site-00.example.edu"
+                && !table.is_robots_fetch(r)
+        })
     }
 
     #[test]
     fn disallow_all_suppresses_obedient_bots() {
         // Whole horizon under v3: ChatGPT-User (disallow compliance 1.0)
         // must fetch nothing but robots.txt; HeadlessChrome keeps crawling.
-        let cfg = SimConfig {
-            days: 6,
-            scale: 0.3,
-            sites: 3,
-            spoofing: false,
-            anon_traffic: false,
-            ..small_cfg()
-        };
-        let schedule = PhaseSchedule {
-            phases: vec![crate::phases::Phase {
-                version: PolicyVersion::V3DisallowAll,
-                start: cfg.start,
-                end: cfg.end().plus_secs(86_400 * 2),
-            }],
-            experiment_site: EXPERIMENT_SITE,
-        };
-        let out = simulate(&cfg, &schedule);
-        let exp_site = "site-00.example.edu";
-        let gpt_pages = out
-            .records
-            .iter()
-            .filter(|r| {
-                r.useragent.contains("ChatGPT-User")
-                    && r.sitename == exp_site
-                    && !r.is_robots_fetch()
-            })
-            .count();
-        assert_eq!(gpt_pages, 0, "fully obedient bot fetched pages under disallow-all");
-        let headless_pages = out
-            .records
-            .iter()
-            .filter(|r| {
-                r.useragent.contains("HeadlessChrome")
-                    && r.sitename == exp_site
-                    && !r.is_robots_fetch()
-            })
-            .count();
-        assert!(headless_pages > 0, "headless browser should ignore disallow-all");
+        assert_eq!(
+            pages_under_disallow_all("ChatGPT-User"),
+            0,
+            "fully obedient bot fetched pages under disallow-all"
+        );
+        assert!(
+            pages_under_disallow_all("HeadlessChrome") > 0,
+            "headless browser should ignore disallow-all"
+        );
     }
 
     #[test]
     fn exempt_bots_keep_crawling_under_v3() {
-        let cfg = SimConfig {
-            days: 6,
-            scale: 0.3,
-            sites: 3,
-            spoofing: false,
-            anon_traffic: false,
-            ..small_cfg()
-        };
-        let schedule = PhaseSchedule {
-            phases: vec![crate::phases::Phase {
-                version: PolicyVersion::V3DisallowAll,
-                start: cfg.start,
-                end: cfg.end().plus_secs(86_400 * 2),
-            }],
-            experiment_site: EXPERIMENT_SITE,
-        };
-        let out = simulate(&cfg, &schedule);
-        let googlebot_pages = out
-            .records
-            .iter()
-            .filter(|r| {
-                r.useragent.contains("Googlebot/2.1")
-                    && r.sitename == "site-00.example.edu"
-                    && !r.is_robots_fetch()
-            })
-            .count();
-        assert!(googlebot_pages > 0, "exempt Googlebot must continue crawling");
+        assert!(
+            pages_under_disallow_all("Googlebot/2.1") > 0,
+            "exempt Googlebot must continue crawling"
+        );
     }
 
     #[test]
     fn ground_truth_populated() {
         let cfg = small_cfg();
-        let out = simulate(&cfg, &base_schedule(&cfg));
+        let out = simulate_table(&cfg, &base_schedule(&cfg));
         assert!(out.truth.behaviors.len() >= 120);
         assert!(out.truth.exempt.iter().any(|n| n == "Googlebot"));
         assert!(!out.truth.spoofed_requests.is_empty());
@@ -1078,9 +1030,11 @@ mod tests {
     #[test]
     fn asn_matches_home_network() {
         let cfg = small_cfg();
-        let out = simulate(&SimConfig { spoofing: false, ..cfg.clone() }, &base_schedule(&cfg));
-        for r in out.records.iter().filter(|r| r.useragent.contains("ClaudeBot")) {
-            assert_eq!(r.asn, "AMAZON-02");
+        let table =
+            simulate_table(&SimConfig { spoofing: false, ..cfg.clone() }, &base_schedule(&cfg))
+                .table;
+        for r in table.rows().iter().filter(|r| table.resolve(r.useragent).contains("ClaudeBot")) {
+            assert_eq!(table.resolve(r.asn), "AMAZON-02");
         }
     }
 
@@ -1089,8 +1043,8 @@ mod tests {
         let cfg1 = SimConfig { scale: 0.02, anon_traffic: false, spoofing: false, ..small_cfg() };
         let cfg2 = SimConfig { scale: 0.08, ..cfg1.clone() };
         let schedule = base_schedule(&cfg1);
-        let n1 = simulate(&cfg1, &schedule).records.len() as f64;
-        let n2 = simulate(&cfg2, &schedule).records.len() as f64;
+        let n1 = simulate_table(&cfg1, &schedule).table.len() as f64;
+        let n2 = simulate_table(&cfg2, &schedule).table.len() as f64;
         let ratio = n2 / n1;
         assert!(ratio > 2.0 && ratio < 8.0, "4x scale gave ratio {ratio}");
     }

@@ -33,10 +33,10 @@
 //! use botscope_simnet::{scenario, SimConfig};
 //!
 //! let cfg = SimConfig { days: 2, scale: 0.05, ..SimConfig::default() };
-//! let out = scenario::full_study(&cfg);
-//! let out2 = scenario::full_study(&cfg);
-//! assert_eq!(out.records.len(), out2.records.len()); // deterministic
-//! assert!(!out.records.is_empty());
+//! let out = scenario::full_study_table(&cfg);
+//! let out2 = scenario::full_study_table(&cfg);
+//! assert_eq!(out.table.rows(), out2.table.rows()); // deterministic
+//! assert!(!out.table.is_empty());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -57,7 +57,7 @@ pub mod spoof;
 pub use belief::{BeliefAtlas, BeliefTimeline, BelievedPolicy, PolicyOracle, ScheduleOracle};
 pub use config::SimConfig;
 pub use engine::{
-    child_seed, run_indexed, worker_threads, worker_threads_from, SimOutput, SimStreamOutput,
-    SimTableOutput, StreamOptions,
+    child_seed, run_indexed, worker_threads, worker_threads_from, SimStreamOutput, SimTableOutput,
+    StreamOptions,
 };
 pub use phases::{PhaseSchedule, PolicyVersion};

@@ -371,18 +371,22 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
             doc.warnings.len()
         );
     }
-    if let Some(delay) = doc.crawl_delay(agent) {
-        println!("crawl delay for {agent}: {delay}s");
-    }
-    for path in paths {
-        let d = doc.is_allowed(agent, path);
-        let verdict = if d.allow { "ALLOW" } else { "DENY " };
-        match d.matched_rule {
-            Some(rule) => println!("{verdict} {path}  ({}: {})", rule.verb.as_str(), rule.pattern),
-            None => println!("{verdict} {path}  (default)"),
+    write_output("-", |w| {
+        if let Some(delay) = doc.crawl_delay(agent) {
+            writeln!(w, "crawl delay for {agent}: {delay}s")?;
         }
-    }
-    Ok(())
+        for path in paths {
+            let d = doc.is_allowed(agent, path);
+            let verdict = if d.allow { "ALLOW" } else { "DENY " };
+            match d.matched_rule {
+                Some(rule) => {
+                    writeln!(w, "{verdict} {path}  ({}: {})", rule.verb.as_str(), rule.pattern)?;
+                }
+                None => writeln!(w, "{verdict} {path}  (default)")?,
+            }
+        }
+        Ok(())
+    })
 }
 
 /// Deterministic corpus assignment for `admit` sites without an
@@ -629,52 +633,55 @@ fn audit_files(
     use botscope::robots::analysis::analyze;
     use std::fmt::Write as _;
 
+    let docs = files.iter().map(|file| read_robots(file)).collect::<Result<Vec<_>, _>>()?;
     let mut denied = 0usize;
-    let mut json_out = String::from("{\"files\":[");
-    for (fi, file) in files.iter().enumerate() {
-        let doc = read_robots(file)?;
-        let mut analysis = analyze(&doc);
-        analysis.findings.retain(|f| f.severity >= severity);
-        if let Some(threshold) = deny {
-            denied += analysis.at_or_above(threshold);
+    write_output("-", |w| {
+        let mut json_out = String::from("{\"files\":[");
+        for (fi, (file, doc)) in files.iter().zip(&docs).enumerate() {
+            let mut analysis = analyze(doc);
+            analysis.findings.retain(|f| f.severity >= severity);
+            if let Some(threshold) = deny {
+                denied += analysis.at_or_above(threshold);
+            }
+            if json {
+                if fi > 0 {
+                    json_out.push(',');
+                }
+                let _ = write!(
+                    json_out,
+                    "{{\"file\":\"{}\",\"complete\":{},\"parse_warnings\":{},\"findings\":",
+                    json_escape(file),
+                    analysis.complete,
+                    doc.warnings.len()
+                );
+                findings_json(&mut json_out, &analysis);
+                json_out.push('}');
+                continue;
+            }
+            if files.len() > 1 {
+                writeln!(w, "== {file}")?;
+            }
+            for warning in &doc.warnings {
+                writeln!(w, "parse: {warning:?}")?;
+            }
+            if analysis.findings.is_empty() && doc.warnings.is_empty() {
+                writeln!(
+                    w,
+                    "clean: {} group(s), {} rule(s), no findings",
+                    doc.groups.len(),
+                    doc.rule_count()
+                )?;
+            }
+            for f in &analysis.findings {
+                writeln!(w, "{f}")?;
+            }
         }
         if json {
-            if fi > 0 {
-                json_out.push(',');
-            }
-            let _ = write!(
-                json_out,
-                "{{\"file\":\"{}\",\"complete\":{},\"parse_warnings\":{},\"findings\":",
-                json_escape(file),
-                analysis.complete,
-                doc.warnings.len()
-            );
-            findings_json(&mut json_out, &analysis);
-            json_out.push('}');
-            continue;
+            let _ = write!(json_out, "],\"denied\":{denied}}}");
+            writeln!(w, "{json_out}")?;
         }
-        if files.len() > 1 {
-            println!("== {file}");
-        }
-        for w in &doc.warnings {
-            println!("parse: {w:?}");
-        }
-        if analysis.findings.is_empty() && doc.warnings.is_empty() {
-            println!(
-                "clean: {} group(s), {} rule(s), no findings",
-                doc.groups.len(),
-                doc.rule_count()
-            );
-        }
-        for f in &analysis.findings {
-            println!("{f}");
-        }
-    }
-    if json {
-        use std::fmt::Write as _;
-        let _ = write!(json_out, "],\"denied\":{denied}}}");
-        println!("{json_out}");
-    }
+        Ok(())
+    })?;
     if denied > 0 {
         let threshold = deny.expect("denied implies a threshold");
         return Err(format!("audit: {denied} finding(s) at or above {threshold}"));
@@ -804,43 +811,50 @@ fn audit_estate(
             j,
             ",\"windows\":{{\"raw\":{raw_spans},\"coalesced\":{coalesced_spans}}},\"denied\":{denied}}}"
         );
-        println!("{j}");
+        write_output("-", |w| writeln!(w, "{j}"))?;
     } else {
-        println!(
-            "audit --estate: sites={} days={} seed={} scenario={:?} swap-every={}",
-            cfg.sites, cfg.days, cfg.seed, cfg.scenario, cfg.swap_every
-        );
-        println!();
-        println!("== corpus policies ({analyze_ms:.2} ms analyzer time)");
-        for (version, analysis) in &analyses {
-            if analysis.findings.is_empty() {
-                println!("{}: clean", version.label());
-            } else {
-                println!("{}: {} finding(s)", version.label(), analysis.findings.len());
-                for f in &analysis.findings {
-                    println!("  {f}");
+        write_output("-", |w| {
+            writeln!(
+                w,
+                "audit --estate: sites={} days={} seed={} scenario={:?} swap-every={}",
+                cfg.sites, cfg.days, cfg.seed, cfg.scenario, cfg.swap_every
+            )?;
+            writeln!(w)?;
+            writeln!(w, "== corpus policies ({analyze_ms:.2} ms analyzer time)")?;
+            for (version, analysis) in &analyses {
+                if analysis.findings.is_empty() {
+                    writeln!(w, "{}: clean", version.label())?;
+                } else {
+                    writeln!(w, "{}: {} finding(s)", version.label(), analysis.findings.len())?;
+                    for f in &analysis.findings {
+                        writeln!(w, "  {f}")?;
+                    }
                 }
             }
-        }
-        println!();
-        println!(
-            "== version transitions: {behavioral_transitions} behavioral, {cosmetic_transitions} cosmetic (of 12 ordered pairs)"
-        );
-        println!(
-            "== monitored digests: {} total, {behavioral_digests} behavioral, {cosmetic_digests} cosmetic",
-            out.changes.len()
-        );
-        println!(
-            "== admission replay: {} site(s) primed, {warmed} artifact(s) warmed; dropped={} cosmetic_skips={}",
-            deployment.len(),
-            outcome.dropped,
-            outcome.cosmetic_skips
-        );
-        println!(
-            "== deployment windows: {raw_spans} span(s) -> {coalesced_spans} after cosmetic coalescing"
-        );
-        println!();
-        print!("{}", table7_behavioral(&matrix));
+            writeln!(w)?;
+            writeln!(
+                w,
+                "== version transitions: {behavioral_transitions} behavioral, {cosmetic_transitions} cosmetic (of 12 ordered pairs)"
+            )?;
+            writeln!(
+                w,
+                "== monitored digests: {} total, {behavioral_digests} behavioral, {cosmetic_digests} cosmetic",
+                out.changes.len()
+            )?;
+            writeln!(
+                w,
+                "== admission replay: {} site(s) primed, {warmed} artifact(s) warmed; dropped={} cosmetic_skips={}",
+                deployment.len(),
+                outcome.dropped,
+                outcome.cosmetic_skips
+            )?;
+            writeln!(
+                w,
+                "== deployment windows: {raw_spans} span(s) -> {coalesced_spans} after cosmetic coalescing"
+            )?;
+            writeln!(w)?;
+            write!(w, "{}", table7_behavioral(&matrix))
+        })?;
     }
 
     if denied > 0 {
@@ -880,11 +894,13 @@ fn cmd_diff(args: &[String]) -> Result<(), String> {
     let path_refs: Vec<&str> = paths.iter().map(String::as_str).collect();
     let changes = diff(&old, &new, &agents, &path_refs);
     let (tightened, loosened) = summarize(&changes);
-    println!("{} change(s): {tightened} tightened, {loosened} loosened", changes.len());
-    for c in &changes {
-        println!("  {c:?}");
-    }
-    Ok(())
+    write_output("-", |w| {
+        writeln!(w, "{} change(s): {tightened} tightened, {loosened} loosened", changes.len())?;
+        for c in &changes {
+            writeln!(w, "  {c:?}")?;
+        }
+        Ok(())
+    })
 }
 
 fn cmd_analyze(args: &[String]) -> Result<(), String> {
@@ -935,40 +951,45 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     } else {
         codec::decode_table_read(reader).map_err(|e| e.to_string())?
     };
-    println!("{} records", table.len());
     let logs = standardize_table(&table);
-    println!(
-        "{} known bots ({} records), {} anonymous records\n",
-        logs.bots.len(),
-        logs.known_bot_records(),
-        logs.anonymous.len()
-    );
-    println!("{:<28} {:>8} {:>14}", "bot", "records", "pace>=30s");
-    for view in logs.bots.values() {
-        let counts = crawl_delay_counts_rows(&view.rows, CRAWL_DELAY_SECS);
-        println!(
-            "{:<28} {:>8} {:>14}",
-            view.name,
-            view.rows.len(),
-            counts.ratio().map(|r| format!("{r:.3}")).unwrap_or_else(|| "-".into())
-        );
-    }
     let spoof = detect_rows(&table, &logs.per_bot_rows());
-    if spoof.findings.is_empty() {
-        println!("\nno spoofing signals (≥90% single-ASN dominance heuristic)");
-    } else {
-        println!("\npossible spoofing:");
-        for f in &spoof.findings {
-            println!(
-                "  {}: {} requests outside {} ({:.1}% dominant)",
-                f.bot,
-                f.spoofed_requests,
-                f.main_asn,
-                f.main_share * 100.0
-            );
+    write_output("-", |w| {
+        writeln!(w, "{} records", table.len())?;
+        writeln!(
+            w,
+            "{} known bots ({} records), {} anonymous records\n",
+            logs.bots.len(),
+            logs.known_bot_records(),
+            logs.anonymous.len()
+        )?;
+        writeln!(w, "{:<28} {:>8} {:>14}", "bot", "records", "pace>=30s")?;
+        for view in logs.bots.values() {
+            let counts = crawl_delay_counts_rows(&view.rows, CRAWL_DELAY_SECS);
+            writeln!(
+                w,
+                "{:<28} {:>8} {:>14}",
+                view.name,
+                view.rows.len(),
+                counts.ratio().map(|r| format!("{r:.3}")).unwrap_or_else(|| "-".into())
+            )?;
         }
-    }
-    Ok(())
+        if spoof.findings.is_empty() {
+            writeln!(w, "\nno spoofing signals (≥90% single-ASN dominance heuristic)")?;
+        } else {
+            writeln!(w, "\npossible spoofing:")?;
+            for f in &spoof.findings {
+                writeln!(
+                    w,
+                    "  {}: {} requests outside {} ({:.1}% dominant)",
+                    f.bot,
+                    f.spoofed_requests,
+                    f.main_asn,
+                    f.main_share * 100.0
+                )?;
+            }
+        }
+        Ok(())
+    })
 }
 
 /// `analyze --phase-report`: reconstruct the paper's 8-week schedule

@@ -329,6 +329,37 @@ fn simulate_then_analyze_roundtrip() {
     let _ = std::fs::remove_file(csv);
 }
 
+/// Run `botscope args` with its stdout piped to a reader that is closed
+/// before the child writes anything; returns the exit code and stderr.
+fn run_into_closed_stdout(args: &[&str]) -> (Option<i32>, String) {
+    use std::process::Stdio;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_botscope"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("binary exits");
+    (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
+}
+
+#[test]
+fn report_commands_fail_cleanly_on_a_closed_stdout() {
+    let csv = std::env::temp_dir().join(format!("botscope-test-{}-epipe.csv", std::process::id()));
+    let csv = csv.to_str().unwrap();
+    let out = botscope(&["simulate", "2", "0.02", csv]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+
+    for args in [&["analyze", csv][..], &["audit", "--estate", "--sites", "6", "--days", "6"]] {
+        let (code, stderr) = run_into_closed_stdout(args);
+        assert_eq!(code, Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains("error: cannot write stdout"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_file(csv);
+}
+
 #[test]
 fn monitor_reports_and_streams_csv() {
     // Summary stats go to stderr; stdout carries only report artifacts.
