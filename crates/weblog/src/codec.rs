@@ -354,6 +354,7 @@ pub fn encode_table(table: &LogTable) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::{CsvRowStream, RowStream};
 
     fn sample(ua: &str, path: &str) -> AccessRecord {
         AccessRecord {
@@ -463,6 +464,156 @@ mod tests {
         let table = decode_table(&text).expect("valid input");
         assert_eq!(table.to_records(), records);
         assert_eq!(encode_table(&table), text);
+    }
+
+    /// One decoded row, every field visible (`{:?}` shows `\r` and
+    /// quotes).
+    fn show(row: &RecordRow, strings: &StringInterner) -> String {
+        let s = |sym| strings.resolve(sym);
+        format!(
+            "{:?} {} {:x} {:?} {:?} {:?} {} {} {:?}",
+            s(row.useragent),
+            row.timestamp.to_iso8601(),
+            row.ip_hash,
+            s(row.asn),
+            s(row.sitename),
+            s(row.uri_path),
+            row.status,
+            row.bytes,
+            row.referer.map(s),
+        )
+    }
+
+    type Outcome = Result<Vec<String>, (usize, String)>;
+
+    fn outcome(table: Result<LogTable, DecodeError>) -> Outcome {
+        table
+            .map(|t| t.rows().iter().map(|r| show(r, t.interner())).collect())
+            .map_err(|e| (e.line, e.message))
+    }
+
+    /// Drain a [`CsvRowStream`] to its end or its first error.
+    fn stream_outcome(input: &[u8]) -> Outcome {
+        let mut stream = CsvRowStream::new(input).map_err(|e| (e.line, e.message.clone()))?;
+        let mut rows = Vec::new();
+        while let Some(row) = stream.next_row() {
+            let row = row.map_err(|e| (e.line, e.message))?;
+            rows.push(show(&row, stream.interner()));
+        }
+        Ok(rows)
+    }
+
+    #[test]
+    fn malformed_input_corpus() {
+        const T: &str = "2025-02-12T00:00:00Z";
+        const ROW: &str = "ua,2025-02-12T00:00:00Z,ff,AS1,site,/a,200,10,ref";
+        const SHOWN: &str = r#""ua" 2025-02-12T00:00:00Z ff "AS1" "site" "/a" 200 10 Some("ref")"#;
+        let body = |lines: &str| format!("{HEADER}\n{lines}").into_bytes();
+        let ok = |rows: &[&str]| -> Outcome { Ok(rows.iter().map(ToString::to_string).collect()) };
+        let err = |line: usize, m: &str| -> Outcome { Err((line, m.to_string())) };
+        let cases: Vec<(&str, Vec<u8>, Outcome)> = vec![
+            ("valid", body(&format!("{ROW}\n")), ok(&[SHOWN])),
+            (
+                "stray quote",
+                body(&format!("u\"a,{T},ff,AS1,site,/a,200,10,\n")),
+                err(2, "stray quote inside unquoted field"),
+            ),
+            (
+                "unterminated quote",
+                body(&format!("\"ua,{T},ff,AS1,site,/a,200,10,\n")),
+                err(2, "unterminated quoted field"),
+            ),
+            (
+                "quoted line break ends the line",
+                body(&format!("\"u\na\",{T},ff,AS1,site,/a,200,10,\n")),
+                err(2, "unterminated quoted field"),
+            ),
+            ("3 fields", body("a,b,c\n"), err(2, "expected 9 fields, got 3")),
+            ("12 fields", body(&format!("{ROW},x,y,z\n")), err(2, "expected 9 fields, got 12")),
+            (
+                "stray quote in field 10 beats the count",
+                body(&format!("{ROW},x\"q,y,z\n")),
+                err(2, "stray quote inside unquoted field"),
+            ),
+            (
+                "bad time wins over every later field",
+                body("ua,not-a-time,zz,AS1,site,/a,70000,-1,\n"),
+                err(2, r#"invalid timestamp: expected YYYY-MM-DDTHH:MM:SS[Z]: "not-a-time""#),
+            ),
+            (
+                "bad hex wins over status and bytes",
+                body(&format!("ua,{T},zz,AS1,site,/a,70000,-1,\n")),
+                err(2, r#"bad ip_hash "zz""#),
+            ),
+            (
+                "status 70000 wins over bytes",
+                body(&format!("ua,{T},ff,AS1,site,/a,70000,-1,\n")),
+                err(2, r#"bad status "70000""#),
+            ),
+            (
+                "bad bytes",
+                body(&format!("ua,{T},ff,AS1,site,/a,200,-1,\n")),
+                err(2, r#"bad bytes "-1""#),
+            ),
+            (
+                "escaped quote shows unescaped in the error",
+                body(&format!("ua,{T},\"x\"\"y\",AS1,site,/a,200,10,\n")),
+                err(2, r#"bad ip_hash "x\"y""#),
+            ),
+            (
+                "CRLF line endings",
+                format!("{HEADER}\r\n{ROW}\r\n{ROW}\r\n").into_bytes(),
+                ok(&[SHOWN, SHOWN]),
+            ),
+            (
+                "only one terminator is stripped",
+                body(&format!("{ROW}\r\r\n")),
+                ok(&[&SHOWN.replace(r#""ref""#, r#""ref\r""#)]),
+            ),
+            (
+                "a bare CR at EOF is content",
+                body(&format!("{ROW}\r")),
+                ok(&[&SHOWN.replace(r#""ref""#, r#""ref\r""#)]),
+            ),
+            (
+                "missing header",
+                format!("{ROW}\n").into_bytes(),
+                err(1, &format!("unexpected header {ROW:?}")),
+            ),
+            ("header only", format!("{HEADER}\n").into_bytes(), ok(&[])),
+            ("header without newline", HEADER.as_bytes().to_vec(), ok(&[])),
+            ("empty input", Vec::new(), ok(&[])),
+            ("empty header line", b"\n".to_vec(), err(1, r#"unexpected header """#)),
+            ("blank lines are skipped", body(&format!("\n{ROW}\n\r\n\n")), ok(&[SHOWN])),
+            (
+                "blank lines are counted",
+                body(&format!("\n{ROW}\n\n,\n")),
+                err(5, "expected 9 fields, got 2"),
+            ),
+            (
+                "Latin-1 byte in the UA",
+                [body(&format!("{ROW}\n")), b"u\xE9,".to_vec(), ROW.as_bytes()[3..].to_vec()]
+                    .concat(),
+                err(3, "read failed: stream did not contain valid UTF-8"),
+            ),
+            (
+                "quote quirks",
+                body(&format!("\"u\"a,{T},ff,AS1,site,/a,200,10,\"\"ref\n")),
+                ok(&[SHOWN]),
+            ),
+            (
+                "signed numbers parse",
+                body(&format!("ua,{T},+ff,AS1,site,/a,+200,+10,ref\n")),
+                ok(&[SHOWN]),
+            ),
+        ];
+        for (name, input, want) in cases {
+            assert_eq!(stream_outcome(&input), want, "CsvRowStream: {name}");
+            assert_eq!(outcome(decode_table_read(&input[..])), want, "decode_table_read: {name}");
+            if let Ok(text) = std::str::from_utf8(&input) {
+                assert_eq!(outcome(decode_table(text)), want, "decode_table: {name}");
+            }
+        }
     }
 
     #[test]
