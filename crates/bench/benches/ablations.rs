@@ -1,4 +1,6 @@
-//! Ablation benches for the design choices DESIGN.md §5 calls out.
+//! Ablation benches for four choices the paper makes: RFC 9309
+//! longest-match precedence, τ-tuple stratification of crawl delays,
+//! the 5-minute session gap, and the 90 % spoof-dominance threshold.
 //!
 //! These are correctness-shaped ablations wrapped in Criterion so their
 //! outputs land in the bench log: each run prints the quantity that

@@ -115,7 +115,9 @@ fn bench_attribution(c: &mut Criterion) {
 
 /// The CSV encode of a coupled log (scale 0.25, all 36 estate sites)
 /// into memory: `codec::write_table`, the `--out` stage of
-/// `simulate --coupled`, without the file system.
+/// `simulate --coupled`, without the file system. Then the decode of
+/// those same bytes: `codec::decode_table_read`, the input stage of
+/// `analyze`.
 fn bench_codec(c: &mut Criterion) {
     let mut g = c.benchmark_group("codec");
     g.sample_size(10);
@@ -132,6 +134,9 @@ fn bench_codec(c: &mut Criterion) {
             codec::write_table(&mut out, &table).expect("encode into memory");
             black_box(out.len())
         });
+    });
+    g.bench_function("decode_table_read", |b| {
+        b.iter(|| codec::decode_table_read(black_box(&probe[..])).expect("decode own CSV").len());
     });
     g.finish();
 }

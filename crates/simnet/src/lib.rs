@@ -1,8 +1,11 @@
 //! # botscope-simnet
 //!
 //! A deterministic, discrete-event web-traffic generator that stands in
-//! for the IMC '25 study's private institutional logs (see DESIGN.md §2
-//! for the substitution argument).
+//! for the IMC '25 study's private institutional logs. The substitution
+//! holds because every analysis consumes only the log schema (paper
+//! §3.1) and the experiment schedule, and the generator records the
+//! ground truth it planted (per-bot behaviour, SEO-exempt agents,
+//! spoofed requests) for the analyses to recover.
 //!
 //! The simulator models:
 //!

@@ -2,8 +2,9 @@
 //!
 //! Log pipelines (jq, DuckDB, pandas) prefer JSONL over CSV for nested or
 //! optional fields. This is an *encoder only*, hand-rolled against RFC
-//! 8259 string-escaping rules — the fixed schema makes a serde stack
-//! unnecessary (DESIGN.md §7); re-import uses the CSV codec.
+//! 8259 string-escaping rules: the schema is fixed and every field is a
+//! string or an integer, so a serde stack would add dependencies and
+//! nothing else. Re-import uses the CSV codec.
 
 use std::io::{self, Write};
 

@@ -18,9 +18,9 @@
 //!   table also serves the groupings the compliance metrics need
 //!   ([`LogTable::by_tau`], [`LogTable::by_useragent`],
 //!   [`LogTable::robots_checks_by_useragent`]),
-//! * [`codec`] — a CSV reader/writer for record persistence, including a
-//!   streaming [`codec::decode_stream`] / [`codec::decode_table_read`]
-//!   path for logs too large to hold in memory,
+//! * [`codec`] — a CSV reader/writer for record persistence; decoding
+//!   streams through [`stream::CsvRowStream`] ([`codec::decode_table_read`]
+//!   drains it into a table), so logs too large to hold in memory work,
 //! * [`colfmt`] — a compact binary on-disk format (string dictionary
 //!   pages + fixed-width symbol rows, versioned header): the same data
 //!   model as [`LogTable`], persisted; decodes with bounded memory and

@@ -155,7 +155,7 @@ impl Timestamp {
         let hour = num(11..13)?;
         let minute = num(14..16)?;
         let second = num(17..19)?;
-        if !(1..=12).contains(&month) || !(1..=31).contains(&day) {
+        if year < 1970 || !(1..=12).contains(&month) || !(1..=31).contains(&day) {
             return Err(err("date field out of range"));
         }
         if !(0..24).contains(&hour) || !(0..60).contains(&minute) || !(0..60).contains(&second) {
@@ -321,6 +321,9 @@ mod tests {
             "2025-02-12X00:00:00Z",
             "2025/02/12T00:00:00Z",
             "yyyy-mm-ddThh:mm:ssZ",
+            "1969-12-31T23:59:59Z",
+            "0000-01-01T00:00:00Z",
+            "-999-01-01T00:00:00Z",
         ] {
             assert!(Timestamp::parse_iso8601(bad).is_err(), "{bad:?} should fail");
         }

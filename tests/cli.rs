@@ -329,6 +329,33 @@ fn simulate_then_analyze_roundtrip() {
     let _ = std::fs::remove_file(csv);
 }
 
+#[test]
+fn analyze_reports_malformed_csv_in_one_line_on_every_path() {
+    // A pre-1970 year must fail as a decode error, not in the calendar
+    // arithmetic behind the timestamp parser.
+    let csv = write_temp(
+        "malformed.csv",
+        &format!(
+            "{}\nua,2025-02-12T00:00:00Z,ff,AS1,site,/,200,10,\nua,1969-12-31T23:59:59Z,ff,AS1,site,/,200,10,\n",
+            botscope::weblog::codec::HEADER
+        ),
+    );
+    let csv = csv.to_str().unwrap();
+    let want = "error: CSV decode error at line 3: invalid timestamp: date field out of range: \
+                \"1969-12-31T23:59:59Z\"\n";
+    for args in [
+        &["analyze", csv][..],
+        &["analyze", "--phase-report", csv],
+        &["analyze", "--phase-report", "--table", csv],
+    ] {
+        let out = botscope(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert_eq!(String::from_utf8_lossy(&out.stderr), want, "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+    }
+    let _ = std::fs::remove_file(csv);
+}
+
 /// Run `botscope args` with its stdout piped to a reader that is closed
 /// before the child writes anything; returns the exit code and stderr.
 fn run_into_closed_stdout(args: &[&str]) -> (Option<i32>, String) {
