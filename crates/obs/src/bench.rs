@@ -9,9 +9,9 @@
 //! `BOTSCOPE_THREADS` environment so a results file self-describes
 //! which run family produced it.
 //!
-//! The vendored criterion crate re-implements [`fnv1a64`] and the
-//! line format locally (it stays dependency-free); the unit tests
-//! over there pin byte-equality against this module's renderer.
+//! The vendored criterion harness renders its `BOTSCOPE_BENCH_JSON`
+//! file through [`render_bench_json`], and the CLI's `admit` uses
+//! [`fnv1a64`] to pick a site's corpus policy.
 
 use std::fmt::Write as _;
 
@@ -48,8 +48,7 @@ pub fn fnv1a64(data: &[u8]) -> u64 {
 
 /// The mini-manifest digest for a results file: `fnv64:<16 hex>` over
 /// the sorted labels plus host core count plus the botscope run-shape
-/// environment. Pure function of its inputs — keep in lockstep with
-/// the vendored criterion's copy.
+/// environment. Pure function of its inputs.
 pub fn mini_manifest_digest(labels: &[String], host_cores: usize) -> String {
     let mut sorted: Vec<&str> = labels.iter().map(String::as_str).collect();
     sorted.sort_unstable();

@@ -20,8 +20,10 @@ use botscope::core::metrics::{crawl_delay_counts_rows, CRAWL_DELAY_SECS};
 use botscope::core::pipeline::standardize_table;
 use botscope::core::recheck::{by_category, profiles_from_table};
 use botscope::core::spoofdetect::detect_rows;
-use botscope::monitor::daemon::{MonitorConfig, MonitorOutput, TtlPolicy};
+use botscope::monitor::daemon::{MonitorConfig, TtlPolicy};
 use botscope::monitor::ScenarioKind;
+use botscope::obs::json_escape;
+use botscope::robots::analysis::Severity;
 use botscope::robots::diff::{diff, summarize};
 use botscope::robots::RobotsTxt;
 use botscope::simnet::{scenario, SimConfig};
@@ -132,6 +134,12 @@ USAGE:
                          bounded-memory accumulators on the same stream
                          and print byte-identically to the default path
 
+FLAG GRAMMAR (every subcommand):
+  Flags may appear in any order after the subcommand, and --coupled /
+  --estate select their mode wherever they appear. A flag that takes a
+  value never takes a token starting with -- as that value (\"-\" is a
+  value). Unknown flags and surplus arguments are errors.
+
 GLOBAL FLAGS (any subcommand):
   --metrics FILE   write a Prometheus-style text snapshot of every
                    counter, gauge and histogram on exit
@@ -154,35 +162,15 @@ ENVIRONMENT:
 
 fn main() -> ExitCode {
     let started = std::time::Instant::now();
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let args: Vec<String> = std::env::args().skip(1).collect();
     // `--help`/`-h` anywhere (e.g. `simulate --help`) means `help`.
-    if args.iter().any(|a| a == "--help" || a == "-h") {
+    if args.iter().any(|a| a == "--help" || a == "-h")
+        || matches!(args.first().map(String::as_str), None | Some("help"))
+    {
         print!("{USAGE}");
         return ExitCode::SUCCESS;
     }
-    let telemetry = match Telemetry::extract(&mut args) {
-        Ok(t) => t,
-        Err(message) => {
-            eprintln!("error: {message}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let result = match args.first().map(String::as_str) {
-        Some("check") => cmd_check(&args[1..]),
-        Some("admit") => cmd_admit(&args[1..]),
-        Some("audit") => cmd_audit(&args[1..]),
-        Some("diff") => cmd_diff(&args[1..]),
-        Some("analyze") => cmd_analyze(&args[1..]),
-        Some("simulate") => cmd_simulate(&args[1..]),
-        Some("monitor") => cmd_monitor(&args[1..]),
-        Some("help") | None => {
-            print!("{USAGE}");
-            Ok(())
-        }
-        Some(other) => Err(format!("unknown subcommand {other:?}\n\n{USAGE}")),
-    };
-    let result = result.and_then(|()| telemetry.finish(&args, started));
-    match result {
+    match run(&args[0], &args[1..], started) {
         Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
             eprintln!("error: {message}");
@@ -191,17 +179,226 @@ fn main() -> ExitCode {
     }
 }
 
-/// Global telemetry flags, stripped from the argument list before
-/// subcommand dispatch so every subcommand stays flag-agnostic.
-///
-/// Diagnostics never touch stdout: `-` routes metrics, manifests and
-/// traces to *stderr*, keeping stdout reserved for data artifacts.
-/// Telemetry also never changes artifact bytes — instrumented runs
-/// are byte-identical to uninstrumented ones.
-struct Telemetry {
-    metrics: Option<String>,
-    manifest: Option<String>,
-    trace: Option<String>,
+/// Parse `args` with `command`'s grammar, then run the command between
+/// the telemetry hooks.
+fn run(command: &str, args: &[String], started: std::time::Instant) -> Result<(), String> {
+    let grammar = grammar_for(command, args)
+        .ok_or_else(|| format!("unknown subcommand {command:?}\n\n{USAGE}"))?;
+    let parsed = parse(grammar, args)?;
+    start_telemetry(&parsed)?;
+    (grammar.run)(&parsed)?;
+    finish_telemetry(command, &parsed, started)
+}
+
+/// One flag of a grammar: a switch, or a flag that takes the next
+/// token as its value.
+struct Flag {
+    name: &'static str,
+    /// For a valued flag, what its "needs …" error asks for.
+    needs: Option<&'static str>,
+}
+
+const fn switch(name: &'static str) -> Flag {
+    Flag { name, needs: None }
+}
+
+const fn valued(name: &'static str, needs: &'static str) -> Flag {
+    Flag { name, needs: Some(needs) }
+}
+
+const A_VALUE: &str = "a value";
+const OUT_FILE: &str = "a file or \"-\" for stdout";
+const DIAG_FILE: &str = "a file or \"-\" for stderr";
+const SCENARIOS: &str = "stable|outages|flapping|redirects|mixed";
+const SEVERITIES: &str = "info|warning|error";
+/// `simulate`'s positional seed: `simulate [days] [scale] [out] [seed]`.
+const SIMULATE_SEED_ARG: usize = 3;
+
+/// `--metrics`, `--manifest` and `--trace`, accepted by every subcommand.
+const TELEMETRY: &[Flag] = &[
+    valued("--metrics", DIAG_FILE),
+    valued("--manifest", DIAG_FILE),
+    valued("--trace", DIAG_FILE),
+];
+const ADMIT: &[Flag] = &[valued("--robots", "a file"), switch("--quiet")];
+/// The report options of both `audit` modes.
+const AUDIT_REPORT: &[Flag] =
+    &[switch("--json"), valued("--severity", A_VALUE), valued("--deny", A_VALUE)];
+const AUDIT_ESTATE: &[Flag] = &[switch("--estate")];
+const ANALYZE: &[Flag] = &[switch("--phase-report"), switch("--table")];
+const SIMULATE: &[Flag] =
+    &[switch("--stream"), switch("--phase-study"), valued("--format", "csv or bin")];
+const SIMULATE_COUPLED: &[Flag] = &[
+    switch("--coupled"),
+    valued("--scale", A_VALUE),
+    valued("--sites", A_VALUE),
+    valued("--seed", A_VALUE),
+    valued("--scenario", A_VALUE),
+    valued("--refresh", A_VALUE),
+    valued("--basis", A_VALUE),
+    valued("--out", OUT_FILE),
+];
+/// The estate shared by `monitor` and `audit --estate`; read by
+/// [`monitor_config`].
+const MONITOR_CONFIG: &[Flag] = &[
+    valued("--sites", A_VALUE),
+    valued("--days", A_VALUE),
+    valued("--seed", A_VALUE),
+    valued("--bots", A_VALUE),
+    valued("--scenario", A_VALUE),
+    valued("--swap-every", A_VALUE),
+];
+const MONITOR: &[Flag] = &[
+    valued("--ttl", A_VALUE),
+    valued("--out", OUT_FILE),
+    valued("--jsonl", OUT_FILE),
+    valued("--changes", OUT_FILE),
+    switch("--stream"),
+];
+
+/// A subcommand's (or a mode's) whole command line: its flag tables
+/// (the telemetry flags are added to every grammar), how many
+/// positional arguments it takes, and the function it runs.
+#[derive(Clone, Copy)]
+struct Grammar {
+    /// The name errors use: `unknown <name> flag`.
+    name: &'static str,
+    flags: &'static [&'static [Flag]],
+    positionals: usize,
+    run: fn(&Parsed) -> Result<(), String>,
+}
+
+/// The grammar for `command`; a mode switch selects its mode's grammar
+/// wherever it appears in `args`.
+fn grammar_for(command: &str, args: &[String]) -> Option<Grammar> {
+    let mode = |flag: &str| args.iter().any(|a| a == flag);
+    let any = usize::MAX;
+    Some(match command {
+        "check" => Grammar { name: "check", flags: &[], positionals: any, run: cmd_check },
+        "admit" => Grammar { name: "admit", flags: &[ADMIT], positionals: 1, run: cmd_admit },
+        "audit" if mode("--estate") => Grammar {
+            name: "audit --estate",
+            flags: &[AUDIT_ESTATE, AUDIT_REPORT, MONITOR_CONFIG],
+            positionals: 0,
+            run: audit_estate,
+        },
+        "audit" => {
+            Grammar { name: "audit", flags: &[AUDIT_REPORT], positionals: any, run: audit_files }
+        }
+        "diff" => Grammar { name: "diff", flags: &[], positionals: any, run: cmd_diff },
+        "analyze" => {
+            Grammar { name: "analyze", flags: &[ANALYZE], positionals: 1, run: cmd_analyze }
+        }
+        "simulate" if mode("--coupled") => Grammar {
+            name: "simulate --coupled",
+            flags: &[SIMULATE_COUPLED],
+            positionals: 0,
+            run: cmd_simulate_coupled,
+        },
+        "simulate" => Grammar {
+            name: "simulate",
+            flags: &[SIMULATE],
+            positionals: SIMULATE_SEED_ARG + 1,
+            run: cmd_simulate,
+        },
+        "monitor" => Grammar {
+            name: "monitor",
+            flags: &[MONITOR_CONFIG, MONITOR],
+            positionals: 0,
+            run: cmd_monitor,
+        },
+        _ => return None,
+    })
+}
+
+/// A command line split by its grammar.
+struct Parsed {
+    grammar: Grammar,
+    /// The arguments verbatim, minus the telemetry flags and their values.
+    args: Vec<String>,
+    /// Flags in command-line order, telemetry included; a switch has no
+    /// value.
+    flags: Vec<(&'static str, Option<String>)>,
+    positionals: Vec<String>,
+}
+
+fn is_telemetry(name: &str) -> bool {
+    TELEMETRY.iter().any(|f| f.name == name)
+}
+
+/// The one flag parser. A token starting with `--` is a flag of the
+/// grammar; a valued flag takes the next token, which must exist and
+/// must not start with `--` (`-` is a value); any other token is a
+/// positional.
+fn parse(grammar: Grammar, args: &[String]) -> Result<Parsed, String> {
+    let mut p = Parsed { grammar, args: Vec::new(), flags: Vec::new(), positionals: Vec::new() };
+    let mut tokens = args.iter();
+    while let Some(token) = tokens.next() {
+        if !token.starts_with("--") {
+            if p.positionals.len() == grammar.positionals {
+                return Err(format!(
+                    "unexpected {} argument {token:?} (see `botscope help`)",
+                    grammar.name
+                ));
+            }
+            p.positionals.push(token.clone());
+            p.args.push(token.clone());
+            continue;
+        }
+        let flag = grammar
+            .flags
+            .iter()
+            .copied()
+            .flatten()
+            .chain(TELEMETRY)
+            .find(|f| f.name == token)
+            .ok_or_else(|| {
+                format!("unknown {} flag {token:?} (see `botscope help`)", grammar.name)
+            })?;
+        let value = match flag.needs {
+            None => None,
+            Some(noun) => match tokens.next() {
+                Some(value) if !value.starts_with("--") => Some(value.clone()),
+                _ => return Err(format!("{} needs {noun} (see `botscope help`)", flag.name)),
+            },
+        };
+        if !is_telemetry(flag.name) {
+            p.args.push(token.clone());
+            p.args.extend(value.clone());
+        }
+        p.flags.push((flag.name, value));
+    }
+    Ok(p)
+}
+
+impl Parsed {
+    fn switch(&self, name: &str) -> bool {
+        self.flags.iter().any(|(flag, _)| *flag == name)
+    }
+
+    /// The value of the last `name` on the command line.
+    fn value(&self, name: &str) -> Option<&str> {
+        self.flags.iter().rev().find(|(flag, _)| *flag == name).and_then(|(_, v)| v.as_deref())
+    }
+
+    /// `name`'s value as a number, or `default` when the flag is absent.
+    fn num<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+        self.value(name).map_or(Ok(default), |v| v.parse().map_err(|_| format!("bad {name} {v}")))
+    }
+
+    /// `name`'s value through `parse`, or `default` when the flag is
+    /// absent; a failure names the accepted values.
+    fn get<T>(
+        &self,
+        name: &str,
+        default: T,
+        parse: impl FnOnce(&str) -> Option<T>,
+        want: &str,
+    ) -> Result<T, String> {
+        self.value(name).map_or(Ok(default), |v| {
+            parse(v).ok_or_else(|| format!("bad {name} {v} (want {want})"))
+        })
+    }
 }
 
 /// Whether `--manifest` is active: the output funnels then wrap every
@@ -223,114 +420,87 @@ fn diag_writer(path: &str) -> Result<Box<dyn std::io::Write + Send>, String> {
     }
 }
 
-impl Telemetry {
-    /// Strip `--metrics F`, `--manifest F` and `--trace F` from any
-    /// position in `args`, enable the registry when at least one is
-    /// present, and attach the trace sink up front so spans stream
-    /// while the run executes.
-    fn extract(args: &mut Vec<String>) -> Result<Telemetry, String> {
-        let mut t = Telemetry { metrics: None, manifest: None, trace: None };
-        let mut i = 0;
-        while i < args.len() {
-            let slot: &mut Option<String> = match args[i].as_str() {
-                "--metrics" => &mut t.metrics,
-                "--manifest" => &mut t.manifest,
-                "--trace" => &mut t.trace,
-                _ => {
-                    i += 1;
-                    continue;
-                }
-            };
-            let flag = args.remove(i);
-            if i >= args.len() {
-                return Err(format!("{flag} needs a file (or \"-\" for stderr)"));
-            }
-            *slot = Some(args.remove(i));
-        }
-        if t.metrics.is_some() || t.manifest.is_some() || t.trace.is_some() {
-            botscope::obs::global().set_enabled(true);
-        }
-        if t.manifest.is_some() {
-            MANIFEST_ACTIVE.store(true, std::sync::atomic::Ordering::Relaxed);
-        }
-        if let Some(path) = &t.trace {
-            botscope::obs::global().set_trace(diag_writer(path)?);
-        }
-        Ok(t)
+/// Enable the registry when any telemetry flag is present, and attach
+/// the trace sink up front so spans stream while the run executes.
+///
+/// Diagnostics never touch stdout: `-` routes metrics, manifests and
+/// traces to *stderr*, keeping stdout reserved for data artifacts.
+/// Telemetry also never changes artifact bytes — instrumented runs
+/// are byte-identical to uninstrumented ones.
+fn start_telemetry(p: &Parsed) -> Result<(), String> {
+    if !p.flags.iter().any(|(flag, _)| is_telemetry(flag)) {
+        return Ok(());
     }
+    botscope::obs::global().set_enabled(true);
+    if p.value("--manifest").is_some() {
+        MANIFEST_ACTIVE.store(true, std::sync::atomic::Ordering::Relaxed);
+    }
+    if let Some(path) = p.value("--trace") {
+        botscope::obs::global().set_trace(diag_writer(path)?);
+    }
+    Ok(())
+}
 
-    /// After the subcommand succeeds: flush the trace, render the
-    /// metrics snapshot, and write the run manifest.
-    fn finish(&self, args: &[String], started: std::time::Instant) -> Result<(), String> {
-        let obs = botscope::obs::global();
-        if !obs.enabled() {
-            return Ok(());
-        }
-        obs.close_trace().map_err(|e| format!("cannot flush trace: {e}"))?;
-        if let Some(path) = &self.metrics {
-            let text = obs.render_prometheus();
-            let mut w = diag_writer(path)?;
-            w.write_all(text.as_bytes())
-                .and_then(|()| w.flush())
-                .map_err(|e| format!("cannot write metrics: {e}"))?;
-        }
-        if let Some(path) = &self.manifest {
-            let manifest = build_manifest(args, started);
-            let mut w = diag_writer(path)?;
-            w.write_all(manifest.render().as_bytes())
-                .and_then(|()| w.flush())
-                .map_err(|e| format!("cannot write manifest: {e}"))?;
-        }
-        Ok(())
+/// After the subcommand succeeds: flush the trace, render the metrics
+/// snapshot, and write the run manifest.
+fn finish_telemetry(command: &str, p: &Parsed, started: std::time::Instant) -> Result<(), String> {
+    let obs = botscope::obs::global();
+    if !obs.enabled() {
+        return Ok(());
     }
+    obs.close_trace().map_err(|e| format!("cannot flush trace: {e}"))?;
+    if let Some(path) = p.value("--metrics") {
+        let text = obs.render_prometheus();
+        let mut w = diag_writer(path)?;
+        w.write_all(text.as_bytes())
+            .and_then(|()| w.flush())
+            .map_err(|e| format!("cannot write metrics: {e}"))?;
+    }
+    if let Some(path) = p.value("--manifest") {
+        let manifest = build_manifest(command, p, started);
+        let mut w = diag_writer(path)?;
+        w.write_all(manifest.render().as_bytes())
+            .and_then(|()| w.flush())
+            .map_err(|e| format!("cannot write manifest: {e}"))?;
+    }
+    Ok(())
 }
 
 /// Assemble the run manifest: identity and config first (the stable
-/// prefix CI snapshots), volatile perf numbers last.
+/// prefix CI snapshots), volatile perf numbers last. `config` holds the
+/// parsed flags (a switch as `"true"`) and `seed` the seed the user
+/// passed, if any.
 fn build_manifest(
-    args: &[String],
+    command: &str,
+    p: &Parsed,
     started: std::time::Instant,
 ) -> botscope::obs::manifest::RunManifest {
     use botscope::obs::manifest::{PerfSection, RunManifest};
 
     let obs = botscope::obs::global();
-    let rest = args.get(1..).unwrap_or_default();
-    let mut config = std::collections::BTreeMap::new();
-    let mut seed = None;
-    let mut i = 0;
-    while i < rest.len() {
-        if let Some(name) = rest[i].strip_prefix("--") {
-            // Mirror the subcommand parsers without naming every flag:
-            // a following non-flag token is that flag's value, a flag
-            // with no value is a bare switch.
-            match rest.get(i + 1) {
-                Some(v) if !v.starts_with("--") => {
-                    if name == "seed" {
-                        seed = v.parse().ok();
-                    }
-                    config.insert(name.to_string(), v.clone());
-                    i += 2;
-                    continue;
-                }
-                _ => {
-                    config.insert(name.to_string(), "true".to_string());
-                }
-            }
-        }
-        i += 1;
-    }
-    if let Ok(threads) = std::env::var("BOTSCOPE_THREADS") {
-        config.insert("env.BOTSCOPE_THREADS".to_string(), threads);
-    }
+    let config = p
+        .flags
+        .iter()
+        .filter(|(flag, _)| !is_telemetry(flag))
+        .map(|(flag, value)| {
+            let name = flag.trim_start_matches("--").to_string();
+            (name, value.clone().unwrap_or_else(|| "true".to_string()))
+        })
+        .chain(std::env::var("BOTSCOPE_THREADS").map(|t| ("env.BOTSCOPE_THREADS".to_string(), t)))
+        .collect();
+    let seed_arg = match p.grammar.name {
+        "simulate" => p.positionals.get(SIMULATE_SEED_ARG).map(String::as_str),
+        _ => p.value("--seed"),
+    };
     let mut counters = obs.snapshot_counters();
     counters.extend(obs.snapshot_gauges());
     let mem = botscope::obs::rss::sample_self().unwrap_or_default();
     RunManifest {
         tool: "botscope".to_string(),
         version: env!("CARGO_PKG_VERSION").to_string(),
-        command: args.first().cloned().unwrap_or_default(),
-        args: rest.to_vec(),
-        seed,
+        command: command.to_string(),
+        args: p.args.clone(),
+        seed: seed_arg.and_then(|s| s.parse().ok()),
         threads: botscope::simnet::worker_threads(),
         config,
         counters,
@@ -357,8 +527,8 @@ fn read_robots(path: &str) -> Result<RobotsTxt, String> {
     Ok(RobotsTxt::parse_bytes(&bytes))
 }
 
-fn cmd_check(args: &[String]) -> Result<(), String> {
-    let [file, agent, paths @ ..] = args else {
+fn cmd_check(p: &Parsed) -> Result<(), String> {
+    let [file, agent, paths @ ..] = p.positionals.as_slice() else {
         return Err("usage: botscope check <robots.txt> <agent> <path>...".into());
     };
     if paths.is_empty() {
@@ -394,41 +564,14 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
 /// paper's four policy versions, so repeated runs (and the CLI tests)
 /// always see the same estate.
 fn admit_site_version(site: &str) -> botscope::simnet::PolicyVersion {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in site.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
+    let h = botscope::obs::bench::fnv1a64(site.as_bytes());
     botscope::simnet::PolicyVersion::ALL[(h % 4) as usize]
 }
 
-fn cmd_admit(args: &[String]) -> Result<(), String> {
+fn cmd_admit(p: &Parsed) -> Result<(), String> {
     use botscope::robots::PolicyEstate;
 
-    let mut quiet = false;
-    let mut robots_file: Option<&str> = None;
-    let mut input: Option<&str> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quiet" => quiet = true,
-            "--robots" => {
-                robots_file =
-                    Some(args.get(i + 1).ok_or("--robots needs a file (see `botscope help`)")?);
-                i += 1;
-            }
-            other if other.starts_with("--") => {
-                return Err(format!("unknown admit flag {other:?} (see `botscope help`)"))
-            }
-            value => {
-                if input.replace(value).is_some() {
-                    return Err("admit takes exactly one query file (see `botscope help`)".into());
-                }
-            }
-        }
-        i += 1;
-    }
-    let Some(file) = input else {
+    let Some(file) = p.positionals.first() else {
         return Err("usage: botscope admit [--robots FILE] [--quiet] <queries.csv|->".into());
     };
 
@@ -465,7 +608,7 @@ fn cmd_admit(args: &[String]) -> Result<(), String> {
     // Register every queried site; compilation stays lazy so the first
     // check against each site pays its compile below, inside the timed
     // loop — that cost is what the stderr summary reports.
-    let robots_doc = robots_file.map(read_robots).transpose()?;
+    let robots_doc = p.value("--robots").map(read_robots).transpose()?;
     let mut estate = PolicyEstate::new();
     for &(_, site, _) in &queries {
         if estate.doc(site).is_none() {
@@ -496,7 +639,7 @@ fn cmd_admit(args: &[String]) -> Result<(), String> {
     obs.counter("robotstxt_cache_hits_total").add(estate.cache_hits());
     obs.gauge("robotstxt_compile_debt").set(estate.compile_debt() as u64);
 
-    if !quiet {
+    if !p.switch("--quiet") {
         write_output("-", |w| {
             for (&(agent, site, path), &allow) in queries.iter().zip(&verdicts) {
                 let verdict = if allow { "ALLOW" } else { "DENY " };
@@ -521,67 +664,12 @@ fn cmd_admit(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_audit(args: &[String]) -> Result<(), String> {
-    use botscope::robots::analysis::Severity;
-
-    let mut json = false;
-    let mut estate = false;
-    let mut severity = Severity::Info;
-    let mut deny: Option<Severity> = None;
-    let mut files: Vec<&str> = Vec::new();
-    let mut cfg = MonitorConfig::default();
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        match flag {
-            "--json" => {
-                json = true;
-                i += 1;
-                continue;
-            }
-            "--estate" => {
-                estate = true;
-                i += 1;
-                continue;
-            }
-            _ => {}
-        }
-        if !flag.starts_with("--") {
-            files.push(flag);
-            i += 1;
-            continue;
-        }
-        let value =
-            args.get(i + 1).ok_or_else(|| format!("{flag} needs a value (see `botscope help`)"))?;
-        match flag {
-            "--severity" => severity = value.parse()?,
-            "--deny" => deny = Some(value.parse()?),
-            "--sites" => cfg.sites = value.parse().map_err(|_| format!("bad --sites {value}"))?,
-            "--days" => cfg.days = value.parse().map_err(|_| format!("bad --days {value}"))?,
-            "--seed" => cfg.seed = value.parse().map_err(|_| format!("bad --seed {value}"))?,
-            "--bots" => cfg.bots = value.parse().map_err(|_| format!("bad --bots {value}"))?,
-            "--scenario" => {
-                cfg.scenario = ScenarioKind::parse(value).ok_or_else(|| {
-                    format!("bad --scenario {value} (want stable|outages|flapping|redirects|mixed)")
-                })?
-            }
-            "--swap-every" => {
-                cfg.swap_every = value.parse().map_err(|_| format!("bad --swap-every {value}"))?
-            }
-            other => return Err(format!("unknown audit flag {other:?} (see `botscope help`)")),
-        }
-        i += 2;
-    }
-
-    if estate {
-        return audit_estate(&cfg, json, severity, deny);
-    }
-    if files.is_empty() {
-        return Err(
-            "usage: botscope audit [--json] [--severity S] [--deny S] <robots.txt>...".into()
-        );
-    }
-    audit_files(&files, json, severity, deny)
+/// `--json`, `--severity` and `--deny`, the report options of both
+/// `audit` modes.
+fn audit_report(p: &Parsed) -> Result<(bool, Severity, Option<Severity>), String> {
+    let severity = p.get("--severity", Severity::Info, |v| v.parse().ok(), SEVERITIES)?;
+    let deny = p.get("--deny", None, |v| v.parse().ok().map(Some), SEVERITIES)?;
+    Ok((p.switch("--json"), severity, deny))
 }
 
 /// Render one finding list as JSON objects (stable field order).
@@ -605,34 +693,17 @@ fn findings_json(out: &mut String, analysis: &botscope::robots::analysis::Analys
     out.push(']');
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn audit_files(
-    files: &[&str],
-    json: bool,
-    severity: botscope::robots::analysis::Severity,
-    deny: Option<botscope::robots::analysis::Severity>,
-) -> Result<(), String> {
+fn audit_files(p: &Parsed) -> Result<(), String> {
     use botscope::robots::analysis::analyze;
     use std::fmt::Write as _;
 
+    let (json, severity, deny) = audit_report(p)?;
+    let files = &p.positionals;
+    if files.is_empty() {
+        return Err(
+            "usage: botscope audit [--json] [--severity S] [--deny S] <robots.txt>...".into()
+        );
+    }
     let docs = files.iter().map(|file| read_robots(file)).collect::<Result<Vec<_>, _>>()?;
     let mut denied = 0usize;
     write_output("-", |w| {
@@ -691,12 +762,7 @@ fn audit_files(
 
 /// `audit --estate`: corpus analysis + transition proofs + digest
 /// classification + admission replay.
-fn audit_estate(
-    cfg: &MonitorConfig,
-    json: bool,
-    severity: botscope::robots::analysis::Severity,
-    deny: Option<botscope::robots::analysis::Severity>,
-) -> Result<(), String> {
+fn audit_estate(p: &Parsed) -> Result<(), String> {
     use botscope::core::recheck::{coalesce_behavioral_windows, phase_check_matrix};
     use botscope::core::report::table7_behavioral;
     use botscope::monitor::{apply_digests, prime_estate};
@@ -706,9 +772,8 @@ fn audit_estate(
     use botscope::simnet::PolicyVersion;
     use std::fmt::Write as _;
 
-    if cfg.sites == 0 || cfg.days == 0 || cfg.bots == 0 {
-        return Err("--sites, --days and --bots must be at least 1".into());
-    }
+    let cfg = &monitor_config(p)?;
+    let (json, severity, deny) = audit_report(p)?;
 
     // 1. Analyze every corpus policy.
     let corpus = PolicyCorpus::new();
@@ -864,8 +929,8 @@ fn audit_estate(
     Ok(())
 }
 
-fn cmd_diff(args: &[String]) -> Result<(), String> {
-    let [old_file, new_file, agents @ ..] = args else {
+fn cmd_diff(p: &Parsed) -> Result<(), String> {
+    let [old_file, new_file, agents @ ..] = p.positionals.as_slice() else {
         return Err("usage: botscope diff <old> <new> [agent]...".into());
     };
     let old = read_robots(old_file)?;
@@ -903,25 +968,9 @@ fn cmd_diff(args: &[String]) -> Result<(), String> {
     })
 }
 
-fn cmd_analyze(args: &[String]) -> Result<(), String> {
-    let mut phase_report = false;
-    let mut use_table = false;
-    let mut input: Option<&str> = None;
-    for arg in args {
-        match arg.as_str() {
-            "--phase-report" => phase_report = true,
-            "--table" => use_table = true,
-            other if other.starts_with("--") => {
-                return Err(format!("unknown analyze flag {other:?} (see `botscope help`)"))
-            }
-            path => {
-                if input.replace(path).is_some() {
-                    return Err("analyze takes exactly one input (see `botscope help`)".into());
-                }
-            }
-        }
-    }
-    let Some(file) = input else {
+fn cmd_analyze(p: &Parsed) -> Result<(), String> {
+    let (phase_report, use_table) = (p.switch("--phase-report"), p.switch("--table"));
+    let Some(file) = p.positionals.first() else {
         return Err("usage: botscope analyze [--phase-report [--table]] <log.csv|log.bin|->".into());
     };
     if use_table && !phase_report {
@@ -1060,38 +1109,14 @@ fn phase_report_text(exp: &botscope::core::analyze::Experiment) -> String {
 /// Run `f` against a buffered writer for `path` (`-` = stdout), then
 /// flush and surface every error — including the final flush, which a
 /// bare `BufWriter` drop would swallow. The single funnel for all data
-/// output.
+/// output that is not written by a sink.
 fn write_output<F>(path: &str, f: F) -> Result<(), String>
 where
     F: FnOnce(&mut dyn std::io::Write) -> std::io::Result<()>,
 {
-    fn run<W: std::io::Write>(
-        w: W,
-        target: &str,
-        f: impl FnOnce(&mut dyn std::io::Write) -> std::io::Result<()>,
-    ) -> std::io::Result<()> {
-        if manifest_active() {
-            // Fingerprint the artifact as it streams out; the digest
-            // adapter is pass-through, so the bytes never change.
-            let mut w = botscope::obs::digest::DigestWriter::new(w);
-            f(&mut w)?;
-            w.flush()?;
-            botscope::obs::global().record_output(target, w.bytes(), w.hex_digest());
-            Ok(())
-        } else {
-            let mut w = w;
-            f(&mut w)?;
-            w.flush()
-        }
-    }
+    let mut w = writer_for(path)?;
     let target = if path == "-" { "stdout" } else { path };
-    let result = if path == "-" {
-        let stdout = std::io::stdout();
-        run(std::io::BufWriter::new(stdout.lock()), target, f)
-    } else {
-        std::fs::File::create(path).and_then(|file| run(std::io::BufWriter::new(file), target, f))
-    };
-    result.map_err(|e| format!("cannot write {target}: {e}"))
+    f(&mut w).and_then(|()| w.flush()).map_err(|e| format!("cannot write {target}: {e}"))
 }
 
 /// Pass-through writer that records its artifact `(target, bytes,
@@ -1122,8 +1147,10 @@ impl Drop for RecordingWriter {
     }
 }
 
-/// A boxed buffered writer for `path` (`-` = stdout), for sinks that
-/// own their writer; the sink's `finish` flushes it.
+/// A boxed buffered writer for `path` (`-` = stdout); under
+/// `--manifest` it fingerprints the artifact as it streams out (the
+/// digest adapter is pass-through, so the bytes never change). Sinks
+/// that own their writer flush it in their `finish`.
 fn writer_for(path: &str) -> Result<Box<dyn std::io::Write>, String> {
     let inner: Box<dyn std::io::Write> = if path == "-" {
         Box::new(std::io::BufWriter::new(std::io::stdout()))
@@ -1148,78 +1175,89 @@ fn write_csv(path: &str, table: &botscope::weblog::LogTable) -> Result<(), Strin
     write_output(path, |mut w| codec::write_table(&mut w, table))
 }
 
-/// Write `table` in the columnar binary format to `path` (`-` = stdout).
-fn write_bin(path: &str, table: &botscope::weblog::LogTable) -> Result<(), String> {
-    write_output(path, |mut w| botscope::weblog::colfmt::write_table(&mut w, table))
-}
-
-fn cmd_monitor(args: &[String]) -> Result<(), String> {
-    let mut cfg = MonitorConfig::default();
-    let mut out_path: Option<String> = None;
-    let mut jsonl_path: Option<String> = None;
-    let mut changes_path: Option<String> = None;
-    let mut stream = false;
-
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        if flag == "--stream" {
-            stream = true;
-            i += 1;
-            continue;
-        }
-        let value =
-            args.get(i + 1).ok_or_else(|| format!("{flag} needs a value (see `botscope help`)"))?;
-        match flag {
-            "--sites" => cfg.sites = value.parse().map_err(|_| format!("bad --sites {value}"))?,
-            "--days" => cfg.days = value.parse().map_err(|_| format!("bad --days {value}"))?,
-            "--seed" => cfg.seed = value.parse().map_err(|_| format!("bad --seed {value}"))?,
-            "--bots" => cfg.bots = value.parse().map_err(|_| format!("bad --bots {value}"))?,
-            "--ttl" => {
-                cfg.ttl = TtlPolicy::parse(value)
-                    .ok_or_else(|| format!("bad --ttl {value} (want \"spectrum\" or hours)"))?
-            }
-            "--scenario" => {
-                cfg.scenario = ScenarioKind::parse(value).ok_or_else(|| {
-                    format!("bad --scenario {value} (want stable|outages|flapping|redirects|mixed)")
-                })?
-            }
-            "--swap-every" => {
-                cfg.swap_every = value.parse().map_err(|_| format!("bad --swap-every {value}"))?
-            }
-            "--out" => out_path = Some(value.clone()),
-            "--jsonl" => jsonl_path = Some(value.clone()),
-            "--changes" => changes_path = Some(value.clone()),
-            other => return Err(format!("unknown monitor flag {other:?} (see `botscope help`)")),
-        }
-        i += 2;
-    }
+/// Read the estate flags shared by `monitor` and `audit --estate`.
+fn monitor_config(p: &Parsed) -> Result<MonitorConfig, String> {
+    let d = MonitorConfig::default();
+    let cfg = MonitorConfig {
+        sites: p.num("--sites", d.sites)?,
+        days: p.num("--days", d.days)?,
+        seed: p.num("--seed", d.seed)?,
+        bots: p.num("--bots", d.bots)?,
+        ttl: p.get("--ttl", d.ttl, TtlPolicy::parse, "\"spectrum\" or hours")?,
+        scenario: p.get("--scenario", d.scenario, ScenarioKind::parse, SCENARIOS)?,
+        swap_every: p.num("--swap-every", d.swap_every)?,
+        ..d
+    };
     if cfg.sites == 0 || cfg.days == 0 || cfg.bots == 0 {
         return Err("--sites, --days and --bots must be at least 1".into());
     }
+    Ok(cfg)
+}
 
-    if stream {
-        return cmd_monitor_streaming(&cfg, &out_path, &jsonl_path, &changes_path);
-    }
+/// Run the monitor, materialized or (`--stream`) through row sinks.
+///
+/// Output contract: run *stats* are diagnostics and always go to
+/// stderr; the table-derived *reports* (monitored Table 7, re-check
+/// coverage) are artifacts and go to stdout through the
+/// [`write_output`] funnel — unless a data flag already claimed stdout,
+/// in which case they fall back to stderr.
+fn cmd_monitor(p: &Parsed) -> Result<(), String> {
+    use botscope::weblog::sink::{CsvSink, JsonlSink, RowSink};
 
-    let out = botscope::monitor::run(&cfg);
-
-    if let Some(path) = &out_path {
-        write_csv(path, &out.table)?;
+    let cfg = monitor_config(p)?;
+    let (out_path, jsonl_path, changes_path) =
+        (p.value("--out"), p.value("--jsonl"), p.value("--changes"));
+    let mut streamed_rows = None;
+    let (stats, changes, bots, site_windows, matrix, agg) = if p.switch("--stream") {
+        // Fetch events flow through row sinks, and the table-derived
+        // reports are computed by a bounded-memory accumulator riding
+        // the same stream: the merged table never exists.
+        let mut csv = match out_path {
+            Some(path) => Some(
+                CsvSink::new(writer_for(path)?).map_err(|e| format!("cannot write header: {e}"))?,
+            ),
+            None => None,
+        };
+        let mut jsonl = jsonl_path.map(|path| writer_for(path).map(JsonlSink::new)).transpose()?;
+        // The accumulator needs each site's deployment windows *before*
+        // streaming starts; they are a pure function of the config.
+        let mut recheck = botscope::core::recheck::RecheckAccumulator::new(
+            botscope::monitor::config_site_windows(&cfg),
+            cfg.horizon_end(),
+        );
+        let mut sinks: Vec<&mut dyn RowSink> = Vec::new();
+        if let Some(sink) = csv.as_mut() {
+            sinks.push(sink);
+        }
+        if let Some(sink) = jsonl.as_mut() {
+            sinks.push(sink);
+        }
+        sinks.push(&mut recheck);
+        let summary =
+            botscope::monitor::run_streaming(&cfg, botscope::simnet::worker_threads(), &mut sinks)
+                .map_err(|e| format!("streaming write failed: {e}"))?;
+        drop(sinks);
+        streamed_rows = Some(summary.rows);
+        let (matrix, agg) = (recheck.phase_rows(), recheck.by_category());
+        (summary.stats, summary.changes, summary.bots, summary.site_windows, matrix, agg)
+    } else {
+        let out = botscope::monitor::run(&cfg);
+        if let Some(path) = out_path {
+            write_csv(path, &out.table)?;
+        }
+        if let Some(path) = jsonl_path {
+            write_output(path, |mut w| botscope::weblog::jsonl::write_table(&mut w, &out.table))?;
+        }
+        let matrix = botscope::core::recheck::phase_check_matrix(&out.table, &out.site_windows);
+        let agg = by_category(&profiles_from_table(&out.table, out.horizon_end));
+        (out.stats, out.changes, out.bots, out.site_windows, matrix, agg)
+    };
+    if let Some(path) = changes_path {
+        write_changes(path, &changes)?;
     }
-    if let Some(path) = &jsonl_path {
-        write_output(path, |mut w| botscope::weblog::jsonl::write_table(&mut w, &out.table))?;
-    }
-    if let Some(path) = &changes_path {
-        write_changes(path, &out.changes)?;
-    }
-
-    // Summary stats always go to stderr; the table-derived report
-    // artifacts go to stdout unless stdout already carries data.
-    let data_on_stdout =
-        [&out_path, &jsonl_path, &changes_path].iter().any(|p| p.as_deref() == Some("-"));
-    print_monitor_report(&cfg, &out, data_on_stdout)?;
-    Ok(())
+    eprint!("{}", monitor_summary(&cfg, &stats, &bots, &changes, streamed_rows));
+    let data_on_stdout = [out_path, jsonl_path, changes_path].contains(&Some("-"));
+    emit_monitor_report_tables(&site_windows, &matrix, &agg, data_on_stdout)
 }
 
 /// Write detected policy changes as CSV (`-` = stdout).
@@ -1243,106 +1281,15 @@ fn write_changes(path: &str, changes: &[botscope::monitor::ChangeDigest]) -> Res
     write_output(path, |w| w.write_all(body.as_bytes()))
 }
 
-/// The `--stream` path: fetch events flow through row sinks, and the
-/// table-derived reports (re-check coverage, monitored Table 7) are
-/// computed by a bounded-memory [`RecheckAccumulator`] riding the same
-/// stream — the merged table never exists, yet stdout carries the same
-/// report bytes as the materialized path.
-///
-/// [`RecheckAccumulator`]: botscope::core::recheck::RecheckAccumulator
-fn cmd_monitor_streaming(
+/// The monitor's run statistics, plus the row count of a streamed run.
+fn monitor_summary(
     cfg: &MonitorConfig,
-    out_path: &Option<String>,
-    jsonl_path: &Option<String>,
-    changes_path: &Option<String>,
-) -> Result<(), String> {
-    use botscope::weblog::sink::{CsvSink, JsonlSink, RowSink};
-
-    let mut csv = match out_path {
-        Some(path) => {
-            Some(CsvSink::new(writer_for(path)?).map_err(|e| format!("cannot write header: {e}"))?)
-        }
-        None => None,
-    };
-    let mut jsonl =
-        jsonl_path.as_deref().map(|path| writer_for(path).map(JsonlSink::new)).transpose()?;
-    // The accumulator needs each site's deployment windows *before*
-    // streaming starts; they are a pure function of the config.
-    let mut recheck = botscope::core::recheck::RecheckAccumulator::new(
-        botscope::monitor::config_site_windows(cfg),
-        cfg.horizon_end(),
-    );
-    let mut sinks: Vec<&mut dyn RowSink> = Vec::new();
-    if let Some(sink) = csv.as_mut() {
-        sinks.push(sink);
-    }
-    if let Some(sink) = jsonl.as_mut() {
-        sinks.push(sink);
-    }
-    sinks.push(&mut recheck);
-
-    let summary =
-        botscope::monitor::run_streaming(cfg, botscope::simnet::worker_threads(), &mut sinks)
-            .map_err(|e| format!("streaming write failed: {e}"))?;
-    drop(sinks);
-
-    if let Some(path) = changes_path {
-        write_changes(path, &summary.changes)?;
-    }
-
-    // Summary stats are diagnostics: always stderr.
+    s: &botscope::monitor::MonitorStats,
+    bots: &[String],
+    changes: &[botscope::monitor::ChangeDigest],
+    streamed_rows: Option<u64>,
+) -> String {
     use std::fmt::Write as _;
-    let s = &summary.stats;
-    let mut r = String::new();
-    let _ = writeln!(
-        r,
-        "monitored {} sites x {} bots over {} days (seed {}, scenario {}, streamed)",
-        cfg.sites,
-        summary.bots.len(),
-        cfg.days,
-        cfg.seed,
-        cfg.scenario.label()
-    );
-    let _ = writeln!(
-        r,
-        "{} rows streamed; {} agents, {} fetches: {} ok ({} revalidated, {} B saved), {} 4xx, {} 5xx, {} network",
-        summary.rows,
-        s.agents,
-        s.fetches,
-        s.success,
-        s.revalidated,
-        s.revalidated_bytes_saved,
-        s.client_errors,
-        s.server_errors,
-        s.network_errors
-    );
-    let _ = writeln!(
-        r,
-        "policy changes: {} observations, {} distinct transitions",
-        s.policy_changes_observed,
-        summary.changes.len()
-    );
-    eprint!("{r}");
-
-    let data_on_stdout =
-        [out_path, jsonl_path, changes_path].iter().any(|p| p.as_deref() == Some("-"));
-    let matrix = recheck.phase_rows();
-    let agg = recheck.by_category();
-    emit_monitor_report_tables(recheck.site_windows(), &matrix, &agg, data_on_stdout)
-}
-
-/// Monitor reporting, split per the output contract: run *stats* are
-/// diagnostics and always go to stderr; the table-derived *reports*
-/// (monitored Table 7, re-check coverage) are artifacts and go to
-/// stdout through the [`write_output`] funnel — unless a data flag
-/// already claimed stdout, in which case they fall back to stderr.
-fn print_monitor_report(
-    cfg: &MonitorConfig,
-    out: &MonitorOutput,
-    data_on_stdout: bool,
-) -> Result<(), String> {
-    use std::fmt::Write as _;
-    let s = &out.stats;
     let mut r = String::new();
     let ttl = match cfg.ttl {
         TtlPolicy::Spectrum => "spectrum".to_string(),
@@ -1352,13 +1299,16 @@ fn print_monitor_report(
         r,
         "monitored {} sites x {} bots over {} days (seed {}, scenario {}, ttl {})",
         cfg.sites,
-        out.bots.len(),
+        bots.len(),
         cfg.days,
         cfg.seed,
         cfg.scenario.label(),
         ttl
     );
-    let _ = writeln!(r, "bots: {}", out.bots.join(", "));
+    if let Some(rows) = streamed_rows {
+        let _ = writeln!(r, "{rows} rows streamed");
+    }
+    let _ = writeln!(r, "bots: {}", bots.join(", "));
     let _ = writeln!(
         r,
         "{} agents, {} fetches: {} ok ({} revalidated, {} B saved by 304s), {} 4xx, {} 5xx, {} network",
@@ -1381,9 +1331,9 @@ fn print_monitor_report(
         r,
         "policy changes: {} observations, {} distinct transitions",
         s.policy_changes_observed,
-        out.changes.len()
+        changes.len()
     );
-    for c in out.changes.iter().take(8) {
+    for c in changes.iter().take(8) {
         let _ = writeln!(
             r,
             "  {} @{}: {} -> {} ({} observers, {} tightened, {} loosened, {} delay changes)",
@@ -1397,24 +1347,18 @@ fn print_monitor_report(
             c.delay_changes
         );
     }
-    if out.changes.len() > 8 {
-        let _ = writeln!(r, "  ... and {} more", out.changes.len() - 8);
+    if changes.len() > 8 {
+        let _ = writeln!(r, "  ... and {} more", changes.len() - 8);
     }
-
-    eprint!("{r}");
-
-    let matrix = botscope::core::recheck::phase_check_matrix(&out.table, &out.site_windows);
-    let profiles = profiles_from_table(&out.table, out.horizon_end);
-    let agg = by_category(&profiles);
-    emit_monitor_report_tables(&out.site_windows, &matrix, &agg, data_on_stdout)
+    r
 }
 
 /// Render the monitor's table-derived report artifacts — the monitored
 /// Table 7 (only meaningful when the estate deploys swaps) and the §5.1
 /// re-check coverage table — and emit them on stdout through the
 /// [`write_output`] funnel (stderr when stdout already carries data).
-/// Both the materialized and the streaming monitor paths funnel through
-/// here, so their stdout bytes are identical by construction.
+/// Both monitor run paths funnel through here, so their stdout bytes are
+/// identical by construction.
 fn emit_monitor_report_tables(
     site_windows: &botscope::core::recheck::SiteVersionWindows,
     matrix: &[botscope::core::recheck::PhaseCheckRow],
@@ -1463,49 +1407,27 @@ fn emit_monitor_report_tables(
 
 /// `simulate --coupled`: belief-driven generation plus attribution
 /// scoring against served ground truth.
-fn cmd_simulate_coupled(args: &[String]) -> Result<(), String> {
+fn cmd_simulate_coupled(p: &Parsed) -> Result<(), String> {
     use botscope::core::attribution::PolicyBasis;
-    use botscope::monitor::{CoupledConfig, RefreshModel, ScenarioKind};
+    use botscope::monitor::{CoupledConfig, RefreshModel};
 
     let mut cfg = CoupledConfig::default();
-    cfg.sim.scale = 0.05;
-    let mut out_path: Option<String> = None;
-    let mut basis = PolicyBasis::Served;
-
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let value =
-            args.get(i + 1).ok_or_else(|| format!("{flag} needs a value (see `botscope help`)"))?;
-        match flag {
-            "--scale" => {
-                cfg.sim.scale = value.parse().map_err(|_| format!("bad --scale {value}"))?
-            }
-            "--sites" => {
-                cfg.sim.sites = value.parse().map_err(|_| format!("bad --sites {value}"))?
-            }
-            "--seed" => cfg.sim.seed = value.parse().map_err(|_| format!("bad --seed {value}"))?,
-            "--scenario" => {
-                cfg.scenario = ScenarioKind::parse(value).ok_or_else(|| {
-                    format!("bad --scenario {value} (want stable|outages|flapping|redirects|mixed)")
-                })?
-            }
-            "--refresh" => {
-                cfg.refresh = RefreshModel::parse(value)
-                    .ok_or_else(|| format!("bad --refresh {value} (want fleet|instant)"))?
-            }
-            "--out" => out_path = Some(value.clone()),
-            "--basis" => {
-                basis = match value.as_str() {
-                    "believed" => PolicyBasis::Believed,
-                    "served" => PolicyBasis::Served,
-                    _ => return Err(format!("bad --basis {value} (want believed|served)")),
-                }
-            }
-            other => return Err(format!("unknown --coupled flag {other:?} (see `botscope help`)")),
-        }
-        i += 2;
-    }
+    cfg.sim.scale = p.num("--scale", 0.05)?;
+    cfg.sim.sites = p.num("--sites", cfg.sim.sites)?;
+    cfg.sim.seed = p.num("--seed", cfg.sim.seed)?;
+    cfg.scenario = p.get("--scenario", cfg.scenario, ScenarioKind::parse, SCENARIOS)?;
+    cfg.refresh = p.get("--refresh", cfg.refresh, RefreshModel::parse, "fleet|instant")?;
+    let basis = p.get(
+        "--basis",
+        PolicyBasis::Served,
+        |v| match v {
+            "believed" => Some(PolicyBasis::Believed),
+            "served" => Some(PolicyBasis::Served),
+            _ => None,
+        },
+        "believed|served",
+    )?;
+    let out_path = p.value("--out");
     if !(cfg.sim.scale > 0.0 && cfg.sim.scale.is_finite()) {
         return Err(format!("scale must be a positive number, got {}", cfg.sim.scale));
     }
@@ -1514,7 +1436,7 @@ fn cmd_simulate_coupled(args: &[String]) -> Result<(), String> {
     }
 
     let out = botscope::monitor::run_coupled(&cfg);
-    if let Some(path) = &out_path {
+    if let Some(path) = out_path {
         write_csv(path, &out.sim.table)?;
     }
 
@@ -1594,7 +1516,7 @@ fn cmd_simulate_coupled(args: &[String]) -> Result<(), String> {
     let _ = writeln!(r, "{}", botscope::core::report::table6(&exp));
     let _ = writeln!(r, "{}", botscope::core::report::table10(&exp));
 
-    if out_path.as_deref() == Some("-") {
+    if out_path == Some("-") {
         eprint!("{r}");
     } else {
         print!("{r}");
@@ -1619,42 +1541,15 @@ impl LogFormat {
     }
 }
 
-fn cmd_simulate(args: &[String]) -> Result<(), String> {
-    if args.first().map(String::as_str) == Some("--coupled") {
-        return cmd_simulate_coupled(&args[1..]);
-    }
-    let mut stream = false;
-    let mut phase_study = false;
-    let mut format = LogFormat::Csv;
-    let mut positional: Vec<&str> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--stream" => stream = true,
-            "--phase-study" => phase_study = true,
-            "--format" => {
-                let value = args
-                    .get(i + 1)
-                    .ok_or("--format needs a value (csv or bin, see `botscope help`)")?;
-                format = LogFormat::parse(value)
-                    .ok_or_else(|| format!("bad --format {value} (want csv or bin)"))?;
-                i += 1;
-            }
-            other if other.starts_with("--") => {
-                return Err(format!("unknown simulate flag {other:?} (see `botscope help`)"))
-            }
-            value => positional.push(value),
-        }
-        i += 1;
-    }
-    let days: u64 =
-        positional.first().map(|s| s.parse().map_err(|_| "bad days")).transpose()?.unwrap_or(7);
+fn cmd_simulate(p: &Parsed) -> Result<(), String> {
+    let format = p.get("--format", LogFormat::Csv, LogFormat::parse, "csv or bin")?;
+    let arg = |i: usize| p.positionals.get(i).map(String::as_str);
+    let days: u64 = arg(0).map(|s| s.parse().map_err(|_| "bad days")).transpose()?.unwrap_or(7);
     let scale: f64 =
-        positional.get(1).map(|s| s.parse().map_err(|_| "bad scale")).transpose()?.unwrap_or(0.05);
+        arg(1).map(|s| s.parse().map_err(|_| "bad scale")).transpose()?.unwrap_or(0.05);
     // "-" selects stdout explicitly, so a seed can be combined with piping.
-    let out_path = positional.get(2).copied().unwrap_or("-");
-    let seed: u64 = positional
-        .get(3)
+    let out_path = arg(2).unwrap_or("-");
+    let seed: u64 = arg(SIMULATE_SEED_ARG)
         .map(|s| s.parse().map_err(|_| "bad seed"))
         .transpose()?
         .unwrap_or_else(|| SimConfig::default().seed);
@@ -1668,7 +1563,8 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
     let cfg = SimConfig { days, scale, seed, ..SimConfig::default() };
     cfg.assert_valid();
 
-    if stream {
+    let phase_study = p.switch("--phase-study");
+    if p.switch("--stream") {
         return simulate_streaming(&cfg, phase_study, format, out_path);
     }
 
@@ -1679,7 +1575,9 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
     };
     match format {
         LogFormat::Csv => write_csv(out_path, &table)?,
-        LogFormat::Bin => write_bin(out_path, &table)?,
+        LogFormat::Bin => {
+            write_output(out_path, |mut w| botscope::weblog::colfmt::write_table(&mut w, &table))?
+        }
     }
     if out_path != "-" {
         eprintln!("{} records -> {out_path}", table.len());

@@ -767,3 +767,121 @@ fn manifest_stable_prefix_matches_committed_fixture() {
          regenerate it if the change is intentional"
     );
 }
+
+/// A fresh, empty directory for one CLI run to work in.
+fn empty_dir(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("botscope-test-{}-{name}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    dir
+}
+
+/// Run `botscope args` inside `dir`; no run may panic.
+fn botscope_in(dir: &std::path::Path, args: &[&str]) -> Output {
+    let out = Command::new(env!("CARGO_BIN_EXE_botscope"))
+        .current_dir(dir)
+        .args(args)
+        .output()
+        .expect("binary runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(!err.contains("panicked"), "{args:?}: {err}");
+    out
+}
+
+/// Assert `args` fails with exit 1 and one stderr line containing
+/// `want`, leaving `dir` empty.
+fn assert_rejected(dir: &std::path::Path, args: &[&str], want: &str) {
+    let out = botscope_in(dir, args);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+    assert_eq!(err.lines().count(), 1, "{args:?}: {err}");
+    assert!(err.contains(want), "{args:?}: want {want:?}, got {err}");
+    let created: Vec<_> = std::fs::read_dir(dir).expect("read temp dir").collect();
+    assert!(created.is_empty(), "{args:?} created {created:?}");
+}
+
+/// Every subcommand and mode reads its flags through the same grammar:
+/// an unknown flag, a missing value and `--help` behave alike, and a
+/// rejected command line creates no file.
+#[test]
+fn every_subcommand_shares_one_flag_grammar() {
+    // (name in errors, command words, one valued flag it accepts)
+    let grammars: [(&str, &[&str], &str); 9] = [
+        ("check", &["check"], "--manifest"),
+        ("admit", &["admit"], "--robots"),
+        ("audit", &["audit"], "--severity"),
+        ("audit --estate", &["audit", "--estate"], "--sites"),
+        ("diff", &["diff"], "--trace"),
+        ("analyze", &["analyze"], "--metrics"),
+        ("simulate", &["simulate"], "--format"),
+        ("simulate --coupled", &["simulate", "--coupled"], "--out"),
+        ("monitor", &["monitor"], "--changes"),
+    ];
+    for (name, command, valued) in grammars {
+        let dir = empty_dir(&format!("grammar-{}", name.replace(' ', "")));
+        let args = |extra: &[&'static str]| [command, extra].concat();
+        assert_rejected(&dir, &args(&["--frob"]), &format!("unknown {name} flag \"--frob\""));
+        let needs = format!("{valued} needs");
+        assert_rejected(&dir, &args(&[valued]), &needs);
+        assert_rejected(&dir, &args(&[valued, "--metrics", "m.prom"]), &needs);
+
+        let help = botscope_in(&dir, &args(&["--help"]));
+        assert!(help.status.success(), "{name} --help");
+        assert!(String::from_utf8_lossy(&help.stdout).contains("USAGE"), "{name} --help");
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    // Command lines the per-subcommand parsers used to misread.
+    let dir = empty_dir("grammar-regressions");
+    for (args, want) in [
+        (&["monitor", "--changes", "--stream"][..], "--changes needs"),
+        (&["simulate", "--coupled", "--out", "--basis"], "--out needs"),
+        (&["monitor", "5"], "unexpected monitor argument \"5\""),
+        (&["check", "f.txt", "GPTBot", "--frob"], "unknown check flag \"--frob\""),
+        (&["audit", "--sites", "3", "f.txt"], "unknown audit flag \"--sites\""),
+    ] {
+        assert_rejected(&dir, args, want);
+    }
+    // A mode switch selects its grammar wherever it appears.
+    let first = botscope_in(
+        &dir,
+        &["simulate", "--coupled", "--scale", "0.02", "--sites", "4", "--out", "-"],
+    );
+    let last = botscope_in(
+        &dir,
+        &["simulate", "--scale", "0.02", "--sites", "4", "--coupled", "--out", "-"],
+    );
+    assert!(last.status.success(), "{}", String::from_utf8_lossy(&last.stderr));
+    assert!(!first.stdout.is_empty());
+    assert_eq!(first.stdout, last.stdout, "--coupled must select its mode in any position");
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// The manifest records what the user asked for: a switch as `"true"`,
+/// never the positional after it, and the seed however it was passed.
+#[test]
+fn manifest_config_records_the_parsed_flags() {
+    let dir = empty_dir("manifest-config");
+    std::fs::write(dir.join("robots.txt"), "User-agent: *\nDisallow: /x\n").expect("write robots");
+    let stable_prefix = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_botscope"))
+            .current_dir(&dir)
+            .args(args)
+            .args(["--manifest", "m.json"])
+            .env_remove("BOTSCOPE_THREADS")
+            .output()
+            .expect("binary runs");
+        assert!(out.status.success(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+        let rendered = std::fs::read_to_string(dir.join("m.json")).expect("manifest written");
+        botscope::obs::manifest::stable_prefix(&rendered)
+    };
+    let simulate = stable_prefix(&["simulate", "1", "0.02", "log.csv", "42"]);
+    assert!(simulate.contains("\n  \"seed\": 42,\n"), "{simulate}");
+    assert!(simulate.contains("\n  \"config\": {},\n"), "{simulate}");
+    let analyze = stable_prefix(&["analyze", "--phase-report", "log.csv"]);
+    assert!(analyze.contains("\n  \"config\": {\"phase-report\": \"true\"},\n"), "{analyze}");
+    let audit = stable_prefix(&["audit", "--json", "robots.txt"]);
+    assert!(audit.contains("\n  \"config\": {\"json\": \"true\"},\n"), "{audit}");
+    assert!(audit.contains("\n  \"seed\": null,\n"), "{audit}");
+    let _ = std::fs::remove_dir_all(dir);
+}
