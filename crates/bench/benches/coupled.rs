@@ -2,6 +2,10 @@
 //! belief-driven generation, plus the attribution scoring stage and the
 //! CSV encode behind `simulate --coupled --out` alone.
 //!
+//! `coupled/score_believed` is the scoring half of
+//! `simulate --coupled --basis believed`: one attribution sweep, then
+//! the compliance tables without the rows it excused.
+//!
 //! The headline line is `coupled/scale_1.0_attributed`: the full
 //! 8-week, scale-1.0, 36-site coupled study — belief daemon over the
 //! whole fleet, generation consulting the atlas, then per-bot
@@ -11,7 +15,8 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use botscope_core::attribution::attribute_table_with_threads;
+use botscope_core::analyze::Experiment;
+use botscope_core::attribution::{attribute_rows, attribute_table_with_threads};
 use botscope_monitor::{run_coupled_with_threads, CoupledConfig, RefreshModel, ScenarioKind};
 use botscope_simnet::server::PolicyCorpus;
 use botscope_simnet::SimConfig;
@@ -46,6 +51,29 @@ fn bench_coupled(c: &mut Criterion) {
             b.iter(|| run_coupled_with_threads(cfg, 1));
         });
     }
+    g.finish();
+}
+
+/// Believed-basis scoring of the scale-0.25 coupled table, single-core:
+/// the attribution sweep feeds its excusal mask to the analysis.
+fn bench_score_believed(c: &mut Criterion) {
+    let mut g = c.benchmark_group("coupled");
+    g.sample_size(10);
+    let corpus = PolicyCorpus::new();
+    let out = run_coupled_with_threads(&config(0.25), 1);
+    g.throughput(Throughput::Elements(out.sim.table.len() as u64));
+    g.bench_function("score_believed", |b| {
+        b.iter(|| {
+            let attribution = attribute_rows(&out.sim.table, &out.beliefs, &out.served, &corpus, 1);
+            let exp = Experiment::analyze_table_excluding(
+                &out.sim.table,
+                &out.schedule,
+                &attribution.excused,
+                1,
+            );
+            black_box((attribution.counts.len(), exp.per_directive.len()))
+        });
+    });
     g.finish();
 }
 
@@ -141,5 +169,12 @@ fn bench_codec(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_coupled, bench_paper_scale, bench_attribution, bench_codec);
+criterion_group!(
+    benches,
+    bench_coupled,
+    bench_score_believed,
+    bench_paper_scale,
+    bench_attribution,
+    bench_codec
+);
 criterion_main!(benches);

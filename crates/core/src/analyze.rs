@@ -37,13 +37,13 @@ use botscope_simnet::scenario::{phase_study_table, PhaseStudyTableOutput};
 use botscope_simnet::server::PolicyCorpus;
 use botscope_simnet::SimConfig;
 
-use crate::attribution::{excusal_mask, PolicyBasis};
+use crate::attribution::{attribute_rows, PolicyBasis};
 use crate::metrics::{
     crawl_delay_counts_rows, disallow_counts_rows, endpoint_counts_rows, DirectiveCounts,
     PathClasses, CRAWL_DELAY_SECS,
 };
 use crate::pipeline::{
-    standardize_rows, standardize_table_with_threads, BotRowView, StandardizedTable,
+    standardize_rows_with_threads, standardize_table_with_threads, BotRowView, StandardizedTable,
 };
 use crate::spoofdetect::{
     analyze_bot_rows, SpoofFinding, SpoofReport, DOMINANCE_THRESHOLD, MIN_DETECT_REQUESTS,
@@ -245,13 +245,13 @@ impl Experiment {
 
     /// Analyze under a policy basis. `Served` is the plain
     /// [`Experiment::analyze_table_with_threads`] path; `Believed`
-    /// first drops every row the belief layer *excuses* (stale-cache
-    /// and fetch-artifact violations, per
-    /// [`excusal_mask`](crate::attribution::excusal_mask)) and analyzes
-    /// the remainder — Tables 5/6/10 recomputed under
-    /// attribution-corrected compliance. With beliefs that track the
-    /// served timelines exactly (instant refresh, always-healthy
-    /// weather) no row is excused and the two bases coincide.
+    /// first attributes every row ([`attribute_rows`]) and analyzes the
+    /// rows the belief layer does not excuse
+    /// ([`Experiment::analyze_table_excluding`]) — Tables 5/6/10
+    /// recomputed under attribution-corrected compliance. With beliefs
+    /// that track the served timelines exactly (instant refresh,
+    /// always-healthy weather) no row is excused and the two bases
+    /// coincide.
     pub fn analyze_table_with_basis(
         table: &LogTable,
         schedule: &PhaseSchedule,
@@ -262,22 +262,36 @@ impl Experiment {
         match basis {
             PolicyBasis::Served => Experiment::analyze_table_with_threads(table, schedule, threads),
             PolicyBasis::Believed => {
-                let mask = excusal_mask(table, ctx.beliefs, ctx.served, ctx.corpus, threads);
-                let kept: Vec<&RecordRow> = table
-                    .rows()
-                    .iter()
-                    .zip(&mask)
-                    .filter_map(|(row, &excused)| (!excused).then_some(row))
-                    .collect();
-                let all_logs = standardize_rows(table, kept.iter().copied());
-                let site = table.interner().get(&experiment_site_name(schedule));
-                let site_rows: Vec<&RecordRow> = match site {
-                    Some(site) => kept.iter().filter(|r| r.sitename == site).copied().collect(),
-                    None => Vec::new(),
-                };
-                Self::analyze_standardized(table, schedule, threads, &all_logs, site_rows)
+                let excused =
+                    attribute_rows(table, ctx.beliefs, ctx.served, ctx.corpus, threads).excused;
+                Experiment::analyze_table_excluding(table, schedule, &excused, threads)
             }
         }
+    }
+
+    /// Analyze `table` without the rows `excused` marks — one flag per
+    /// table row, as in [`Attribution::excused`](crate::attribution::Attribution::excused):
+    /// the believed-basis analysis, given the excusal verdicts of an
+    /// attribution sweep the caller already ran.
+    pub fn analyze_table_excluding(
+        table: &LogTable,
+        schedule: &PhaseSchedule,
+        excused: &[bool],
+        threads: usize,
+    ) -> Experiment {
+        assert_eq!(excused.len(), table.len(), "one excusal verdict per row");
+        let kept = table
+            .rows()
+            .iter()
+            .zip(excused)
+            .filter_map(|(row, &excused)| (!excused).then_some(row));
+        let all_logs = standardize_rows_with_threads(table, kept.clone(), threads);
+        let site = table.interner().get(&experiment_site_name(schedule));
+        let site_rows: Vec<&RecordRow> = match site {
+            Some(site) => kept.filter(|r| r.sitename == site).collect(),
+            None => Vec::new(),
+        };
+        Self::analyze_standardized(table, schedule, threads, &all_logs, site_rows)
     }
 
     /// Shared back half of the analysis: phase windows, the per-bot

@@ -28,15 +28,19 @@
 //! arXiv:2503.06035): a scraper crawling through a disallow on a stale
 //! cache is operating exactly as RFC 9309 permits.
 //!
-//! **Execution shape.** [`attribute_table`] and [`score_table`] fan out
-//! per-bot stages over the `run_indexed` worker pool with a
-//! deterministic bot-name merge, exactly as
-//! [`Experiment::analyze_table`](crate::analyze::Experiment::analyze_table)
-//! does. Timelines are stepwise and log rows arrive in chronological
-//! order, so per-(bot, site) [`TimelineCursor`]s replace the per-row
-//! binary searches with amortized-O(1) forward steps. The
-//! `attribution_equiv` proptests pin both against serial oracles
-//! written over the public belief and corpus APIs.
+//! **Execution shape.** [`attribute_rows`] is one chunked sweep over
+//! the table's rows in storage order: each distinct user agent is
+//! standardized once, and fixed 65,536-row chunks are judged over the
+//! `run_indexed` worker pool. A chunk keeps per-bot counts beside its
+//! slice of the excusal mask, so the attribution report and the rows a
+//! believed-basis analysis drops come from the same verdicts; chunks
+//! merge by summation. [`score_table`] needs τ groups per bot, so it
+//! fans out per-bot stages with a deterministic bot-name merge instead.
+//! Timelines are stepwise and log rows arrive in chronological order,
+//! so per-(bot, site) [`TimelineCursor`]s replace the per-row binary
+//! searches with amortized-O(1) forward steps. The `attribution_equiv`
+//! tests pin both against serial oracles written over the public
+//! belief and corpus APIs.
 //!
 //! **Granularity caveat.** Scoring is per access, at the access's own
 //! instant — the only vantage point a log analyst has. The generation
@@ -55,12 +59,11 @@ use std::collections::{BTreeMap, HashMap};
 use botscope_simnet::belief::{BeliefAtlas, BeliefTimeline, BelievedPolicy};
 use botscope_simnet::engine::{run_indexed, worker_threads};
 use botscope_simnet::server::PolicyCorpus;
-use botscope_useragent::Standardizer;
 use botscope_weblog::intern::Sym;
 use botscope_weblog::table::{LogTable, RecordRow};
 
 use crate::metrics::DirectiveCounts;
-use crate::pipeline::{standardize_table_with_threads, BotRowView};
+use crate::pipeline::{agent_specs, standardize_table_with_threads, BotRowView};
 
 /// Which policy a metric is computed against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -233,8 +236,8 @@ impl<'a> SiteCursors<'a> {
 }
 
 /// Telemetry accumulated by one sweep stage. Stages return their stats
-/// and the caller merges them serially in bot-name order, so counter
-/// totals are worker-count invariant.
+/// and the caller merges them serially in stage order (chunk or bot
+/// name), so counter totals are worker-count invariant.
 #[derive(Debug, Clone, Copy)]
 struct SweepStats {
     rows: u64,
@@ -280,11 +283,27 @@ impl SweepStats {
 // Violation attribution.
 // ---------------------------------------------------------------------
 
+/// One attribution sweep's results: the per-bot counts and the per-row
+/// excusal verdicts, both from the same row verdicts.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Attribution {
+    /// Per-bot attribution, keyed by canonical bot name; bots with no
+    /// examined page access are absent.
+    pub counts: BTreeMap<String, AttributionCounts>,
+    /// One verdict per table row: `true` marks a served-policy
+    /// violation the belief layer excuses (stale cache or fetch-layer
+    /// entitlement) — exactly the rows a believed-basis analysis drops
+    /// ([`Experiment::analyze_table_excluding`](crate::analyze::Experiment::analyze_table_excluding)).
+    /// Robots.txt fetches, anonymous rows, unmonitored bots, foreign
+    /// sites, allowed fetches and deliberate violations are all `false`.
+    pub excused: Vec<bool>,
+}
+
 /// Attribute every fleet bot's page accesses in `table` against the
 /// monitored beliefs and the served ground truth. Bots absent from the
 /// atlas (anonymous traffic, unknown agents) and rows on sites outside
 /// the estate are skipped; robots.txt fetches are always allowed and
-/// not counted. Fans out over [`worker_threads`] scoped workers.
+/// not counted. Runs over [`worker_threads`] scoped workers.
 pub fn attribute_table(
     table: &LogTable,
     beliefs: &BeliefAtlas,
@@ -294,9 +313,8 @@ pub fn attribute_table(
     attribute_table_with_threads(table, beliefs, served, corpus, worker_threads())
 }
 
-/// [`attribute_table`] with an explicit worker count: one stage per
-/// bot over [`run_indexed`] workers, merged in bot-name order.
-/// Output is identical at any worker count.
+/// [`attribute_table`] with an explicit worker count: the counts of
+/// [`attribute_rows`]. Output is identical at any worker count.
 pub fn attribute_table_with_threads(
     table: &LogTable,
     beliefs: &BeliefAtlas,
@@ -304,99 +322,130 @@ pub fn attribute_table_with_threads(
     corpus: &PolicyCorpus,
     threads: usize,
 ) -> BTreeMap<String, AttributionCounts> {
+    attribute_rows(table, beliefs, served, corpus, threads).counts
+}
+
+/// Rows per sweep chunk. The grid is fixed, independent of `threads`,
+/// so cursor telemetry is worker-count invariant.
+const CHUNK_ROWS: usize = 1 << 16;
+
+/// Attribute every row of `table` in one sweep: each distinct user
+/// agent is standardized once, then contiguous row chunks are judged
+/// over `threads` workers. Each chunk keeps per-bot
+/// [`AttributionCounts`] beside its slice of the excusal mask; chunks
+/// merge by summation and concatenation, so the output is identical at
+/// any worker count.
+pub fn attribute_rows(
+    table: &LogTable,
+    beliefs: &BeliefAtlas,
+    served: &[BeliefTimeline],
+    corpus: &PolicyCorpus,
+    threads: usize,
+) -> Attribution {
     let obs = botscope_obs::global();
-    let mut span = obs.span("attribution_attribute_table");
-    let logs = standardize_table_with_threads(table, threads);
-    let robots = table.interner().get("/robots.txt");
+    let mut span = obs.span("attribution_attribute_rows");
+    let rows = table.rows();
+    let n = rows.len();
+    let n_bots = beliefs.bots.len();
     let n_sites = served.len().min(beliefs.n_sites());
     let site_of = site_index_of(table, n_sites);
+    let robots = table.interner().get("/robots.txt");
     let bot_index: BTreeMap<&str, usize> =
         beliefs.bots.iter().enumerate().map(|(i, name)| (name.as_str(), i)).collect();
+    // Atlas bot of each user-agent symbol (None = anonymous or
+    // unmonitored).
+    let bot_of: Vec<Option<usize>> = agent_specs(table, rows, threads)
+        .1
+        .into_iter()
+        .map(|spec| spec.and_then(|bot| bot_index.get(bot.canonical).copied()))
+        .collect();
 
-    let views: Vec<&BotRowView<'_>> = logs.bots.values().collect();
-    let results: Vec<Option<(AttributionCounts, SweepStats)>> =
-        run_indexed(views.len(), threads, |i| {
-            let view = views[i];
-            let &bot = bot_index.get(view.name.as_str())?;
-            Some(attribute_bot(table, view, bot, beliefs, served, corpus, robots, &site_of))
+    // Contiguous row chunks: rows are chronological, so each chunk's
+    // cursors sweep forward from a fresh seat.
+    let chunks = n.div_ceil(CHUNK_ROWS).max(1);
+    let parts: Vec<(Vec<AttributionCounts>, Vec<bool>, SweepStats)> =
+        run_indexed(chunks, threads, |c| {
+            let lo = c * CHUNK_ROWS;
+            let hi = ((c + 1) * CHUNK_ROWS).min(n);
+            let mut stats = SweepStats::default();
+            let mut counts = vec![AttributionCounts::default(); n_bots];
+            let mut caches: Vec<Option<AllowCache<'_>>> = (0..n_bots).map(|_| None).collect();
+            let mut believed_cur: Vec<Option<SiteCursors<'_>>> =
+                (0..n_bots).map(|_| None).collect();
+            let mut served_cur = SiteCursors::over_served(served, n_sites);
+            let mut mask = vec![false; hi - lo];
+            for (slot, row) in rows[lo..hi].iter().enumerate() {
+                let Some(bot) = bot_of[row.useragent.index()] else {
+                    continue;
+                };
+                if Some(row.uri_path) == robots {
+                    continue;
+                }
+                let Some(site) = site_of[row.sitename.index()] else {
+                    continue;
+                };
+                let t = row.timestamp.unix();
+                stats.observe_row(t);
+                let believed = believed_cur[bot]
+                    .get_or_insert_with(|| SiteCursors::over_beliefs(beliefs, bot, n_sites))
+                    .at(site, t, &mut stats);
+                let served_policy = served_cur.at(site, t, &mut stats);
+                let cache =
+                    caches[bot].get_or_insert_with(|| AllowCache::new(corpus, &beliefs.bots[bot]));
+                let allowed_believed = cache.allows(table, believed, row.uri_path);
+                let allowed_served = cache.allows(table, served_policy, row.uri_path);
+
+                let c = &mut counts[bot];
+                c.accesses += 1;
+                if !allowed_believed {
+                    c.believed_violations += 1;
+                }
+                if allowed_served {
+                    c.allowed_served += 1;
+                    continue;
+                }
+                // A served-policy violation: attribute it.
+                if !allowed_believed || believed == BelievedPolicy::Unfetched {
+                    c.deliberate += 1;
+                    continue;
+                }
+                match believed {
+                    BelievedPolicy::Version(_) => c.stale_cache += 1,
+                    BelievedPolicy::AllowAll => c.fetch_artifact += 1,
+                    // Unfetched handled above; DisallowAll allows only
+                    // robots.txt, so an allowed-believed page fetch
+                    // under it cannot exist.
+                    BelievedPolicy::Unfetched | BelievedPolicy::DisallowAll => {
+                        unreachable!("allowed page fetch under {believed:?}")
+                    }
+                }
+                mask[slot] = true;
+            }
+            (counts, mask, stats)
         });
 
     let mut stats = SweepStats::default();
-    let mut out = BTreeMap::new();
-    for (view, result) in views.iter().zip(results) {
-        let Some((counts, bot_stats)) = result else {
-            continue;
-        };
-        stats.merge(bot_stats);
-        if counts.accesses > 0 {
-            out.insert(view.name.clone(), counts);
+    let mut totals = vec![AttributionCounts::default(); n_bots];
+    let mut excused = Vec::with_capacity(n);
+    for (part_counts, part_mask, part_stats) in parts {
+        for (total, part) in totals.iter_mut().zip(part_counts) {
+            total.merge(part);
         }
+        excused.extend(part_mask);
+        stats.merge(part_stats);
     }
     stats.flush("attribute");
     if stats.rows > 0 {
         span.event_range(stats.event_lo, stats.event_hi);
     }
-    out
-}
-
-/// One bot's attribution sweep: rows are chronological, so the
-/// per-(bot, site) cursors only step forward.
-#[allow(clippy::too_many_arguments)]
-fn attribute_bot(
-    table: &LogTable,
-    view: &BotRowView<'_>,
-    bot: usize,
-    beliefs: &BeliefAtlas,
-    served: &[BeliefTimeline],
-    corpus: &PolicyCorpus,
-    robots: Option<Sym>,
-    site_of: &[Option<usize>],
-) -> (AttributionCounts, SweepStats) {
-    let n_sites = served.len().min(beliefs.n_sites());
-    let mut cache = AllowCache::new(corpus, &view.name);
-    let mut believed_at = SiteCursors::over_beliefs(beliefs, bot, n_sites);
-    let mut served_at = SiteCursors::over_served(served, n_sites);
-    let mut counts = AttributionCounts::default();
-    let mut stats = SweepStats::default();
-    for row in &view.rows {
-        if Some(row.uri_path) == robots {
-            continue;
-        }
-        let Some(site) = site_of[row.sitename.index()] else {
-            continue;
-        };
-        let t = row.timestamp.unix();
-        stats.observe_row(t);
-        let believed = believed_at.at(site, t, &mut stats);
-        let served_policy = served_at.at(site, t, &mut stats);
-        let allowed_believed = cache.allows(table, believed, row.uri_path);
-        let allowed_served = cache.allows(table, served_policy, row.uri_path);
-
-        counts.accesses += 1;
-        if !allowed_believed {
-            counts.believed_violations += 1;
-        }
-        if allowed_served {
-            counts.allowed_served += 1;
-            continue;
-        }
-        // A served-policy violation: attribute it.
-        if !allowed_believed || believed == BelievedPolicy::Unfetched {
-            counts.deliberate += 1;
-        } else {
-            match believed {
-                BelievedPolicy::Version(_) => counts.stale_cache += 1,
-                BelievedPolicy::AllowAll => counts.fetch_artifact += 1,
-                // Unfetched handled above; DisallowAll allows only
-                // robots.txt, so an allowed-believed page fetch
-                // under it cannot exist.
-                BelievedPolicy::Unfetched | BelievedPolicy::DisallowAll => {
-                    unreachable!("allowed page fetch under {believed:?}")
-                }
-            }
-        }
-    }
-    (counts, stats)
+    let counts = beliefs
+        .bots
+        .iter()
+        .zip(totals)
+        .filter(|(_, c)| c.accesses > 0)
+        .map(|(name, c)| (name.clone(), c))
+        .collect();
+    Attribution { counts, excused }
 }
 
 // ---------------------------------------------------------------------
@@ -552,102 +601,6 @@ fn score_bot(
     (score, stats)
 }
 
-// ---------------------------------------------------------------------
-// Row-level excusal mask (believed-basis analysis support).
-// ---------------------------------------------------------------------
-
-/// Per-row excusal verdicts against the served ground truth: `true`
-/// marks a served-policy violation the belief layer excuses (stale
-/// cache or fetch-layer entitlement) — exactly the rows a
-/// believed-basis experiment analysis drops from the non-compliant
-/// pool. Robots.txt fetches, anonymous rows, unmonitored bots, foreign
-/// sites, allowed fetches, and deliberate violations are all `false`.
-///
-/// Verdicts are pure per row, so the mask is worker-count invariant;
-/// the row grid is fixed (independent of `threads`) so cursor
-/// telemetry is too.
-pub fn excusal_mask(
-    table: &LogTable,
-    beliefs: &BeliefAtlas,
-    served: &[BeliefTimeline],
-    corpus: &PolicyCorpus,
-    threads: usize,
-) -> Vec<bool> {
-    let rows = table.rows();
-    let n = rows.len();
-    let n_sites = served.len().min(beliefs.n_sites());
-    let site_of = site_index_of(table, n_sites);
-    let robots = table.interner().get("/robots.txt");
-    let bot_index: BTreeMap<&str, usize> =
-        beliefs.bots.iter().enumerate().map(|(i, name)| (name.as_str(), i)).collect();
-
-    // Map each distinct user-agent symbol to its atlas bot (None =
-    // anonymous or unmonitored), once.
-    let standardizer = Standardizer::new();
-    let mut bot_of: Vec<Option<usize>> = vec![None; table.interner().len()];
-    let mut seen = vec![false; table.interner().len()];
-    for row in rows {
-        let idx = row.useragent.index();
-        if !seen[idx] {
-            seen[idx] = true;
-            bot_of[idx] = standardizer
-                .standardize(table.resolve(row.useragent))
-                .and_then(|s| bot_index.get(s.bot.canonical).copied());
-        }
-    }
-
-    // Contiguous row chunks: rows are chronological, so each chunk's
-    // cursors sweep forward from a fresh seat.
-    const CHUNK: usize = 1 << 16;
-    let chunks = n.div_ceil(CHUNK).max(1);
-    let parts: Vec<(Vec<bool>, SweepStats)> = run_indexed(chunks, threads, |c| {
-        let lo = c * CHUNK;
-        let hi = ((c + 1) * CHUNK).min(n);
-        let mut stats = SweepStats::default();
-        let mut caches: Vec<Option<AllowCache<'_>>> =
-            (0..beliefs.bots.len()).map(|_| None).collect();
-        let mut believed_cur: Vec<Option<SiteCursors<'_>>> =
-            (0..beliefs.bots.len()).map(|_| None).collect();
-        let mut served_cur = SiteCursors::over_served(served, n_sites);
-        let mut mask = vec![false; hi - lo];
-        for (slot, row) in rows[lo..hi].iter().enumerate() {
-            let Some(bot) = bot_of[row.useragent.index()] else {
-                continue;
-            };
-            if Some(row.uri_path) == robots {
-                continue;
-            }
-            let Some(site) = site_of[row.sitename.index()] else {
-                continue;
-            };
-            let t = row.timestamp.unix();
-            stats.observe_row(t);
-            let believed = believed_cur[bot]
-                .get_or_insert_with(|| SiteCursors::over_beliefs(beliefs, bot, n_sites))
-                .at(site, t, &mut stats);
-            let served_policy = served_cur.at(site, t, &mut stats);
-            let cache =
-                caches[bot].get_or_insert_with(|| AllowCache::new(corpus, &beliefs.bots[bot]));
-            let allowed_believed = cache.allows(table, believed, row.uri_path);
-            if cache.allows(table, served_policy, row.uri_path) {
-                continue;
-            }
-            mask[slot] = allowed_believed
-                && matches!(believed, BelievedPolicy::Version(_) | BelievedPolicy::AllowAll);
-        }
-        (mask, stats)
-    });
-
-    let mut stats = SweepStats::default();
-    let mut mask = Vec::with_capacity(n);
-    for (part, part_stats) in parts {
-        mask.extend(part);
-        stats.merge(part_stats);
-    }
-    stats.flush("excusal");
-    mask
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -729,7 +682,7 @@ mod tests {
         assert_eq!(c.deliberate_share(), Some(0.0));
 
         // The excusal mask marks exactly the two stale-cache rows.
-        let mask = excusal_mask(&table, &beliefs, &served, &corpus, 1);
+        let mask = attribute_rows(&table, &beliefs, &served, &corpus, 1).excused;
         assert_eq!(mask, vec![false, true, true, false]);
     }
 
@@ -748,7 +701,7 @@ mod tests {
         assert_eq!(c.stale_cache + c.fetch_artifact, 0);
         assert_eq!(c.deliberate_share(), Some(1.0));
         // Deliberate violations are never excused.
-        let mask = excusal_mask(&table, &beliefs, &served, &corpus, 1);
+        let mask = attribute_rows(&table, &beliefs, &served, &corpus, 1).excused;
         assert_eq!(mask, vec![false, false]);
     }
 
@@ -775,7 +728,7 @@ mod tests {
         let c = attribute_table(&table, &beliefs, &served, &corpus)["GPTBot"];
         assert_eq!(c.fetch_artifact, 1, "{c:?}");
         assert_eq!(c.deliberate, 0);
-        let mask = excusal_mask(&table, &beliefs, &served, &corpus, 1);
+        let mask = attribute_rows(&table, &beliefs, &served, &corpus, 1).excused;
         assert_eq!(mask, vec![true], "fetch artifacts are excused");
     }
 
@@ -856,7 +809,7 @@ mod tests {
         let out = attribute_table(&table, &beliefs, &served, &corpus);
         assert_eq!(out.len(), 1);
         assert_eq!(out["GPTBot"].accesses, 1);
-        let mask = excusal_mask(&table, &beliefs, &served, &corpus, 2);
+        let mask = attribute_rows(&table, &beliefs, &served, &corpus, 2).excused;
         assert_eq!(mask, vec![false, false, false]);
     }
 }

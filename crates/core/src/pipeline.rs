@@ -7,7 +7,7 @@
 use std::collections::BTreeMap;
 
 use botscope_simnet::engine::run_indexed;
-use botscope_useragent::{BotCategory, Standardizer};
+use botscope_useragent::{BotCategory, BotSpec, Standardizer};
 use botscope_weblog::intern::Sym;
 use botscope_weblog::table::{LogTable, RecordRow};
 
@@ -62,50 +62,45 @@ pub fn standardize_table(table: &LogTable) -> StandardizedTable<'_> {
 
 /// [`standardize_table`] with the table's distinct user agents
 /// standardized across `threads` scoped workers.
+pub fn standardize_table_with_threads(table: &LogTable, threads: usize) -> StandardizedTable<'_> {
+    standardize_rows_with_threads(table, table.rows(), threads)
+}
+
+/// Standardize a row subset of a table. Each distinct user-agent
+/// *symbol* is standardized once, so the per-row cost is one integer
+/// index.
+pub fn standardize_rows<'t, I>(table: &'t LogTable, rows: I) -> StandardizedTable<'t>
+where
+    I: IntoIterator<Item = &'t RecordRow>,
+    I::IntoIter: Clone,
+{
+    standardize_rows_with_threads(table, rows, 1)
+}
+
+/// [`standardize_rows`] with the distinct user agents standardized
+/// across `threads` scoped workers.
 ///
 /// Standardizing one agent string is a pure function of the registry, so
 /// sharding the distinct-agent set is free of ordering effects: the
 /// output is identical at any worker count. Grouping rows into per-bot
 /// views stays serial — after the per-agent results are in, it is one
 /// array index per row.
-pub fn standardize_table_with_threads(table: &LogTable, threads: usize) -> StandardizedTable<'_> {
-    assert!(threads >= 1, "at least one worker required");
-    // Distinct user-agent symbols, in first-appearance order.
-    let mut seen = vec![false; table.interner().len()];
-    let mut distinct: Vec<Sym> = Vec::new();
-    for row in table.rows() {
-        if !seen[row.useragent.index()] {
-            seen[row.useragent.index()] = true;
-            distinct.push(row.useragent);
-        }
-    }
-
-    // spec_of[sym.index()]: the standardization verdict for every
-    // distinct agent symbol (None = anonymous). Verdicts come from
-    // `standardize_batch` (one fuzzy pass per distinct token, not per
-    // agent), sharded over the worker pool in contiguous chunks; worker
-    // threads only pay off when there are enough distinct agents to
-    // amortize spawning.
-    let standardizer = Standardizer::new();
-    let headers: Vec<&str> = distinct.iter().map(|&sym| table.resolve(sym)).collect();
-    let chunks = if headers.len() < 64 { 1 } else { threads };
-    let chunk_size = headers.len().div_ceil(chunks.max(1)).max(1);
-    let verdicts: Vec<Vec<Option<&'static botscope_useragent::BotSpec>>> =
-        run_indexed(chunks, threads, |c| {
-            let lo = (c * chunk_size).min(headers.len());
-            let hi = ((c + 1) * chunk_size).min(headers.len());
-            standardizer.standardize_batch(&headers[lo..hi])
-        });
-    let mut spec_of: Vec<Option<&'static botscope_useragent::BotSpec>> =
-        vec![None; table.interner().len()];
-    for (&sym, &spec) in distinct.iter().zip(verdicts.iter().flatten()) {
-        spec_of[sym.index()] = spec;
-    }
+pub(crate) fn standardize_rows_with_threads<'t, I>(
+    table: &'t LogTable,
+    rows: I,
+    threads: usize,
+) -> StandardizedTable<'t>
+where
+    I: IntoIterator<Item = &'t RecordRow>,
+    I::IntoIter: Clone,
+{
+    let rows = rows.into_iter();
+    let (distinct, spec_of) = agent_specs(table, rows.clone(), threads);
 
     // Map each agent symbol to its view slot, then group rows with one
     // array index per row.
     let mut slot_of = vec![u32::MAX; table.interner().len()];
-    let mut views: Vec<BotRowView<'_>> = Vec::new();
+    let mut views: Vec<BotRowView<'t>> = Vec::new();
     let mut slot_by_name: BTreeMap<&'static str, u32> = BTreeMap::new();
     for &sym in &distinct {
         if let Some(bot) = spec_of[sym.index()] {
@@ -116,45 +111,9 @@ pub fn standardize_table_with_threads(table: &LogTable, threads: usize) -> Stand
             slot_of[sym.index()] = slot;
         }
     }
-    let mut anonymous: Vec<&RecordRow> = Vec::new();
-    for row in table.rows() {
-        match slot_of[row.useragent.index()] {
-            u32::MAX => anonymous.push(row),
-            slot => views[slot as usize].rows.push(row),
-        }
-    }
-    let bots: BTreeMap<String, BotRowView<'_>> =
-        views.into_iter().map(|v| (v.name.clone(), v)).collect();
-    StandardizedTable { table, bots, anonymous }
-}
-
-/// Standardize a row subset of a table. Each distinct user-agent
-/// *symbol* is standardized once and cached in a dense array, so the
-/// per-row cost is one integer index.
-pub fn standardize_rows<'t>(
-    table: &'t LogTable,
-    rows: impl IntoIterator<Item = &'t RecordRow>,
-) -> StandardizedTable<'t> {
-    let standardizer = Standardizer::new();
-    // cache[sym.index()]: None = unseen, Some(u32::MAX) = anonymous,
-    // Some(slot) = index into `views`.
-    let mut cache: Vec<Option<u32>> = vec![None; table.interner().len()];
-    let mut views: Vec<BotRowView<'t>> = Vec::new();
-    let mut slot_by_name: BTreeMap<&'static str, u32> = BTreeMap::new();
     let mut anonymous: Vec<&'t RecordRow> = Vec::new();
-
     for row in rows {
-        let idx = row.useragent.index();
-        let slot = *cache[idx].get_or_insert_with(|| {
-            match standardizer.standardize(table.resolve(row.useragent)).map(|s| s.bot) {
-                Some(bot) => *slot_by_name.entry(bot.canonical).or_insert_with(|| {
-                    views.push(view_for(bot));
-                    (views.len() - 1) as u32
-                }),
-                None => u32::MAX,
-            }
-        });
-        match slot {
+        match slot_of[row.useragent.index()] {
             u32::MAX => anonymous.push(row),
             slot => views[slot as usize].rows.push(row),
         }
@@ -164,8 +123,48 @@ pub fn standardize_rows<'t>(
     StandardizedTable { table, bots, anonymous }
 }
 
+/// The standardization verdict of every distinct user agent among
+/// `rows`: the distinct symbols in first-appearance order, and the
+/// verdicts indexed by [`Sym::index`] (`None` = anonymous, or not the
+/// user agent of any of `rows`).
+///
+/// Verdicts come from `standardize_batch` (one fuzzy pass per distinct
+/// token, not per agent), sharded over the worker pool in contiguous
+/// chunks; worker threads only pay off when there are enough distinct
+/// agents to amortize spawning.
+pub(crate) fn agent_specs<'t>(
+    table: &'t LogTable,
+    rows: impl IntoIterator<Item = &'t RecordRow>,
+    threads: usize,
+) -> (Vec<Sym>, Vec<Option<&'static BotSpec>>) {
+    assert!(threads >= 1, "at least one worker required");
+    let mut seen = vec![false; table.interner().len()];
+    let mut distinct: Vec<Sym> = Vec::new();
+    for row in rows {
+        if !seen[row.useragent.index()] {
+            seen[row.useragent.index()] = true;
+            distinct.push(row.useragent);
+        }
+    }
+
+    let standardizer = Standardizer::new();
+    let headers: Vec<&str> = distinct.iter().map(|&sym| table.resolve(sym)).collect();
+    let chunks = if headers.len() < 64 { 1 } else { threads };
+    let chunk_size = headers.len().div_ceil(chunks.max(1)).max(1);
+    let verdicts: Vec<Vec<Option<&'static BotSpec>>> = run_indexed(chunks, threads, |c| {
+        let lo = (c * chunk_size).min(headers.len());
+        let hi = ((c + 1) * chunk_size).min(headers.len());
+        standardizer.standardize_batch(&headers[lo..hi])
+    });
+    let mut spec_of: Vec<Option<&'static BotSpec>> = vec![None; table.interner().len()];
+    for (&sym, &spec) in distinct.iter().zip(verdicts.iter().flatten()) {
+        spec_of[sym.index()] = spec;
+    }
+    (distinct, spec_of)
+}
+
 /// An empty [`BotRowView`] carrying a spec's metadata.
-fn view_for(bot: &'static botscope_useragent::BotSpec) -> BotRowView<'static> {
+fn view_for(bot: &'static BotSpec) -> BotRowView<'static> {
     BotRowView {
         name: bot.canonical.to_string(),
         category: bot.category,

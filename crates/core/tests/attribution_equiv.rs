@@ -1,7 +1,7 @@
-//! Equivalence of the parallel, cursor-based attribution pipeline with
-//! serial oracles — across worker counts — and of the believed-basis
-//! experiment analysis with a post-hoc correction of the served-basis
-//! input.
+//! Equivalence of the parallel, cursor-based attribution pipeline (its
+//! counts and its per-row excusal mask) with serial oracles — across
+//! worker counts — and of the believed-basis experiment analysis with a
+//! post-hoc correction of the served-basis input.
 //!
 //! The oracles below restate attribution and basis scoring from their
 //! definitions over public APIs only: per-row [`BeliefTimeline::at`]
@@ -20,7 +20,7 @@ use botscope_core::analyze::{BeliefContext, Experiment};
 use std::collections::{BTreeMap, HashMap};
 
 use botscope_core::attribution::{
-    attribute_table_with_threads, excusal_mask, score_table_with_threads, AttributionCounts,
+    attribute_rows, attribute_table_with_threads, score_table_with_threads, AttributionCounts,
     PolicyBasis, PolicyScore,
 };
 use botscope_core::pipeline::standardize_table;
@@ -29,6 +29,7 @@ use botscope_simnet::phases::PolicyVersion;
 use botscope_simnet::scenario::phase_study_table;
 use botscope_simnet::server::PolicyCorpus;
 use botscope_simnet::SimConfig;
+use botscope_useragent::Standardizer;
 use botscope_weblog::intern::Sym;
 use botscope_weblog::record::AccessRecord;
 use botscope_weblog::table::LogTable;
@@ -131,6 +132,50 @@ fn attribute_oracle(
         }
     }
     out
+}
+
+/// Serial oracle for the excusal mask: row by row in table order, a row
+/// is excused when its agent standardizes to a monitored bot, it is a
+/// page access on an estate site, the served policy forbade it, and a
+/// believed version (stale cache) or fetch-layer allow-all permitted it.
+fn excusal_oracle(
+    table: &LogTable,
+    beliefs: &BeliefAtlas,
+    served: &[BeliefTimeline],
+    corpus: &PolicyCorpus,
+) -> Vec<bool> {
+    let n_sites = served.len().min(beliefs.n_sites());
+    let standardizer = Standardizer::new();
+    let mut allows: HashMap<&str, OracleAllows<'_>> = HashMap::new();
+    table
+        .rows()
+        .iter()
+        .map(|row| {
+            let Some(spec) = standardizer.standardize(table.resolve(row.useragent)) else {
+                return false;
+            };
+            let agent = spec.bot.canonical;
+            let Some(bot) = beliefs.bots.iter().position(|b| b == agent) else {
+                return false;
+            };
+            if table.resolve(row.uri_path) == "/robots.txt" {
+                return false;
+            }
+            let Some(site) = oracle_site(table.resolve(row.sitename), n_sites) else {
+                return false;
+            };
+            let t = row.timestamp.unix();
+            let believed = beliefs.timeline(bot, site).at(t);
+            let allows = allows.entry(agent).or_insert_with(|| OracleAllows {
+                corpus,
+                agent,
+                memo: HashMap::new(),
+            });
+            !allows.allows(table, served[site].at(t), row.uri_path)
+                && allows.allows(table, believed, row.uri_path)
+                && matches!(believed, BelievedPolicy::Version(_) | BelievedPolicy::AllowAll)
+        })
+        .collect()
 }
 
 /// τ = (ASN, IP hash, raw user agent), resolved.
@@ -312,13 +357,40 @@ fn check_attribution_equiv(fx: &Fixture) {
     }
 }
 
+/// One `attribute_rows` sweep ≡ both oracles at 1/2/8 workers, and its
+/// two outputs agree: each bot's excused count is the number of masked
+/// rows whose agent standardizes to that bot.
+fn check_one_sweep(fx: &Fixture) {
+    let corpus = PolicyCorpus::new();
+    let counts_ref = attribute_oracle(&fx.table, &fx.beliefs, &fx.served, &corpus);
+    let mask_ref = excusal_oracle(&fx.table, &fx.beliefs, &fx.served, &corpus);
+    let standardizer = Standardizer::new();
+    let mut masked_per_bot: BTreeMap<&str, u64> = BTreeMap::new();
+    for (row, _) in fx.table.rows().iter().zip(&mask_ref).filter(|&(_, &excused)| excused) {
+        let spec = standardizer.standardize(fx.table.resolve(row.useragent)).expect("bot row");
+        *masked_per_bot.entry(spec.bot.canonical).or_default() += 1;
+    }
+    for threads in WORKER_COUNTS {
+        let attr = attribute_rows(&fx.table, &fx.beliefs, &fx.served, &corpus, threads);
+        assert_eq!(attr.counts, counts_ref, "counts at {threads} workers");
+        assert_eq!(attr.excused, mask_ref, "excused at {threads} workers");
+        for (bot, c) in &attr.counts {
+            let masked = masked_per_bot.get(bot.as_str()).copied().unwrap_or(0);
+            assert_eq!(c.excused(), masked, "{bot} at {threads} workers");
+        }
+        let total: u64 = attr.counts.values().map(AttributionCounts::excused).sum();
+        let masked = attr.excused.iter().filter(|&&excused| excused).count() as u64;
+        assert_eq!(total, masked, "excused totals at {threads} workers");
+    }
+}
+
 /// Believed-basis analysis ≡ dropping the excused rows by hand and
 /// re-running the plain served-basis analysis on a re-interned table.
 fn check_believed_basis_equiv(fx: &Fixture) {
     let corpus = PolicyCorpus::new();
     let ctx = BeliefContext { beliefs: &fx.beliefs, served: &fx.served, corpus: &corpus };
 
-    let mask = excusal_mask(&fx.table, &fx.beliefs, &fx.served, &corpus, 2);
+    let mask = attribute_rows(&fx.table, &fx.beliefs, &fx.served, &corpus, 2).excused;
     let kept: Vec<AccessRecord> = fx
         .table
         .rows()
@@ -367,7 +439,7 @@ fn believed_basis_degenerates_when_beliefs_track_served() {
         }
     }
     let corpus = PolicyCorpus::new();
-    let mask = excusal_mask(&out.sim.table, &beliefs, &served, &corpus, 2);
+    let mask = attribute_rows(&out.sim.table, &beliefs, &served, &corpus, 2).excused;
     assert!(mask.iter().all(|&m| !m), "beliefs ≡ served excuses nothing");
 
     let ctx = BeliefContext { beliefs: &beliefs, served: &served, corpus: &corpus };
@@ -397,6 +469,12 @@ fn parallel_attribution_matches_reference_at_default_seed() {
 }
 
 #[test]
+fn one_sweep_matches_both_oracles_at_default_seed() {
+    let fx = fixture(9309, 0.15, 4);
+    check_one_sweep(&fx);
+}
+
+#[test]
 fn believed_basis_matches_posthoc_at_default_seed() {
     let fx = fixture(9309, 0.15, 4);
     check_believed_basis_equiv(&fx);
@@ -415,6 +493,7 @@ proptest! {
     ) {
         let fx = fixture(seed, scale_pct as f64 / 100.0, sites);
         check_attribution_equiv(&fx);
+        check_one_sweep(&fx);
         check_believed_basis_equiv(&fx);
     }
 }

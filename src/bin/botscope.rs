@@ -1408,6 +1408,7 @@ fn emit_monitor_report_tables(
 /// `simulate --coupled`: belief-driven generation plus attribution
 /// scoring against served ground truth.
 fn cmd_simulate_coupled(p: &Parsed) -> Result<(), String> {
+    use botscope::core::analyze::Experiment;
     use botscope::core::attribution::PolicyBasis;
     use botscope::monitor::{CoupledConfig, RefreshModel};
 
@@ -1436,9 +1437,50 @@ fn cmd_simulate_coupled(p: &Parsed) -> Result<(), String> {
     }
 
     let out = botscope::monitor::run_coupled(&cfg);
-    if let Some(path) = out_path {
-        write_csv(path, &out.sim.table)?;
-    }
+    let obs = botscope::obs::global();
+    let corpus = botscope::simnet::server::PolicyCorpus::new();
+    let threads = botscope::simnet::worker_threads();
+    // The CSV encode runs beside attribution and analysis; its error
+    // still wins over the report, which prints only after the join.
+    let (counts, exp) = std::thread::scope(|s| {
+        let writer = out_path.map(|path| {
+            s.spawn(|| {
+                let _phase = obs.phase("coupled_csv_encode");
+                write_csv(path, &out.sim.table)
+            })
+        });
+        let attribution = {
+            let _phase = obs.phase("coupled_attribution");
+            botscope::core::attribution::attribute_rows(
+                &out.sim.table,
+                &out.beliefs,
+                &out.served,
+                &corpus,
+                threads,
+            )
+        };
+        // Tables 5/6/10 under the selected basis: served is the plain
+        // analysis; believed drops the excused (stale-cache / fetch-
+        // artifact) rows before scoring.
+        let exp = {
+            let _phase = obs.phase("coupled_basis_analysis");
+            match basis {
+                PolicyBasis::Served => {
+                    Experiment::analyze_table_with_threads(&out.sim.table, &out.schedule, threads)
+                }
+                PolicyBasis::Believed => Experiment::analyze_table_excluding(
+                    &out.sim.table,
+                    &out.schedule,
+                    &attribution.excused,
+                    threads,
+                ),
+            }
+        };
+        if let Some(writer) = writer {
+            writer.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))?;
+        }
+        Ok::<_, String>((attribution.counts, exp))
+    })?;
 
     use std::fmt::Write as _;
     let mut r = String::new();
@@ -1471,13 +1513,6 @@ fn cmd_simulate_coupled(p: &Parsed) -> Result<(), String> {
             s.network_errors
         );
     }
-    let corpus = botscope::simnet::server::PolicyCorpus::new();
-    let counts = botscope::core::attribution::attribute_table(
-        &out.sim.table,
-        &out.beliefs,
-        &out.served,
-        &corpus,
-    );
     let violating: usize = counts.values().filter(|c| c.violations_served() > 0).count();
     let _ = writeln!(
         r,
@@ -1487,21 +1522,6 @@ fn cmd_simulate_coupled(p: &Parsed) -> Result<(), String> {
     );
     let _ = writeln!(r, "{}", botscope::core::report::attribution_report(&counts));
 
-    // Tables 5/6/10 under the selected basis: served is the plain
-    // analysis; believed drops the excused (stale-cache / fetch-
-    // artifact) rows before scoring.
-    let ctx = botscope::core::analyze::BeliefContext {
-        beliefs: &out.beliefs,
-        served: &out.served,
-        corpus: &corpus,
-    };
-    let exp = botscope::core::analyze::Experiment::analyze_table_with_basis(
-        &out.sim.table,
-        &out.schedule,
-        &ctx,
-        basis,
-        botscope::simnet::worker_threads(),
-    );
     match basis {
         PolicyBasis::Served => {
             let _ = writeln!(r, "compliance tables (served basis):");
@@ -1518,10 +1538,10 @@ fn cmd_simulate_coupled(p: &Parsed) -> Result<(), String> {
 
     if out_path == Some("-") {
         eprint!("{r}");
+        Ok(())
     } else {
-        print!("{r}");
+        write_output("-", |w| w.write_all(r.as_bytes()))
     }
-    Ok(())
 }
 
 /// On-disk log format selector for `simulate`.

@@ -537,6 +537,64 @@ fn coupled_believed_basis_degenerates_under_instant_refresh() {
     );
 }
 
+/// The CSV encode runs on its own thread: a write error must still end
+/// the run with one error line, before any report, and never a panic.
+/// A report that cannot reach stdout fails the same way.
+#[test]
+fn coupled_write_errors_fail_cleanly_before_the_report() {
+    let base = ["simulate", "--coupled", "--scale", "0.02", "--sites", "4", "--out"];
+    let closed_csv = run_into_closed_stdout(&[&base[..], &["-"]].concat());
+    let missing = botscope(&[&base[..], &["/nonexistent/x.csv"]].concat());
+    let missing = (missing.status.code(), String::from_utf8_lossy(&missing.stderr).into_owned());
+    let csv =
+        std::env::temp_dir().join(format!("botscope-test-{}-coupled.csv", std::process::id()));
+    let closed_report = run_into_closed_stdout(&[&base[..], &[csv.to_str().unwrap()]].concat());
+    let _ = std::fs::remove_file(csv);
+    for (target, (code, stderr)) in
+        [("stdout", closed_csv), ("/nonexistent/x.csv", missing), ("stdout", closed_report)]
+    {
+        assert_eq!(code, Some(1), "{target}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{target}: {stderr}");
+        assert!(stderr.starts_with(&format!("error: cannot write {target}: ")), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{target}: {stderr}");
+    }
+}
+
+/// `perf.phases` covers the whole coupled run: belief, generation, and
+/// the encode, attribution and analysis stages of the tail.
+#[test]
+fn coupled_manifest_lists_every_stage() {
+    let dir = empty_dir("coupled-phases");
+    let out = botscope_in(
+        &dir,
+        &[
+            "simulate",
+            "--coupled",
+            "--scale",
+            "0.02",
+            "--sites",
+            "4",
+            "--out",
+            "log.csv",
+            "--manifest",
+            "run.manifest",
+        ],
+    );
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let manifest = std::fs::read_to_string(dir.join("run.manifest")).expect("manifest written");
+    let phases = manifest.lines().find(|l| l.contains("\"phases\"")).expect("phases line");
+    for phase in [
+        "coupled_belief_stage",
+        "coupled_generate_stage",
+        "coupled_csv_encode",
+        "coupled_attribution",
+        "coupled_basis_analysis",
+    ] {
+        assert!(phases.contains(&format!("[\"{phase}\", ")), "{phase} missing: {phases}");
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 #[test]
 fn simulate_stream_matches_materialized_at_any_worker_count() {
     let run = |threads: &str, extra: &[&str]| {
