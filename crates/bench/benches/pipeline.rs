@@ -1,4 +1,5 @@
-//! Criterion benches for the analysis pipeline stages: standardization,
+//! Criterion benches for the analysis pipeline stages: standardization
+//! (per row, and per distinct agent with a cold token memo),
 //! sessionization, the three compliance metrics, spoof detection, and
 //! the end-to-end `Experiment::analyze_table` engine (generation
 //! excluded), whose throughput line lands in `BENCH_pipeline.json` so
@@ -14,6 +15,7 @@ use botscope_core::spoofdetect::detect_rows;
 use botscope_core::Experiment;
 use botscope_simnet::scenario::{full_study_table, phase_study_table};
 use botscope_simnet::SimConfig;
+use botscope_useragent::Standardizer;
 
 fn bench_pipeline(c: &mut Criterion) {
     let cfg = SimConfig { days: 10, scale: 0.05, ..SimConfig::default() };
@@ -42,6 +44,32 @@ fn bench_pipeline(c: &mut Criterion) {
     });
     g.bench_function("disallow_metric", |b| {
         b.iter(|| disallow_counts_rows(&classes, black_box(busiest)));
+    });
+    g.finish();
+}
+
+/// One fresh [`Standardizer`] over every distinct user agent of a
+/// scale-0.25 phase study, the shape of the stream engine's work: the
+/// row-level `pipeline/standardize` line repeats agents, which hides the
+/// fuzzy pass.
+fn bench_standardize_distinct(c: &mut Criterion) {
+    let cfg = SimConfig { scale: 0.25, ..SimConfig::default() };
+    let table = phase_study_table(&cfg).sim.table;
+    let mut seen = vec![false; table.interner().len()];
+    let mut agents: Vec<&str> = Vec::new();
+    for row in table.rows() {
+        if !std::mem::replace(&mut seen[row.useragent.index()], true) {
+            agents.push(table.resolve(row.useragent));
+        }
+    }
+    let mut g = c.benchmark_group("pipeline");
+    g.sample_size(20);
+    g.throughput(Throughput::Elements(agents.len() as u64));
+    g.bench_function("standardize_distinct_agents", |b| {
+        b.iter(|| {
+            let mut standardizer = Standardizer::new();
+            black_box(&agents).iter().filter(|a| standardizer.standardize(a).is_some()).count()
+        });
     });
     g.finish();
 }
@@ -182,5 +210,12 @@ fn bench_merge(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_pipeline, bench_analysis, bench_streaming, bench_merge);
+criterion_group!(
+    benches,
+    bench_pipeline,
+    bench_standardize_distinct,
+    bench_analysis,
+    bench_streaming,
+    bench_merge
+);
 criterion_main!(benches);

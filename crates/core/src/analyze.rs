@@ -42,9 +42,7 @@ use crate::metrics::{
     crawl_delay_counts_rows, disallow_counts_rows, endpoint_counts_rows, DirectiveCounts,
     PathClasses, CRAWL_DELAY_SECS,
 };
-use crate::pipeline::{
-    standardize_rows_with_threads, standardize_table_with_threads, BotRowView, StandardizedTable,
-};
+use crate::pipeline::{standardize_rows, standardize_table, BotRowView, StandardizedTable};
 use crate::spoofdetect::{
     analyze_bot_rows, SpoofFinding, SpoofReport, DOMINANCE_THRESHOLD, MIN_DETECT_REQUESTS,
 };
@@ -232,14 +230,14 @@ impl Experiment {
             None => Vec::new(),
         };
 
-        // The one standardization sweep (distinct agents sharded over the
-        // same worker pool). Estate-wide, because "checked robots.txt"
-        // (Table 7) is judged estate-wide: a bot that fetched any of the
-        // institution's robots.txt files during a phase demonstrably
-        // consulted policy, even if the fetch landed on a sister site.
+        // The one standardization sweep, one verdict per distinct agent.
+        // Estate-wide, because "checked robots.txt" (Table 7) is judged
+        // estate-wide: a bot that fetched any of the institution's
+        // robots.txt files during a phase demonstrably consulted policy,
+        // even if the fetch landed on a sister site.
         // Every per-bot slice below is carved out of this pass; nothing
         // downstream touches a raw user-agent string again.
-        let all_logs = standardize_table_with_threads(table, threads);
+        let all_logs = standardize_table(table);
         Self::analyze_standardized(table, schedule, threads, &all_logs, site_rows)
     }
 
@@ -285,7 +283,7 @@ impl Experiment {
             .iter()
             .zip(excused)
             .filter_map(|(row, &excused)| (!excused).then_some(row));
-        let all_logs = standardize_rows_with_threads(table, kept.clone(), threads);
+        let all_logs = standardize_rows(table, kept.clone());
         let site = table.interner().get(&experiment_site_name(schedule));
         let site_rows: Vec<&RecordRow> = match site {
             Some(site) => kept.filter(|r| r.sitename == site).collect(),

@@ -63,7 +63,7 @@ use botscope_weblog::intern::Sym;
 use botscope_weblog::table::{LogTable, RecordRow};
 
 use crate::metrics::DirectiveCounts;
-use crate::pipeline::{agent_specs, standardize_table_with_threads, BotRowView};
+use crate::pipeline::{agent_specs, standardize_table, BotRowView};
 
 /// Which policy a metric is computed against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -354,7 +354,7 @@ pub fn attribute_rows(
         beliefs.bots.iter().enumerate().map(|(i, name)| (name.as_str(), i)).collect();
     // Atlas bot of each user-agent symbol (None = anonymous or
     // unmonitored).
-    let bot_of: Vec<Option<usize>> = agent_specs(table, rows, threads)
+    let bot_of: Vec<Option<usize>> = agent_specs(table, rows)
         .1
         .into_iter()
         .map(|spec| spec.and_then(|bot| bot_index.get(bot.canonical).copied()))
@@ -494,7 +494,7 @@ pub fn score_table_with_threads(
 ) -> BTreeMap<String, PolicyScore> {
     let obs = botscope_obs::global();
     let mut span = obs.span("attribution_score_table");
-    let logs = standardize_table_with_threads(table, threads);
+    let logs = standardize_table(table);
     let n_sites = served.len().min(beliefs.n_sites());
     let site_of = site_index_of(table, n_sites);
     let bot_index: BTreeMap<&str, usize> =

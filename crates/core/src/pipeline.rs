@@ -6,7 +6,6 @@
 
 use std::collections::BTreeMap;
 
-use botscope_simnet::engine::run_indexed;
 use botscope_useragent::{BotCategory, BotSpec, Standardizer};
 use botscope_weblog::intern::Sym;
 use botscope_weblog::table::{LogTable, RecordRow};
@@ -57,45 +56,20 @@ impl<'t> StandardizedTable<'t> {
 
 /// Standardize a whole table. See [`standardize_rows`].
 pub fn standardize_table(table: &LogTable) -> StandardizedTable<'_> {
-    standardize_table_with_threads(table, 1)
-}
-
-/// [`standardize_table`] with the table's distinct user agents
-/// standardized across `threads` scoped workers.
-pub fn standardize_table_with_threads(table: &LogTable, threads: usize) -> StandardizedTable<'_> {
-    standardize_rows_with_threads(table, table.rows(), threads)
+    standardize_rows(table, table.rows())
 }
 
 /// Standardize a row subset of a table. Each distinct user-agent
 /// *symbol* is standardized once, so the per-row cost is one integer
-/// index.
+/// index. Grouping rows into per-bot views runs after the per-agent
+/// verdicts are in: one array index per row.
 pub fn standardize_rows<'t, I>(table: &'t LogTable, rows: I) -> StandardizedTable<'t>
 where
     I: IntoIterator<Item = &'t RecordRow>,
     I::IntoIter: Clone,
 {
-    standardize_rows_with_threads(table, rows, 1)
-}
-
-/// [`standardize_rows`] with the distinct user agents standardized
-/// across `threads` scoped workers.
-///
-/// Standardizing one agent string is a pure function of the registry, so
-/// sharding the distinct-agent set is free of ordering effects: the
-/// output is identical at any worker count. Grouping rows into per-bot
-/// views stays serial — after the per-agent results are in, it is one
-/// array index per row.
-pub(crate) fn standardize_rows_with_threads<'t, I>(
-    table: &'t LogTable,
-    rows: I,
-    threads: usize,
-) -> StandardizedTable<'t>
-where
-    I: IntoIterator<Item = &'t RecordRow>,
-    I::IntoIter: Clone,
-{
     let rows = rows.into_iter();
-    let (distinct, spec_of) = agent_specs(table, rows.clone(), threads);
+    let (distinct, spec_of) = agent_specs(table, rows.clone());
 
     // Map each agent symbol to its view slot, then group rows with one
     // array index per row.
@@ -128,37 +102,24 @@ where
 /// verdicts indexed by [`Sym::index`] (`None` = anonymous, or not the
 /// user agent of any of `rows`).
 ///
-/// Verdicts come from `standardize_batch` (one fuzzy pass per distinct
-/// token, not per agent), sharded over the worker pool in contiguous
-/// chunks; worker threads only pay off when there are enough distinct
-/// agents to amortize spawning.
+/// One [`Standardizer`] serves every agent, so each distinct candidate
+/// token is fuzzy-scored once. That makes the whole pass a few
+/// milliseconds at paper scale, so it runs on the calling thread.
 pub(crate) fn agent_specs<'t>(
     table: &'t LogTable,
     rows: impl IntoIterator<Item = &'t RecordRow>,
-    threads: usize,
 ) -> (Vec<Sym>, Vec<Option<&'static BotSpec>>) {
-    assert!(threads >= 1, "at least one worker required");
-    let mut seen = vec![false; table.interner().len()];
+    let mut standardizer = Standardizer::new();
     let mut distinct: Vec<Sym> = Vec::new();
-    for row in rows {
-        if !seen[row.useragent.index()] {
-            seen[row.useragent.index()] = true;
-            distinct.push(row.useragent);
-        }
-    }
-
-    let standardizer = Standardizer::new();
-    let headers: Vec<&str> = distinct.iter().map(|&sym| table.resolve(sym)).collect();
-    let chunks = if headers.len() < 64 { 1 } else { threads };
-    let chunk_size = headers.len().div_ceil(chunks.max(1)).max(1);
-    let verdicts: Vec<Vec<Option<&'static BotSpec>>> = run_indexed(chunks, threads, |c| {
-        let lo = (c * chunk_size).min(headers.len());
-        let hi = ((c + 1) * chunk_size).min(headers.len());
-        standardizer.standardize_batch(&headers[lo..hi])
-    });
+    let mut seen = vec![false; table.interner().len()];
     let mut spec_of: Vec<Option<&'static BotSpec>> = vec![None; table.interner().len()];
-    for (&sym, &spec) in distinct.iter().zip(verdicts.iter().flatten()) {
-        spec_of[sym.index()] = spec;
+    for row in rows {
+        let i = row.useragent.index();
+        if !seen[i] {
+            seen[i] = true;
+            distinct.push(row.useragent);
+            spec_of[i] = standardizer.standardize(table.resolve(row.useragent)).map(|s| s.bot);
+        }
     }
     (distinct, spec_of)
 }

@@ -14,7 +14,9 @@
 //! Equivalence argument, stage by stage:
 //!
 //! * **standardization** — one verdict per distinct user-agent symbol,
-//!   cached in a dense slot array exactly like the table path's;
+//!   cached in a dense slot array, from the same memoizing
+//!   [`Standardizer::standardize`] the table path calls: the verdict is
+//!   a pure function of the header whatever the memo already holds;
 //! * **spoof detection** — per-ASN totals over experiment-site rows are
 //!   order-free counts, and the dominance winner uses the same
 //!   `(count, Reverse(name))` tie-break;

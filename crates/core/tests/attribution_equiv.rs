@@ -145,7 +145,7 @@ fn excusal_oracle(
     corpus: &PolicyCorpus,
 ) -> Vec<bool> {
     let n_sites = served.len().min(beliefs.n_sites());
-    let standardizer = Standardizer::new();
+    let mut standardizer = Standardizer::new();
     let mut allows: HashMap<&str, OracleAllows<'_>> = HashMap::new();
     table
         .rows()
@@ -364,7 +364,7 @@ fn check_one_sweep(fx: &Fixture) {
     let corpus = PolicyCorpus::new();
     let counts_ref = attribute_oracle(&fx.table, &fx.beliefs, &fx.served, &corpus);
     let mask_ref = excusal_oracle(&fx.table, &fx.beliefs, &fx.served, &corpus);
-    let standardizer = Standardizer::new();
+    let mut standardizer = Standardizer::new();
     let mut masked_per_bot: BTreeMap<&str, u64> = BTreeMap::new();
     for (row, _) in fx.table.rows().iter().zip(&mask_ref).filter(|&(_, &excused)| excused) {
         let spec = standardizer.standardize(fx.table.resolve(row.useragent)).expect("bot row");

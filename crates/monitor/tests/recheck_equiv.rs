@@ -23,7 +23,7 @@ fn encode(table: &LogTable) -> Vec<u8> {
 /// as covered when every complete window from the first fetch to the
 /// horizon holds a fetch.
 fn oracle_profiles(table: &LogTable, horizon_end: u64) -> Vec<RecheckProfile> {
-    let standardizer = Standardizer::new();
+    let mut standardizer = Standardizer::new();
     let mut by_bot: BTreeMap<String, (BotCategory, Vec<u64>)> = BTreeMap::new();
     for r in table.iter_records() {
         let Some(spec) = standardizer.standardize(&r.useragent) else { continue };

@@ -10,29 +10,30 @@
 //! Bot identities hide both in top-level products and inside comments, so
 //! the tokenizer surfaces every candidate product token from both places.
 
-/// One `name/version` product token.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Product {
+/// One `name/version` product token, borrowed from the header.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Product<'a> {
     /// Product name (verbatim case).
-    pub name: String,
+    pub name: &'a str,
     /// Version string, if a `/version` suffix was present.
-    pub version: Option<String>,
+    pub version: Option<&'a str>,
 }
 
-/// A tokenized `User-Agent` header.
+/// A tokenized `User-Agent` header. Every token borrows from the header,
+/// so tokenizing allocates only the two lists.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct UserAgent {
+pub struct UserAgent<'a> {
     /// Top-level products, in order.
-    pub products: Vec<Product>,
+    pub products: Vec<Product<'a>>,
     /// Comment fragments (the `;`-separated pieces inside parentheses),
     /// trimmed.
-    pub comments: Vec<String>,
+    pub comments: Vec<&'a str>,
 }
 
-impl UserAgent {
+impl<'a> UserAgent<'a> {
     /// Tokenize a raw header value. Never fails; hostile input produces a
     /// (possibly empty) token list.
-    pub fn parse(header: &str) -> UserAgent {
+    pub fn parse(header: &'a str) -> UserAgent<'a> {
         let mut products = Vec::new();
         let mut comments = Vec::new();
         let mut rest = header.trim();
@@ -45,7 +46,7 @@ impl UserAgent {
                 for frag in stripped[..end].split(';') {
                     let frag = frag.trim();
                     if !frag.is_empty() {
-                        comments.push(frag.to_string());
+                        comments.push(frag);
                     }
                 }
                 rest = stripped[end..].strip_prefix(')').unwrap_or(&stripped[end..]).trim_start();
@@ -54,8 +55,8 @@ impl UserAgent {
                 let token = &rest[..end];
                 if !token.is_empty() {
                     let (name, version) = match token.split_once('/') {
-                        Some((n, v)) => (n.to_string(), Some(v.to_string())),
-                        None => (token.to_string(), None),
+                        Some((n, v)) => (n, Some(v)),
+                        None => (token, None),
                     };
                     products.push(Product { name, version });
                 }
@@ -65,27 +66,25 @@ impl UserAgent {
         UserAgent { products, comments }
     }
 
-    /// Every candidate identity token: product names plus the leading word
-    /// of each comment fragment (e.g. `GPTBot/1.2` inside a comment).
-    pub fn candidate_tokens(&self) -> Vec<String> {
-        let mut out: Vec<String> = Vec::new();
-        for p in &self.products {
-            out.push(p.name.clone());
-        }
-        for c in &self.comments {
-            // "compatible" and URL fragments are noise.
-            let word = c.split_whitespace().next().unwrap_or("");
-            let word = word.split('/').next().unwrap_or("");
-            if !word.is_empty()
-                && !word.eq_ignore_ascii_case("compatible")
-                && !word.starts_with('+')
-                && !word.starts_with("http")
-            {
-                out.push(word.trim_end_matches(';').to_string());
-            }
-        }
-        out
+    /// Every candidate identity token, in order: product names, then the
+    /// leading word of each comment fragment (e.g. `GPTBot/1.2` inside a
+    /// comment).
+    pub fn candidate_tokens(&self) -> impl Iterator<Item = &'a str> + '_ {
+        let products = self.products.iter().map(|p| p.name);
+        products.chain(self.comments.iter().filter_map(|&c| comment_word(c)))
     }
+}
+
+/// The identity word of one comment fragment, or `None` for noise:
+/// `compatible` and URL fragments.
+fn comment_word(fragment: &str) -> Option<&str> {
+    let word = fragment.split_whitespace().next().unwrap_or("");
+    let word = word.split('/').next().unwrap_or("");
+    let noise = word.is_empty()
+        || word.eq_ignore_ascii_case("compatible")
+        || word.starts_with('+')
+        || word.starts_with("http");
+    (!noise).then(|| word.trim_end_matches(';'))
 }
 
 #[cfg(test)]
@@ -97,7 +96,7 @@ mod tests {
         let ua = UserAgent::parse("GPTBot/1.0");
         assert_eq!(ua.products.len(), 1);
         assert_eq!(ua.products[0].name, "GPTBot");
-        assert_eq!(ua.products[0].version.as_deref(), Some("1.0"));
+        assert_eq!(ua.products[0].version, Some("1.0"));
     }
 
     #[test]
@@ -110,8 +109,8 @@ mod tests {
             ua.comments,
             vec!["compatible", "Googlebot/2.1", "+http://www.google.com/bot.html"]
         );
-        let tokens = ua.candidate_tokens();
-        assert!(tokens.iter().any(|t| t == "Googlebot"));
+        let tokens: Vec<&str> = ua.candidate_tokens().collect();
+        assert!(tokens.contains(&"Googlebot"));
         assert!(!tokens.iter().any(|t| t.eq_ignore_ascii_case("compatible")));
     }
 
@@ -120,9 +119,9 @@ mod tests {
         let ua = UserAgent::parse(
             "Mozilla/5.0 (Windows NT 10.0; Win64; x64) AppleWebKit/537.36 (KHTML, like Gecko) Chrome/120.0 Safari/537.36",
         );
-        let names: Vec<&str> = ua.products.iter().map(|p| p.name.as_str()).collect();
+        let names: Vec<&str> = ua.products.iter().map(|p| p.name).collect();
         assert_eq!(names, vec!["Mozilla", "AppleWebKit", "Chrome", "Safari"]);
-        assert!(ua.comments.contains(&"Windows NT 10.0".to_string()));
+        assert!(ua.comments.contains(&"Windows NT 10.0"));
     }
 
     #[test]
@@ -158,8 +157,8 @@ mod tests {
         let ua = UserAgent::parse(
             "Mozilla/5.0 (compatible; bingbot/2.0; +http://www.bing.com/bingbot.htm)",
         );
-        let tokens = ua.candidate_tokens();
-        assert!(tokens.iter().any(|t| t == "bingbot"));
+        let tokens: Vec<&str> = ua.candidate_tokens().collect();
+        assert!(tokens.contains(&"bingbot"));
         assert!(!tokens.iter().any(|t| t.starts_with("+http")));
     }
 }

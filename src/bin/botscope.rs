@@ -968,6 +968,10 @@ fn cmd_diff(p: &Parsed) -> Result<(), String> {
     })
 }
 
+/// Read buffer for `analyze`'s input file: large enough that the decoders
+/// make few `read` calls on a multi-megabyte log.
+const ANALYZE_READ_BUFFER: usize = 64 * 1024;
+
 fn cmd_analyze(p: &Parsed) -> Result<(), String> {
     let (phase_report, use_table) = (p.switch("--phase-report"), p.switch("--table"));
     let Some(file) = p.positionals.first() else {
@@ -981,7 +985,10 @@ fn cmd_analyze(p: &Parsed) -> Result<(), String> {
         Box::new(std::io::stdin().lock())
     } else {
         std::fs::File::open(file)
-            .map(|f| Box::new(std::io::BufReader::new(f)) as Box<dyn std::io::BufRead>)
+            .map(|f| {
+                Box::new(std::io::BufReader::with_capacity(ANALYZE_READ_BUFFER, f))
+                    as Box<dyn std::io::BufRead>
+            })
             .map_err(|e| format!("cannot read {file}: {e}"))?
     };
     // Sniff the columnar magic so either format works, even on a pipe.
