@@ -69,7 +69,6 @@ fn bench_score_believed(c: &mut Criterion) {
                 &out.sim.table,
                 &out.schedule,
                 &attribution.excused,
-                1,
             );
             black_box((attribution.counts.len(), exp.per_directive.len()))
         });

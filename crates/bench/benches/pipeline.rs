@@ -76,31 +76,16 @@ fn bench_standardize_distinct(c: &mut Criterion) {
 
 /// The full §4 analysis engine over a pre-generated phase study — the
 /// same workload as `end_to_end/phase_study_generate_and_analyze` minus
-/// generation. The worker sweep stops at the machine's available
-/// parallelism: oversubscribing a small container only measures
-/// scheduler thrash, not the engine.
+/// generation.
 fn bench_analysis(c: &mut Criterion) {
     let cfg = SimConfig { scale: 0.05, sites: 8, ..SimConfig::default() };
     let out = phase_study_table(&cfg);
     let mut g = c.benchmark_group("analysis");
     g.sample_size(10);
     g.throughput(Throughput::Elements(out.sim.table.len() as u64));
-    let hardware = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    let mut counts = vec![1usize];
-    if hardware > 1 {
-        counts.push(hardware.min(8));
-    }
-    for threads in counts {
-        g.bench_function(format!("experiment_analyze_table/workers={threads}"), |b| {
-            b.iter(|| {
-                Experiment::analyze_table_with_threads(
-                    black_box(&out.sim.table),
-                    &out.schedule,
-                    threads,
-                )
-            });
-        });
-    }
+    g.bench_function("experiment_analyze_table", |b| {
+        b.iter(|| Experiment::analyze_table(black_box(&out.sim.table), &out.schedule));
+    });
     g.finish();
 }
 

@@ -16,36 +16,28 @@
 //! 6. derives the traffic summary per version (Table 4) and the
 //!    skipped-robots.txt rows (Table 7).
 //!
-//! Steps 3–4 are independent per bot, so they fan out over the same
-//! `simnet::engine::run_indexed` worker pool simnet generation uses
-//! (`BOTSCOPE_THREADS` knob); the merge is by bot name, making the
-//! output identical at any worker count.
+//! Steps 1–4 and 6 run in [`StreamAnalyzer`], the one §4 engine: the
+//! table entry points here push the table's rows through it in time
+//! order, exactly as a streamed log would arrive.
 
 use std::collections::BTreeMap;
 
 use botscope_stats::describe::WeightedMeanAccumulator;
-use botscope_stats::ztest::{two_proportion_z_test, ZTestResult};
+use botscope_stats::ztest::ZTestResult;
 use botscope_useragent::{BotCategory, RobotsPromise};
-use botscope_weblog::session::SESSION_GAP_SECS;
 use botscope_weblog::table::{LogTable, RecordRow};
-use botscope_weblog::time::Timestamp;
 
 use botscope_simnet::belief::{BeliefAtlas, BeliefTimeline};
-use botscope_simnet::engine::{run_indexed, worker_threads, GroundTruth};
-use botscope_simnet::phases::{is_exempt_agent, PhaseSchedule, PolicyVersion};
+use botscope_simnet::engine::GroundTruth;
+use botscope_simnet::phases::{PhaseSchedule, PolicyVersion};
 use botscope_simnet::scenario::{phase_study_table, PhaseStudyTableOutput};
 use botscope_simnet::server::PolicyCorpus;
 use botscope_simnet::SimConfig;
 
 use crate::attribution::{attribute_rows, PolicyBasis};
-use crate::metrics::{
-    crawl_delay_counts_rows, disallow_counts_rows, endpoint_counts_rows, DirectiveCounts,
-    PathClasses, CRAWL_DELAY_SECS,
-};
-use crate::pipeline::{standardize_rows, standardize_table, BotRowView, StandardizedTable};
-use crate::spoofdetect::{
-    analyze_bot_rows, SpoofFinding, SpoofReport, DOMINANCE_THRESHOLD, MIN_DETECT_REQUESTS,
-};
+use crate::metrics::DirectiveCounts;
+use crate::spoofdetect::SpoofReport;
+use crate::stream::StreamAnalyzer;
 
 /// The three experimental directives (paper §4.1, v1–v3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -78,15 +70,6 @@ impl Directive {
             Directive::CrawlDelay => PolicyVersion::V1CrawlDelay,
             Directive::Endpoint => PolicyVersion::V2EndpointOnly,
             Directive::Disallow => PolicyVersion::V3DisallowAll,
-        }
-    }
-
-    /// Compute this directive's compliance counts over a row set.
-    pub fn counts_rows(self, classes: &PathClasses, rows: &[&RecordRow]) -> DirectiveCounts {
-        match self {
-            Directive::CrawlDelay => crawl_delay_counts_rows(rows, CRAWL_DELAY_SECS),
-            Directive::Endpoint => endpoint_counts_rows(classes, rows),
-            Directive::Disallow => disallow_counts_rows(classes, rows),
         }
     }
 }
@@ -191,11 +174,6 @@ pub struct BeliefContext<'a> {
     pub corpus: &'a PolicyCorpus,
 }
 
-/// The experiment site's hostname under `schedule`.
-fn experiment_site_name(schedule: &PhaseSchedule) -> String {
-    format!("site-{:02}.example.edu", schedule.experiment_site)
-}
-
 impl Experiment {
     /// Generate the phase study with `cfg` and analyze it.
     pub fn run(cfg: &SimConfig) -> Experiment {
@@ -205,46 +183,28 @@ impl Experiment {
         exp
     }
 
-    /// Analyze an interned table against a schedule.
-    ///
-    /// This is a single-pass engine: the estate is standardized **once**,
-    /// every bot's rows are bucketed into the four phase windows (and
-    /// split legit/spoofed) in one sweep, and the per-bot directive
-    /// analysis fans out over [`worker_threads`] scoped workers with a
-    /// deterministic merge by bot name — output is identical at any
-    /// worker count (`BOTSCOPE_THREADS` knob, as in simnet generation).
+    /// Analyze an interned table against a schedule: its rows, in time
+    /// order, through one [`StreamAnalyzer`]. The rows may be in any
+    /// order; an unsorted table is sorted by timestamp first.
     pub fn analyze_table(table: &LogTable, schedule: &PhaseSchedule) -> Experiment {
-        Experiment::analyze_table_with_threads(table, schedule, worker_threads())
+        analyze_rows(table, schedule, table.rows().iter())
     }
 
-    /// [`Experiment::analyze_table`] with an explicit worker count.
+    /// [`Experiment::analyze_table`]; the engine is serial, so the
+    /// worker count is ignored.
+    #[doc(hidden)]
     pub fn analyze_table_with_threads(
         table: &LogTable,
         schedule: &PhaseSchedule,
-        threads: usize,
+        _threads: usize,
     ) -> Experiment {
-        assert!(threads >= 1, "at least one worker required");
-        let site = table.interner().get(&experiment_site_name(schedule));
-        let site_rows: Vec<&RecordRow> = match site {
-            Some(site) => table.rows().iter().filter(|r| r.sitename == site).collect(),
-            None => Vec::new(),
-        };
-
-        // The one standardization sweep, one verdict per distinct agent.
-        // Estate-wide, because "checked robots.txt" (Table 7) is judged
-        // estate-wide: a bot that fetched any of the institution's
-        // robots.txt files during a phase demonstrably consulted policy,
-        // even if the fetch landed on a sister site.
-        // Every per-bot slice below is carved out of this pass; nothing
-        // downstream touches a raw user-agent string again.
-        let all_logs = standardize_table(table);
-        Self::analyze_standardized(table, schedule, threads, &all_logs, site_rows)
+        Experiment::analyze_table(table, schedule)
     }
 
     /// Analyze under a policy basis. `Served` is the plain
-    /// [`Experiment::analyze_table_with_threads`] path; `Believed`
-    /// first attributes every row ([`attribute_rows`]) and analyzes the
-    /// rows the belief layer does not excuse
+    /// [`Experiment::analyze_table`] path; `Believed` first attributes
+    /// every row ([`attribute_rows`] on `threads` workers) and analyzes
+    /// the rows the belief layer does not excuse
     /// ([`Experiment::analyze_table_excluding`]) — Tables 5/6/10
     /// recomputed under attribution-corrected compliance. With beliefs
     /// that track the served timelines exactly (instant refresh,
@@ -258,11 +218,11 @@ impl Experiment {
         threads: usize,
     ) -> Experiment {
         match basis {
-            PolicyBasis::Served => Experiment::analyze_table_with_threads(table, schedule, threads),
+            PolicyBasis::Served => Experiment::analyze_table(table, schedule),
             PolicyBasis::Believed => {
                 let excused =
                     attribute_rows(table, ctx.beliefs, ctx.served, ctx.corpus, threads).excused;
-                Experiment::analyze_table_excluding(table, schedule, &excused, threads)
+                Experiment::analyze_table_excluding(table, schedule, &excused)
             }
         }
     }
@@ -275,87 +235,10 @@ impl Experiment {
         table: &LogTable,
         schedule: &PhaseSchedule,
         excused: &[bool],
-        threads: usize,
     ) -> Experiment {
         assert_eq!(excused.len(), table.len(), "one excusal verdict per row");
-        let kept = table
-            .rows()
-            .iter()
-            .zip(excused)
-            .filter_map(|(row, &excused)| (!excused).then_some(row));
-        let all_logs = standardize_rows(table, kept.clone());
-        let site = table.interner().get(&experiment_site_name(schedule));
-        let site_rows: Vec<&RecordRow> = match site {
-            Some(site) => kept.filter(|r| r.sitename == site).collect(),
-            None => Vec::new(),
-        };
-        Self::analyze_standardized(table, schedule, threads, &all_logs, site_rows)
-    }
-
-    /// Shared back half of the analysis: phase windows, the per-bot
-    /// fan-out, and the deterministic merge. `all_logs` and `site_rows`
-    /// are the (possibly basis-filtered) standardized views and
-    /// experiment-site rows; `table` stays the full interned table so
-    /// symbol lookups resolve.
-    fn analyze_standardized(
-        table: &LogTable,
-        schedule: &PhaseSchedule,
-        threads: usize,
-        all_logs: &StandardizedTable<'_>,
-        site_rows: Vec<&RecordRow>,
-    ) -> Experiment {
-        let classes = PathClasses::new(table);
-        let site = table.interner().get(&experiment_site_name(schedule));
-        let views: Vec<&BotRowView<'_>> = all_logs.bots.values().collect();
-
-        let phase_of = |version: PolicyVersion| -> (Timestamp, Timestamp) {
-            schedule.window_of(version).expect("version scheduled")
-        };
-        let windows = PhaseWindows {
-            base: phase_of(PolicyVersion::Base),
-            directives: Directive::ALL.map(|d| phase_of(d.version())),
-        };
-
-        // Fan the whole per-bot stage out — site slicing, spoof
-        // detection, phase bucketing, and directive scoring are all
-        // independent per bot. Results come back in bot-name order (the
-        // order of `views`), so output is worker-count invariant.
-        let mut outcomes: Vec<BotOutcome> = run_indexed(views.len(), threads, |i| {
-            analyze_bot(table, &classes, &windows, schedule, site, views[i])
-        });
-
-        // The detector emits findings sorted by bot name — `views` order.
-        let spoof_report =
-            SpoofReport { findings: outcomes.iter().filter_map(|o| o.finding.clone()).collect() };
-
-        let mut per_directive: BTreeMap<Directive, Vec<BotDirectiveResult>> = BTreeMap::new();
-        let mut spoofed_per_directive: BTreeMap<Directive, Vec<BotDirectiveResult>> =
-            BTreeMap::new();
-        let mut spoof_volume: BTreeMap<Directive, (u64, u64)> = BTreeMap::new();
-        for (idx, directive) in Directive::ALL.into_iter().enumerate() {
-            let rows: Vec<BotDirectiveResult> =
-                outcomes.iter_mut().filter_map(|o| o.legit[idx].take()).collect();
-            let spoofed_rows: Vec<BotDirectiveResult> =
-                outcomes.iter_mut().filter_map(|o| o.spoofed[idx].take()).collect();
-            let volume = outcomes
-                .iter()
-                .fold((0u64, 0u64), |acc, o| (acc.0 + o.volume[idx].0, acc.1 + o.volume[idx].1));
-            per_directive.insert(directive, rows);
-            spoofed_per_directive.insert(directive, spoofed_rows);
-            spoof_volume.insert(directive, volume);
-        }
-
-        let phase_traffic = phase_traffic(table, &site_rows, &outcomes, schedule, threads);
-
-        Experiment {
-            per_directive,
-            spoofed_per_directive,
-            phase_traffic,
-            spoof_report,
-            spoof_volume,
-            truth: None,
-            schedule: schedule.clone(),
-        }
+        let kept = table.rows().iter().zip(excused).filter_map(|(row, &ex)| (!ex).then_some(row));
+        analyze_rows(table, schedule, kept)
     }
 
     /// Table 5: access-weighted category compliance. Categories with no
@@ -455,177 +338,34 @@ pub fn table5_category(cat: BotCategory) -> BotCategory {
     }
 }
 
-/// The deployment windows the engine buckets into: the baseline phase
-/// plus one window per directive, in [`Directive::ALL`] order.
-struct PhaseWindows {
-    base: (Timestamp, Timestamp),
-    directives: [(Timestamp, Timestamp); 3],
-}
-
-/// Everything one bot contributes to the experiment, per directive
-/// (index = position in [`Directive::ALL`]).
-struct BotOutcome {
-    /// The §5.2 dominance finding, if the bot is flagged.
-    finding: Option<SpoofFinding>,
-    legit: [Option<BotDirectiveResult>; 3],
-    spoofed: [Option<BotDirectiveResult>; 3],
-    /// (legitimate, spoofed) request counts per directive phase.
-    volume: [(u64, u64); 3],
-    /// Whether the bot visited the experiment site during each entry of
-    /// `schedule.phases` (the Table 4 bot count).
-    phase_presence: Vec<bool>,
-}
-
-/// The complete per-bot stage: slice the experiment-site rows and
-/// estate-wide robots.txt fetch times out of the bot's view, run the
-/// §5.2 dominance detection, split legit/spoofed and bucket every row
-/// into its phase window in a single sweep, then score each directive.
-fn analyze_bot(
-    table: &LogTable,
-    classes: &PathClasses,
-    windows: &PhaseWindows,
+/// The one feed into the §4 engine: push `rows` (a subsequence of
+/// `table`'s rows) through a [`StreamAnalyzer`] in time order. A
+/// table whose timestamps never decrease — every simnet and coupled
+/// table — streams as is; otherwise the rows are stably sorted by
+/// timestamp first. Ties need no further key: rows sharing a timestamp
+/// give the same result in any order (see the [`crate::stream`] order
+/// contract).
+fn analyze_rows<'t>(
+    table: &'t LogTable,
     schedule: &PhaseSchedule,
-    site: Option<botscope_weblog::intern::Sym>,
-    view: &BotRowView<'_>,
-) -> BotOutcome {
-    let in_window =
-        |r: &RecordRow, (lo, hi): (Timestamp, Timestamp)| r.timestamp >= lo && r.timestamp < hi;
-
-    let site_rows: Vec<&RecordRow> = match site {
-        Some(s) => view.rows.iter().filter(|r| r.sitename == s).copied().collect(),
-        None => Vec::new(),
-    };
-    // Estate-wide robots.txt fetch times — Table 7 judges "checked
-    // robots.txt" across the whole institution.
-    let robots_times: Vec<u64> = view
-        .rows
-        .iter()
-        .filter(|r| classes.is_robots(r.uri_path))
-        .map(|r| r.timestamp.unix())
-        .collect();
-
-    // The dominance detection reads only this bot's site rows.
-    let finding =
-        analyze_bot_rows(table, &view.name, &site_rows, DOMINANCE_THRESHOLD, MIN_DETECT_REQUESTS);
-
-    // Buckets: [base, crawl-delay, endpoint, disallow] × {legit, spoofed}.
-    // The legit/spoofed partition is phase-independent, so one pass over
-    // the bot's rows fills all eight buckets.
-    let main_asn = finding.as_ref().and_then(|f| table.interner().get(&f.main_asn));
-    let mut legit: [Vec<&RecordRow>; 4] = Default::default();
-    let mut spoofed: [Vec<&RecordRow>; 4] = Default::default();
-    for &row in &site_rows {
-        let buckets =
-            if finding.is_none() || Some(row.asn) == main_asn { &mut legit } else { &mut spoofed };
-        if in_window(row, windows.base) {
-            buckets[0].push(row);
-        }
-        for (i, &w) in windows.directives.iter().enumerate() {
-            if in_window(row, w) {
-                buckets[i + 1].push(row);
-            }
-        }
+    rows: impl Iterator<Item = &'t RecordRow>,
+) -> Experiment {
+    let interner = table.interner();
+    let mut analyzer = StreamAnalyzer::new(schedule);
+    if table.rows().windows(2).all(|w| w[0].timestamp <= w[1].timestamp) {
+        rows.for_each(|row| analyzer.push_row(row, interner));
+    } else {
+        let mut sorted: Vec<&RecordRow> = rows.collect();
+        sorted.sort_by_key(|row| row.timestamp);
+        sorted.into_iter().for_each(|row| analyzer.push_row(row, interner));
     }
-
-    // Exempt SEO bots are excluded from the *legitimate* per-bot
-    // analysis (they keep full access under v2/v3; the paper's Table 6
-    // and Figure 9 omit them) — but their spoofed impostors are analyzed
-    // like everyone else's (the paper's Figure 11 shows Googlebot,
-    // bingbot and Baiduspider spoof instances).
-    let exempt = is_exempt_agent(&view.name);
-
-    let phase_presence = schedule
-        .phases
-        .iter()
-        .map(|p| site_rows.iter().any(|r| r.timestamp >= p.start && r.timestamp < p.end))
-        .collect();
-    let mut outcome = BotOutcome {
-        finding,
-        legit: [None, None, None],
-        spoofed: [None, None, None],
-        volume: [(0, 0); 3],
-        phase_presence,
-    };
-    for (idx, directive) in Directive::ALL.into_iter().enumerate() {
-        let (lo, hi) = windows.directives[idx];
-        let (legit_base, legit_phase) = (&legit[0], &legit[idx + 1]);
-        outcome.volume[idx].0 = legit_phase.len() as u64;
-        if !exempt && legit_base.len() >= MIN_ACCESSES && legit_phase.len() >= MIN_ACCESSES {
-            let checked = robots_times.iter().any(|&t| t >= lo.unix() && t < hi.unix());
-            let mut row = make_row(view, classes, directive, legit_base, legit_phase);
-            row.checked_robots = checked || row.checked_robots;
-            outcome.legit[idx] = Some(row);
-        }
-
-        let (sp_base, sp_phase) = (&spoofed[0], &spoofed[idx + 1]);
-        outcome.volume[idx].1 = sp_phase.len() as u64;
-        if !sp_base.is_empty() && !sp_phase.is_empty() {
-            outcome.spoofed[idx] = Some(make_row(view, classes, directive, sp_base, sp_phase));
-        }
-    }
-    outcome
-}
-
-fn make_row(
-    view: &BotRowView<'_>,
-    classes: &PathClasses,
-    directive: Directive,
-    base: &[&RecordRow],
-    phase: &[&RecordRow],
-) -> BotDirectiveResult {
-    let baseline = directive.counts_rows(classes, base);
-    let experiment = directive.counts_rows(classes, phase);
-    let ztest = two_proportion_z_test(
-        experiment.successes,
-        experiment.trials,
-        baseline.successes,
-        baseline.trials,
-    );
-    BotDirectiveResult {
-        bot: view.name.clone(),
-        category: view.category,
-        promise: view.promise,
-        sponsor: view.sponsor,
-        baseline,
-        experiment,
-        ztest,
-        checked_robots: phase.iter().any(|r| classes.is_robots(r.uri_path)),
-        accesses: phase.len() as u64,
-    }
-}
-
-/// Table 4: sessionized visits and distinct known bots per phase. The
-/// per-phase session counts are independent, so they run on the worker
-/// pool too.
-fn phase_traffic(
-    table: &LogTable,
-    site_rows: &[&RecordRow],
-    outcomes: &[BotOutcome],
-    schedule: &PhaseSchedule,
-    threads: usize,
-) -> Vec<PhaseTraffic> {
-    let visits = run_indexed(schedule.phases.len(), threads, |i| {
-        let p = &schedule.phases[i];
-        let phase_rows =
-            site_rows.iter().filter(|r| r.timestamp >= p.start && r.timestamp < p.end).copied();
-        table.count_sessions(phase_rows, SESSION_GAP_SECS)
-    });
-    schedule
-        .phases
-        .iter()
-        .enumerate()
-        .zip(visits)
-        .map(|((i, p), visits)| PhaseTraffic {
-            version: p.version,
-            unique_site_visits: visits,
-            unique_bot_visitors: outcomes.iter().filter(|o| o.phase_presence[i]).count(),
-        })
-        .collect()
+    analyzer.finish(interner)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use botscope_simnet::phases::is_exempt_agent;
 
     fn test_experiment() -> Experiment {
         // Small but dense enough for per-bot rows to form.

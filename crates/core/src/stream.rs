@@ -1,33 +1,37 @@
-//! Single-pass streaming analysis: the §4 pipeline over a sorted row
-//! stream with bounded state.
+//! Single-pass streaming analysis: the §4 pipeline over a time-sorted
+//! row stream with bounded state.
 //!
-//! [`StreamAnalyzer`] consumes a canonically time-sorted stream of
-//! interned rows — a [`botscope_weblog::stream::RowStream`] over a CSV
-//! file, a binary [`botscope_weblog::colfmt`] file, or a generator's
-//! k-way merge — and produces the exact [`Experiment`] that
-//! [`Experiment::analyze_table`] computes from the materialized table.
-//! Peak memory is the dictionary plus the per-bot working set (per-ASN
+//! [`StreamAnalyzer`] is the one §4 engine. It consumes interned rows —
+//! a [`botscope_weblog::stream::RowStream`] over a CSV file, a binary
+//! [`botscope_weblog::colfmt`] file, or a generator's k-way merge, or a
+//! materialized table fed by [`Experiment::analyze_table`] — and
+//! produces the [`Experiment`] behind every §4 table and figure. Peak
+//! memory is the dictionary plus the per-bot working set (per-ASN
 //! phase buckets and τ-delta accumulators), never the row set: a
 //! scale-100 estate streams through in a few hundred megabytes where
 //! materializing would take gigabytes.
 //!
-//! Equivalence argument, stage by stage:
+//! Order contract: rows must arrive with timestamps that never
+//! decrease. [`Experiment::analyze_stream`] rejects a stream that goes
+//! back in time; [`Experiment::analyze_table`] sorts an unsorted table
+//! by timestamp first. Nothing finer than the timestamp is needed,
+//! because rows sharing a timestamp give the same result in any order:
 //!
 //! * **standardization** — one verdict per distinct user-agent symbol,
-//!   cached in a dense slot array, from the same memoizing
-//!   [`Standardizer::standardize`] the table path calls: the verdict is
-//!   a pure function of the header whatever the memo already holds;
+//!   cached in a dense slot array, from the memoizing
+//!   [`Standardizer::standardize`]: the verdict is a pure function of
+//!   the header whatever the memo already holds;
 //! * **spoof detection** — per-ASN totals over experiment-site rows are
-//!   order-free counts, and the dominance winner uses the same
-//!   `(count, Reverse(name))` tie-break;
+//!   order-free counts, and the dominance winner's
+//!   `(count, Reverse(name))` tie-break ignores arrival order;
 //! * **phase bucketing** — each row tests its timestamp against the
-//!   base window and the three directive windows independently, the
-//!   same predicate the table path applies per row;
+//!   base window and the three directive windows independently;
 //! * **crawl delay** — within a τ group (ASN fixed per accumulator, so
-//!   the key is (IP hash, raw UA)) the stream's time order equals the
-//!   table path's per-τ sort, making the running delta count identical;
-//! * **sessions** — per-entity rows arrive time-sorted, so counting
-//!   gap-exceeding deltas as they happen equals sort-then-count.
+//!   the key is (IP hash, raw UA)) the running delta count needs
+//!   time-sorted rows; equal timestamps give a delta of 0 either way;
+//! * **sessions** — per-entity deltas are counted as rows arrive, which
+//!   equals sort-then-count on time-sorted rows; a 0 delta never
+//!   starts a session.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -211,10 +215,8 @@ struct Windows {
     directives: [(u64, u64); 3],
 }
 
-/// Push-based single-pass analysis engine. Feed canonically time-sorted
-/// rows via [`StreamAnalyzer::push_row`], then call
-/// [`StreamAnalyzer::finish`]; the result is identical to
-/// [`Experiment::analyze_table`] over the same rows.
+/// Push-based single-pass analysis engine. Feed time-sorted rows via
+/// [`StreamAnalyzer::push_row`], then call [`StreamAnalyzer::finish`].
 pub struct StreamAnalyzer {
     schedule: PhaseSchedule,
     site_name: String,
@@ -236,8 +238,8 @@ pub struct StreamAnalyzer {
 }
 
 impl StreamAnalyzer {
-    /// An analyzer for `schedule`. Panics (like the table path) if the
-    /// schedule is missing any of the four policy versions.
+    /// An analyzer for `schedule`. Panics if the schedule is missing
+    /// any of the four policy versions.
     pub fn new(schedule: &PhaseSchedule) -> StreamAnalyzer {
         let window_of = |version: PolicyVersion| -> (u64, u64) {
             let (lo, hi) = schedule.window_of(version).expect("version scheduled");
@@ -295,8 +297,8 @@ impl StreamAnalyzer {
         }
     }
 
-    /// Consume one row. Rows must arrive in canonical order (time-sorted
-    /// first), the order every workspace producer emits.
+    /// Consume one row. Timestamps must never decrease (the module's
+    /// order contract), the order every workspace producer emits.
     pub fn push_row(&mut self, row: &RecordRow, interner: &StringInterner) {
         self.grow(interner);
         let t = row.timestamp.unix();
@@ -379,8 +381,7 @@ impl StreamAnalyzer {
         }
     }
 
-    /// Finalize into the [`Experiment`] the table path would produce.
-    /// `interner` must be the stream's final interner (a superset of
+    /// Finalize into the [`Experiment`]. `interner` must be the stream's final interner (a superset of
     /// every symbol pushed).
     pub fn finish(self, interner: &StringInterner) -> Experiment {
         let obs = botscope_obs::global();
@@ -397,7 +398,7 @@ impl StreamAnalyzer {
         let mut findings: Vec<SpoofFinding> = Vec::new();
         let mut presence_counts = vec![0usize; self.schedule.phases.len()];
 
-        // Canonical-name order, matching the table path's BTreeMap walk.
+        // Canonical-name order, whatever order the bots first appeared in.
         for (&name, &slot) in &self.slot_by_name {
             let bot = &self.bots[slot as usize];
             for (i, &p) in bot.presence.iter().enumerate() {
@@ -513,8 +514,7 @@ impl StreamAnalyzer {
     }
 }
 
-/// One bot × directive result out of finalized buckets — the streaming
-/// equivalent of the table path's `make_row`.
+/// One bot × directive result out of finalized buckets.
 fn make_row(
     spec: &'static BotSpec,
     directive: Directive,
@@ -544,16 +544,31 @@ fn make_row(
 }
 
 impl Experiment {
-    /// Analyze a canonically sorted row stream in a single pass with
-    /// bounded state. Identical output to [`Experiment::analyze_table`]
-    /// over the same rows; the rows themselves are never held.
+    /// Analyze a time-sorted row stream in a single pass with bounded
+    /// state; the rows themselves are never held. Fails with a
+    /// [`DecodeError`] at the first row earlier than the row before it,
+    /// since the order contract cannot be repaired without holding the
+    /// rows ([`Experiment::analyze_table`] sorts a materialized table).
     pub fn analyze_stream<S: RowStream + ?Sized>(
         stream: &mut S,
         schedule: &PhaseSchedule,
     ) -> Result<Experiment, DecodeError> {
         let mut analyzer = StreamAnalyzer::new(schedule);
+        let mut last = None;
+        let mut index = 0usize;
         while let Some(row) = stream.next_row() {
             let row = row?;
+            index += 1;
+            if last > Some(row.timestamp) {
+                return Err(DecodeError {
+                    line: 0,
+                    message: format!(
+                        "row {index} is earlier than the row before it; streamed analysis \
+                         needs time-sorted rows (use --table to analyze an unsorted log)"
+                    ),
+                });
+            }
+            last = Some(row.timestamp);
             analyzer.push_row(&row, stream.interner());
         }
         Ok(analyzer.finish(stream.interner()))
@@ -566,26 +581,13 @@ mod tests {
     use botscope_simnet::scenario::phase_study_table;
     use botscope_simnet::SimConfig;
     use botscope_weblog::stream::TableRowStream;
-
-    #[test]
-    fn stream_matches_table_analysis() {
-        let cfg = SimConfig { scale: 0.05, sites: 3, ..SimConfig::default() };
-        let out = phase_study_table(&cfg);
-        let expected = Experiment::analyze_table_with_threads(&out.sim.table, &out.schedule, 1);
-        let mut stream = TableRowStream::new(&out.sim.table);
-        let got = Experiment::analyze_stream(&mut stream, &out.schedule).expect("clean stream");
-        assert_eq!(got.per_directive, expected.per_directive);
-        assert_eq!(got.spoofed_per_directive, expected.spoofed_per_directive);
-        assert_eq!(got.phase_traffic, expected.phase_traffic);
-        assert_eq!(got.spoof_report, expected.spoof_report);
-        assert_eq!(got.spoof_volume, expected.spoof_volume);
-    }
+    use botscope_weblog::table::LogTable;
 
     #[test]
     fn empty_stream_is_clean() {
         let cfg = SimConfig { scale: 0.02, sites: 3, ..SimConfig::default() };
         let out = phase_study_table(&cfg);
-        let empty = botscope_weblog::table::LogTable::new();
+        let empty = LogTable::new();
         let mut stream = TableRowStream::new(&empty);
         let exp = Experiment::analyze_stream(&mut stream, &out.schedule).expect("empty ok");
         assert!(exp.spoof_report.findings.is_empty());
@@ -595,5 +597,26 @@ mod tests {
         }
         assert_eq!(exp.phase_traffic.len(), out.schedule.phases.len());
         assert!(exp.phase_traffic.iter().all(|p| p.unique_site_visits == 0));
+    }
+
+    #[test]
+    fn stream_going_back_in_time_is_rejected_at_that_row() {
+        let cfg = SimConfig { scale: 0.02, sites: 3, ..SimConfig::default() };
+        let out = phase_study_table(&cfg);
+        let table = &out.sim.table;
+        // Swap the first two rows with distinct timestamps: row `i + 2`
+        // (1-based) is then the first to go back in time.
+        let i = table
+            .rows()
+            .windows(2)
+            .position(|w| w[0].timestamp < w[1].timestamp)
+            .expect("more than one timestamp");
+        let mut rows = table.rows().to_vec();
+        rows.swap(i, i + 1);
+        let swapped = LogTable::from_parts(table.interner().clone(), rows);
+        let err = Experiment::analyze_stream(&mut TableRowStream::new(&swapped), &out.schedule)
+            .expect_err("unsorted stream");
+        assert!(err.message.starts_with(&format!("row {} ", i + 2)), "{err}");
+        assert!(err.message.contains("--table"), "{err}");
     }
 }

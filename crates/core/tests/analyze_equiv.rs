@@ -1,16 +1,21 @@
-//! Equivalence of the single-pass, parallel `Experiment::analyze_table`
-//! with a straightforward reference implementation of the §4 analysis,
-//! field for field, on generated tables — and across worker counts.
+//! Equivalence of `Experiment::analyze_table` — the single-pass
+//! `StreamAnalyzer` fed a table — with a straightforward reference
+//! implementation of the §4 analysis, field for field, on generated
+//! tables in their generated order and in reverse order.
 //!
-//! The reference below mirrors the pre-rework engine: standardize the
-//! site subset, split legit/spoofed per directive, and re-filter each
-//! window per directive. It uses the same (τ-fixed) metrics, so any
-//! divergence is attributable to the engine rework, not the τ change.
+//! The reference below is the readable multi-pass formulation:
+//! standardize the site subset, split legit/spoofed per directive, and
+//! re-filter each window per directive, scoring each window with the
+//! row-slice metrics of `botscope_core::metrics`. It sorts each τ
+//! group itself, so it does not care about row order.
 
 use std::collections::BTreeMap;
 
 use botscope_core::analyze::{BotDirectiveResult, Directive, Experiment};
-use botscope_core::metrics::PathClasses;
+use botscope_core::metrics::{
+    crawl_delay_counts_rows, disallow_counts_rows, endpoint_counts_rows, DirectiveCounts,
+    PathClasses, CRAWL_DELAY_SECS,
+};
 use botscope_core::pipeline::standardize_rows;
 use botscope_core::spoofdetect::{detect_rows, split_rows};
 use botscope_simnet::phases::{is_exempt_agent, PolicyVersion};
@@ -23,10 +28,21 @@ use botscope_weblog::time::Timestamp;
 
 use proptest::prelude::*;
 
-const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
-
 /// The §4.1 minimum accesses per phase.
 const MIN_ACCESSES: usize = 5;
+
+/// One directive's compliance counts over a row set (§4.2).
+fn counts_rows(
+    directive: Directive,
+    classes: &PathClasses,
+    rows: &[&RecordRow],
+) -> DirectiveCounts {
+    match directive {
+        Directive::CrawlDelay => crawl_delay_counts_rows(rows, CRAWL_DELAY_SECS),
+        Directive::Endpoint => endpoint_counts_rows(classes, rows),
+        Directive::Disallow => disallow_counts_rows(classes, rows),
+    }
+}
 
 /// Reference analysis: the readable, multi-pass formulation.
 fn reference_analyze(
@@ -70,8 +86,8 @@ fn reference_analyze(
                     base: &[&RecordRow],
                     phase: &[&RecordRow]|
      -> BotDirectiveResult {
-        let baseline = directive.counts_rows(&classes, base);
-        let experiment = directive.counts_rows(&classes, phase);
+        let baseline = counts_rows(directive, &classes, base);
+        let experiment = counts_rows(directive, &classes, phase);
         let ztest = two_proportion_z_test(
             experiment.successes,
             experiment.trials,
@@ -187,17 +203,21 @@ fn assert_experiments_equal(a: &Experiment, b: &Experiment, label: &str) {
     }
 }
 
-fn check_config(cfg: &SimConfig) {
+fn check_config(cfg: &SimConfig) -> Experiment {
     let out = phase_study_table(cfg);
-    let reference = reference_analyze(&out.sim.table, &out.schedule);
-    for threads in WORKER_COUNTS {
-        let engine = Experiment::analyze_table_with_threads(&out.sim.table, &out.schedule, threads);
-        assert_experiments_equal(
-            &engine,
-            &reference,
-            &format!("seed {} at {threads} workers", cfg.seed),
-        );
-    }
+    let table = &out.sim.table;
+    let reference = reference_analyze(table, &out.schedule);
+    let engine = Experiment::analyze_table(table, &out.schedule);
+    assert_experiments_equal(&engine, &reference, &format!("seed {}", cfg.seed));
+
+    // The same rows newest first: the engine must sort them back.
+    let reversed = LogTable::from_parts(
+        table.interner().clone(),
+        table.rows().iter().rev().copied().collect(),
+    );
+    let engine = Experiment::analyze_table(&reversed, &out.schedule);
+    assert_experiments_equal(&engine, &reference, &format!("seed {} reversed", cfg.seed));
+    engine
 }
 
 #[test]
@@ -207,21 +227,15 @@ fn engine_matches_reference_at_default_seed() {
 }
 
 #[test]
-fn engine_is_worker_count_invariant_at_scale() {
-    // A denser run (more bots clear the ≥5-accesses filter, more spoof
-    // findings), compared only across worker counts for speed.
+fn engine_matches_reference_at_scale() {
+    // A denser run: more bots clear the ≥5-accesses filter, and more
+    // spoof findings form.
     let cfg = SimConfig { scale: 0.3, sites: 6, ..SimConfig::default() };
-    let out = phase_study_table(&cfg);
-    let serial = Experiment::analyze_table_with_threads(&out.sim.table, &out.schedule, 1);
+    let exp = check_config(&cfg);
     assert!(
-        serial.per_directive.values().any(|rows| rows.len() >= 10),
+        exp.per_directive.values().any(|rows| rows.len() >= 10),
         "scale 0.3 should produce a dense experiment"
     );
-    for threads in [2, 3, 8] {
-        let parallel =
-            Experiment::analyze_table_with_threads(&out.sim.table, &out.schedule, threads);
-        assert_experiments_equal(&parallel, &serial, &format!("{threads} workers"));
-    }
 }
 
 proptest! {

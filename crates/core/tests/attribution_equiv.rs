@@ -400,7 +400,7 @@ fn check_believed_basis_equiv(fx: &Fixture) {
         .map(|(row, _)| fx.table.materialize(row))
         .collect();
     let posthoc_table = LogTable::from_records(&kept);
-    let posthoc = Experiment::analyze_table_with_threads(&posthoc_table, &fx.schedule, 1);
+    let posthoc = Experiment::analyze_table(&posthoc_table, &fx.schedule);
 
     for threads in WORKER_COUNTS {
         let believed = Experiment::analyze_table_with_basis(

@@ -1,7 +1,6 @@
-//! The streaming analysis engine must reproduce the table engine
-//! exactly — over in-memory rows, over a CSV round-trip, over a binary
-//! round-trip, and over the generator's streamed output — at every
-//! worker count of the table path.
+//! Streamed analysis must reproduce the analysis of the materialized
+//! table exactly — over in-memory rows, over a CSV round-trip, over a
+//! binary round-trip, and over the generator's streamed output.
 
 use botscope_core::analyze::Experiment;
 use botscope_simnet::engine::{simulate_stream_with_threads, StreamOptions};
@@ -11,8 +10,6 @@ use botscope_weblog::codec;
 use botscope_weblog::colfmt::{BinReader, BinSink};
 use botscope_weblog::sink::RowSink;
 use botscope_weblog::stream::{CsvRowStream, TableRowStream};
-
-const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
 
 fn assert_experiments_equal(a: &Experiment, b: &Experiment, label: &str) {
     assert_eq!(a.schedule, b.schedule, "{label}: schedule");
@@ -24,7 +21,7 @@ fn assert_experiments_equal(a: &Experiment, b: &Experiment, label: &str) {
 }
 
 #[test]
-fn stream_analysis_matches_table_analysis_at_any_worker_count() {
+fn stream_analysis_matches_table_analysis() {
     let cfg = SimConfig { scale: 0.15, sites: 4, ..SimConfig::default() };
     let out = phase_study_table(&cfg);
 
@@ -35,17 +32,15 @@ fn stream_analysis_matches_table_analysis_at_any_worker_count() {
         streamed.per_directive.values().any(|rows| !rows.is_empty()),
         "scale 0.15 should produce per-bot rows"
     );
-    for threads in WORKER_COUNTS {
-        let tabled = Experiment::analyze_table_with_threads(&out.sim.table, &out.schedule, threads);
-        assert_experiments_equal(&streamed, &tabled, &format!("{threads} workers"));
-    }
+    let tabled = Experiment::analyze_table(&out.sim.table, &out.schedule);
+    assert_experiments_equal(&streamed, &tabled, "table stream");
 }
 
 #[test]
 fn stream_analysis_survives_csv_and_binary_round_trips() {
     let cfg = SimConfig { scale: 0.08, sites: 3, ..SimConfig::default() };
     let out = phase_study_table(&cfg);
-    let reference = Experiment::analyze_table_with_threads(&out.sim.table, &out.schedule, 1);
+    let reference = Experiment::analyze_table(&out.sim.table, &out.schedule);
 
     let csv = codec::encode_table(&out.sim.table);
     let mut csv_stream = CsvRowStream::new(csv.as_bytes()).expect("valid header");
@@ -68,7 +63,7 @@ fn generator_stream_to_binary_to_analysis_matches_in_memory_pipeline() {
     // materialized generation → table analysis.
     let cfg = SimConfig { scale: 0.08, sites: 3, ..SimConfig::default() };
     let out = phase_study_table(&cfg);
-    let reference = Experiment::analyze_table_with_threads(&out.sim.table, &out.schedule, 1);
+    let reference = Experiment::analyze_table(&out.sim.table, &out.schedule);
 
     // Re-derive the generator's exact config the way phase_study_table
     // does (its bounds override days/start).

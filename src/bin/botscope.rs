@@ -77,10 +77,11 @@ USAGE:
         --phase-report   treat the log as the 8-week phase study and
                          print the paper's experiment tables via the
                          single-pass streaming analyzer (bounded memory)
-        --table          with --phase-report: materialize the table and
-                         run the in-memory engine instead — the report
-                         is byte-identical, so the two paths can be
-                         cmp-verified against each other
+        --table          with --phase-report: materialize the log first,
+                         so its rows may come in any order (the
+                         streamed default needs time-sorted rows and
+                         rejects a log that goes back in time); same
+                         engine, same report bytes on a sorted log
   botscope simulate [days=7] [scale=0.05] [out] [seed=9309] [flags]
       Generate a synthetic access log (stdout or out; pass \"-\" for
       out to pipe a seeded run to stdout). The same seed always
@@ -154,8 +155,8 @@ GLOBAL FLAGS (any subcommand):
 ENVIRONMENT:
   BOTSCOPE_THREADS
       Worker threads for log generation (simulate), the monitor's
-      event-queue shards (monitor), attribution (simulate --coupled)
-      and per-bot analysis (analyze). The --stream k-way merge is
+      event-queue shards (monitor) and attribution (simulate
+      --coupled). The --stream k-way merge and the §4 analysis are
       serial. Defaults to the machine's available parallelism; the
       output is byte-identical for a fixed seed at any thread count.
 ";
@@ -1049,10 +1050,10 @@ fn cmd_analyze(p: &Parsed) -> Result<(), String> {
 }
 
 /// `analyze --phase-report`: reconstruct the paper's 8-week schedule
-/// and print its experiment tables, either from the single-pass
-/// streaming analyzer (the default, bounded memory) or from the
-/// materialized in-memory engine (`--table`). Both paths print the
-/// exact same bytes for the same log.
+/// and print its experiment tables from the single-pass analyzer,
+/// either streaming the log (the default, bounded memory, time-sorted
+/// rows only) or over the materialized table (`--table`, rows in any
+/// order). Both paths print the exact same bytes for a sorted log.
 fn analyze_phase_report(
     reader: Box<dyn std::io::BufRead>,
     is_binary: bool,
@@ -1072,11 +1073,7 @@ fn analyze_phase_report(
         } else {
             codec::decode_table_read(reader).map_err(|e| e.to_string())?
         };
-        Experiment::analyze_table_with_threads(
-            &table,
-            &schedule,
-            botscope::simnet::worker_threads(),
-        )
+        Experiment::analyze_table(&table, &schedule)
     } else if is_binary {
         let mut stream =
             botscope::weblog::colfmt::BinReader::new(reader).map_err(|e| e.to_string())?;
@@ -1472,14 +1469,11 @@ fn cmd_simulate_coupled(p: &Parsed) -> Result<(), String> {
         let exp = {
             let _phase = obs.phase("coupled_basis_analysis");
             match basis {
-                PolicyBasis::Served => {
-                    Experiment::analyze_table_with_threads(&out.sim.table, &out.schedule, threads)
-                }
+                PolicyBasis::Served => Experiment::analyze_table(&out.sim.table, &out.schedule),
                 PolicyBasis::Believed => Experiment::analyze_table_excluding(
                     &out.sim.table,
                     &out.schedule,
                     &attribution.excused,
-                    threads,
                 ),
             }
         };

@@ -685,6 +685,66 @@ fn phase_report_from_streamed_binary_matches_in_memory_engine() {
 }
 
 #[test]
+fn unsorted_log_fails_streamed_analysis_and_sorts_under_table() {
+    use std::process::Stdio;
+
+    let pid = std::process::id();
+    let csv = std::env::temp_dir().join(format!("botscope-test-{pid}-sorted.csv"));
+    let out = botscope(&["simulate", "7", "0.02", csv.to_str().unwrap(), "42", "--phase-study"]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let sorted = botscope(&["analyze", "--phase-report", csv.to_str().unwrap()]);
+    assert!(sorted.status.success(), "{}", String::from_utf8_lossy(&sorted.stderr));
+
+    // Shuffle the data lines (fixed Fisher-Yates over an LCG), keeping
+    // the header first.
+    let text = std::fs::read_to_string(&csv).expect("read CSV");
+    let (header, body) = text.split_once('\n').expect("header line");
+    let mut lines: Vec<&str> = body.lines().collect();
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    for i in (1..lines.len()).rev() {
+        state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+        lines.swap(i, (state >> 33) as usize % (i + 1));
+    }
+    let shuffled_csv = write_temp("shuffled.csv", &format!("{header}\n{}\n", lines.join("\n")));
+    let table =
+        botscope::weblog::codec::decode_table(&std::fs::read_to_string(&shuffled_csv).unwrap())
+            .expect("shuffled CSV decodes");
+    let mut bin = Vec::new();
+    botscope::weblog::colfmt::write_table(&mut bin, &table).expect("encode binary");
+    let shuffled_bin = std::env::temp_dir().join(format!("botscope-test-{pid}-shuffled.bin"));
+    std::fs::write(&shuffled_bin, bin).expect("write binary");
+
+    // Streamed: one line naming the row, pointing at --table; no report.
+    for input in [&shuffled_csv, &shuffled_bin] {
+        for stdin in [false, true] {
+            let mut cmd = Command::new(env!("CARGO_BIN_EXE_botscope"));
+            if stdin {
+                cmd.args(["analyze", "--phase-report", "-"])
+                    .stdin(Stdio::from(std::fs::File::open(input).expect("open input")));
+            } else {
+                cmd.args(["analyze", "--phase-report", input.to_str().unwrap()]);
+            }
+            let out = cmd.output().expect("binary runs");
+            let err = String::from_utf8_lossy(&out.stderr);
+            let label = format!("{} (stdin: {stdin})", input.display());
+            assert_eq!(out.status.code(), Some(1), "{label}: {err}");
+            assert!(out.stdout.is_empty(), "{label}");
+            assert_eq!(err.lines().count(), 1, "{label}: {err}");
+            assert!(err.starts_with("error: decode error: row "), "{label}: {err}");
+            assert!(err.contains("use --table"), "{label}: {err}");
+        }
+
+        // Materialized: the sorted log's exact report.
+        let tabled = botscope(&["analyze", "--phase-report", "--table", input.to_str().unwrap()]);
+        assert!(tabled.status.success(), "{}", String::from_utf8_lossy(&tabled.stderr));
+        assert_eq!(tabled.stdout, sorted.stdout, "{}", input.display());
+    }
+    for path in [&csv, &shuffled_csv, &shuffled_bin] {
+        let _ = std::fs::remove_file(path);
+    }
+}
+
+#[test]
 fn simulate_and_analyze_reject_bad_flags_cleanly() {
     let out = botscope(&["simulate", "1", "0.02", "-", "42", "--format", "xml"]);
     assert!(!out.status.success());
