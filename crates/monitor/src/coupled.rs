@@ -37,7 +37,9 @@ use botscope_simnet::site::EXPERIMENT_SITE;
 use botscope_simnet::{worker_threads, PhaseSchedule, SimConfig, SimTableOutput};
 use botscope_weblog::time::Timestamp;
 
-use crate::daemon::{run_daemon, DaemonRun, MonitorConfig, MonitorStats, TtlPolicy, TtlSource};
+use crate::daemon::{
+    belief_atlas, run_daemon, DaemonRun, MonitorConfig, MonitorStats, Record, TtlPolicy, TtlSource,
+};
 use crate::scenario::{build_estate_for_schedule, ScenarioKind};
 use crate::transport::VirtualTransport;
 
@@ -188,10 +190,10 @@ pub fn run_coupled_with_threads(cfg: &CoupledConfig, threads: usize) -> CoupledO
                 fleet: &fleet,
                 transport: &transport,
                 ttl: TtlSource::FleetCadence,
-                collect_beliefs: true,
+                record: Record::Beliefs,
             };
-            let (out, atlas) = run_daemon(&run, threads);
-            (atlas.expect("beliefs collected"), Some(out.stats))
+            let (stats, _, records) = run_daemon(&run, threads);
+            (belief_atlas(&run, records), Some(stats))
         }
     };
 

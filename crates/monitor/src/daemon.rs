@@ -1,21 +1,23 @@
 //! The monitoring daemon: an event-driven fetch scheduler over a
 //! virtual clock.
 //!
-//! One *fetch agent* runs per (bot, site): it owns a [`RobotsCache`]
-//! with a TTL sampled from the paper's observed 12 h–never re-check
-//! spectrum (§5.1, Figure 10), fetches the site's robots.txt through
-//! the [`VirtualTransport`], re-resolves its effective policy via
-//! [`EffectivePolicy::from_outcome`], backs off exponentially on
-//! `ServerError`/`NetworkError`, and detects served-policy swaps (the
-//! transitions [`crate::transport::ServerModel`] scripts), which are
-//! digested through `robotstxt::diff` into [`ChangeDigest`]s.
+//! One *fetch agent* runs per (bot, site). It holds only freshness
+//! state — its last fetch time against a TTL sampled from the paper's
+//! observed 12 h–never re-check spectrum (§5.1, Figure 10) — and the
+//! policy version it last adopted. It fetches the site's robots.txt
+//! through the [`VirtualTransport`], believes each outcome per RFC 9309
+//! ([`BelievedPolicy`]), backs off exponentially on `ServerError`/
+//! `NetworkError`, and detects served-policy swaps (the transitions
+//! [`crate::transport::ServerModel`] scripts), which are digested
+//! through `robotstxt::diff` into [`ChangeDigest`]s.
 //!
 //! **Scheduling.** Each agent's due times sit in a binary-heap event
 //! queue keyed `(time, agent)`. The queue is sharded: agents are split
 //! into fixed-size chunks (the chunk grid is independent of the worker
 //! count), chunks are processed by the `run_indexed` worker pool, and
-//! per-chunk [`FetchEventLog`] shards are absorbed in chunk order and
-//! canonically sorted. Because every agent stream derives from
+//! each chunk records either its [`FetchEventLog`] (absorbed in chunk
+//! order and canonically sorted) or its agents' belief timelines (moved
+//! into a [`BeliefAtlas`]). Because every agent stream derives from
 //! `child_seed(seed, agent)` and the transport is a pure function of
 //! `(site, time, agent)`, output is byte-identical for a fixed seed at
 //! any worker count.
@@ -29,7 +31,7 @@ use rand::{Rng, SeedableRng};
 use botscope_asn::ip_for;
 use botscope_robotstxt::analysis::{classify_change, ChangeClass};
 use botscope_robotstxt::diff::{diff, summarize, PolicyChange};
-use botscope_robotstxt::fetch::{EffectivePolicy, FetchOutcome, RobotsCache};
+use botscope_robotstxt::fetch::FetchOutcome;
 use botscope_simnet::belief::{BeliefAtlas, BeliefTimeline, BelievedPolicy};
 use botscope_simnet::fleet::{build_fleet, SimBot};
 use botscope_simnet::{child_seed, run_indexed, worker_threads, PolicyVersion};
@@ -270,53 +272,75 @@ pub fn monitor_fleet(n: usize) -> Vec<SimBot> {
     fleet
 }
 
-/// One (bot, site) fetch agent.
+/// One (bot, site) fetch agent. It stores no parsed policy: beliefs
+/// are content-addressed as [`BelievedPolicy::Version`].
 struct Agent {
     site: u32,
-    ua: Sym,
-    asn: Sym,
-    site_sym: Sym,
-    ip_hash: u64,
     ttl_secs: u64,
     rng: StdRng,
-    cache: RobotsCache,
+    /// Unix second of the last fetch, whatever its outcome.
+    fetched_at: Option<u64>,
     consecutive_failures: u32,
     /// Version of the last *successful* body — the change-detection
     /// baseline. Deliberately survives error outcomes, so a swap that
     /// happens behind an outage is still detected on recovery.
     last_version: Option<PolicyVersion>,
-    /// Whether the cache currently holds the parsed policy of
-    /// `last_version` (false after an error stored AllowAll/DisallowAll).
-    /// Guards both revalidation paths: after an error the agent must
-    /// neither send validators nor take the same-body shortcut — a
-    /// success must re-store the parsed policy.
+    /// Whether the agent currently holds `last_version`'s policy (false
+    /// after an error left it on AllowAll/DisallowAll). Guards both
+    /// revalidation paths: after an error the agent must neither send
+    /// validators nor take the same-body shortcut — a success must
+    /// re-adopt the body.
     cache_is_policy: bool,
-    /// `ETag`/`Last-Modified` of the cached body, replayed as a
+    /// `ETag`/`Last-Modified` of the held body, replayed as a
     /// conditional request while `cache_is_policy` holds.
     validators: Option<Validators>,
-    /// The agent's belief transitions, when the run collects them.
-    beliefs: Option<BeliefTimeline>,
 }
 
 impl Agent {
-    fn believe(&mut self, now: u64, policy: BelievedPolicy) {
-        if let Some(timeline) = &mut self.beliefs {
-            timeline.record(now, policy);
-        }
+    /// Whether the agent's copy is stale at `now`: never fetched, or
+    /// fetched at least one TTL ago (expiry itself is stale).
+    fn needs_fetch(&self, now: u64) -> bool {
+        self.fetched_at.is_none_or(|at| now.saturating_sub(at) >= self.ttl_secs)
     }
 }
 
 /// Key of an observed transition: (site, from, to).
 type ChangeKey = (u32, u8, u8);
 
+/// What a daemon run records beside its counters and change digests.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Record {
+    /// Every fetch event, assembled into the canonically sorted log
+    /// (`monitor`, `audit --estate`).
+    FetchLog,
+    /// Every agent's believed-policy timeline, assembled into a
+    /// [`BeliefAtlas`] (the coupled belief stage).
+    Beliefs,
+}
+
+/// One chunk's record, in chunk-local agent order.
+pub(crate) enum Recorded {
+    /// The chunk's fetch log, plus each agent's fixed columns (user
+    /// agent, ASN, site, IP hash) interned into it.
+    FetchLog { log: FetchEventLog, columns: Vec<(Sym, Sym, Sym, u64)> },
+    /// Each agent's belief transitions.
+    Beliefs(Vec<BeliefTimeline>),
+}
+
+impl Recorded {
+    fn into_log(self) -> FetchEventLog {
+        match self {
+            Recorded::FetchLog { log, .. } => log,
+            Recorded::Beliefs(_) => unreachable!("a belief run records no fetch log"),
+        }
+    }
+}
+
 struct Shard {
-    log: FetchEventLog,
+    record: Recorded,
     stats: MonitorStats,
     /// transition → (first observation time, observers).
     changes: BTreeMap<ChangeKey, (u64, u64)>,
-    /// Per-agent belief timelines (chunk-local order; empty unless the
-    /// run collects beliefs).
-    beliefs: Vec<BeliefTimeline>,
 }
 
 /// How a run assigns each agent's re-check TTL.
@@ -340,7 +364,7 @@ pub(crate) struct DaemonRun<'a> {
     pub(crate) fleet: &'a [SimBot],
     pub(crate) transport: &'a VirtualTransport,
     pub(crate) ttl: TtlSource,
-    pub(crate) collect_beliefs: bool,
+    pub(crate) record: Record,
 }
 
 /// Run the daemon with [`worker_threads`] workers.
@@ -351,76 +375,110 @@ pub fn run(cfg: &MonitorConfig) -> MonitorOutput {
 /// [`run`] with an explicit worker count. Output is byte-identical for
 /// a fixed seed regardless of `threads`.
 pub fn run_with_threads(cfg: &MonitorConfig, threads: usize) -> MonitorOutput {
-    cfg.assert_valid();
-    let fleet = monitor_fleet(cfg.bots);
-    let transport = VirtualTransport::new(build_estate(cfg));
-    let run = DaemonRun {
-        cfg,
-        fleet: &fleet,
-        transport: &transport,
-        ttl: TtlSource::Config,
-        collect_beliefs: false,
-    };
-    run_daemon(&run, threads).0
-}
-
-/// [`run_with_threads`], additionally exporting every agent's
-/// [`BeliefTimeline`] as a [`BeliefAtlas`] — the stepwise per-(bot,
-/// site) effective policy each monitored crawler believed over the
-/// horizon, RFC 9309 error states and backoff gaps included.
-pub fn run_with_beliefs(cfg: &MonitorConfig, threads: usize) -> (MonitorOutput, BeliefAtlas) {
-    cfg.assert_valid();
-    let fleet = monitor_fleet(cfg.bots);
-    let transport = VirtualTransport::new(build_estate(cfg));
-    let run = DaemonRun {
-        cfg,
-        fleet: &fleet,
-        transport: &transport,
-        ttl: TtlSource::Config,
-        collect_beliefs: true,
-    };
-    let (output, atlas) = run_daemon(&run, threads);
-    (output, atlas.expect("beliefs collected"))
-}
-
-/// Run the chunked scheduler and return per-chunk shards in chunk-grid
-/// order.
-fn run_shards(run: &DaemonRun<'_>, hasher: &IpHasher, threads: usize) -> Vec<Shard> {
-    let n_agents = run.cfg.sites * run.fleet.len();
-    let chunk_size = chunk_agents(n_agents);
-    let n_chunks = n_agents.div_ceil(chunk_size);
-    run_indexed(n_chunks, threads, |chunk| {
-        let lo = chunk * chunk_size;
-        let hi = (lo + chunk_size).min(n_agents);
-        run_agents(run, hasher, lo, hi)
+    log_run(cfg, |run| {
+        let (stats, changes, records) = run_daemon(run, threads);
+        let table = {
+            let _phase = botscope_obs::global().phase("monitor_log_assembly");
+            let logs: Vec<FetchEventLog> = records.into_iter().map(Recorded::into_log).collect();
+            let mut table =
+                LogTable::with_capacity(logs.iter().map(FetchEventLog::len).sum(), 1024);
+            for log in &logs {
+                table.absorb(log.table());
+            }
+            table.sort_canonical();
+            table
+        };
+        MonitorOutput {
+            table,
+            changes,
+            stats,
+            horizon_end: cfg.horizon_end(),
+            bots: run.fleet.iter().map(|b| b.spec.canonical.to_string()).collect(),
+            site_windows: site_windows_of(run.transport, cfg.horizon_end()),
+        }
     })
 }
 
-/// The counters, deduplicated transitions, and deployment windows every
-/// assembly path shares (materialized and streaming).
-fn merge_shard_summaries(
+/// Run `body` on the fetch-log run `cfg` scripts: its monitored fleet
+/// over its estate, TTLs sampled from its policy.
+fn log_run<R>(cfg: &MonitorConfig, body: impl FnOnce(&DaemonRun<'_>) -> R) -> R {
+    cfg.assert_valid();
+    let fleet = monitor_fleet(cfg.bots);
+    let transport = VirtualTransport::new(build_estate(cfg));
+    body(&DaemonRun {
+        cfg,
+        fleet: &fleet,
+        transport: &transport,
+        ttl: TtlSource::Config,
+        record: Record::FetchLog,
+    })
+}
+
+/// Run the chunked scheduler to completion: each chunk's record in
+/// chunk-grid order, plus the merged counters and deduplicated
+/// transitions (exported to telemetry).
+pub(crate) fn run_daemon(
     run: &DaemonRun<'_>,
-    shards: &[Shard],
-) -> (MonitorStats, Vec<ChangeDigest>) {
+    threads: usize,
+) -> (MonitorStats, Vec<ChangeDigest>, Vec<Recorded>) {
+    let obs = botscope_obs::global();
+    let mut span = obs.span("monitor_run");
+    span.event_range(run.cfg.start.unix(), run.cfg.horizon_end());
+    let hasher = IpHasher::from_seed(run.cfg.seed);
+    let n_agents = run.cfg.sites * run.fleet.len();
+    let chunk_size = chunk_agents(n_agents);
+    let shards = {
+        let _phase = obs.phase("monitor_agents");
+        run_indexed(n_agents.div_ceil(chunk_size), threads, |chunk| {
+            let lo = chunk * chunk_size;
+            run_agents(run, &hasher, lo, (lo + chunk_size).min(n_agents))
+        })
+    };
     let mut stats = MonitorStats::default();
     let mut merged_changes: BTreeMap<ChangeKey, (u64, u64)> = BTreeMap::new();
+    let mut records = Vec::with_capacity(shards.len());
     for shard in shards {
         stats.merge(&shard.stats);
-        for (key, &(at, observers)) in &shard.changes {
-            let entry = merged_changes.entry(*key).or_insert((at, 0));
+        for (key, (at, observers)) in shard.changes {
+            let entry = merged_changes.entry(key).or_insert((at, 0));
             entry.0 = entry.0.min(at);
             entry.1 += observers;
         }
+        records.push(shard.record);
     }
-    (stats, digest_changes(run.transport, run.fleet, merged_changes))
+    let changes = digest_changes(run.transport, run.fleet, merged_changes);
+    export_telemetry(run.cfg, &stats, &changes);
+    (stats, changes, records)
 }
 
-/// Per-site deployment windows, clipped to the run's horizon.
-fn site_windows_of(run: &DaemonRun<'_>) -> BTreeMap<String, Vec<(PolicyVersion, u64, u64)>> {
-    let horizon_end = run.cfg.horizon_end();
-    (0..run.transport.len())
+/// Move a belief run's per-chunk timelines into a bot-major
+/// [`BeliefAtlas`].
+pub(crate) fn belief_atlas(run: &DaemonRun<'_>, records: Vec<Recorded>) -> BeliefAtlas {
+    let n_bots = run.fleet.len();
+    let bots = run.fleet.iter().map(|b| b.spec.canonical.to_string()).collect();
+    let mut atlas = BeliefAtlas::new(bots, run.cfg.sites);
+    let chunk_size = chunk_agents(run.cfg.sites * n_bots);
+    for (chunk, record) in records.into_iter().enumerate() {
+        let Recorded::Beliefs(timelines) = record else {
+            unreachable!("a belief run records beliefs")
+        };
+        for (local, timeline) in timelines.into_iter().enumerate() {
+            let global = chunk * chunk_size + local;
+            // Agents are site-major; the atlas is bot-major.
+            *atlas.timeline_mut(global % n_bots, global / n_bots) = timeline;
+        }
+    }
+    atlas
+}
+
+/// Per-site deployment windows, clipped to `horizon_end`.
+fn site_windows_of(
+    transport: &VirtualTransport,
+    horizon_end: u64,
+) -> BTreeMap<String, Vec<(PolicyVersion, u64, u64)>> {
+    (0..transport.len())
         .map(|site| {
-            let model = run.transport.model(site);
+            let model = transport.model(site);
             (model.name.clone(), model.policy.version_windows(horizon_end))
         })
         .collect()
@@ -435,14 +493,7 @@ pub fn config_site_windows(
     cfg: &MonitorConfig,
 ) -> BTreeMap<String, Vec<(PolicyVersion, u64, u64)>> {
     cfg.assert_valid();
-    let transport = VirtualTransport::new(build_estate(cfg));
-    let horizon_end = cfg.horizon_end();
-    (0..transport.len())
-        .map(|site| {
-            let model = transport.model(site);
-            (model.name.clone(), model.policy.version_windows(horizon_end))
-        })
-        .collect()
+    site_windows_of(&VirtualTransport::new(build_estate(cfg)), cfg.horizon_end())
 }
 
 /// Flush a finished run's aggregate counters into the global telemetry
@@ -474,55 +525,6 @@ fn export_telemetry(cfg: &MonitorConfig, stats: &MonitorStats, changes: &[Change
     let behavioral = changes.iter().filter(|c| c.class == ChangeClass::Behavioral).count();
     obs.counter(&format!("monitor_behavioral_digests_total{{scenario=\"{scenario}\"}}"))
         .add(behavioral as u64);
-}
-
-/// Run to completion and assemble the merged output (plus the belief
-/// atlas when the run collects beliefs).
-pub(crate) fn run_daemon(
-    run: &DaemonRun<'_>,
-    threads: usize,
-) -> (MonitorOutput, Option<BeliefAtlas>) {
-    let obs = botscope_obs::global();
-    let mut span = obs.span("monitor_run");
-    span.event_range(run.cfg.start.unix(), run.cfg.horizon_end());
-    let hasher = IpHasher::from_seed(run.cfg.seed);
-    let shards = run_shards(run, &hasher, threads);
-    let (stats, changes) = merge_shard_summaries(run, &shards);
-    export_telemetry(run.cfg, &stats, &changes);
-
-    let total_rows: usize = shards.iter().map(|s| s.log.len()).sum();
-    let mut table = LogTable::with_capacity(total_rows, 1024);
-    for shard in &shards {
-        table.absorb(shard.log.table());
-    }
-    table.sort_canonical();
-
-    let atlas = run.collect_beliefs.then(|| {
-        let n_bots = run.fleet.len();
-        let bots = run.fleet.iter().map(|b| b.spec.canonical.to_string()).collect();
-        let mut atlas = BeliefAtlas::new(bots, run.cfg.sites);
-        let n_agents = run.cfg.sites * n_bots;
-        let chunk_size = chunk_agents(n_agents);
-        for (chunk, shard) in shards.iter().enumerate() {
-            let lo = chunk * chunk_size;
-            for (local, timeline) in shard.beliefs.iter().enumerate() {
-                let global = lo + local;
-                // Agents are site-major; the atlas is bot-major.
-                *atlas.timeline_mut(global % n_bots, global / n_bots) = timeline.clone();
-            }
-        }
-        atlas
-    });
-
-    let output = MonitorOutput {
-        table,
-        changes,
-        stats,
-        horizon_end: run.cfg.horizon_end(),
-        bots: run.fleet.iter().map(|b| b.spec.canonical.to_string()).collect(),
-        site_windows: site_windows_of(run),
-    };
-    (output, atlas)
 }
 
 /// A streaming run's summary: everything [`MonitorOutput`] carries
@@ -557,42 +559,25 @@ pub fn run_streaming(
     threads: usize,
     sinks: &mut [&mut dyn botscope_weblog::sink::RowSink],
 ) -> std::io::Result<MonitorSummary> {
-    cfg.assert_valid();
-    let fleet = monitor_fleet(cfg.bots);
-    let transport = VirtualTransport::new(build_estate(cfg));
-    let run = DaemonRun {
-        cfg,
-        fleet: &fleet,
-        transport: &transport,
-        ttl: TtlSource::Config,
-        collect_beliefs: false,
-    };
-    let obs = botscope_obs::global();
-    let mut span = obs.span("monitor_run");
-    span.event_range(cfg.start.unix(), cfg.horizon_end());
-    let hasher = IpHasher::from_seed(cfg.seed);
-    let shards = run_shards(&run, &hasher, threads);
-    let (stats, changes) = merge_shard_summaries(&run, &shards);
-    export_telemetry(cfg, &stats, &changes);
-    let site_windows = site_windows_of(&run);
-
-    // Each shard becomes one canonically sorted run (MergeRun::from_table
-    // sorts stably, so full ties keep push order); the shared k-way merge
-    // tiebreaks on run index — exactly the order `concatenate in chunk
-    // order + stable sort` produces in the materialized path.
-    let runs: Vec<botscope_weblog::MergeRun> = shards
-        .into_iter()
-        .map(|shard| botscope_weblog::MergeRun::from_table(shard.log.into_table()))
-        .collect();
-    let rows = botscope_weblog::merge_runs(runs, sinks)?;
-
-    Ok(MonitorSummary {
-        stats,
-        changes,
-        horizon_end: cfg.horizon_end(),
-        bots: fleet.iter().map(|b| b.spec.canonical.to_string()).collect(),
-        site_windows,
-        rows,
+    log_run(cfg, |run| {
+        let (stats, changes, records) = run_daemon(run, threads);
+        // Each shard becomes one canonically sorted run
+        // (MergeRun::from_table sorts stably, so full ties keep push
+        // order); the shared k-way merge tiebreaks on run index —
+        // exactly the order `concatenate in chunk order + stable sort`
+        // produces in the materialized path.
+        let runs: Vec<botscope_weblog::MergeRun> = records
+            .into_iter()
+            .map(|record| botscope_weblog::MergeRun::from_table(record.into_log().into_table()))
+            .collect();
+        Ok(MonitorSummary {
+            rows: botscope_weblog::merge_runs(runs, sinks)?,
+            stats,
+            changes,
+            horizon_end: cfg.horizon_end(),
+            bots: run.fleet.iter().map(|b| b.spec.canonical.to_string()).collect(),
+            site_windows: site_windows_of(run.transport, cfg.horizon_end()),
+        })
     })
 }
 
@@ -655,11 +640,12 @@ fn run_agents(run: &DaemonRun<'_>, hasher: &IpHasher, lo: usize, hi: usize) -> S
     let DaemonRun { cfg, fleet, transport, .. } = *run;
     let n_bots = fleet.len();
     let horizon = cfg.horizon_end();
-    let mut log = FetchEventLog::new();
-
-    // Per-bot fixed symbols, interned once per shard.
-    let bot_syms: Vec<(Sym, Sym)> =
-        fleet.iter().map(|b| (log.intern(&b.ua_string), log.intern(b.spec.home_asn))).collect();
+    let mut record = match run.record {
+        Record::FetchLog => {
+            Recorded::FetchLog { log: FetchEventLog::new(), columns: Vec::with_capacity(hi - lo) }
+        }
+        Record::Beliefs => Recorded::Beliefs(Vec::with_capacity(hi - lo)),
+    };
 
     let mut agents: Vec<Agent> = Vec::with_capacity(hi - lo);
     let mut queue: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::with_capacity(hi - lo);
@@ -679,24 +665,25 @@ fn run_agents(run: &DaemonRun<'_>, hasher: &IpHasher, lo: usize, hi: usize) -> S
         let first = cfg.start.unix() + rng.gen_range(0..first_window);
         let ip = ip_for(bot.spec.home_asn, rng.gen_range(0..bot.behavior.ip_pool))
             .unwrap_or_else(|| panic!("unknown home ASN {}", bot.spec.home_asn));
-        let (ua, asn) = bot_syms[global % n_bots];
-        let site_sym = log.intern(&transport.model(site).name);
+        match &mut record {
+            Recorded::FetchLog { log, columns } => columns.push((
+                log.intern(&bot.ua_string),
+                log.intern(bot.spec.home_asn),
+                log.intern(&transport.model(site).name),
+                hasher.hash_ipv4(ip),
+            )),
+            Recorded::Beliefs(timelines) => timelines.push(BeliefTimeline::new()),
+        }
         let local = agents.len() as u32;
-        let ttl = ttl_secs.unwrap_or(NEVER);
         agents.push(Agent {
             site: site as u32,
-            ua,
-            asn,
-            site_sym,
-            ip_hash: hasher.hash_ipv4(ip),
-            ttl_secs: ttl,
+            ttl_secs: ttl_secs.unwrap_or(NEVER),
             rng,
-            cache: RobotsCache::new(ttl),
+            fetched_at: None,
             consecutive_failures: 0,
             last_version: None,
             cache_is_policy: false,
             validators: None,
-            beliefs: run.collect_beliefs.then(BeliefTimeline::new),
         });
         if ttl_secs.is_some() && first < horizon {
             queue.push(Reverse((first, local)));
@@ -710,28 +697,38 @@ fn run_agents(run: &DaemonRun<'_>, hasher: &IpHasher, lo: usize, hi: usize) -> S
         debug_assert!(now < horizon, "events past the horizon are never queued");
         let agent = &mut agents[local as usize];
         let global = lo + local as usize;
-        // Replay the cached body's validators while the cache holds a
-        // real parsed policy; after an error outcome the agent needs a
-        // full body back, so no conditional request is sent.
+        // Replay the held body's validators while the agent holds a real
+        // policy; after an error outcome the agent needs a full body
+        // back, so no conditional request is sent.
         let conditional = if agent.cache_is_policy { agent.validators } else { None };
         let fetch =
             transport.fetch_conditional(agent.site as usize, now, global as u64, conditional);
 
-        log.push(
-            agent.ua,
-            agent.asn,
-            agent.site_sym,
-            agent.ip_hash,
-            fetch.resolved.status,
-            fetch.bytes,
-            Timestamp::from_unix(now),
-        );
+        if let Recorded::FetchLog { log, columns } = &mut record {
+            let (ua, asn, site, ip_hash) = columns[local as usize];
+            log.push(
+                ua,
+                asn,
+                site,
+                ip_hash,
+                fetch.resolved.status,
+                fetch.bytes,
+                Timestamp::from_unix(now),
+            );
+        }
+        let mut believe = |policy: BelievedPolicy| {
+            if let Recorded::Beliefs(timelines) = &mut record {
+                timelines[local as usize].record(now, policy);
+            }
+        };
         stats.fetches += 1;
         stats.redirects_followed += fetch.resolved.hops as u64;
         stats.redirects_capped += fetch.resolved.capped as u64;
         stats.latency_ms_sum += fetch.latency_ms as u64;
         stats.latency_ms_max = stats.latency_ms_max.max(fetch.latency_ms);
 
+        // Every outcome restarts the freshness clock.
+        agent.fetched_at = Some(now);
         // The next fetch can never start before the exchange finished.
         let settled = now + 1 + (fetch.latency_ms / 1000) as u64;
         let version = fetch.version;
@@ -739,51 +736,43 @@ fn run_agents(run: &DaemonRun<'_>, hasher: &IpHasher, lo: usize, hi: usize) -> S
 
         let next = match outcome {
             FetchOutcome::NotModified => {
-                // The server honoured the conditional request: the
-                // cached policy is still current. Refresh, count the
-                // transfer that never happened, and carry on — belief
-                // is unchanged by construction.
+                // The server honoured the conditional request: the held
+                // policy is still current. Refresh, count the transfer
+                // that never happened, and carry on — belief is
+                // unchanged by construction.
                 stats.success += 1;
                 stats.revalidated += 1;
                 stats.revalidated_bytes_saved += fetch.saved_bytes;
                 agent.consecutive_failures = 0;
-                let refreshed = agent.cache.refresh(now);
-                debug_assert!(refreshed, "a 304 implies a cached policy");
+                debug_assert!(agent.cache_is_policy, "a 304 implies a held policy");
                 ttl_next(agent, settled)
             }
             FetchOutcome::Success(_) => {
                 stats.success += 1;
                 agent.consecutive_failures = 0;
                 let version = version.expect("success always carries a version");
-                agent.believe(now, BelievedPolicy::Version(version));
-                if agent.last_version == Some(version)
-                    && agent.cache_is_policy
-                    && agent.cache.refresh(now)
-                {
-                    // Unchanged body AND the cache still holds its parsed
+                believe(BelievedPolicy::Version(version));
+                if agent.last_version == Some(version) && agent.cache_is_policy {
+                    // Unchanged body AND the agent still holds its
                     // policy, but the transfer couldn't be elided — the
                     // agent held no validators to present (conditional
                     // requests answer 304 even behind redirect chains,
-                    // so this is a defensive fallback). No re-parse
-                    // needed.
+                    // so this is a defensive fallback).
                     stats.revalidated += 1;
-                } else {
-                    if let Some(previous) = agent.last_version {
-                        // A transition this agent actually observed.
-                        // Recovering the *same* body after an error is
-                        // not one — that path only re-parses.
-                        if previous != version {
-                            stats.policy_changes_observed += 1;
-                            let key = (agent.site, previous.index() as u8, version.index() as u8);
-                            let entry = changes.entry(key).or_insert((now, 0));
-                            entry.0 = entry.0.min(now);
-                            entry.1 += 1;
-                        }
+                } else if let Some(previous) = agent.last_version {
+                    // A transition this agent actually observed.
+                    // Recovering the *same* body after an error is not
+                    // one — that path only re-adopts the body.
+                    if previous != version {
+                        stats.policy_changes_observed += 1;
+                        let key = (agent.site, previous.index() as u8, version.index() as u8);
+                        let entry = changes.entry(key).or_insert((now, 0));
+                        entry.0 = entry.0.min(now);
+                        entry.1 += 1;
                     }
-                    agent.cache.store(now, EffectivePolicy::from_outcome(outcome));
-                    agent.last_version = Some(version);
-                    agent.cache_is_policy = true;
                 }
+                agent.last_version = Some(version);
+                agent.cache_is_policy = true;
                 agent.validators = fetch.validators;
                 ttl_next(agent, settled)
             }
@@ -791,9 +780,8 @@ fn run_agents(run: &DaemonRun<'_>, hasher: &IpHasher, lo: usize, hi: usize) -> S
                 stats.client_errors += 1;
                 agent.consecutive_failures = 0;
                 // Unavailable ⇒ allow all, and the cadence stays TTL-driven.
-                agent.cache.store(now, EffectivePolicy::from_outcome(outcome));
                 agent.cache_is_policy = false;
-                agent.believe(now, BelievedPolicy::AllowAll);
+                believe(BelievedPolicy::AllowAll);
                 ttl_next(agent, settled)
             }
             FetchOutcome::ServerError(_) | FetchOutcome::NetworkError => {
@@ -804,9 +792,8 @@ fn run_agents(run: &DaemonRun<'_>, hasher: &IpHasher, lo: usize, hi: usize) -> S
                 }
                 // Unreachable ⇒ complete disallow until a fetch succeeds,
                 // retried under exponential backoff.
-                agent.cache.store(now, EffectivePolicy::from_outcome(outcome));
                 agent.cache_is_policy = false;
-                agent.believe(now, BelievedPolicy::DisallowAll);
+                believe(BelievedPolicy::DisallowAll);
                 agent.consecutive_failures += 1;
                 stats.backoff_retries += 1;
                 let shift = (agent.consecutive_failures - 1).min(7);
@@ -818,7 +805,7 @@ fn run_agents(run: &DaemonRun<'_>, hasher: &IpHasher, lo: usize, hi: usize) -> S
         if let Some(at) = next {
             if at < horizon {
                 debug_assert!(
-                    agent.cache.needs_fetch(at) || agent.consecutive_failures > 0,
+                    agent.needs_fetch(at) || agent.consecutive_failures > 0,
                     "TTL-scheduled fetches land at or after expiry"
                 );
                 queue.push(Reverse((at, local)));
@@ -826,12 +813,7 @@ fn run_agents(run: &DaemonRun<'_>, hasher: &IpHasher, lo: usize, hi: usize) -> S
         }
     }
 
-    let beliefs = if run.collect_beliefs {
-        agents.into_iter().filter_map(|a| a.beliefs).collect()
-    } else {
-        Vec::new()
-    };
-    Shard { log, stats, changes, beliefs }
+    Shard { record, stats, changes }
 }
 
 /// The TTL-driven next due time (never for the fetch-once cohort).
@@ -839,8 +821,8 @@ fn ttl_next(agent: &mut Agent, settled: u64) -> Option<u64> {
     if agent.ttl_secs == NEVER {
         return None;
     }
-    // Schedule exactly at expiry plus a small de-aliasing jitter; the
-    // cache's `needs_fetch` is true at the boundary.
+    // Schedule exactly at expiry plus a small de-aliasing jitter;
+    // `Agent::needs_fetch` is true at the boundary.
     Some(settled - 1 + agent.ttl_secs + agent.rng.gen_range(0..61))
 }
 
@@ -1044,7 +1026,7 @@ mod tests {
             fleet: &fleet,
             transport: &transport,
             ttl: TtlSource::Config,
-            collect_beliefs: true,
+            record: Record::Beliefs,
         };
         let shard = run_agents(&run, &hasher, 0, 1);
         let s = &shard.stats;
@@ -1059,7 +1041,8 @@ mod tests {
         // Belief trace: Unfetched → Base → disallow-all through the
         // outage → Base again on recovery. The recovery re-parse is a
         // belief transition even though it is not a policy change.
-        let beliefs = &shard.beliefs[0];
+        let Recorded::Beliefs(timelines) = &shard.record else { panic!("a belief run") };
+        let beliefs = &timelines[0];
         use BelievedPolicy as B;
         let kinds: Vec<B> = beliefs.segments().iter().map(|&(_, p)| p).collect();
         assert_eq!(
@@ -1102,8 +1085,18 @@ mod tests {
             ttl: TtlPolicy::FixedHours(12),
             ..MonitorConfig::default()
         };
-        let (out, atlas) = run_with_beliefs(&cfg, 2);
-        assert_eq!(atlas.bots, out.bots);
+        let (fleet, transport) =
+            (monitor_fleet(cfg.bots), VirtualTransport::new(build_estate(&cfg)));
+        let run = DaemonRun {
+            cfg: &cfg,
+            fleet: &fleet,
+            transport: &transport,
+            ttl: TtlSource::Config,
+            record: Record::Beliefs,
+        };
+        let atlas = belief_atlas(&run, run_daemon(&run, 2).2);
+        let bots: Vec<String> = fleet.iter().map(|b| b.spec.canonical.to_string()).collect();
+        assert_eq!(atlas.bots, bots);
         assert_eq!(atlas.n_sites(), cfg.sites);
         // Before the horizon every agent is Unfetched; after its first
         // fetch a stable non-swap site is believed Base forever.
@@ -1111,7 +1104,7 @@ mod tests {
         for bot in 0..atlas.bots.len() {
             let tl = atlas.timeline(bot, static_site);
             assert_eq!(tl.at(cfg.start.unix()), BelievedPolicy::Unfetched);
-            assert_eq!(tl.at(out.horizon_end), BelievedPolicy::Version(PolicyVersion::Base));
+            assert_eq!(tl.at(cfg.horizon_end()), BelievedPolicy::Version(PolicyVersion::Base));
             assert_eq!(tl.transitions(), 1, "static site: one belief transition, got {tl:?}");
         }
         // Swap sites accumulate version transitions that the 12h TTL
@@ -1120,8 +1113,44 @@ mod tests {
             (0..atlas.bots.len()).map(|bot| atlas.timeline(bot, 0).transitions()).sum();
         assert!(swapped > atlas.bots.len(), "swap site must show belief churn: {swapped}");
         // The atlas is identical at any worker count.
-        let (_, atlas8) = run_with_beliefs(&cfg, 8);
-        assert_eq!(atlas, atlas8);
+        assert_eq!(atlas, belief_atlas(&run, run_daemon(&run, 8).2));
+    }
+
+    #[test]
+    fn what_a_run_records_does_not_change_what_it_computes() {
+        // The coupled belief stage's shape: every bot at its own
+        // cadence (never-checkers included), under mixed weather with
+        // swaps, so errors, backoff and change digests all occur.
+        let cfg = MonitorConfig {
+            sites: 16,
+            days: 30,
+            swap_every: 2,
+            scenario: ScenarioKind::Mixed,
+            ..MonitorConfig::default()
+        };
+        let (fleet, transport) = (build_fleet(), VirtualTransport::new(build_estate(&cfg)));
+        let run = |record| DaemonRun {
+            cfg: &cfg,
+            fleet: &fleet,
+            transport: &transport,
+            ttl: TtlSource::FleetCadence,
+            record,
+        };
+        let (log_stats, log_changes, logs) = run_daemon(&run(Record::FetchLog), 1);
+        let rows: usize = logs.into_iter().map(|r| r.into_log().len()).sum();
+        assert_eq!(rows as u64, log_stats.fetches);
+        assert!(log_stats.server_errors + log_stats.network_errors > 0, "{log_stats:?}");
+        assert!(!log_changes.is_empty(), "swap sites must be observed");
+
+        let beliefs = run(Record::Beliefs);
+        let atlases = [1, 2, 8].map(|threads| {
+            let (stats, changes, records) = run_daemon(&beliefs, threads);
+            assert_eq!(stats, log_stats, "{threads} workers");
+            assert_eq!(changes, log_changes, "{threads} workers");
+            belief_atlas(&beliefs, records)
+        });
+        assert!(atlases[0].total_transitions() > 0);
+        assert!(atlases.windows(2).all(|w| w[0] == w[1]), "the atlas depends on the worker count");
     }
 
     #[test]

@@ -21,20 +21,17 @@
 //! * [`scenario`] — per-site weather scripted deterministically from
 //!   the master seed (stable / outages / flapping / redirects / mixed),
 //!   plus rolling four-phase policy swaps.
-//! * [`daemon`] — one `RobotsCache`-backed fetch agent per (bot, site),
-//!   TTLs sampled from the observed 12 h–never spectrum, conditional
-//!   requests (`ETag`/`Last-Modified` → `304`s with bytes-saved
-//!   accounting), exponential backoff on unreachable hosts, policy
-//!   re-resolution via `EffectivePolicy::from_outcome`, and change
-//!   detection digested through `robotstxt::diff`. The sharded
-//!   binary-heap scheduler honours `BOTSCOPE_THREADS` and emits a
-//!   byte-identical interned [`botscope_weblog::LogTable`] of fetch
-//!   events at any worker count — or streams rows through
-//!   [`botscope_weblog::sink::RowSink`]s ([`daemon::run_streaming`])
-//!   without ever materializing it. Every agent's believed-policy
-//!   timeline can be exported as a
-//!   [`botscope_simnet::belief::BeliefAtlas`]
-//!   ([`daemon::run_with_beliefs`]).
+//! * [`daemon`] — one fetch agent per (bot, site) holding only
+//!   freshness state, TTLs sampled from the observed 12 h–never
+//!   spectrum, conditional requests (`ETag`/`Last-Modified` → `304`s
+//!   with bytes-saved accounting), exponential backoff on unreachable
+//!   hosts, and change detection digested through `robotstxt::diff`.
+//!   The sharded binary-heap scheduler honours `BOTSCOPE_THREADS`. A
+//!   run records either the fetch log — a byte-identical interned
+//!   [`botscope_weblog::LogTable`] at any worker count, or rows
+//!   streamed through [`botscope_weblog::sink::RowSink`]s
+//!   ([`daemon::run_streaming`]) — or, for [`coupled`], every agent's
+//!   believed-policy timeline.
 //! * [`coupled`] — the belief-coupled pipeline: the daemon derives
 //!   per-(bot, site) beliefs at each bot's own re-check cadence, the
 //!   traffic generator consults them instead of the schedule, and the
@@ -80,8 +77,8 @@ pub use coupled::{
     run_coupled, run_coupled_with_threads, CoupledConfig, CoupledOutput, RefreshModel,
 };
 pub use daemon::{
-    config_site_windows, run, run_streaming, run_with_beliefs, run_with_threads, ChangeDigest,
-    MonitorConfig, MonitorOutput, MonitorStats, MonitorSummary, TtlPolicy,
+    config_site_windows, run, run_streaming, run_with_threads, ChangeDigest, MonitorConfig,
+    MonitorOutput, MonitorStats, MonitorSummary, TtlPolicy,
 };
 pub use scenario::ScenarioKind;
 pub use transport::{ServerModel, Validators, VirtualTransport};

@@ -16,9 +16,7 @@
 //!
 //! [`RobotsCache`] models the client-side caching convention the paper
 //! measures in §5.1: Google's documented standard is to re-fetch every 24
-//! hours, but observed bots range from "every 12 h" to "never". The cache
-//! records every check time, which is exactly the signal the study's
-//! re-check-frequency analysis consumes.
+//! hours, but observed bots range from "every 12 h" to "never".
 
 use crate::model::RobotsTxt;
 
@@ -220,14 +218,11 @@ impl EffectivePolicy {
 
 /// A crawler-side robots.txt cache with a fixed time-to-live.
 ///
-/// Time is a plain `u64` of seconds (the simulator's clock); the cache
-/// records when each check happened so analyses can reconstruct the bot's
-/// re-check cadence.
+/// Time is a plain `u64` of seconds (the simulator's clock).
 #[derive(Debug, Clone)]
 pub struct RobotsCache {
     ttl_secs: u64,
     cached: Option<(u64, EffectivePolicy)>,
-    check_times: Vec<u64>,
 }
 
 /// The convention Google documents and the paper cites: re-fetch daily.
@@ -236,7 +231,7 @@ pub const DEFAULT_TTL_SECS: u64 = 24 * 3600;
 impl RobotsCache {
     /// New cache with the given TTL in seconds.
     pub fn new(ttl_secs: u64) -> Self {
-        Self { ttl_secs, cached: None, check_times: Vec::new() }
+        Self { ttl_secs, cached: None }
     }
 
     /// New cache with the 24-hour default TTL.
@@ -255,20 +250,18 @@ impl RobotsCache {
 
     /// Store the result of a fetch performed at `now`.
     pub fn store(&mut self, now: u64, policy: EffectivePolicy) {
-        self.check_times.push(now);
         self.cached = Some((now, policy));
     }
 
     /// Record a successful re-validation of the cached entry at `now`
     /// (HTTP `304`-style: the server confirmed the policy is unchanged).
-    /// The freshness clock restarts and the check joins the re-check
-    /// trace, without re-parsing or re-storing the policy. Returns
-    /// `false` — and records nothing — when the cache is empty.
+    /// The freshness clock restarts without re-parsing or re-storing the
+    /// policy. Returns `false` — and changes nothing — when the cache is
+    /// empty.
     pub fn refresh(&mut self, now: u64) -> bool {
         match self.cached.as_mut() {
             Some((at, _)) => {
                 *at = now;
-                self.check_times.push(now);
                 true
             }
             None => false,
@@ -281,12 +274,6 @@ impl RobotsCache {
             Some((at, policy)) if now.saturating_sub(*at) < self.ttl_secs => Some(policy),
             _ => None,
         }
-    }
-
-    /// Every time a fetch was stored — the re-check trace the §5.1
-    /// analysis consumes.
-    pub fn check_times(&self) -> &[u64] {
-        &self.check_times
     }
 
     /// The configured TTL.
@@ -359,7 +346,8 @@ mod tests {
         assert!(c.needs_fetch(110)); // 10 + 100 elapsed
         assert!(c.get(110).is_none());
         c.store(110, EffectivePolicy::DisallowAll);
-        assert_eq!(c.check_times(), &[10, 110]);
+        assert!(!c.needs_fetch(209));
+        assert_eq!(c.get(200), Some(&EffectivePolicy::DisallowAll));
     }
 
     #[test]
@@ -485,31 +473,14 @@ mod tests {
     #[test]
     fn refresh_restarts_freshness_without_restoring() {
         let mut c = RobotsCache::new(100);
-        assert!(!c.refresh(10), "refresh of an empty cache records nothing");
-        assert!(c.check_times().is_empty());
+        assert!(!c.refresh(10), "refresh of an empty cache changes nothing");
+        assert!(c.needs_fetch(10));
         c.store(10, EffectivePolicy::DisallowAll);
         assert!(c.refresh(90));
         // The entry is now fresh until 190, and the policy is unchanged.
         assert!(!c.needs_fetch(189));
         assert!(c.needs_fetch(190));
         assert_eq!(c.get(100), Some(&EffectivePolicy::DisallowAll));
-        assert_eq!(c.check_times(), &[10, 90]);
-    }
-
-    #[test]
-    fn check_times_stay_monotonic_for_monotonic_stores() {
-        let mut c = RobotsCache::new(3600);
-        let mut expected = Vec::new();
-        for (i, now) in [0u64, 10, 3610, 3615, 7300, 11_000].iter().enumerate() {
-            if i % 2 == 0 {
-                c.store(*now, EffectivePolicy::AllowAll);
-            } else {
-                assert!(c.refresh(*now));
-            }
-            expected.push(*now);
-        }
-        assert_eq!(c.check_times(), expected.as_slice());
-        assert!(c.check_times().windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]

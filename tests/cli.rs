@@ -592,6 +592,24 @@ fn coupled_manifest_lists_every_stage() {
     ] {
         assert!(phases.contains(&format!("[\"{phase}\", ")), "{phase} missing: {phases}");
     }
+    // The belief stage runs the monitor's agents but records beliefs
+    // only: no fetch log is assembled.
+    assert!(phases.contains("[\"monitor_agents\", "), "{phases}");
+    assert!(!phases.contains("monitor_log_assembly"), "{phases}");
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn monitor_manifest_lists_its_stages() {
+    let dir = empty_dir("monitor-phases");
+    let args = ["monitor", "--sites", "8", "--days", "5", "--bots", "3"];
+    let out = botscope_in(&dir, &[&args[..], &["--manifest", "run.manifest"]].concat());
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let manifest = std::fs::read_to_string(dir.join("run.manifest")).expect("manifest written");
+    let phases = manifest.lines().find(|l| l.contains("\"phases\"")).expect("phases line");
+    for phase in ["monitor_agents", "monitor_log_assembly"] {
+        assert!(phases.contains(&format!("[\"{phase}\", ")), "{phase} missing: {phases}");
+    }
     let _ = std::fs::remove_dir_all(dir);
 }
 
