@@ -34,13 +34,16 @@
 //! `run_indexed` worker pool. A chunk keeps per-bot counts beside its
 //! slice of the excusal mask, so the attribution report and the rows a
 //! believed-basis analysis drops come from the same verdicts; chunks
-//! merge by summation. [`score_table`] needs τ groups per bot, so it
-//! fans out per-bot stages with a deterministic bot-name merge instead.
-//! Timelines are stepwise and log rows arrive in chronological order,
-//! so per-(bot, site) [`TimelineCursor`]s replace the per-row binary
-//! searches with amortized-O(1) forward steps. The `attribution_equiv`
-//! tests pin both against serial oracles written over the public
-//! belief and corpus APIs.
+//! merge by summation. The believed-basis compliance tables are not
+//! scored here: [`Experiment::analyze_table_excluding`] runs the one
+//! §4 engine over the rows the mask keeps. Timelines are stepwise and
+//! log rows arrive in chronological order, so per-(bot, site) timeline
+//! cursors replace the per-row binary searches with amortized-O(1)
+//! forward steps. The `attribution_equiv` tests pin the counts and the
+//! mask against serial oracles written over the public belief and
+//! corpus APIs.
+//!
+//! [`Experiment::analyze_table_excluding`]: crate::analyze::Experiment::analyze_table_excluding
 //!
 //! **Granularity caveat.** Scoring is per access, at the access's own
 //! instant — the only vantage point a log analyst has. The generation
@@ -57,13 +60,12 @@
 use std::collections::{BTreeMap, HashMap};
 
 use botscope_simnet::belief::{BeliefAtlas, BeliefTimeline, BelievedPolicy};
-use botscope_simnet::engine::{run_indexed, worker_threads};
+use botscope_simnet::engine::run_indexed;
 use botscope_simnet::server::PolicyCorpus;
 use botscope_weblog::intern::Sym;
-use botscope_weblog::table::{LogTable, RecordRow};
+use botscope_weblog::table::LogTable;
 
-use crate::metrics::DirectiveCounts;
-use crate::pipeline::{agent_specs, standardize_table, BotRowView};
+use crate::pipeline::agent_specs;
 
 /// Which policy a metric is computed against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -183,8 +185,8 @@ fn site_index_of(table: &LogTable, n_sites: usize) -> Vec<Option<usize>> {
 /// call. Log rows arrive in (near-)chronological order, so a cursor
 /// that remembers its seat and only steps forward answers each lookup
 /// in amortized O(1). A query earlier than the seated segment re-seats
-/// by binary search and counts a reset — the τ-group crawl-delay sweep
-/// rewinds once per group; the row sweep essentially never does.
+/// by binary search and counts a reset; a chronological row sweep
+/// essentially never does.
 struct TimelineCursor<'a> {
     segments: &'a [(u64, BelievedPolicy)],
     /// Index of the segment the last query landed in.
@@ -235,9 +237,9 @@ impl<'a> SiteCursors<'a> {
     }
 }
 
-/// Telemetry accumulated by one sweep stage. Stages return their stats
-/// and the caller merges them serially in stage order (chunk or bot
-/// name), so counter totals are worker-count invariant.
+/// Telemetry accumulated by one sweep chunk. Chunks return their stats
+/// and the caller merges them serially in chunk order, so counter
+/// totals are worker-count invariant.
 #[derive(Debug, Clone, Copy)]
 struct SweepStats {
     rows: u64,
@@ -299,22 +301,12 @@ pub struct Attribution {
     pub excused: Vec<bool>,
 }
 
-/// Attribute every fleet bot's page accesses in `table` against the
-/// monitored beliefs and the served ground truth. Bots absent from the
-/// atlas (anonymous traffic, unknown agents) and rows on sites outside
-/// the estate are skipped; robots.txt fetches are always allowed and
-/// not counted. Runs over [`worker_threads`] scoped workers.
-pub fn attribute_table(
-    table: &LogTable,
-    beliefs: &BeliefAtlas,
-    served: &[BeliefTimeline],
-    corpus: &PolicyCorpus,
-) -> BTreeMap<String, AttributionCounts> {
-    attribute_table_with_threads(table, beliefs, served, corpus, worker_threads())
-}
-
-/// [`attribute_table`] with an explicit worker count: the counts of
-/// [`attribute_rows`]. Output is identical at any worker count.
+/// The per-bot counts of [`attribute_rows`]: every fleet bot's page
+/// accesses in `table`, judged against the monitored beliefs and the
+/// served ground truth. Bots absent from the atlas (anonymous traffic,
+/// unknown agents) and rows on sites outside the estate are skipped;
+/// robots.txt fetches are always allowed and not counted. Output is
+/// identical at any worker count.
 pub fn attribute_table_with_threads(
     table: &LogTable,
     beliefs: &BeliefAtlas,
@@ -448,159 +440,6 @@ pub fn attribute_rows(
     Attribution { counts, excused }
 }
 
-// ---------------------------------------------------------------------
-// Basis scoring.
-// ---------------------------------------------------------------------
-
-/// Believed- and served-basis compliance of one bot, in the §4.2
-/// success/trial vocabulary.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PolicyScore {
-    /// Allowed-target compliance: every access is a trial, successes
-    /// are accesses the basis policy allowed (robots.txt fetches are
-    /// always successes — cf. the disallow metric).
-    pub allowed: DirectiveCounts,
-    /// Crawl-delay compliance: τ-stratified inter-access deltas are
-    /// trials only while the basis policy sets a crawl delay for the
-    /// bot; successes are deltas meeting it.
-    pub crawl_delay: DirectiveCounts,
-}
-
-/// Score every fleet bot's accesses against the believed or the served
-/// policy — the generalization of the endpoint/disallow ("allowed
-/// target") and crawl-delay metrics to arbitrary policy timelines.
-/// Computing both bases and differencing them is the coupled analysis:
-/// believed-basis compliance measures intent, served-basis compliance
-/// measures effect. Fans out over [`worker_threads`] scoped workers.
-pub fn score_table(
-    table: &LogTable,
-    beliefs: &BeliefAtlas,
-    served: &[BeliefTimeline],
-    corpus: &PolicyCorpus,
-    basis: PolicyBasis,
-) -> BTreeMap<String, PolicyScore> {
-    score_table_with_threads(table, beliefs, served, corpus, basis, worker_threads())
-}
-
-/// [`score_table`] with an explicit worker count: per-bot stages,
-/// bot-name merge, worker-count-invariant output.
-pub fn score_table_with_threads(
-    table: &LogTable,
-    beliefs: &BeliefAtlas,
-    served: &[BeliefTimeline],
-    corpus: &PolicyCorpus,
-    basis: PolicyBasis,
-    threads: usize,
-) -> BTreeMap<String, PolicyScore> {
-    let obs = botscope_obs::global();
-    let mut span = obs.span("attribution_score_table");
-    let logs = standardize_table(table);
-    let n_sites = served.len().min(beliefs.n_sites());
-    let site_of = site_index_of(table, n_sites);
-    let bot_index: BTreeMap<&str, usize> =
-        beliefs.bots.iter().enumerate().map(|(i, name)| (name.as_str(), i)).collect();
-
-    let views: Vec<&BotRowView<'_>> = logs.bots.values().collect();
-    let results: Vec<Option<(PolicyScore, SweepStats)>> = run_indexed(views.len(), threads, |i| {
-        let view = views[i];
-        let &bot = bot_index.get(view.name.as_str())?;
-        Some(score_bot(table, view, bot, beliefs, served, corpus, basis, &site_of))
-    });
-
-    let mut stats = SweepStats::default();
-    let mut out = BTreeMap::new();
-    for (view, result) in views.iter().zip(results) {
-        let Some((score, bot_stats)) = result else {
-            continue;
-        };
-        stats.merge(bot_stats);
-        if score.allowed.trials > 0 {
-            out.insert(view.name.clone(), score);
-        }
-    }
-    stats.flush("score");
-    if stats.rows > 0 {
-        span.event_range(stats.event_lo, stats.event_hi);
-    }
-    out
-}
-
-/// One bot's basis score. The row sweep is chronological (cursors step
-/// forward); the crawl-delay pass walks τ groups in key order, each
-/// group time-sorted, so the cursor re-seats at most once per group.
-#[allow(clippy::too_many_arguments)]
-fn score_bot(
-    table: &LogTable,
-    view: &BotRowView<'_>,
-    bot: usize,
-    beliefs: &BeliefAtlas,
-    served: &[BeliefTimeline],
-    corpus: &PolicyCorpus,
-    basis: PolicyBasis,
-    site_of: &[Option<usize>],
-) -> (PolicyScore, SweepStats) {
-    let n_sites = served.len().min(beliefs.n_sites());
-    let mut basis_at = match basis {
-        PolicyBasis::Believed => SiteCursors::over_beliefs(beliefs, bot, n_sites),
-        PolicyBasis::Served => SiteCursors::over_served(served, n_sites),
-    };
-    let mut cache = AllowCache::new(corpus, &view.name);
-    let mut score = PolicyScore::default();
-    let mut stats = SweepStats::default();
-
-    // Allowed-target metric, and τ-group collection in one sweep. The
-    // grouping map is ordered so the crawl-delay pass below visits
-    // groups deterministically (cursor-reset telemetry stays
-    // worker-count and run-to-run invariant).
-    let mut by_tau: BTreeMap<(usize, u64, usize), Vec<&RecordRow>> = BTreeMap::new();
-    for &row in &view.rows {
-        let Some(site) = site_of[row.sitename.index()] else {
-            continue;
-        };
-        let t = row.timestamp.unix();
-        stats.observe_row(t);
-        let policy = basis_at.at(site, t, &mut stats);
-        score.allowed.trials += 1;
-        if cache.allows(table, policy, row.uri_path) {
-            score.allowed.successes += 1;
-        }
-        by_tau.entry((row.asn.index(), row.ip_hash, row.useragent.index())).or_default().push(row);
-    }
-
-    // Crawl-delay under the basis policy: a delta is a trial only
-    // when the policy live (on the later access's site, at its
-    // instant) sets a delay for this bot; single-access τ groups
-    // under a live delay count as one compliant instance, matching
-    // the §4.2 convention.
-    for rows in by_tau.values_mut() {
-        rows.sort_by_key(|r| r.timestamp);
-        if rows.len() == 1 {
-            let row = rows[0];
-            let site = site_of[row.sitename.index()].expect("filtered above");
-            let policy = basis_at.at(site, row.timestamp.unix(), &mut stats);
-            if policy.crawl_delay(corpus, &view.name).is_some() {
-                score.crawl_delay.successes += 1;
-                score.crawl_delay.trials += 1;
-            }
-            continue;
-        }
-        for pair in rows.windows(2) {
-            let later = pair[1];
-            let site = site_of[later.sitename.index()].expect("filtered above");
-            let policy = basis_at.at(site, later.timestamp.unix(), &mut stats);
-            let Some(required) = policy.crawl_delay(corpus, &view.name) else {
-                continue;
-            };
-            let delta = later.timestamp.unix() - pair[0].timestamp.unix();
-            score.crawl_delay.trials += 1;
-            if delta as f64 >= required {
-                score.crawl_delay.successes += 1;
-            }
-        }
-    }
-    (score, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -670,8 +509,8 @@ mod tests {
             rec(1_700, "/robots.txt"), // never an attribution target
         ];
         let table = LogTable::from_records(&records);
-        let out = attribute_table(&table, &beliefs, &served, &corpus);
-        let c = out["GPTBot"];
+        let out = attribute_rows(&table, &beliefs, &served, &corpus, 1);
+        let c = out.counts["GPTBot"];
         assert_eq!(c.accesses, 3);
         assert_eq!(c.allowed_served, 1);
         assert_eq!(c.stale_cache, 2, "{c:?}");
@@ -682,8 +521,7 @@ mod tests {
         assert_eq!(c.deliberate_share(), Some(0.0));
 
         // The excusal mask marks exactly the two stale-cache rows.
-        let mask = attribute_rows(&table, &beliefs, &served, &corpus, 1).excused;
-        assert_eq!(mask, vec![false, true, true, false]);
+        assert_eq!(out.excused, vec![false, true, true, false]);
     }
 
     #[test]
@@ -695,14 +533,14 @@ mod tests {
         let served = vec![BeliefTimeline::always(v(PolicyVersion::V3DisallowAll))];
         let records = vec![rec(10, "/news/item-001"), rec(20, "/people/person-0001")];
         let table = LogTable::from_records(&records);
-        let c = attribute_table(&table, &beliefs, &served, &corpus)["GPTBot"];
+        let out = attribute_rows(&table, &beliefs, &served, &corpus, 1);
+        let c = out.counts["GPTBot"];
         assert_eq!(c.deliberate, 2);
         assert_eq!(c.believed_violations, 2);
         assert_eq!(c.stale_cache + c.fetch_artifact, 0);
         assert_eq!(c.deliberate_share(), Some(1.0));
         // Deliberate violations are never excused.
-        let mask = attribute_rows(&table, &beliefs, &served, &corpus, 1).excused;
-        assert_eq!(mask, vec![false, false]);
+        assert_eq!(out.excused, vec![false, false]);
     }
 
     #[test]
@@ -711,7 +549,7 @@ mod tests {
         let beliefs = atlas_with(BeliefTimeline::new()); // Unfetched forever
         let served = vec![BeliefTimeline::always(v(PolicyVersion::V3DisallowAll))];
         let table = LogTable::from_records(&[rec(10, "/news/item-001")]);
-        let c = attribute_table(&table, &beliefs, &served, &corpus)["GPTBot"];
+        let c = attribute_rows(&table, &beliefs, &served, &corpus, 1).counts["GPTBot"];
         assert_eq!(c.deliberate, 1, "choosing ignorance is not an excuse: {c:?}");
         assert_eq!(c.believed_violations, 0, "it believed nothing forbade it");
     }
@@ -725,11 +563,11 @@ mod tests {
         let beliefs = atlas_with(BeliefTimeline::always(BelievedPolicy::AllowAll));
         let served = vec![BeliefTimeline::always(v(PolicyVersion::V3DisallowAll))];
         let table = LogTable::from_records(&[rec(10, "/news/item-001")]);
-        let c = attribute_table(&table, &beliefs, &served, &corpus)["GPTBot"];
+        let out = attribute_rows(&table, &beliefs, &served, &corpus, 1);
+        let c = out.counts["GPTBot"];
         assert_eq!(c.fetch_artifact, 1, "{c:?}");
         assert_eq!(c.deliberate, 0);
-        let mask = attribute_rows(&table, &beliefs, &served, &corpus, 1).excused;
-        assert_eq!(mask, vec![true], "fetch artifacts are excused");
+        assert_eq!(out.excused, vec![true], "fetch artifacts are excused");
     }
 
     #[test]
@@ -740,61 +578,11 @@ mod tests {
         let beliefs = atlas_with(BeliefTimeline::always(v(PolicyVersion::Base)));
         let served = vec![BeliefTimeline::always(v(PolicyVersion::Base))];
         let table = LogTable::from_records(&[rec(10, "/secure/admin-0"), rec(20, "/about")]);
-        let c = attribute_table(&table, &beliefs, &served, &corpus)["GPTBot"];
+        let c = attribute_rows(&table, &beliefs, &served, &corpus, 1).counts["GPTBot"];
         assert_eq!(c.accesses, 2);
         assert_eq!(c.allowed_served, 1);
         assert_eq!(c.deliberate, 1);
         assert_eq!(c.believed_violations, 1);
-    }
-
-    #[test]
-    fn score_bases_diverge_exactly_where_beliefs_do() {
-        let corpus = PolicyCorpus::new();
-        let beliefs = atlas_with(BeliefTimeline::always(v(PolicyVersion::Base)));
-        let mut served_tl = BeliefTimeline::always(v(PolicyVersion::Base));
-        served_tl.record(1_000, v(PolicyVersion::V3DisallowAll));
-        let served = vec![served_tl];
-        let records = vec![
-            rec(100, "/news/item-001"),
-            rec(1_500, "/news/item-001"),
-            rec(1_600, "/robots.txt"),
-        ];
-        let table = LogTable::from_records(&records);
-
-        let believed =
-            score_table(&table, &beliefs, &served, &corpus, PolicyBasis::Believed)["GPTBot"];
-        let served_score =
-            score_table(&table, &beliefs, &served, &corpus, PolicyBasis::Served)["GPTBot"];
-        // Believed basis: all three rows allowed (robots.txt always).
-        assert_eq!(believed.allowed, DirectiveCounts { successes: 3, trials: 3 });
-        // Served basis: the post-swap page fetch is a violation.
-        assert_eq!(served_score.allowed, DirectiveCounts { successes: 2, trials: 3 });
-        // No crawl delay in either policy: zero trials.
-        assert_eq!(believed.crawl_delay.trials, 0);
-        assert_eq!(served_score.crawl_delay.trials, 0);
-    }
-
-    #[test]
-    fn crawl_delay_trials_only_while_delay_is_live() {
-        let corpus = PolicyCorpus::new();
-        // Served: v1 (30 s crawl delay) from t=1000 on; Base before.
-        let mut served_tl = BeliefTimeline::always(v(PolicyVersion::Base));
-        served_tl.record(1_000, v(PolicyVersion::V1CrawlDelay));
-        let served = vec![served_tl.clone()];
-        let beliefs = atlas_with(served_tl); // belief tracks served
-        let records = vec![
-            rec(0, "/a"),
-            rec(5, "/b"),     // delta 5 under Base: no trial
-            rec(1_100, "/c"), // delta 1095 under v1: compliant trial
-            rec(1_110, "/d"), // delta 10 under v1: violating trial
-        ];
-        let table = LogTable::from_records(&records);
-        let s = score_table(&table, &beliefs, &served, &corpus, PolicyBasis::Served)["GPTBot"];
-        assert_eq!(s.crawl_delay, DirectiveCounts { successes: 1, trials: 2 }, "{s:?}");
-        // A single access while the delay is live counts once.
-        let table = LogTable::from_records(&[rec(2_000, "/a")]);
-        let s = score_table(&table, &beliefs, &served, &corpus, PolicyBasis::Served)["GPTBot"];
-        assert_eq!(s.crawl_delay, DirectiveCounts { successes: 1, trials: 1 });
     }
 
     #[test]
@@ -806,10 +594,9 @@ mod tests {
         records.push(AccessRecord { useragent: "curl/8.0".into(), ..rec(20, "/about") });
         records.push(AccessRecord { sitename: "elsewhere.example.com".into(), ..rec(30, "/x") });
         let table = LogTable::from_records(&records);
-        let out = attribute_table(&table, &beliefs, &served, &corpus);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out["GPTBot"].accesses, 1);
-        let mask = attribute_rows(&table, &beliefs, &served, &corpus, 2).excused;
-        assert_eq!(mask, vec![false, false, false]);
+        let out = attribute_rows(&table, &beliefs, &served, &corpus, 2);
+        assert_eq!(out.counts.len(), 1);
+        assert_eq!(out.counts["GPTBot"].accesses, 1);
+        assert_eq!(out.excused, vec![false, false, false]);
     }
 }

@@ -25,10 +25,10 @@
 //! 5. [`recheck`] — the §5.1 robots.txt re-check-frequency analysis
 //!    (Table 7, Figure 10), including the monitored digest-window
 //!    matrix ([`recheck::phase_check_matrix`]);
-//! 6. [`attribution`] — ground-truth-aware scoring over the belief
-//!    layer: every compliance metric against *believed* or *served*
-//!    policy, and a per-bot split of served violations into deliberate
-//!    / stale-cache / fetch-artifact;
+//! 6. [`attribution`] — ground-truth-aware attribution over the belief
+//!    layer: a per-bot split of served violations into deliberate /
+//!    stale-cache / fetch-artifact, and the per-row excusal mask that
+//!    turns every compliance metric into its *believed*-policy basis;
 //! 7. [`report`] — render every table and figure of the paper's
 //!    evaluation from an analysis result.
 //!
@@ -61,7 +61,7 @@ pub mod stream;
 pub mod tables;
 
 pub use analyze::{Directive, Experiment};
-pub use attribution::{AttributionCounts, PolicyBasis, PolicyScore};
+pub use attribution::{AttributionCounts, PolicyBasis};
 pub use metrics::DirectiveCounts;
 pub use spoofdetect::SpoofReport;
 pub use stream::StreamAnalyzer;

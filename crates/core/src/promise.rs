@@ -2,7 +2,7 @@
 //!
 //! Table 6 records each bot's public promise to respect robots.txt; the
 //! paper's RQ3 discussion contrasts bots like PerplexityBot ("explicitly
-//! stated they will not respect robots.txt [but] have somewhat high
+//! stated they will not respect robots.txt \[but\] have somewhat high
 //! compliance") with BrightEdge ("claim to respect robots.txt but have
 //! low compliance"). This module systematizes that contrast: compliance
 //! aggregated by promise class, plus the named promise-breakers and

@@ -4,7 +4,7 @@
 //!
 //! * [`FullStudyReport`] — computed over the 46-day passive dataset
 //!   (paper §3, §5): Tables 2/3/8, Figures 2/3/4/10;
-//! * the [`Experiment`](crate::analyze::Experiment) renderers — Tables
+//! * the [`Experiment`] renderers — Tables
 //!   4/5/6/7/9/10 and Figures 9/11.
 //!
 //! Renderers return plain text; the `repro_all` bench binary prints

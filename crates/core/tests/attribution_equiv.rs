@@ -3,12 +3,12 @@
 //! worker counts — and of the believed-basis experiment analysis with a
 //! post-hoc correction of the served-basis input.
 //!
-//! The oracles below restate attribution and basis scoring from their
-//! definitions over public APIs only: per-row [`BeliefTimeline::at`]
-//! binary searches, the interpreted matcher behind
-//! [`PolicyCorpus::doc`], sitenames parsed from their strings, and τ
-//! keyed by resolved (ASN, IP hash, raw user agent). They share no
-//! cursor, cache or compiled-automaton code with the pipeline.
+//! The oracles below restate attribution and the excusal mask from
+//! their definitions over public APIs only: per-row
+//! [`BeliefTimeline::at`] binary searches, the interpreted matcher
+//! behind [`PolicyCorpus::doc`], and sitenames parsed from their
+//! strings. They share no cursor, cache or compiled-automaton code with
+//! the pipeline.
 //!
 //! Belief atlases and served timelines are synthesized from a seed (an
 //! xorshift walk over policy states), independently of the generated
@@ -20,8 +20,7 @@ use botscope_core::analyze::{BeliefContext, Experiment};
 use std::collections::{BTreeMap, HashMap};
 
 use botscope_core::attribution::{
-    attribute_rows, attribute_table_with_threads, score_table_with_threads, AttributionCounts,
-    PolicyBasis, PolicyScore,
+    attribute_rows, attribute_table_with_threads, AttributionCounts, PolicyBasis,
 };
 use botscope_core::pipeline::standardize_table;
 use botscope_simnet::belief::{BeliefAtlas, BeliefTimeline, BelievedPolicy};
@@ -50,15 +49,6 @@ fn oracle_allows(corpus: &PolicyCorpus, policy: BelievedPolicy, agent: &str, pat
     }
 }
 
-/// The crawl delay `policy` sets for `agent`: only a believed version
-/// carries one.
-fn oracle_delay(corpus: &PolicyCorpus, policy: BelievedPolicy, agent: &str) -> Option<f64> {
-    match policy {
-        BelievedPolicy::Version(v) => corpus.doc(v).crawl_delay(agent),
-        _ => None,
-    }
-}
-
 /// Estate index of `site-NN.example.edu`, for sites below `n_sites`.
 fn oracle_site(name: &str, n_sites: usize) -> Option<usize> {
     let digits = name.strip_prefix("site-")?.strip_suffix(".example.edu")?;
@@ -83,7 +73,7 @@ impl OracleAllows<'_> {
     }
 }
 
-/// Serial oracle for `attribute_table`: every monitored bot's page
+/// Serial oracle for `attribute_table_with_threads`: every monitored bot's page
 /// accesses on estate sites, judged at their own instant against the
 /// believed and the served policy. A served violation is deliberate when
 /// the bot's belief forbade it too or it never fetched robots.txt, a
@@ -178,77 +168,6 @@ fn excusal_oracle(
         .collect()
 }
 
-/// τ = (ASN, IP hash, raw user agent), resolved.
-type Tau<'t> = (&'t str, u64, &'t str);
-
-/// Serial oracle for `score_table`: every estate-site access is an
-/// allowed-target trial, a success when the basis policy allowed it.
-/// Within each τ = (ASN, IP hash, raw user agent) group in time order,
-/// each inter-access delta is a crawl-delay trial while the basis policy
-/// live at the later access sets a delay, and a success when it meets
-/// that delay; a single-access group under a live delay counts as one
-/// compliant instance.
-fn score_oracle(
-    table: &LogTable,
-    beliefs: &BeliefAtlas,
-    served: &[BeliefTimeline],
-    corpus: &PolicyCorpus,
-    basis: PolicyBasis,
-) -> BTreeMap<String, PolicyScore> {
-    let n_sites = served.len().min(beliefs.n_sites());
-    let mut out = BTreeMap::new();
-    for view in standardize_table(table).bots.values() {
-        let Some(bot) = beliefs.bots.iter().position(|b| *b == view.name) else {
-            continue;
-        };
-        let policy_at = |site: usize, t: u64| match basis {
-            PolicyBasis::Believed => beliefs.timeline(bot, site).at(t),
-            PolicyBasis::Served => served[site].at(t),
-        };
-        let delay_at = |site: usize, t: u64| oracle_delay(corpus, policy_at(site, t), &view.name);
-        let mut allows = OracleAllows { corpus, agent: &view.name, memo: HashMap::new() };
-        let mut score = PolicyScore::default();
-        // τ → the group's (instant, site) accesses.
-        let mut by_tau: BTreeMap<Tau<'_>, Vec<(u64, usize)>> = BTreeMap::new();
-        for row in &view.rows {
-            let Some(site) = oracle_site(table.resolve(row.sitename), n_sites) else {
-                continue;
-            };
-            let t = row.timestamp.unix();
-            score.allowed.trials += 1;
-            if allows.allows(table, policy_at(site, t), row.uri_path) {
-                score.allowed.successes += 1;
-            }
-            let tau = (table.resolve(row.asn), row.ip_hash, table.resolve(row.useragent));
-            by_tau.entry(tau).or_default().push((t, site));
-        }
-        for accesses in by_tau.values_mut() {
-            accesses.sort_by_key(|&(t, _)| t);
-            if let [(t, site)] = accesses[..] {
-                if delay_at(site, t).is_some() {
-                    score.crawl_delay.trials += 1;
-                    score.crawl_delay.successes += 1;
-                }
-                continue;
-            }
-            for pair in accesses.windows(2) {
-                let (earlier, (t, site)) = (pair[0].0, pair[1]);
-                let Some(required) = delay_at(site, t) else {
-                    continue;
-                };
-                score.crawl_delay.trials += 1;
-                if (t - earlier) as f64 >= required {
-                    score.crawl_delay.successes += 1;
-                }
-            }
-        }
-        if score.allowed.trials > 0 {
-            out.insert(view.name.clone(), score);
-        }
-    }
-    out
-}
-
 /// Tiny deterministic generator for timeline synthesis.
 struct XorShift(u64);
 
@@ -330,7 +249,7 @@ fn fixture(seed: u64, scale: f64, sites: usize) -> Fixture {
     Fixture { table: out.sim.table, schedule: out.schedule, beliefs, served }
 }
 
-/// Parallel attribute/score ≡ their serial oracles at 1/2/8 workers.
+/// Parallel attribution ≡ its serial oracle at 1/2/8 workers.
 fn check_attribution_equiv(fx: &Fixture) {
     let corpus = PolicyCorpus::new();
     let attr_ref = attribute_oracle(&fx.table, &fx.beliefs, &fx.served, &corpus);
@@ -341,19 +260,7 @@ fn check_attribution_equiv(fx: &Fixture) {
     for threads in WORKER_COUNTS {
         let attr =
             attribute_table_with_threads(&fx.table, &fx.beliefs, &fx.served, &corpus, threads);
-        assert_eq!(attr, attr_ref, "attribute_table at {threads} workers");
-        for basis in [PolicyBasis::Believed, PolicyBasis::Served] {
-            let score_ref = score_oracle(&fx.table, &fx.beliefs, &fx.served, &corpus, basis);
-            let score = score_table_with_threads(
-                &fx.table,
-                &fx.beliefs,
-                &fx.served,
-                &corpus,
-                basis,
-                threads,
-            );
-            assert_eq!(score, score_ref, "score_table {basis:?} at {threads} workers");
-        }
+        assert_eq!(attr, attr_ref, "attribute_table_with_threads at {threads} workers");
     }
 }
 

@@ -1,6 +1,6 @@
 //! Decision-complete semantic analysis over compiled policies.
 //!
-//! Where [`crate::audit`] lints the *text* of a policy, this module proves
+//! Where [`crate::audit`](mod@crate::audit) lints the *text* of a policy, this module proves
 //! facts about its *decisions* by walking the compiled automata:
 //!
 //! 1. **Rule liveness** ([`rule_liveness`]): a rule is dead iff no request

@@ -7,17 +7,17 @@
 //!
 //! The crate provides:
 //!
-//! * a tolerant [`parser`](crate::parser) that accepts arbitrary bytes and
+//! * a tolerant [`parser`] that accepts arbitrary bytes and
 //!   never fails (malformed lines are reported as warnings, exactly like
 //!   Google's reference parser),
 //! * RFC 9309 [`matching`](crate::matcher) semantics: longest-match rule
 //!   precedence, allow-wins-ties, `*` wildcards and `$` end anchors,
 //!   percent-encoding normalization, most-specific user-agent group
 //!   selection with group merging,
-//! * a [`builder`](crate::builder) and [`writer`](crate::writer) used to
+//! * a [`builder`] and [`writer`] used to
 //!   construct and serialize the study's four experimental policy files
 //!   (paper Figures 5–8),
-//! * [`fetch`](crate::fetch) semantics: what a compliant crawler must assume
+//! * [`fetch`] semantics: what a compliant crawler must assume
 //!   when `robots.txt` returns 4xx (allow all) or 5xx (disallow all), plus a
 //!   TTL cache modelling the 24-hour re-check convention (paper §5.1).
 //!

@@ -67,14 +67,6 @@ impl BelievedPolicy {
         }
     }
 
-    /// The crawl delay `agent` must honour under this belief, if any.
-    pub fn crawl_delay(self, corpus: &PolicyCorpus, agent: &str) -> Option<f64> {
-        match self {
-            BelievedPolicy::Version(v) => corpus.delay(v, agent),
-            _ => None,
-        }
-    }
-
     /// Project this belief onto the generation engine's three behavioural
     /// axes by probing the policy through the corpus matcher.
     ///
@@ -390,11 +382,6 @@ mod tests {
         assert!(BelievedPolicy::Unfetched.allows(&corpus, "GPTBot", "/secure/admin-0"));
         assert!(!BelievedPolicy::DisallowAll.allows(&corpus, "Googlebot", "/"));
         assert!(BelievedPolicy::DisallowAll.allows(&corpus, "Googlebot", "/robots.txt"));
-        assert_eq!(
-            BelievedPolicy::Version(PolicyVersion::V1CrawlDelay).crawl_delay(&corpus, "GPTBot"),
-            Some(30.0)
-        );
-        assert_eq!(BelievedPolicy::AllowAll.crawl_delay(&corpus, "GPTBot"), None);
     }
 
     #[test]

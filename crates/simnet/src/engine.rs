@@ -924,7 +924,18 @@ mod tests {
     fn interned_table_undercuts_owned_records() {
         let cfg = small_cfg();
         let table = simulate_table(&cfg, &base_schedule(&cfg)).table;
-        let records_heap = botscope_weblog::table::records_heap_bytes(&table.to_records());
+        // The same rows as owned records: each struct plus its strings.
+        let records_heap: usize = table
+            .iter_records()
+            .map(|r| {
+                std::mem::size_of_val(&r)
+                    + r.useragent.capacity()
+                    + r.asn.capacity()
+                    + r.sitename.capacity()
+                    + r.uri_path.capacity()
+                    + r.referer.as_ref().map_or(0, String::capacity)
+            })
+            .sum();
         assert!(
             table.heap_bytes() < records_heap,
             "table {}B should undercut records {records_heap}B",

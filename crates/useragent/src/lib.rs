@@ -12,7 +12,7 @@
 //! category taxonomy of the Dark Visitors site (paper §3.1). This crate
 //! reproduces both steps:
 //!
-//! * [`registry`] — a curated database of ~130 self-declared crawlers and
+//! * [`registry`](mod@registry) — a curated database of ~130 self-declared crawlers and
 //!   scrapers. Entries for every bot named in the paper carry exactly the
 //!   metadata of the paper's Tables 3/6/7/8; the remainder is assembled
 //!   from public bot-tracking corpora and is representative rather than

@@ -9,7 +9,6 @@ use std::io::{self, BufRead, Write};
 
 use crate::fieldfmt::{push_decimal, push_hex16, SymBytes};
 use crate::intern::StringInterner;
-use crate::record::AccessRecord;
 use crate::sink::{CsvSink, RowSink};
 use crate::stream::{CsvRowStream, RowStream};
 use crate::table::{LogTable, RecordRow};
@@ -75,27 +74,10 @@ fn push_status_bytes(out: &mut Vec<u8>, status: u16, bytes: u64) {
     out.push(b',');
 }
 
-/// Encode one record as a CSV line (no trailing newline).
-pub fn encode_record(r: &AccessRecord) -> String {
-    let mut out = Vec::with_capacity(128);
-    quote_into(&r.useragent, &mut out);
-    out.push(b',');
-    Iso8601Writer::new().push(&mut out, r.timestamp);
-    push_ip_hash(&mut out, r.ip_hash);
-    quote_into(&r.asn, &mut out);
-    out.push(b',');
-    quote_into(&r.sitename, &mut out);
-    out.push(b',');
-    quote_into(&r.uri_path, &mut out);
-    push_status_bytes(&mut out, r.status, r.bytes);
-    quote_into(r.referer.as_deref().unwrap_or(""), &mut out);
-    String::from_utf8(out).expect("CSV of UTF-8 fields is UTF-8")
-}
-
 /// The CSV row encoder behind [`write_table`] and
-/// [`crate::sink::CsvSink`]: the same line as [`encode_record`], with
-/// every string field copied from a per-symbol cache of its quoted
-/// bytes and the timestamp's date prefix cached per day.
+/// [`crate::sink::CsvSink`]: one line per row, every string field
+/// copied from a per-symbol cache of its quoted bytes and the
+/// timestamp's date prefix cached per day.
 #[derive(Debug, Clone)]
 pub(crate) struct CsvEncoder {
     strings: SymBytes,
@@ -131,18 +113,6 @@ impl CsvEncoder {
     }
 }
 
-/// Encode a full dataset with header.
-pub fn encode(records: &[AccessRecord]) -> String {
-    let mut out = String::with_capacity(records.len() * 128 + HEADER.len() + 1);
-    out.push_str(HEADER);
-    out.push('\n');
-    for r in records {
-        out.push_str(&encode_record(r));
-        out.push('\n');
-    }
-    out
-}
-
 /// Decode a full CSV document (header required) into a [`LogTable`]:
 /// [`decode_table_read`] over the text's bytes.
 pub fn decode_table(text: &str) -> Result<LogTable, DecodeError> {
@@ -173,8 +143,8 @@ pub fn write_table<W: Write>(w: &mut W, table: &LogTable) -> io::Result<()> {
     sink.finish()
 }
 
-/// Encode a whole table as a CSV string (header included). Equivalent
-/// to `encode(&table.to_records())`.
+/// Encode a whole table as a CSV string (header included): the bytes
+/// of [`write_table`].
 pub fn encode_table(table: &LogTable) -> String {
     let mut out = Vec::with_capacity(table.len() * 128 + HEADER.len() + 1);
     write_table(&mut out, table).expect("writing to a Vec cannot fail");
@@ -184,6 +154,7 @@ pub fn encode_table(table: &LogTable) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::AccessRecord;
     use crate::time::Timestamp;
 
     fn sample(ua: &str, path: &str) -> AccessRecord {
@@ -200,29 +171,39 @@ mod tests {
         }
     }
 
+    /// The body line (header stripped) of a one-row table.
+    fn line(r: &AccessRecord) -> String {
+        let text = encode_table(&LogTable::from_records(std::slice::from_ref(r)));
+        let body = text.strip_prefix(&format!("{HEADER}\n")).expect("header first");
+        body.strip_suffix('\n').expect("one terminated line").to_string()
+    }
+
     #[test]
     fn roundtrip_simple() {
         let records = vec![sample("GPTBot/1.0", "/a"), sample("bingbot/2.0", "/b")];
-        let text = encode(&records);
+        let text = encode_table(&LogTable::from_records(&records));
         assert_eq!(decode_table(&text).unwrap().to_records(), records);
     }
 
     #[test]
     fn ip_hash_is_hex() {
-        let r = sample("x", "/");
-        let line = encode_record(&r);
-        assert!(line.contains("000000000000abcd"));
+        assert_eq!(
+            line(&sample("x", "/")),
+            "x,2025-02-12T00:00:00Z,000000000000abcd,GOOGLE,site-00.example.edu,/,200,512,"
+        );
     }
 
     #[test]
-    fn table_roundtrip_matches_record_roundtrip() {
+    fn fields_are_quoted_per_rfc_4180() {
         let mut r = sample("Mozilla/5.0 (compatible; X, \"q\"; +http://x)", "/q");
         r.referer = Some("https://ref.example/with,comma".into());
-        let records = vec![r, sample("GPTBot/1.0", "/a")];
-        let text = encode(&records);
-        let table = decode_table(&text).expect("valid input");
-        assert_eq!(table.to_records(), records);
-        assert_eq!(encode_table(&table), text);
+        assert_eq!(
+            line(&r),
+            "\"Mozilla/5.0 (compatible; X, \"\"q\"\"; +http://x)\",2025-02-12T00:00:00Z,\
+             000000000000abcd,GOOGLE,site-00.example.edu,/q,200,512,\"https://ref.example/with,comma\""
+        );
+        let table = decode_table(&encode_table(&LogTable::from_records(&[r.clone()]))).unwrap();
+        assert_eq!(table.to_records(), vec![r]);
     }
 
     /// One decoded row, every field visible (`{:?}` shows `\r` and

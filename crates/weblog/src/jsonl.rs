@@ -10,7 +10,6 @@ use std::io::{self, Write};
 
 use crate::fieldfmt::{push_decimal, push_hex16, SymBytes};
 use crate::intern::StringInterner;
-use crate::record::AccessRecord;
 use crate::sink::{JsonlSink, RowSink};
 use crate::table::{LogTable, RecordRow};
 use crate::time::{Iso8601Writer, Timestamp};
@@ -57,31 +56,10 @@ fn push_status_bytes(out: &mut Vec<u8>, status: u16, bytes: u64) {
     out.extend_from_slice(b",\"referer\":");
 }
 
-/// Encode one record as a single JSON object (no trailing newline).
-pub fn encode_record(r: &AccessRecord) -> String {
-    let mut out = Vec::with_capacity(192);
-    out.extend_from_slice(b"{\"useragent\":");
-    escape_into(&r.useragent, &mut out);
-    push_time_ip(&mut out, &mut Iso8601Writer::new(), r.timestamp, r.ip_hash);
-    out.extend_from_slice(b",\"asn\":");
-    escape_into(&r.asn, &mut out);
-    out.extend_from_slice(b",\"sitename\":");
-    escape_into(&r.sitename, &mut out);
-    out.extend_from_slice(b",\"uri_path\":");
-    escape_into(&r.uri_path, &mut out);
-    push_status_bytes(&mut out, r.status, r.bytes);
-    match &r.referer {
-        Some(referer) => escape_into(referer, &mut out),
-        None => out.extend_from_slice(b"null"),
-    }
-    out.push(b'}');
-    String::from_utf8(out).expect("JSON of UTF-8 fields is UTF-8")
-}
-
 /// The JSONL row encoder behind [`write_table`] and
-/// [`crate::sink::JsonlSink`]: the same object as [`encode_record`],
-/// with every string field copied from a per-symbol cache of its
-/// escaped bytes and the timestamp's date prefix cached per day.
+/// [`crate::sink::JsonlSink`]: one object per row, every string field
+/// copied from a per-symbol cache of its escaped bytes and the
+/// timestamp's date prefix cached per day.
 #[derive(Debug, Clone)]
 pub(crate) struct JsonlEncoder {
     strings: SymBytes,
@@ -128,20 +106,10 @@ pub fn write_table<W: Write>(w: &mut W, table: &LogTable) -> io::Result<()> {
     sink.finish()
 }
 
-/// Encode a dataset: one JSON object per line.
-pub fn encode(records: &[AccessRecord]) -> String {
-    let mut out = String::with_capacity(records.len() * 192);
-    for r in records {
-        out.push_str(&encode_record(r));
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::Timestamp;
+    use crate::record::AccessRecord;
 
     fn sample() -> AccessRecord {
         AccessRecord {
@@ -157,9 +125,22 @@ mod tests {
         }
     }
 
+    /// JSON Lines of `records` through [`write_table`].
+    fn encode(records: &[AccessRecord]) -> String {
+        let mut out = Vec::new();
+        write_table(&mut out, &LogTable::from_records(records)).expect("write to a Vec");
+        String::from_utf8(out).expect("UTF-8")
+    }
+
+    /// The object of a one-row table, newline stripped.
+    fn line(r: &AccessRecord) -> String {
+        let text = encode(std::slice::from_ref(r));
+        text.strip_suffix('\n').expect("one terminated line").to_string()
+    }
+
     #[test]
     fn object_shape() {
-        let line = encode_record(&sample());
+        let line = line(&sample());
         assert!(line.starts_with('{') && line.ends_with('}'));
         assert!(line.contains("\"timestamp\":\"2025-02-12T00:00:00Z\""));
         assert!(line.contains("\"ip_hash\":\"00000000deadbeef\""));
@@ -169,7 +150,7 @@ mod tests {
 
     #[test]
     fn quotes_and_backslashes_escaped() {
-        let line = encode_record(&sample());
+        let line = line(&sample());
         assert!(line.contains("\\\"Quoted\\\"Bot"));
         assert!(line.contains("/a\\\\b\\tc"));
         // The line must be a single physical line.
@@ -180,16 +161,14 @@ mod tests {
     fn control_characters_become_unicode_escapes() {
         let mut r = sample();
         r.useragent = "bad\u{01}agent".into();
-        let line = encode_record(&r);
-        assert!(line.contains("bad\\u0001agent"));
+        assert!(line(&r).contains("bad\\u0001agent"));
     }
 
     #[test]
     fn referer_present() {
         let mut r = sample();
         r.referer = Some("https://ref/?q=\"x\"".into());
-        let line = encode_record(&r);
-        assert!(line.contains("\"referer\":\"https://ref/?q=\\\"x\\\"\""));
+        assert!(line(&r).contains("\"referer\":\"https://ref/?q=\\\"x\\\"\""));
     }
 
     #[test]
@@ -207,7 +186,7 @@ mod tests {
         // braces and an even number of unescaped quotes.
         let mut r = sample();
         r.useragent = "\\\"\\\\\"\"\n\r\t".into();
-        let line = encode_record(&r);
+        let line = line(&r);
         let unescaped_quotes = {
             let bytes = line.as_bytes();
             let mut count = 0;

@@ -34,15 +34,15 @@
 //!   interned-row readers over CSV, binary, or in-memory tables,
 //! * [`merge`] — the shared k-way merge of canonically sorted runs
 //!   ([`merge::merge_runs`]), byte-identical to materialize-then-sort,
-//! * [`session`] — 5-minute-gap sessionization (paper §3.2),
-//! * [`filter`] — the study's preprocessing filters (scanner removal,
-//!   date-range restriction),
+//! * [`session`] — 5-minute-gap sessionization (paper §3.2), run
+//!   over table rows by [`LogTable::sessionize`],
 //! * [`summary`] — dataset overview statistics (paper Table 2).
 //!
 //! ```
 //! use botscope_weblog::record::AccessRecord;
-//! use botscope_weblog::session::{sessionize, SESSION_GAP_SECS};
+//! use botscope_weblog::session::SESSION_GAP_SECS;
 //! use botscope_weblog::time::Timestamp;
+//! use botscope_weblog::LogTable;
 //!
 //! let mk = |t: u64, path: &str| AccessRecord {
 //!     useragent: "GPTBot/1.0".into(),
@@ -56,8 +56,9 @@
 //!     referer: None,
 //! };
 //! // Three accesses within the gap, one far later: two sessions.
-//! let records = vec![mk(0, "/a"), mk(100, "/b"), mk(200, "/c"), mk(10_000, "/d")];
-//! let sessions = sessionize(&records, SESSION_GAP_SECS);
+//! let records = [mk(0, "/a"), mk(100, "/b"), mk(200, "/c"), mk(10_000, "/d")];
+//! let table = LogTable::from_records(&records);
+//! let sessions = table.sessionize(SESSION_GAP_SECS);
 //! assert_eq!(sessions.len(), 2);
 //! assert_eq!(sessions[0].accesses, 3);
 //! ```
@@ -69,7 +70,6 @@ pub mod codec;
 pub mod colfmt;
 pub mod fetchlog;
 mod fieldfmt;
-pub mod filter;
 pub mod intern;
 pub mod iphash;
 pub mod jsonl;
@@ -87,7 +87,7 @@ pub use intern::{StringInterner, Sym};
 pub use iphash::IpHasher;
 pub use merge::{merge_runs, MergeRun};
 pub use record::AccessRecord;
-pub use session::{sessionize, Session, SESSION_GAP_SECS};
+pub use session::{Session, SESSION_GAP_SECS};
 pub use stream::RowStream;
 pub use summary::DatasetSummary;
 pub use table::{LogTable, RecordRow};

@@ -30,25 +30,9 @@ pub struct AccessRecord {
 }
 
 impl AccessRecord {
-    /// The τ-tuple key of the study's §4.2 stratification:
-    /// (ASN, IP hash, user agent).
-    pub fn tau(&self) -> (String, u64, String) {
-        (self.asn.clone(), self.ip_hash, self.useragent.clone())
-    }
-
-    /// Borrowed form of the τ key, for grouping without allocation.
-    pub fn tau_ref(&self) -> (&str, u64, &str) {
-        (&self.asn, self.ip_hash, &self.useragent)
-    }
-
     /// Whether this access fetched the robots.txt file itself.
     pub fn is_robots_fetch(&self) -> bool {
         self.uri_path == "/robots.txt"
-    }
-
-    /// Whether the full URL (site + path) matches another record's.
-    pub fn same_url(&self, other: &AccessRecord) -> bool {
-        self.sitename == other.sitename && self.uri_path == other.uri_path
     }
 }
 
@@ -71,16 +55,6 @@ mod tests {
     }
 
     #[test]
-    fn tau_tuple() {
-        let r = sample();
-        let (asn, ip, ua) = r.tau();
-        assert_eq!(asn, "MICROSOFT-CORP-MSN-AS-BLOCK");
-        assert_eq!(ip, 42);
-        assert_eq!(ua, "GPTBot/1.0");
-        assert_eq!(r.tau_ref(), (asn.as_str(), 42, ua.as_str()));
-    }
-
-    #[test]
     fn robots_fetch_detection() {
         let mut r = sample();
         assert!(!r.is_robots_fetch());
@@ -88,14 +62,5 @@ mod tests {
         assert!(r.is_robots_fetch());
         r.uri_path = "/robots.txt.bak".into();
         assert!(!r.is_robots_fetch());
-    }
-
-    #[test]
-    fn same_url() {
-        let a = sample();
-        let mut b = sample();
-        assert!(a.same_url(&b));
-        b.uri_path = "/other".into();
-        assert!(!a.same_url(&b));
     }
 }

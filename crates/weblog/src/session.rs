@@ -4,11 +4,11 @@
 //! the same web agent… We say a session 'ends' after 5 minutes of
 //! inactivity from an entity" (paper §3.2). Entities are identified the
 //! same way as the compliance analysis identifies requesters: by the
-//! (ASN, IP hash, user agent) τ-tuple.
+//! (ASN, IP hash, user agent) τ-tuple. [`LogTable::sessionize`]
+//! groups a table's rows into [`Session`]s.
+//!
+//! [`LogTable::sessionize`]: crate::table::LogTable::sessionize
 
-use std::collections::HashMap;
-
-use crate::record::AccessRecord;
 use crate::time::Timestamp;
 
 /// The paper's session gap: 5 minutes of inactivity.
@@ -42,63 +42,15 @@ impl Session {
     }
 }
 
-/// Group records into sessions with the given inactivity gap (seconds).
-///
-/// Records are grouped by τ-tuple, sorted by time within each group, and
-/// split whenever the inter-access gap is **at least** `gap_secs`.
-/// Sessions are returned sorted by (start time, user agent) for
-/// determinism.
-pub fn sessionize(records: &[AccessRecord], gap_secs: u64) -> Vec<Session> {
-    assert!(gap_secs > 0, "session gap must be positive");
-    let mut by_entity: HashMap<(&str, u64, &str), Vec<&AccessRecord>> = HashMap::new();
-    for r in records {
-        by_entity.entry(r.tau_ref()).or_default().push(r);
-    }
-
-    let mut sessions = Vec::new();
-    for (_, mut group) in by_entity {
-        group.sort_by_key(|r| r.timestamp);
-        let mut current: Option<Session> = None;
-        for r in group {
-            let extend = current.as_ref().is_some_and(|s| r.timestamp.secs_since(s.end) < gap_secs);
-            if extend {
-                let s = current.as_mut().expect("extend implies current");
-                s.end = r.timestamp;
-                s.accesses += 1;
-                s.bytes += r.bytes;
-                let url = (r.sitename.clone(), r.uri_path.clone());
-                if !s.urls.contains(&url) {
-                    s.urls.push(url);
-                }
-            } else {
-                if let Some(done) = current.take() {
-                    sessions.push(done);
-                }
-                current = Some(Session {
-                    useragent: r.useragent.clone(),
-                    ip_hash: r.ip_hash,
-                    asn: r.asn.clone(),
-                    start: r.timestamp,
-                    end: r.timestamp,
-                    accesses: 1,
-                    bytes: r.bytes,
-                    urls: vec![(r.sitename.clone(), r.uri_path.clone())],
-                });
-            }
-        }
-        if let Some(done) = current.take() {
-            sessions.push(done);
-        }
-    }
-    sessions.sort_by(|a, b| {
-        (a.start, &a.useragent, a.ip_hash).cmp(&(b.start, &b.useragent, b.ip_hash))
-    });
-    sessions
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::AccessRecord;
+    use crate::table::LogTable;
+
+    fn sessionize(records: &[AccessRecord], gap_secs: u64) -> Vec<Session> {
+        LogTable::from_records(records).sessionize(gap_secs)
+    }
 
     fn rec(ua: &str, ip: u64, t: u64, path: &str, bytes: u64) -> AccessRecord {
         AccessRecord {
@@ -186,6 +138,25 @@ mod tests {
         let b = sessionize(&rs, 300);
         assert_eq!(a, b);
         assert!(a[0].useragent <= a[1].useragent || a[0].start < a[1].start);
+    }
+
+    #[test]
+    fn tied_sessions_order_by_asn() {
+        // Eight entities that share UA, IP and start instant and differ
+        // only in ASN: the order must be total, not a hash-map walk.
+        let asns = ["OVH", "AS-7", "GOOGLE", "AMAZON-02", "ZAYO", "AS-10", "HETZNER", "BYTEDANCE"];
+        let rs: Vec<AccessRecord> = asns
+            .iter()
+            .map(|&asn| AccessRecord { asn: asn.into(), ..rec("a", 1, 0, "/x", 1) })
+            .collect();
+        let table = LogTable::from_records(&rs);
+        for _ in 0..8 {
+            let order: Vec<String> = table.sessionize(300).into_iter().map(|s| s.asn).collect();
+            assert_eq!(
+                order,
+                ["AMAZON-02", "AS-10", "AS-7", "BYTEDANCE", "GOOGLE", "HETZNER", "OVH", "ZAYO"]
+            );
+        }
     }
 
     #[test]

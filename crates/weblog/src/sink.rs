@@ -10,7 +10,7 @@
 //! dictionary on first sight. Memory stays bounded by the producer's
 //! working set plus the dictionary, never the dataset.
 //!
-//! [`codec::write_table`](crate::codec::write_table) and
+//! [`codec::write_table`] and
 //! [`jsonl::write_table`](crate::jsonl::write_table) encode through
 //! [`CsvSink`]/[`JsonlSink`], so streaming and materialized paths
 //! produce the same bytes and can be `cmp`-verified against each other.
@@ -178,7 +178,6 @@ impl RowSink for CountingSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::jsonl;
     use crate::record::AccessRecord;
     use crate::time::Timestamp;
 
@@ -204,21 +203,35 @@ mod tests {
     }
 
     #[test]
-    fn csv_sink_matches_encode_record() {
-        let records: Vec<AccessRecord> = (0..5).map(sample).collect();
+    fn csv_sink_writes_quoted_lines() {
+        let records: Vec<AccessRecord> = (0..2).map(sample).collect();
         let table = LogTable::from_records(&records);
         let mut sink = CsvSink::new(Vec::new()).unwrap();
         feed(&mut sink, &table);
-        assert_eq!(sink.into_inner(), codec::encode(&records).into_bytes());
+        let expect = format!(
+            "{}\n{}\n{}\n",
+            codec::HEADER,
+            "bot/0,1970-01-01T00:16:40Z,0000000000000000,GOOGLE,s.example.edu,/robots.txt,200,10,",
+            r#"bot/1,1970-01-01T00:16:41Z,0000000000000001,GOOGLE,s.example.edu,/robots.txt,200,10,"https://ref.example/,""x""""#,
+        );
+        assert_eq!(String::from_utf8(sink.into_inner()).unwrap(), expect);
     }
 
     #[test]
-    fn jsonl_sink_matches_encode_record() {
-        let records: Vec<AccessRecord> = (0..3).map(sample).collect();
+    fn jsonl_sink_writes_one_object_per_row() {
+        let records: Vec<AccessRecord> = (0..2).map(sample).collect();
         let table = LogTable::from_records(&records);
         let mut sink = JsonlSink::new(Vec::new());
         feed(&mut sink, &table);
-        assert_eq!(sink.into_inner(), jsonl::encode(&records).into_bytes());
+        let fields = r#""asn":"GOOGLE","sitename":"s.example.edu","uri_path":"/robots.txt","status":200,"bytes":10"#;
+        let expect = format!(
+            "{}{fields},{}\n{}{fields},{}\n",
+            r#"{"useragent":"bot/0","timestamp":"1970-01-01T00:16:40Z","ip_hash":"0000000000000000","#,
+            r#""referer":null}"#,
+            r#"{"useragent":"bot/1","timestamp":"1970-01-01T00:16:41Z","ip_hash":"0000000000000001","#,
+            r#""referer":"https://ref.example/,\"x\""}"#,
+        );
+        assert_eq!(String::from_utf8(sink.into_inner()).unwrap(), expect);
     }
 
     #[test]

@@ -333,7 +333,7 @@ mod tests {
     #[test]
     fn csv_stream_matches_decode() {
         let records: Vec<AccessRecord> = (0..7).map(sample).collect();
-        let text = codec::encode(&records);
+        let text = codec::encode_table(&LogTable::from_records(&records));
         let mut s = CsvRowStream::new(text.as_bytes()).unwrap();
         assert_eq!(drain(&mut s), records);
         assert!(s.next_row().is_none());

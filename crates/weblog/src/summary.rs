@@ -7,8 +7,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use crate::record::AccessRecord;
-use crate::session::{sessionize, SESSION_GAP_SECS};
+use crate::session::SESSION_GAP_SECS;
 use crate::table::LogTable;
 
 /// The Table 2 row.
@@ -34,44 +33,9 @@ pub struct DatasetSummary {
 }
 
 impl DatasetSummary {
-    /// Compute the summary over a record set using the paper's 5-minute
-    /// session gap.
-    pub fn compute(records: &[AccessRecord]) -> DatasetSummary {
-        Self::compute_with_gap(records, SESSION_GAP_SECS)
-    }
-
-    /// Compute with a custom session gap (used by the ablation bench).
-    pub fn compute_with_gap(records: &[AccessRecord], gap_secs: u64) -> DatasetSummary {
-        let mut ips: HashSet<u64> = HashSet::new();
-        let mut uas: HashSet<&str> = HashSet::new();
-        let mut asns: HashSet<&str> = HashSet::new();
-        let mut urls: HashSet<(&str, &str)> = HashSet::new();
-        let mut total_bytes = 0u64;
-        for r in records {
-            ips.insert(r.ip_hash);
-            uas.insert(&r.useragent);
-            asns.insert(&r.asn);
-            urls.insert((&r.sitename, &r.uri_path));
-            total_bytes += r.bytes;
-        }
-        let sessions = sessionize(records, gap_secs);
-        let avg =
-            if sessions.is_empty() { 0.0 } else { total_bytes as f64 / sessions.len() as f64 };
-        DatasetSummary {
-            unique_ips: ips.len(),
-            unique_user_agents: uas.len(),
-            avg_bytes_per_session: avg,
-            unique_asns: asns.len(),
-            total_bytes,
-            total_page_visits: sessions.len(),
-            unique_page_visits: urls.len(),
-            raw_records: records.len(),
-        }
-    }
-
-    /// Row-native equivalent of [`DatasetSummary::compute`]: all unique
-    /// counts are taken over interned symbols, and sessions are counted
-    /// without materializing them.
+    /// The summary of a whole table under the paper's 5-minute session
+    /// gap. Unique counts are taken over interned symbols, and sessions
+    /// are counted without materializing them.
     pub fn compute_table(table: &LogTable) -> DatasetSummary {
         Self::compute_table_with_gap(table, SESSION_GAP_SECS)
     }
@@ -126,6 +90,7 @@ impl DatasetSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::AccessRecord;
     use crate::time::Timestamp;
 
     fn rec(ua: &str, ip: u64, asn: &str, t: u64, path: &str, bytes: u64) -> AccessRecord {
@@ -142,13 +107,18 @@ mod tests {
         }
     }
 
+    fn summary(records: &[AccessRecord], gap_secs: u64) -> DatasetSummary {
+        DatasetSummary::compute_table_with_gap(&LogTable::from_records(records), gap_secs)
+    }
+
     #[test]
     fn empty_dataset() {
-        let s = DatasetSummary::compute(&[]);
+        let s = DatasetSummary::compute_table(&LogTable::new());
         assert_eq!(s.unique_ips, 0);
         assert_eq!(s.total_bytes, 0);
         assert_eq!(s.avg_bytes_per_session, 0.0);
         assert_eq!(s.total_page_visits, 0);
+        assert_eq!(s.raw_records, 0);
     }
 
     #[test]
@@ -158,7 +128,7 @@ mod tests {
             rec("a", 1, "GOOGLE", 60, "/y", 100),
             rec("b", 2, "OVH", 0, "/x", 300),
         ];
-        let s = DatasetSummary::compute(&records);
+        let s = DatasetSummary::compute_table(&LogTable::from_records(&records));
         assert_eq!(s.unique_ips, 2);
         assert_eq!(s.unique_user_agents, 2);
         assert_eq!(s.unique_asns, 2);
@@ -170,7 +140,7 @@ mod tests {
     }
 
     #[test]
-    fn table_summary_matches_record_summary() {
+    fn row_subset_summary_counts_only_those_rows() {
         let records = vec![
             rec("a", 1, "GOOGLE", 0, "/x", 100),
             rec("a", 1, "GOOGLE", 60, "/y", 100),
@@ -178,12 +148,12 @@ mod tests {
             rec("b", 2, "OVH", 0, "/x", 300),
         ];
         let table = LogTable::from_records(&records);
-        assert_eq!(DatasetSummary::compute_table(&table), DatasetSummary::compute(&records));
-        assert_eq!(
-            DatasetSummary::compute_table_with_gap(&table, 20_000),
-            DatasetSummary::compute_with_gap(&records, 20_000)
-        );
-        assert_eq!(DatasetSummary::compute_table(&LogTable::new()), DatasetSummary::compute(&[]));
+        let s = DatasetSummary::compute_rows_with_gap(&table.rows()[1..3], SESSION_GAP_SECS);
+        assert_eq!((s.raw_records, s.unique_ips, s.unique_asns), (2, 1, 1));
+        assert_eq!((s.unique_page_visits, s.total_page_visits, s.total_bytes), (1, 2, 150));
+        let s = DatasetSummary::compute_rows_with_gap(&table.rows()[1..3], 20_000);
+        assert_eq!(s.total_page_visits, 1);
+        assert!((s.avg_bytes_per_session - 150.0).abs() < 1e-9);
     }
 
     #[test]
@@ -191,7 +161,10 @@ mod tests {
         // Two accesses 10 minutes apart: one session with a 15-minute gap,
         // two with the paper's 5-minute gap.
         let records = vec![rec("a", 1, "GOOGLE", 0, "/x", 1), rec("a", 1, "GOOGLE", 600, "/y", 1)];
-        assert_eq!(DatasetSummary::compute(&records).total_page_visits, 2);
-        assert_eq!(DatasetSummary::compute_with_gap(&records, 900).total_page_visits, 1);
+        assert_eq!(summary(&records, SESSION_GAP_SECS).total_page_visits, 2);
+        assert_eq!(summary(&records, 900).total_page_visits, 1);
+        // A delta of exactly the gap splits.
+        assert_eq!(summary(&records, 600).total_page_visits, 2);
+        assert_eq!(summary(&records, 601).total_page_visits, 1);
     }
 }

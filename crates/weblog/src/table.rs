@@ -7,10 +7,12 @@
 //! one copy each. At paper volume this cuts the resident footprint of
 //! the generated dataset by roughly 6× versus `Vec<AccessRecord>`.
 //!
-//! The table is the native representation of the simnet generator and
-//! the core analysis pipeline; [`AccessRecord`] views are materialized
-//! on demand ([`LogTable::record`], [`LogTable::iter_records`]) so every
-//! existing record-slice API keeps working.
+//! The table is the one row model: the simnet generator, the codecs,
+//! sessionization, the Table 2 summary and the core analysis pipeline
+//! all work on its rows. [`AccessRecord`] remains the owned view of one
+//! row, for display and for test fixtures: [`LogTable::from_records`]
+//! interns records and [`LogTable::record`] /
+//! [`LogTable::iter_records`] materialize them back.
 
 use std::collections::BTreeMap;
 
@@ -280,10 +282,13 @@ impl LogTable {
         map.into_iter().map(|(ua, times)| (self.resolve(ua), times)).collect()
     }
 
-    /// Group rows into [`Session`]s with the given inactivity gap, the
-    /// row-native equivalent of [`crate::session::sessionize`]. Entities
-    /// are τ-tuples of interned symbols, so grouping is integer-keyed;
-    /// strings are resolved once per produced session.
+    /// Group rows into [`Session`]s with the given inactivity gap: per
+    /// τ entity in time order, a new session starts whenever the gap to
+    /// the previous access is at least `gap_secs`. Entities are τ-tuples
+    /// of interned symbols, so grouping is integer-keyed; strings are
+    /// resolved once per produced session. Sessions come back sorted by
+    /// (start, user agent, IP hash, ASN), a total order because one
+    /// entity's sessions never share a start.
     pub fn sessionize(&self, gap_secs: u64) -> Vec<Session> {
         self.sessionize_rows(self.rows.iter(), gap_secs)
     }
@@ -335,7 +340,12 @@ impl LogTable {
             }
         }
         sessions.sort_by(|a, b| {
-            (a.start, &a.useragent, a.ip_hash).cmp(&(b.start, &b.useragent, b.ip_hash))
+            (a.start, &a.useragent, a.ip_hash, &a.asn).cmp(&(
+                b.start,
+                &b.useragent,
+                b.ip_hash,
+                &b.asn,
+            ))
         });
         sessions
     }
@@ -380,9 +390,8 @@ impl LogTable {
         }
     }
 
-    /// Approximate heap footprint in bytes: rows plus interner strings.
-    /// The `Vec<AccessRecord>` equivalent is reported by
-    /// [`records_heap_bytes`]; genbench prints both.
+    /// Approximate heap footprint in bytes: rows plus interner strings
+    /// (genbench prints it as `heap_mb`).
     pub fn heap_bytes(&self) -> usize {
         self.rows.capacity() * std::mem::size_of::<RecordRow>() + self.interner.heap_bytes()
     }
@@ -406,26 +415,25 @@ pub(crate) fn count_entity_sessions(
     sessions
 }
 
-/// Approximate heap footprint of a materialized record set, for
-/// comparison against [`LogTable::heap_bytes`].
-pub fn records_heap_bytes(records: &[AccessRecord]) -> usize {
-    records
-        .iter()
-        .map(|r| {
-            std::mem::size_of::<AccessRecord>()
-                + r.useragent.capacity()
-                + r.asn.capacity()
-                + r.sitename.capacity()
-                + r.uri_path.capacity()
-                + r.referer.as_ref().map_or(0, std::string::String::capacity)
-        })
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::sessionize;
+
+    /// Approximate heap footprint of the same rows as owned records,
+    /// for comparison against [`LogTable::heap_bytes`].
+    fn records_heap_bytes(records: &[AccessRecord]) -> usize {
+        records
+            .iter()
+            .map(|r| {
+                std::mem::size_of::<AccessRecord>()
+                    + r.useragent.capacity()
+                    + r.asn.capacity()
+                    + r.sitename.capacity()
+                    + r.uri_path.capacity()
+                    + r.referer.as_ref().map_or(0, String::capacity)
+            })
+            .sum()
+    }
 
     fn rec(ua: &str, ip: u64, t: u64, path: &str) -> AccessRecord {
         AccessRecord {
@@ -513,7 +521,7 @@ mod tests {
     }
 
     #[test]
-    fn sessionize_matches_record_path() {
+    fn sessionize_splits_entities_at_the_gap() {
         let records = vec![
             rec("a", 1, 0, "/x"),
             rec("a", 1, 100, "/y"),
@@ -521,7 +529,15 @@ mod tests {
             rec("b", 2, 0, "/x"),
         ];
         let table = LogTable::from_records(&records);
-        assert_eq!(table.sessionize(300), sessionize(&records, 300));
+        let sessions = table.sessionize(300);
+        let shape: Vec<(&str, u64, u64, u64, usize)> = sessions
+            .iter()
+            .map(|s| (s.useragent.as_str(), s.start.unix(), s.end.unix(), s.accesses, s.urls.len()))
+            .collect();
+        assert_eq!(
+            shape,
+            vec![("a", 0, 100, 2, 2), ("b", 0, 0, 1, 1), ("a", 10_000, 10_000, 1, 1)]
+        );
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! Property-based tests for the web-log substrate.
 
 mod csv_oracle;
+mod paper_oracle;
 
-use botscope_weblog::codec::{self, decode_table, decode_table_read, encode, HEADER};
+use botscope_weblog::codec::{self, decode_table, decode_table_read, HEADER};
 use botscope_weblog::colfmt;
 use botscope_weblog::jsonl;
 use botscope_weblog::merge::{merge_runs, MergeRun};
 use botscope_weblog::record::AccessRecord;
-use botscope_weblog::session::sessionize;
+use botscope_weblog::session::Session;
 use botscope_weblog::sink::{CsvSink, JsonlSink, RowSink, TableSink};
 use botscope_weblog::summary::DatasetSummary;
 use botscope_weblog::table::{LogTable, RecordRow};
@@ -187,6 +188,81 @@ fn pooled_record() -> impl Strategy<Value = AccessRecord> {
         })
 }
 
+/// Logs shaped for sessionization: a few entities, instants on a
+/// 150-second grid with a gap of 1–3 grid steps, so deltas of exactly
+/// the gap are common. Half the logs are tie-heavy: every access shares
+/// one UA and IP, entities differ only in ASN, and runs of six grid
+/// draws collapse onto one instant.
+fn session_log() -> impl Strategy<Value = (Vec<AccessRecord>, u64)> {
+    const AGENTS: [&str; 3] = ["GPTBot/1.2", "bingbot/2.0", "é-bot"];
+    const ASNS: [&str; 4] = ["GOOGLE", "AS,1", "OVH", "AMAZON-02"];
+    const PATHS: [&str; 3] = ["/", "/a", "/robots.txt"];
+    let access = ((0..AGENTS.len(), 0u64..2, 0..ASNS.len()), 0u64..24, (0u8..2, 0..PATHS.len()));
+    (any::<bool>(), prop::collection::vec((access, 0u64..5_000), 0..60), 1u64..4).prop_map(
+        |(ties, accesses, gap_steps)| {
+            let records = accesses
+                .into_iter()
+                .map(|(((agent, ip_hash, asn), step, (site, path)), bytes)| AccessRecord {
+                    useragent: AGENTS[if ties { 0 } else { agent }].into(),
+                    timestamp: Timestamp::from_unix(
+                        1_739_318_400 + if ties { step / 6 * 150 } else { step * 150 },
+                    ),
+                    ip_hash: if ties { 7 } else { ip_hash },
+                    asn: ASNS[asn].into(),
+                    sitename: format!("site-{site:02}.example.edu"),
+                    uri_path: PATHS[path].into(),
+                    status: 200,
+                    bytes,
+                    referer: None,
+                })
+                .collect();
+            (records, gap_steps * 150)
+        },
+    )
+}
+
+/// `records` as the paper oracle's plain access tuples.
+fn oracle_log(records: &[AccessRecord]) -> Vec<paper_oracle::Access> {
+    records
+        .iter()
+        .map(|r| {
+            let (t, site, path) = (r.timestamp.unix(), r.sitename.clone(), r.uri_path.clone());
+            (r.asn.clone(), r.ip_hash, r.useragent.clone(), t, site, path, r.bytes)
+        })
+        .collect()
+}
+
+/// A table session as the paper oracle's tuple.
+fn oracle_session(s: Session) -> paper_oracle::Session {
+    let span = (s.start.unix(), s.end.unix(), s.accesses, s.bytes);
+    (s.useragent, s.ip_hash, s.asn, span.0, span.1, span.2, span.3, s.urls)
+}
+
+/// `LogTable::sessionize` and `DatasetSummary` over `records` equal the
+/// paper oracle, session for session and in order.
+fn check_against_paper_oracle(records: &[AccessRecord], gap: u64) {
+    let table = LogTable::from_records(records);
+    assert_eq!(table.to_records(), records);
+    let log = oracle_log(records);
+    let sessions: Vec<paper_oracle::Session> =
+        table.sessionize(gap).into_iter().map(oracle_session).collect();
+    assert_eq!(sessions, paper_oracle::sessions(&log, gap), "gap {gap}");
+    let s = DatasetSummary::compute_table_with_gap(&table, gap);
+    let counts = (
+        s.unique_ips,
+        s.unique_user_agents,
+        s.unique_asns,
+        s.total_bytes,
+        s.total_page_visits,
+        s.unique_page_visits,
+        s.raw_records,
+    );
+    let want = paper_oracle::summary(&log, gap);
+    assert_eq!(counts, want, "gap {gap}");
+    let avg = if want.4 == 0 { 0.0 } else { want.3 as f64 / want.4 as f64 };
+    assert_eq!(s.avg_bytes_per_session, avg);
+}
+
 /// The formatting `Timestamp::to_iso8601` used before
 /// [`Iso8601Writer`].
 fn format_iso(t: Timestamp) -> String {
@@ -197,12 +273,118 @@ fn format_iso(t: Timestamp) -> String {
     )
 }
 
+/// A CSV field, quoted per RFC 4180 §2 when it holds a comma, a double
+/// quote or a line break, with each inner double quote doubled.
+fn csv_field(s: &str) -> String {
+    if s.contains([',', '"', '\r', '\n']) {
+        format!("\"{}\"", s.replace('"', "\"\""))
+    } else {
+        s.to_string()
+    }
+}
+
+/// The CSV line of one record (no terminator): nine comma-separated
+/// fields, the IP hash as 16 lowercase hex digits, no referer as an
+/// empty field.
+fn csv_line(r: &AccessRecord) -> String {
+    [
+        csv_field(&r.useragent),
+        format_iso(r.timestamp),
+        format!("{:016x}", r.ip_hash),
+        csv_field(&r.asn),
+        csv_field(&r.sitename),
+        csv_field(&r.uri_path),
+        r.status.to_string(),
+        r.bytes.to_string(),
+        csv_field(r.referer.as_deref().unwrap_or("")),
+    ]
+    .join(",")
+}
+
+/// A headered CSV log of `records`, every line newline-terminated.
+fn csv_text(records: &[AccessRecord]) -> String {
+    let mut text = format!("{HEADER}\n");
+    for r in records {
+        text += &csv_line(r);
+        text.push('\n');
+    }
+    text
+}
+
+/// A JSON string per RFC 8259 §7: quote, backslash and the control
+/// characters U+0000..U+001F escaped (the two-character forms where
+/// the RFC has one, else `\u00xx`); everything else verbatim.
+fn json_string(s: &str) -> String {
+    let mut out = String::from('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\u{8}' => out.push_str("\\b"),
+            '\u{c}' => out.push_str("\\f"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if c < ' ' => out.push_str(&format!("\\u{:04x}", u32::from(c))),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// The JSON Lines of `records`: one object per record in schema field
+/// order, numbers bare, no referer as `null`.
+fn jsonl_text(records: &[AccessRecord]) -> String {
+    records
+        .iter()
+        .map(|r| {
+            format!(
+                "{{\"useragent\":{},\"timestamp\":\"{}\",\"ip_hash\":\"{:016x}\",\"asn\":{},\
+                 \"sitename\":{},\"uri_path\":{},\"status\":{},\"bytes\":{},\"referer\":{}}}\n",
+                json_string(&r.useragent),
+                format_iso(r.timestamp),
+                r.ip_hash,
+                json_string(&r.asn),
+                json_string(&r.sitename),
+                json_string(&r.uri_path),
+                r.status,
+                r.bytes,
+                r.referer.as_deref().map_or("null".to_string(), json_string),
+            )
+        })
+        .collect()
+}
+
 /// Stream `table`'s rows through `sink`, then finish it.
 fn feed(sink: &mut dyn RowSink, table: &LogTable) {
     for row in table.rows() {
         sink.write_row(row, table.interner()).expect("write row");
     }
     sink.finish().expect("finish");
+}
+
+#[test]
+fn a_delta_of_exactly_the_gap_splits_sessions() {
+    let at = |t: u64| AccessRecord {
+        useragent: "GPTBot/1.2".into(),
+        timestamp: Timestamp::from_unix(t),
+        ip_hash: 7,
+        asn: "GOOGLE".into(),
+        sitename: "site-00.example.edu".into(),
+        uri_path: "/".into(),
+        status: 200,
+        bytes: 1,
+        referer: None,
+    };
+    let records = [at(0), at(299), at(599)];
+    let table = LogTable::from_records(&records);
+    // 0 → 299 is inside a 300 s gap; 299 → 599 is exactly the gap.
+    assert_eq!(table.sessionize(300).len(), 2);
+    assert_eq!(table.sessionize(301).len(), 1);
+    for gap in [299, 300, 301] {
+        check_against_paper_oracle(&records, gap);
+    }
 }
 
 #[test]
@@ -256,14 +438,14 @@ proptest! {
     fn csv_decoder_matches_oracle_on_valid_logs(
         records in prop::collection::vec(record_strategy(), 0..30),
     ) {
-        check_against_oracle(encode(&records).as_bytes());
+        check_against_oracle(csv_text(&records).as_bytes());
     }
 
     #[test]
     fn csv_decoder_matches_oracle_on_hostile_logs(
         records in prop::collection::vec(hostile_record(), 0..10),
     ) {
-        check_against_oracle(encode(&records).as_bytes());
+        check_against_oracle(csv_text(&records).as_bytes());
     }
 
     #[test]
@@ -286,7 +468,7 @@ proptest! {
         pos in 0usize..100_000,
         byte in 0x20u8..0x7F,
     ) {
-        let mut text = encode(&records).into_bytes();
+        let mut text = csv_text(&records).into_bytes();
         let at = pos % text.len();
         text[at] = byte;
         check_against_oracle(&text);
@@ -299,7 +481,7 @@ proptest! {
     ) {
         // Splice bytes from CSV_BYTES into a valid log (with no records:
         // into the bare header), inserting or overwriting.
-        let mut bytes = encode(&records).into_bytes();
+        let mut bytes = csv_text(&records).into_bytes();
         for (pos, byte, insert) in edits {
             let at = pos % (bytes.len() + 1);
             if insert || at == bytes.len() {
@@ -350,10 +532,8 @@ proptest! {
         records in prop::collection::vec(hostile_record(), 0..40),
     ) {
         let table = LogTable::from_records(&records);
-        let csv_lines: String = records.iter().map(|r| codec::encode_record(r) + "\n").collect();
-        let csv_expect = format!("{HEADER}\n{csv_lines}").into_bytes();
-        let jsonl_expect: Vec<u8> =
-            records.iter().flat_map(|r| (jsonl::encode_record(r) + "\n").into_bytes()).collect();
+        let csv_expect = csv_text(&records).into_bytes();
+        let jsonl_expect = jsonl_text(&records).into_bytes();
 
         let mut csv = Vec::new();
         codec::write_table(&mut csv, &table).expect("write csv");
@@ -395,8 +575,8 @@ proptest! {
         .expect("merge");
         prop_assert_eq!(n as usize, sorted.len());
 
-        prop_assert_eq!(csv.into_inner(), encode(&sorted).into_bytes());
-        prop_assert_eq!(json.into_inner(), jsonl::encode(&sorted).into_bytes());
+        prop_assert_eq!(csv.into_inner(), csv_text(&sorted).into_bytes());
+        prop_assert_eq!(json.into_inner(), jsonl_text(&sorted).into_bytes());
         prop_assert_eq!(table.table.to_records(), sorted.clone());
         // BinSink assigns file ids in field order on first sight, as
         // push_record interns: below one page of rows its bytes are the
@@ -411,25 +591,22 @@ proptest! {
         // The decoder is line-oriented by design: a line break ends the
         // line even inside quotes, so a field holding one is rejected.
         // The strategy draws none; quoting handles commas and quotes.
-        let text = encode(&records);
+        let text = csv_text(&records);
         let back = decode_table(&text).expect("decode what we encoded");
         prop_assert_eq!(back.to_records(), records);
     }
 
     #[test]
-    fn table_agrees_with_record_apis(
+    fn table_agrees_with_paper_oracle(log in session_log()) {
+        check_against_paper_oracle(&log.0, log.1);
+    }
+
+    #[test]
+    fn table_agrees_with_paper_oracle_on_sparse_logs(
         records in prop::collection::vec(record_strategy(), 0..50),
         gap in 1u64..50_000,
     ) {
-        // The interned representation is behaviourally identical to the
-        // record one: roundtrip, sessionization, and summary all agree.
-        let table = LogTable::from_records(&records);
-        prop_assert_eq!(table.to_records(), records.clone());
-        prop_assert_eq!(table.sessionize(gap), sessionize(&records, gap));
-        prop_assert_eq!(
-            DatasetSummary::compute_table_with_gap(&table, gap),
-            DatasetSummary::compute_with_gap(&records, gap)
-        );
+        check_against_paper_oracle(&records, gap);
     }
 
     #[test]
@@ -449,11 +626,9 @@ proptest! {
     }
 
     #[test]
-    fn sessionize_conserves_accesses_and_bytes(
-        records in prop::collection::vec(record_strategy(), 0..60),
-        gap in 1u64..100_000,
-    ) {
-        let sessions = sessionize(&records, gap);
+    fn sessionize_conserves_accesses_and_bytes(log in session_log()) {
+        let (records, gap) = log;
+        let sessions = LogTable::from_records(&records).sessionize(gap);
         let total_accesses: u64 = sessions.iter().map(|s| s.accesses).sum();
         prop_assert_eq!(total_accesses, records.len() as u64);
         let total_bytes: u64 = sessions.iter().map(|s| s.bytes).sum();
@@ -462,21 +637,19 @@ proptest! {
     }
 
     #[test]
-    fn sessionize_monotone_in_gap(
-        records in prop::collection::vec(record_strategy(), 0..60),
-        gap in 1u64..50_000,
-    ) {
+    fn sessionize_monotone_in_gap(log in session_log()) {
+        let (records, gap) = log;
         // A larger gap can only merge sessions, never split them.
-        let small = sessionize(&records, gap).len();
-        let large = sessionize(&records, gap * 2).len();
+        let table = LogTable::from_records(&records);
+        let small = table.sessionize(gap).len();
+        let large = table.sessionize(gap * 2).len();
         prop_assert!(large <= small, "gap {gap}: {small} vs {large}");
     }
 
     #[test]
-    fn sessions_never_cross_entities(
-        records in prop::collection::vec(record_strategy(), 0..40),
-    ) {
-        for s in sessionize(&records, 300) {
+    fn sessions_never_cross_entities(log in session_log()) {
+        let (records, gap) = log;
+        for s in LogTable::from_records(&records).sessionize(gap) {
             let members: Vec<&AccessRecord> = records
                 .iter()
                 .filter(|r| {
@@ -502,7 +675,7 @@ proptest! {
         for ((asn, ip, ua), rows) in &tau_groups {
             for row in rows {
                 let r = table.materialize(row);
-                prop_assert_eq!(r.tau_ref(), (*asn, *ip, *ua));
+                prop_assert_eq!((r.asn.as_str(), r.ip_hash, r.useragent.as_str()), (*asn, *ip, *ua));
             }
         }
         let ua_groups = table.by_useragent();
@@ -541,7 +714,7 @@ proptest! {
         // Row-by-row reader agrees with the CSV round trip record for
         // record (interner remapping included: the reader builds its
         // own dictionary, so symbol ids need not match the writer's).
-        let csv = encode(&records);
+        let csv = csv_text(&records);
         let from_csv = decode_table(&csv).expect("decode own CSV").to_records();
         let mut reader = colfmt::BinReader::new(&bin[..]).expect("binary header");
         let mut from_bin = Vec::new();
@@ -646,7 +819,7 @@ proptest! {
         // line number must point at it exactly, counting the header as
         // line 1.
         let at = at.min(records.len());
-        let mut lines: Vec<String> = encode(&records).lines().map(String::from).collect();
+        let mut lines: Vec<String> = csv_text(&records).lines().map(String::from).collect();
         lines.insert(1 + at, "not,a,record".into());
         let text = lines.join("\n");
         let err = decode_table(&text).expect_err("malformed line must fail");
@@ -657,7 +830,7 @@ proptest! {
     fn summary_counts_bounded_by_records(
         records in prop::collection::vec(record_strategy(), 0..50),
     ) {
-        let s = DatasetSummary::compute(&records);
+        let s = DatasetSummary::compute_table(&LogTable::from_records(&records));
         prop_assert!(s.unique_ips <= records.len());
         prop_assert!(s.unique_user_agents <= records.len());
         prop_assert!(s.unique_asns <= records.len());

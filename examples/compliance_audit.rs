@@ -13,7 +13,7 @@ use botscope::core::metrics::{crawl_delay_counts_rows, CRAWL_DELAY_SECS};
 use botscope::core::pipeline::standardize_table;
 use botscope::core::spoofdetect::detect_rows;
 use botscope::simnet::{scenario, SimConfig};
-use botscope::weblog::{codec, AccessRecord};
+use botscope::weblog::{codec, LogTable};
 
 fn main() {
     // Stand-in for: let table = codec::decode_table(&std::fs::read_to_string("access.csv")?)?;
@@ -22,8 +22,9 @@ fn main() {
     println!("Loaded {} access records", table.len());
 
     // Round-trip through the CSV codec to show the persistence path.
-    let head: Vec<AccessRecord> = table.iter_records().take(100).collect();
-    let reloaded = codec::decode_table(&codec::encode(&head)).expect("codec roundtrip");
+    let rows = table.rows().iter().take(100).copied().collect();
+    let head = LogTable::from_parts(table.interner().clone(), rows);
+    let reloaded = codec::decode_table(&codec::encode_table(&head)).expect("codec roundtrip");
     println!("CSV codec roundtrip: {} records re-read\n", reloaded.len());
 
     // 1. Standardize user agents against the known-bot corpus.

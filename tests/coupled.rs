@@ -2,7 +2,7 @@
 //! and attribution separates deliberate violations from fetch-layer
 //! artifacts (the acceptance scenarios of the belief-coupling work).
 
-use botscope::core::attribution::{attribute_table, AttributionCounts};
+use botscope::core::attribution::{attribute_rows, AttributionCounts};
 use botscope::monitor::{
     run_coupled_with_threads, CoupledConfig, CoupledOutput, RefreshModel, ScenarioKind,
 };
@@ -16,7 +16,7 @@ fn small_sim(scale: f64, sites: usize) -> SimConfig {
 }
 
 fn attribution(out: &CoupledOutput) -> std::collections::BTreeMap<String, AttributionCounts> {
-    attribute_table(&out.sim.table, &out.beliefs, &out.served, &PolicyCorpus::new())
+    attribute_rows(&out.sim.table, &out.beliefs, &out.served, &PolicyCorpus::new(), 2).counts
 }
 
 #[test]
