@@ -36,6 +36,7 @@ use botscope_simnet::SimConfig;
 
 use crate::attribution::{attribute_rows, PolicyBasis};
 use crate::metrics::DirectiveCounts;
+use crate::pipeline::for_each_in_time_order;
 use crate::spoofdetect::SpoofReport;
 use crate::stream::StreamAnalyzer;
 
@@ -339,12 +340,10 @@ pub fn table5_category(cat: BotCategory) -> BotCategory {
 }
 
 /// The one feed into the §4 engine: push `rows` (a subsequence of
-/// `table`'s rows) through a [`StreamAnalyzer`] in time order. A
-/// table whose timestamps never decrease — every simnet and coupled
-/// table — streams as is; otherwise the rows are stably sorted by
-/// timestamp first. Ties need no further key: rows sharing a timestamp
-/// give the same result in any order (see the [`crate::stream`] order
-/// contract).
+/// `table`'s rows) through a [`StreamAnalyzer`] in time order (see
+/// [`for_each_in_time_order`]). Ties need no further key: rows sharing
+/// a timestamp give the same result in any order (see the
+/// [`crate::stream`] order contract).
 fn analyze_rows<'t>(
     table: &'t LogTable,
     schedule: &PhaseSchedule,
@@ -352,13 +351,7 @@ fn analyze_rows<'t>(
 ) -> Experiment {
     let interner = table.interner();
     let mut analyzer = StreamAnalyzer::new(schedule);
-    if table.rows().windows(2).all(|w| w[0].timestamp <= w[1].timestamp) {
-        rows.for_each(|row| analyzer.push_row(row, interner));
-    } else {
-        let mut sorted: Vec<&RecordRow> = rows.collect();
-        sorted.sort_by_key(|row| row.timestamp);
-        sorted.into_iter().for_each(|row| analyzer.push_row(row, interner));
-    }
+    for_each_in_time_order(table, rows, |row| analyzer.push_row(row, interner));
     analyzer.finish(interner)
 }
 

@@ -23,8 +23,10 @@
 //!    two-proportion z-tests (Table 10), aggregate categories with
 //!    access-weighted averages (Table 5);
 //! 5. [`recheck`] — the §5.1 robots.txt re-check-frequency analysis
-//!    (Table 7, Figure 10), including the monitored digest-window
-//!    matrix ([`recheck::phase_check_matrix`]);
+//!    (Table 7, Figure 10) in one engine,
+//!    [`recheck::RecheckAccumulator`], fed time-ordered rows either
+//!    streamed or from a table ([`recheck::profiles_from_table`], the
+//!    monitored digest-window matrix [`recheck::phase_check_matrix`]);
 //! 6. [`attribution`] — ground-truth-aware attribution over the belief
 //!    layer: a per-bot split of served violations into deliberate /
 //!    stale-cache / fetch-artifact, and the per-row excusal mask that

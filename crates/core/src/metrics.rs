@@ -23,7 +23,7 @@
 //! * **disallow** — per user agent, the fraction of accesses that hit
 //!   `/robots.txt`, the only permitted target under full denial.
 
-use botscope_weblog::intern::Sym;
+use botscope_weblog::intern::{StringInterner, Sym};
 use botscope_weblog::table::{LogTable, RecordRow};
 
 /// A success/trial pair; the unit every metric returns.
@@ -60,9 +60,9 @@ impl DirectiveCounts {
 /// The crawl-delay requirement of the paper's v1 file, in seconds.
 pub const CRAWL_DELAY_SECS: u64 = 30;
 
-/// Per-symbol path classification, computed once per table so the
+/// Per-symbol path classification, computed once per symbol so the
 /// metrics never touch a string.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PathClasses {
     flags: Vec<u8>,
 }
@@ -74,21 +74,24 @@ impl PathClasses {
     /// Classify every interned string of `table` (non-path symbols
     /// simply get no flags).
     pub fn new(table: &LogTable) -> PathClasses {
-        let flags = table
-            .interner()
-            .iter()
-            .map(|(_, s)| {
-                let mut f = 0u8;
-                if s == "/robots.txt" {
-                    f |= Self::ROBOTS;
-                }
-                if s.starts_with("/page-data/") {
-                    f |= Self::PAGE_DATA;
-                }
-                f
-            })
-            .collect();
-        PathClasses { flags }
+        let mut classes = PathClasses::default();
+        classes.grow(table.interner());
+        classes
+    }
+
+    /// Classify the symbols interned since the last call. The interner
+    /// only appends, so earlier verdicts never change.
+    pub fn grow(&mut self, interner: &StringInterner) {
+        for (_, s) in interner.iter().skip(self.flags.len()) {
+            let mut f = 0u8;
+            if s == "/robots.txt" {
+                f |= Self::ROBOTS;
+            }
+            if s.starts_with("/page-data/") {
+                f |= Self::PAGE_DATA;
+            }
+            self.flags.push(f);
+        }
     }
 
     /// Whether the symbol is exactly `/robots.txt`.

@@ -124,6 +124,25 @@ pub(crate) fn agent_specs<'t>(
     (distinct, spec_of)
 }
 
+/// Visit `rows` (a subsequence of `table`'s rows) in nondecreasing
+/// time order, the order the push engines require. A table whose
+/// timestamps never decrease — every simnet, coupled and monitor table
+/// — is visited as is; otherwise the rows are stably sorted by
+/// timestamp first.
+pub(crate) fn for_each_in_time_order<'t>(
+    table: &'t LogTable,
+    rows: impl Iterator<Item = &'t RecordRow>,
+    f: impl FnMut(&'t RecordRow),
+) {
+    if table.rows().windows(2).all(|w| w[0].timestamp <= w[1].timestamp) {
+        rows.for_each(f);
+    } else {
+        let mut sorted: Vec<&RecordRow> = rows.collect();
+        sorted.sort_by_key(|row| row.timestamp);
+        sorted.into_iter().for_each(f);
+    }
+}
+
 /// An empty [`BotRowView`] carrying a spec's metadata.
 fn view_for(bot: &'static BotSpec) -> BotRowView<'static> {
     BotRowView {

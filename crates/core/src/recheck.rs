@@ -8,17 +8,24 @@
 //! * per-bot-per-phase check booleans — did the bot fetch `robots.txt`
 //!   at all while a given experimental file was live? (Table 7's
 //!   "Checked robots.txt" columns).
+//!
+//! One engine computes both: [`RecheckAccumulator`], a bounded-memory
+//! row sink. Its order contract: rows arrive in nondecreasing timestamp
+//! order, as the monitor's k-way shard merge streams them. The table
+//! entry points [`profiles_from_table`] and [`phase_check_matrix`] feed
+//! it a table's rows in that order, sorting only a table whose
+//! timestamps go back.
 
 use std::collections::BTreeMap;
 
 use botscope_simnet::PolicyVersion;
-use botscope_stats::window::{window_coverage, PAPER_WINDOWS_HOURS};
-use botscope_useragent::BotCategory;
-use botscope_weblog::intern::StringInterner;
+use botscope_stats::window::PAPER_WINDOWS_HOURS;
+use botscope_useragent::{BotCategory, BotSpec, Standardizer};
+use botscope_weblog::intern::{StringInterner, Sym};
 use botscope_weblog::table::{LogTable, RecordRow};
 
 use crate::metrics::PathClasses;
-use crate::pipeline::{standardize_table, StandardizedTable};
+use crate::pipeline::for_each_in_time_order;
 
 /// Per-bot re-check profile.
 #[derive(Debug, Clone, PartialEq)]
@@ -27,8 +34,8 @@ pub struct RecheckProfile {
     pub bot: String,
     /// Category.
     pub category: BotCategory,
-    /// Times (unix secs) of robots.txt fetches.
-    pub check_times: Vec<u64>,
+    /// Number of robots.txt fetches.
+    pub checks: u64,
     /// For each paper window length (hours → fully covered?).
     pub covered: BTreeMap<u64, bool>,
 }
@@ -36,7 +43,7 @@ pub struct RecheckProfile {
 impl RecheckProfile {
     /// Whether the bot checked robots.txt at all.
     pub fn ever_checked(&self) -> bool {
-        !self.check_times.is_empty()
+        self.checks > 0
     }
 }
 
@@ -50,59 +57,15 @@ pub struct RecheckByCategory {
     pub checking_bots: BTreeMap<BotCategory, usize>,
 }
 
-/// Build per-bot re-check profiles over an observation horizon.
-///
-/// `horizon_end` is the end of the dataset (unix secs); windows are
-/// anchored at each bot's first robots.txt fetch, per the paper.
-/// robots.txt fetches are recognized by path symbol, so the scan is
-/// string-free. Convenience wrapper over [`profiles_table_with`] that
-/// classifies the interner itself.
-pub fn profiles_table(logs: &StandardizedTable<'_>, horizon_end: u64) -> Vec<RecheckProfile> {
-    profiles_table_with(&PathClasses::new(logs.table), logs, horizon_end)
-}
-
-/// [`profiles_table`] with a caller-supplied [`PathClasses`], so callers
-/// that already classified the table's interner (report generation does)
-/// don't pay for a second scan of it.
-pub fn profiles_table_with(
-    classes: &PathClasses,
-    logs: &StandardizedTable<'_>,
-    horizon_end: u64,
-) -> Vec<RecheckProfile> {
-    let mut out = Vec::new();
-    for view in logs.bots.values() {
-        let mut check_times: Vec<u64> = view
-            .rows
-            .iter()
-            .filter(|r| classes.is_robots(r.uri_path))
-            .map(|r| r.timestamp.unix())
-            .collect();
-        check_times.sort_unstable();
-        let mut covered = BTreeMap::new();
-        for &h in &PAPER_WINDOWS_HOURS {
-            let ok = window_coverage(&check_times, h * 3600, horizon_end)
-                .is_some_and(|c| c.fully_covered());
-            covered.insert(h, ok);
-        }
-        out.push(RecheckProfile {
-            bot: view.name.clone(),
-            category: view.category,
-            check_times,
-            covered,
-        });
-    }
-    out
-}
-
-/// Profiles straight from an interned table — the entry point for
-/// *monitored* fetch logs: the monitoring daemon's `FetchEventLog`
-/// emits `/robots.txt` rows in the ordinary access-record schema, so
-/// Figure 10 recomputes from live-monitoring output exactly as it does
-/// from weblog rows. (Standardizes the table, then runs
-/// [`profiles_table`].)
+/// Per-bot re-check profiles of an interned table over an observation
+/// horizon — the entry point for *monitored* fetch logs, whose
+/// `/robots.txt` rows use the ordinary access-record schema. Windows
+/// are anchored at each bot's first robots.txt fetch, per the paper;
+/// `horizon_end` is the end of the dataset (unix secs).
 pub fn profiles_from_table(table: &LogTable, horizon_end: u64) -> Vec<RecheckProfile> {
-    let logs = standardize_table(table);
-    profiles_table(&logs, horizon_end)
+    let mut acc = RecheckAccumulator::new(SiteVersionWindows::new(), horizon_end);
+    acc.push_table(table);
+    acc.profiles()
 }
 
 /// Aggregate profiles into Figure 10's category proportions. Only bots
@@ -186,61 +149,14 @@ pub struct PhaseCheckRow {
 /// order; bots with no robots.txt fetch at all still appear (all
 /// deployed cells `Some(false)`) — those are Table 7's never-checkers.
 pub fn phase_check_matrix(table: &LogTable, windows: &SiteVersionWindows) -> Vec<PhaseCheckRow> {
-    let classes = PathClasses::new(table);
-    let logs = standardize_table(table);
-    // Which versions were deployed at all (the `None` columns).
-    let mut deployed = [false; 4];
-    for spans in windows.values() {
-        for &(version, _, _) in spans {
-            deployed[version.index()] = true;
-        }
-    }
-    // Resolve site symbols once, indexed by symbol so the per-row
-    // lookup is O(1) even on 100k-site monitor estates.
-    type SpanSlice<'w> = &'w [(PolicyVersion, u64, u64)];
-    let mut site_spans: Vec<Option<SpanSlice<'_>>> = vec![None; table.interner().len()];
-    for (name, spans) in windows {
-        if let Some(sym) = table.interner().get(name) {
-            site_spans[sym.index()] = Some(spans.as_slice());
-        }
-    }
-
-    let mut out = Vec::with_capacity(logs.bots.len());
-    for view in logs.bots.values() {
-        let mut hit = [false; 4];
-        let mut checks = 0u64;
-        for row in &view.rows {
-            if !classes.is_robots(row.uri_path) {
-                continue;
-            }
-            checks += 1;
-            let t = row.timestamp.unix();
-            if let Some(spans) = site_spans[row.sitename.index()] {
-                if let Some(&(version, _, _)) =
-                    spans.iter().find(|&&(_, from, to)| t >= from && t < to)
-                {
-                    hit[version.index()] = true;
-                }
-            }
-        }
-        let mut checked = [None; 4];
-        for i in 0..4 {
-            if deployed[i] {
-                checked[i] = Some(hit[i]);
-            }
-        }
-        out.push(PhaseCheckRow {
-            bot: view.name.clone(),
-            category: view.category,
-            checked,
-            checks,
-        });
-    }
-    out
+    // The horizon only bounds the coverage windows, which go unread.
+    let mut acc = RecheckAccumulator::new(windows.clone(), 0);
+    acc.push_table(table);
+    acc.phase_rows()
 }
 
 // ---------------------------------------------------------------------
-// Streaming accumulators (bounded-memory §5.1 reports).
+// The engine.
 // ---------------------------------------------------------------------
 
 /// Incremental [`window_coverage`] over one bot's robots.txt fetch
@@ -248,41 +164,33 @@ pub fn phase_check_matrix(table: &LogTable, windows: &SiteVersionWindows) -> Vec
 ///
 /// State is O(1): the anchor, the complete-window count (fixed the
 /// moment the anchor lands), the highest window index hit so far, and
-/// whether any window was skipped. For sorted input this is equivalent
-/// to the batch computation: the window index only ever advances, so a
-/// gap (`idx > hi + 1`) can never be filled by a later fetch.
+/// whether any window was skipped. For sorted input this equals
+/// [`window_coverage`] over all the times: the window index only ever
+/// advances, so a gap (`idx > hi + 1`) can never be filled by a later
+/// fetch.
+///
+/// [`window_coverage`]: botscope_stats::window::window_coverage
 #[derive(Debug, Clone, Copy)]
 struct WindowAccum {
     window_secs: u64,
     anchored: bool,
     first: u64,
     total: u64,
-    counted_any: bool,
     hi: u64,
     missed: bool,
 }
 
 impl WindowAccum {
     fn new(window_secs: u64) -> WindowAccum {
-        WindowAccum {
-            window_secs,
-            anchored: false,
-            first: 0,
-            total: 0,
-            counted_any: false,
-            hi: 0,
-            missed: false,
-        }
+        WindowAccum { window_secs, anchored: false, first: 0, total: 0, hi: 0, missed: false }
     }
 
     fn push(&mut self, t: u64, horizon_end: u64) {
         if !self.anchored {
             self.anchored = true;
             self.first = t;
+            // The anchor fetch itself hits window 0: `hi` starts there.
             self.total = if t >= horizon_end { 0 } else { (horizon_end - t) / self.window_secs };
-            // The anchor fetch itself hits window 0 (when any complete
-            // window exists at all).
-            self.counted_any = self.total > 0;
             return;
         }
         debug_assert!(t >= self.first, "rows must arrive in nondecreasing time order");
@@ -301,39 +209,60 @@ impl WindowAccum {
         }
     }
 
-    /// The batch predicate: every complete window contained a fetch.
+    /// The paper's predicate: every complete window contained a fetch.
     fn fully_covered(&self) -> bool {
-        self.counted_any && !self.missed && self.hi + 1 == self.total
+        self.total > 0 && !self.missed && self.hi + 1 == self.total
     }
 }
 
-/// Per-bot streaming state: O(windows) coverage accumulators plus the
-/// Table 7 hit flags.
+/// Per-bot state: O(windows) coverage accumulators plus the Table 7
+/// hit flags.
 #[derive(Debug, Clone)]
 struct BotAccum {
-    category: BotCategory,
+    spec: &'static BotSpec,
     checks: u64,
     hit: [bool; 4],
     windows: [WindowAccum; 5],
 }
 
-/// Bounded-memory accumulator for the §5.1 monitor reports.
+/// One site's `(version, from_unix, to_unix)` deployment spans.
+type Spans = Vec<(PolicyVersion, u64, u64)>;
+
+/// A per-symbol verdict not computed yet.
+const UNSEEN: u32 = u32::MAX;
+/// A user agent no corpus entry matches, or a site without deployment
+/// windows.
+const NONE: u32 = u32::MAX - 1;
+
+/// The §5.1 engine: a bounded-memory accumulator for the per-category
+/// re-check coverage table ([`by_category`]`(&`[`profiles`](Self::profiles)`())`)
+/// and the monitored Table 7 matrix ([`phase_rows`](Self::phase_rows)).
 ///
-/// Feed it the daemon's streamed fetch rows — in the k-way shard
-/// merge's canonical, time-ascending order — and it reproduces exactly
-/// what the materialized pipeline computes as
-/// [`by_category`]`(&`[`profiles_from_table`]`(..))` and
-/// [`phase_check_matrix`]: the per-category re-check coverage table and
-/// the monitored Table 7 matrix. State is O(bots × windows + sites),
-/// never O(rows), so `monitor --stream` prints the same report bytes as
-/// the materialized path without ever holding the table.
+/// Feed it rows in nondecreasing timestamp order (the module's order
+/// contract): the daemon's streamed fetch rows as a
+/// [`RowSink`](botscope_weblog::sink::RowSink), or a table through
+/// [`push_table`](Self::push_table). State is O(bots × windows +
+/// symbols), never O(rows), so `monitor --stream` prints the same report
+/// bytes as the materialized path without ever holding the table.
+///
+/// Every verdict is keyed by symbol in dense arrays that grow with the
+/// interner: each user agent is standardized once, each path classified
+/// once and each site's deployment windows looked up once, so a row
+/// costs a few array indexes and never a string comparison.
 pub struct RecheckAccumulator {
     horizon_end: u64,
-    windows: SiteVersionWindows,
+    /// Deployment windows, site-name-ascending (binary-searched once
+    /// per site symbol).
+    sites: Vec<(String, Spans)>,
     deployed: [bool; 4],
-    standardizer: botscope_useragent::Standardizer,
-    ua_cache: BTreeMap<String, Option<&'static botscope_useragent::BotSpec>>,
-    bots: BTreeMap<String, BotAccum>,
+    standardizer: Standardizer,
+    paths: PathClasses,
+    /// Per-symbol verdicts, indexed by [`Sym::index`]: the bot slot of a
+    /// user agent, and the `sites` index of a site.
+    ua_slot: Vec<u32>,
+    site_slot: Vec<u32>,
+    bots: Vec<BotAccum>,
+    slot_by_name: BTreeMap<&'static str, u32>,
 }
 
 impl RecheckAccumulator {
@@ -348,99 +277,119 @@ impl RecheckAccumulator {
         }
         RecheckAccumulator {
             horizon_end,
-            windows,
+            sites: windows.into_iter().collect(),
             deployed,
-            standardizer: botscope_useragent::Standardizer::new(),
-            ua_cache: BTreeMap::new(),
-            bots: BTreeMap::new(),
+            standardizer: Standardizer::new(),
+            paths: PathClasses::default(),
+            ua_slot: Vec::new(),
+            site_slot: Vec::new(),
+            bots: Vec::new(),
+            slot_by_name: BTreeMap::new(),
         }
     }
 
-    /// Absorb one streamed row, resolving its fields through `strings`.
-    /// Known bots register a row view even when the row is not a
+    /// Absorb one row; `strings` is the one growing interner its symbols
+    /// come from. Known bots register even when the row is not a
     /// robots.txt fetch (Table 7's never-checker rows); anonymous agents
     /// are ignored, as in standardization.
     pub fn push(&mut self, row: &RecordRow, strings: &StringInterner) {
-        let useragent = strings.resolve(row.useragent);
-        let spec = match self.ua_cache.get(useragent) {
-            Some(&spec) => spec,
-            None => {
-                let spec = self.standardizer.standardize(useragent).map(|s| s.bot);
-                self.ua_cache.insert(useragent.to_string(), spec);
-                spec
-            }
-        };
-        let Some(bot) = spec else {
-            return;
-        };
-        let accum = self.bots.entry(bot.canonical.to_string()).or_insert_with(|| BotAccum {
-            category: bot.category,
-            checks: 0,
-            hit: [false; 4],
-            windows: PAPER_WINDOWS_HOURS.map(|h| WindowAccum::new(h * 3600)),
-        });
-        if strings.resolve(row.uri_path) != "/robots.txt" {
+        if self.ua_slot.len() < strings.len() {
+            self.ua_slot.resize(strings.len(), UNSEEN);
+            self.site_slot.resize(strings.len(), UNSEEN);
+            self.paths.grow(strings);
+        }
+        let slot = self.bot_slot(row.useragent, strings);
+        if slot == NONE || !self.paths.is_robots(row.uri_path) {
             return;
         }
-        accum.checks += 1;
         let t = row.timestamp.unix();
-        for w in &mut accum.windows {
+        let site = self.site(row.sitename, strings);
+        let bot = &mut self.bots[slot as usize];
+        bot.checks += 1;
+        for w in &mut bot.windows {
             w.push(t, self.horizon_end);
         }
-        if let Some(spans) = self.windows.get(strings.resolve(row.sitename)) {
+        if let Some((_, spans)) = site.and_then(|i| self.sites.get(i)) {
             if let Some(&(version, _, _)) = spans.iter().find(|&&(_, from, to)| t >= from && t < to)
             {
-                accum.hit[version.index()] = true;
+                bot.hit[version.index()] = true;
             }
         }
     }
 
-    /// Figure 10's aggregation — equal to
-    /// `by_category(&profiles_from_table(table, horizon_end))` over the
-    /// materialized equivalent of the stream.
-    pub fn by_category(&self) -> RecheckByCategory {
-        let mut out = RecheckByCategory::default();
-        let mut per_cat: BTreeMap<BotCategory, (usize, [usize; 5])> = BTreeMap::new();
-        for b in self.bots.values() {
-            if b.checks == 0 {
-                continue;
-            }
-            let entry = per_cat.entry(b.category).or_default();
-            entry.0 += 1;
-            for (i, w) in b.windows.iter().enumerate() {
-                entry.1[i] += usize::from(w.fully_covered());
-            }
-        }
-        for (cat, (n, covered)) in per_cat {
-            out.checking_bots.insert(cat, n);
-            for (i, &h) in PAPER_WINDOWS_HOURS.iter().enumerate() {
-                out.proportions.insert((cat, h), covered[i] as f64 / n as f64);
-            }
-        }
-        out
+    /// Absorb every row of `table` in time order.
+    pub fn push_table(&mut self, table: &LogTable) {
+        let strings = table.interner();
+        for_each_in_time_order(table, table.rows().iter(), |row| self.push(row, strings));
     }
 
-    /// The monitored Table 7 matrix — equal to
-    /// `phase_check_matrix(table, windows)` over the materialized
-    /// equivalent of the stream.
-    pub fn phase_rows(&self) -> Vec<PhaseCheckRow> {
-        self.bots
-            .iter()
-            .map(|(name, b)| {
-                let mut checked = [None; 4];
-                for (i, slot) in checked.iter_mut().enumerate() {
-                    if self.deployed[i] {
-                        *slot = Some(b.hit[i]);
-                    }
-                }
-                PhaseCheckRow { bot: name.clone(), category: b.category, checked, checks: b.checks }
+    /// The bot slot of a user-agent symbol ([`NONE`] = anonymous),
+    /// standardizing it on first sight.
+    fn bot_slot(&mut self, ua: Sym, strings: &StringInterner) -> u32 {
+        let slot = &mut self.ua_slot[ua.index()];
+        if *slot == UNSEEN {
+            *slot = match self.standardizer.standardize(strings.resolve(ua)).map(|s| s.bot) {
+                None => NONE,
+                Some(spec) => *self.slot_by_name.entry(spec.canonical).or_insert_with(|| {
+                    self.bots.push(BotAccum {
+                        spec,
+                        checks: 0,
+                        hit: [false; 4],
+                        windows: PAPER_WINDOWS_HOURS.map(|h| WindowAccum::new(h * 3600)),
+                    });
+                    (self.bots.len() - 1) as u32
+                }),
+            };
+        }
+        *slot
+    }
+
+    /// The `sites` index of a site symbol, looked up on first sight.
+    fn site(&mut self, site: Sym, strings: &StringInterner) -> Option<usize> {
+        let slot = &mut self.site_slot[site.index()];
+        if *slot == UNSEEN {
+            let name = strings.resolve(site);
+            *slot = self
+                .sites
+                .binary_search_by(|(s, _)| s.as_str().cmp(name))
+                .map_or(NONE, |i| i as u32);
+        }
+        (*slot != NONE).then_some(*slot as usize)
+    }
+
+    /// The known bots' accumulators in canonical-name order.
+    fn bots_by_name(&self) -> impl Iterator<Item = &BotAccum> {
+        self.slot_by_name.values().map(|&slot| &self.bots[slot as usize])
+    }
+
+    /// Per-bot re-check profiles (Figure 10's input), one per known
+    /// bot in canonical-name order.
+    pub fn profiles(&self) -> Vec<RecheckProfile> {
+        self.bots_by_name()
+            .map(|b| RecheckProfile {
+                bot: b.spec.canonical.to_string(),
+                category: b.spec.category,
+                checks: b.checks,
+                covered: PAPER_WINDOWS_HOURS
+                    .iter()
+                    .zip(&b.windows)
+                    .map(|(&h, w)| (h, w.fully_covered()))
+                    .collect(),
             })
             .collect()
     }
 
-    /// The deployment windows the accumulator was built over.
-    pub fn site_windows(&self) -> &SiteVersionWindows {
-        &self.windows
+    /// The monitored Table 7 matrix, one row per known bot in
+    /// canonical-name order (see [`phase_check_matrix`]).
+    pub fn phase_rows(&self) -> Vec<PhaseCheckRow> {
+        self.bots_by_name()
+            .map(|b| PhaseCheckRow {
+                bot: b.spec.canonical.to_string(),
+                category: b.spec.category,
+                checked: std::array::from_fn(|i| self.deployed[i].then_some(b.hit[i])),
+                checks: b.checks,
+            })
+            .collect()
     }
 }
 

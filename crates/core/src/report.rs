@@ -20,9 +20,8 @@ use botscope_weblog::table::{LogTable, RecordRow};
 use botscope_weblog::time::Timestamp;
 
 use crate::analyze::{Directive, Experiment};
-use crate::metrics::PathClasses;
 use crate::pipeline::standardize_table;
-use crate::recheck::{by_category, profiles_table_with, RecheckByCategory};
+use crate::recheck::{by_category, profiles_from_table, RecheckByCategory};
 use crate::spoofdetect::{detect_rows, SpoofReport};
 use crate::tables::{f, ratio, series, TextTable};
 
@@ -112,8 +111,7 @@ impl FullStudyReport {
         }
 
         let horizon_end = end.unix() + 1;
-        let classes = PathClasses::new(table);
-        let recheck = by_category(&profiles_table_with(&classes, &logs, horizon_end));
+        let recheck = by_category(&profiles_from_table(table, horizon_end));
         let spoof = detect_rows(table, &logs.per_bot_rows());
 
         FullStudyReport {

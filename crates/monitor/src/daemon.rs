@@ -1234,7 +1234,6 @@ mod tests {
         // never share, total fetches must sit far below the daily-cadence
         // bound but above one-per-agent.
         assert!(out.stats.fetches > out.stats.agents);
-        let checks = out.table.robots_checks_by_useragent();
-        assert!(!checks.is_empty());
+        assert!(out.table.rows().iter().any(|row| out.table.is_robots_fetch(row)));
     }
 }

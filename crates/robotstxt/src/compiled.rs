@@ -378,12 +378,6 @@ impl<'a> GroupView<'a> {
         self.automaton.crawl_delay
     }
 
-    /// Indices (into [`rules`](Self::rules)) of side-list rules — those
-    /// with a true interior wildcard that the trie cannot represent.
-    pub fn wild_rule_indices(&self) -> impl Iterator<Item = usize> + 'a {
-        self.automaton.wild.iter().map(|&(idx, _)| idx)
-    }
-
     /// Whether the group has any side-list (interior-wildcard) rules.
     pub fn has_wild(&self) -> bool {
         !self.automaton.wild.is_empty()
@@ -419,18 +413,6 @@ impl<'a> NodeView<'a> {
     /// Outgoing edges as `(byte, child node index)`, byte-ascending.
     pub fn children(&self) -> impl Iterator<Item = (u8, usize)> + 'a {
         self.node.children.iter().map(|&(b, i)| (b, i as usize))
-    }
-
-    /// Best rank among prefix rules terminating at this node
-    /// ([`rank::NO_MATCH`] when none do).
-    pub fn prefix_rank(&self) -> u64 {
-        self.node.prefix
-    }
-
-    /// Best rank among `$`-anchored rules terminating at this node
-    /// ([`rank::NO_MATCH`] when none do).
-    pub fn exact_rank(&self) -> u64 {
-        self.node.exact
     }
 }
 

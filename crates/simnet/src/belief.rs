@@ -224,11 +224,6 @@ impl BeliefTimeline {
         self.segments[idx.saturating_sub(1)].1
     }
 
-    /// [`BeliefTimeline::at`] for timestamp-typed callers.
-    pub fn at_time(&self, t: Timestamp) -> BelievedPolicy {
-        self.at(t.unix())
-    }
-
     /// The raw `(from_unix_sec, policy)` segments.
     pub fn segments(&self) -> &[(u64, BelievedPolicy)] {
         &self.segments

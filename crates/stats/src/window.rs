@@ -96,17 +96,6 @@ pub fn window_coverage(
 /// The window lengths analysed in the paper, in hours: 12, 24, 48, 72, 168.
 pub const PAPER_WINDOWS_HOURS: [u64; 5] = [12, 24, 48, 72, 168];
 
-/// Evaluate [`window_coverage`] for each of the paper's five window lengths.
-///
-/// Returns one entry per window length (skipping lengths for which coverage
-/// is undefined, which only happens for empty input).
-pub fn paper_window_profile(access_times: &[u64], horizon_end: u64) -> Vec<WindowCoverage> {
-    PAPER_WINDOWS_HOURS
-        .iter()
-        .filter_map(|&h| window_coverage(access_times, h * 3600, horizon_end))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,13 +196,5 @@ mod tests {
         let cov = window_coverage(&[30 * H, 0, 10 * H], 24 * H, 48 * H).unwrap();
         assert_eq!(cov.total_windows, 2);
         assert!(cov.fully_covered());
-    }
-
-    #[test]
-    fn paper_profile_has_five_entries() {
-        let profile = paper_window_profile(&[0, H, 2 * H], 400 * H);
-        assert_eq!(profile.len(), 5);
-        assert_eq!(profile[0].window_secs, 12 * H);
-        assert_eq!(profile[4].window_secs, 168 * H);
     }
 }

@@ -92,14 +92,6 @@ pub fn two_proportion_z_test(x1: u64, n1: u64, x2: u64, n2: u64) -> Option<ZTest
     Some(ZTestResult { p1, p2, z, p_value, x1, n1, x2, n2 })
 }
 
-/// Convenience wrapper taking proportions that are already ratios of
-/// integer counts.
-///
-/// `(successes, trials)` pairs; see [`two_proportion_z_test`].
-pub fn z_test_counts(a: (u64, u64), b: (u64, u64)) -> Option<ZTestResult> {
-    two_proportion_z_test(a.0, a.1, b.0, b.1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -125,7 +125,7 @@ mod tests {
     }
 
     #[test]
-    fn feeds_recheck_views() {
+    fn sorts_into_a_time_ordered_robots_trace() {
         let mut log = FetchEventLog::new();
         let ua = log.intern("botA/1.0");
         let asn = log.intern("ASN-A");
@@ -135,8 +135,12 @@ mod tests {
         }
         let mut table = log.into_table();
         table.sort_canonical();
-        let checks = table.robots_checks_by_useragent();
-        assert_eq!(checks["botA/1.0"], vec![10, 20, 30]);
+        let times: Vec<u64> = table
+            .iter_records()
+            .filter(|r| r.is_robots_fetch() && r.useragent == "botA/1.0")
+            .map(|r| r.timestamp.unix())
+            .collect();
+        assert_eq!(times, vec![10, 20, 30]);
     }
 
     #[test]

@@ -14,8 +14,6 @@
 //! interns records and [`LogTable::record`] /
 //! [`LogTable::iter_records`] materialize them back.
 
-use std::collections::BTreeMap;
-
 use crate::intern::{StringInterner, Sym};
 use crate::record::AccessRecord;
 use crate::session::Session;
@@ -263,23 +261,6 @@ impl LogTable {
             map.into_iter().map(|(ua, rows)| (self.resolve(ua), rows)).collect();
         groups.sort_by(|a, b| a.0.cmp(b.0));
         groups
-    }
-
-    /// The robots.txt fetch times (unix secs) per raw user agent, in
-    /// table row order (ascending in time once the table is canonically
-    /// sorted). Agents that never fetched `/robots.txt` are absent.
-    pub fn robots_checks_by_useragent(&self) -> BTreeMap<&str, Vec<u64>> {
-        use std::collections::HashMap;
-        let Some(robots) = self.interner.get("/robots.txt") else {
-            return BTreeMap::new();
-        };
-        let mut map: HashMap<Sym, Vec<u64>> = HashMap::new();
-        for row in &self.rows {
-            if row.uri_path == robots {
-                map.entry(row.useragent).or_default().push(row.timestamp.unix());
-            }
-        }
-        map.into_iter().map(|(ua, times)| (self.resolve(ua), times)).collect()
     }
 
     /// Group rows into [`Session`]s with the given inactivity gap: per
@@ -565,7 +546,6 @@ mod tests {
         assert!(table.sessionize(300).is_empty());
         assert!(table.by_tau().is_empty());
         assert!(table.by_useragent().is_empty());
-        assert!(table.robots_checks_by_useragent().is_empty());
     }
 
     #[test]
@@ -600,19 +580,5 @@ mod tests {
         assert_eq!(groups[0].1.len(), 2);
         assert_eq!(groups[1].0, "b");
         assert_eq!(groups[1].1.len(), 1);
-    }
-
-    #[test]
-    fn robots_checks_view() {
-        let records = vec![
-            rec("a", 1, 10, "/robots.txt"),
-            rec("a", 1, 20, "/page"),
-            rec("a", 1, 30, "/robots.txt"),
-            rec("b", 2, 5, "/page"),
-        ];
-        let table = LogTable::from_records(&records);
-        let checks = table.robots_checks_by_useragent();
-        assert_eq!(checks["a"], vec![10, 30]);
-        assert!(!checks.contains_key("b"));
     }
 }

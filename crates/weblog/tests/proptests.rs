@@ -682,9 +682,8 @@ proptest! {
         let grouped: usize = ua_groups.iter().map(|(_, v)| v.len()).sum();
         prop_assert_eq!(grouped, records.len());
         prop_assert!(ua_groups.windows(2).all(|w| w[0].0 < w[1].0));
-        // Every robots.txt fetch lands in the robots-times view.
-        let robots_total: usize =
-            table.robots_checks_by_useragent().values().map(std::vec::Vec::len).sum();
+        // Every robots.txt fetch is recognized on its interned row.
+        let robots_total = table.rows().iter().filter(|row| table.is_robots_fetch(row)).count();
         let expect = records.iter().filter(|r| r.is_robots_fetch()).count();
         prop_assert_eq!(robots_total, expect);
     }

@@ -18,7 +18,7 @@ use std::process::ExitCode;
 
 use botscope::core::metrics::{crawl_delay_counts_rows, CRAWL_DELAY_SECS};
 use botscope::core::pipeline::standardize_table;
-use botscope::core::recheck::{by_category, profiles_from_table};
+use botscope::core::recheck::{by_category, RecheckAccumulator};
 use botscope::core::spoofdetect::detect_rows;
 use botscope::monitor::daemon::{MonitorConfig, TtlPolicy};
 use botscope::monitor::ScenarioKind;
@@ -1212,9 +1212,9 @@ fn cmd_monitor(p: &Parsed) -> Result<(), String> {
     let (out_path, jsonl_path, changes_path) =
         (p.value("--out"), p.value("--jsonl"), p.value("--changes"));
     let mut streamed_rows = None;
-    let (stats, changes, bots, site_windows, matrix, agg) = if p.switch("--stream") {
-        // Fetch events flow through row sinks, and the table-derived
-        // reports are computed by a bounded-memory accumulator riding
+    // One §5.1 engine computes the reports in both modes.
+    let (stats, changes, bots, site_windows, recheck) = if p.switch("--stream") {
+        // Fetch events flow through row sinks, and the accumulator rides
         // the same stream: the merged table never exists.
         let mut csv = match out_path {
             Some(path) => Some(
@@ -1223,9 +1223,9 @@ fn cmd_monitor(p: &Parsed) -> Result<(), String> {
             None => None,
         };
         let mut jsonl = jsonl_path.map(|path| writer_for(path).map(JsonlSink::new)).transpose()?;
-        // The accumulator needs each site's deployment windows *before*
-        // streaming starts; they are a pure function of the config.
-        let mut recheck = botscope::core::recheck::RecheckAccumulator::new(
+        // The accumulator needs each site's deployment windows before the
+        // first row; they are a pure function of the config.
+        let mut recheck = RecheckAccumulator::new(
             botscope::monitor::config_site_windows(&cfg),
             cfg.horizon_end(),
         );
@@ -1240,10 +1240,8 @@ fn cmd_monitor(p: &Parsed) -> Result<(), String> {
         let summary =
             botscope::monitor::run_streaming(&cfg, botscope::simnet::worker_threads(), &mut sinks)
                 .map_err(|e| format!("streaming write failed: {e}"))?;
-        drop(sinks);
         streamed_rows = Some(summary.rows);
-        let (matrix, agg) = (recheck.phase_rows(), recheck.by_category());
-        (summary.stats, summary.changes, summary.bots, summary.site_windows, matrix, agg)
+        (summary.stats, summary.changes, summary.bots, summary.site_windows, recheck)
     } else {
         let out = botscope::monitor::run(&cfg);
         if let Some(path) = out_path {
@@ -1252,10 +1250,12 @@ fn cmd_monitor(p: &Parsed) -> Result<(), String> {
         if let Some(path) = jsonl_path {
             write_output(path, |mut w| botscope::weblog::jsonl::write_table(&mut w, &out.table))?;
         }
-        let matrix = botscope::core::recheck::phase_check_matrix(&out.table, &out.site_windows);
-        let agg = by_category(&profiles_from_table(&out.table, out.horizon_end));
-        (out.stats, out.changes, out.bots, out.site_windows, matrix, agg)
+        let _phase = botscope::obs::global().phase("monitor_recheck");
+        let mut recheck = RecheckAccumulator::new(out.site_windows.clone(), out.horizon_end);
+        recheck.push_table(&out.table);
+        (out.stats, out.changes, out.bots, out.site_windows, recheck)
     };
+    let (matrix, agg) = (recheck.phase_rows(), by_category(&recheck.profiles()));
     if let Some(path) = changes_path {
         write_changes(path, &changes)?;
     }

@@ -464,6 +464,18 @@ fn monitor_stream_matches_materialized_output() {
     assert_eq!(materialized.stdout, streamed.stdout, "streamed CSV must be byte-identical");
     let report = String::from_utf8_lossy(&streamed.stderr);
     assert!(report.contains("rows streamed"), "{report}");
+
+    // Reports only (no --out): both modes print the same report bytes.
+    // Swaps every day so the monitored Table 7 prints too.
+    let args = ["monitor", "--sites", "12", "--days", "24", "--bots", "3", "--swap-every", "1"];
+    let materialized = botscope(&args);
+    assert!(materialized.status.success(), "{}", String::from_utf8_lossy(&materialized.stderr));
+    let streamed = botscope(&[&args[..], &["--stream"]].concat());
+    assert!(streamed.status.success(), "{}", String::from_utf8_lossy(&streamed.stderr));
+    let report = String::from_utf8_lossy(&materialized.stdout);
+    assert!(report.contains("Table 7 (monitored)"), "{report}");
+    assert!(report.contains("re-check coverage from monitored logs"), "{report}");
+    assert_eq!(materialized.stdout, streamed.stdout, "streamed reports must be byte-identical");
 }
 
 #[test]
@@ -607,7 +619,7 @@ fn monitor_manifest_lists_its_stages() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let manifest = std::fs::read_to_string(dir.join("run.manifest")).expect("manifest written");
     let phases = manifest.lines().find(|l| l.contains("\"phases\"")).expect("phases line");
-    for phase in ["monitor_agents", "monitor_log_assembly"] {
+    for phase in ["monitor_agents", "monitor_log_assembly", "monitor_recheck"] {
         assert!(phases.contains(&format!("[\"{phase}\", ")), "{phase} missing: {phases}");
     }
     let _ = std::fs::remove_dir_all(dir);
