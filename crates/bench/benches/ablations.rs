@@ -13,7 +13,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use botscope_core::metrics::{crawl_delay_by_useragent, crawl_delay_counts_rows};
 use botscope_core::pipeline::standardize_table;
 use botscope_core::spoofdetect::detect_rows_with;
-use botscope_robotstxt::{RobotsTxt, RuleVerb};
+use botscope_robotstxt::{CompiledPolicy, RuleVerb};
 use botscope_simnet::scenario::full_study_table;
 use botscope_simnet::SimConfig;
 use botscope_weblog::table::LogTable;
@@ -25,15 +25,15 @@ fn dataset() -> LogTable {
 
 /// Ablation 1: RFC 9309 longest-match precedence vs naive first-match.
 fn ablation_match_precedence(c: &mut Criterion) {
-    let doc = RobotsTxt::parse(
+    let policy = CompiledPolicy::from_text(
         "User-agent: *\nDisallow: /\nAllow: /page-data/*\nAllow: /news/\nDisallow: /news/private\n",
     );
     let paths = ["/page-data/x.json", "/news/item", "/news/private/x", "/other"];
 
     // First-match semantics: the first rule in file order that matches.
+    let (_, group) = policy.resolve_view("bot").expect("wildcard group");
     let first_match = |path: &str| -> bool {
-        let (_, rules) = doc.applicable_rules("bot").expect("wildcard group");
-        for rule in rules {
+        for rule in group.rules() {
             if rule.pattern.matches(path) {
                 return rule.verb == RuleVerb::Allow;
             }
@@ -42,12 +42,12 @@ fn ablation_match_precedence(c: &mut Criterion) {
     };
 
     let flips: usize =
-        paths.iter().filter(|p| doc.is_allowed("bot", p).allow != first_match(p)).count();
+        paths.iter().filter(|p| policy.check("bot", p).allow != first_match(p)).count();
     println!("[ablation] longest-match vs first-match decision flips: {flips}/{}", paths.len());
 
     let mut g = c.benchmark_group("ablation_precedence");
     g.bench_function("longest_match_rfc9309", |b| {
-        b.iter(|| paths.iter().filter(|p| doc.is_allowed("bot", black_box(p)).allow).count());
+        b.iter(|| paths.iter().filter(|p| policy.check("bot", black_box(p)).allow).count());
     });
     g.bench_function("first_match_naive", |b| {
         b.iter(|| paths.iter().filter(|p| first_match(black_box(p))).count());

@@ -5,7 +5,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
 use botscope_robotstxt::parser::parse;
-use botscope_robotstxt::{CompiledPolicy, RobotsTxt};
+use botscope_robotstxt::CompiledPolicy;
 use botscope_simnet::phases::PolicyVersion;
 
 fn paper_files(c: &mut Criterion) {
@@ -41,22 +41,7 @@ fn matching(c: &mut Criterion) {
         "/robots.txt",
     ];
     let agents = ["GPTBot", "Googlebot", "ClaudeBot", "unknown-bot"];
-    c.bench_function("is_allowed_v2", |b| {
-        b.iter(|| {
-            let mut allowed = 0u32;
-            for agent in &agents {
-                for path in &paths {
-                    if doc.is_allowed(black_box(agent), black_box(path)).allow {
-                        allowed += 1;
-                    }
-                }
-            }
-            allowed
-        });
-    });
-
-    // The same 16 checks through the compiled automaton — the
-    // interpreted-vs-compiled ablation pair.
+    // A 16-check grid through the compiled automaton.
     let compiled = CompiledPolicy::compile(&doc);
     c.bench_function("is_allowed_v2_compiled", |b| {
         b.iter(|| {
@@ -73,13 +58,9 @@ fn matching(c: &mut Criterion) {
     });
 
     // Wildcard-heavy matching.
-    let wild = RobotsTxt::parse(
+    let wild_compiled = CompiledPolicy::from_text(
         "User-agent: *\nDisallow: /*/*/deep/*.json$\nDisallow: /a*b*c*d\nAllow: /a*b/ok\n",
     );
-    c.bench_function("is_allowed_wildcards", |b| {
-        b.iter(|| wild.is_allowed(black_box("bot"), black_box("/x/y/deep/file.json")).allow);
-    });
-    let wild_compiled = CompiledPolicy::compile(&wild);
     c.bench_function("is_allowed_wildcards_compiled", |b| {
         b.iter(|| wild_compiled.check(black_box("bot"), black_box("/x/y/deep/file.json")).allow);
     });

@@ -61,15 +61,32 @@ impl DirectiveCounts {
 pub const CRAWL_DELAY_SECS: u64 = 30;
 
 /// Per-symbol path classification, computed once per symbol so the
-/// metrics never touch a string.
-#[derive(Debug, Clone, Default)]
+/// metrics never touch a string. The one place the `/robots.txt` and
+/// `/page-data/` path rules are written: the stream engine and the
+/// re-check accumulator read their verdicts from here too.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PathClasses {
     flags: Vec<u8>,
 }
 
 impl PathClasses {
-    const ROBOTS: u8 = 1;
-    const PAGE_DATA: u8 = 2;
+    /// [`PathClasses::classify`] flag: the string is exactly `/robots.txt`.
+    pub const ROBOTS: u8 = 1;
+    /// [`PathClasses::classify`] flag: the string starts with `/page-data/`.
+    pub const PAGE_DATA: u8 = 2;
+
+    /// The path rule: the [`PathClasses::ROBOTS`] and
+    /// [`PathClasses::PAGE_DATA`] flags of one interned string.
+    pub fn classify(s: &str) -> u8 {
+        let mut f = 0u8;
+        if s == "/robots.txt" {
+            f |= Self::ROBOTS;
+        }
+        if s.starts_with("/page-data/") {
+            f |= Self::PAGE_DATA;
+        }
+        f
+    }
 
     /// Classify every interned string of `table` (non-path symbols
     /// simply get no flags).
@@ -82,16 +99,7 @@ impl PathClasses {
     /// Classify the symbols interned since the last call. The interner
     /// only appends, so earlier verdicts never change.
     pub fn grow(&mut self, interner: &StringInterner) {
-        for (_, s) in interner.iter().skip(self.flags.len()) {
-            let mut f = 0u8;
-            if s == "/robots.txt" {
-                f |= Self::ROBOTS;
-            }
-            if s.starts_with("/page-data/") {
-                f |= Self::PAGE_DATA;
-            }
-            self.flags.push(f);
-        }
+        self.flags.extend(interner.iter_from(self.flags.len()).map(|(_, s)| Self::classify(s)));
     }
 
     /// Whether the symbol is exactly `/robots.txt`.
@@ -324,5 +332,43 @@ mod tests {
         // groups, each counted as one compliant instance.
         let c = crawl_delay(&[rec_ua("GPTBot/1.1", 1, 0, "/a"), rec_ua("GPTBot/1.2", 1, 1, "/a")]);
         assert_eq!(c, DirectiveCounts { successes: 2, trials: 2 });
+    }
+
+    #[test]
+    fn path_classes_grow_like_a_one_shot_classification() {
+        let strings = [
+            "/robots.txt",
+            "GPTBot/1.1",
+            "/page-data/x/page-data.json",
+            "/page-data-fake",
+            "/robots.txt.bak",
+            "site-00.example.edu",
+            "/page-data/",
+            "/news/item-001",
+        ];
+        let mut full = StringInterner::new();
+        for s in strings {
+            full.intern(s);
+        }
+        let mut one_shot = PathClasses::default();
+        one_shot.grow(&full);
+        for page in [1, 3] {
+            let mut interner = StringInterner::new();
+            let mut grown = PathClasses::default();
+            for chunk in strings.chunks(page) {
+                for s in chunk {
+                    interner.intern(s);
+                }
+                grown.grow(&interner);
+                grown.grow(&interner); // idempotent without new symbols
+            }
+            assert_eq!(grown, one_shot, "grown {page} symbol(s) at a time");
+        }
+        let sym = |s| full.get(s).expect("interned");
+        assert!(one_shot.is_robots(sym("/robots.txt")));
+        assert!(!one_shot.is_robots(sym("/robots.txt.bak")));
+        assert!(one_shot.is_page_data(sym("/page-data/x/page-data.json")));
+        assert!(one_shot.is_page_data(sym("/page-data/")));
+        assert!(!one_shot.is_page_data(sym("/page-data-fake")));
     }
 }

@@ -46,14 +46,13 @@ use botscope_weblog::table::RecordRow;
 use botscope_simnet::phases::{is_exempt_agent, PhaseSchedule, PolicyVersion};
 
 use crate::analyze::{BotDirectiveResult, Directive, Experiment, PhaseTraffic, MIN_ACCESSES};
-use crate::metrics::{DirectiveCounts, CRAWL_DELAY_SECS};
+use crate::metrics::{DirectiveCounts, PathClasses, CRAWL_DELAY_SECS};
 use crate::spoofdetect::{SpoofFinding, SpoofReport, DOMINANCE_THRESHOLD, MIN_DETECT_REQUESTS};
 
-/// Per-symbol classification flags, grown lazily as the stream's
-/// interner grows.
-const FLAG_ROBOTS: u8 = 1;
-const FLAG_PAGE_DATA: u8 = 2;
+/// Per-symbol flag of the experiment site's name, kept beside the
+/// [`PathClasses::classify`] path flags in `StreamAnalyzer::flags`.
 const FLAG_SITE: u8 = 4;
+const _: () = assert!(FLAG_SITE & (PathClasses::ROBOTS | PathClasses::PAGE_DATA) == 0);
 
 /// `ua_slot` sentinel: symbol not yet standardized.
 const SLOT_UNKNOWN: u32 = u32::MAX;
@@ -222,7 +221,9 @@ pub struct StreamAnalyzer {
     site_name: String,
     windows: Windows,
     standardizer: Standardizer,
-    /// Per-symbol flags and user-agent verdicts, indexed by `Sym::index`.
+    /// Per-symbol flags (path classes and [`FLAG_SITE`]) and user-agent
+    /// bot slots, grown lazily with the stream's interner and indexed by
+    /// `Sym::index`.
     flags: Vec<u8>,
     ua_slot: Vec<u32>,
     bots: Vec<BotAcc>,
@@ -281,20 +282,13 @@ impl StreamAnalyzer {
         if self.flags.len() == interner.len() {
             return;
         }
-        for (_, s) in interner.iter().skip(self.flags.len()) {
-            let mut f = 0u8;
-            if s == "/robots.txt" {
-                f |= FLAG_ROBOTS;
-            }
-            if s.starts_with("/page-data/") {
-                f |= FLAG_PAGE_DATA;
-            }
-            if s == self.site_name {
-                f |= FLAG_SITE;
-            }
-            self.flags.push(f);
-            self.ua_slot.push(SLOT_UNKNOWN);
-        }
+        let site_name = self.site_name.as_str();
+        self.flags.extend(
+            interner.iter_from(self.flags.len()).map(|(_, s)| {
+                PathClasses::classify(s) | if s == site_name { FLAG_SITE } else { 0 }
+            }),
+        );
+        self.ua_slot.resize(interner.len(), SLOT_UNKNOWN);
     }
 
     /// Consume one row. Timestamps must never decrease (the module's
@@ -347,7 +341,7 @@ impl StreamAnalyzer {
 
         // Estate-wide robots.txt fetches drive the Table 7 signal even
         // when they land on a sister site.
-        let robots = self.flags[row.uri_path.index()] & FLAG_ROBOTS != 0;
+        let robots = self.flags[row.uri_path.index()] & PathClasses::ROBOTS != 0;
         if robots {
             for (d, &(lo, hi)) in self.windows.directives.iter().enumerate() {
                 if t >= lo && t < hi {
@@ -365,7 +359,7 @@ impl StreamAnalyzer {
             }
         }
 
-        let page_data = self.flags[row.uri_path.index()] & FLAG_PAGE_DATA != 0;
+        let page_data = self.flags[row.uri_path.index()] & PathClasses::PAGE_DATA != 0;
         let acc = bot.per_asn.entry(row.asn).or_default();
         acc.total += 1;
         let (lo, hi) = self.windows.base;
@@ -582,6 +576,39 @@ mod tests {
     use botscope_simnet::SimConfig;
     use botscope_weblog::stream::TableRowStream;
     use botscope_weblog::table::LogTable;
+
+    #[test]
+    fn symbol_verdicts_grow_like_a_one_shot_classification() {
+        let cfg = SimConfig { scale: 0.02, sites: 3, ..SimConfig::default() };
+        let out = phase_study_table(&cfg);
+        let full = out.sim.table.interner();
+        let mut one_shot = StreamAnalyzer::new(&out.schedule);
+        one_shot.grow(full);
+        assert!(
+            one_shot.flags.iter().any(|&f| f & FLAG_SITE != 0),
+            "the experiment site is interned"
+        );
+        let mut paths = PathClasses::default();
+        paths.grow(full);
+        for (sym, _) in full.iter() {
+            let f = one_shot.flags[sym.index()];
+            assert_eq!(f & PathClasses::ROBOTS != 0, paths.is_robots(sym));
+            assert_eq!(f & PathClasses::PAGE_DATA != 0, paths.is_page_data(sym));
+        }
+        for page in [1, 64] {
+            let mut interner = StringInterner::new();
+            let mut grown = StreamAnalyzer::new(&out.schedule);
+            let strings: Vec<&str> = full.iter().map(|(_, s)| s).collect();
+            for chunk in strings.chunks(page) {
+                for s in chunk {
+                    interner.intern(s);
+                }
+                grown.grow(&interner);
+            }
+            assert_eq!(grown.flags, one_shot.flags, "flags grown {page} at a time");
+            assert_eq!(grown.ua_slot, one_shot.ua_slot);
+        }
+    }
 
     #[test]
     fn empty_stream_is_clean() {

@@ -5,9 +5,8 @@
 //!
 //! The oracles below restate attribution and the excusal mask from
 //! their definitions over public APIs only: per-row
-//! [`BeliefTimeline::at`] binary searches, the interpreted matcher
-//! behind [`PolicyCorpus::doc`], and sitenames parsed from their
-//! strings. They share no cursor, cache or compiled-automaton code with
+//! [`BeliefTimeline::at`] binary searches, the RFC 9309 test oracle over
+//! [`PolicyCorpus::doc`], and sitenames parsed from their strings. They share no cursor, cache or compiled-automaton code with
 //! the pipeline.
 //!
 //! Belief atlases and served timelines are synthesized from a seed (an
@@ -15,6 +14,9 @@
 //! traffic, so the equivalence is exercised on timelines the traffic
 //! never "agreed" with: every attribution class (deliberate,
 //! stale-cache, fetch-artifact) shows up.
+
+#[path = "../../robotstxt/tests/rep_oracle/mod.rs"]
+mod rep_oracle;
 
 use botscope_core::analyze::{BeliefContext, Experiment};
 use std::collections::{BTreeMap, HashMap};
@@ -38,13 +40,13 @@ use proptest::prelude::*;
 const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
 
 /// Whether `agent` may fetch `path` under `policy`: a believed version
-/// answers through the interpreted matcher; a fetch-layer allow-all (or
-/// no fetch yet) allows everything; disallow-all leaves only
-/// robots.txt itself reachable.
+/// answers through the RFC oracle; a fetch-layer allow-all (or no fetch
+/// yet) allows everything; disallow-all leaves only robots.txt itself
+/// reachable.
 fn oracle_allows(corpus: &PolicyCorpus, policy: BelievedPolicy, agent: &str, path: &str) -> bool {
     match policy {
         BelievedPolicy::Unfetched | BelievedPolicy::AllowAll => true,
-        BelievedPolicy::Version(v) => corpus.doc(v).is_allowed(agent, path).allow,
+        BelievedPolicy::Version(v) => rep_oracle::decide(corpus.doc(v), agent, path).allow,
         BelievedPolicy::DisallowAll => path == "/robots.txt",
     }
 }
@@ -56,8 +58,8 @@ fn oracle_site(name: &str, n_sites: usize) -> Option<usize> {
     (site < n_sites && format!("site-{site:02}.example.edu") == name).then_some(site)
 }
 
-/// Memoized [`oracle_allows`] for one bot: the interpreted matcher is
-/// slow in debug builds, and a run touches few (policy, path) pairs.
+/// Memoized [`oracle_allows`] for one bot: the oracle is slow in debug
+/// builds, and a run touches few (policy, path) pairs.
 struct OracleAllows<'a> {
     corpus: &'a PolicyCorpus,
     agent: &'a str,

@@ -42,7 +42,7 @@ use botscope_weblog::table::LogTable;
 use botscope_weblog::time::Timestamp;
 
 use crate::scenario::{build_estate, ScenarioKind};
-use crate::transport::{Validators, VirtualTransport};
+use crate::transport::{ServerModel, Validators, VirtualTransport};
 
 /// TTL sentinel: fetch once, never re-fetch.
 pub const NEVER: u64 = u64::MAX;
@@ -394,7 +394,10 @@ pub fn run_with_threads(cfg: &MonitorConfig, threads: usize) -> MonitorOutput {
             stats,
             horizon_end: cfg.horizon_end(),
             bots: run.fleet.iter().map(|b| b.spec.canonical.to_string()).collect(),
-            site_windows: site_windows_of(run.transport, cfg.horizon_end()),
+            site_windows: site_windows_of(
+                (0..run.transport.len()).map(|site| run.transport.model(site)),
+                cfg.horizon_end(),
+            ),
         }
     })
 }
@@ -472,28 +475,24 @@ pub(crate) fn belief_atlas(run: &DaemonRun<'_>, records: Vec<Recorded>) -> Belie
 }
 
 /// Per-site deployment windows, clipped to `horizon_end`.
-fn site_windows_of(
-    transport: &VirtualTransport,
+fn site_windows_of<'a>(
+    models: impl Iterator<Item = &'a ServerModel>,
     horizon_end: u64,
 ) -> BTreeMap<String, Vec<(PolicyVersion, u64, u64)>> {
-    (0..transport.len())
-        .map(|site| {
-            let model = transport.model(site);
-            (model.name.clone(), model.policy.version_windows(horizon_end))
-        })
-        .collect()
+    models.map(|model| (model.name.clone(), model.policy.version_windows(horizon_end))).collect()
 }
 
-/// The deployment windows `cfg` *would* produce, without running the
-/// daemon: rebuilds the scripted estate (cheap — O(sites)) and reads
-/// each site's version windows. Streaming callers use this to construct
-/// report sinks *before* the run starts, since [`run_streaming`] owns
-/// its transport internally.
+/// The deployment windows `cfg` produces, without running the daemon:
+/// rebuilds the scripted site models (O(sites), no transport or policy
+/// corpus) and reads each site's version windows. A streaming caller
+/// computes them once, before the run, for its report sinks and its
+/// report: [`run_streaming`] owns its transport internally and does not
+/// return them.
 pub fn config_site_windows(
     cfg: &MonitorConfig,
 ) -> BTreeMap<String, Vec<(PolicyVersion, u64, u64)>> {
     cfg.assert_valid();
-    site_windows_of(&VirtualTransport::new(build_estate(cfg)), cfg.horizon_end())
+    site_windows_of(build_estate(cfg).iter(), cfg.horizon_end())
 }
 
 /// Flush a finished run's aggregate counters into the global telemetry
@@ -528,7 +527,9 @@ fn export_telemetry(cfg: &MonitorConfig, stats: &MonitorStats, changes: &[Change
 }
 
 /// A streaming run's summary: everything [`MonitorOutput`] carries
-/// except the materialized table, which went to the sinks row by row.
+/// except the materialized table, which went to the sinks row by row,
+/// and the deployment windows, which [`config_site_windows`] computes
+/// before the run.
 #[derive(Debug, Clone)]
 pub struct MonitorSummary {
     /// Aggregate counters.
@@ -539,9 +540,6 @@ pub struct MonitorSummary {
     pub horizon_end: u64,
     /// Canonical names of the monitored bots.
     pub bots: Vec<String>,
-    /// Per-site policy deployment windows (cf.
-    /// [`MonitorOutput::site_windows`]).
-    pub site_windows: BTreeMap<String, Vec<(PolicyVersion, u64, u64)>>,
     /// Rows streamed to each sink.
     pub rows: u64,
 }
@@ -576,7 +574,6 @@ pub fn run_streaming(
             changes,
             horizon_end: cfg.horizon_end(),
             bots: run.fleet.iter().map(|b| b.spec.canonical.to_string()).collect(),
-            site_windows: site_windows_of(run.transport, cfg.horizon_end()),
         })
     })
 }
@@ -608,15 +605,17 @@ fn digest_changes(
         .map(|((site, from, to), (at, observers))| {
             let (tightened, loosened, delay_changes, class) =
                 *matrix.entry((from, to)).or_insert_with(|| {
-                    let old = transport.corpus().doc(PolicyVersion::ALL[from as usize]);
-                    let new = transport.corpus().doc(PolicyVersion::ALL[to as usize]);
-                    let probe = diff(old, new, &agents, &PROBE_PATHS);
+                    let (from, to) =
+                        (PolicyVersion::ALL[from as usize], PolicyVersion::ALL[to as usize]);
+                    let corpus = transport.corpus();
+                    let probe =
+                        diff(corpus.compiled(from), corpus.compiled(to), &agents, &PROBE_PATHS);
                     let (tightened, loosened) = summarize(&probe);
                     let delays = probe
                         .iter()
                         .filter(|c| matches!(c, PolicyChange::CrawlDelayChanged { .. }))
                         .count();
-                    (tightened, loosened, delays, classify_change(old, new))
+                    (tightened, loosened, delays, classify_change(corpus.doc(from), corpus.doc(to)))
                 });
             ChangeDigest {
                 site: transport.model(site as usize).name.clone(),
@@ -1189,6 +1188,7 @@ mod tests {
 
         let cfg = MonitorConfig { sites: 20, days: 10, bots: 4, ..MonitorConfig::default() };
         let materialized = run_with_threads(&cfg, 2);
+        assert_eq!(config_site_windows(&cfg), materialized.site_windows);
         let expected = encode_table(&materialized.table);
         for threads in [1, 2, 8] {
             let mut csv = CsvSink::new(Vec::new()).unwrap();
@@ -1207,7 +1207,6 @@ mod tests {
             assert_eq!(count.rows, summary.rows);
             assert_eq!(summary.stats, materialized.stats);
             assert_eq!(summary.changes, materialized.changes);
-            assert_eq!(summary.site_windows, materialized.site_windows);
         }
     }
 

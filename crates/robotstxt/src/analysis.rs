@@ -1282,110 +1282,6 @@ pub fn analyze(doc: &RobotsTxt) -> Analysis {
     Analysis { findings, complete }
 }
 
-// ---------------------------------------------------------------------------
-// Reference matchers (brute force) for differential testing.
-// ---------------------------------------------------------------------------
-
-/// Brute-force implementations of the RFC and deviant matcher models,
-/// evaluated rule-by-rule against an already-normalized path. These exist
-/// so tests can replay analyzer witnesses through an independent code path.
-pub mod reference {
-    use super::rank;
-    use crate::model::Rule;
-
-    /// RFC 9309 verdict: most-octets rule wins, Allow wins ties, no match
-    /// means allow.
-    pub fn rfc_allow(rules: &[Rule], normalized_path: &str) -> bool {
-        let mut best = rank::NO_MATCH;
-        for (idx, r) in rules.iter().enumerate() {
-            if !r.pattern.is_empty() && r.pattern.matches_normalized(normalized_path) {
-                best = best.max(rank::pack(r.pattern.specificity(), r.verb, idx as u32));
-            }
-        }
-        best == rank::NO_MATCH || rank::allow(best)
-    }
-
-    /// First-match model: the first rule in document order that matches
-    /// decides; no match means allow.
-    pub fn first_match_allow(rules: &[Rule], normalized_path: &str) -> bool {
-        for (idx, r) in rules.iter().enumerate() {
-            if !r.pattern.is_empty() && r.pattern.matches_normalized(normalized_path) {
-                let rank = rank::pack(r.pattern.specificity(), r.verb, idx as u32);
-                return rank::allow(rank);
-            }
-        }
-        true
-    }
-
-    /// Wildcard-unaware model: `*` is a literal byte; precedence is still
-    /// most-octets.
-    pub fn wildcard_unaware_allow(rules: &[Rule], normalized_path: &str) -> bool {
-        let mut best = rank::NO_MATCH;
-        for (idx, r) in rules.iter().enumerate() {
-            if r.pattern.is_empty() {
-                continue;
-            }
-            let raw = r.pattern.as_str();
-            let body = if r.pattern.is_anchored() { &raw[..raw.len() - 1] } else { raw };
-            let hit = if r.pattern.is_anchored() {
-                normalized_path == body
-            } else {
-                normalized_path.starts_with(body)
-            };
-            if hit {
-                best = best.max(rank::pack(r.pattern.specificity(), r.verb, idx as u32));
-            }
-        }
-        best == rank::NO_MATCH || rank::allow(best)
-    }
-
-    /// Dollar-literal model: a trailing `$` is a literal byte (the rule
-    /// becomes a prefix glob); `*` keeps its meaning.
-    pub fn dollar_literal_allow(rules: &[Rule], normalized_path: &str) -> bool {
-        let mut best = rank::NO_MATCH;
-        for (idx, r) in rules.iter().enumerate() {
-            if r.pattern.is_empty() {
-                continue;
-            }
-            let hit = if r.pattern.is_anchored() {
-                let mut segs: Vec<Vec<u8>> =
-                    r.pattern.segments().iter().map(|s| s.as_bytes().to_vec()).collect();
-                if let Some(last) = segs.last_mut() {
-                    last.push(b'$');
-                }
-                glob_prefix(&segs, normalized_path.as_bytes())
-            } else {
-                r.pattern.matches_normalized(normalized_path)
-            };
-            if hit {
-                best = best.max(rank::pack(r.pattern.specificity(), r.verb, idx as u32));
-            }
-        }
-        best == rank::NO_MATCH || rank::allow(best)
-    }
-
-    /// Greedy unanchored glob: place each `*`-split segment leftmost.
-    fn glob_prefix(segments: &[Vec<u8>], path: &[u8]) -> bool {
-        let mut pos = 0usize;
-        for (i, seg) in segments.iter().enumerate() {
-            if i == 0 {
-                if path.len() < seg.len() || &path[..seg.len()] != seg.as_slice() {
-                    return false;
-                }
-                pos = seg.len();
-            } else if seg.is_empty() {
-                // `**` or trailing `*`: matches in place.
-            } else {
-                match path[pos..].windows(seg.len()).position(|w| w == seg.as_slice()) {
-                    Some(found) => pos += found + seg.len(),
-                    None => return false,
-                }
-            }
-        }
-        true
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1593,54 +1489,6 @@ mod tests {
         let c = parse("User-agent: *\nDisallow: /private/\nDisallow: /private/sub\n");
         // The extra rule is shadowed — decisions are unchanged.
         assert_eq!(classify_change(&a, &c), ChangeClass::Cosmetic);
-    }
-
-    #[test]
-    fn first_match_hazard_witnessed() {
-        let text = "User-agent: *\nDisallow: /a\nAllow: /a/b\n";
-        let policy = compiled(text);
-        let (hazards, complete) = divergence_hazards(&policy);
-        assert!(complete);
-        let h = hazards
-            .iter()
-            .find(|h| h.model == DeviantModel::FirstMatch)
-            .expect("first-match hazard");
-        let rules = &parse(text).groups[0].rules;
-        assert_eq!(reference::rfc_allow(rules, &h.path), h.rfc_allow);
-        assert_eq!(reference::first_match_allow(rules, &h.path), h.deviant_allow);
-        assert_ne!(h.rfc_allow, h.deviant_allow);
-    }
-
-    #[test]
-    fn wildcard_unaware_hazard_witnessed() {
-        let text = "User-agent: *\nDisallow: /*.php\n";
-        let policy = compiled(text);
-        let (hazards, complete) = divergence_hazards(&policy);
-        assert!(complete);
-        let h = hazards
-            .iter()
-            .find(|h| h.model == DeviantModel::WildcardUnaware)
-            .expect("wildcard-unaware hazard");
-        let rules = &parse(text).groups[0].rules;
-        assert_eq!(reference::rfc_allow(rules, &h.path), h.rfc_allow);
-        assert_eq!(reference::wildcard_unaware_allow(rules, &h.path), h.deviant_allow);
-        assert_ne!(h.rfc_allow, h.deviant_allow);
-    }
-
-    #[test]
-    fn dollar_literal_hazard_witnessed() {
-        let text = "User-agent: *\nDisallow: /downloads$\n";
-        let policy = compiled(text);
-        let (hazards, complete) = divergence_hazards(&policy);
-        assert!(complete);
-        let h = hazards
-            .iter()
-            .find(|h| h.model == DeviantModel::DollarLiteral)
-            .expect("dollar-literal hazard");
-        let rules = &parse(text).groups[0].rules;
-        assert_eq!(reference::rfc_allow(rules, &h.path), h.rfc_allow);
-        assert_eq!(reference::dollar_literal_allow(rules, &h.path), h.deviant_allow);
-        assert_ne!(h.rfc_allow, h.deviant_allow);
     }
 
     #[test]

@@ -232,7 +232,7 @@ mod tests {
             "{f:?}"
         );
         // And the matcher agrees the Disallow is dead.
-        assert!(doc.is_allowed("bot", "/private/x").allow);
+        assert!(crate::CompiledPolicy::compile(&doc).check("bot", "/private/x").allow);
     }
 
     #[test]

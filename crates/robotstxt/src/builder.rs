@@ -10,7 +10,7 @@ use crate::model::{Group, RobotsTxt, Rule};
 /// Builder for a [`RobotsTxt`] document.
 ///
 /// ```
-/// use botscope_robotstxt::RobotsTxtBuilder;
+/// use botscope_robotstxt::{CompiledPolicy, RobotsTxtBuilder};
 ///
 /// let robots = RobotsTxtBuilder::new()
 ///     .group(["Googlebot"], |g| g.allow("/").crawl_delay(15.0))
@@ -21,7 +21,9 @@ use crate::model::{Group, RobotsTxt, Rule};
 ///     .build();
 ///
 /// assert_eq!(robots.groups.len(), 2);
-/// assert!(!robots.is_allowed("GPTBot", "/restricted-data/x").allow);
+/// let policy = CompiledPolicy::compile(&robots);
+/// assert!(!policy.check("GPTBot", "/restricted-data/x").allow);
+/// assert_eq!(policy.crawl_delay("Googlebot"), Some(15.0));
 /// ```
 #[derive(Debug, Default)]
 pub struct RobotsTxtBuilder {
@@ -120,6 +122,6 @@ mod tests {
     #[test]
     fn empty_builder_is_allow_all() {
         let r = RobotsTxtBuilder::new().build();
-        assert!(r.is_allowed("any", "/path").allow);
+        assert!(crate::CompiledPolicy::compile(&r).check("any", "/path").allow);
     }
 }

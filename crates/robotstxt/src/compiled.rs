@@ -1,13 +1,22 @@
-//! Compiled policy automata: answer "may I crawl?" in a single path scan.
+//! Compiled policy automata: the crate's one RFC 9309 matcher.
 //!
-//! The interpreted matcher ([`RobotsTxt::is_allowed`]) re-evaluates every
-//! rule of the applicable group against the path on every call. That is
-//! fine for analysis, but too slow for an admission layer answering
-//! millions of (bot, site, path) queries per second. This module compiles a
-//! parsed document once into a per-agent-group automaton over the
-//! percent-normalized pattern alphabet, with all RFC 9309 precedence logic
-//! (longest match, Allow wins ties, first-rule tie-break) resolved into the
-//! automaton's terminal ranks at **build** time:
+//! Every access decision — allow/deny, the deciding rule, the applicable
+//! agent group and the crawl delay — is answered by a [`CompiledPolicy`].
+//! A parsed document is compiled once into a per-agent-group automaton
+//! over the percent-normalized pattern alphabet, with all RFC 9309
+//! precedence logic resolved into the automaton's terminal ranks at
+//! **build** time:
+//!
+//! 1. the applicable group set is the groups whose `User-agent:` token is
+//!    the **longest** case-insensitive boundary-prefix of the crawler's
+//!    product token (`*` when none matches); groups with the same token
+//!    are **merged** (RFC 9309 §2.2.1),
+//! 2. the most specific matching rule (**most octets**, §2.2.2) decides,
+//! 3. `Allow` wins ties, and the earliest rule is reported among equals,
+//! 4. no matching rule means *allowed*,
+//! 5. `/robots.txt` itself is always allowed (§2.2.2).
+//!
+//! Evaluation strategy:
 //!
 //! * Literal rules (`/path`), prefix rules (`/path*`) and anchored literal
 //!   rules (`/path$`) become terminals of a shared byte **trie**; a check
@@ -17,8 +26,9 @@
 //!
 //! A terminal rank packs `(specificity, verb, rule index)` into one `u64`
 //! such that the numeric **maximum** over all matching rules is exactly the
-//! rule the interpreted matcher would pick — so the query path has no
-//! precedence branches at all.
+//! rule RFC 9309 selects — so the query path has no precedence branches at
+//! all. The crate's tests replay every decision against a brute-force
+//! oracle written from the RFC text (`tests/rep_oracle`).
 //!
 //! [`PolicyEstate`] caches compiled policies per site, compiling lazily and
 //! recompiling only after [`PolicyEstate::invalidate`] (driven by the
@@ -27,17 +37,38 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::matcher::Decision;
 use crate::model::{RobotsTxt, Rule, RuleVerb};
 use crate::parser::parse;
 use crate::pattern::normalize_path;
 
 /// Packed precedence rank: `(specificity << 33) | (allow << 32) |
 /// (u32::MAX - rule_index)`. Higher specificity wins, then Allow over
-/// Disallow, then the earliest rule — the exact tie-break order of the
-/// interpreted matcher. `0` means "no match" (real ranks are always
-/// non-zero because empty patterns are never inserted).
+/// Disallow, then the earliest rule — the RFC 9309 tie-break order. `0`
+/// means "no match" (real ranks are always non-zero because empty
+/// patterns are never inserted).
 const NO_MATCH: u64 = 0;
+
+/// The outcome of an access check.
+///
+/// Borrows the matched rule and agent token from the compiled policy, so
+/// a check performs no allocation.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Decision<'a> {
+    /// Whether the fetch is allowed.
+    pub allow: bool,
+    /// The rule that decided the outcome, if any (`None` means the default
+    /// allow applied: no group matched, or no rule matched the path).
+    pub matched_rule: Option<&'a Rule>,
+    /// The user-agent token of the group set that applied (`"*"` for the
+    /// wildcard group, `None` if the document has no applicable group).
+    pub matched_agent: Option<&'a str>,
+}
+
+impl<'a> Decision<'a> {
+    fn default_allow(agent: Option<&'a str>) -> Self {
+        Decision { allow: true, matched_rule: None, matched_agent: agent }
+    }
+}
 
 fn pack(spec: usize, verb: RuleVerb, rule_idx: u32) -> u64 {
     ((spec as u64) << 33)
@@ -56,7 +87,7 @@ fn unpack_allow(rank: u64) -> bool {
 /// One trie node. Children are kept as a small sorted list — policy tries
 /// are shallow and narrow, and a binary search over a `Vec<(u8, u32)>`
 /// beats a 256-entry table on cache footprint.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct TrieNode {
     children: Vec<(u8, u32)>,
     /// Best rank among prefix rules ending at this node (matches every
@@ -68,7 +99,7 @@ struct TrieNode {
 }
 
 /// The automaton for one merged user-agent group.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct GroupAutomaton {
     /// Merged rules in document order (for decision reporting).
     rules: Vec<Rule>,
@@ -100,6 +131,20 @@ impl GroupAutomaton {
             }
         }
         Self { rules, nodes, wild, crawl_delay }
+    }
+
+    /// Best matching rank for a request path, or `None` for the always
+    /// allowed `/robots.txt`: a missing leading `/` is supplied, then the
+    /// path is percent-normalized once and scanned.
+    fn rank_path(&self, path: &str) -> Option<u64> {
+        let path_owned;
+        let path = if path.starts_with('/') {
+            path
+        } else {
+            path_owned = format!("/{path}");
+            &path_owned
+        };
+        (path != "/robots.txt").then(|| self.scan(&normalize_path(path)))
     }
 
     /// Best matching rank for an already-normalized path, or [`NO_MATCH`].
@@ -148,11 +193,8 @@ fn insert(nodes: &mut Vec<TrieNode>, key: &[u8], rank: u64, exact: bool) {
     *slot = (*slot).max(rank);
 }
 
-/// A [`RobotsTxt`] compiled for fast admission checks.
-///
-/// Decision outcomes (allow/deny, matched rule, matched agent group) are
-/// byte-identical to [`RobotsTxt::is_allowed`]; only the evaluation
-/// strategy differs.
+/// A [`RobotsTxt`] compiled for access checks: the one matcher every
+/// allow/deny and crawl-delay question goes through.
 ///
 /// ```
 /// use botscope_robotstxt::compiled::CompiledPolicy;
@@ -164,7 +206,7 @@ fn insert(nodes: &mut Vec<TrieNode>, key: &[u8], rank: u64, exact: bool) {
 /// assert!(compiled.check("GPTBot", "/page-data/app.json").allow);
 /// assert_eq!(compiled.check_many("GPTBot", &["/page", "/page-data/x", "/other"]), vec![0b110]);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompiledPolicy {
     /// Named group tokens (lowercase, first-appearance order) with their
     /// automata. The wildcard group is kept separate.
@@ -228,7 +270,7 @@ impl CompiledPolicy {
 
     /// Select the automaton for a crawler product token: longest
     /// case-insensitive boundary-prefix group wins, `*` is the fallback.
-    /// Mirrors the interpreted matcher's group selection, allocation-free.
+    /// Allocation-free.
     fn resolve(&self, agent_token: &str) -> Option<(&str, &GroupAutomaton)> {
         let trimmed = agent_token.trim();
         if trimmed.starts_with('*') {
@@ -249,31 +291,22 @@ impl CompiledPolicy {
 
     /// Decide whether `agent_token` may fetch `path`.
     ///
-    /// Semantics are identical to [`RobotsTxt::is_allowed`], including the
-    /// implicit `/robots.txt` allowance and leading-slash tolerance.
+    /// `agent_token` is the crawler's product token (e.g. `"GPTBot"`; a
+    /// full `User-Agent` header is cut at its first non-token character).
+    /// `path` should begin with `/`; a missing slash is read as `/` +
+    /// path. `/robots.txt` itself is always allowed.
     pub fn check(&self, agent_token: &str, path: &str) -> Decision<'_> {
-        let path_owned;
-        let path = if path.starts_with('/') {
-            path
-        } else {
-            path_owned = format!("/{path}");
-            &path_owned
-        };
-        if path == "/robots.txt" {
-            return Decision::default_allow(None);
-        }
         let Some((token, group)) = self.resolve(agent_token) else {
             return Decision::default_allow(None);
         };
-        let normalized = normalize_path(path);
-        let best = group.scan(&normalized);
-        if best == NO_MATCH {
-            return Decision::default_allow(Some(token));
-        }
-        Decision {
-            allow: unpack_allow(best),
-            matched_rule: Some(&group.rules[unpack_rule(best)]),
-            matched_agent: Some(token),
+        match group.rank_path(path) {
+            None => Decision::default_allow(None),
+            Some(NO_MATCH) => Decision::default_allow(Some(token)),
+            Some(best) => Decision {
+                allow: unpack_allow(best),
+                matched_rule: Some(&group.rules[unpack_rule(best)]),
+                matched_agent: Some(token),
+            },
         }
     }
 
@@ -284,25 +317,9 @@ impl CompiledPolicy {
         let mut mask = vec![0u64; paths.len().div_ceil(64)];
         let group = self.resolve(agent_token).map(|(_, g)| g);
         for (i, path) in paths.iter().enumerate() {
-            let allowed = match group {
-                None => true,
-                Some(g) => {
-                    let path_owned;
-                    let path: &str = if path.starts_with('/') {
-                        path
-                    } else {
-                        path_owned = format!("/{path}");
-                        &path_owned
-                    };
-                    if path == "/robots.txt" {
-                        true
-                    } else {
-                        let normalized = normalize_path(path);
-                        let best = g.scan(&normalized);
-                        best == NO_MATCH || unpack_allow(best)
-                    }
-                }
-            };
+            let allowed = group.is_none_or(|g| {
+                g.rank_path(path).is_none_or(|best| best == NO_MATCH || unpack_allow(best))
+            });
             if allowed {
                 mask[i / 64] |= 1u64 << (i % 64);
             }
@@ -311,7 +328,7 @@ impl CompiledPolicy {
     }
 
     /// The crawl delay applying to `agent_token`, if any (max over the
-    /// merged groups, like the interpreted matcher).
+    /// merged groups).
     pub fn crawl_delay(&self, agent_token: &str) -> Option<f64> {
         self.resolve(agent_token).and_then(|(_, g)| g.crawl_delay)
     }
@@ -575,101 +592,185 @@ impl PolicyEstate {
 mod tests {
     use super::*;
 
-    fn both(robots: &str, agent: &str, path: &str) -> (bool, bool) {
-        let doc = parse(robots);
-        let compiled = CompiledPolicy::compile(&doc);
-        (doc.is_allowed(agent, path).allow, compiled.check(agent, path).allow)
-    }
+    const FIG1: &str = "User-agent: Googlebot\nAllow: /\nCrawl-delay: 15\n\nUser-agent: *\nAllow: /allowed-data/\nDisallow: /restricted-data/\nCrawl-delay: 30\n";
 
-    fn assert_same_decision(robots: &str, agent: &str, path: &str) {
+    /// The compiled verdict for one request, after asserting that the
+    /// full decision (verdict, deciding rule, agent group) and the
+    /// agent's crawl delay equal the RFC 9309 oracle's.
+    fn allows(robots: &str, agent: &str, path: &str) -> bool {
         let doc = parse(robots);
         let compiled = CompiledPolicy::compile(&doc);
-        let interp = doc.is_allowed(agent, path);
-        let comp = compiled.check(agent, path);
-        assert_eq!(interp.allow, comp.allow, "allow: {robots:?} {agent} {path}");
-        assert_eq!(
-            interp.matched_rule.map(|r| (r.verb, r.pattern.as_str().to_string())),
-            comp.matched_rule.map(|r| (r.verb, r.pattern.as_str().to_string())),
-            "rule: {robots:?} {agent} {path}"
-        );
-        assert_eq!(interp.matched_agent, comp.matched_agent, "agent: {robots:?} {agent} {path}");
+        let (got, want) =
+            (compiled.check(agent, path), crate::rep_oracle::decide(&doc, agent, path));
+        let rule =
+            |d: Decision<'_>| d.matched_rule.map(|r| (r.verb, r.pattern.as_str().to_string()));
+        assert_eq!(got.allow, want.allow, "allow: {robots:?} {agent} {path}");
+        assert_eq!(rule(got), rule(want), "rule: {robots:?} {agent} {path}");
+        assert_eq!(got.matched_agent, want.matched_agent, "agent: {robots:?} {agent} {path}");
+        let delay = crate::rep_oracle::crawl_delay(&doc, agent);
+        assert_eq!(compiled.crawl_delay(agent), delay, "delay: {robots:?} {agent}");
+        got.allow
     }
 
     #[test]
-    fn matches_interpreted_on_basics() {
-        let robots = "User-agent: Googlebot\nAllow: /\nCrawl-delay: 15\n\nUser-agent: *\nAllow: /allowed-data/\nDisallow: /restricted-data/\nCrawl-delay: 30\n";
-        for agent in ["Googlebot", "Bytespider", "GPTBot", "googlebot-news"] {
-            for path in ["/restricted-data/page", "/allowed-data/page", "/other", "/robots.txt"] {
-                assert_same_decision(robots, agent, path);
-            }
-        }
-        let compiled = CompiledPolicy::from_text(robots);
-        assert_eq!(compiled.crawl_delay("Googlebot"), Some(15.0));
-        assert_eq!(compiled.crawl_delay("GPTBot"), Some(30.0));
+    fn figure1_semantics() {
+        let p = CompiledPolicy::from_text(FIG1);
+        assert!(p.check("Googlebot", "/restricted-data/page").allow);
+        assert!(!p.check("Bytespider", "/restricted-data/page").allow);
+        assert!(p.check("Bytespider", "/allowed-data/page").allow);
+        assert!(p.check("Bytespider", "/other").allow); // no rule matches → allow
+        assert_eq!(p.crawl_delay("Googlebot"), Some(15.0));
+        assert_eq!(p.crawl_delay("GPTBot"), Some(30.0));
+    }
+
+    #[test]
+    fn robots_txt_always_allowed() {
+        let p = CompiledPolicy::compile(&RobotsTxt::disallow_all());
+        let d = p.check("anybot", "/robots.txt");
+        assert!(d.allow);
+        assert_eq!((d.matched_rule, d.matched_agent), (None, None));
+        assert!(!p.check("anybot", "/index.html").allow);
+    }
+
+    #[test]
+    fn empty_doc_allows_everything() {
+        let p = CompiledPolicy::from_text("");
+        let d = p.check("GPTBot", "/anything");
+        assert!(d.allow);
+        assert!(d.matched_rule.is_none());
+        assert!(d.matched_agent.is_none());
+        assert_eq!(p.crawl_delay("GPTBot"), None);
+    }
+
+    #[test]
+    fn longest_match_wins() {
+        let robots = "User-agent: *\nDisallow: /page\nAllow: /page-data/\n";
+        assert!(!allows(robots, "x", "/page"));
+        assert!(!allows(robots, "x", "/pagexyz"));
+        assert!(allows(robots, "x", "/page-data/app.json"));
     }
 
     #[test]
     fn precedence_ties_resolved_at_build_time() {
-        // Same pattern both verbs: Allow wins.
-        assert_eq!(both("User-agent: *\nDisallow: /x\nAllow: /x\n", "b", "/x"), (true, true));
-        assert_eq!(both("User-agent: *\nAllow: /x\nDisallow: /x\n", "b", "/x"), (true, true));
-        // Longer rule wins regardless of verb or order.
-        assert_eq!(
-            both("User-agent: *\nDisallow: /page\nAllow: /page-data/\n", "b", "/page-data/a"),
-            (true, true)
-        );
+        // Same pattern both verbs: Allow wins, in either order.
+        assert!(allows("User-agent: *\nDisallow: /x\nAllow: /x\n", "b", "/x"));
+        assert!(allows("User-agent: *\nAllow: /x\nDisallow: /x\n", "b", "/x"));
+        assert!(!allows("User-agent: *\nDisallow: /dir/\nAllow: /dir2/\n", "b", "/dir/a"));
         // Same-verb tie reports the earliest rule.
-        assert_same_decision("User-agent: *\nDisallow: /x\nDisallow: /x\n", "b", "/xy");
+        let p = CompiledPolicy::from_text("User-agent: *\nDisallow: /x\nDisallow: /x\n");
+        let first = &p.resolve_view("b").expect("wildcard").1.rules()[0];
+        assert!(std::ptr::eq(p.check("b", "/xy").matched_rule.expect("rule"), first));
+    }
+
+    #[test]
+    fn most_specific_group_selected() {
+        let robots = "User-agent: googlebot-news\nDisallow: /news-secret/\n\nUser-agent: googlebot\nDisallow: /general/\n\nUser-agent: *\nDisallow: /\n";
+        // googlebot-news gets only its own group.
+        assert!(allows(robots, "Googlebot-News", "/general/x"), "not bound by googlebot");
+        assert!(!allows(robots, "Googlebot-News", "/news-secret/x"));
+        // googlebot (and an unlisted googlebot-* variant) get the googlebot group.
+        assert!(!allows(robots, "Googlebot", "/general/x"));
+        assert!(allows(robots, "Googlebot", "/news-secret/x"));
+        assert!(!allows(robots, "Googlebot-Image", "/general/x"));
+        // Unknown bots (and `*` itself) get the wildcard.
+        assert!(!allows(robots, "GPTBot", "/anything"));
+        assert_eq!(CompiledPolicy::from_text(robots).check("*", "/x").matched_agent, Some("*"));
+        // Every agent × path pair decides like the oracle.
+        for agent in ["Googlebot-News", "Googlebot", "Googlebot-Image", "GPTBot", "*"] {
+            for path in ["/news-secret/x", "/general/x", "/anything"] {
+                allows(robots, agent, path);
+            }
+        }
+    }
+
+    #[test]
+    fn group_token_boundary() {
+        let robots = "User-agent: google\nDisallow: /\n";
+        // `googlebot` does not match group `google` (no boundary).
+        assert!(allows(robots, "googlebot", "/x"));
+        // `google-images` does.
+        assert!(!allows(robots, "google-images", "/x"));
+    }
+
+    #[test]
+    fn groups_with_same_token_merge() {
+        let robots = "User-agent: a\nDisallow: /one\nCrawl-delay: 10\n\nUser-agent: b\nDisallow: /b\n\nUser-agent: a\nDisallow: /two\nCrawl-delay: 40\n";
+        assert!(!allows(robots, "a", "/one"));
+        assert!(!allows(robots, "a", "/two"));
+        assert!(allows(robots, "a", "/b"));
+        // Merged crawl delays take the maximum.
+        assert_eq!(CompiledPolicy::from_text(robots).crawl_delay("a"), Some(40.0));
+    }
+
+    #[test]
+    fn no_wildcard_group_means_unlisted_bot_unrestricted() {
+        let p = CompiledPolicy::from_text("User-agent: badbot\nDisallow: /\n");
+        let d = p.check("goodbot", "/x");
+        assert!(d.allow);
+        assert_eq!(d.matched_agent, None);
+        assert!(!p.check("badbot", "/x").allow);
+        assert_eq!(p.crawl_delay("goodbot"), None);
+    }
+
+    #[test]
+    fn full_ua_header_tolerated() {
+        let robots = "User-agent: gptbot\nDisallow: /private/\n";
+        assert!(!allows(robots, "GPTBot/1.0 (+https://openai.com/gptbot)", "/private/x"));
+    }
+
+    #[test]
+    fn missing_slash_and_empty_rules() {
+        assert!(!allows("User-agent: *\nDisallow: /secret\n", "bot", "secret/files"));
+        assert!(allows("User-agent: *\nDisallow: /secret\n", "bot", "robots.txt"));
+        assert!(allows("User-agent: *\nDisallow:\n", "bot", "/x"));
+    }
+
+    #[test]
+    fn decision_reports_matched_rule() {
+        let p = CompiledPolicy::from_text("User-agent: *\nDisallow: /secure/*\n");
+        let d = p.check("bot", "/secure/admin");
+        assert!(!d.allow);
+        assert_eq!(d.matched_rule.expect("rule").pattern.as_str(), "/secure/*");
+        assert_eq!(d.matched_agent, Some("*"));
     }
 
     #[test]
     fn wildcards_and_anchors() {
-        for (robots, path) in [
-            ("User-agent: *\nDisallow: /*.php$\n", "/folder/filename.php"),
-            ("User-agent: *\nDisallow: /*.php$\n", "/filename.php?x"),
-            ("User-agent: *\nDisallow: /fish*\n", "/fishheads"),
-            ("User-agent: *\nDisallow: /a*b*c\n", "/axxbxxc-and-more"),
-            ("User-agent: *\nDisallow: /a*b*c\n", "/a-c-b"),
-            ("User-agent: *\nDisallow: /x*$\n", "/xyz"),
-            ("User-agent: *\nDisallow: /fish$\n", "/fish"),
-            ("User-agent: *\nDisallow: /fish$\n", "/fish.html"),
-            ("User-agent: *\nDisallow: *\n", "/anything"),
-            ("User-agent: *\nAllow: /p\nDisallow: /*.html\n", "/page.html"),
+        for (robots, path, allow) in [
+            ("User-agent: *\nDisallow: /*.php$\n", "/folder/filename.php", false),
+            ("User-agent: *\nDisallow: /*.php$\n", "/filename.php?x", true),
+            ("User-agent: *\nDisallow: /fish*\n", "/fishheads", false),
+            ("User-agent: *\nDisallow: /a*b*c\n", "/axxbxxc-and-more", false),
+            ("User-agent: *\nDisallow: /a*b*c\n", "/a-c-b", true),
+            ("User-agent: *\nDisallow: /x*$\n", "/xyz", false),
+            ("User-agent: *\nDisallow: /fish$\n", "/fish", false),
+            ("User-agent: *\nDisallow: /fish$\n", "/fish.html", true),
+            ("User-agent: *\nDisallow: *\n", "/anything", false),
+            ("User-agent: *\nDisallow: *\n", "/", false),
+            // /*.html (7 octets) beats /p (2) on /page.html only.
+            ("User-agent: *\nAllow: /p\nDisallow: /*.html\n", "/page.html", false),
+            ("User-agent: *\nAllow: /p\nDisallow: /*.html\n", "/page", true),
+            ("User-agent: *\nDisallow: /$\n", "/", false),
+            ("User-agent: *\nDisallow: /$\n", "/a", true),
+            ("User-agent: *\nDisallow: /**\n", "/deep/path", false),
+            ("User-agent: *\nDisallow: /a**$\n", "/abc", false),
+            ("User-agent: *\nDisallow: *x\n", "/prefix-x-suffix", false),
         ] {
-            assert_same_decision(robots, "bot", path);
+            assert_eq!(allows(robots, "bot", path), allow, "{robots:?} {path}");
         }
     }
 
     #[test]
     fn percent_normalized_alphabet() {
-        for (robots, path) in [
-            ("User-agent: *\nDisallow: /caf%c3%a9\n", "/café"),
-            ("User-agent: *\nDisallow: /café\n", "/caf%C3%A9"),
-            ("User-agent: *\nDisallow: /a%2Fb\n", "/a/b"),
-            ("User-agent: *\nDisallow: /a%2Fb\n", "/a%2fb"),
-            ("User-agent: *\nDisallow: /a%7Eb\n", "/a~b"),
+        for (robots, path, allow) in [
+            ("User-agent: *\nDisallow: /caf%c3%a9\n", "/café", false),
+            ("User-agent: *\nDisallow: /café\n", "/caf%C3%A9", false),
+            ("User-agent: *\nDisallow: /a%2Fb\n", "/a/b", true),
+            ("User-agent: *\nDisallow: /a%2Fb\n", "/a%2fb", false),
+            ("User-agent: *\nDisallow: /a%7Eb\n", "/a~b", false),
         ] {
-            assert_same_decision(robots, "bot", path);
+            assert_eq!(allows(robots, "bot", path), allow, "{robots:?} {path}");
         }
-    }
-
-    #[test]
-    fn group_selection_matches() {
-        let robots = "User-agent: googlebot-news\nDisallow: /news-secret/\n\nUser-agent: googlebot\nDisallow: /general/\n\nUser-agent: *\nDisallow: /\n";
-        for agent in ["Googlebot-News", "Googlebot", "Googlebot-Image", "GPTBot", "*"] {
-            for path in ["/news-secret/x", "/general/x", "/anything"] {
-                assert_same_decision(robots, agent, path);
-            }
-        }
-        // No wildcard group: unknown bots unrestricted, decision has no agent.
-        assert_same_decision("User-agent: badbot\nDisallow: /\n", "goodbot", "/x");
-    }
-
-    #[test]
-    fn missing_slash_and_empty_rules() {
-        assert_same_decision("User-agent: *\nDisallow: /secret\n", "bot", "secret/files");
-        assert_same_decision("User-agent: *\nDisallow:\n", "bot", "/x");
-        assert_same_decision("", "bot", "/x");
     }
 
     #[test]
@@ -681,10 +782,12 @@ mod tests {
         let refs: Vec<&str> = paths.iter().map(String::as_str).collect();
         let mask = compiled.check_many("bot", &refs);
         assert_eq!(mask.len(), 2);
-        for (i, p) in refs.iter().enumerate() {
-            let expect = compiled.check("bot", p).allow;
-            assert_eq!(mask[i / 64] >> (i % 64) & 1 == 1, expect, "path {p}");
+        for i in 0..refs.len() {
+            assert_eq!(mask[i / 64] >> (i % 64) & 1 == 1, i % 3 != 0, "path {}", refs[i]);
         }
+        // `/robots.txt` and a slash-less path take the single-check rules.
+        let all = CompiledPolicy::compile(&RobotsTxt::disallow_all());
+        assert_eq!(all.check_many("bot", &["/robots.txt", "robots.txt", "/x"]), vec![0b011]);
         // Unknown-group batch: everything allowed.
         let none = CompiledPolicy::from_text("User-agent: badbot\nDisallow: /\n");
         assert_eq!(none.check_many("goodbot", &["/a", "/b"]), vec![0b11]);
@@ -731,19 +834,5 @@ mod tests {
         assert!(!estate.invalidate("unknown.example.edu"));
         assert!(estate.remove("b.example.edu"));
         assert_eq!(estate.len(), 1);
-    }
-
-    #[test]
-    fn anchored_root_and_star_edge_cases() {
-        for (robots, path) in [
-            ("User-agent: *\nDisallow: /$\n", "/"),
-            ("User-agent: *\nDisallow: /$\n", "/a"),
-            ("User-agent: *\nDisallow: *\n", "/"),
-            ("User-agent: *\nDisallow: /**\n", "/deep/path"),
-            ("User-agent: *\nDisallow: /a**$\n", "/abc"),
-            ("User-agent: *\nDisallow: *x\n", "/prefix-x-suffix"),
-        ] {
-            assert_same_decision(robots, "bot", path);
-        }
     }
 }

@@ -2,11 +2,11 @@
 //!
 //! The study deploys a gradient of policies "only changing one condition
 //! at a time" (§4.1). `diff` makes that gradient inspectable: given two
-//! documents and a probe set of (agent, path) pairs, it reports every
+//! compiled policies and a probe set of (agent, path) pairs, it reports every
 //! decision flip and crawl-delay change — the exact deltas a bot operator
 //! (or an experimenter validating a rollout) needs.
 
-use crate::model::RobotsTxt;
+use crate::compiled::CompiledPolicy;
 
 /// One behavioural difference between two policies.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,16 +39,16 @@ pub enum PolicyChange {
 /// are probed as given — pass the user agents you care about and a path
 /// sample representative of the site (e.g. its sitemap).
 pub fn diff(
-    old: &RobotsTxt,
-    new: &RobotsTxt,
+    old: &CompiledPolicy,
+    new: &CompiledPolicy,
     agents: &[&str],
     paths: &[&str],
 ) -> Vec<PolicyChange> {
     let mut changes = Vec::new();
     for agent in agents {
         for path in paths {
-            let was = old.is_allowed(agent, path).allow;
-            let now = new.is_allowed(agent, path).allow;
+            let was = old.check(agent, path).allow;
+            let now = new.check(agent, path).allow;
             if was != now {
                 changes.push(PolicyChange::AccessChanged {
                     agent: (*agent).to_string(),
@@ -87,15 +87,18 @@ pub fn summarize(changes: &[PolicyChange]) -> (usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::parse;
+
+    fn compile(text: &str) -> CompiledPolicy {
+        CompiledPolicy::from_text(text)
+    }
 
     const AGENTS: [&str; 3] = ["Googlebot", "GPTBot", "ClaudeBot"];
     const PATHS: [&str; 4] = ["/", "/page-data/x.json", "/news/item", "/secure/a"];
 
     #[test]
     fn identical_policies_no_changes() {
-        let a = parse("User-agent: *\nDisallow: /secure/*\n");
-        let b = parse("User-agent: *\nDisallow: /secure/*\n");
+        let a = compile("User-agent: *\nDisallow: /secure/*\n");
+        let b = compile("User-agent: *\nDisallow: /secure/*\n");
         assert!(diff(&a, &b, &AGENTS, &PATHS).is_empty());
     }
 
@@ -103,8 +106,8 @@ mod tests {
     fn v1_to_v2_tightens_non_exempt_bots() {
         // Paper's v1 → v2 transition: everyone keeps access under v1;
         // only page-data survives for non-exempt bots under v2.
-        let v1 = parse("User-agent: *\nAllow: /\nDisallow: /secure/*\nCrawl-delay: 30\n");
-        let v2 = parse(
+        let v1 = compile("User-agent: *\nAllow: /\nDisallow: /secure/*\nCrawl-delay: 30\n");
+        let v2 = compile(
             "User-agent: Googlebot\nAllow: /\nDisallow: /secure/*\n\nUser-agent: *\nAllow: /page-data/*\nDisallow: /\n",
         );
         let changes = diff(&v1, &v2, &AGENTS, &PATHS);
@@ -132,8 +135,8 @@ mod tests {
 
     #[test]
     fn crawl_delay_introduction_detected() {
-        let base = parse("User-agent: *\nAllow: /\n");
-        let v1 = parse("User-agent: *\nAllow: /\nCrawl-delay: 30\n");
+        let base = compile("User-agent: *\nAllow: /\n");
+        let v1 = compile("User-agent: *\nAllow: /\nCrawl-delay: 30\n");
         let changes = diff(&base, &v1, &["GPTBot"], &["/"]);
         assert_eq!(
             changes,
@@ -147,8 +150,8 @@ mod tests {
 
     #[test]
     fn loosening_detected() {
-        let strict = parse("User-agent: *\nDisallow: /\n");
-        let open = parse("User-agent: *\nAllow: /\n");
+        let strict = compile("User-agent: *\nDisallow: /\n");
+        let open = compile("User-agent: *\nAllow: /\n");
         let changes = diff(&strict, &open, &["GPTBot"], &["/", "/x"]);
         let (tightened, loosened) = summarize(&changes);
         assert_eq!(tightened, 0);
@@ -157,8 +160,8 @@ mod tests {
 
     #[test]
     fn deterministic_order() {
-        let a = parse("User-agent: *\nDisallow: /\n");
-        let b = parse("User-agent: *\nAllow: /\n");
+        let a = compile("User-agent: *\nDisallow: /\n");
+        let b = compile("User-agent: *\nAllow: /\n");
         let x = diff(&a, &b, &AGENTS, &PATHS);
         let y = diff(&a, &b, &AGENTS, &PATHS);
         assert_eq!(x, y);

@@ -18,7 +18,7 @@
 //! measures in §5.1: Google's documented standard is to re-fetch every 24
 //! hours, but observed bots range from "every 12 h" to "never".
 
-use crate::model::RobotsTxt;
+use crate::compiled::CompiledPolicy;
 
 /// The resolved outcome of fetching `/robots.txt`.
 #[derive(Debug, Clone, PartialEq)]
@@ -158,8 +158,8 @@ pub fn resolve_redirects(
 /// What a compliant crawler must enforce after a fetch.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EffectivePolicy {
-    /// A parsed document to evaluate per request.
-    Policy(RobotsTxt),
+    /// A fetched policy, compiled once and evaluated per request.
+    Policy(CompiledPolicy),
     /// Crawl without restriction (4xx outcome).
     AllowAll,
     /// Fetch nothing (5xx / network outcome).
@@ -183,7 +183,9 @@ impl EffectivePolicy {
     /// ```
     pub fn from_outcome(outcome: FetchOutcome) -> Self {
         match outcome {
-            FetchOutcome::Success(body) => EffectivePolicy::Policy(RobotsTxt::parse(&body)),
+            FetchOutcome::Success(body) => {
+                EffectivePolicy::Policy(CompiledPolicy::from_text(&body))
+            }
             FetchOutcome::ClientError(_) => EffectivePolicy::AllowAll,
             FetchOutcome::ServerError(_) | FetchOutcome::NetworkError => {
                 EffectivePolicy::DisallowAll
@@ -200,17 +202,18 @@ impl EffectivePolicy {
     /// Whether `agent` may fetch `path` under this policy.
     pub fn is_allowed(&self, agent: &str, path: &str) -> bool {
         match self {
-            EffectivePolicy::Policy(doc) => doc.is_allowed(agent, path).allow,
+            EffectivePolicy::Policy(policy) => policy.check(agent, path).allow,
             EffectivePolicy::AllowAll => true,
-            // robots.txt itself stays fetchable even in disallow-all.
-            EffectivePolicy::DisallowAll => path == "/robots.txt",
+            // robots.txt itself stays fetchable even in disallow-all; a
+            // missing leading `/` is supplied, as `CompiledPolicy` does.
+            EffectivePolicy::DisallowAll => path.strip_prefix('/').unwrap_or(path) == "robots.txt",
         }
     }
 
     /// The crawl delay for `agent` under this policy.
     pub fn crawl_delay(&self, agent: &str) -> Option<f64> {
         match self {
-            EffectivePolicy::Policy(doc) => doc.crawl_delay(agent),
+            EffectivePolicy::Policy(policy) => policy.crawl_delay(agent),
             _ => None,
         }
     }
@@ -324,6 +327,9 @@ mod tests {
         let p = EffectivePolicy::DisallowAll;
         assert!(!p.is_allowed("any", "/index.html"));
         assert!(p.is_allowed("any", "/robots.txt"));
+        assert!(p.is_allowed("any", "robots.txt"), "slash-less, read as /robots.txt");
+        assert!(!p.is_allowed("any", "//robots.txt"));
+        assert!(!p.is_allowed("any", "index.html"));
     }
 
     #[test]

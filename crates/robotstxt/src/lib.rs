@@ -10,10 +10,10 @@
 //! * a tolerant [`parser`] that accepts arbitrary bytes and
 //!   never fails (malformed lines are reported as warnings, exactly like
 //!   Google's reference parser),
-//! * RFC 9309 [`matching`](crate::matcher) semantics: longest-match rule
-//!   precedence, allow-wins-ties, `*` wildcards and `$` end anchors,
-//!   percent-encoding normalization, most-specific user-agent group
-//!   selection with group merging,
+//! * one RFC 9309 matcher, the [`compiled`] policy automaton:
+//!   longest-match rule precedence, allow-wins-ties, `*` wildcards and `$`
+//!   end anchors, percent-encoding normalization, most-specific user-agent
+//!   group selection with group merging,
 //! * a [`builder`] and [`writer`] used to
 //!   construct and serialize the study's four experimental policy files
 //!   (paper Figures 5–8),
@@ -24,9 +24,9 @@
 //! ## Quickstart
 //!
 //! ```
-//! use botscope_robotstxt::RobotsTxt;
+//! use botscope_robotstxt::{CompiledPolicy, RobotsTxt};
 //!
-//! let robots = RobotsTxt::parse(
+//! let doc = RobotsTxt::parse(
 //!     "User-agent: Googlebot\n\
 //!      Allow: /\n\
 //!      Crawl-delay: 15\n\
@@ -38,12 +38,14 @@
 //!      Sitemap: https://example.edu/sitemap/sitemap-0.xml\n",
 //! );
 //!
-//! assert!(robots.is_allowed("Googlebot", "/restricted-data/x").allow);
-//! assert!(!robots.is_allowed("GPTBot", "/restricted-data/x").allow);
-//! assert!(robots.is_allowed("GPTBot", "/allowed-data/y").allow);
+//! let robots = CompiledPolicy::compile(&doc);
+//!
+//! assert!(robots.check("Googlebot", "/restricted-data/x").allow);
+//! assert!(!robots.check("GPTBot", "/restricted-data/x").allow);
+//! assert!(robots.check("GPTBot", "/allowed-data/y").allow);
 //! assert_eq!(robots.crawl_delay("GPTBot"), Some(30.0));
 //! assert_eq!(robots.crawl_delay("Googlebot"), Some(15.0));
-//! assert_eq!(robots.sitemaps().len(), 1);
+//! assert_eq!(doc.sitemaps().len(), 1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -56,11 +58,18 @@ pub mod compiled;
 pub mod diff;
 pub mod fetch;
 pub mod lexer;
-pub mod matcher;
 pub mod model;
 pub mod parser;
 pub mod pattern;
 pub mod writer;
+
+/// The RFC 9309 test oracle the compiled matcher's unit tests replay
+/// against; it names this crate by its external name.
+#[cfg(test)]
+extern crate self as botscope_robotstxt;
+#[cfg(test)]
+#[path = "../tests/rep_oracle/mod.rs"]
+mod rep_oracle;
 
 pub use analysis::{
     analyze, classify_change, divergence_hazards, rule_liveness, semantic_diff, Analysis,
@@ -69,9 +78,8 @@ pub use analysis::{
 };
 pub use audit::{audit, AuditFinding};
 pub use builder::RobotsTxtBuilder;
-pub use compiled::{CompiledPolicy, PolicyEstate};
+pub use compiled::{CompiledPolicy, Decision, PolicyEstate};
 pub use diff::{diff, PolicyChange};
 pub use fetch::{EffectivePolicy, FetchOutcome, RobotsCache};
-pub use matcher::{Decision, OwnedDecision};
 pub use model::{Group, RobotsTxt, Rule, RuleVerb};
 pub use pattern::PathPattern;

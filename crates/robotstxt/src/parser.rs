@@ -320,9 +320,10 @@ mod tests {
         assert_eq!(r.warnings[0], ParseWarning::InvalidUtf8 { line: 2, octets: 3 });
         assert_eq!(r.groups[0].rules[0].pattern.as_str(), "/caf%E9/");
         assert_eq!(r.groups[0].rules[1].pattern.as_str(), "/x%E2%82");
-        assert!(!r.is_allowed("bot", "/caf%E9/menu").allow);
-        assert!(!r.is_allowed("bot", "/caf%e9/menu").allow, "percent case is normalized");
-        assert!(r.is_allowed("bot", "/café/").allow, "é in UTF-8 is a different path");
+        let p = crate::CompiledPolicy::compile(&r);
+        assert!(!p.check("bot", "/caf%E9/menu").allow);
+        assert!(!p.check("bot", "/caf%e9/menu").allow, "percent case is normalized");
+        assert!(p.check("bot", "/café/").allow, "é in UTF-8 is a different path");
     }
 
     #[test]

@@ -1,14 +1,16 @@
 //! Differential property tests for the static analyzer.
 //!
 //! Every analyzer verdict is witness-backed; these tests replay each
-//! witness through the interpreted matcher ([`RobotsTxt::is_allowed`]),
-//! the compiled automaton ([`CompiledPolicy::check`]), and the deviant
-//! reference matchers, and pin the liveness verdicts against a
-//! brute-force winner enumeration over sampled paths.
+//! witness through the RFC oracle (`rep_oracle::decide`), the compiled
+//! automaton ([`CompiledPolicy::check`]), and the oracle's deviant
+//! matcher models, and pin the liveness verdicts against a brute-force
+//! winner enumeration over sampled paths.
+
+mod rep_oracle;
 
 use botscope_robotstxt::analysis::{
-    classify_change, divergence_hazards, reference, rule_liveness, semantic_diff, ChangeClass,
-    DeviantModel, DiffVerdict, Liveness, RuleLiveness,
+    classify_change, divergence_hazards, rule_liveness, semantic_diff, ChangeClass, DeviantModel,
+    DiffVerdict, Liveness, RuleLiveness,
 };
 use botscope_robotstxt::parser::parse;
 use botscope_robotstxt::pattern::{normalize_percent, PathPattern};
@@ -69,7 +71,7 @@ fn agent_for(group: &str) -> &str {
 }
 
 /// Document-order rules of every group the token applies to — the rule
-/// list the deviant reference matchers score.
+/// list the deviant matcher models score.
 fn rules_for<'a>(doc: &'a RobotsTxt, group: &str) -> Vec<&'a Rule> {
     doc.groups
         .iter()
@@ -78,12 +80,21 @@ fn rules_for<'a>(doc: &'a RobotsTxt, group: &str) -> Vec<&'a Rule> {
         .collect()
 }
 
+/// A deviant model's verdict, through the oracle.
+fn deviant_allow(model: DeviantModel, rules: &[Rule], normalized_path: &str) -> bool {
+    match model {
+        DeviantModel::FirstMatch => rep_oracle::first_match_allow(rules, normalized_path),
+        DeviantModel::WildcardUnaware => rep_oracle::wildcard_unaware_allow(rules, normalized_path),
+        DeviantModel::DollarLiteral => rep_oracle::dollar_literal_allow(rules, normalized_path),
+    }
+}
+
 fn verb_allows(verb: RuleVerb) -> bool {
     verb == RuleVerb::Allow
 }
 
-/// Replay one liveness verdict against the interpreted and compiled
-/// matchers.
+/// Replay one liveness verdict against the RFC oracle and the compiled
+/// matcher.
 fn replay_verdict(doc: &RobotsTxt, compiled: &CompiledPolicy, r: &RuleLiveness) {
     let agent = agent_for(&r.agent);
     match &r.verdict {
@@ -91,7 +102,7 @@ fn replay_verdict(doc: &RobotsTxt, compiled: &CompiledPolicy, r: &RuleLiveness) 
             // The witness is a real (normalization-stable) path on which
             // this exact rule text decides the outcome.
             prop_assert!(normalize_percent(witness) == *witness, "witness not normalized");
-            let d = doc.is_allowed(agent, witness);
+            let d = rep_oracle::decide(doc, agent, witness);
             let rule = d.matched_rule.unwrap_or_else(|| {
                 panic!("alive witness {witness:?} decided by default allow for {r:?}")
             });
@@ -109,7 +120,7 @@ fn replay_verdict(doc: &RobotsTxt, compiled: &CompiledPolicy, r: &RuleLiveness) 
                 PathPattern::new(&r.pattern).matches(witness),
                 "shadow witness must match the rule"
             );
-            let d = doc.is_allowed(agent, witness);
+            let d = rep_oracle::decide(doc, agent, witness);
             let winner = d
                 .matched_rule
                 .unwrap_or_else(|| panic!("shadow witness {witness:?} hit default allow: {r:?}"));
@@ -124,7 +135,7 @@ fn replay_verdict(doc: &RobotsTxt, compiled: &CompiledPolicy, r: &RuleLiveness) 
         Liveness::RobotsTxtOnly => {
             // The carve-out: the only path the rule could decide is
             // always answered allow without consulting any rule.
-            let d = doc.is_allowed(agent, "/robots.txt");
+            let d = rep_oracle::decide(doc, agent, "/robots.txt");
             prop_assert!(d.allow);
             prop_assert!(d.matched_rule.is_none());
         }
@@ -165,7 +176,7 @@ proptest! {
         for group in ["*", "alphabot"] {
             let agent = agent_for(group);
             for path in &paths {
-                let d = doc.is_allowed(agent, path);
+                let d = rep_oracle::decide(&doc, agent, path);
                 let Some(rule) = d.matched_rule else { continue };
                 let Some(winner_group) = d.matched_agent else { continue };
                 let alive = verdicts.iter().any(|r| {
@@ -232,7 +243,7 @@ proptest! {
         prop_assert_eq!(classify_change(&doc, &parse(&edited)), ChangeClass::Cosmetic);
     }
 
-    /// Every divergence hazard replays through the deviant reference
+    /// Every divergence hazard replays through the oracle's deviant
     /// matcher it names, and genuinely disagrees with RFC 9309.
     #[test]
     fn hazard_witnesses_replay(text in policy_strategy()) {
@@ -245,7 +256,7 @@ proptest! {
 
             let agent = agent_for(&h.agent);
             prop_assert_eq!(
-                doc.is_allowed(agent, &h.path).allow,
+                rep_oracle::decide(&doc, agent, &h.path).allow,
                 h.rfc_allow,
                 "rfc replay failed for {:?}",
                 h
@@ -254,15 +265,8 @@ proptest! {
 
             let rules: Vec<Rule> =
                 rules_for(&doc, &h.agent).into_iter().cloned().collect();
-            prop_assert_eq!(reference::rfc_allow(&rules, &h.path), h.rfc_allow);
-            let deviant = match h.model {
-                DeviantModel::FirstMatch => reference::first_match_allow(&rules, &h.path),
-                DeviantModel::WildcardUnaware => {
-                    reference::wildcard_unaware_allow(&rules, &h.path)
-                }
-                DeviantModel::DollarLiteral => reference::dollar_literal_allow(&rules, &h.path),
-            };
-            prop_assert_eq!(deviant, h.deviant_allow, "deviant replay failed for {:?}", h);
+            prop_assert_eq!(rep_oracle::rfc_allow(&rules, &h.path), h.rfc_allow);
+            prop_assert_eq!(deviant_allow(h.model, &rules, &h.path), h.deviant_allow, "deviant replay failed for {:?}", h);
         }
     }
 
@@ -295,5 +299,24 @@ proptest! {
             replay_verdict(&doc, &compiled, t);
             replay_verdict(&doc, &compiled, w);
         }
+    }
+}
+
+/// One hand-written hazard per deviant model: the analyzer finds it with
+/// a witness on which the oracle's RFC and deviant verdicts differ.
+#[test]
+fn each_deviant_model_hazard_is_witnessed() {
+    for (text, model) in [
+        ("User-agent: *\nDisallow: /a\nAllow: /a/b\n", DeviantModel::FirstMatch),
+        ("User-agent: *\nDisallow: /*.php\n", DeviantModel::WildcardUnaware),
+        ("User-agent: *\nDisallow: /downloads$\n", DeviantModel::DollarLiteral),
+    ] {
+        let (hazards, complete) = divergence_hazards(&CompiledPolicy::from_text(text));
+        assert!(complete);
+        let h = hazards.iter().find(|h| h.model == model).expect("hazard of the model");
+        let rules = &parse(text).groups[0].rules;
+        assert_eq!(rep_oracle::rfc_allow(rules, &h.path), h.rfc_allow, "{text:?}");
+        assert_eq!(deviant_allow(model, rules, &h.path), h.deviant_allow, "{text:?}");
+        assert_ne!(h.rfc_allow, h.deviant_allow);
     }
 }

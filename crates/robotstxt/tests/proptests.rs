@@ -1,4 +1,8 @@
-//! Property-based tests for the RFC 9309 implementation.
+//! Property-based tests for the RFC 9309 implementation: semantic
+//! properties of the production matcher (`CompiledPolicy::check`), and
+//! its full decisions against the test-only RFC oracle.
+
+mod rep_oracle;
 
 use botscope_robotstxt::parser::parse;
 use botscope_robotstxt::pattern::{normalize_percent, PathPattern};
@@ -18,13 +22,22 @@ fn outcome(d: &botscope_robotstxt::Decision<'_>) -> Outcome {
     )
 }
 
-/// Assert the compiled automaton and the interpreted matcher agree on
-/// the full decision (not just the verdict) for one (agent, path).
+/// Assert the compiled automaton and the RFC oracle agree on the full
+/// decision (not just the verdict) for one (agent, path).
 fn assert_compiled_equiv(doc: &RobotsTxt, compiled: &CompiledPolicy, agent: &str, path: &str) {
-    let interpreted = outcome(&doc.is_allowed(agent, path));
+    let oracle = outcome(&rep_oracle::decide(doc, agent, path));
     let automaton = outcome(&compiled.check(agent, path));
-    assert_eq!(interpreted, automaton, "agent={agent:?} path={path:?}");
-    assert_eq!(doc.crawl_delay(agent), compiled.crawl_delay(agent), "delay for {agent:?}");
+    assert_eq!(oracle, automaton, "agent={agent:?} path={path:?}");
+    assert_eq!(
+        rep_oracle::crawl_delay(doc, agent),
+        compiled.crawl_delay(agent),
+        "delay for {agent:?}"
+    );
+}
+
+/// The production verdict for one request under a parsed document.
+fn allows(doc: &RobotsTxt, agent: &str, path: &str) -> bool {
+    CompiledPolicy::compile(doc).check(agent, path).allow
 }
 
 /// Strategy for plausible path-pattern strings.
@@ -94,9 +107,9 @@ proptest! {
                 body.push_str(&format!("Allow: {p}\n"));
             }
         }
-        let doc = parse(&body);
-        let a = doc.is_allowed("testbot", &path);
-        let b = doc.is_allowed("testbot", &path);
+        let compiled = CompiledPolicy::from_text(&body);
+        let a = compiled.check("testbot", &path);
+        let b = compiled.check("testbot", &path);
         prop_assert_eq!(a, b);
     }
 
@@ -110,7 +123,8 @@ proptest! {
             body.push_str(&format!("Disallow: {p}\n"));
         }
         let doc = parse(&body);
-        prop_assert!(doc.is_allowed(&agent, "/robots.txt").allow);
+        prop_assert!(allows(&doc, &agent, "/robots.txt"));
+        prop_assert!(allows(&doc, &agent, "robots.txt"));
     }
 
     #[test]
@@ -141,18 +155,13 @@ proptest! {
 
     #[test]
     fn disallow_all_blocks_all_but_robots(agent in "[a-z]{1,12}", path in path_strategy()) {
-        let doc = RobotsTxt::disallow_all();
-        let d = doc.is_allowed(&agent, &path);
-        if path == "/robots.txt" {
-            prop_assert!(d.allow);
-        } else {
-            prop_assert!(!d.allow);
-        }
+        let allowed = allows(&RobotsTxt::disallow_all(), &agent, &path);
+        prop_assert_eq!(allowed, path == "/robots.txt");
     }
 
     #[test]
     fn allow_all_allows_everything(agent in "[a-z]{1,12}", path in path_strategy()) {
-        prop_assert!(RobotsTxt::allow_all().is_allowed(&agent, &path).allow);
+        prop_assert!(allows(&RobotsTxt::allow_all(), &agent, &path));
     }
 
     // ---- percent-encoding corpus (RFC 9309 §2.2.2) ----
@@ -276,10 +285,7 @@ proptest! {
         // stack, not just PathPattern).
         let anchored = parse(&format!("User-agent: *\nDisallow: {base}*$\n"));
         let plain = parse(&format!("User-agent: *\nDisallow: {base}\n"));
-        prop_assert_eq!(
-            anchored.is_allowed("bot", &probe).allow,
-            plain.is_allowed("bot", &probe).allow
-        );
+        prop_assert_eq!(allows(&anchored, "bot", &probe), allows(&plain, "bot", &probe));
     }
 
     #[test]
@@ -296,9 +302,9 @@ proptest! {
         for p in &base_pats {
             body.push_str(&format!("Disallow: {p}\n"));
         }
-        let before = parse(&body).is_allowed("bot", &path).allow;
+        let before = allows(&parse(&body), "bot", &path);
         body.push_str(&format!("Allow: {new_allow}\n"));
-        let after = parse(&body).is_allowed("bot", &path).allow;
+        let after = allows(&parse(&body), "bot", &path);
         if before {
             prop_assert!(after, "allow rule must not revoke access");
         }
@@ -317,7 +323,7 @@ proptest! {
                 format!("User-agent: *\nAllow: {path}\nDisallow: {path}\n"),
             ] {
                 let doc = parse(&body);
-                prop_assert!(doc.is_allowed("bot", &path).allow, "{body}");
+                prop_assert!(allows(&doc, "bot", &path), "{body}");
             }
         }
     }
@@ -339,9 +345,9 @@ proptest! {
         prop_assert!(PathPattern::new(&starred).matches(&path));
 
         let doc = parse(&format!("User-agent: *\nDisallow: {starred}\nAllow: {path}\n"));
-        prop_assert!(doc.is_allowed("bot", &path).allow, "literal Allow loses tie");
+        prop_assert!(allows(&doc, "bot", &path), "literal Allow loses tie");
         let doc = parse(&format!("User-agent: *\nDisallow: {path}\nAllow: {starred}\n"));
-        prop_assert!(doc.is_allowed("bot", &path).allow, "starred Allow loses tie");
+        prop_assert!(allows(&doc, "bot", &path), "starred Allow loses tie");
     }
 
     #[test]
@@ -354,11 +360,11 @@ proptest! {
         // vice versa) for paths both match.
         let long = format!("{base}/{extra}");
         let doc = parse(&format!("User-agent: *\nAllow: {base}\nDisallow: {long}\n"));
-        prop_assert!(!doc.is_allowed("bot", &long).allow);
-        prop_assert!(doc.is_allowed("bot", &format!("{base}zz")).allow);
+        prop_assert!(!allows(&doc, "bot", &long));
+        prop_assert!(allows(&doc, "bot", &format!("{base}zz")));
         let doc = parse(&format!("User-agent: *\nDisallow: {base}\nAllow: {long}\n"));
-        prop_assert!(doc.is_allowed("bot", &long).allow);
-        prop_assert!(!doc.is_allowed("bot", &format!("{base}zz")).allow);
+        prop_assert!(allows(&doc, "bot", &long));
+        prop_assert!(!allows(&doc, "bot", &format!("{base}zz")));
     }
 
     // ---- UTF-8 paths under percent-encoding equivalence ----
@@ -415,28 +421,25 @@ proptest! {
         for rule in [&raw_rule, &encoded_rule] {
             let doc = parse(&format!("User-agent: *\nDisallow: {rule}\n"));
             for path in [&raw_path, &encoded_path] {
-                prop_assert!(
-                    !doc.is_allowed("bot", path).allow,
-                    "rule {rule} must deny {path}"
-                );
+                prop_assert!(!allows(&doc, "bot", path), "rule {rule} must deny {path}");
             }
             // Unrelated ASCII paths stay allowed.
-            prop_assert!(doc.is_allowed("bot", "/wiki-other").allow);
+            prop_assert!(allows(&doc, "bot", "/wiki-other"));
         }
     }
 
-    // ---- compiled automaton ≡ interpreted matcher ----
+    // ---- compiled automaton ≡ RFC oracle ----
 
     #[test]
     fn compiled_agrees_on_random_documents(
         pats in prop::collection::vec(pattern_strategy(), 0..10),
-        agents in prop::collection::vec("[a-z][a-z0-9-]{0,8}", 1..4),
+        agents in prop::collection::vec("[a-z][a-z0-9_-]{0,8}", 1..4),
         delay in prop::option::of(1u32..600),
-        probe_agent in "[a-z][a-z0-9-]{0,10}",
+        probe_agent in "[a-z][a-z0-9_-]{0,10}",
         path in path_strategy(),
     ) {
         // Multi-group documents with mixed verbs: the compiled policy
-        // must reproduce the interpreted decision *exactly* — verdict,
+        // must reproduce the oracle's decision *exactly* — verdict,
         // winning rule, agent group, and crawl delay.
         let mut body = String::new();
         for (g, agent) in agents.iter().enumerate() {
@@ -458,7 +461,14 @@ proptest! {
         }
         let doc = parse(&body);
         let compiled = CompiledPolicy::compile(&doc);
-        for agent in agents.iter().map(String::as_str).chain([probe_agent.as_str(), "unrelated"]) {
+        // Each group token also probes as the head of a longer product
+        // token, across both boundary octets and across none.
+        let variants = agents
+            .iter()
+            .flat_map(|a| [format!("{a}-news"), format!("{a}_news"), format!("{a}news")]);
+        let probes: Vec<String> =
+            agents.iter().cloned().chain(variants).chain([probe_agent, "unrelated".into()]).collect();
+        for agent in &probes {
             assert_compiled_equiv(&doc, &compiled, agent, &path);
             assert_compiled_equiv(&doc, &compiled, agent, "/robots.txt");
         }
@@ -527,7 +537,7 @@ proptest! {
     }
 
     #[test]
-    fn check_many_bitmask_agrees_with_single_checks(
+    fn check_many_bitmask_agrees_with_oracle(
         pats in prop::collection::vec(pattern_strategy(), 0..8),
         paths in prop::collection::vec(path_strategy(), 1..80),
         agent in "[a-z]{1,10}",
@@ -537,7 +547,8 @@ proptest! {
             let verb = if i % 2 == 0 { "Disallow" } else { "Allow" };
             body.push_str(&format!("{verb}: {p}\n"));
         }
-        let compiled = CompiledPolicy::from_text(&body);
+        let doc = parse(&body);
+        let compiled = CompiledPolicy::compile(&doc);
         let refs: Vec<&str> = paths.iter().map(String::as_str).collect();
         let mask = compiled.check_many(&agent, &refs);
         prop_assert_eq!(mask.len(), refs.len().div_ceil(64));
@@ -545,7 +556,7 @@ proptest! {
             let bit = (mask[i / 64] >> (i % 64)) & 1 == 1;
             prop_assert_eq!(
                 bit,
-                compiled.check(&agent, path).allow,
+                rep_oracle::decide(&doc, &agent, path).allow,
                 "path #{} {:?}", i, path
             );
         }

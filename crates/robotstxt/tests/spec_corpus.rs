@@ -3,7 +3,10 @@
 //! Data-driven cases from RFC 9309 and the documented interpretation of
 //! the Google reference parser (the paper validated its experimental
 //! files against that parser, §4.1). Each case runs through the full
-//! parse → group-select → match stack.
+//! parse → compile → group-select → match stack, and through the RFC
+//! oracle.
+
+mod rep_oracle;
 
 use botscope_robotstxt::parser::parse;
 use botscope_robotstxt::CompiledPolicy;
@@ -208,55 +211,40 @@ const CASES: &[Case] = &[
     },
 ];
 
+/// Every spec case through the production matcher: the verdict must
+/// match the corpus, and the full decision (winning rule, agent group,
+/// crawl delay) must match the RFC oracle's.
 #[test]
 fn spec_corpus() {
     let mut failures = Vec::new();
     for case in CASES {
         let doc = parse(case.robots);
-        let got = doc.is_allowed(case.agent, case.path).allow;
-        if got != case.allow {
-            failures.push(format!(
-                "{}: agent={} path={} expected {} got {}",
-                case.name, case.agent, case.path, case.allow, got
-            ));
-        }
-    }
-    assert!(failures.is_empty(), "{} corpus failures:\n{}", failures.len(), failures.join("\n"));
-}
-
-/// Every spec case, replayed through the compiled automaton: the
-/// verdict must match the corpus AND the full decision (winning rule,
-/// agent group, crawl delay) must match the interpreted matcher.
-#[test]
-fn spec_corpus_compiled() {
-    let mut failures = Vec::new();
-    for case in CASES {
-        let doc = parse(case.robots);
         let compiled = CompiledPolicy::compile(&doc);
-        let interpreted = doc.is_allowed(case.agent, case.path);
         let automaton = compiled.check(case.agent, case.path);
+        let oracle = rep_oracle::decide(&doc, case.agent, case.path);
         if automaton.allow != case.allow {
             failures.push(format!(
-                "{}: compiled verdict {} != corpus {}",
-                case.name, automaton.allow, case.allow
+                "{}: agent={} path={} expected {} got {}",
+                case.name, case.agent, case.path, case.allow, automaton.allow
             ));
+        }
+        if oracle.allow != case.allow {
+            failures.push(format!("{}: oracle verdict {} != corpus", case.name, oracle.allow));
         }
         let rule = |d: &botscope_robotstxt::Decision<'_>| {
             d.matched_rule.map(|r| (r.verb, r.pattern.as_str().to_string()))
         };
-        if rule(&automaton) != rule(&interpreted)
-            || automaton.matched_agent != interpreted.matched_agent
-        {
+        if rule(&automaton) != rule(&oracle) || automaton.matched_agent != oracle.matched_agent {
             failures.push(format!(
-                "{}: compiled decision ({:?}, {:?}) != interpreted ({:?}, {:?})",
+                "{}: compiled decision ({:?}, {:?}) != oracle ({:?}, {:?})",
                 case.name,
                 rule(&automaton),
                 automaton.matched_agent,
-                rule(&interpreted),
-                interpreted.matched_agent
+                rule(&oracle),
+                oracle.matched_agent
             ));
         }
-        if compiled.crawl_delay(case.agent) != doc.crawl_delay(case.agent) {
+        if compiled.crawl_delay(case.agent) != rep_oracle::crawl_delay(&doc, case.agent) {
             failures.push(format!("{}: crawl delay disagrees", case.name));
         }
     }

@@ -398,20 +398,20 @@ mod tests {
             for believed in beliefs {
                 let lens = believed.lens(&corpus, agent, bot.exempt);
                 // Every probe the lens sends through the compiled automata
-                // must agree with the interpreted matcher (the oracle).
+                // must agree with the RFC 9309 oracle.
                 if let BelievedPolicy::Version(v) = believed {
                     let token = if bot.exempt { agent } else { "*" };
                     let doc = corpus.doc(v);
                     for probe in [PROBE_CONTENT, PROBE_PAGEDATA] {
                         assert_eq!(
                             corpus.check(v, token, probe),
-                            doc.is_allowed(token, probe).allow,
+                            crate::rep_oracle::decide(doc, token, probe).allow,
                             "matchers disagree: {agent} {believed:?} {probe}"
                         );
                     }
                     assert_eq!(
                         corpus.delay(v, token),
-                        doc.crawl_delay(token),
+                        crate::rep_oracle::crawl_delay(doc, token),
                         "matchers disagree: {agent} {believed:?}"
                     );
                 }

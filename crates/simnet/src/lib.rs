@@ -57,6 +57,11 @@ pub mod server;
 pub mod site;
 pub mod spoof;
 
+/// The RFC 9309 test oracle the policy corpus is checked against.
+#[cfg(test)]
+#[path = "../../robotstxt/tests/rep_oracle/mod.rs"]
+mod rep_oracle;
+
 pub use belief::{BeliefAtlas, BeliefTimeline, BelievedPolicy, PolicyOracle, ScheduleOracle};
 pub use config::SimConfig;
 pub use engine::{

@@ -182,6 +182,7 @@ pub fn is_exempt_agent(token: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use botscope_robotstxt::CompiledPolicy;
 
     #[test]
     fn figure5_text() {
@@ -192,36 +193,40 @@ mod tests {
         );
     }
 
+    fn compiled(version: PolicyVersion) -> CompiledPolicy {
+        CompiledPolicy::compile(&version.robots_txt())
+    }
+
     #[test]
     fn figure6_adds_crawl_delay() {
-        let doc = PolicyVersion::V1CrawlDelay.robots_txt();
-        assert_eq!(doc.crawl_delay("GPTBot"), Some(30.0));
-        assert_eq!(doc.crawl_delay("Googlebot"), Some(30.0));
-        assert!(doc.is_allowed("GPTBot", "/news/item-001").allow);
-        assert!(!doc.is_allowed("GPTBot", "/secure/admin-0").allow);
+        let p = compiled(PolicyVersion::V1CrawlDelay);
+        assert_eq!(p.crawl_delay("GPTBot"), Some(30.0));
+        assert_eq!(p.crawl_delay("Googlebot"), Some(30.0));
+        assert!(p.check("GPTBot", "/news/item-001").allow);
+        assert!(!p.check("GPTBot", "/secure/admin-0").allow);
     }
 
     #[test]
     fn figure7_endpoint_semantics() {
-        let doc = PolicyVersion::V2EndpointOnly.robots_txt();
+        let p = compiled(PolicyVersion::V2EndpointOnly);
         // Exempt bots retain full access.
-        assert!(doc.is_allowed("Googlebot", "/news/item-001").allow);
-        assert!(doc.is_allowed("bingbot", "/people/person-0001").allow);
-        assert!(!doc.is_allowed("Googlebot", "/secure/x").allow);
+        assert!(p.check("Googlebot", "/news/item-001").allow);
+        assert!(p.check("bingbot", "/people/person-0001").allow);
+        assert!(!p.check("Googlebot", "/secure/x").allow);
         // Everyone else: page-data only.
-        assert!(doc.is_allowed("GPTBot", "/page-data/item-001/page-data.json").allow);
-        assert!(!doc.is_allowed("GPTBot", "/news/item-001").allow);
-        assert!(!doc.is_allowed("ClaudeBot", "/").allow);
+        assert!(p.check("GPTBot", "/page-data/item-001/page-data.json").allow);
+        assert!(!p.check("GPTBot", "/news/item-001").allow);
+        assert!(!p.check("ClaudeBot", "/").allow);
     }
 
     #[test]
     fn figure8_disallow_all_semantics() {
-        let doc = PolicyVersion::V3DisallowAll.robots_txt();
-        assert!(doc.is_allowed("Googlebot", "/news/item-001").allow);
-        assert!(!doc.is_allowed("GPTBot", "/page-data/x").allow);
-        assert!(!doc.is_allowed("GPTBot", "/").allow);
+        let p = compiled(PolicyVersion::V3DisallowAll);
+        assert!(p.check("Googlebot", "/news/item-001").allow);
+        assert!(!p.check("GPTBot", "/page-data/x").allow);
+        assert!(!p.check("GPTBot", "/").allow);
         // robots.txt itself always fetchable.
-        assert!(doc.is_allowed("GPTBot", "/robots.txt").allow);
+        assert!(p.check("GPTBot", "/robots.txt").allow);
     }
 
     #[test]

@@ -56,8 +56,8 @@ impl PolicyCorpus {
     }
 
     /// Whether `agent` may fetch `path` under `version`, via the compiled
-    /// automaton. It is differentially tested against the interpreted
-    /// [`RobotsTxt::is_allowed`] on every decision.
+    /// automaton. Tests check it against the RFC 9309 oracle on every
+    /// corpus decision.
     pub fn check(&self, version: PolicyVersion, agent: &str, path: &str) -> bool {
         self.compiled[version.index()].check(agent, path).allow
     }
@@ -192,8 +192,8 @@ mod tests {
 
     #[test]
     fn matcher_modes_agree_on_corpus_decisions() {
-        // The compiled automata against the interpreted matcher (the
-        // oracle) over the corpus's own documents.
+        // The compiled automata against the RFC 9309 oracle over the
+        // corpus's own documents.
         let corpus = PolicyCorpus::new();
         let agents = ["Googlebot", "Googlebot-Image", "GPTBot", "ClaudeBot", "*", "ia_archiver"];
         let paths = [
@@ -210,11 +210,15 @@ mod tests {
                 for path in paths {
                     assert_eq!(
                         corpus.check(v, agent, path),
-                        doc.is_allowed(agent, path).allow,
+                        crate::rep_oracle::decide(doc, agent, path).allow,
                         "{v:?} {agent} {path}"
                     );
                 }
-                assert_eq!(corpus.delay(v, agent), doc.crawl_delay(agent), "{v:?} {agent}");
+                assert_eq!(
+                    corpus.delay(v, agent),
+                    crate::rep_oracle::crawl_delay(doc, agent),
+                    "{v:?} {agent}"
+                );
             }
         }
     }

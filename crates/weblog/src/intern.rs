@@ -108,7 +108,15 @@ impl StringInterner {
 
     /// All (id, string) pairs in id order.
     pub fn iter(&self) -> impl Iterator<Item = (Sym, &str)> {
-        self.strings.iter().enumerate().map(|(i, s)| (Sym::from_index(i), s.as_str()))
+        self.iter_from(0)
+    }
+
+    /// The (id, string) pairs from dense index `start` on, in id order —
+    /// what a consumer that classifies symbols as the interner grows has
+    /// not seen yet. Starts in O(1), unlike `iter().skip(start)`.
+    pub fn iter_from(&self, start: usize) -> impl Iterator<Item = (Sym, &str)> {
+        let tail = self.strings.get(start..).unwrap_or_default();
+        tail.iter().enumerate().map(move |(i, s)| (Sym::from_index(start + i), s.as_str()))
     }
 
     /// Byte-lexicographic rank of every symbol: `ranks()[sym.index()]`
@@ -187,6 +195,18 @@ mod tests {
         }
         let collected: Vec<(usize, &str)> = i.iter().map(|(sym, s)| (sym.index(), s)).collect();
         assert_eq!(collected, vec![(0, "a"), (1, "b"), (2, "c")]);
+    }
+
+    #[test]
+    fn iter_from_yields_the_tail_with_its_ids() {
+        let mut i = StringInterner::new();
+        for s in ["a", "b", "c"] {
+            i.intern(s);
+        }
+        let tail: Vec<(usize, &str)> = i.iter_from(1).map(|(sym, s)| (sym.index(), s)).collect();
+        assert_eq!(tail, vec![(1, "b"), (2, "c")]);
+        assert_eq!(i.iter_from(3).count(), 0);
+        assert_eq!(i.iter_from(7).count(), 0, "past the end is empty, not a panic");
     }
 
     #[test]

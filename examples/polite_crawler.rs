@@ -50,9 +50,9 @@ impl PoliteCrawler {
     fn crawl(&mut self, origin: &Origin, path: &str, mut now: u64) -> u64 {
         // Refresh the policy if the cached copy is stale (24 h TTL).
         if self.cache.needs_fetch(now) {
-            let policy = EffectivePolicy::from_outcome(origin.fetch_robots());
-            println!("[t={now:>6}] {} refreshes robots.txt -> {policy:?}", self.agent);
-            self.cache.store(now, policy);
+            let outcome = origin.fetch_robots();
+            println!("[t={now:>6}] {} refreshes robots.txt -> {outcome:?}", self.agent);
+            self.cache.store(now, EffectivePolicy::from_outcome(outcome));
         }
         let policy = self.cache.get(now).expect("just stored").clone();
 

@@ -1,9 +1,12 @@
-//! Quickstart: parse a robots.txt file, ask access questions, build the
-//! paper's experimental policies, and check a crawler's obligations.
+//! Quickstart: parse a robots.txt file, compile it, ask access questions,
+//! build the paper's experimental policies, and check a crawler's
+//! obligations.
 //!
 //! Run with: `cargo run --example quickstart`
 
-use botscope::robots::{EffectivePolicy, FetchOutcome, RobotsTxt, RobotsTxtBuilder};
+use botscope::robots::{
+    CompiledPolicy, EffectivePolicy, FetchOutcome, RobotsTxt, RobotsTxtBuilder,
+};
 
 fn main() {
     // 1. Parse the file from the paper's Figure 1.
@@ -27,14 +30,15 @@ fn main() {
         robots.sitemaps().len()
     );
 
-    // 2. Ask access questions for different crawlers.
+    // 2. Compile it once, then ask access questions for different crawlers.
+    let policy = CompiledPolicy::compile(&robots);
     for (agent, path) in [
         ("Googlebot", "/restricted-data/report.pdf"),
         ("GPTBot", "/restricted-data/report.pdf"),
         ("GPTBot", "/allowed-data/catalog.json"),
         ("ClaudeBot", "/robots.txt"),
     ] {
-        let decision = robots.is_allowed(agent, path);
+        let decision = policy.check(agent, path);
         println!(
             "{agent:<10} {path:<32} -> {}{}",
             if decision.allow { "ALLOW" } else { "DENY " },
@@ -48,7 +52,7 @@ fn main() {
     // 3. Crawl-delay obligations.
     println!();
     for agent in ["Googlebot", "GPTBot"] {
-        println!("{agent:<10} crawl delay: {:?} seconds", robots.crawl_delay(agent));
+        println!("{agent:<10} crawl delay: {:?} seconds", policy.crawl_delay(agent));
     }
 
     // 4. Build a policy programmatically (the paper's v3 disallow-all).

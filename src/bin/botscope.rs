@@ -25,7 +25,7 @@ use botscope::monitor::ScenarioKind;
 use botscope::obs::json_escape;
 use botscope::robots::analysis::Severity;
 use botscope::robots::diff::{diff, summarize};
-use botscope::robots::RobotsTxt;
+use botscope::robots::{CompiledPolicy, RobotsTxt};
 use botscope::simnet::{scenario, SimConfig};
 use botscope::weblog::codec;
 
@@ -542,12 +542,13 @@ fn cmd_check(p: &Parsed) -> Result<(), String> {
             doc.warnings.len()
         );
     }
+    let policy = CompiledPolicy::compile(&doc);
     write_output("-", |w| {
-        if let Some(delay) = doc.crawl_delay(agent) {
+        if let Some(delay) = policy.crawl_delay(agent) {
             writeln!(w, "crawl delay for {agent}: {delay}s")?;
         }
         for path in paths {
-            let d = doc.is_allowed(agent, path);
+            let d = policy.check(agent, path);
             let verdict = if d.allow { "ALLOW" } else { "DENY " };
             match d.matched_rule {
                 Some(rule) => {
@@ -958,7 +959,8 @@ fn cmd_diff(p: &Parsed) -> Result<(), String> {
         }
     }
     let path_refs: Vec<&str> = paths.iter().map(String::as_str).collect();
-    let changes = diff(&old, &new, &agents, &path_refs);
+    let changes =
+        diff(&CompiledPolicy::compile(&old), &CompiledPolicy::compile(&new), &agents, &path_refs);
     let (tightened, loosened) = summarize(&changes);
     write_output("-", |w| {
         writeln!(w, "{} change(s): {tightened} tightened, {loosened} loosened", changes.len())?;
@@ -1213,7 +1215,7 @@ fn cmd_monitor(p: &Parsed) -> Result<(), String> {
         (p.value("--out"), p.value("--jsonl"), p.value("--changes"));
     let mut streamed_rows = None;
     // One §5.1 engine computes the reports in both modes.
-    let (stats, changes, bots, site_windows, recheck) = if p.switch("--stream") {
+    let (stats, changes, bots, swapped, recheck) = if p.switch("--stream") {
         // Fetch events flow through row sinks, and the accumulator rides
         // the same stream: the merged table never exists.
         let mut csv = match out_path {
@@ -1224,11 +1226,10 @@ fn cmd_monitor(p: &Parsed) -> Result<(), String> {
         };
         let mut jsonl = jsonl_path.map(|path| writer_for(path).map(JsonlSink::new)).transpose()?;
         // The accumulator needs each site's deployment windows before the
-        // first row; they are a pure function of the config.
-        let mut recheck = RecheckAccumulator::new(
-            botscope::monitor::config_site_windows(&cfg),
-            cfg.horizon_end(),
-        );
+        // first row; they are a pure function of the config, computed once.
+        let site_windows = botscope::monitor::config_site_windows(&cfg);
+        let swapped = any_site_swapped(&site_windows);
+        let mut recheck = RecheckAccumulator::new(site_windows, cfg.horizon_end());
         let mut sinks: Vec<&mut dyn RowSink> = Vec::new();
         if let Some(sink) = csv.as_mut() {
             sinks.push(sink);
@@ -1241,7 +1242,7 @@ fn cmd_monitor(p: &Parsed) -> Result<(), String> {
             botscope::monitor::run_streaming(&cfg, botscope::simnet::worker_threads(), &mut sinks)
                 .map_err(|e| format!("streaming write failed: {e}"))?;
         streamed_rows = Some(summary.rows);
-        (summary.stats, summary.changes, summary.bots, summary.site_windows, recheck)
+        (summary.stats, summary.changes, summary.bots, swapped, recheck)
     } else {
         let out = botscope::monitor::run(&cfg);
         if let Some(path) = out_path {
@@ -1251,9 +1252,10 @@ fn cmd_monitor(p: &Parsed) -> Result<(), String> {
             write_output(path, |mut w| botscope::weblog::jsonl::write_table(&mut w, &out.table))?;
         }
         let _phase = botscope::obs::global().phase("monitor_recheck");
-        let mut recheck = RecheckAccumulator::new(out.site_windows.clone(), out.horizon_end);
+        let swapped = any_site_swapped(&out.site_windows);
+        let mut recheck = RecheckAccumulator::new(out.site_windows, out.horizon_end);
         recheck.push_table(&out.table);
-        (out.stats, out.changes, out.bots, out.site_windows, recheck)
+        (out.stats, out.changes, out.bots, swapped, recheck)
     };
     let (matrix, agg) = (recheck.phase_rows(), by_category(&recheck.profiles()));
     if let Some(path) = changes_path {
@@ -1261,7 +1263,7 @@ fn cmd_monitor(p: &Parsed) -> Result<(), String> {
     }
     eprint!("{}", monitor_summary(&cfg, &stats, &bots, &changes, streamed_rows));
     let data_on_stdout = [out_path, jsonl_path, changes_path].contains(&Some("-"));
-    emit_monitor_report_tables(&site_windows, &matrix, &agg, data_on_stdout)
+    emit_monitor_report_tables(swapped, &matrix, &agg, data_on_stdout)
 }
 
 /// Write detected policy changes as CSV (`-` = stdout).
@@ -1357,14 +1359,19 @@ fn monitor_summary(
     r
 }
 
+/// Whether any site deploys more than one policy version over the run.
+fn any_site_swapped(site_windows: &botscope::core::recheck::SiteVersionWindows) -> bool {
+    site_windows.values().any(|w| w.len() > 1)
+}
+
 /// Render the monitor's table-derived report artifacts — the monitored
-/// Table 7 (only meaningful when the estate deploys swaps) and the §5.1
+/// Table 7 (only when `swapped`: some site deployed a policy swap) and the §5.1
 /// re-check coverage table — and emit them on stdout through the
 /// [`write_output`] funnel (stderr when stdout already carries data).
 /// Both monitor run paths funnel through here, so their stdout bytes are
 /// identical by construction.
 fn emit_monitor_report_tables(
-    site_windows: &botscope::core::recheck::SiteVersionWindows,
+    swapped: bool,
     matrix: &[botscope::core::recheck::PhaseCheckRow],
     agg: &botscope::core::recheck::RecheckByCategory,
     data_on_stdout: bool,
@@ -1374,7 +1381,7 @@ fn emit_monitor_report_tables(
 
     // Table 7 digest windows from monitored logs: did each bot fetch
     // robots.txt on some site *while* each policy version was live?
-    if site_windows.values().any(|w| w.len() > 1) {
+    if swapped {
         let _ = writeln!(report, "{}", botscope::core::report::table7_from_monitor(matrix));
     }
 

@@ -22,11 +22,11 @@
 //! ## Quickstart: is this bot allowed?
 //!
 //! ```
-//! use botscope::robots::RobotsTxt;
+//! use botscope::robots::CompiledPolicy;
 //!
-//! let policy = RobotsTxt::parse("User-agent: *\nDisallow: /secure/*\nCrawl-delay: 30\n");
-//! assert!(!policy.is_allowed("GPTBot", "/secure/grades").allow);
-//! assert!(policy.is_allowed("GPTBot", "/courses").allow);
+//! let policy = CompiledPolicy::from_text("User-agent: *\nDisallow: /secure/*\nCrawl-delay: 30\n");
+//! assert!(!policy.check("GPTBot", "/secure/grades").allow);
+//! assert!(policy.check("GPTBot", "/courses").allow);
 //! assert_eq!(policy.crawl_delay("GPTBot"), Some(30.0));
 //! ```
 //!
