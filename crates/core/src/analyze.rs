@@ -2,11 +2,11 @@
 //!
 //! Given the 8-week phase-study logs (generated or real), this module:
 //!
-//! 1. standardizes user agents to canonical bots — **once**, estate-wide
-//!    — and carves out each bot's experiment-site rows and robots.txt
-//!    fetch times in the same sweep,
-//! 2. flags possible spoofing with the §5.2 ASN-dominance heuristic and
-//!    sets the flagged minority-network requests aside,
+//! 1. standardizes user agents to canonical bots — **once** per symbol,
+//!    estate-wide — and carves out each bot's experiment-site rows and
+//!    robots.txt fetch times in the same sweep,
+//! 2. flags possible spoofing with the §5.2 rule (`spoofdetect::dominance`)
+//!    and sets the flagged minority-network requests aside,
 //! 3. buckets every bot's rows into the four deployment-phase windows
 //!    (legit and spoofed separately) in one pass,
 //! 4. computes, per bot per directive, the §4.2 compliance counts under

@@ -65,7 +65,7 @@ use botscope_simnet::server::PolicyCorpus;
 use botscope_weblog::intern::Sym;
 use botscope_weblog::table::LogTable;
 
-use crate::pipeline::agent_specs;
+use crate::pipeline::AgentBots;
 
 /// Which policy a metric is computed against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -345,11 +345,15 @@ pub fn attribute_rows(
     let bot_index: BTreeMap<&str, usize> =
         beliefs.bots.iter().enumerate().map(|(i, name)| (name.as_str(), i)).collect();
     // Atlas bot of each user-agent symbol (None = anonymous or
-    // unmonitored).
-    let bot_of: Vec<Option<usize>> = agent_specs(table, rows)
-        .1
-        .into_iter()
-        .map(|spec| spec.and_then(|bot| bot_index.get(bot.canonical).copied()))
+    // unmonitored), read by every chunk worker.
+    let strings = table.interner();
+    let mut agents = AgentBots::new(());
+    for row in rows {
+        agents.bot_mut(row.useragent, strings);
+    }
+    let bot_of: Vec<Option<usize>> = strings
+        .iter()
+        .map(|(ua, _)| agents.get(ua).and_then(|bot| bot_index.get(bot.canonical).copied()))
         .collect();
 
     // Contiguous row chunks: rows are chronological, so each chunk's

@@ -10,7 +10,7 @@
 //!
 //! 1. [`pipeline`] — standardize raw user agents to canonical bot names
 //!    and categories (via `botscope-useragent`), producing per-bot views
-//!    of a [`botscope_weblog::LogTable`];
+//!    of a [`botscope_weblog::LogTable`] (one verdict per agent symbol);
 //! 2. [`spoofdetect`] — the §5.2 heuristic: flag a bot's minority-network
 //!    traffic when ≥90 % of it comes from one ASN; spoof-flagged records
 //!    are excluded from the main compliance analysis and reported

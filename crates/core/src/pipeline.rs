@@ -3,11 +3,14 @@
 //! Reproduces the study's §3.1 enrichment: standardize every user agent
 //! against the known-bot corpus, attach the Dark-Visitors category, and
 //! split the dataset into known-bot traffic and the anonymous remainder.
+//!
+//! Which known bot a user agent belongs to is decided once per symbol,
+//! in the crate-private `AgentBots` table that every engine here reads.
 
 use std::collections::BTreeMap;
 
 use botscope_useragent::{BotCategory, BotSpec, Standardizer};
-use botscope_weblog::intern::Sym;
+use botscope_weblog::intern::{StringInterner, Sym};
 use botscope_weblog::table::{LogTable, RecordRow};
 
 /// A known bot's slice of a [`LogTable`].
@@ -60,68 +63,126 @@ pub fn standardize_table(table: &LogTable) -> StandardizedTable<'_> {
 }
 
 /// Standardize a row subset of a table. Each distinct user-agent
-/// *symbol* is standardized once, so the per-row cost is one integer
-/// index. Grouping rows into per-bot views runs after the per-agent
-/// verdicts are in: one array index per row.
+/// *symbol* is standardized once, so the per-row cost is one array read.
 pub fn standardize_rows<'t, I>(table: &'t LogTable, rows: I) -> StandardizedTable<'t>
 where
     I: IntoIterator<Item = &'t RecordRow>,
-    I::IntoIter: Clone,
 {
-    let rows = rows.into_iter();
-    let (distinct, spec_of) = agent_specs(table, rows.clone());
-
-    // Map each agent symbol to its view slot, then group rows with one
-    // array index per row.
-    let mut slot_of = vec![u32::MAX; table.interner().len()];
-    let mut views: Vec<BotRowView<'t>> = Vec::new();
-    let mut slot_by_name: BTreeMap<&'static str, u32> = BTreeMap::new();
-    for &sym in &distinct {
-        if let Some(bot) = spec_of[sym.index()] {
-            let slot = *slot_by_name.entry(bot.canonical).or_insert_with(|| {
-                views.push(view_for(bot));
-                (views.len() - 1) as u32
-            });
-            slot_of[sym.index()] = slot;
-        }
-    }
-    let mut anonymous: Vec<&'t RecordRow> = Vec::new();
-    for row in rows {
-        match slot_of[row.useragent.index()] {
-            u32::MAX => anonymous.push(row),
-            slot => views[slot as usize].rows.push(row),
-        }
-    }
-    let bots: BTreeMap<String, BotRowView<'t>> =
-        views.into_iter().map(|v| (v.name.clone(), v)).collect();
-    StandardizedTable { table, bots, anonymous }
+    standardize_agents(table, rows).0
 }
 
-/// The standardization verdict of every distinct user agent among
-/// `rows`: the distinct symbols in first-appearance order, and the
-/// verdicts indexed by [`Sym::index`] (`None` = anonymous, or not the
-/// user agent of any of `rows`).
-///
-/// One [`Standardizer`] serves every agent, so each distinct candidate
-/// token is fuzzy-scored once. That makes the whole pass a few
-/// milliseconds at paper scale, so it runs on the calling thread.
-pub(crate) fn agent_specs<'t>(
+/// [`standardize_rows`], also handing back the verdict table it built.
+pub(crate) fn standardize_agents<'t>(
     table: &'t LogTable,
     rows: impl IntoIterator<Item = &'t RecordRow>,
-) -> (Vec<Sym>, Vec<Option<&'static BotSpec>>) {
-    let mut standardizer = Standardizer::new();
-    let mut distinct: Vec<Sym> = Vec::new();
-    let mut seen = vec![false; table.interner().len()];
-    let mut spec_of: Vec<Option<&'static BotSpec>> = vec![None; table.interner().len()];
+) -> (StandardizedTable<'t>, AgentBots) {
+    let mut agents = AgentBots::new(Vec::new());
+    let mut anonymous: Vec<&'t RecordRow> = Vec::new();
     for row in rows {
-        let i = row.useragent.index();
-        if !seen[i] {
-            seen[i] = true;
-            distinct.push(row.useragent);
-            spec_of[i] = standardizer.standardize(table.resolve(row.useragent)).map(|s| s.bot);
+        match agents.bot_mut(row.useragent, table.interner()) {
+            None => anonymous.push(row),
+            Some(bot_rows) => bot_rows.push(row),
         }
     }
-    (distinct, spec_of)
+    let bots = agents
+        .bots
+        .iter_mut()
+        .map(|(bot, rows)| {
+            let view = BotRowView {
+                name: bot.canonical.to_string(),
+                category: bot.category,
+                promise: bot.respects_robots,
+                sponsor: bot.sponsor,
+                rows: std::mem::take(rows),
+            };
+            (view.name.clone(), view)
+        })
+        .collect();
+    (StandardizedTable { table, bots, anonymous }, agents.with_state(()))
+}
+
+/// `AgentBots::slot_of` sentinels: not standardized yet; no known bot.
+const UNSEEN: u32 = u32::MAX;
+const ANON: u32 = u32::MAX - 1;
+
+/// The one map from user-agent symbols to known bots, holding a
+/// consumer's state `T` for each bot. Each symbol is standardized once,
+/// on first sight, through one memoizing [`Standardizer`]; the verdict
+/// lands in a dense array indexed by [`Sym::index`] that grows with the
+/// interner, so a row costs one array read. Bots are stored in
+/// first-seen order; [`AgentBots::by_name`] lists them in
+/// canonical-name order, whatever order the rows arrived in.
+pub(crate) struct AgentBots<T = ()> {
+    standardizer: Standardizer,
+    /// Per-symbol verdict: [`UNSEEN`], [`ANON`] or an index into `bots`.
+    slot_of: Vec<u32>,
+    /// Each bot seen, with its state.
+    bots: Vec<(&'static BotSpec, T)>,
+    /// Canonical name → index into `bots`.
+    by_name: BTreeMap<&'static str, u32>,
+    /// The state every bot starts from.
+    fresh: T,
+}
+
+impl<T: Clone> AgentBots<T> {
+    /// An empty table whose bots each start from a clone of `fresh`.
+    pub(crate) fn new(fresh: T) -> AgentBots<T> {
+        AgentBots {
+            standardizer: Standardizer::new(),
+            slot_of: Vec::new(),
+            bots: Vec::new(),
+            by_name: BTreeMap::new(),
+            fresh,
+        }
+    }
+
+    /// The state of user agent `ua`'s bot (`None` = anonymous), from
+    /// `strings`, the growing interner `ua` comes from.
+    #[inline]
+    pub(crate) fn bot_mut(&mut self, ua: Sym, strings: &StringInterner) -> Option<&mut T> {
+        let slot = match self.slot_of.get(ua.index()) {
+            Some(&slot) if slot < ANON => slot,
+            Some(&ANON) => return None,
+            _ => self.first_sight(ua, strings)?,
+        };
+        Some(&mut self.bots[slot as usize].1)
+    }
+
+    #[cold]
+    fn first_sight(&mut self, ua: Sym, strings: &StringInterner) -> Option<u32> {
+        self.slot_of.resize(strings.len(), UNSEEN);
+        let verdict = match self.standardizer.standardize(strings.resolve(ua)) {
+            None => ANON,
+            Some(found) => *self.by_name.entry(found.bot.canonical).or_insert_with(|| {
+                self.bots.push((found.bot, self.fresh.clone()));
+                (self.bots.len() - 1) as u32
+            }),
+        };
+        self.slot_of[ua.index()] = verdict;
+        (verdict != ANON).then_some(verdict)
+    }
+
+    /// Every bot seen so far with its state, in canonical-name order.
+    pub(crate) fn by_name(&self) -> impl Iterator<Item = &(&'static BotSpec, T)> + '_ {
+        self.by_name.values().map(|&slot| &self.bots[slot as usize])
+    }
+
+    /// The same verdicts, every bot's state reset to `fresh`.
+    pub(crate) fn with_state<U: Clone>(self, fresh: U) -> AgentBots<U> {
+        AgentBots {
+            standardizer: self.standardizer,
+            slot_of: self.slot_of,
+            bots: self.bots.into_iter().map(|(bot, _)| (bot, fresh.clone())).collect(),
+            by_name: self.by_name,
+            fresh,
+        }
+    }
+
+    /// The bot of user agent `ua` if it was seen and names one.
+    pub(crate) fn get(&self, ua: Sym) -> Option<&'static BotSpec> {
+        let slot = *self.slot_of.get(ua.index())?;
+        (slot < ANON).then(|| self.bots[slot as usize].0)
+    }
 }
 
 /// Visit `rows` (a subsequence of `table`'s rows) in nondecreasing
@@ -140,17 +201,6 @@ pub(crate) fn for_each_in_time_order<'t>(
         let mut sorted: Vec<&RecordRow> = rows.collect();
         sorted.sort_by_key(|row| row.timestamp);
         sorted.into_iter().for_each(f);
-    }
-}
-
-/// An empty [`BotRowView`] carrying a spec's metadata.
-fn view_for(bot: &'static BotSpec) -> BotRowView<'static> {
-    BotRowView {
-        name: bot.canonical.to_string(),
-        category: bot.category,
-        promise: bot.respects_robots,
-        sponsor: bot.sponsor,
-        rows: Vec::new(),
     }
 }
 
@@ -214,6 +264,87 @@ mod tests {
         let logs = standardize_table(&table);
         assert_eq!(logs.in_category(BotCategory::SeoCrawler).len(), 2);
         assert!(logs.in_category(BotCategory::Archiver).is_empty());
+    }
+
+    const AGENTS: [&str; 6] = [
+        "Mozilla/5.0 (compatible; GPTBot/1.1)",
+        "Mozilla/5.0 (compatible; bingbot/2.0)",
+        "Mozilla/5.0 (Windows NT 10.0) Chrome/120 Safari/537",
+        "Bytespider; spider-feedback@bytedance.com",
+        "Mozilla/5.0 (compatible; GPTBot/1.2)",
+        "Mozilla/5.0 (compatible; AhrefsBot/7.0)",
+    ];
+
+    /// The canonical names `agents` lists, in listing order, with each
+    /// bot's state.
+    fn listing<T: Copy>(agents: &AgentBots<T>) -> Vec<(&'static str, T)> {
+        agents.by_name().map(|&(bot, state)| (bot.canonical, state)).collect()
+    }
+
+    #[test]
+    fn agent_variants_share_a_slot_and_anonymous_agents_get_none() {
+        let mut strings = StringInterner::new();
+        let mut agents = AgentBots::new(0u32);
+        let v1 = strings.intern(AGENTS[0]);
+        let v2 = strings.intern(AGENTS[4]);
+        let chrome = strings.intern(AGENTS[2]);
+        let mut count = |ua| {
+            let rows = agents.bot_mut(ua, &strings)?;
+            *rows += 1;
+            Some(*rows)
+        };
+        assert_eq!(count(v1), Some(1));
+        assert_eq!(count(v2), Some(2), "GPTBot/1.1 and /1.2 are one bot");
+        assert_eq!(count(chrome), None);
+        assert_eq!(count(chrome), None, "the anonymous verdict is cached");
+        assert_eq!(listing(&agents), [("GPTBot", 2)]);
+        assert_eq!(agents.get(v2).map(|bot| bot.canonical), Some("GPTBot"));
+        assert_eq!(agents.get(chrome), None);
+    }
+
+    #[test]
+    fn agent_listing_ignores_arrival_order() {
+        let mut strings = StringInterner::new();
+        let syms: Vec<Sym> = AGENTS.iter().map(|ua| strings.intern(ua)).collect();
+        // Each bot's state is the symbol it was first seen under.
+        let mut forward = AgentBots::new(None);
+        let mut reversed = AgentBots::new(None);
+        for &ua in &syms {
+            forward.bot_mut(ua, &strings).map(|first| *first.get_or_insert(ua.index()));
+        }
+        for &ua in syms.iter().rev() {
+            reversed.bot_mut(ua, &strings).map(|first| *first.get_or_insert(ua.index()));
+        }
+        let names = |agents| listing(agents).into_iter().map(|(name, _)| name).collect::<Vec<_>>();
+        assert_eq!(names(&forward), ["AhrefsBot", "Bytespider", "GPTBot", "bingbot"]);
+        assert_eq!(names(&reversed), names(&forward));
+        // First sight differs (GPTBot/1.1 vs /1.2); the listing does not.
+        assert_eq!(listing(&forward)[2], ("GPTBot", Some(0)));
+        assert_eq!(listing(&reversed)[2], ("GPTBot", Some(4)));
+    }
+
+    #[test]
+    fn agent_verdicts_grow_like_a_one_shot_table() {
+        let mut full = StringInterner::new();
+        for ua in AGENTS {
+            full.intern(ua);
+            full.intern("/robots.txt"); // symbols that are never agents
+        }
+        let mut one_shot = AgentBots::new(());
+        let verdicts: Vec<bool> =
+            full.iter().map(|(sym, _)| one_shot.bot_mut(sym, &full).is_some()).collect();
+
+        let mut strings = StringInterner::new();
+        let mut grown = AgentBots::new(());
+        for (sym, s) in full.iter() {
+            assert_eq!(strings.intern(s), sym);
+            let known = grown.bot_mut(sym, &strings).is_some();
+            assert_eq!(known, verdicts[sym.index()], "{s}");
+        }
+        assert_eq!(listing(&grown), listing(&one_shot));
+        for (sym, _) in full.iter() {
+            assert_eq!(grown.get(sym), one_shot.get(sym));
+        }
     }
 
     #[test]

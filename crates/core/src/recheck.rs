@@ -20,12 +20,12 @@ use std::collections::BTreeMap;
 
 use botscope_simnet::PolicyVersion;
 use botscope_stats::window::PAPER_WINDOWS_HOURS;
-use botscope_useragent::{BotCategory, BotSpec, Standardizer};
+use botscope_useragent::BotCategory;
 use botscope_weblog::intern::{StringInterner, Sym};
 use botscope_weblog::table::{LogTable, RecordRow};
 
 use crate::metrics::PathClasses;
-use crate::pipeline::for_each_in_time_order;
+use crate::pipeline::{for_each_in_time_order, AgentBots};
 
 /// Per-bot re-check profile.
 #[derive(Debug, Clone, PartialEq)]
@@ -219,7 +219,6 @@ impl WindowAccum {
 /// hit flags.
 #[derive(Debug, Clone)]
 struct BotAccum {
-    spec: &'static BotSpec,
     checks: u64,
     hit: [bool; 4],
     windows: [WindowAccum; 5],
@@ -228,10 +227,9 @@ struct BotAccum {
 /// One site's `(version, from_unix, to_unix)` deployment spans.
 type Spans = Vec<(PolicyVersion, u64, u64)>;
 
-/// A per-symbol verdict not computed yet.
+/// `site_slot` sentinel: a site symbol not looked up yet.
 const UNSEEN: u32 = u32::MAX;
-/// A user agent no corpus entry matches, or a site without deployment
-/// windows.
+/// `site_slot` sentinel: a site without deployment windows.
 const NONE: u32 = u32::MAX - 1;
 
 /// The §5.1 engine: a bounded-memory accumulator for the per-category
@@ -246,29 +244,35 @@ const NONE: u32 = u32::MAX - 1;
 /// bytes as the materialized path without ever holding the table.
 ///
 /// Every verdict is keyed by symbol in dense arrays that grow with the
-/// interner: each user agent is standardized once, each path classified
-/// once and each site's deployment windows looked up once, so a row
-/// costs a few array indexes and never a string comparison.
+/// interner: each user agent is standardized once (by the crate's one
+/// `AgentBots` table), each path classified once and each site's
+/// windows looked up once, so a row costs a few array indexes.
 pub struct RecheckAccumulator {
     horizon_end: u64,
     /// Deployment windows, site-name-ascending (binary-searched once
     /// per site symbol).
     sites: Vec<(String, Spans)>,
     deployed: [bool; 4],
-    standardizer: Standardizer,
+    agents: AgentBots<BotAccum>,
     paths: PathClasses,
-    /// Per-symbol verdicts, indexed by [`Sym::index`]: the bot slot of a
-    /// user agent, and the `sites` index of a site.
-    ua_slot: Vec<u32>,
+    /// The `sites` index of each site symbol, indexed by [`Sym::index`].
     site_slot: Vec<u32>,
-    bots: Vec<BotAccum>,
-    slot_by_name: BTreeMap<&'static str, u32>,
 }
 
 impl RecheckAccumulator {
     /// An empty accumulator over `windows` (per-site deployment spans,
     /// known before streaming starts) and the observation horizon.
     pub fn new(windows: SiteVersionWindows, horizon_end: u64) -> RecheckAccumulator {
+        RecheckAccumulator::with_agents(windows, horizon_end, AgentBots::new(()))
+    }
+
+    /// [`RecheckAccumulator::new`] over the verdicts of an earlier pass,
+    /// listing every bot `agents` holds; no agent is standardized again.
+    pub(crate) fn with_agents(
+        windows: SiteVersionWindows,
+        horizon_end: u64,
+        agents: AgentBots,
+    ) -> RecheckAccumulator {
         let mut deployed = [false; 4];
         for spans in windows.values() {
             for &(version, _, _) in spans {
@@ -279,12 +283,13 @@ impl RecheckAccumulator {
             horizon_end,
             sites: windows.into_iter().collect(),
             deployed,
-            standardizer: Standardizer::new(),
+            agents: agents.with_state(BotAccum {
+                checks: 0,
+                hit: [false; 4],
+                windows: PAPER_WINDOWS_HOURS.map(|h| WindowAccum::new(h * 3600)),
+            }),
             paths: PathClasses::default(),
-            ua_slot: Vec::new(),
             site_slot: Vec::new(),
-            bots: Vec::new(),
-            slot_by_name: BTreeMap::new(),
         }
     }
 
@@ -293,18 +298,18 @@ impl RecheckAccumulator {
     /// robots.txt fetch (Table 7's never-checker rows); anonymous agents
     /// are ignored, as in standardization.
     pub fn push(&mut self, row: &RecordRow, strings: &StringInterner) {
-        if self.ua_slot.len() < strings.len() {
-            self.ua_slot.resize(strings.len(), UNSEEN);
+        if self.site_slot.len() < strings.len() {
             self.site_slot.resize(strings.len(), UNSEEN);
             self.paths.grow(strings);
         }
-        let slot = self.bot_slot(row.useragent, strings);
-        if slot == NONE || !self.paths.is_robots(row.uri_path) {
+        let Some(bot) = self.agents.bot_mut(row.useragent, strings) else {
+            return;
+        };
+        if !self.paths.is_robots(row.uri_path) {
             return;
         }
         let t = row.timestamp.unix();
-        let site = self.site(row.sitename, strings);
-        let bot = &mut self.bots[slot as usize];
+        let site = site_index(&mut self.site_slot, &self.sites, row.sitename, strings);
         bot.checks += 1;
         for w in &mut bot.windows {
             w.push(t, self.horizon_end);
@@ -323,52 +328,14 @@ impl RecheckAccumulator {
         for_each_in_time_order(table, table.rows().iter(), |row| self.push(row, strings));
     }
 
-    /// The bot slot of a user-agent symbol ([`NONE`] = anonymous),
-    /// standardizing it on first sight.
-    fn bot_slot(&mut self, ua: Sym, strings: &StringInterner) -> u32 {
-        let slot = &mut self.ua_slot[ua.index()];
-        if *slot == UNSEEN {
-            *slot = match self.standardizer.standardize(strings.resolve(ua)).map(|s| s.bot) {
-                None => NONE,
-                Some(spec) => *self.slot_by_name.entry(spec.canonical).or_insert_with(|| {
-                    self.bots.push(BotAccum {
-                        spec,
-                        checks: 0,
-                        hit: [false; 4],
-                        windows: PAPER_WINDOWS_HOURS.map(|h| WindowAccum::new(h * 3600)),
-                    });
-                    (self.bots.len() - 1) as u32
-                }),
-            };
-        }
-        *slot
-    }
-
-    /// The `sites` index of a site symbol, looked up on first sight.
-    fn site(&mut self, site: Sym, strings: &StringInterner) -> Option<usize> {
-        let slot = &mut self.site_slot[site.index()];
-        if *slot == UNSEEN {
-            let name = strings.resolve(site);
-            *slot = self
-                .sites
-                .binary_search_by(|(s, _)| s.as_str().cmp(name))
-                .map_or(NONE, |i| i as u32);
-        }
-        (*slot != NONE).then_some(*slot as usize)
-    }
-
-    /// The known bots' accumulators in canonical-name order.
-    fn bots_by_name(&self) -> impl Iterator<Item = &BotAccum> {
-        self.slot_by_name.values().map(|&slot| &self.bots[slot as usize])
-    }
-
     /// Per-bot re-check profiles (Figure 10's input), one per known
     /// bot in canonical-name order.
     pub fn profiles(&self) -> Vec<RecheckProfile> {
-        self.bots_by_name()
-            .map(|b| RecheckProfile {
-                bot: b.spec.canonical.to_string(),
-                category: b.spec.category,
+        self.agents
+            .by_name()
+            .map(|(spec, b)| RecheckProfile {
+                bot: spec.canonical.to_string(),
+                category: spec.category,
                 checks: b.checks,
                 covered: PAPER_WINDOWS_HOURS
                     .iter()
@@ -382,15 +349,32 @@ impl RecheckAccumulator {
     /// The monitored Table 7 matrix, one row per known bot in
     /// canonical-name order (see [`phase_check_matrix`]).
     pub fn phase_rows(&self) -> Vec<PhaseCheckRow> {
-        self.bots_by_name()
-            .map(|b| PhaseCheckRow {
-                bot: b.spec.canonical.to_string(),
-                category: b.spec.category,
+        self.agents
+            .by_name()
+            .map(|(spec, b)| PhaseCheckRow {
+                bot: spec.canonical.to_string(),
+                category: spec.category,
                 checked: std::array::from_fn(|i| self.deployed[i].then_some(b.hit[i])),
                 checks: b.checks,
             })
             .collect()
     }
+}
+
+/// The `sites` index of a site symbol, looked up on first sight and
+/// cached in `site_slot`.
+fn site_index(
+    site_slot: &mut [u32],
+    sites: &[(String, Spans)],
+    site: Sym,
+    strings: &StringInterner,
+) -> Option<usize> {
+    let slot = &mut site_slot[site.index()];
+    if *slot == UNSEEN {
+        let name = strings.resolve(site);
+        *slot = sites.binary_search_by(|(s, _)| s.as_str().cmp(name)).map_or(NONE, |i| i as u32);
+    }
+    (*slot != NONE).then_some(*slot as usize)
 }
 
 impl botscope_weblog::sink::RowSink for RecheckAccumulator {

@@ -20,8 +20,8 @@ use botscope_weblog::table::{LogTable, RecordRow};
 use botscope_weblog::time::Timestamp;
 
 use crate::analyze::{Directive, Experiment};
-use crate::pipeline::standardize_table;
-use crate::recheck::{by_category, profiles_from_table, RecheckByCategory};
+use crate::pipeline::standardize_agents;
+use crate::recheck::{by_category, RecheckAccumulator, RecheckByCategory, SiteVersionWindows};
 use crate::spoofdetect::{detect_rows, SpoofReport};
 use crate::tables::{f, ratio, series, TextTable};
 
@@ -64,9 +64,10 @@ pub struct FullStudyReport {
 }
 
 impl FullStudyReport {
-    /// Compute all aggregates from an interned table.
+    /// Compute all aggregates from an interned table, standardizing
+    /// each distinct user agent once.
     pub fn from_table(table: &LogTable) -> FullStudyReport {
-        let logs = standardize_table(table);
+        let (logs, agents) = standardize_agents(table, table.rows());
         let all = DatasetSummary::compute_table(table);
 
         let known_rows: Vec<&RecordRow> =
@@ -91,19 +92,14 @@ impl FullStudyReport {
         let days = end.days_since(start) + 1;
 
         // Category of a session = category of its (standardized) agent.
-        let mut ua_category: BTreeMap<&str, BotCategory> = BTreeMap::new();
-        for v in logs.bots.values() {
-            for r in &v.rows {
-                ua_category.insert(table.resolve(r.useragent), v.category);
-            }
-        }
+        let category = |ua: &str| Some(agents.get(table.interner().get(ua)?)?.category);
         let sessions: Vec<Session> =
             table.sessionize_rows(known_rows.iter().copied(), SESSION_GAP_SECS);
         let mut category_sessions: BTreeMap<BotCategory, u64> = BTreeMap::new();
         let mut category_daily_sessions: BTreeMap<(BotCategory, u64), u64> = BTreeMap::new();
         let mut category_bytes_cdf: BTreeMap<BotCategory, TimeSeriesCdf> = BTreeMap::new();
         for s in &sessions {
-            let Some(&cat) = ua_category.get(s.useragent.as_str()) else { continue };
+            let Some(cat) = category(&s.useragent) else { continue };
             *category_sessions.entry(cat).or_default() += 1;
             let day = s.start.days_since(start);
             *category_daily_sessions.entry((cat, day)).or_default() += 1;
@@ -111,7 +107,10 @@ impl FullStudyReport {
         }
 
         let horizon_end = end.unix() + 1;
-        let recheck = by_category(&profiles_from_table(table, horizon_end));
+        let mut recheck =
+            RecheckAccumulator::with_agents(SiteVersionWindows::new(), horizon_end, agents);
+        recheck.push_table(table);
+        let recheck = by_category(&recheck.profiles());
         let spoof = detect_rows(table, &logs.per_bot_rows());
 
         FullStudyReport {

@@ -7,9 +7,10 @@
 //! threshold and minority networks exist — flags every minority-network
 //! request as possibly spoofed.
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, HashMap};
 
-use botscope_weblog::intern::Sym;
+use botscope_weblog::intern::{StringInterner, Sym};
 use botscope_weblog::table::{LogTable, RecordRow};
 
 /// The paper's dominance threshold.
@@ -55,12 +56,8 @@ impl SpoofReport {
     }
 }
 
-/// Analyze one bot's rows under the dominance heuristic. Per-ASN counts
-/// are keyed by symbol, and names are resolved only for the finding
-/// itself.
-///
-/// Returns `None` when the bot is not flagged: fewer than `min_requests`
-/// observations, a single ASN, or dominance below `threshold`.
+/// Analyze one bot's rows under the dominance heuristic: count them
+/// per ASN, then apply the one §5.2 rule, `dominance`.
 pub fn analyze_bot_rows(
     table: &LogTable,
     bot: &str,
@@ -68,22 +65,36 @@ pub fn analyze_bot_rows(
     threshold: f64,
     min_requests: u64,
 ) -> Option<SpoofFinding> {
-    assert!((0.0..=1.0).contains(&threshold), "threshold {threshold} not a probability");
-    let total = rows.len() as u64;
-    if total < min_requests {
-        return None;
-    }
-    use std::collections::HashMap;
     let mut per_asn: HashMap<Sym, u64> = HashMap::new();
     for r in rows {
         *per_asn.entry(r.asn).or_default() += 1;
     }
-    if per_asn.len() < 2 {
+    dominance(bot, per_asn, table.interner(), threshold, min_requests).map(|(_, finding)| finding)
+}
+
+/// The §5.2 rule over one bot's request count per ASN (each ASN once,
+/// in any order; `strings` resolves them): `None` with fewer than
+/// `min_requests` requests, a single ASN, or no ASN holding at least
+/// `threshold` of them. The main ASN has the most requests, ties going
+/// to the smaller name; the minority is sorted by count, then by name.
+/// A finding comes with its main ASN's symbol. Panics unless
+/// `threshold` is in `[0, 1]`.
+pub(crate) fn dominance(
+    bot: &str,
+    per_asn: impl IntoIterator<Item = (Sym, u64)>,
+    strings: &StringInterner,
+    threshold: f64,
+    min_requests: u64,
+) -> Option<(Sym, SpoofFinding)> {
+    assert!((0.0..=1.0).contains(&threshold), "threshold {threshold} not a probability");
+    let per_asn: Vec<(Sym, u64)> = per_asn.into_iter().collect();
+    let total: u64 = per_asn.iter().map(|&(_, count)| count).sum();
+    if total < min_requests || per_asn.len() < 2 {
         return None;
     }
-    let (&main_asn, &main_count) = per_asn
+    let &(main_asn, main_count) = per_asn
         .iter()
-        .max_by_key(|&(&sym, &count)| (count, std::cmp::Reverse(table.resolve(sym))))
+        .max_by_key(|&&(sym, count)| (count, Reverse(strings.resolve(sym))))
         .expect("non-empty");
     let main_share = main_count as f64 / total as f64;
     if main_share < threshold {
@@ -91,19 +102,19 @@ pub fn analyze_bot_rows(
     }
     let mut suspicious: Vec<(String, u64)> = per_asn
         .iter()
-        .filter(|&(&sym, _)| sym != main_asn)
-        .map(|(&sym, &count)| (table.resolve(sym).to_string(), count))
+        .filter(|&&(sym, _)| sym != main_asn)
+        .map(|&(sym, count)| (strings.resolve(sym).to_string(), count))
         .collect();
     suspicious.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    let spoofed_requests = suspicious.iter().map(|&(_, c)| c).sum();
-    Some(SpoofFinding {
+    let finding = SpoofFinding {
         bot: bot.to_string(),
-        main_asn: table.resolve(main_asn).to_string(),
+        main_asn: strings.resolve(main_asn).to_string(),
         main_share,
         suspicious,
         total_requests: total,
-        spoofed_requests,
-    })
+        spoofed_requests: total - main_count,
+    };
+    Some((main_asn, finding))
 }
 
 /// Analyze a per-bot partition of a table with the paper's threshold

@@ -17,13 +17,13 @@
 //! by timestamp first. Nothing finer than the timestamp is needed,
 //! because rows sharing a timestamp give the same result in any order:
 //!
-//! * **standardization** — one verdict per distinct user-agent symbol,
-//!   cached in a dense slot array, from the memoizing
-//!   [`Standardizer::standardize`]: the verdict is a pure function of
-//!   the header whatever the memo already holds;
+//! * **standardization** — one verdict per distinct user-agent symbol
+//!   from the crate's one `AgentBots` table: the verdict is a pure
+//!   function of the header, and bots are reported in canonical-name
+//!   order whatever order their first rows arrived in;
 //! * **spoof detection** — per-ASN totals over experiment-site rows are
-//!   order-free counts, and the dominance winner's
-//!   `(count, Reverse(name))` tie-break ignores arrival order;
+//!   order-free counts, and `spoofdetect::dominance` breaks ties by
+//!   `(count, Reverse(name))`, never by arrival order;
 //! * **phase bucketing** — each row tests its timestamp against the
 //!   base window and the three directive windows independently;
 //! * **crawl delay** — within a τ group (ASN fixed per accumulator, so
@@ -36,7 +36,7 @@
 use std::collections::{BTreeMap, HashMap};
 
 use botscope_stats::ztest::two_proportion_z_test;
-use botscope_useragent::{BotSpec, Standardizer};
+use botscope_useragent::BotSpec;
 use botscope_weblog::codec::DecodeError;
 use botscope_weblog::intern::{StringInterner, Sym};
 use botscope_weblog::session::SESSION_GAP_SECS;
@@ -47,17 +47,15 @@ use botscope_simnet::phases::{is_exempt_agent, PhaseSchedule, PolicyVersion};
 
 use crate::analyze::{BotDirectiveResult, Directive, Experiment, PhaseTraffic, MIN_ACCESSES};
 use crate::metrics::{DirectiveCounts, PathClasses, CRAWL_DELAY_SECS};
-use crate::spoofdetect::{SpoofFinding, SpoofReport, DOMINANCE_THRESHOLD, MIN_DETECT_REQUESTS};
+use crate::pipeline::AgentBots;
+use crate::spoofdetect::{
+    self, SpoofFinding, SpoofReport, DOMINANCE_THRESHOLD, MIN_DETECT_REQUESTS,
+};
 
 /// Per-symbol flag of the experiment site's name, kept beside the
 /// [`PathClasses::classify`] path flags in `StreamAnalyzer::flags`.
 const FLAG_SITE: u8 = 4;
 const _: () = assert!(FLAG_SITE & (PathClasses::ROBOTS | PathClasses::PAGE_DATA) == 0);
-
-/// `ua_slot` sentinel: symbol not yet standardized.
-const SLOT_UNKNOWN: u32 = u32::MAX;
-/// `ua_slot` sentinel: symbol matched no known bot.
-const SLOT_ANON: u32 = u32::MAX - 1;
 
 /// Running crawl-delay state of one τ group (IP hash × raw UA within a
 /// fixed (bot, ASN) bucket): access count, last timestamp, compliant
@@ -162,8 +160,8 @@ struct AsnAcc {
 }
 
 /// Everything one canonical bot accumulates over the stream.
+#[derive(Clone)]
 struct BotAcc {
-    spec: &'static BotSpec,
     /// Per-ASN site-row accumulators. Entries exist only for ASNs seen
     /// on *experiment-site* rows, mirroring the table path's detector
     /// input.
@@ -220,14 +218,10 @@ pub struct StreamAnalyzer {
     schedule: PhaseSchedule,
     site_name: String,
     windows: Windows,
-    standardizer: Standardizer,
-    /// Per-symbol flags (path classes and [`FLAG_SITE`]) and user-agent
-    /// bot slots, grown lazily with the stream's interner and indexed by
-    /// `Sym::index`.
+    /// Per-symbol flags (path classes and [`FLAG_SITE`]), grown lazily
+    /// with the stream's interner and indexed by `Sym::index`.
     flags: Vec<u8>,
-    ua_slot: Vec<u32>,
-    bots: Vec<BotAcc>,
-    slot_by_name: BTreeMap<&'static str, u32>,
+    agents: AgentBots<BotAcc>,
     phase_sessions: Vec<PhaseSessions>,
     last_t: u64,
     /// Plain (non-atomic) telemetry tallies, flushed to the global
@@ -264,11 +258,12 @@ impl StreamAnalyzer {
             schedule: schedule.clone(),
             site_name: format!("site-{:02}.example.edu", schedule.experiment_site),
             windows,
-            standardizer: Standardizer::new(),
             flags: Vec::new(),
-            ua_slot: Vec::new(),
-            bots: Vec::new(),
-            slot_by_name: BTreeMap::new(),
+            agents: AgentBots::new(BotAcc {
+                per_asn: HashMap::new(),
+                robots_window: [false; 3],
+                presence: vec![false; schedule.phases.len()],
+            }),
             phase_sessions,
             last_t: 0,
             obs_rows: 0,
@@ -288,7 +283,6 @@ impl StreamAnalyzer {
                 PathClasses::classify(s) | if s == site_name { FLAG_SITE } else { 0 }
             }),
         );
-        self.ua_slot.resize(interner.len(), SLOT_UNKNOWN);
     }
 
     /// Consume one row. Timestamps must never decrease (the module's
@@ -312,32 +306,9 @@ impl StreamAnalyzer {
             }
         }
 
-        // Standardize this user agent if it is new.
-        let ua_idx = row.useragent.index();
-        if self.ua_slot[ua_idx] == SLOT_UNKNOWN {
-            self.ua_slot[ua_idx] =
-                match self.standardizer.standardize(interner.resolve(row.useragent)).map(|s| s.bot)
-                {
-                    None => SLOT_ANON,
-                    Some(spec) => {
-                        let n_phases = self.schedule.phases.len();
-                        *self.slot_by_name.entry(spec.canonical).or_insert_with(|| {
-                            self.bots.push(BotAcc {
-                                spec,
-                                per_asn: HashMap::new(),
-                                robots_window: [false; 3],
-                                presence: vec![false; n_phases],
-                            });
-                            (self.bots.len() - 1) as u32
-                        })
-                    }
-                };
-        }
-        let slot = self.ua_slot[ua_idx];
-        if slot == SLOT_ANON {
+        let Some(bot) = self.agents.bot_mut(row.useragent, interner) else {
             return;
-        }
-        let bot = &mut self.bots[slot as usize];
+        };
 
         // Estate-wide robots.txt fetches drive the Table 7 signal even
         // when they land on a sister site.
@@ -393,69 +364,39 @@ impl StreamAnalyzer {
         let mut presence_counts = vec![0usize; self.schedule.phases.len()];
 
         // Canonical-name order, whatever order the bots first appeared in.
-        for (&name, &slot) in &self.slot_by_name {
-            let bot = &self.bots[slot as usize];
+        for (spec, bot) in self.agents.by_name() {
             for (i, &p) in bot.presence.iter().enumerate() {
                 if p {
                     presence_counts[i] += 1;
                 }
             }
 
-            let site_total: u64 = bot.per_asn.values().map(|a| a.total).sum();
-
-            // The §5.2 dominance detection, with the detector's exact
-            // gating and (count, Reverse(name)) winner tie-break.
-            let finding_main: Option<Sym> =
-                if site_total >= MIN_DETECT_REQUESTS && bot.per_asn.len() >= 2 {
-                    let (&main_sym, main_acc) = bot
-                        .per_asn
-                        .iter()
-                        .max_by_key(|&(&sym, acc)| {
-                            (acc.total, std::cmp::Reverse(interner.resolve(sym)))
-                        })
-                        .expect("non-empty per-ASN map");
-                    let main_share = main_acc.total as f64 / site_total as f64;
-                    if main_share >= DOMINANCE_THRESHOLD {
-                        let mut suspicious: Vec<(String, u64)> = bot
-                            .per_asn
-                            .iter()
-                            .filter(|&(&sym, _)| sym != main_sym)
-                            .map(|(&sym, acc)| (interner.resolve(sym).to_string(), acc.total))
-                            .collect();
-                        suspicious.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-                        let spoofed_requests = suspicious.iter().map(|&(_, c)| c).sum();
-                        findings.push(SpoofFinding {
-                            bot: name.to_string(),
-                            main_asn: interner.resolve(main_sym).to_string(),
-                            main_share,
-                            suspicious,
-                            total_requests: site_total,
-                            spoofed_requests,
-                        });
-                        Some(main_sym)
-                    } else {
-                        None
-                    }
-                } else {
-                    None
-                };
+            let finding = spoofdetect::dominance(
+                spec.canonical,
+                bot.per_asn.iter().map(|(&asn, acc)| (asn, acc.total)),
+                interner,
+                DOMINANCE_THRESHOLD,
+                MIN_DETECT_REQUESTS,
+            );
+            let finding_main = finding.as_ref().map(|&(main, _)| main);
+            findings.extend(finding.map(|(_, f)| f));
 
             // Legit = the dominant ASN's buckets when flagged, otherwise
             // everything; spoofed = the minority remainder when flagged.
             let mut legit = [BucketStats::default(); 4];
             let mut spoofed = [BucketStats::default(); 4];
             for (&sym, acc) in &bot.per_asn {
-                let target = match finding_main {
-                    None => &mut legit,
-                    Some(main) if sym == main => &mut legit,
-                    Some(_) => &mut spoofed,
+                let target = if finding_main.is_some_and(|main| sym != main) {
+                    &mut spoofed
+                } else {
+                    &mut legit
                 };
                 for (j, bucket) in acc.buckets.iter().enumerate() {
                     target[j].merge(&bucket.finish());
                 }
             }
 
-            let exempt = is_exempt_agent(name);
+            let exempt = is_exempt_agent(spec.canonical);
             for (idx, directive) in Directive::ALL.into_iter().enumerate() {
                 let (legit_base, legit_phase) = (&legit[0], &legit[idx + 1]);
                 let volume = spoof_volume.get_mut(&directive).expect("all directives present");
@@ -468,7 +409,7 @@ impl StreamAnalyzer {
                     per_directive
                         .get_mut(&directive)
                         .expect("all directives present")
-                        .push(make_row(bot.spec, directive, legit_base, legit_phase, checked));
+                        .push(make_row(spec, directive, legit_base, legit_phase, checked));
                 }
 
                 let (sp_base, sp_phase) = (&spoofed[0], &spoofed[idx + 1]);
@@ -478,7 +419,7 @@ impl StreamAnalyzer {
                     spoofed_per_directive
                         .get_mut(&directive)
                         .expect("all directives present")
-                        .push(make_row(bot.spec, directive, sp_base, sp_phase, checked));
+                        .push(make_row(spec, directive, sp_base, sp_phase, checked));
                 }
             }
         }
@@ -606,7 +547,6 @@ mod tests {
                 grown.grow(&interner);
             }
             assert_eq!(grown.flags, one_shot.flags, "flags grown {page} at a time");
-            assert_eq!(grown.ua_slot, one_shot.ua_slot);
         }
     }
 

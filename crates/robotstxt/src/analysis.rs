@@ -438,58 +438,35 @@ fn hex_val(b: u8) -> Option<u8> {
     }
 }
 
-/// Whether the decodable triplet `%h1h2` survives
+/// Whether the triplet `%h1h2` survives
 /// [`crate::pattern::normalize_percent`] unchanged.
 fn triplet_fixed(h1: u8, h2: u8) -> bool {
     let (Some(a), Some(b)) = (hex_val(h1), hex_val(h2)) else {
-        return true; // not decodable: kept verbatim
+        return false; // not a triplet: the `%` is written `%25`
     };
     let decoded = a * 16 + b;
-    if decoded == b'/' {
-        // Only the canonical uppercase spelling survives.
-        return h1 == b'2' && h2 == b'F';
-    }
-    if (0x21..=0x7E).contains(&decoded) {
+    if (0x21..=0x7E).contains(&decoded) && decoded != b'/' && decoded != b'%' {
         // Printable: normalization decodes it, changing the string.
         return false;
     }
-    // Non-printable: re-encoded as an uppercase triplet.
+    // Kept encoded (`%2F`, `%25`, non-printable): only the canonical
+    // uppercase spelling survives.
     !h1.is_ascii_lowercase() && !h2.is_ascii_lowercase()
 }
 
 /// Percent-context step. Walk strings must be fixed points of
-/// `normalize_percent` so witnesses are real normalized paths; this
-/// automaton forbids the one transition that would complete a
-/// non-canonical decodable triplet. States: `PCTX_CLEAN`, `PCTX_AFTER_PCT`
-/// (just consumed `%`), or the first hex byte of an open triplet (hex
-/// bytes are ≥ `0x30`, so they never collide with the named states).
+/// `normalize_percent` so witnesses are real normalized paths: every `%`
+/// must open a triplet that normalization keeps, so this automaton
+/// forbids any byte that would leave a `%` without one. States:
+/// `PCTX_CLEAN`, `PCTX_AFTER_PCT` (just consumed `%`), or the first hex
+/// byte of an open triplet (hex bytes are ≥ `0x30`, so they never collide
+/// with the named states). A path that ends inside a triplet is not
+/// normalized either, so only `PCTX_CLEAN` states are visited.
 fn pctx_step(state: u8, b: u8) -> Option<u8> {
     match state {
         PCTX_CLEAN => Some(if b == b'%' { PCTX_AFTER_PCT } else { PCTX_CLEAN }),
-        PCTX_AFTER_PCT => {
-            if b == b'%' {
-                // `%%`: the first triplet is malformed (kept verbatim) and
-                // the second `%` opens a new one.
-                Some(PCTX_AFTER_PCT)
-            } else if hex_val(b).is_some() {
-                Some(b)
-            } else {
-                Some(PCTX_CLEAN)
-            }
-        }
-        h1 => {
-            if hex_val(b).is_some() {
-                if triplet_fixed(h1, b) {
-                    Some(PCTX_CLEAN)
-                } else {
-                    None
-                }
-            } else if b == b'%' {
-                Some(PCTX_AFTER_PCT)
-            } else {
-                Some(PCTX_CLEAN)
-            }
-        }
+        PCTX_AFTER_PCT => hex_val(b).map(|_| b),
+        h1 => triplet_fixed(h1, b).then_some(PCTX_CLEAN),
     }
 }
 
@@ -596,7 +573,8 @@ impl Walk {
 }
 
 /// Breadth-first product walk. `visit` sees every reachable non-root state
-/// once, shortest path first, and returns `true` to stop early. The root
+/// that ends a normalized path (none inside a `%` triplet) once, shortest
+/// path first, and returns `true` to stop early. The root
 /// (empty path) only expands on `/`: request paths always start there.
 fn walk_product(nfas: &[RuleNfa], mut visit: impl FnMut(usize, &Key) -> bool) -> Walk {
     let total_bits: usize = nfas.iter().map(RuleNfa::width).sum();
@@ -631,7 +609,7 @@ fn walk_product(nfas: &[RuleNfa], mut visit: impl FnMut(usize, &Key) -> bool) ->
             index.insert(next.clone(), nid as u32);
             keys.push(next);
             parent.push((id as u32, b));
-            if visit(nid, &keys[nid]) {
+            if keys[nid].pctx == PCTX_CLEAN && visit(nid, &keys[nid]) {
                 return Walk { parent, complete };
             }
             queue.push_back(nid);
@@ -1424,6 +1402,26 @@ mod tests {
     }
 
     #[test]
+    fn witnesses_never_end_inside_a_triplet() {
+        // `/z*z` sends the group through the product walk. `!`, `"`, `#`
+        // and `$` are literals, so the walk's escape byte is `&`, above
+        // `%`: the first path past `/a` that `Disallow: /a` wins in walk
+        // order is `/a%`, which is no normalized path (it reads as
+        // `/a%25`); the witness must be the next one, `/a&`.
+        let policy = compiled(
+            "User-agent: *\nDisallow: /a\nAllow: /a$\nAllow: /a!\nAllow: /a\"\n\
+             Allow: /a%23\nAllow: /a$*\nAllow: /a%25\nAllow: /z*z\n",
+        );
+        let (liveness, complete) = rule_liveness(&policy);
+        assert!(complete);
+        let Liveness::Alive { witness } = verdict_of(&liveness, "/a") else {
+            panic!("expected alive");
+        };
+        assert_eq!(witness, "/a&");
+        assert!(!policy.check("anybot", witness).allow);
+    }
+
+    #[test]
     fn semantic_diff_proves_cosmetic_rewrites_equivalent() {
         let a = compiled("# v1\nUser-agent: *\nDisallow: /private/\nAllow: /public\n");
         let b = compiled(
@@ -1551,5 +1549,11 @@ mod tests {
         // %E9 is non-printable: uppercase spelling is canonical.
         assert_eq!(pctx_step(b'E', b'9'), Some(PCTX_CLEAN));
         assert_eq!(pctx_step(b'e', b'9'), None);
+        // %25 is a literal `%` and stays encoded.
+        assert_eq!(pctx_step(b'2', b'5'), Some(PCTX_CLEAN));
+        // A `%` that opens no triplet would normalize to %25.
+        assert_eq!(pctx_step(PCTX_AFTER_PCT, b'x'), None);
+        assert_eq!(pctx_step(PCTX_AFTER_PCT, b'%'), None);
+        assert_eq!(pctx_step(b'2', b'x'), None);
     }
 }

@@ -17,7 +17,9 @@
 //! Both patterns and paths are percent-normalized before comparison:
 //! `%XX` triplets are decoded, *except* `%2F` (the path separator `/`),
 //! which RFC 9309 requires to stay encoded so that `/a%2Fb` and `/a/b`
-//! remain distinct.
+//! remain distinct, and `%25` (a literal `%`), so that `/a%2541` does
+//! not turn into the triplet `%41`. A `%` that starts no triplet is the
+//! same literal `%` and is written `%25`.
 
 use std::borrow::Cow;
 use std::fmt;
@@ -185,50 +187,60 @@ fn find_from(haystack: &[u8], needle: &[u8], from: usize) -> Option<usize> {
 
 /// Percent-normalization shared by patterns and paths.
 ///
-/// Decodes `%XX` triplets (case-insensitive hex) except `%2F`/`%2f`, which
-/// encodes the path separator and must stay distinct from a literal `/`
-/// (RFC 9309 §2.2.2). Malformed triplets are kept verbatim. Decoded bytes
-/// that are not printable ASCII are re-encoded as uppercase `%XX` so the
-/// output is always valid UTF-8 and comparisons stay byte-wise.
+/// Decodes `%XX` triplets (case-insensitive hex) to printable ASCII,
+/// except `%2F`, which encodes the path separator and must stay distinct
+/// from a literal `/` (RFC 9309 §2.2.2), and `%25`, which encodes a
+/// literal `%`. A `%` that starts no triplet is that same literal `%` and
+/// is written `%25`, so `/50%off` and `/50%25off` are one path and a
+/// literal `%` never merges with the hex after it. Triplets kept encoded
+/// and decoded bytes that are not printable ASCII come out as uppercase
+/// `%XX`, so the output is always valid UTF-8, comparisons stay
+/// byte-wise, and normalizing the output again changes nothing.
 pub fn normalize_percent(s: &str) -> String {
     let bytes = s.as_bytes();
     let mut out = String::with_capacity(s.len());
     let mut i = 0;
     while i < bytes.len() {
-        if bytes[i] == b'%' && i + 2 < bytes.len() {
-            let h1 = hex_val(bytes[i + 1]);
-            let h2 = hex_val(bytes[i + 2]);
-            if let (Some(a), Some(b)) = (h1, h2) {
-                let decoded = a * 16 + b;
-                if decoded == b'/' {
-                    // Keep %2F encoded, canonicalized to uppercase.
-                    out.push_str("%2F");
-                } else if (0x21..=0x7E).contains(&decoded) {
-                    out.push(decoded as char);
-                } else {
-                    // Non-printable or non-ASCII: canonical uppercase triplet.
-                    out.push('%');
-                    out.push(to_hex(decoded >> 4));
-                    out.push(to_hex(decoded & 0xF));
+        if bytes[i] == b'%' {
+            let decoded = match bytes.get(i + 1..i + 3) {
+                Some(&[h1, h2]) => hex_val(h1).zip(hex_val(h2)).map(|(a, b)| a * 16 + b),
+                _ => None,
+            };
+            match decoded {
+                Some(d) if (0x21..=0x7E).contains(&d) && d != b'/' && d != b'%' => {
+                    out.push(d as char);
+                    i += 3;
                 }
-                i += 3;
-                continue;
+                Some(d) => {
+                    push_triplet(&mut out, d);
+                    i += 3;
+                }
+                None => {
+                    out.push_str("%25");
+                    i += 1;
+                }
             }
+            continue;
         }
         // RFC 9309 §2.2.2 compares percent-encoded octets: canonicalize
         // raw non-ASCII bytes (each byte of a multi-byte UTF-8 character)
         // to uppercase triplets, so `/é` and `/%C3%A9` are the same
         // pattern and match the same paths.
         if bytes[i] >= 0x80 {
-            out.push('%');
-            out.push(to_hex(bytes[i] >> 4));
-            out.push(to_hex(bytes[i] & 0xF));
+            push_triplet(&mut out, bytes[i]);
         } else {
             out.push(bytes[i] as char);
         }
         i += 1;
     }
     out
+}
+
+/// Append `byte` as an uppercase `%XX` triplet.
+fn push_triplet(out: &mut String, byte: u8) {
+    out.push('%');
+    out.push(to_hex(byte >> 4));
+    out.push(to_hex(byte & 0xF));
 }
 
 fn hex_val(b: u8) -> Option<u8> {
@@ -356,10 +368,24 @@ mod tests {
     }
 
     #[test]
-    fn malformed_percent_kept_verbatim() {
-        assert_eq!(normalize_percent("/100%"), "/100%");
-        assert_eq!(normalize_percent("/x%G1y"), "/x%G1y");
+    fn percent_25_stays_encoded() {
+        assert_eq!(normalize_percent("/a%2541"), "/a%2541");
+        assert!(m("/a%2541", "/a%2541"));
+        assert!(!m("/a%2541", "/aA"));
+        // A `%` that starts no triplet is the same literal `%`.
+        assert_eq!(normalize_percent("/%2%41"), "/%252A");
+        assert_eq!(normalize_percent("/%%411"), "/%25A1");
+        assert_eq!(normalize_percent("/50%off"), "/50%25off");
+        assert!(m("/50%off", "/50%25off"));
+        assert!(m("/50%25off", "/50%off"));
+    }
+
+    #[test]
+    fn malformed_percent_is_a_literal_percent() {
+        assert_eq!(normalize_percent("/100%"), "/100%25");
+        assert_eq!(normalize_percent("/x%G1y"), "/x%25G1y");
         assert!(m("/100%", "/100%"));
+        assert!(m("/100%", "/100%25"));
     }
 
     #[test]

@@ -50,6 +50,48 @@ fn path_strategy() -> impl Strategy<Value = String> {
     proptest::string::string_regex("/[a-z0-9/._-]{0,30}").expect("valid regex")
 }
 
+/// Strings of `%` signs, hex digits and a few other characters, with
+/// `%` and `%25` common enough that literal-percent triplets followed by
+/// hex (`%2541`) and stray `%` signs before decoded hex (`%2%41`) are
+/// drawn often.
+fn percent_heavy() -> impl Strategy<Value = String> {
+    const PIECES: [&str; 14] =
+        ["%", "%", "%25", "%41", "2", "5", "4", "1", "a", "F", "/", "~", "é", "x"];
+    prop::collection::vec(0usize..PIECES.len(), 0..24)
+        .prop_map(|picks| picks.into_iter().map(|i| PIECES[i]).collect())
+}
+
+#[test]
+fn percent_25_is_a_literal_percent_through_a_round_trip() {
+    // `%25` encodes `%`: the rule denies the path spelled `%41` after a
+    // literal percent sign, never `/aA`, and keeps meaning that after
+    // serializing and parsing again.
+    let doc = parse("User-agent: *\nDisallow: /a%2541\n");
+    let reparsed = parse(&doc.to_string());
+    for d in [&doc, &reparsed] {
+        assert!(!allows(d, "bot", "/a%2541"));
+        assert!(allows(d, "bot", "/aA"));
+    }
+    assert_eq!(reparsed.groups, doc.groups);
+}
+
+#[test]
+fn a_stray_percent_and_percent_25_are_one_path() {
+    // A `%` that starts no triplet is a literal percent sign, exactly as
+    // `%25` is: either spelling of the rule decides either spelling of
+    // the path, before and after a serialization round trip.
+    for rule in ["/50%off", "/50%25off"] {
+        let doc = parse(&format!("User-agent: *\nDisallow: {rule}\n"));
+        let reparsed = parse(&doc.to_string());
+        for d in [&doc, &reparsed] {
+            assert!(!allows(d, "bot", "/50%off"), "{rule}");
+            assert!(!allows(d, "bot", "/50%25off"), "{rule}");
+            assert!(allows(d, "bot", "/50off"), "{rule}");
+        }
+        assert_eq!(reparsed.groups, doc.groups);
+    }
+}
+
 proptest! {
     #[test]
     fn parser_never_panics(input in "\\PC*") {
@@ -88,7 +130,8 @@ proptest! {
     }
 
     #[test]
-    fn normalize_is_idempotent(s in "\\PC{0,60}") {
+    fn normalize_is_idempotent(pieces in percent_heavy(), noise in "\\PC{0,20}") {
+        let s = format!("{pieces}{noise}");
         let once = normalize_percent(&s);
         let twice = normalize_percent(&once);
         prop_assert_eq!(once, twice);
@@ -179,6 +222,32 @@ proptest! {
         // And prefix semantics survive encoding.
         let extended = format!("{path}x");
         prop_assert!(PathPattern::new(&encoded).matches(&extended));
+    }
+
+    #[test]
+    fn literal_percent_and_its_triplet_are_one_spelling(
+        pieces in prop::collection::vec(("[0-9a-zA-Z/._~-]{0,4}", "[g-zG-Z/._~-]"), 0..6),
+        tail in prop::option::of("[0-9a-fA-F]{0,1}"),
+    ) {
+        // Printable text whose every `%` starts no triplet: each `%` is a
+        // literal percent sign, so writing it `%25` changes nothing.
+        let mut raw = String::from("/");
+        for (text, after) in &pieces {
+            raw.push_str(text);
+            raw.push('%');
+            raw.push_str(after);
+        }
+        if let Some(hex) = &tail {
+            raw.push('%');
+            raw.push_str(hex);
+        }
+        let encoded = raw.replace('%', "%25");
+        prop_assert_eq!(normalize_percent(&raw), normalize_percent(&encoded));
+        for pat in [&raw, &encoded] {
+            for path in [&raw, &encoded] {
+                prop_assert!(PathPattern::new(pat).matches(path), "{pat} vs {path}");
+            }
+        }
     }
 
     #[test]
