@@ -23,6 +23,6 @@ fn main() {
     println!("{}", promise::render(&exp));
 
     // Honeypot trap analysis + spoof corroboration.
-    let spoof = detect_rows(table, &logs.per_bot_rows());
+    let spoof = detect_rows(table, logs.bots.iter().map(|(n, v)| (n, &v.rows)));
     println!("{}", honeypot::render(&logs, &spoof));
 }

@@ -46,7 +46,8 @@ impl<'t> StandardizedTable<'t> {
         self.bots.values().map(|v| v.rows.len()).sum()
     }
 
-    /// Per-bot row slices as the spoof detector expects them.
+    /// Per-bot row slices as an owned map. This copies every view's row
+    /// references; `detect_rows` also takes the views without a copy.
     pub fn per_bot_rows(&self) -> BTreeMap<String, Vec<&'t RecordRow>> {
         self.bots.iter().map(|(k, v)| (k.clone(), v.rows.clone())).collect()
     }

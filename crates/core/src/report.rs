@@ -111,7 +111,7 @@ impl FullStudyReport {
             RecheckAccumulator::with_agents(SiteVersionWindows::new(), horizon_end, agents);
         recheck.push_table(table);
         let recheck = by_category(&recheck.profiles());
-        let spoof = detect_rows(table, &logs.per_bot_rows());
+        let spoof = detect_rows(table, logs.bots.iter().map(|(n, v)| (n, &v.rows)));
 
         FullStudyReport {
             all,

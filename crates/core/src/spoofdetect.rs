@@ -8,7 +8,7 @@
 //! request as possibly spoofed.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use botscope_weblog::intern::{StringInterner, Sym};
 use botscope_weblog::table::{LogTable, RecordRow};
@@ -118,22 +118,27 @@ pub(crate) fn dominance(
 }
 
 /// Analyze a per-bot partition of a table with the paper's threshold
-/// and a minimum of 10 observations per bot.
-pub fn detect_rows(table: &LogTable, per_bot: &BTreeMap<String, Vec<&RecordRow>>) -> SpoofReport {
+/// and a minimum of 10 observations per bot. `per_bot` yields each
+/// bot's name and rows: a `&BTreeMap` of them, or a borrowing view such
+/// as `logs.bots.iter().map(|(name, view)| (name, &view.rows))`.
+pub fn detect_rows<'a, 't: 'a>(
+    table: &LogTable,
+    per_bot: impl IntoIterator<Item = (&'a String, &'a Vec<&'t RecordRow>)>,
+) -> SpoofReport {
     detect_rows_with(table, per_bot, DOMINANCE_THRESHOLD, MIN_DETECT_REQUESTS)
 }
 
 /// [`detect_rows`] with explicit parameters (the §5.2 limitations call
 /// the 90 % threshold "somewhat arbitrary"; the ablation bench sweeps it
 /// here).
-pub fn detect_rows_with(
+pub fn detect_rows_with<'a, 't: 'a>(
     table: &LogTable,
-    per_bot: &BTreeMap<String, Vec<&RecordRow>>,
+    per_bot: impl IntoIterator<Item = (&'a String, &'a Vec<&'t RecordRow>)>,
     threshold: f64,
     min_requests: u64,
 ) -> SpoofReport {
     let mut findings: Vec<SpoofFinding> = per_bot
-        .iter()
+        .into_iter()
         .filter_map(|(bot, rows)| analyze_bot_rows(table, bot, rows, threshold, min_requests))
         .collect();
     findings.sort_by(|a, b| a.bot.cmp(&b.bot));
@@ -159,6 +164,7 @@ mod tests {
     use super::*;
     use botscope_weblog::record::AccessRecord;
     use botscope_weblog::time::Timestamp;
+    use std::collections::BTreeMap;
 
     fn rec(asn: &str, t: u64) -> AccessRecord {
         AccessRecord {

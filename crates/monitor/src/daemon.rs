@@ -15,8 +15,9 @@
 //! queue keyed `(time, agent)`. The queue is sharded: agents are split
 //! into fixed-size chunks (the chunk grid is independent of the worker
 //! count), chunks are processed by the `run_indexed` worker pool, and
-//! each chunk records either its [`FetchEventLog`] (absorbed in chunk
-//! order and canonically sorted) or its agents' belief timelines (moved
+//! each chunk records either its [`FetchEventLog`] (sorted, then k-way
+//! merged with the other chunks' logs into row sinks — the one ordering
+//! path, see [`run_streaming`]) or its agents' belief timelines (moved
 //! into a [`BeliefAtlas`]). Because every agent stream derives from
 //! `child_seed(seed, agent)` and the transport is a pure function of
 //! `(site, time, agent)`, output is byte-identical for a fixed seed at
@@ -38,8 +39,10 @@ use botscope_simnet::{child_seed, run_indexed, worker_threads, PolicyVersion};
 use botscope_weblog::fetchlog::FetchEventLog;
 use botscope_weblog::intern::Sym;
 use botscope_weblog::iphash::IpHasher;
+use botscope_weblog::sink::{RowSink, TableSink};
 use botscope_weblog::table::LogTable;
 use botscope_weblog::time::Timestamp;
+use botscope_weblog::{merge_runs, MergeRun};
 
 use crate::scenario::{build_estate, ScenarioKind};
 use crate::transport::{ServerModel, Validators, VirtualTransport};
@@ -310,7 +313,7 @@ type ChangeKey = (u32, u8, u8);
 /// What a daemon run records beside its counters and change digests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Record {
-    /// Every fetch event, assembled into the canonically sorted log
+    /// Every fetch event, merged in canonical order into row sinks
     /// (`monitor`, `audit --estate`).
     FetchLog,
     /// Every agent's believed-policy timeline, assembled into a
@@ -372,28 +375,20 @@ pub fn run(cfg: &MonitorConfig) -> MonitorOutput {
     run_with_threads(cfg, worker_threads())
 }
 
-/// [`run`] with an explicit worker count. Output is byte-identical for
-/// a fixed seed regardless of `threads`.
+/// [`run`] with an explicit worker count: [`run_streaming`]'s merged
+/// stream collected into a [`LogTable`]. Output is byte-identical for a
+/// fixed seed regardless of `threads`.
 pub fn run_with_threads(cfg: &MonitorConfig, threads: usize) -> MonitorOutput {
     log_run(cfg, |run| {
         let (stats, changes, records) = run_daemon(run, threads);
-        let table = {
-            let _phase = botscope_obs::global().phase("monitor_log_assembly");
-            let logs: Vec<FetchEventLog> = records.into_iter().map(Recorded::into_log).collect();
-            let mut table =
-                LogTable::with_capacity(logs.iter().map(FetchEventLog::len).sum(), 1024);
-            for log in &logs {
-                table.absorb(log.table());
-            }
-            table.sort_canonical();
-            table
-        };
+        let mut sink = TableSink::new();
+        merge_log(records, &mut [&mut sink]).expect("collecting rows into a table cannot fail");
         MonitorOutput {
-            table,
+            table: sink.table,
             changes,
             stats,
             horizon_end: cfg.horizon_end(),
-            bots: run.fleet.iter().map(|b| b.spec.canonical.to_string()).collect(),
+            bots: fleet_names(run.fleet),
             site_windows: site_windows_of(
                 (0..run.transport.len()).map(|site| run.transport.model(site)),
                 cfg.horizon_end(),
@@ -458,8 +453,7 @@ pub(crate) fn run_daemon(
 /// [`BeliefAtlas`].
 pub(crate) fn belief_atlas(run: &DaemonRun<'_>, records: Vec<Recorded>) -> BeliefAtlas {
     let n_bots = run.fleet.len();
-    let bots = run.fleet.iter().map(|b| b.spec.canonical.to_string()).collect();
-    let mut atlas = BeliefAtlas::new(bots, run.cfg.sites);
+    let mut atlas = BeliefAtlas::new(fleet_names(run.fleet), run.cfg.sites);
     let chunk_size = chunk_agents(run.cfg.sites * n_bots);
     for (chunk, record) in records.into_iter().enumerate() {
         let Recorded::Beliefs(timelines) = record else {
@@ -527,9 +521,9 @@ fn export_telemetry(cfg: &MonitorConfig, stats: &MonitorStats, changes: &[Change
 }
 
 /// A streaming run's summary: everything [`MonitorOutput`] carries
-/// except the materialized table, which went to the sinks row by row,
-/// and the deployment windows, which [`config_site_windows`] computes
-/// before the run.
+/// except the table, which went to the sinks row by row (one row per
+/// fetch, so `stats.fetches` counts them), and the deployment windows,
+/// which [`config_site_windows`] computes before the run.
 #[derive(Debug, Clone)]
 pub struct MonitorSummary {
     /// Aggregate counters.
@@ -540,42 +534,47 @@ pub struct MonitorSummary {
     pub horizon_end: u64,
     /// Canonical names of the monitored bots.
     pub bots: Vec<String>,
-    /// Rows streamed to each sink.
-    pub rows: u64,
 }
 
-/// [`run_with_threads`], streaming every fetch event to `sinks` in the
-/// canonical output order instead of materializing the merged
-/// [`LogTable`]. The per-chunk shards are canonically sorted and k-way
-/// merged (ties break on the fixed chunk grid, reproducing the
-/// materialized path's stable sort exactly), so the streamed bytes are
-/// identical to encoding [`MonitorOutput::table`] — at roughly half the
-/// peak memory, since the merged table and its encoded copy never
-/// exist.
+/// Run the daemon, streaming every fetch event to `sinks` in the
+/// canonical output order: the one way a fetch log is ordered. The
+/// merged table and its encoded copy never exist, so peak memory is
+/// the chunk logs plus what the sinks keep.
 pub fn run_streaming(
     cfg: &MonitorConfig,
     threads: usize,
-    sinks: &mut [&mut dyn botscope_weblog::sink::RowSink],
+    sinks: &mut [&mut dyn RowSink],
 ) -> std::io::Result<MonitorSummary> {
     log_run(cfg, |run| {
         let (stats, changes, records) = run_daemon(run, threads);
-        // Each shard becomes one canonically sorted run
-        // (MergeRun::from_table sorts stably, so full ties keep push
-        // order); the shared k-way merge tiebreaks on run index —
-        // exactly the order `concatenate in chunk order + stable sort`
-        // produces in the materialized path.
-        let runs: Vec<botscope_weblog::MergeRun> = records
-            .into_iter()
-            .map(|record| botscope_weblog::MergeRun::from_table(record.into_log().into_table()))
-            .collect();
+        merge_log(records, sinks)?;
         Ok(MonitorSummary {
-            rows: botscope_weblog::merge_runs(runs, sinks)?,
             stats,
             changes,
             horizon_end: cfg.horizon_end(),
-            bots: run.fleet.iter().map(|b| b.spec.canonical.to_string()).collect(),
+            bots: fleet_names(run.fleet),
         })
     })
+}
+
+/// Merge the chunks' fetch logs into `sinks`. Each chunk's log becomes
+/// one canonically sorted run (`MergeRun::from_table` sorts stably, so
+/// full ties keep push order), and the k-way merge breaks ties on the
+/// run index, i.e. the fixed chunk grid: the order is that of a stable
+/// canonical sort of the chunk logs concatenated in chunk order, at any
+/// worker count.
+fn merge_log(records: Vec<Recorded>, sinks: &mut [&mut dyn RowSink]) -> std::io::Result<u64> {
+    let _phase = botscope_obs::global().phase("monitor_log_assembly");
+    let runs = records
+        .into_iter()
+        .map(|record| MergeRun::from_table(record.into_log().into_table()))
+        .collect();
+    merge_runs(runs, sinks)
+}
+
+/// Canonical names of the monitored bots.
+fn fleet_names(fleet: &[SimBot]) -> Vec<String> {
+    fleet.iter().map(|b| b.spec.canonical.to_string()).collect()
 }
 
 /// Paths probed when digesting a policy transition: one representative
@@ -1181,32 +1180,67 @@ mod tests {
         }
     }
 
-    #[test]
-    fn streaming_bytes_match_materialized_table() {
-        use botscope_weblog::codec::encode_table;
-        use botscope_weblog::sink::{CountingSink, CsvSink};
+    /// The reference order: every chunk's log concatenated in chunk
+    /// order, then stably sorted by the canonical key.
+    fn concatenate_and_sort(records: Vec<Recorded>) -> LogTable {
+        let mut table = LogTable::new();
+        for record in records {
+            table.absorb(record.into_log().table());
+        }
+        table.sort_canonical();
+        table
+    }
 
-        let cfg = MonitorConfig { sites: 20, days: 10, bots: 4, ..MonitorConfig::default() };
-        let materialized = run_with_threads(&cfg, 2);
-        assert_eq!(config_site_windows(&cfg), materialized.site_windows);
-        let expected = encode_table(&materialized.table);
+    #[test]
+    fn merged_log_matches_concatenate_and_sort() {
+        use botscope_weblog::codec::encode_table;
+        use botscope_weblog::sink::CsvSink;
+
+        // A fixed 12 h TTL over a dense estate puts many fetches on one
+        // second, and small IP pools make some of them full canonical
+        // ties (same instant, agent and IP hash; only the site differs).
+        let cfg = MonitorConfig {
+            sites: 300,
+            days: 6,
+            bots: 3,
+            ttl: TtlPolicy::FixedHours(12),
+            ..MonitorConfig::default()
+        };
+        let (fleet, transport) =
+            (monitor_fleet(cfg.bots), VirtualTransport::new(build_estate(&cfg)));
+        let run = DaemonRun {
+            cfg: &cfg,
+            fleet: &fleet,
+            transport: &transport,
+            ttl: TtlSource::Config,
+            record: Record::FetchLog,
+        };
+        let oracle = concatenate_and_sort(run_daemon(&run, 1).2);
+        let rows = oracle.rows();
+        let key = |i: usize| {
+            let r = &rows[i];
+            (r.timestamp, oracle.resolve(r.useragent), r.ip_hash, oracle.resolve(r.uri_path))
+        };
+        let same_instant = (1..rows.len()).filter(|&i| rows[i - 1].timestamp == rows[i].timestamp);
+        assert!(same_instant.clone().count() > 10, "the config must produce same-instant rows");
+        assert!(same_instant.filter(|&i| key(i - 1) == key(i)).count() > 0, "and full ties");
+
+        let expected = encode_table(&oracle);
+        let windows = config_site_windows(&cfg);
         for threads in [1, 2, 8] {
+            let collected = run_with_threads(&cfg, threads);
+            assert_eq!(encode_table(&collected.table), expected, "table at {threads} workers");
+            assert_eq!(collected.site_windows, windows);
             let mut csv = CsvSink::new(Vec::new()).unwrap();
-            let mut count = CountingSink::default();
-            let summary = {
-                let mut sinks: [&mut dyn botscope_weblog::sink::RowSink; 2] =
-                    [&mut csv, &mut count];
-                run_streaming(&cfg, threads, &mut sinks).unwrap()
-            };
+            let summary = run_streaming(&cfg, threads, &mut [&mut csv]).unwrap();
             assert_eq!(
                 String::from_utf8(csv.into_inner()).unwrap(),
                 expected,
-                "streamed CSV differs at {threads} workers"
+                "streamed CSV at {threads} workers"
             );
-            assert_eq!(summary.rows, materialized.table.len() as u64);
-            assert_eq!(count.rows, summary.rows);
-            assert_eq!(summary.stats, materialized.stats);
-            assert_eq!(summary.changes, materialized.changes);
+            assert_eq!(summary.stats, collected.stats);
+            assert_eq!(summary.stats.fetches, oracle.len() as u64);
+            assert_eq!(summary.changes, collected.changes);
         }
     }
 

@@ -27,11 +27,12 @@
 //!   with bytes-saved accounting), exponential backoff on unreachable
 //!   hosts, and change detection digested through `robotstxt::diff`.
 //!   The sharded binary-heap scheduler honours `BOTSCOPE_THREADS`. A
-//!   run records either the fetch log — a byte-identical interned
-//!   [`botscope_weblog::LogTable`] at any worker count, or rows
-//!   streamed through [`botscope_weblog::sink::RowSink`]s
-//!   ([`daemon::run_streaming`]) — or, for [`coupled`], every agent's
-//!   believed-policy timeline.
+//!   run records either the fetch log or, for [`coupled`], every
+//!   agent's believed-policy timeline. The fetch log has one ordering
+//!   path: each chunk's log is sorted and k-way merged into
+//!   [`botscope_weblog::sink::RowSink`]s ([`daemon::run_streaming`]),
+//!   byte-identical at any worker count; [`daemon::run`] collects that
+//!   merge into an interned [`botscope_weblog::LogTable`].
 //! * [`coupled`] — the belief-coupled pipeline: the daemon derives
 //!   per-(bot, site) beliefs at each bot's own re-check cadence, the
 //!   traffic generator consults them instead of the schedule, and the

@@ -56,7 +56,7 @@ fn main() {
 
     // 3. Spoofing scan: bots whose traffic is ≥90% one network but shows
     //    residual requests from elsewhere.
-    let spoof = detect_rows(&table, &logs.per_bot_rows());
+    let spoof = detect_rows(&table, logs.bots.iter().map(|(n, v)| (n, &v.rows)));
     println!("\nPossible spoofing ({} bots flagged):", spoof.findings.len());
     for f in &spoof.findings {
         let asns: Vec<&str> = f.suspicious.iter().map(|(n, _)| n.as_str()).collect();

@@ -23,10 +23,10 @@ fn main() {
     );
 
     let logs = standardize_table(&out.table);
-    let per_bot = logs.per_bot_rows();
+    let per_bot = || logs.bots.iter().map(|(n, v)| (n, &v.rows));
 
     // Run the paper's heuristic.
-    let report = detect_rows_with(&out.table, &per_bot, DOMINANCE_THRESHOLD, 10);
+    let report = detect_rows_with(&out.table, per_bot(), DOMINANCE_THRESHOLD, 10);
     println!("{:<26} {:>7} {:>9}  suspicious ASNs", "flagged bot", "share", "spoofed");
     println!("{}", "-".repeat(70));
     for f in &report.findings {
@@ -57,7 +57,7 @@ fn main() {
     // The §5.2 limitation: the threshold is arbitrary. Sweep it.
     println!("\nThreshold sweep (paper uses 0.90):");
     for threshold in [0.5, 0.75, 0.9, 0.99] {
-        let n = detect_rows_with(&out.table, &per_bot, threshold, 10).findings.len();
+        let n = detect_rows_with(&out.table, per_bot(), threshold, 10).findings.len();
         println!("  dominance >= {threshold:<4} -> {n} flagged bots");
     }
 

@@ -129,11 +129,10 @@ USAGE:
         --out FILE       write the fetch-event log as CSV (\"-\" = stdout)
         --jsonl FILE     write the fetch-event log as JSONL (\"-\" = stdout)
         --changes FILE   write detected policy changes as CSV (\"-\" = stdout)
-        --stream         stream CSV/JSONL row by row through the k-way
-                         shard merge instead of materializing the table;
-                         the table-derived reports are computed by
-                         bounded-memory accumulators on the same stream
-                         and print byte-identically to the default path
+        --stream         accepted for compatibility; every run streams
+                         its fetch log row by row through the k-way
+                         shard merge into the CSV/JSONL writers and the
+                         bounded-memory report accumulators
 
 FLAG GRAMMAR (every subcommand):
   Flags may appear in any order after the subcommand, and --coupled /
@@ -156,9 +155,10 @@ ENVIRONMENT:
   BOTSCOPE_THREADS
       Worker threads for log generation (simulate), the monitor's
       event-queue shards (monitor) and attribution (simulate
-      --coupled). The --stream k-way merge and the §4 analysis are
-      serial. Defaults to the machine's available parallelism; the
-      output is byte-identical for a fixed seed at any thread count.
+      --coupled). The k-way merges (simulate --stream, monitor) and
+      the §4 analysis are serial. Defaults to the machine's
+      available parallelism; the output is byte-identical for a fixed
+      seed at any thread count.
 ";
 
 fn main() -> ExitCode {
@@ -765,7 +765,7 @@ fn audit_files(p: &Parsed) -> Result<(), String> {
 /// `audit --estate`: corpus analysis + transition proofs + digest
 /// classification + admission replay.
 fn audit_estate(p: &Parsed) -> Result<(), String> {
-    use botscope::core::recheck::{coalesce_behavioral_windows, phase_check_matrix};
+    use botscope::core::recheck::coalesce_behavioral_windows;
     use botscope::core::report::table7_behavioral;
     use botscope::monitor::{apply_digests, prime_estate};
     use botscope::robots::analysis::{analyze, classify_change, ChangeClass};
@@ -810,16 +810,30 @@ fn audit_estate(p: &Parsed) -> Result<(), String> {
         }
     }
 
-    // 3. Run the monitor and classify its digests.
-    let out = botscope::monitor::run(cfg);
-    let behavioral_digests =
-        out.changes.iter().filter(|c| c.class == ChangeClass::Behavioral).count();
-    let cosmetic_digests = out.changes.len() - behavioral_digests;
+    // 3. Run the monitor, streaming its fetch log into the
+    // behavioral-only Table 7 (windows coalesced across cosmetic
+    // swaps), and classify its digests.
+    let site_windows = botscope::monitor::config_site_windows(cfg);
+    let raw_spans: usize = site_windows.values().map(Vec::len).sum();
+    let coalesced = coalesce_behavioral_windows(&site_windows, |from, to| {
+        behavioral_matrix[from.index()][to.index()]
+    });
+    let coalesced_spans: usize = coalesced.values().map(Vec::len).sum();
+    let mut recheck = RecheckAccumulator::new(coalesced, cfg.horizon_end());
+    let summary = botscope::monitor::run_streaming(
+        cfg,
+        botscope::simnet::worker_threads(),
+        &mut [&mut recheck],
+    )
+    .expect("the re-check accumulator never fails a row");
+    let matrix = recheck.phase_rows();
+    let changes = &summary.changes;
+    let behavioral_digests = changes.iter().filter(|c| c.class == ChangeClass::Behavioral).count();
+    let cosmetic_digests = changes.len() - behavioral_digests;
 
     // 4. Replay the digests against a warmed admission estate.
     let mut estate = PolicyEstate::new();
-    let deployment: Vec<(&str, PolicyVersion)> = out
-        .site_windows
+    let deployment: Vec<(&str, PolicyVersion)> = site_windows
         .iter()
         .filter_map(|(site, spans)| spans.first().map(|&(v, _, _)| (site.as_str(), v)))
         .collect();
@@ -828,20 +842,12 @@ fn audit_estate(p: &Parsed) -> Result<(), String> {
         estate.check(site, "GPTBot", "/");
     }
     let warmed = estate.compiled_count();
-    let outcome = apply_digests(&mut estate, &out.changes);
+    let outcome = apply_digests(&mut estate, changes);
     let obs = botscope::obs::global();
     obs.counter("robotstxt_compiles_total").add(estate.compiles());
     obs.counter("robotstxt_cache_hits_total").add(estate.cache_hits());
     obs.counter("audit_behavioral_digests_total").add(behavioral_digests as u64);
     obs.counter("audit_cosmetic_digests_total").add(cosmetic_digests as u64);
-
-    // 5. Behavioral-only Table 7: coalesce windows across cosmetic swaps.
-    let raw_spans: usize = out.site_windows.values().map(Vec::len).sum();
-    let coalesced = coalesce_behavioral_windows(&out.site_windows, |from, to| {
-        behavioral_matrix[from.index()][to.index()]
-    });
-    let coalesced_spans: usize = coalesced.values().map(Vec::len).sum();
-    let matrix = phase_check_matrix(&out.table, &coalesced);
 
     if json {
         let mut j = String::from("{\"policies\":[");
@@ -865,7 +871,7 @@ fn audit_estate(p: &Parsed) -> Result<(), String> {
         let _ = write!(
             j,
             ",\"digests\":{{\"total\":{},\"behavioral\":{behavioral_digests},\"cosmetic\":{cosmetic_digests}}}",
-            out.changes.len()
+            changes.len()
         );
         let _ = write!(
             j,
@@ -906,7 +912,7 @@ fn audit_estate(p: &Parsed) -> Result<(), String> {
             writeln!(
                 w,
                 "== monitored digests: {} total, {behavioral_digests} behavioral, {cosmetic_digests} cosmetic",
-                out.changes.len()
+                changes.len()
             )?;
             writeln!(
                 w,
@@ -1011,7 +1017,7 @@ fn cmd_analyze(p: &Parsed) -> Result<(), String> {
         codec::decode_table_read(reader).map_err(|e| e.to_string())?
     };
     let logs = standardize_table(&table);
-    let spoof = detect_rows(&table, &logs.per_bot_rows());
+    let spoof = detect_rows(&table, logs.bots.iter().map(|(n, v)| (n, &v.rows)));
     write_output("-", |w| {
         writeln!(w, "{} records", table.len())?;
         writeln!(
@@ -1200,7 +1206,10 @@ fn monitor_config(p: &Parsed) -> Result<MonitorConfig, String> {
     Ok(cfg)
 }
 
-/// Run the monitor, materialized or (`--stream`) through row sinks.
+/// Run the monitor, streaming its fetch log through row sinks: the
+/// CSV/JSONL encoders and the §5.1 accumulator ride one merge, and the
+/// merged table never exists (`--stream` is accepted and changes
+/// nothing).
 ///
 /// Output contract: run *stats* are diagnostics and always go to
 /// stderr; the table-derived *reports* (monitored Table 7, re-check
@@ -1213,55 +1222,34 @@ fn cmd_monitor(p: &Parsed) -> Result<(), String> {
     let cfg = monitor_config(p)?;
     let (out_path, jsonl_path, changes_path) =
         (p.value("--out"), p.value("--jsonl"), p.value("--changes"));
-    let mut streamed_rows = None;
-    // One §5.1 engine computes the reports in both modes.
-    let (stats, changes, bots, swapped, recheck) = if p.switch("--stream") {
-        // Fetch events flow through row sinks, and the accumulator rides
-        // the same stream: the merged table never exists.
-        let mut csv = match out_path {
-            Some(path) => Some(
-                CsvSink::new(writer_for(path)?).map_err(|e| format!("cannot write header: {e}"))?,
-            ),
-            None => None,
-        };
-        let mut jsonl = jsonl_path.map(|path| writer_for(path).map(JsonlSink::new)).transpose()?;
-        // The accumulator needs each site's deployment windows before the
-        // first row; they are a pure function of the config, computed once.
-        let site_windows = botscope::monitor::config_site_windows(&cfg);
-        let swapped = any_site_swapped(&site_windows);
-        let mut recheck = RecheckAccumulator::new(site_windows, cfg.horizon_end());
-        let mut sinks: Vec<&mut dyn RowSink> = Vec::new();
-        if let Some(sink) = csv.as_mut() {
-            sinks.push(sink);
+    let mut csv = match out_path {
+        Some(path) => {
+            Some(CsvSink::new(writer_for(path)?).map_err(|e| format!("cannot write header: {e}"))?)
         }
-        if let Some(sink) = jsonl.as_mut() {
-            sinks.push(sink);
-        }
-        sinks.push(&mut recheck);
-        let summary =
-            botscope::monitor::run_streaming(&cfg, botscope::simnet::worker_threads(), &mut sinks)
-                .map_err(|e| format!("streaming write failed: {e}"))?;
-        streamed_rows = Some(summary.rows);
-        (summary.stats, summary.changes, summary.bots, swapped, recheck)
-    } else {
-        let out = botscope::monitor::run(&cfg);
-        if let Some(path) = out_path {
-            write_csv(path, &out.table)?;
-        }
-        if let Some(path) = jsonl_path {
-            write_output(path, |mut w| botscope::weblog::jsonl::write_table(&mut w, &out.table))?;
-        }
-        let _phase = botscope::obs::global().phase("monitor_recheck");
-        let swapped = any_site_swapped(&out.site_windows);
-        let mut recheck = RecheckAccumulator::new(out.site_windows, out.horizon_end);
-        recheck.push_table(&out.table);
-        (out.stats, out.changes, out.bots, swapped, recheck)
+        None => None,
     };
+    let mut jsonl = jsonl_path.map(|path| writer_for(path).map(JsonlSink::new)).transpose()?;
+    // The accumulator needs each site's deployment windows before the
+    // first row; they are a pure function of the config.
+    let site_windows = botscope::monitor::config_site_windows(&cfg);
+    let swapped = any_site_swapped(&site_windows);
+    let mut recheck = RecheckAccumulator::new(site_windows, cfg.horizon_end());
+    let mut sinks: Vec<&mut dyn RowSink> = Vec::new();
+    if let Some(sink) = csv.as_mut() {
+        sinks.push(sink);
+    }
+    if let Some(sink) = jsonl.as_mut() {
+        sinks.push(sink);
+    }
+    sinks.push(&mut recheck);
+    let summary =
+        botscope::monitor::run_streaming(&cfg, botscope::simnet::worker_threads(), &mut sinks)
+            .map_err(|e| format!("streaming write failed: {e}"))?;
     let (matrix, agg) = (recheck.phase_rows(), by_category(&recheck.profiles()));
     if let Some(path) = changes_path {
-        write_changes(path, &changes)?;
+        write_changes(path, &summary.changes)?;
     }
-    eprint!("{}", monitor_summary(&cfg, &stats, &bots, &changes, streamed_rows));
+    eprint!("{}", monitor_summary(&cfg, &summary.stats, &summary.bots, &summary.changes));
     let data_on_stdout = [out_path, jsonl_path, changes_path].contains(&Some("-"));
     emit_monitor_report_tables(swapped, &matrix, &agg, data_on_stdout)
 }
@@ -1287,13 +1275,12 @@ fn write_changes(path: &str, changes: &[botscope::monitor::ChangeDigest]) -> Res
     write_output(path, |w| w.write_all(body.as_bytes()))
 }
 
-/// The monitor's run statistics, plus the row count of a streamed run.
+/// The monitor's run statistics.
 fn monitor_summary(
     cfg: &MonitorConfig,
     s: &botscope::monitor::MonitorStats,
     bots: &[String],
     changes: &[botscope::monitor::ChangeDigest],
-    streamed_rows: Option<u64>,
 ) -> String {
     use std::fmt::Write as _;
     let mut r = String::new();
@@ -1311,9 +1298,6 @@ fn monitor_summary(
         cfg.scenario.label(),
         ttl
     );
-    if let Some(rows) = streamed_rows {
-        let _ = writeln!(r, "{rows} rows streamed");
-    }
     let _ = writeln!(r, "bots: {}", bots.join(", "));
     let _ = writeln!(
         r,

@@ -115,6 +115,46 @@ fn admit_rejects_malformed_queries_cleanly() {
 }
 
 #[test]
+fn admit_query_csv_boundaries() {
+    // (case, file bytes, stderr fragment or None when the file is accepted)
+    let cases: [(&str, &[u8], Option<&str>); 6] = [
+        ("non-utf8", b"GPTBot,a.example.edu,/\xff\xfe\n", Some("valid UTF-8")),
+        ("empty-agent", b",a.example.edu,/x\n", Some("line 1: want `agent,site,path`")),
+        ("two-fields", b"GPTBot,a.example.edu\n", Some("line 1: want `agent,site,path`")),
+        ("blank", b"", Some("no queries")),
+        ("blank-lines", b"\n  \n\n", Some("no queries")),
+        ("crlf", b"agent,site,path\r\nGPTBot,a.example.edu,/x\r\nGPTBot,b.example.edu,/\r\n", None),
+    ];
+    let lf = write_temp("admit-lf.csv", "GPTBot,a.example.edu,/x\nGPTBot,b.example.edu,/\n");
+    let expected = botscope(&["admit", lf.to_str().unwrap()]);
+    assert!(expected.status.success());
+    for (case, bytes, error) in cases {
+        let path = std::env::temp_dir()
+            .join(format!("botscope-test-{}-admit-{case}.csv", std::process::id()));
+        std::fs::write(&path, bytes).expect("write temp file");
+        let out = botscope(&["admit", path.to_str().unwrap()]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        match error {
+            Some(fragment) => {
+                assert_eq!(out.status.code(), Some(1), "{case}: {stderr}");
+                assert_eq!(stderr.lines().count(), 1, "{case}: one error line, got {stderr:?}");
+                assert!(
+                    stderr.starts_with("error: ") && stderr.contains(fragment),
+                    "{case}: {stderr}"
+                );
+                assert!(out.stdout.is_empty(), "{case}");
+            }
+            None => {
+                assert!(out.status.success(), "{case}: {stderr}");
+                assert_eq!(out.stdout, expected.stdout, "{case}: same verdicts as LF line ends");
+            }
+        }
+        let _ = std::fs::remove_file(path);
+    }
+    let _ = std::fs::remove_file(lf);
+}
+
+#[test]
 fn latin1_robots_files_are_read_with_percent_encoded_octets() {
     // One Latin-1 byte (0xE9) used to fail the whole read as not UTF-8.
     let root = env!("CARGO_MANIFEST_DIR");
@@ -230,6 +270,50 @@ fn audit_estate_reports_digest_classes_and_recompile_debt() {
     assert!(text.contains("version transitions: 12 behavioral"), "{text}");
     assert!(text.contains("admission replay"), "{text}");
     assert!(text.contains("behavioral transitions only"), "{text}");
+}
+
+#[test]
+fn audit_estate_output_is_pinned() {
+    use botscope::obs::digest::sha256_hex;
+    // (sites, days, sha256 of `--json`, sha256 of the text report
+    // without its timing line), the same at every worker count.
+    let pins = [
+        (
+            "12",
+            "12",
+            "3598f58114853dcb8b1ca29fa50db0a03f76a0738707c40362d6e09257112eaa",
+            "d0eede78e0ce589381ec9b4fb5d4be0c83f7a4ca44f8d6d70d018f6a4c97ff6a",
+        ),
+        (
+            "16",
+            "24",
+            "d8f2f26432a88bc21b51eb078acb7cdf87af78cdc8b5f7996210076d9e0832ba",
+            "5294079ba55e9e748405f494066c8e9da7fd6f1404b6ef7a785fcab70e490105",
+        ),
+    ];
+    for (sites, days, json_pin, text_pin) in pins {
+        for threads in ["1", "2"] {
+            let run = |extra: &[&str]| {
+                let out = Command::new(env!("CARGO_BIN_EXE_botscope"))
+                    .args(
+                        [&["audit", "--estate", "--sites", sites, "--days", days], extra].concat(),
+                    )
+                    .env("BOTSCOPE_THREADS", threads)
+                    .output()
+                    .expect("binary runs");
+                assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+                String::from_utf8(out.stdout).expect("UTF-8 report")
+            };
+            let label = format!("{sites} sites x {days} days, {threads} workers");
+            assert_eq!(sha256_hex(run(&["--json"]).as_bytes()), json_pin, "--json, {label}");
+            let text: String = run(&[])
+                .lines()
+                .filter(|l| !l.contains("ms analyzer time"))
+                .map(|l| format!("{l}\n"))
+                .collect();
+            assert_eq!(sha256_hex(text.as_bytes()), text_pin, "text, {label}");
+        }
+    }
 }
 
 #[test]
@@ -462,8 +546,8 @@ fn monitor_stream_matches_materialized_output() {
     ]);
     assert!(streamed.status.success(), "{}", String::from_utf8_lossy(&streamed.stderr));
     assert_eq!(materialized.stdout, streamed.stdout, "streamed CSV must be byte-identical");
-    let report = String::from_utf8_lossy(&streamed.stderr);
-    assert!(report.contains("rows streamed"), "{report}");
+    // Every run streams; `--stream` is accepted and changes nothing.
+    assert_eq!(materialized.stderr, streamed.stderr, "same run statistics");
 
     // Reports only (no --out): both modes print the same report bytes.
     // Swaps every day so the monitored Table 7 prints too.
@@ -619,9 +703,11 @@ fn monitor_manifest_lists_its_stages() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let manifest = std::fs::read_to_string(dir.join("run.manifest")).expect("manifest written");
     let phases = manifest.lines().find(|l| l.contains("\"phases\"")).expect("phases line");
-    for phase in ["monitor_agents", "monitor_log_assembly", "monitor_recheck"] {
+    for phase in ["monitor_agents", "monitor_log_assembly"] {
         assert!(phases.contains(&format!("[\"{phase}\", ")), "{phase} missing: {phases}");
     }
+    // The §5.1 reports ride the merge: no separate re-check pass.
+    assert!(!phases.contains("monitor_recheck"), "{phases}");
     let _ = std::fs::remove_dir_all(dir);
 }
 
