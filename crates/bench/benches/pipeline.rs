@@ -1,17 +1,15 @@
-//! Criterion benches for the analysis pipeline stages: standardization
-//! (per row, and per distinct agent with a cold token memo),
-//! sessionization, the three compliance metrics, spoof detection, and
-//! the end-to-end `Experiment::analyze_table` engine (generation
-//! excluded), whose throughput line lands in `BENCH_pipeline.json` so
-//! analysis speedups are tracked like generation ones.
+//! Criterion benches for the analysis pipeline stages: the per-bot fold
+//! (standardization, τ crawl-delay pacing, per-ASN counts), standardization
+//! per distinct agent with a cold token memo, sessionization, spoof
+//! detection over the fold, and the end-to-end `Experiment::analyze_table`
+//! engine (generation excluded), whose throughput line lands in
+//! `BENCH_pipeline.json` so analysis speedups are tracked like generation
+//! ones.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 
-use botscope_core::metrics::{
-    crawl_delay_counts_rows, disallow_counts_rows, endpoint_counts_rows, PathClasses,
-};
-use botscope_core::pipeline::standardize_table;
-use botscope_core::spoofdetect::detect_rows;
+use botscope_core::pipeline::tally_bots;
+use botscope_core::spoofdetect::{DOMINANCE_THRESHOLD, MIN_DETECT_REQUESTS};
 use botscope_core::Experiment;
 use botscope_simnet::scenario::{full_study_table, phase_study_table};
 use botscope_simnet::SimConfig;
@@ -24,26 +22,13 @@ fn bench_pipeline(c: &mut Criterion) {
     let mut g = c.benchmark_group("pipeline");
     g.throughput(Throughput::Elements(table.len() as u64));
 
-    g.bench_function("standardize", |b| b.iter(|| standardize_table(black_box(&table))));
+    g.bench_function("tally_bots", |b| b.iter(|| tally_bots(black_box(&table))));
 
     g.bench_function("sessionize_5min", |b| b.iter(|| black_box(&table).sessionize(300)));
 
-    let logs = standardize_table(&table);
-    let per_bot = logs.per_bot_rows();
-    g.bench_function("spoof_detect", |b| b.iter(|| detect_rows(&table, black_box(&per_bot))));
-
-    // Metric throughput over the busiest bot.
-    let busiest = per_bot.values().max_by_key(|v| v.len()).expect("non-empty dataset");
-    let classes = PathClasses::new(&table);
-    g.throughput(Throughput::Elements(busiest.len() as u64));
-    g.bench_function("crawl_delay_metric", |b| {
-        b.iter(|| crawl_delay_counts_rows(black_box(busiest), 30));
-    });
-    g.bench_function("endpoint_metric", |b| {
-        b.iter(|| endpoint_counts_rows(&classes, black_box(busiest)));
-    });
-    g.bench_function("disallow_metric", |b| {
-        b.iter(|| disallow_counts_rows(&classes, black_box(busiest)));
+    let tallies = tally_bots(&table);
+    g.bench_function("spoof_detect", |b| {
+        b.iter(|| black_box(&tallies).spoof_report(DOMINANCE_THRESHOLD, MIN_DETECT_REQUESTS));
     });
     g.finish();
 }

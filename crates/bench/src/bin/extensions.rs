@@ -3,8 +3,8 @@
 //! promise-vs-practice, and honeypot corroboration of spoofing (§6
 //! future work).
 
-use botscope_core::pipeline::standardize_table;
-use botscope_core::spoofdetect::detect_rows;
+use botscope_core::pipeline::tally_bots;
+use botscope_core::spoofdetect::{DOMINANCE_THRESHOLD, MIN_DETECT_REQUESTS};
 use botscope_core::{adaptation, honeypot, promise, Experiment};
 use botscope_simnet::scenario::phase_study_table;
 
@@ -14,8 +14,8 @@ fn main() {
     let table = &study.sim.table;
 
     // Adaptation: how long until bots notice each new file?
-    let logs = standardize_table(table);
-    let lags = adaptation::awareness_lags(&logs, &study.schedule);
+    let tallies = tally_bots(table);
+    let lags = adaptation::awareness_lags(&tallies, &study.schedule);
     println!("{}", adaptation::render(&adaptation::by_category(&lags)));
 
     // Promise vs practice.
@@ -23,6 +23,6 @@ fn main() {
     println!("{}", promise::render(&exp));
 
     // Honeypot trap analysis + spoof corroboration.
-    let spoof = detect_rows(table, logs.bots.iter().map(|(n, v)| (n, &v.rows)));
-    println!("{}", honeypot::render(&logs, &spoof));
+    let spoof = tallies.spoof_report(DOMINANCE_THRESHOLD, MIN_DETECT_REQUESTS);
+    println!("{}", honeypot::render(&tallies, &spoof));
 }

@@ -6,6 +6,8 @@
 //! time". This module quantifies that: for every bot and every phase
 //! flip, the **awareness lag** — the time from the new file going live to
 //! the bot's first robots.txt fetch under it — and per-category medians.
+//! Each bot's robots.txt fetch times come from the per-bot fold
+//! [`crate::pipeline::tally_bots`].
 
 use std::collections::BTreeMap;
 
@@ -14,8 +16,7 @@ use botscope_useragent::BotCategory;
 
 use botscope_simnet::phases::{PhaseSchedule, PolicyVersion};
 
-use crate::metrics::PathClasses;
-use crate::pipeline::StandardizedTable;
+use crate::pipeline::BotTallies;
 
 /// One bot's awareness lag for one phase.
 #[derive(Debug, Clone, PartialEq)]
@@ -36,23 +37,19 @@ pub struct AwarenessLag {
 ///
 /// Lags use estate-wide robots.txt fetches (a bot that refreshed any of
 /// the institution's policy files demonstrably re-consulted policy).
-pub fn awareness_lags(logs: &StandardizedTable<'_>, schedule: &PhaseSchedule) -> Vec<AwarenessLag> {
-    let classes = PathClasses::new(logs.table);
+pub fn awareness_lags(tallies: &BotTallies<'_>, schedule: &PhaseSchedule) -> Vec<AwarenessLag> {
     let mut out = Vec::new();
-    for view in logs.bots.values() {
-        let mut checks: Vec<u64> = view
-            .rows
-            .iter()
-            .filter(|r| classes.is_robots(r.uri_path))
-            .map(|r| r.timestamp.unix())
-            .collect();
-        checks.sort_unstable();
+    for (bot, tally) in &tallies.bots {
         for phase in &schedule.phases {
-            let first =
-                checks.iter().find(|&&t| t >= phase.start.unix() && t < phase.end.unix()).copied();
+            // Fetch times are in time order: the first in the window.
+            let first = tally
+                .robots_fetches
+                .iter()
+                .find(|&&t| t >= phase.start.unix() && t < phase.end.unix())
+                .copied();
             out.push(AwarenessLag {
-                bot: view.name.clone(),
-                category: view.category,
+                bot: bot.canonical.to_string(),
+                category: bot.category,
                 version: phase.version,
                 lag_secs: first.map(|t| t - phase.start.unix()),
             });
@@ -124,7 +121,7 @@ pub fn for_bot<'a>(lags: &'a [AwarenessLag], bot: &str) -> Vec<&'a AwarenessLag>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::standardize_table;
+    use crate::pipeline::tally_bots;
     use botscope_simnet::phases::PhaseSchedule;
     use botscope_weblog::record::AccessRecord;
     use botscope_weblog::table::LogTable;
@@ -159,8 +156,7 @@ mod tests {
             rec("Mozilla/5.0 (compatible; GPTBot/1.1)", 16 * DAY, "/robots.txt"),
         ];
         let table = LogTable::from_records(&records);
-        let logs = standardize_table(&table);
-        let lags = awareness_lags(&logs, &schedule());
+        let lags = awareness_lags(&tally_bots(&table), &schedule());
         let gpt = for_bot(&lags, "GPTBot");
         assert_eq!(gpt.len(), 4);
         assert_eq!(gpt[0].lag_secs, Some(DAY)); // base phase
@@ -173,8 +169,7 @@ mod tests {
     fn never_checker_has_all_none() {
         let records = vec![rec("axios/1.6.2", DAY, "/page"), rec("axios/1.6.2", 20 * DAY, "/x")];
         let table = LogTable::from_records(&records);
-        let logs = standardize_table(&table);
-        let lags = awareness_lags(&logs, &schedule());
+        let lags = awareness_lags(&tally_bots(&table), &schedule());
         assert!(for_bot(&lags, "Axios").iter().all(|l| l.lag_secs.is_none()));
     }
 
@@ -190,8 +185,7 @@ mod tests {
             rec("axios/1.6.2", DAY, "/page"),
         ];
         let table = LogTable::from_records(&records);
-        let logs = standardize_table(&table);
-        let lags = awareness_lags(&logs, &schedule());
+        let lags = awareness_lags(&tally_bots(&table), &schedule());
         let cats = by_category(&lags);
         let seo = cats.iter().find(|c| c.category == BotCategory::SeoCrawler).unwrap();
         assert_eq!(seo.median_lag_hours, Some(6.0));
@@ -205,8 +199,7 @@ mod tests {
     fn render_has_all_categories() {
         let records = vec![rec("Mozilla/5.0 (compatible; SemrushBot/7~bl)", 100, "/robots.txt")];
         let table = LogTable::from_records(&records);
-        let logs = standardize_table(&table);
-        let lags = awareness_lags(&logs, &schedule());
+        let lags = awareness_lags(&tally_bots(&table), &schedule());
         let text = render(&by_category(&lags));
         assert!(text.contains("SEO Crawlers"));
         assert!(text.contains("Median lag"));

@@ -19,22 +19,16 @@
 //!   dominant-network traffic against its minority-network traffic. A
 //!   minority that hits traps while the main network does not is strong
 //!   corroboration that the minority is an impostor.
+//!
+//! Both read the per-bot fold [`crate::pipeline::tally_bots`], which
+//! counts each bot's rows and trap hits per τ group, and so per ASN, in
+//! one pass, every path symbol classified once
+//! ([`crate::metrics::PathClasses::TRAP`]).
 
 use botscope_stats::ci::{wilson, ProportionCi};
-use botscope_weblog::table::{LogTable, RecordRow};
 
-use crate::pipeline::StandardizedTable;
-use crate::spoofdetect::{split_rows, SpoofReport};
-
-/// Whether a path is one of the always-disallowed trap paths.
-pub fn is_trap_path(path: &str) -> bool {
-    path == "/404" || path == "/dev-404-page" || path.starts_with("/secure/")
-}
-
-/// How many of `rows` fetched a trap path.
-fn trap_hits(table: &LogTable, rows: &[&RecordRow]) -> u64 {
-    rows.iter().filter(|r| is_trap_path(table.resolve(r.uri_path))).count() as u64
-}
+use crate::pipeline::BotTallies;
+use crate::spoofdetect::SpoofReport;
 
 /// Per-bot trap statistics.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,16 +55,15 @@ impl TrapRow {
 }
 
 /// Per-bot trap report, sorted by descending trap rate then name.
-pub fn trap_report(logs: &StandardizedTable<'_>, min_accesses: u64) -> Vec<TrapRow> {
-    let mut rows: Vec<TrapRow> = logs
+pub fn trap_report(tallies: &BotTallies<'_>, min_accesses: u64) -> Vec<TrapRow> {
+    let mut rows: Vec<TrapRow> = tallies
         .bots
-        .values()
-        .filter(|v| v.rows.len() as u64 >= min_accesses)
-        .map(|v| {
-            let total = v.rows.len() as u64;
-            let trap_hits = trap_hits(logs.table, &v.rows);
+        .iter()
+        .filter(|(_, tally)| tally.records >= min_accesses)
+        .map(|(bot, tally)| {
+            let (trap_hits, total) = (tally.trap_hits(), tally.records);
             TrapRow {
-                bot: v.name.clone(),
+                bot: bot.canonical.to_string(),
                 trap_hits,
                 total,
                 rate_ci: wilson(trap_hits, total, 0.95),
@@ -99,42 +92,52 @@ pub struct SpoofCorroboration {
     pub corroborated: bool,
 }
 
-/// Run trap-based corroboration for every finding of the ASN heuristic.
+/// Run trap-based corroboration for every finding of the ASN heuristic:
+/// the main network is the finding's main ASN, the minority every other
+/// ASN of the bot.
 pub fn spoof_corroboration(
-    logs: &StandardizedTable<'_>,
+    tallies: &BotTallies<'_>,
     spoof: &SpoofReport,
 ) -> Vec<SpoofCorroboration> {
     let mut out = Vec::new();
     for finding in &spoof.findings {
-        let Some(view) = logs.bots.get(&finding.bot) else { continue };
-        let (main, minority) = split_rows(finding, logs.table, &view.rows);
-        let rate = |rows: &[&RecordRow]| {
-            if rows.is_empty() {
+        let Some(tally) = tallies.get(&finding.bot) else { continue };
+        // (rows, trap hits) of the main network; a main ASN the table
+        // never saw leaves everything in the minority.
+        let main = tallies
+            .table
+            .interner()
+            .get(&finding.main_asn)
+            .and_then(|sym| tally.per_asn().get(&sym).copied())
+            .unwrap_or_default();
+        let minority = (tally.records - main.0, tally.trap_hits() - main.1);
+        let rate = |(rows, traps): (u64, u64)| {
+            if rows == 0 {
                 return 0.0;
             }
-            trap_hits(logs.table, rows) as f64 / rows.len() as f64
+            traps as f64 / rows as f64
         };
-        let main_rate = rate(&main);
-        let minority_rate = rate(&minority);
+        let main_rate = rate(main);
+        let minority_rate = rate(minority);
         out.push(SpoofCorroboration {
             bot: finding.bot.clone(),
             main_trap_rate: main_rate,
             minority_trap_rate: minority_rate,
-            minority_requests: minority.len() as u64,
-            corroborated: minority_rate > main_rate && !minority.is_empty(),
+            minority_requests: minority.0,
+            corroborated: minority_rate > main_rate && minority.0 > 0,
         });
     }
     out
 }
 
 /// Render both reports.
-pub fn render(logs: &StandardizedTable<'_>, spoof: &SpoofReport) -> String {
+pub fn render(tallies: &BotTallies<'_>, spoof: &SpoofReport) -> String {
     use crate::tables::{f, TextTable};
     let mut t = TextTable::new(
         "Extension: trap-path (honeypot) hits — fetching /404, /dev-404-page or /secure/* is always non-compliant",
         &["Bot", "Trap hits", "Total", "Rate", "95% CI"],
     );
-    for row in trap_report(logs, 20).into_iter().take(15) {
+    for row in trap_report(tallies, 20).into_iter().take(15) {
         let ci =
             row.rate_ci.map_or_else(|| "-".into(), |c| format!("[{}, {}]", f(c.lo, 3), f(c.hi, 3)));
         t.row(vec![
@@ -151,7 +154,7 @@ pub fn render(logs: &StandardizedTable<'_>, spoof: &SpoofReport) -> String {
         "Honeypot corroboration of ASN-flagged spoofing (paper future work)",
         &["Bot", "Main-ASN trap rate", "Minority trap rate", "Minority reqs", "Corroborated"],
     );
-    for c in spoof_corroboration(logs, spoof) {
+    for c in spoof_corroboration(tallies, spoof) {
         t.row(vec![
             c.bot,
             f(c.main_trap_rate, 4),
@@ -167,9 +170,10 @@ pub fn render(logs: &StandardizedTable<'_>, spoof: &SpoofReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::standardize_table;
-    use crate::spoofdetect::detect_rows;
+    use crate::pipeline::tally_bots;
+    use crate::spoofdetect::{DOMINANCE_THRESHOLD, MIN_DETECT_REQUESTS};
     use botscope_weblog::record::AccessRecord;
+    use botscope_weblog::table::LogTable;
     use botscope_weblog::time::Timestamp;
 
     fn rec(ua: &str, asn: &str, t: u64, path: &str) -> AccessRecord {
@@ -184,16 +188,6 @@ mod tests {
             bytes: 1,
             referer: None,
         }
-    }
-
-    #[test]
-    fn trap_path_classification() {
-        assert!(is_trap_path("/404"));
-        assert!(is_trap_path("/dev-404-page"));
-        assert!(is_trap_path("/secure/admin-1"));
-        assert!(!is_trap_path("/40404"));
-        assert!(!is_trap_path("/page-data/x"));
-        assert!(!is_trap_path("/securely-public"));
     }
 
     #[test]
@@ -216,7 +210,7 @@ mod tests {
             ));
         }
         let table = LogTable::from_records(&records);
-        let logs = standardize_table(&table);
+        let logs = tally_bots(&table);
         let rows = trap_report(&logs, 10);
         assert_eq!(rows[0].bot, "Bytespider");
         assert_eq!(rows[0].trap_hits, 5);
@@ -232,7 +226,7 @@ mod tests {
     fn min_access_filter() {
         let records = vec![rec("Mozilla/5.0 (compatible; GPTBot/1.1)", "A", 0, "/x")];
         let table = LogTable::from_records(&records);
-        let logs = standardize_table(&table);
+        let logs = tally_bots(&table);
         assert!(trap_report(&logs, 10).is_empty());
         assert_eq!(trap_report(&logs, 1).len(), 1);
     }
@@ -252,8 +246,8 @@ mod tests {
         records.push(rec(ua, "M247", 98, "/page"));
         records.push(rec(ua, "M247", 99, "/page"));
         let table = LogTable::from_records(&records);
-        let logs = standardize_table(&table);
-        let spoof = detect_rows(&table, &logs.per_bot_rows());
+        let logs = tally_bots(&table);
+        let spoof = logs.spoof_report(DOMINANCE_THRESHOLD, MIN_DETECT_REQUESTS);
         let cs = spoof_corroboration(&logs, &spoof);
         let g = cs.iter().find(|c| c.bot == "Googlebot").expect("flagged");
         assert_eq!(g.main_trap_rate, 0.0);
@@ -272,19 +266,40 @@ mod tests {
             records.push(rec(ua, "M247", t, "/page"));
         }
         let table = LogTable::from_records(&records);
-        let logs = standardize_table(&table);
-        let spoof = detect_rows(&table, &logs.per_bot_rows());
+        let logs = tally_bots(&table);
+        let spoof = logs.spoof_report(DOMINANCE_THRESHOLD, MIN_DETECT_REQUESTS);
         let cs = spoof_corroboration(&logs, &spoof);
         let g = cs.iter().find(|c| c.bot == "Googlebot").expect("flagged");
         assert!(!g.corroborated);
     }
 
     #[test]
+    fn a_main_asn_the_table_never_saw_leaves_everything_in_the_minority() {
+        let ua = "Mozilla/5.0 (compatible; Googlebot/2.1)";
+        let records: Vec<AccessRecord> =
+            (0..4).map(|t| rec(ua, "M247", t, if t == 0 { "/404" } else { "/page" })).collect();
+        let table = LogTable::from_records(&records);
+        let logs = tally_bots(&table);
+        let finding = crate::spoofdetect::SpoofFinding {
+            bot: "Googlebot".into(),
+            main_asn: "NOT-PRESENT".into(),
+            main_share: 1.0,
+            suspicious: vec![],
+            total_requests: 4,
+            spoofed_requests: 0,
+        };
+        let cs = spoof_corroboration(&logs, &SpoofReport { findings: vec![finding] });
+        assert_eq!((cs[0].main_trap_rate, cs[0].minority_trap_rate), (0.0, 0.25));
+        assert_eq!(cs[0].minority_requests, 4);
+        assert!(cs[0].corroborated);
+    }
+
+    #[test]
     fn render_smoke() {
         let records = vec![rec("Mozilla/5.0 (compatible; GPTBot/1.1)", "A", 0, "/x")];
         let table = LogTable::from_records(&records);
-        let logs = standardize_table(&table);
-        let spoof = detect_rows(&table, &logs.per_bot_rows());
+        let logs = tally_bots(&table);
+        let spoof = logs.spoof_report(DOMINANCE_THRESHOLD, MIN_DETECT_REQUESTS);
         let text = render(&logs, &spoof);
         assert!(text.contains("honeypot"));
         assert!(text.contains("Corroborated") || text.contains("corroboration"));

@@ -9,8 +9,9 @@
 //! The pipeline stages:
 //!
 //! 1. [`pipeline`] — standardize raw user agents to canonical bot names
-//!    and categories (via `botscope-useragent`), producing per-bot views
-//!    of a [`botscope_weblog::LogTable`] (one verdict per agent symbol);
+//!    and categories (via `botscope-useragent`, one verdict per agent
+//!    symbol) and tally each bot of a [`botscope_weblog::LogTable`] in
+//!    one pass ([`pipeline::tally_bots`]);
 //! 2. [`spoofdetect`] — the §5.2 heuristic: flag a bot's minority-network
 //!    traffic when ≥90 % of it comes from one ASN; spoof-flagged records
 //!    are excluded from the main compliance analysis and reported

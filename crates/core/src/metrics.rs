@@ -22,6 +22,12 @@
 //!   `/page-data/*`;
 //! * **disallow** — per user agent, the fraction of accesses that hit
 //!   `/robots.txt`, the only permitted target under full denial.
+//!
+//! The rules live here once: [`PathClasses`] classifies each path, and
+//! the crate-private `TauAcc` is the one crawl-delay counter, shared by
+//! [`crate::stream::StreamAnalyzer`] and [`crate::pipeline::tally_bots`].
+
+use std::collections::HashMap;
 
 use botscope_weblog::intern::{StringInterner, Sym};
 use botscope_weblog::table::{LogTable, RecordRow};
@@ -57,13 +63,22 @@ impl DirectiveCounts {
     }
 }
 
+impl std::iter::Sum for DirectiveCounts {
+    fn sum<I: Iterator<Item = DirectiveCounts>>(iter: I) -> DirectiveCounts {
+        let mut total = DirectiveCounts::default();
+        iter.for_each(|counts| total.merge(counts));
+        total
+    }
+}
+
 /// The crawl-delay requirement of the paper's v1 file, in seconds.
 pub const CRAWL_DELAY_SECS: u64 = 30;
 
 /// Per-symbol path classification, computed once per symbol so the
-/// metrics never touch a string. The one place the `/robots.txt` and
-/// `/page-data/` path rules are written: the stream engine and the
-/// re-check accumulator read their verdicts from here too.
+/// metrics never touch a string. The one place the `/robots.txt`,
+/// `/page-data/` and trap-path rules are written: the stream engine,
+/// the per-bot fold and the re-check accumulator read their verdicts
+/// from here.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PathClasses {
     flags: Vec<u8>,
@@ -74,9 +89,14 @@ impl PathClasses {
     pub const ROBOTS: u8 = 1;
     /// [`PathClasses::classify`] flag: the string starts with `/page-data/`.
     pub const PAGE_DATA: u8 = 2;
+    /// [`PathClasses::classify`] flag: the string is a trap path every
+    /// policy version disallows (`/404`, `/dev-404-page`, `/secure/*`;
+    /// see [`crate::honeypot`]).
+    pub const TRAP: u8 = 4;
 
-    /// The path rule: the [`PathClasses::ROBOTS`] and
-    /// [`PathClasses::PAGE_DATA`] flags of one interned string.
+    /// The path rule: the [`PathClasses::ROBOTS`],
+    /// [`PathClasses::PAGE_DATA`] and [`PathClasses::TRAP`] flags of one
+    /// interned string.
     pub fn classify(s: &str) -> u8 {
         let mut f = 0u8;
         if s == "/robots.txt" {
@@ -84,6 +104,9 @@ impl PathClasses {
         }
         if s.starts_with("/page-data/") {
             f |= Self::PAGE_DATA;
+        }
+        if s == "/404" || s == "/dev-404-page" || s.starts_with("/secure/") {
+            f |= Self::TRAP;
         }
         f
     }
@@ -111,66 +134,59 @@ impl PathClasses {
     pub fn is_page_data(&self, path: Sym) -> bool {
         self.flags[path.index()] & Self::PAGE_DATA != 0
     }
+
+    /// Whether the symbol is a trap path.
+    pub fn is_trap(&self, path: Sym) -> bool {
+        self.flags[path.index()] & Self::TRAP != 0
+    }
 }
 
-/// Crawl-delay compliance for a row set, stratified by the full
-/// (ASN, IP hash, raw user agent) τ-tuple exactly as §4.2 prescribes
-/// (see the module docs for the normative definition), keyed by
-/// symbols so the scan never touches a string.
-///
-/// Callers typically pass one *canonical bot*'s rows; since a canonical
-/// bot pools raw UA variants, the raw agent stays part of the key here
-/// so variants never share a τ group. Rows may be unsorted.
+/// Running crawl-delay state of one τ group, fed its timestamps in
+/// nondecreasing order: access count, last timestamp, compliant deltas
+/// so far. The one implementation of the §4.2 crawl-delay rule.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct TauAcc {
+    count: u64,
+    last: u64,
+    compliant: u64,
+}
+
+impl TauAcc {
+    /// One access at `t`: the delta to the previous access is
+    /// compliant when it is at least `delay_secs`.
+    #[inline]
+    pub(crate) fn push(&mut self, t: u64, delay_secs: u64) {
+        self.count += 1;
+        if self.count > 1 && t.saturating_sub(self.last) >= delay_secs {
+            self.compliant += 1;
+        }
+        self.last = t;
+    }
+
+    /// Accesses so far.
+    pub(crate) fn accesses(&self) -> u64 {
+        self.count
+    }
+
+    /// The paper's rule: a single-access τ counts as one compliant
+    /// instance; otherwise deltas are the trials.
+    pub(crate) fn finish(&self) -> DirectiveCounts {
+        if self.count == 1 {
+            DirectiveCounts { successes: 1, trials: 1 }
+        } else {
+            DirectiveCounts { successes: self.compliant, trials: self.count - 1 }
+        }
+    }
+}
+
+/// Crawl-delay compliance for a row set (in any order), stratified by
+/// the full τ-tuple exactly as §4.2 prescribes (see the module docs).
+/// Kept, hidden, for the benchmark replay in `botbench/`, which scores
+/// its `StandardizedTable` views with it; the product reads
+/// [`crate::pipeline::BotTally::crawl_delay`].
+#[doc(hidden)]
 pub fn crawl_delay_counts_rows(rows: &[&RecordRow], delay_secs: u64) -> DirectiveCounts {
-    use std::collections::HashMap;
-    let mut by_tau: HashMap<(Sym, u64, Sym), Vec<u64>> = HashMap::new();
-    for r in rows {
-        by_tau.entry((r.asn, r.ip_hash, r.useragent)).or_default().push(r.timestamp.unix());
-    }
-    let mut counts = DirectiveCounts::default();
-    for (_, mut times) in by_tau {
-        times.sort_unstable();
-        if times.len() == 1 {
-            // Single access: counted as compliant.
-            counts.successes += 1;
-            counts.trials += 1;
-            continue;
-        }
-        for pair in times.windows(2) {
-            let delta = pair[1] - pair[0];
-            counts.trials += 1;
-            if delta >= delay_secs {
-                counts.successes += 1;
-            }
-        }
-    }
-    counts
-}
-
-/// Endpoint-access compliance: allowed targets are `/robots.txt` and the
-/// `/page-data/` prefix (paper §4.2, v2 analysis).
-pub fn endpoint_counts_rows(classes: &PathClasses, rows: &[&RecordRow]) -> DirectiveCounts {
-    let mut counts = DirectiveCounts::default();
-    for r in rows {
-        counts.trials += 1;
-        if classes.is_robots(r.uri_path) || classes.is_page_data(r.uri_path) {
-            counts.successes += 1;
-        }
-    }
-    counts
-}
-
-/// Disallow compliance: the only allowed target is `/robots.txt`
-/// (paper §4.2, v3 analysis).
-pub fn disallow_counts_rows(classes: &PathClasses, rows: &[&RecordRow]) -> DirectiveCounts {
-    let mut counts = DirectiveCounts::default();
-    for r in rows {
-        counts.trials += 1;
-        if classes.is_robots(r.uri_path) {
-            counts.successes += 1;
-        }
-    }
-    counts
+    tau_counts(rows.to_vec(), delay_secs)
 }
 
 /// Convenience: group a table per raw user agent and compute crawl-delay
@@ -182,8 +198,20 @@ pub fn crawl_delay_by_useragent(
     table
         .by_useragent()
         .into_iter()
-        .map(|(ua, rows)| (ua.to_string(), crawl_delay_counts_rows(&rows, delay_secs)))
+        .map(|(ua, rows)| (ua.to_string(), tau_counts(rows, delay_secs)))
         .collect()
+}
+
+/// τ-stratified crawl-delay counts of `rows`: stably sorted by
+/// timestamp, then counted through [`TauAcc`].
+fn tau_counts(mut rows: Vec<&RecordRow>, delay_secs: u64) -> DirectiveCounts {
+    rows.sort_by_key(|r| r.timestamp);
+    let mut by_tau: HashMap<(Sym, u64, Sym), TauAcc> = HashMap::new();
+    for r in rows {
+        let tau = by_tau.entry((r.asn, r.ip_hash, r.useragent)).or_default();
+        tau.push(r.timestamp.unix(), delay_secs);
+    }
+    by_tau.values().map(TauAcc::finish).sum()
 }
 
 #[cfg(test)]
@@ -213,16 +241,23 @@ mod tests {
         crawl_delay_counts_rows(&rows, 30)
     }
 
-    fn endpoint(records: &[AccessRecord]) -> DirectiveCounts {
+    /// Success/trial counts of `records` whose path passes `allowed`.
+    fn path_counts(
+        records: &[AccessRecord],
+        allowed: impl Fn(&PathClasses, Sym) -> bool,
+    ) -> DirectiveCounts {
         let table = LogTable::from_records(records);
-        let rows: Vec<&RecordRow> = table.rows().iter().collect();
-        endpoint_counts_rows(&PathClasses::new(&table), &rows)
+        let classes = PathClasses::new(&table);
+        let successes = table.rows().iter().filter(|r| allowed(&classes, r.uri_path)).count();
+        DirectiveCounts { successes: successes as u64, trials: table.len() as u64 }
+    }
+
+    fn endpoint(records: &[AccessRecord]) -> DirectiveCounts {
+        path_counts(records, |c, path| c.is_robots(path) || c.is_page_data(path))
     }
 
     fn disallow(records: &[AccessRecord]) -> DirectiveCounts {
-        let table = LogTable::from_records(records);
-        let rows: Vec<&RecordRow> = table.rows().iter().collect();
-        disallow_counts_rows(&PathClasses::new(&table), &rows)
+        path_counts(records, PathClasses::is_robots)
     }
 
     #[test]
@@ -370,5 +405,16 @@ mod tests {
         assert!(one_shot.is_page_data(sym("/page-data/x/page-data.json")));
         assert!(one_shot.is_page_data(sym("/page-data/")));
         assert!(!one_shot.is_page_data(sym("/page-data-fake")));
+        assert!(!one_shot.is_trap(sym("/news/item-001")));
+    }
+
+    #[test]
+    fn trap_paths_are_classified() {
+        for path in ["/404", "/dev-404-page", "/secure/admin-1", "/secure/"] {
+            assert_eq!(PathClasses::classify(path), PathClasses::TRAP, "{path}");
+        }
+        for path in ["/40404", "/page-data/x", "/securely-public", "/secure", "/robots.txt"] {
+            assert_eq!(PathClasses::classify(path) & PathClasses::TRAP, 0, "{path}");
+        }
     }
 }

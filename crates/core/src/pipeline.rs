@@ -1,4 +1,5 @@
-//! Preprocessing glue: raw logs → per-bot views.
+//! Preprocessing glue: raw logs → one verdict per user agent → per-bot
+//! tallies.
 //!
 //! Reproduces the study's §3.1 enrichment: standardize every user agent
 //! against the known-bot corpus, attach the Dark-Visitors category, and
@@ -6,35 +7,139 @@
 //!
 //! Which known bot a user agent belongs to is decided once per symbol,
 //! in the crate-private `AgentBots` table that every engine here reads.
+//! [`tally_bots`] folds a whole log into per-bot counts in one
+//! time-ordered pass; plain `analyze`, the §3 report, the honeypot and
+//! the adaptation analyses all read it.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
-use botscope_useragent::{BotCategory, BotSpec, Standardizer};
+use botscope_useragent::{BotSpec, Standardizer};
 use botscope_weblog::intern::{StringInterner, Sym};
 use botscope_weblog::table::{LogTable, RecordRow};
 
-/// A known bot's slice of a [`LogTable`].
+use crate::metrics::{DirectiveCounts, PathClasses, TauAcc, CRAWL_DELAY_SECS};
+use crate::spoofdetect::{dominance, SpoofReport};
+
+/// One known bot's whole-log tally.
+#[derive(Debug, Clone, Default)]
+pub struct BotTally {
+    /// Rows (Table 3 hits).
+    pub records: u64,
+    /// Bytes served (Table 3 volume).
+    pub bytes: u64,
+    /// Unix seconds of the bot's robots.txt fetches on any site, in
+    /// nondecreasing order.
+    pub robots_fetches: Vec<u64>,
+    /// Per τ group (ASN, IP hash, raw user agent): its crawl-delay
+    /// state and its trap-path hits.
+    tau: HashMap<(Sym, u64, Sym), (TauAcc, u64)>,
+}
+
+impl BotTally {
+    fn push(&mut self, row: &RecordRow, classes: &PathClasses) {
+        let t = row.timestamp.unix();
+        self.records += 1;
+        self.bytes += row.bytes;
+        if classes.is_robots(row.uri_path) {
+            self.robots_fetches.push(t);
+        }
+        let (tau, traps) = self.tau.entry((row.asn, row.ip_hash, row.useragent)).or_default();
+        tau.push(t, CRAWL_DELAY_SECS);
+        *traps += u64::from(classes.is_trap(row.uri_path));
+    }
+
+    /// §4.2 crawl-delay compliance over the whole log at the paper's
+    /// 30 s requirement, τ-stratified (see [`crate::metrics`]).
+    pub fn crawl_delay(&self) -> DirectiveCounts {
+        self.tau.values().map(|(tau, _)| tau.finish()).sum()
+    }
+
+    /// Rows that fetched a trap path.
+    pub fn trap_hits(&self) -> u64 {
+        self.tau.values().map(|&(_, traps)| traps).sum()
+    }
+
+    /// Per ASN: (rows, trap-path hits).
+    pub(crate) fn per_asn(&self) -> HashMap<Sym, (u64, u64)> {
+        let mut per_asn: HashMap<Sym, (u64, u64)> = HashMap::new();
+        for (&(asn, _, _), (tau, traps)) in &self.tau {
+            let (rows, hits) = per_asn.entry(asn).or_default();
+            *rows += tau.accesses();
+            *hits += traps;
+        }
+        per_asn
+    }
+}
+
+/// Every known bot's [`BotTally`] over one table, from [`tally_bots`].
+pub struct BotTallies<'t> {
+    /// The table the tallies' symbols come from.
+    pub(crate) table: &'t LogTable,
+    /// The verdict of every user agent of the table.
+    pub(crate) agents: AgentBots,
+    /// Known bots with their tallies, in canonical-name order.
+    pub bots: Vec<(&'static BotSpec, BotTally)>,
+    /// Rows attributed to known bots.
+    pub known_records: u64,
+    /// Rows from agents that matched no known bot.
+    pub anonymous_records: u64,
+}
+
+impl BotTallies<'_> {
+    /// The tally of the bot with canonical name `bot`.
+    pub fn get(&self, bot: &str) -> Option<&BotTally> {
+        let i = self.bots.binary_search_by(|(spec, _)| spec.canonical.cmp(bot)).ok()?;
+        Some(&self.bots[i].1)
+    }
+
+    /// The §5.2 dominance heuristic over every bot's per-ASN row counts
+    /// (the paper uses [`crate::spoofdetect::DOMINANCE_THRESHOLD`] and
+    /// [`crate::spoofdetect::MIN_DETECT_REQUESTS`]); findings come in
+    /// bot-name order.
+    pub fn spoof_report(&self, threshold: f64, min_requests: u64) -> SpoofReport {
+        let strings = self.table.interner();
+        let findings = self.bots.iter().filter_map(|(spec, tally)| {
+            let per_asn = tally.per_asn().into_iter().map(|(asn, (rows, _))| (asn, rows));
+            Some(dominance(spec.canonical, per_asn, strings, threshold, min_requests)?.1)
+        });
+        SpoofReport { findings: findings.collect() }
+    }
+}
+
+/// Tally every known bot of `table` in one pass over its rows in
+/// nondecreasing time order (a shuffled log is sorted first), each user
+/// agent standardized once and each path classified once.
+pub fn tally_bots(table: &LogTable) -> BotTallies<'_> {
+    let classes = PathClasses::new(table);
+    let mut agents = AgentBots::new(BotTally::default());
+    let mut anonymous_records = 0;
+    for_each_in_time_order(table, table.rows().iter(), |row| {
+        match agents.bot_mut(row.useragent, table.interner()) {
+            Some(tally) => tally.push(row, &classes),
+            None => anonymous_records += 1,
+        }
+    });
+    let (bots, agents) = agents.into_states();
+    let known_records = table.len() as u64 - anonymous_records;
+    BotTallies { table, agents, bots, known_records, anonymous_records }
+}
+
+/// A known bot's rows, in input order (see [`standardize_table`]).
+#[doc(hidden)]
 #[derive(Debug, Clone)]
 pub struct BotRowView<'t> {
-    /// Canonical name (registry spelling).
+    /// Canonical name.
     pub name: String,
-    /// Category.
-    pub category: BotCategory,
-    /// Whether the operator publicly promises to respect robots.txt.
-    pub promise: botscope_useragent::RobotsPromise,
-    /// Sponsoring entity.
-    pub sponsor: &'static str,
-    /// The bot's rows, in input order.
+    /// The bot's rows.
     pub rows: Vec<&'t RecordRow>,
 }
 
-/// The standardized table: known bots by name, plus everything that did
-/// not match the corpus.
+/// Known bots' row views by canonical name, plus the rows that matched
+/// no known bot (see [`standardize_table`]).
+#[doc(hidden)]
 #[derive(Debug, Clone)]
 pub struct StandardizedTable<'t> {
-    /// The table the row views borrow from.
-    pub table: &'t LogTable,
-    /// Known-bot views, keyed by canonical name (deterministic order).
+    /// Known-bot views by canonical name.
     pub bots: BTreeMap<String, BotRowView<'t>>,
     /// Rows from agents that matched no known bot.
     pub anonymous: Vec<&'t RecordRow>,
@@ -46,60 +151,31 @@ impl<'t> StandardizedTable<'t> {
         self.bots.values().map(|v| v.rows.len()).sum()
     }
 
-    /// Per-bot row slices as an owned map. This copies every view's row
-    /// references; `detect_rows` also takes the views without a copy.
+    /// Per-bot row slices as an owned map (a copy of every view).
     pub fn per_bot_rows(&self) -> BTreeMap<String, Vec<&'t RecordRow>> {
         self.bots.iter().map(|(k, v)| (k.clone(), v.rows.clone())).collect()
     }
-
-    /// Bots in a category.
-    pub fn in_category(&self, category: BotCategory) -> Vec<&BotRowView<'t>> {
-        self.bots.values().filter(|v| v.category == category).collect()
-    }
 }
 
-/// Standardize a whole table. See [`standardize_rows`].
+/// One row-reference vector per known bot. Kept, hidden, with
+/// [`StandardizedTable`], `spoofdetect::detect_rows` and
+/// `metrics::crawl_delay_counts_rows`, for the benchmark replay in
+/// `botbench/`, which times them; the product tallies bots with
+/// [`tally_bots`].
+#[doc(hidden)]
 pub fn standardize_table(table: &LogTable) -> StandardizedTable<'_> {
-    standardize_rows(table, table.rows())
-}
-
-/// Standardize a row subset of a table. Each distinct user-agent
-/// *symbol* is standardized once, so the per-row cost is one array read.
-pub fn standardize_rows<'t, I>(table: &'t LogTable, rows: I) -> StandardizedTable<'t>
-where
-    I: IntoIterator<Item = &'t RecordRow>,
-{
-    standardize_agents(table, rows).0
-}
-
-/// [`standardize_rows`], also handing back the verdict table it built.
-pub(crate) fn standardize_agents<'t>(
-    table: &'t LogTable,
-    rows: impl IntoIterator<Item = &'t RecordRow>,
-) -> (StandardizedTable<'t>, AgentBots) {
     let mut agents = AgentBots::new(Vec::new());
-    let mut anonymous: Vec<&'t RecordRow> = Vec::new();
-    for row in rows {
+    let mut anonymous = Vec::new();
+    for row in table.rows() {
         match agents.bot_mut(row.useragent, table.interner()) {
+            Some(rows) => rows.push(row),
             None => anonymous.push(row),
-            Some(bot_rows) => bot_rows.push(row),
         }
     }
-    let bots = agents
-        .bots
-        .iter_mut()
-        .map(|(bot, rows)| {
-            let view = BotRowView {
-                name: bot.canonical.to_string(),
-                category: bot.category,
-                promise: bot.respects_robots,
-                sponsor: bot.sponsor,
-                rows: std::mem::take(rows),
-            };
-            (view.name.clone(), view)
-        })
-        .collect();
-    (StandardizedTable { table, bots, anonymous }, agents.with_state(()))
+    let views = agents.into_states().0.into_iter().map(|(bot, rows)| {
+        (bot.canonical.to_string(), BotRowView { name: bot.canonical.to_string(), rows })
+    });
+    StandardizedTable { bots: views.collect(), anonymous }
 }
 
 /// `AgentBots::slot_of` sentinels: not standardized yet; no known bot.
@@ -168,6 +244,16 @@ impl<T: Clone> AgentBots<T> {
         self.by_name.values().map(|&slot| &self.bots[slot as usize])
     }
 
+    /// Every bot with its state, in canonical-name order, and the same
+    /// verdicts with no state.
+    pub(crate) fn into_states(mut self) -> (Vec<(&'static BotSpec, T)>, AgentBots) {
+        let listed = self.by_name.values().map(|&slot| {
+            let (bot, state) = &mut self.bots[slot as usize];
+            (*bot, std::mem::replace(state, self.fresh.clone()))
+        });
+        (listed.collect(), self.with_state(()))
+    }
+
     /// The same verdicts, every bot's state reset to `fresh`.
     pub(crate) fn with_state<U: Clone>(self, fresh: U) -> AgentBots<U> {
         AgentBots {
@@ -208,6 +294,7 @@ pub(crate) fn for_each_in_time_order<'t>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use botscope_useragent::BotCategory;
     use botscope_weblog::record::AccessRecord;
     use botscope_weblog::time::Timestamp;
 
@@ -226,7 +313,7 @@ mod tests {
     }
 
     #[test]
-    fn known_bots_are_grouped() {
+    fn known_bots_are_tallied() {
         let records = vec![
             rec("Mozilla/5.0 (compatible; GPTBot/1.1)", 0),
             rec("Mozilla/5.0 (compatible; GPTBot/1.2)", 1), // version variant
@@ -234,12 +321,21 @@ mod tests {
             rec("Mozilla/5.0 (Windows NT 10.0) Chrome/120 Safari/537", 3),
         ];
         let table = LogTable::from_records(&records);
+        let tallies = tally_bots(&table);
+        let names: Vec<&str> = tallies.bots.iter().map(|(bot, _)| bot.canonical).collect();
+        assert_eq!(names, ["GPTBot", "bingbot"]);
+        let gpt = tallies.get("GPTBot").expect("tallied");
+        assert_eq!((gpt.records, gpt.bytes), (2, 2), "UA variants merge");
+        // Two raw variants are two τ groups of one access each.
+        assert_eq!(gpt.crawl_delay(), DirectiveCounts { successes: 2, trials: 2 });
+        assert_eq!(tallies.get("bingbot").map(|b| b.records), Some(1));
+        assert!(tallies.get("Chrome").is_none());
+        assert_eq!((tallies.known_records, tallies.anonymous_records), (3, 1));
+
+        // The benchmark replay's views agree, each in input order.
         let logs = standardize_table(&table);
-        assert_eq!(logs.bots["GPTBot"].rows.len(), 2, "UA variants merge");
-        assert_eq!(logs.bots["bingbot"].rows.len(), 1);
-        assert_eq!(logs.anonymous.len(), 1);
+        assert_eq!(logs.bots["GPTBot"].rows.len(), 2);
         assert_eq!(logs.known_bot_records(), 3);
-        // A view keeps its rows in input order.
         let gpt: Vec<AccessRecord> =
             logs.bots["GPTBot"].rows.iter().map(|r| table.materialize(r)).collect();
         assert_eq!(gpt, records[..2]);
@@ -249,22 +345,43 @@ mod tests {
     #[test]
     fn metadata_attached() {
         let table = LogTable::from_records(&[rec("Bytespider; spider-feedback@bytedance.com", 0)]);
-        let logs = standardize_table(&table);
-        let v = &logs.bots["Bytespider"];
-        assert_eq!(v.category, BotCategory::AiDataScraper);
-        assert_eq!(v.sponsor, "ByteDance");
-        assert_eq!(v.promise, botscope_useragent::RobotsPromise::No);
+        let tallies = tally_bots(&table);
+        let (bot, _) = tallies.bots[0];
+        assert_eq!(bot.canonical, "Bytespider");
+        assert_eq!(bot.category, BotCategory::AiDataScraper);
+        assert_eq!(bot.sponsor, "ByteDance");
+        assert_eq!(bot.respects_robots, botscope_useragent::RobotsPromise::No);
     }
 
     #[test]
-    fn category_query() {
+    fn tallies_split_by_asn_and_classify_paths() {
+        let ua = "Mozilla/5.0 (compatible; Googlebot/2.1)";
+        let at = |asn: &str, t: u64, path: &str| AccessRecord {
+            asn: asn.into(),
+            uri_path: path.into(),
+            bytes: 10,
+            ..rec(ua, t)
+        };
+        // Newest first: the fold visits them in time order.
         let table = LogTable::from_records(&[
-            rec("Mozilla/5.0 (compatible; SemrushBot/7~bl)", 0),
-            rec("Mozilla/5.0 (compatible; AhrefsBot/7.0)", 1),
+            at("M247", 400, "/secure/x"),
+            at("GOOGLE", 300, "/robots.txt"),
+            at("GOOGLE", 100, "/404"),
+            at("GOOGLE", 90, "/robots.txt"),
+            at("GOOGLE", 0, "/a"),
         ]);
-        let logs = standardize_table(&table);
-        assert_eq!(logs.in_category(BotCategory::SeoCrawler).len(), 2);
-        assert!(logs.in_category(BotCategory::Archiver).is_empty());
+        let tallies = tally_bots(&table);
+        let g = tallies.get("Googlebot").expect("tallied");
+        assert_eq!((g.records, g.bytes, g.trap_hits()), (5, 50, 2));
+        assert_eq!(g.robots_fetches, [90, 300]);
+        // GOOGLE deltas 90, 10, 200 (two compliant); M247 one access.
+        assert_eq!(g.crawl_delay(), DirectiveCounts { successes: 3, trials: 4 });
+        let asn = |name| g.per_asn()[&table.interner().get(name).expect("interned")];
+        assert_eq!((asn("GOOGLE"), asn("M247")), ((4, 1), (1, 1)));
+        let spoof = tallies.spoof_report(0.75, 1);
+        let finding = spoof.finding_for("Googlebot").expect("80 % dominance");
+        assert_eq!((finding.main_asn.as_str(), finding.spoofed_requests), ("GOOGLE", 1));
+        assert!(tallies.spoof_report(0.9, 1).findings.is_empty());
     }
 
     const AGENTS: [&str; 6] = [
@@ -351,6 +468,10 @@ mod tests {
     #[test]
     fn empty_input() {
         let table = LogTable::from_records(&[]);
+        let tallies = tally_bots(&table);
+        assert!(tallies.bots.is_empty());
+        assert_eq!(tallies.known_records + tallies.anonymous_records, 0);
+        assert!(tallies.spoof_report(0.9, 0).findings.is_empty());
         let logs = standardize_table(&table);
         assert!(logs.bots.is_empty());
         assert!(logs.anonymous.is_empty());

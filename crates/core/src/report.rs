@@ -16,13 +16,13 @@ use botscope_stats::ecdf::TimeSeriesCdf;
 use botscope_useragent::BotCategory;
 use botscope_weblog::session::{Session, SESSION_GAP_SECS};
 use botscope_weblog::summary::DatasetSummary;
-use botscope_weblog::table::{LogTable, RecordRow};
+use botscope_weblog::table::LogTable;
 use botscope_weblog::time::Timestamp;
 
 use crate::analyze::{Directive, Experiment};
-use crate::pipeline::standardize_agents;
+use crate::pipeline::tally_bots;
 use crate::recheck::{by_category, RecheckAccumulator, RecheckByCategory, SiteVersionWindows};
-use crate::spoofdetect::{detect_rows, SpoofReport};
+use crate::spoofdetect::{SpoofReport, DOMINANCE_THRESHOLD, MIN_DETECT_REQUESTS};
 use crate::tables::{f, ratio, series, TextTable};
 
 /// Per-bot aggregate used by Table 3.
@@ -64,25 +64,26 @@ pub struct FullStudyReport {
 }
 
 impl FullStudyReport {
-    /// Compute all aggregates from an interned table, standardizing
-    /// each distinct user agent once.
+    /// Compute all aggregates from an interned table: one per-bot fold
+    /// ([`tally_bots`]) gives the Table 3 stats and the spoofing
+    /// findings, and its verdict per user agent picks out the known-bot
+    /// rows and sessions and serves the re-check pass.
     pub fn from_table(table: &LogTable) -> FullStudyReport {
-        let (logs, agents) = standardize_agents(table, table.rows());
+        let tallies = tally_bots(table);
+        let agents = &tallies.agents;
         let all = DatasetSummary::compute_table(table);
 
-        let known_rows: Vec<&RecordRow> =
-            logs.bots.values().flat_map(|v| v.rows.iter().copied()).collect();
-        let known =
-            DatasetSummary::compute_rows_with_gap(known_rows.iter().copied(), SESSION_GAP_SECS);
+        let known_rows = || table.rows().iter().filter(|r| agents.get(r.useragent).is_some());
+        let known = DatasetSummary::compute_rows_with_gap(known_rows(), SESSION_GAP_SECS);
 
-        let mut bot_stats: Vec<BotStat> = logs
+        let mut bot_stats: Vec<BotStat> = tallies
             .bots
-            .values()
-            .map(|v| BotStat {
-                name: v.name.clone(),
-                category: v.category,
-                hits: v.rows.len() as u64,
-                bytes: v.rows.iter().map(|r| r.bytes).sum(),
+            .iter()
+            .map(|(bot, tally)| BotStat {
+                name: bot.canonical.to_string(),
+                category: bot.category,
+                hits: tally.records,
+                bytes: tally.bytes,
             })
             .collect();
         bot_stats.sort_by(|a, b| b.hits.cmp(&a.hits).then(a.name.cmp(&b.name)));
@@ -93,8 +94,7 @@ impl FullStudyReport {
 
         // Category of a session = category of its (standardized) agent.
         let category = |ua: &str| Some(agents.get(table.interner().get(ua)?)?.category);
-        let sessions: Vec<Session> =
-            table.sessionize_rows(known_rows.iter().copied(), SESSION_GAP_SECS);
+        let sessions: Vec<Session> = table.sessionize_rows(known_rows(), SESSION_GAP_SECS);
         let mut category_sessions: BTreeMap<BotCategory, u64> = BTreeMap::new();
         let mut category_daily_sessions: BTreeMap<(BotCategory, u64), u64> = BTreeMap::new();
         let mut category_bytes_cdf: BTreeMap<BotCategory, TimeSeriesCdf> = BTreeMap::new();
@@ -106,12 +106,12 @@ impl FullStudyReport {
             category_bytes_cdf.entry(cat).or_default().add(s.start.unix(), s.bytes as f64);
         }
 
+        let spoof = tallies.spoof_report(DOMINANCE_THRESHOLD, MIN_DETECT_REQUESTS);
         let horizon_end = end.unix() + 1;
         let mut recheck =
-            RecheckAccumulator::with_agents(SiteVersionWindows::new(), horizon_end, agents);
+            RecheckAccumulator::with_agents(SiteVersionWindows::new(), horizon_end, tallies.agents);
         recheck.push_table(table);
         let recheck = by_category(&recheck.profiles());
-        let spoof = detect_rows(table, logs.bots.iter().map(|(n, v)| (n, &v.rows)));
 
         FullStudyReport {
             all,

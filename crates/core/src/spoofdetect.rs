@@ -2,10 +2,14 @@
 //!
 //! "We develop an empirical heuristic that if a bot's traffic is
 //! associated ≥90 % of the time with one ASN, other ASNs associated with
-//! this user agent are likely spoofed." The detector takes a per-bot
-//! record set, finds the dominant ASN, and — when dominance clears the
-//! threshold and minority networks exist — flags every minority-network
-//! request as possibly spoofed.
+//! this user agent are likely spoofed." The detector counts a bot's
+//! requests per ASN, finds the dominant ASN, and — when dominance clears
+//! the threshold and minority networks exist — flags every
+//! minority-network request as possibly spoofed.
+//!
+//! The rule itself is one crate-private function over per-ASN request
+//! counts, `dominance`; the stream engine and the per-bot fold
+//! ([`crate::pipeline::BotTallies::spoof_report`]) feed it their counts.
 
 use std::cmp::Reverse;
 use std::collections::HashMap;
@@ -56,22 +60,6 @@ impl SpoofReport {
     }
 }
 
-/// Analyze one bot's rows under the dominance heuristic: count them
-/// per ASN, then apply the one §5.2 rule, `dominance`.
-pub fn analyze_bot_rows(
-    table: &LogTable,
-    bot: &str,
-    rows: &[&RecordRow],
-    threshold: f64,
-    min_requests: u64,
-) -> Option<SpoofFinding> {
-    let mut per_asn: HashMap<Sym, u64> = HashMap::new();
-    for r in rows {
-        *per_asn.entry(r.asn).or_default() += 1;
-    }
-    dominance(bot, per_asn, table.interner(), threshold, min_requests).map(|(_, finding)| finding)
-}
-
 /// The §5.2 rule over one bot's request count per ASN (each ASN once,
 /// in any order; `strings` resolves them): `None` with fewer than
 /// `min_requests` requests, a single ASN, or no ASN holding at least
@@ -117,10 +105,12 @@ pub(crate) fn dominance(
     Some((main_asn, finding))
 }
 
-/// Analyze a per-bot partition of a table with the paper's threshold
-/// and a minimum of 10 observations per bot. `per_bot` yields each
-/// bot's name and rows: a `&BTreeMap` of them, or a borrowing view such
-/// as `logs.bots.iter().map(|(name, view)| (name, &view.rows))`.
+/// The §5.2 rule over a per-bot partition of a table's rows, with the
+/// paper's threshold and a minimum of 10 requests per bot. `per_bot`
+/// yields each bot's name and rows, e.g. a `&BTreeMap` of them. Kept,
+/// hidden, for the benchmark replay in `botbench/`; the product reads
+/// [`crate::pipeline::BotTallies::spoof_report`].
+#[doc(hidden)]
 pub fn detect_rows<'a, 't: 'a>(
     table: &LogTable,
     per_bot: impl IntoIterator<Item = (&'a String, &'a Vec<&'t RecordRow>)>,
@@ -130,33 +120,23 @@ pub fn detect_rows<'a, 't: 'a>(
 
 /// [`detect_rows`] with explicit parameters (the §5.2 limitations call
 /// the 90 % threshold "somewhat arbitrary"; the ablation bench sweeps it
-/// here).
+/// here): each bot's rows are counted per ASN for `dominance`.
+#[doc(hidden)]
 pub fn detect_rows_with<'a, 't: 'a>(
     table: &LogTable,
     per_bot: impl IntoIterator<Item = (&'a String, &'a Vec<&'t RecordRow>)>,
     threshold: f64,
     min_requests: u64,
 ) -> SpoofReport {
-    let mut findings: Vec<SpoofFinding> = per_bot
-        .into_iter()
-        .filter_map(|(bot, rows)| analyze_bot_rows(table, bot, rows, threshold, min_requests))
-        .collect();
+    let mut findings: Vec<SpoofFinding> = Vec::new();
+    for (bot, rows) in per_bot {
+        let mut per_asn: HashMap<Sym, u64> = HashMap::new();
+        rows.iter().for_each(|r| *per_asn.entry(r.asn).or_default() += 1);
+        let finding = dominance(bot, per_asn, table.interner(), threshold, min_requests);
+        findings.extend(finding.map(|(_, finding)| finding));
+    }
     findings.sort_by(|a, b| a.bot.cmp(&b.bot));
     SpoofReport { findings }
-}
-
-/// Partition one bot's rows into (legitimate, possibly-spoofed) using a
-/// finding.
-pub fn split_rows<'t>(
-    finding: &SpoofFinding,
-    table: &LogTable,
-    rows: &[&'t RecordRow],
-) -> (Vec<&'t RecordRow>, Vec<&'t RecordRow>) {
-    match table.interner().get(&finding.main_asn) {
-        Some(main) => rows.iter().partition(|r| r.asn == main),
-        // The main ASN never occurs in this table: everything is minority.
-        None => (Vec::new(), rows.to_vec()),
-    }
 }
 
 #[cfg(test)]
@@ -180,7 +160,7 @@ mod tests {
         }
     }
 
-    /// [`analyze_bot_rows`] over all of `records`.
+    /// [`detect_rows_with`] over all of `records` as one bot's rows.
     fn analyze(
         bot: &str,
         records: &[AccessRecord],
@@ -188,8 +168,8 @@ mod tests {
         min_requests: u64,
     ) -> Option<SpoofFinding> {
         let table = LogTable::from_records(records);
-        let rows: Vec<&RecordRow> = table.rows().iter().collect();
-        analyze_bot_rows(&table, bot, &rows, threshold, min_requests)
+        let per_bot = BTreeMap::from([(bot.to_string(), table.rows().iter().collect())]);
+        detect_rows_with(&table, &per_bot, threshold, min_requests).findings.pop()
     }
 
     #[test]
@@ -252,19 +232,6 @@ mod tests {
     }
 
     #[test]
-    fn split_partitions_correctly() {
-        let mut rs: Vec<AccessRecord> = (0..95).map(|t| rec("GOOGLE", t)).collect();
-        rs.push(rec("M247", 100));
-        let table = LogTable::from_records(&rs);
-        let rows: Vec<&RecordRow> = table.rows().iter().collect();
-        let f = analyze_bot_rows(&table, "b", &rows, 0.9, 10).unwrap();
-        let (legit, spoofed) = split_rows(&f, &table, &rows);
-        assert_eq!(legit.len(), 95);
-        assert_eq!(spoofed.len(), 1);
-        assert_eq!(table.resolve(spoofed[0].asn), "M247");
-    }
-
-    #[test]
     fn report_totals() {
         let a: Vec<AccessRecord> =
             (0..95).map(|t| rec("GOOGLE", t)).chain([rec("M247", 99)]).collect();
@@ -285,23 +252,5 @@ mod tests {
     #[should_panic(expected = "not a probability")]
     fn bad_threshold_panics() {
         let _ = analyze("b", &[], 1.5, 1);
-    }
-
-    #[test]
-    fn split_rows_with_foreign_main_asn() {
-        let rs = vec![rec("OVH", 0), rec("OVH", 1)];
-        let table = LogTable::from_records(&rs);
-        let row_refs: Vec<&RecordRow> = table.rows().iter().collect();
-        let finding = SpoofFinding {
-            bot: "b".into(),
-            main_asn: "NOT-PRESENT".into(),
-            main_share: 1.0,
-            suspicious: vec![],
-            total_requests: 2,
-            spoofed_requests: 0,
-        };
-        let (legit, spoofed) = split_rows(&finding, &table, &row_refs);
-        assert!(legit.is_empty());
-        assert_eq!(spoofed.len(), 2);
     }
 }

@@ -28,7 +28,9 @@
 //!   base window and the three directive windows independently;
 //! * **crawl delay** — within a τ group (ASN fixed per accumulator, so
 //!   the key is (IP hash, raw UA)) the running delta count needs
-//!   time-sorted rows; equal timestamps give a delta of 0 either way;
+//!   time-sorted rows; equal timestamps give a delta of 0 either way.
+//!   The count is `metrics::TauAcc`, the crate's one crawl-delay rule,
+//!   which the per-bot fold `pipeline::tally_bots` shares;
 //! * **sessions** — per-entity deltas are counted as rows arrive, which
 //!   equals sort-then-count on time-sorted rows; a 0 delta never
 //!   starts a session.
@@ -46,7 +48,7 @@ use botscope_weblog::table::RecordRow;
 use botscope_simnet::phases::{is_exempt_agent, PhaseSchedule, PolicyVersion};
 
 use crate::analyze::{BotDirectiveResult, Directive, Experiment, PhaseTraffic, MIN_ACCESSES};
-use crate::metrics::{DirectiveCounts, PathClasses, CRAWL_DELAY_SECS};
+use crate::metrics::{DirectiveCounts, PathClasses, TauAcc, CRAWL_DELAY_SECS};
 use crate::pipeline::AgentBots;
 use crate::spoofdetect::{
     self, SpoofFinding, SpoofReport, DOMINANCE_THRESHOLD, MIN_DETECT_REQUESTS,
@@ -54,38 +56,9 @@ use crate::spoofdetect::{
 
 /// Per-symbol flag of the experiment site's name, kept beside the
 /// [`PathClasses::classify`] path flags in `StreamAnalyzer::flags`.
-const FLAG_SITE: u8 = 4;
-const _: () = assert!(FLAG_SITE & (PathClasses::ROBOTS | PathClasses::PAGE_DATA) == 0);
-
-/// Running crawl-delay state of one τ group (IP hash × raw UA within a
-/// fixed (bot, ASN) bucket): access count, last timestamp, compliant
-/// deltas so far.
-#[derive(Debug, Clone, Copy)]
-struct TauAcc {
-    count: u64,
-    last: u64,
-    compliant: u64,
-}
-
-impl TauAcc {
-    fn push(&mut self, t: u64) {
-        self.count += 1;
-        if self.count > 1 && t.saturating_sub(self.last) >= CRAWL_DELAY_SECS {
-            self.compliant += 1;
-        }
-        self.last = t;
-    }
-
-    /// The paper's rule: a single-access τ counts as one compliant
-    /// instance; otherwise deltas are the trials.
-    fn finish(&self) -> DirectiveCounts {
-        if self.count == 1 {
-            DirectiveCounts { successes: 1, trials: 1 }
-        } else {
-            DirectiveCounts { successes: self.compliant, trials: self.count - 1 }
-        }
-    }
-}
+const FLAG_SITE: u8 = 8;
+const _: () =
+    assert!(FLAG_SITE & (PathClasses::ROBOTS | PathClasses::PAGE_DATA | PathClasses::TRAP) == 0);
 
 /// One phase-window bucket of one (bot, ASN) pair: everything the three
 /// directive metrics need, accumulated row by row.
@@ -108,18 +81,15 @@ impl BucketAcc {
         }
         self.tau
             .entry((row.ip_hash, row.useragent))
-            .or_insert(TauAcc { count: 0, last: 0, compliant: 0 })
-            .push(row.timestamp.unix());
+            .or_default()
+            .push(row.timestamp.unix(), CRAWL_DELAY_SECS);
     }
 
     /// Finalized order-free stats: τ maps collapse to counts here, so
     /// stats from different ASNs can be summed without ever merging τ
     /// groups across ASN boundaries.
     fn finish(&self) -> BucketStats {
-        let mut cd = DirectiveCounts::default();
-        for acc in self.tau.values() {
-            cd.merge(acc.finish());
-        }
+        let cd = self.tau.values().map(TauAcc::finish).sum();
         BucketStats { rows: self.rows, robots: self.robots, endpoint: self.endpoint, cd }
     }
 }

@@ -4,24 +4,25 @@
 //! tables in their generated order and in reverse order.
 //!
 //! The reference below is the readable multi-pass formulation:
-//! standardize the site subset, split legit/spoofed per directive, and
-//! re-filter each window per directive, scoring each window with the
-//! row-slice metrics of `botscope_core::metrics`. It sorts each τ
-//! group itself, so it does not care about row order.
+//! standardize the site subset into per-bot row views, split
+//! legit/spoofed per directive, and re-filter each window per directive,
+//! scoring each window with row-slice metrics. It sorts each τ group
+//! itself, so it does not care about row order. Its helpers (per-bot
+//! views, the row-slice metrics and the legit/spoofed split) are the
+//! batch implementations the library once shipped, kept here verbatim
+//! so the engine is checked against code that shares none of it.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use botscope_core::analyze::{BotDirectiveResult, Directive, Experiment};
-use botscope_core::metrics::{
-    crawl_delay_counts_rows, disallow_counts_rows, endpoint_counts_rows, DirectiveCounts,
-    PathClasses, CRAWL_DELAY_SECS,
-};
-use botscope_core::pipeline::standardize_rows;
-use botscope_core::spoofdetect::{detect_rows, split_rows};
+use botscope_core::metrics::{DirectiveCounts, PathClasses, CRAWL_DELAY_SECS};
+use botscope_core::spoofdetect::{detect_rows, SpoofFinding};
 use botscope_simnet::phases::{is_exempt_agent, PolicyVersion};
 use botscope_simnet::scenario::phase_study_table;
 use botscope_simnet::SimConfig;
 use botscope_stats::ztest::two_proportion_z_test;
+use botscope_useragent::{BotSpec, Standardizer};
+use botscope_weblog::intern::Sym;
 use botscope_weblog::session::SESSION_GAP_SECS;
 use botscope_weblog::table::{LogTable, RecordRow};
 use botscope_weblog::time::Timestamp;
@@ -30,6 +31,103 @@ use proptest::prelude::*;
 
 /// The §4.1 minimum accesses per phase.
 const MIN_ACCESSES: usize = 5;
+
+/// A known bot's rows, in input order.
+struct BotView<'t> {
+    bot: &'static BotSpec,
+    rows: Vec<&'t RecordRow>,
+}
+
+/// Standardize `rows` into per-bot views keyed by canonical name; rows
+/// of agents that match no known bot are dropped.
+fn standardize_rows<'t>(
+    table: &'t LogTable,
+    rows: impl IntoIterator<Item = &'t RecordRow>,
+) -> BTreeMap<String, BotView<'t>> {
+    let mut standardizer = Standardizer::new();
+    let mut verdicts: HashMap<Sym, Option<&'static BotSpec>> = HashMap::new();
+    let mut views: BTreeMap<String, BotView<'t>> = BTreeMap::new();
+    for row in rows {
+        let bot = *verdicts.entry(row.useragent).or_insert_with(|| {
+            standardizer.standardize(table.resolve(row.useragent)).map(|found| found.bot)
+        });
+        if let Some(bot) = bot {
+            views
+                .entry(bot.canonical.to_string())
+                .or_insert_with(|| BotView { bot, rows: Vec::new() })
+                .rows
+                .push(row);
+        }
+    }
+    views
+}
+
+/// Crawl-delay compliance for a row set, stratified by the full
+/// (ASN, IP hash, raw user agent) τ-tuple; rows may be unsorted.
+fn crawl_delay_counts_rows(rows: &[&RecordRow], delay_secs: u64) -> DirectiveCounts {
+    let mut by_tau: HashMap<(Sym, u64, Sym), Vec<u64>> = HashMap::new();
+    for r in rows {
+        by_tau.entry((r.asn, r.ip_hash, r.useragent)).or_default().push(r.timestamp.unix());
+    }
+    let mut counts = DirectiveCounts::default();
+    for (_, mut times) in by_tau {
+        times.sort_unstable();
+        if times.len() == 1 {
+            // Single access: counted as compliant.
+            counts.successes += 1;
+            counts.trials += 1;
+            continue;
+        }
+        for pair in times.windows(2) {
+            let delta = pair[1] - pair[0];
+            counts.trials += 1;
+            if delta >= delay_secs {
+                counts.successes += 1;
+            }
+        }
+    }
+    counts
+}
+
+/// Endpoint-access compliance: allowed targets are `/robots.txt` and the
+/// `/page-data/` prefix (paper §4.2, v2 analysis).
+fn endpoint_counts_rows(classes: &PathClasses, rows: &[&RecordRow]) -> DirectiveCounts {
+    let mut counts = DirectiveCounts::default();
+    for r in rows {
+        counts.trials += 1;
+        if classes.is_robots(r.uri_path) || classes.is_page_data(r.uri_path) {
+            counts.successes += 1;
+        }
+    }
+    counts
+}
+
+/// Disallow compliance: the only allowed target is `/robots.txt`
+/// (paper §4.2, v3 analysis).
+fn disallow_counts_rows(classes: &PathClasses, rows: &[&RecordRow]) -> DirectiveCounts {
+    let mut counts = DirectiveCounts::default();
+    for r in rows {
+        counts.trials += 1;
+        if classes.is_robots(r.uri_path) {
+            counts.successes += 1;
+        }
+    }
+    counts
+}
+
+/// Partition one bot's rows into (legitimate, possibly-spoofed) using a
+/// finding.
+fn split_rows<'t>(
+    finding: &SpoofFinding,
+    table: &LogTable,
+    rows: &[&'t RecordRow],
+) -> (Vec<&'t RecordRow>, Vec<&'t RecordRow>) {
+    match table.interner().get(&finding.main_asn) {
+        Some(main) => rows.iter().partition(|r| r.asn == main),
+        // The main ASN never occurs in this table: everything is minority.
+        None => (Vec::new(), rows.to_vec()),
+    }
+}
 
 /// One directive's compliance counts over a row set (§4.2).
 fn counts_rows(
@@ -57,11 +155,10 @@ fn reference_analyze(
     };
 
     let logs = standardize_rows(table, site_rows.iter().copied());
-    let spoof_report = detect_rows(table, &logs.per_bot_rows());
+    let spoof_report = detect_rows(table, logs.iter().map(|(name, view)| (name, &view.rows)));
 
     let all_logs = standardize_rows(table, table.rows());
     let robots_times: BTreeMap<String, Vec<u64>> = all_logs
-        .bots
         .iter()
         .map(|(name, view)| {
             let times: Vec<u64> = view
@@ -81,7 +178,7 @@ fn reference_analyze(
         |r: &&RecordRow, lo: Timestamp, hi: Timestamp| r.timestamp >= lo && r.timestamp < hi;
     let (base_lo, base_hi) = phase_of(PolicyVersion::Base);
 
-    let make_row = |view: &botscope_core::pipeline::BotRowView<'_>,
+    let make_row = |view: &BotView<'_>,
                     directive: Directive,
                     base: &[&RecordRow],
                     phase: &[&RecordRow]|
@@ -95,10 +192,10 @@ fn reference_analyze(
             baseline.trials,
         );
         BotDirectiveResult {
-            bot: view.name.clone(),
-            category: view.category,
-            promise: view.promise,
-            sponsor: view.sponsor,
+            bot: view.bot.canonical.to_string(),
+            category: view.bot.category,
+            promise: view.bot.respects_robots,
+            sponsor: view.bot.sponsor,
             baseline,
             experiment,
             ztest,
@@ -117,8 +214,8 @@ fn reference_analyze(
         let mut spoofed_rows = Vec::new();
         let mut volume = (0u64, 0u64);
 
-        for view in logs.bots.values() {
-            let (legit, spoofed) = match spoof_report.finding_for(&view.name) {
+        for (name, view) in &logs {
+            let (legit, spoofed) = match spoof_report.finding_for(name) {
                 Some(f) => split_rows(f, table, &view.rows),
                 None => (view.rows.clone(), Vec::new()),
             };
@@ -129,10 +226,10 @@ fn reference_analyze(
                 legit.iter().filter(|r| in_window(r, lo, hi)).copied().collect();
             volume.0 += legit_phase.len() as u64;
 
-            let exempt = is_exempt_agent(&view.name);
+            let exempt = is_exempt_agent(name);
             if !exempt && legit_base.len() >= MIN_ACCESSES && legit_phase.len() >= MIN_ACCESSES {
                 let checked = robots_times
-                    .get(&view.name)
+                    .get(name)
                     .is_some_and(|ts| ts.iter().any(|&t| t >= lo.unix() && t < hi.unix()));
                 let mut row = make_row(view, directive, &legit_base, &legit_phase);
                 row.checked_robots = checked || row.checked_robots;
@@ -167,7 +264,6 @@ fn reference_analyze(
                 SESSION_GAP_SECS,
             ),
             unique_bot_visitors: logs
-                .bots
                 .values()
                 .filter(|v| v.rows.iter().any(|r| r.timestamp >= p.start && r.timestamp < p.end))
                 .count(),

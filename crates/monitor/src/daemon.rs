@@ -17,7 +17,7 @@
 //! count), chunks are processed by the `run_indexed` worker pool, and
 //! each chunk records either its [`FetchEventLog`] (sorted, then k-way
 //! merged with the other chunks' logs into row sinks — the one ordering
-//! path, see [`run_streaming`]) or its agents' belief timelines (moved
+//! path, see [`MonitorRun::stream`]) or its agents' belief timelines (moved
 //! into a [`BeliefAtlas`]). Because every agent stream derives from
 //! `child_seed(seed, agent)` and the transport is a pure function of
 //! `(site, time, agent)`, output is byte-identical for a fixed seed at
@@ -45,7 +45,7 @@ use botscope_weblog::time::Timestamp;
 use botscope_weblog::{merge_runs, MergeRun};
 
 use crate::scenario::{build_estate, ScenarioKind};
-use crate::transport::{ServerModel, Validators, VirtualTransport};
+use crate::transport::{Validators, VirtualTransport};
 
 /// TTL sentinel: fetch once, never re-fetch.
 pub const NEVER: u64 = u64::MAX;
@@ -375,41 +375,81 @@ pub fn run(cfg: &MonitorConfig) -> MonitorOutput {
     run_with_threads(cfg, worker_threads())
 }
 
-/// [`run`] with an explicit worker count: [`run_streaming`]'s merged
-/// stream collected into a [`LogTable`]. Output is byte-identical for a
-/// fixed seed regardless of `threads`.
+/// [`run`] with an explicit worker count: [`MonitorRun::stream`]'s
+/// merged stream collected into a [`LogTable`]. Output is
+/// byte-identical for a fixed seed regardless of `threads`.
 pub fn run_with_threads(cfg: &MonitorConfig, threads: usize) -> MonitorOutput {
-    log_run(cfg, |run| {
-        let (stats, changes, records) = run_daemon(run, threads);
-        let mut sink = TableSink::new();
-        merge_log(records, &mut [&mut sink]).expect("collecting rows into a table cannot fail");
-        MonitorOutput {
-            table: sink.table,
-            changes,
-            stats,
-            horizon_end: cfg.horizon_end(),
-            bots: fleet_names(run.fleet),
-            site_windows: site_windows_of(
-                (0..run.transport.len()).map(|site| run.transport.model(site)),
-                cfg.horizon_end(),
-            ),
-        }
-    })
+    let run = MonitorRun::new(cfg);
+    let mut sink = TableSink::new();
+    let summary =
+        run.stream(threads, &mut [&mut sink]).expect("collecting rows into a table cannot fail");
+    MonitorOutput {
+        table: sink.table,
+        changes: summary.changes,
+        stats: summary.stats,
+        horizon_end: summary.horizon_end,
+        bots: summary.bots,
+        site_windows: run.site_windows(),
+    }
 }
 
-/// Run `body` on the fetch-log run `cfg` scripts: its monitored fleet
-/// over its estate, TTLs sampled from its policy.
-fn log_run<R>(cfg: &MonitorConfig, body: impl FnOnce(&DaemonRun<'_>) -> R) -> R {
-    cfg.assert_valid();
-    let fleet = monitor_fleet(cfg.bots);
-    let transport = VirtualTransport::new(build_estate(cfg));
-    body(&DaemonRun {
-        cfg,
-        fleet: &fleet,
-        transport: &transport,
-        ttl: TtlSource::Config,
-        record: Record::FetchLog,
-    })
+/// The fetch-log run `cfg` scripts — its monitored fleet over its
+/// estate, TTLs sampled from its policy — with the estate built once.
+/// A caller whose sinks need each site's deployment windows before the
+/// first row (the §5.1 re-check accumulator) reads
+/// [`MonitorRun::site_windows`] off the same site models the
+/// transport serves, then streams the run.
+pub struct MonitorRun<'a> {
+    cfg: &'a MonitorConfig,
+    fleet: Vec<SimBot>,
+    transport: VirtualTransport,
+}
+
+impl<'a> MonitorRun<'a> {
+    /// Build `cfg`'s fleet and estate. Panics on an invalid config.
+    pub fn new(cfg: &'a MonitorConfig) -> MonitorRun<'a> {
+        cfg.assert_valid();
+        MonitorRun {
+            cfg,
+            fleet: monitor_fleet(cfg.bots),
+            transport: VirtualTransport::new(build_estate(cfg)),
+        }
+    }
+
+    /// Each site's deployment windows, clipped to the horizon.
+    pub fn site_windows(&self) -> BTreeMap<String, Vec<(PolicyVersion, u64, u64)>> {
+        let horizon_end = self.cfg.horizon_end();
+        (0..self.transport.len())
+            .map(|site| self.transport.model(site))
+            .map(|model| (model.name.clone(), model.policy.version_windows(horizon_end)))
+            .collect()
+    }
+
+    /// Run the daemon, streaming every fetch event to `sinks` in the
+    /// canonical output order: the one way a fetch log is ordered. The
+    /// merged table and its encoded copy never exist, so peak memory is
+    /// the chunk logs plus what the sinks keep.
+    pub fn stream(
+        &self,
+        threads: usize,
+        sinks: &mut [&mut dyn RowSink],
+    ) -> std::io::Result<MonitorSummary> {
+        let run = DaemonRun {
+            cfg: self.cfg,
+            fleet: &self.fleet,
+            transport: &self.transport,
+            ttl: TtlSource::Config,
+            record: Record::FetchLog,
+        };
+        let (stats, changes, records) = run_daemon(&run, threads);
+        merge_log(records, sinks)?;
+        Ok(MonitorSummary {
+            stats,
+            changes,
+            horizon_end: self.cfg.horizon_end(),
+            bots: fleet_names(&self.fleet),
+        })
+    }
 }
 
 /// Run the chunked scheduler to completion: each chunk's record in
@@ -468,27 +508,6 @@ pub(crate) fn belief_atlas(run: &DaemonRun<'_>, records: Vec<Recorded>) -> Belie
     atlas
 }
 
-/// Per-site deployment windows, clipped to `horizon_end`.
-fn site_windows_of<'a>(
-    models: impl Iterator<Item = &'a ServerModel>,
-    horizon_end: u64,
-) -> BTreeMap<String, Vec<(PolicyVersion, u64, u64)>> {
-    models.map(|model| (model.name.clone(), model.policy.version_windows(horizon_end))).collect()
-}
-
-/// The deployment windows `cfg` produces, without running the daemon:
-/// rebuilds the scripted site models (O(sites), no transport or policy
-/// corpus) and reads each site's version windows. A streaming caller
-/// computes them once, before the run, for its report sinks and its
-/// report: [`run_streaming`] owns its transport internally and does not
-/// return them.
-pub fn config_site_windows(
-    cfg: &MonitorConfig,
-) -> BTreeMap<String, Vec<(PolicyVersion, u64, u64)>> {
-    cfg.assert_valid();
-    site_windows_of(build_estate(cfg).iter(), cfg.horizon_end())
-}
-
 /// Flush a finished run's aggregate counters into the global telemetry
 /// registry. Counters are additive, so repeated runs in one process
 /// (test harnesses, the coupled driver) accumulate; the per-scenario
@@ -520,10 +539,10 @@ fn export_telemetry(cfg: &MonitorConfig, stats: &MonitorStats, changes: &[Change
         .add(behavioral as u64);
 }
 
-/// A streaming run's summary: everything [`MonitorOutput`] carries
+/// A streamed run's summary: everything [`MonitorOutput`] carries
 /// except the table, which went to the sinks row by row (one row per
 /// fetch, so `stats.fetches` counts them), and the deployment windows,
-/// which [`config_site_windows`] computes before the run.
+/// which [`MonitorRun::site_windows`] gives before the run.
 #[derive(Debug, Clone)]
 pub struct MonitorSummary {
     /// Aggregate counters.
@@ -534,27 +553,6 @@ pub struct MonitorSummary {
     pub horizon_end: u64,
     /// Canonical names of the monitored bots.
     pub bots: Vec<String>,
-}
-
-/// Run the daemon, streaming every fetch event to `sinks` in the
-/// canonical output order: the one way a fetch log is ordered. The
-/// merged table and its encoded copy never exist, so peak memory is
-/// the chunk logs plus what the sinks keep.
-pub fn run_streaming(
-    cfg: &MonitorConfig,
-    threads: usize,
-    sinks: &mut [&mut dyn RowSink],
-) -> std::io::Result<MonitorSummary> {
-    log_run(cfg, |run| {
-        let (stats, changes, records) = run_daemon(run, threads);
-        merge_log(records, sinks)?;
-        Ok(MonitorSummary {
-            stats,
-            changes,
-            horizon_end: cfg.horizon_end(),
-            bots: fleet_names(run.fleet),
-        })
-    })
 }
 
 /// Merge the chunks' fetch logs into `sinks`. Each chunk's log becomes
@@ -1226,13 +1224,14 @@ mod tests {
         assert!(same_instant.filter(|&i| key(i - 1) == key(i)).count() > 0, "and full ties");
 
         let expected = encode_table(&oracle);
-        let windows = config_site_windows(&cfg);
+        let monitor_run = MonitorRun::new(&cfg);
+        let windows = monitor_run.site_windows();
         for threads in [1, 2, 8] {
             let collected = run_with_threads(&cfg, threads);
             assert_eq!(encode_table(&collected.table), expected, "table at {threads} workers");
             assert_eq!(collected.site_windows, windows);
             let mut csv = CsvSink::new(Vec::new()).unwrap();
-            let summary = run_streaming(&cfg, threads, &mut [&mut csv]).unwrap();
+            let summary = monitor_run.stream(threads, &mut [&mut csv]).unwrap();
             assert_eq!(
                 String::from_utf8(csv.into_inner()).unwrap(),
                 expected,

@@ -30,7 +30,7 @@
 //!   run records either the fetch log or, for [`coupled`], every
 //!   agent's believed-policy timeline. The fetch log has one ordering
 //!   path: each chunk's log is sorted and k-way merged into
-//!   [`botscope_weblog::sink::RowSink`]s ([`daemon::run_streaming`]),
+//!   [`botscope_weblog::sink::RowSink`]s ([`daemon::MonitorRun::stream`]),
 //!   byte-identical at any worker count; [`daemon::run`] collects that
 //!   merge into an interned [`botscope_weblog::LogTable`].
 //! * [`coupled`] — the belief-coupled pipeline: the daemon derives
@@ -78,8 +78,8 @@ pub use coupled::{
     run_coupled, run_coupled_with_threads, CoupledConfig, CoupledOutput, RefreshModel,
 };
 pub use daemon::{
-    config_site_windows, run, run_streaming, run_with_threads, ChangeDigest, MonitorConfig,
-    MonitorOutput, MonitorStats, MonitorSummary, TtlPolicy,
+    run, run_with_threads, ChangeDigest, MonitorConfig, MonitorOutput, MonitorRun, MonitorStats,
+    MonitorSummary, TtlPolicy,
 };
 pub use scenario::ScenarioKind;
 pub use transport::{ServerModel, Validators, VirtualTransport};

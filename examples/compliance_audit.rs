@@ -9,9 +9,8 @@
 //!
 //! Run with: `cargo run --example compliance_audit`
 
-use botscope::core::metrics::{crawl_delay_counts_rows, CRAWL_DELAY_SECS};
-use botscope::core::pipeline::standardize_table;
-use botscope::core::spoofdetect::detect_rows;
+use botscope::core::pipeline::tally_bots;
+use botscope::core::spoofdetect::{DOMINANCE_THRESHOLD, MIN_DETECT_REQUESTS};
 use botscope::simnet::{scenario, SimConfig};
 use botscope::weblog::{codec, LogTable};
 
@@ -27,26 +26,26 @@ fn main() {
     let reloaded = codec::decode_table(&codec::encode_table(&head)).expect("codec roundtrip");
     println!("CSV codec roundtrip: {} records re-read\n", reloaded.len());
 
-    // 1. Standardize user agents against the known-bot corpus.
-    let logs = standardize_table(&table);
+    // 1. Standardize user agents against the known-bot corpus and tally
+    //    each bot in one pass.
+    let tallies = tally_bots(&table);
     println!(
         "Known bots: {} ({} records); anonymous agents: {} records\n",
-        logs.bots.len(),
-        logs.known_bot_records(),
-        logs.anonymous.len()
+        tallies.bots.len(),
+        tallies.known_records,
+        tallies.anonymous_records
     );
 
     // 2. Per-bot crawl-delay compliance (would this bot honour a 30 s
     //    delay if we deployed one? Its current pacing is the base rate).
     println!("{:<28} {:>8} {:>12}", "Bot", "accesses", "pace>=30s");
     println!("{}", "-".repeat(52));
-    let mut rows: Vec<(String, usize, f64)> = logs
+    let mut rows: Vec<(&str, u64, f64)> = tallies
         .bots
-        .values()
-        .filter(|v| v.rows.len() >= 20)
-        .map(|v| {
-            let counts = crawl_delay_counts_rows(&v.rows, CRAWL_DELAY_SECS);
-            (v.name.clone(), v.rows.len(), counts.ratio().unwrap_or(0.0))
+        .iter()
+        .filter(|(_, tally)| tally.records >= 20)
+        .map(|(bot, tally)| {
+            (bot.canonical, tally.records, tally.crawl_delay().ratio().unwrap_or(0.0))
         })
         .collect();
     rows.sort_by_key(|r| std::cmp::Reverse(r.1));
@@ -56,7 +55,7 @@ fn main() {
 
     // 3. Spoofing scan: bots whose traffic is ≥90% one network but shows
     //    residual requests from elsewhere.
-    let spoof = detect_rows(&table, logs.bots.iter().map(|(n, v)| (n, &v.rows)));
+    let spoof = tallies.spoof_report(DOMINANCE_THRESHOLD, MIN_DETECT_REQUESTS);
     println!("\nPossible spoofing ({} bots flagged):", spoof.findings.len());
     for f in &spoof.findings {
         let asns: Vec<&str> = f.suspicious.iter().map(|(n, _)| n.as_str()).collect();

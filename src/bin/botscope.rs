@@ -16,10 +16,9 @@
 use std::io::Write as _;
 use std::process::ExitCode;
 
-use botscope::core::metrics::{crawl_delay_counts_rows, CRAWL_DELAY_SECS};
-use botscope::core::pipeline::standardize_table;
+use botscope::core::pipeline::tally_bots;
 use botscope::core::recheck::{by_category, RecheckAccumulator};
-use botscope::core::spoofdetect::detect_rows;
+use botscope::core::spoofdetect::{DOMINANCE_THRESHOLD, MIN_DETECT_REQUESTS};
 use botscope::monitor::daemon::{MonitorConfig, TtlPolicy};
 use botscope::monitor::ScenarioKind;
 use botscope::obs::json_escape;
@@ -813,19 +812,17 @@ fn audit_estate(p: &Parsed) -> Result<(), String> {
     // 3. Run the monitor, streaming its fetch log into the
     // behavioral-only Table 7 (windows coalesced across cosmetic
     // swaps), and classify its digests.
-    let site_windows = botscope::monitor::config_site_windows(cfg);
+    let monitor_run = botscope::monitor::MonitorRun::new(cfg);
+    let site_windows = monitor_run.site_windows();
     let raw_spans: usize = site_windows.values().map(Vec::len).sum();
     let coalesced = coalesce_behavioral_windows(&site_windows, |from, to| {
         behavioral_matrix[from.index()][to.index()]
     });
     let coalesced_spans: usize = coalesced.values().map(Vec::len).sum();
     let mut recheck = RecheckAccumulator::new(coalesced, cfg.horizon_end());
-    let summary = botscope::monitor::run_streaming(
-        cfg,
-        botscope::simnet::worker_threads(),
-        &mut [&mut recheck],
-    )
-    .expect("the re-check accumulator never fails a row");
+    let summary = monitor_run
+        .stream(botscope::simnet::worker_threads(), &mut [&mut recheck])
+        .expect("the re-check accumulator never fails a row");
     let matrix = recheck.phase_rows();
     let changes = &summary.changes;
     let behavioral_digests = changes.iter().filter(|c| c.class == ChangeClass::Behavioral).count();
@@ -1016,25 +1013,25 @@ fn cmd_analyze(p: &Parsed) -> Result<(), String> {
     } else {
         codec::decode_table_read(reader).map_err(|e| e.to_string())?
     };
-    let logs = standardize_table(&table);
-    let spoof = detect_rows(&table, logs.bots.iter().map(|(n, v)| (n, &v.rows)));
+    let tallies = tally_bots(&table);
+    let spoof = tallies.spoof_report(DOMINANCE_THRESHOLD, MIN_DETECT_REQUESTS);
     write_output("-", |w| {
         writeln!(w, "{} records", table.len())?;
         writeln!(
             w,
             "{} known bots ({} records), {} anonymous records\n",
-            logs.bots.len(),
-            logs.known_bot_records(),
-            logs.anonymous.len()
+            tallies.bots.len(),
+            tallies.known_records,
+            tallies.anonymous_records
         )?;
         writeln!(w, "{:<28} {:>8} {:>14}", "bot", "records", "pace>=30s")?;
-        for view in logs.bots.values() {
-            let counts = crawl_delay_counts_rows(&view.rows, CRAWL_DELAY_SECS);
+        for (bot, tally) in &tallies.bots {
+            let counts = tally.crawl_delay();
             writeln!(
                 w,
                 "{:<28} {:>8} {:>14}",
-                view.name,
-                view.rows.len(),
+                bot.canonical,
+                tally.records,
                 counts.ratio().map(|r| format!("{r:.3}")).unwrap_or_else(|| "-".into())
             )?;
         }
@@ -1127,59 +1124,91 @@ where
     F: FnOnce(&mut dyn std::io::Write) -> std::io::Result<()>,
 {
     let mut w = writer_for(path)?;
-    let target = if path == "-" { "stdout" } else { path };
-    f(&mut w).and_then(|()| w.flush()).map_err(|e| format!("cannot write {target}: {e}"))
+    f(&mut w).and_then(|()| w.flush()).map_err(|e| write_error(e, "cannot write"))
 }
 
-/// Pass-through writer that records its artifact `(target, bytes,
-/// sha256)` into the registry when dropped — the owning sink decides
-/// when writing ends, so Drop is the only reliable hook.
-struct RecordingWriter {
+/// An I/O error of a data writer, worded `cannot write <target>: <cause>`.
+#[derive(Debug)]
+struct TargetError(String);
+
+impl std::fmt::Display for TargetError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for TargetError {}
+
+/// The one-line message for an I/O error: a [`TargetError`] names its
+/// target itself; any other error is prefixed with `context`.
+fn write_error(e: std::io::Error, context: &str) -> String {
+    if e.get_ref().is_some_and(|inner| inner.is::<TargetError>()) {
+        e.to_string()
+    } else {
+        format!("{context}: {e}")
+    }
+}
+
+/// The file end of every data writer, under its `BufWriter`: its I/O
+/// errors name the target ([`TargetError`]), and under `--manifest` it
+/// fingerprints the bytes it passes, recording `(target, bytes, sha256)`
+/// when dropped (after the buffer's last flush: the owning sink decides
+/// when writing ends, so Drop is the only reliable hook).
+struct OutputWriter {
     target: String,
-    inner: botscope::obs::digest::DigestWriter<Box<dyn std::io::Write>>,
+    inner: Box<dyn std::io::Write>,
+    digest: Option<botscope::obs::digest::DigestWriter<std::io::Sink>>,
 }
 
-impl std::io::Write for RecordingWriter {
+impl OutputWriter {
+    fn tag(&self, e: std::io::Error) -> std::io::Error {
+        std::io::Error::new(e.kind(), TargetError(format!("cannot write {}: {e}", self.target)))
+    }
+}
+
+impl std::io::Write for OutputWriter {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        std::io::Write::write(&mut self.inner, buf)
+        let n = self.inner.write(buf).map_err(|e| self.tag(e))?;
+        if let Some(digest) = &mut self.digest {
+            digest.write_all(&buf[..n])?;
+        }
+        Ok(n)
     }
 
     fn flush(&mut self) -> std::io::Result<()> {
-        std::io::Write::flush(&mut self.inner)
+        self.inner.flush().map_err(|e| self.tag(e))
     }
 }
 
-impl Drop for RecordingWriter {
+impl Drop for OutputWriter {
     fn drop(&mut self) {
-        botscope::obs::global().record_output(
-            &self.target,
-            self.inner.bytes(),
-            self.inner.hex_digest(),
-        );
+        if let Some(digest) = &self.digest {
+            botscope::obs::global().record_output(
+                &self.target,
+                digest.bytes(),
+                digest.hex_digest(),
+            );
+        }
     }
 }
 
-/// A boxed buffered writer for `path` (`-` = stdout); under
-/// `--manifest` it fingerprints the artifact as it streams out (the
-/// digest adapter is pass-through, so the bytes never change). Sinks
-/// that own their writer flush it in their `finish`.
+/// A boxed buffered writer for `path` (`-` = stdout), over an
+/// [`OutputWriter`]. Sinks that own their writer flush it in their
+/// `finish`.
 fn writer_for(path: &str) -> Result<Box<dyn std::io::Write>, String> {
-    let inner: Box<dyn std::io::Write> = if path == "-" {
-        Box::new(std::io::BufWriter::new(std::io::stdout()))
+    let (target, inner): (&str, Box<dyn std::io::Write>) = if path == "-" {
+        ("stdout", Box::new(std::io::stdout()))
     } else {
-        std::fs::File::create(path)
-            .map(|f| Box::new(std::io::BufWriter::new(f)) as Box<dyn std::io::Write>)
-            .map_err(|e| format!("cannot write {path}: {e}"))?
+        let file = std::fs::File::create(path).map_err(|e| format!("cannot write {path}: {e}"))?;
+        (path, Box::new(file))
     };
-    if manifest_active() {
-        let target = if path == "-" { "stdout" } else { path };
-        Ok(Box::new(RecordingWriter {
-            target: target.to_string(),
-            inner: botscope::obs::digest::DigestWriter::new(inner),
-        }))
-    } else {
-        Ok(inner)
-    }
+    let digest =
+        manifest_active().then(|| botscope::obs::digest::DigestWriter::new(std::io::sink()));
+    Ok(Box::new(std::io::BufWriter::new(OutputWriter {
+        target: target.to_string(),
+        inner,
+        digest,
+    })))
 }
 
 /// Write `table` as CSV to `path` (`-` = stdout).
@@ -1223,15 +1252,16 @@ fn cmd_monitor(p: &Parsed) -> Result<(), String> {
     let (out_path, jsonl_path, changes_path) =
         (p.value("--out"), p.value("--jsonl"), p.value("--changes"));
     let mut csv = match out_path {
-        Some(path) => {
-            Some(CsvSink::new(writer_for(path)?).map_err(|e| format!("cannot write header: {e}"))?)
-        }
+        Some(path) => Some(
+            CsvSink::new(writer_for(path)?).map_err(|e| write_error(e, "cannot write header"))?,
+        ),
         None => None,
     };
     let mut jsonl = jsonl_path.map(|path| writer_for(path).map(JsonlSink::new)).transpose()?;
     // The accumulator needs each site's deployment windows before the
-    // first row; they are a pure function of the config.
-    let site_windows = botscope::monitor::config_site_windows(&cfg);
+    // first row: the run's own site models give them.
+    let monitor_run = botscope::monitor::MonitorRun::new(&cfg);
+    let site_windows = monitor_run.site_windows();
     let swapped = any_site_swapped(&site_windows);
     let mut recheck = RecheckAccumulator::new(site_windows, cfg.horizon_end());
     let mut sinks: Vec<&mut dyn RowSink> = Vec::new();
@@ -1242,9 +1272,9 @@ fn cmd_monitor(p: &Parsed) -> Result<(), String> {
         sinks.push(sink);
     }
     sinks.push(&mut recheck);
-    let summary =
-        botscope::monitor::run_streaming(&cfg, botscope::simnet::worker_threads(), &mut sinks)
-            .map_err(|e| format!("streaming write failed: {e}"))?;
+    let summary = monitor_run
+        .stream(botscope::simnet::worker_threads(), &mut sinks)
+        .map_err(|e| write_error(e, "monitor streaming failed"))?;
     let (matrix, agg) = (recheck.phase_rows(), by_category(&recheck.profiles()));
     if let Some(path) = changes_path {
         write_changes(path, &summary.changes)?;
@@ -1621,17 +1651,19 @@ fn simulate_streaming(
             } else {
                 scenario::full_study_stream(cfg, threads, &opts, sinks)
             };
-            result.map_err(|e| format!("streaming simulate failed: {e}"))
+            result.map_err(|e| write_error(e, "streaming simulate failed"))
         };
     // `merge_runs` calls `finish` on every sink, which flushes the
     // buffered writer; errors propagate through the result.
     let out = match format {
         LogFormat::Csv => {
-            let mut sink = CsvSink::new(writer).map_err(|e| format!("cannot write header: {e}"))?;
+            let mut sink =
+                CsvSink::new(writer).map_err(|e| write_error(e, "cannot write header"))?;
             run(&mut [&mut sink as &mut dyn RowSink])?
         }
         LogFormat::Bin => {
-            let mut sink = BinSink::new(writer).map_err(|e| format!("cannot write header: {e}"))?;
+            let mut sink =
+                BinSink::new(writer).map_err(|e| write_error(e, "cannot write header"))?;
             run(&mut [&mut sink as &mut dyn RowSink])?
         }
     };

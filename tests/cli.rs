@@ -462,10 +462,18 @@ fn report_commands_fail_cleanly_on_a_closed_stdout() {
     let out = botscope(&["simulate", "2", "0.02", csv]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
 
-    for args in [&["analyze", csv][..], &["audit", "--estate", "--sites", "6", "--days", "6"]] {
+    // Streamed writes (the monitor's merge, simulate's spill merge) name
+    // their target like the report funnel does.
+    for args in [
+        &["analyze", csv][..],
+        &["audit", "--estate", "--sites", "6", "--days", "6"],
+        &["monitor", "--out", "-"],
+        &["simulate", "2", "0.02", "-", "42", "--stream"],
+    ] {
         let (code, stderr) = run_into_closed_stdout(args);
         assert_eq!(code, Some(1), "{args:?}: {stderr}");
-        assert!(stderr.contains("error: cannot write stdout"), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        assert!(stderr.starts_with("error: cannot write stdout: "), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
     let _ = std::fs::remove_file(csv);
