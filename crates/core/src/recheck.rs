@@ -14,13 +14,15 @@
 //! order, as the monitor's k-way shard merge streams them. The table
 //! entry points [`profiles_from_table`] and [`phase_check_matrix`] feed
 //! it a table's rows in that order, sorting only a table whose
-//! timestamps go back.
+//! timestamps go back. The §3 report's Figure 10 reuses its per-bot
+//! state on the robots.txt fetch times its per-bot fold already holds,
+//! so it makes no second pass over the table.
 
 use std::collections::BTreeMap;
 
 use botscope_simnet::PolicyVersion;
 use botscope_stats::window::PAPER_WINDOWS_HOURS;
-use botscope_useragent::BotCategory;
+use botscope_useragent::{BotCategory, BotSpec};
 use botscope_weblog::intern::{StringInterner, Sym};
 use botscope_weblog::table::{LogTable, RecordRow};
 
@@ -224,6 +226,48 @@ struct BotAccum {
     windows: [WindowAccum; 5],
 }
 
+impl BotAccum {
+    fn new() -> BotAccum {
+        BotAccum {
+            checks: 0,
+            hit: [false; 4],
+            windows: PAPER_WINDOWS_HOURS.map(|h| WindowAccum::new(h * 3600)),
+        }
+    }
+
+    /// Count one robots.txt fetch at unix second `t`.
+    fn check(&mut self, t: u64, horizon_end: u64) {
+        self.checks += 1;
+        for w in &mut self.windows {
+            w.push(t, horizon_end);
+        }
+    }
+
+    fn profile(&self, spec: &BotSpec) -> RecheckProfile {
+        RecheckProfile {
+            bot: spec.canonical.to_string(),
+            category: spec.category,
+            checks: self.checks,
+            covered: PAPER_WINDOWS_HOURS
+                .iter()
+                .zip(&self.windows)
+                .map(|(&h, w)| (h, w.fully_covered()))
+                .collect(),
+        }
+    }
+}
+
+/// The re-check profile of bot `spec` from its robots.txt fetch times
+/// (unix seconds, nondecreasing) — what [`RecheckAccumulator::profiles`]
+/// gives for that bot, for a caller that already holds the times.
+pub(crate) fn fetch_profile(spec: &BotSpec, fetches: &[u64], horizon_end: u64) -> RecheckProfile {
+    let mut acc = BotAccum::new();
+    for &t in fetches {
+        acc.check(t, horizon_end);
+    }
+    acc.profile(spec)
+}
+
 /// One site's `(version, from_unix, to_unix)` deployment spans.
 type Spans = Vec<(PolicyVersion, u64, u64)>;
 
@@ -263,16 +307,6 @@ impl RecheckAccumulator {
     /// An empty accumulator over `windows` (per-site deployment spans,
     /// known before streaming starts) and the observation horizon.
     pub fn new(windows: SiteVersionWindows, horizon_end: u64) -> RecheckAccumulator {
-        RecheckAccumulator::with_agents(windows, horizon_end, AgentBots::new(()))
-    }
-
-    /// [`RecheckAccumulator::new`] over the verdicts of an earlier pass,
-    /// listing every bot `agents` holds; no agent is standardized again.
-    pub(crate) fn with_agents(
-        windows: SiteVersionWindows,
-        horizon_end: u64,
-        agents: AgentBots,
-    ) -> RecheckAccumulator {
         let mut deployed = [false; 4];
         for spans in windows.values() {
             for &(version, _, _) in spans {
@@ -283,11 +317,7 @@ impl RecheckAccumulator {
             horizon_end,
             sites: windows.into_iter().collect(),
             deployed,
-            agents: agents.with_state(BotAccum {
-                checks: 0,
-                hit: [false; 4],
-                windows: PAPER_WINDOWS_HOURS.map(|h| WindowAccum::new(h * 3600)),
-            }),
+            agents: AgentBots::new(BotAccum::new()),
             paths: PathClasses::default(),
             site_slot: Vec::new(),
         }
@@ -310,10 +340,7 @@ impl RecheckAccumulator {
         }
         let t = row.timestamp.unix();
         let site = site_index(&mut self.site_slot, &self.sites, row.sitename, strings);
-        bot.checks += 1;
-        for w in &mut bot.windows {
-            w.push(t, self.horizon_end);
-        }
+        bot.check(t, self.horizon_end);
         if let Some((_, spans)) = site.and_then(|i| self.sites.get(i)) {
             if let Some(&(version, _, _)) = spans.iter().find(|&&(_, from, to)| t >= from && t < to)
             {
@@ -331,19 +358,7 @@ impl RecheckAccumulator {
     /// Per-bot re-check profiles (Figure 10's input), one per known
     /// bot in canonical-name order.
     pub fn profiles(&self) -> Vec<RecheckProfile> {
-        self.agents
-            .by_name()
-            .map(|(spec, b)| RecheckProfile {
-                bot: spec.canonical.to_string(),
-                category: spec.category,
-                checks: b.checks,
-                covered: PAPER_WINDOWS_HOURS
-                    .iter()
-                    .zip(&b.windows)
-                    .map(|(&h, w)| (h, w.fully_covered()))
-                    .collect(),
-            })
-            .collect()
+        self.agents.by_name().map(|(spec, b)| b.profile(spec)).collect()
     }
 
     /// The monitored Table 7 matrix, one row per known bot in

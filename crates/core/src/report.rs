@@ -21,7 +21,7 @@ use botscope_weblog::time::Timestamp;
 
 use crate::analyze::{Directive, Experiment};
 use crate::pipeline::tally_bots;
-use crate::recheck::{by_category, RecheckAccumulator, RecheckByCategory, SiteVersionWindows};
+use crate::recheck::{by_category, fetch_profile, RecheckByCategory, RecheckProfile};
 use crate::spoofdetect::{SpoofReport, DOMINANCE_THRESHOLD, MIN_DETECT_REQUESTS};
 use crate::tables::{f, ratio, series, TextTable};
 
@@ -65,9 +65,10 @@ pub struct FullStudyReport {
 
 impl FullStudyReport {
     /// Compute all aggregates from an interned table: one per-bot fold
-    /// ([`tally_bots`]) gives the Table 3 stats and the spoofing
-    /// findings, and its verdict per user agent picks out the known-bot
-    /// rows and sessions and serves the re-check pass.
+    /// ([`tally_bots`]) gives the Table 3 stats, the spoofing findings
+    /// and, from each bot's robots.txt fetch times, the Figure 10
+    /// re-check profiles; its verdict per user agent picks out the
+    /// known-bot rows and sessions.
     pub fn from_table(table: &LogTable) -> FullStudyReport {
         let tallies = tally_bots(table);
         let agents = &tallies.agents;
@@ -108,10 +109,12 @@ impl FullStudyReport {
 
         let spoof = tallies.spoof_report(DOMINANCE_THRESHOLD, MIN_DETECT_REQUESTS);
         let horizon_end = end.unix() + 1;
-        let mut recheck =
-            RecheckAccumulator::with_agents(SiteVersionWindows::new(), horizon_end, tallies.agents);
-        recheck.push_table(table);
-        let recheck = by_category(&recheck.profiles());
+        let profiles: Vec<RecheckProfile> = tallies
+            .bots
+            .iter()
+            .map(|(bot, tally)| fetch_profile(bot, &tally.robots_fetches, horizon_end))
+            .collect();
+        let recheck = by_category(&profiles);
 
         FullStudyReport {
             all,

@@ -11,10 +11,13 @@
 //! That independence is what the parallel path exploits: each stream is
 //! a **generation unit** that emits interned rows into its own
 //! [`LogTable`] shard; shards are distributed over the [`run_indexed`]
-//! worker pool, concatenated in unit order, and stable-sorted by
-//! timestamp. The result is byte-identical for a fixed seed no matter
-//! how many workers run ([`worker_threads`] reads `BOTSCOPE_THREADS`,
-//! defaulting to the machine's available parallelism).
+//! worker pool, absorbed in unit order (each shard freed once its rows
+//! are copied) and put in the canonical order by
+//! [`LogTable::sort_canonical`], which sorts one key per row and then
+//! moves the rows once, in place. The result is byte-identical for a
+//! fixed seed no matter how many workers run ([`worker_threads`] reads
+//! `BOTSCOPE_THREADS`, defaulting to the machine's available
+//! parallelism).
 
 use std::collections::BTreeMap;
 use std::fs::File;
@@ -427,8 +430,8 @@ pub fn simulate_table_oracle<O: PolicyOracle>(
         }
     };
 
-    // Shards come back in unit order, so the stable sort below sees the
-    // exact serial emission sequence.
+    // Shards come back in unit order, so the canonical sort below sees
+    // the exact serial emission sequence.
     let shards: Vec<Shard> = run_indexed(n_units, threads, run_unit);
 
     drop(gen_span);
@@ -439,10 +442,12 @@ pub fn simulate_table_oracle<O: PolicyOracle>(
     let merge_span = obs.phase("simnet_absorb_sort");
     let mut table = LogTable::with_capacity(total_rows, 1024);
     let mut truth = GroundTruth::default();
-    for shard in &shards {
+    // Each shard is freed as soon as it is absorbed, so the rows are
+    // never held twice.
+    for shard in shards {
         table.absorb(&shard.table);
-        for (bot, count) in &shard.planted {
-            *truth.spoofed_requests.entry(bot.clone()).or_default() += count;
+        for (bot, count) in shard.planted {
+            *truth.spoofed_requests.entry(bot).or_default() += count;
         }
     }
     table.sort_canonical();

@@ -119,19 +119,6 @@ impl StringInterner {
         tail.iter().enumerate().map(move |(i, s)| (Sym::from_index(start + i), s.as_str()))
     }
 
-    /// Byte-lexicographic rank of every symbol: `ranks()[sym.index()]`
-    /// orders exactly like `resolve(sym)` under `str`'s `Ord`. Lets hot
-    /// paths sort rows with integer comparisons instead of string ones.
-    pub fn ranks(&self) -> Vec<u32> {
-        let mut order: Vec<u32> = (0..self.strings.len() as u32).collect();
-        order.sort_unstable_by(|&a, &b| self.strings[a as usize].cmp(&self.strings[b as usize]));
-        let mut ranks = vec![0u32; self.strings.len()];
-        for (rank, idx) in order.into_iter().enumerate() {
-            ranks[idx as usize] = rank as u32;
-        }
-        ranks
-    }
-
     /// Approximate heap footprint in bytes (for memory reporting).
     pub fn heap_bytes(&self) -> usize {
         let strings: usize =
@@ -224,18 +211,6 @@ mod tests {
         let e = i.intern("");
         assert_eq!(i.resolve(e), "");
         assert_eq!(i.intern(""), e);
-    }
-
-    #[test]
-    fn ranks_match_string_order() {
-        let mut i = StringInterner::new();
-        let syms: Vec<Sym> = ["pear", "apple", "banana", ""].iter().map(|s| i.intern(s)).collect();
-        let ranks = i.ranks();
-        let mut by_rank: Vec<(u32, &str)> =
-            syms.iter().map(|&s| (ranks[s.index()], i.resolve(s))).collect();
-        by_rank.sort();
-        let ordered: Vec<&str> = by_rank.into_iter().map(|(_, s)| s).collect();
-        assert_eq!(ordered, vec!["", "apple", "banana", "pear"]);
     }
 
     #[test]

@@ -11,10 +11,10 @@
 //! Runs carry their own interners. The merge gathers every run's
 //! strings into one merged [`StringInterner`] whose symbols are
 //! interned in byte-lexicographic order, so a merged symbol's index is
-//! its global rank. Each popped row is remapped into that interner
-//! through a per-run table, and sinks receive `(&row, &merged)`: heap
-//! comparisons are over integers, and no row is ever materialized into
-//! owned strings.
+//! its global rank. Each row is remapped into that interner through a
+//! per-run table as its run yields it, and sinks receive
+//! `(&row, &merged)`: heap comparisons are over integers, and no row is
+//! ever materialized into owned strings.
 //!
 //! ## Equivalence to materialize-then-sort
 //!
@@ -26,6 +26,7 @@
 //! the concatenation would put them.
 
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::io;
 use std::sync::Arc;
@@ -80,7 +81,9 @@ impl MergeRun {
 /// Merge canonically sorted `runs` into every sink, in the global
 /// canonical order with run index as the tiebreak (see module docs for
 /// why that reproduces materialize-then-stable-sort byte-for-byte).
-/// Every sink sees one merged interner (see module docs). Calls
+/// Every sink sees one merged interner (see module docs). Each row
+/// costs one heap sift: the top entry's key is replaced by its run's
+/// next key, and an entry leaves the heap only when its run ends. Calls
 /// [`RowSink::finish`] on every sink after the last row and returns the
 /// number of rows merged. Decode errors from stream-backed runs surface
 /// as [`io::ErrorKind::InvalidData`].
@@ -114,16 +117,19 @@ pub fn merge_runs(mut runs: Vec<MergeRun>, sinks: &mut [&mut dyn RowSink]) -> io
     }
 
     let mut rows = 0u64;
-    while let Some(Reverse(key)) = heap.pop() {
-        let i = key.4;
+    while let Some(mut top) = heap.peek_mut() {
+        let i = top.0 .4;
         let row = current[i].take().expect("heap entry implies a current row");
         for sink in sinks.iter_mut() {
             sink.write_row(&row, &merged)?;
         }
         rows += 1;
-        if let Some(next) = pull(&mut runs, i)? {
-            heap.push(Reverse(key_of(&next, i)));
-            current[i] = Some(next);
+        match pull(&mut runs, i)? {
+            Some(next) => {
+                *top = Reverse(key_of(&next, i));
+                current[i] = Some(next);
+            }
+            None => drop(PeekMut::pop(top)),
         }
     }
     for sink in sinks.iter_mut() {

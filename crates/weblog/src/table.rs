@@ -63,12 +63,6 @@ impl RecordRow {
 /// (start, end, accesses, bytes, urls as symbol pairs).
 type PendingSession = (Timestamp, Timestamp, u64, u64, Vec<(Sym, Sym)>);
 
-/// A resolved τ key: (ASN, IP hash, raw user agent).
-pub type TauKey<'t> = (&'t str, u64, &'t str);
-
-/// One τ group: its resolved key plus the rows it contains.
-pub type TauGroup<'t> = (TauKey<'t>, Vec<&'t RecordRow>);
-
 /// An interner plus its rows: the whole dataset in compact form.
 #[derive(Debug, Clone, Default)]
 pub struct LogTable {
@@ -216,37 +210,66 @@ impl LogTable {
         }
     }
 
-    /// Stable-sort rows by `(timestamp, useragent, ip_hash, uri_path)`
-    /// with string fields compared lexicographically — the generator's
-    /// canonical output order. Implemented over precomputed symbol ranks
-    /// so the sort never touches a string.
+    /// Sort rows by `(timestamp, useragent, ip_hash, uri_path)` with
+    /// string fields compared lexicographically, rows with equal keys
+    /// keeping their table order — the generator's canonical output
+    /// order, exactly what a stable sort on that key returns.
+    ///
+    /// Only keys are sorted: one `u64` per row, the row's position in
+    /// the low bits under its timestamp (less the table's earliest),
+    /// which is shifted right only when the span of timestamps is too
+    /// wide for the bits left. The position makes every key unique, so
+    /// an unstable sort gives the stable order. Each run of keys with
+    /// equal time bits is then ordered by the full canonical key with
+    /// its strings resolved, position breaking ties; strings are
+    /// compared only there. The rows move once, along the cycles of the
+    /// resulting permutation, so the sort holds no second copy of them.
     pub fn sort_canonical(&mut self) {
-        let ranks = self.interner.ranks();
-        self.rows.sort_by_key(|r| {
-            (r.timestamp, ranks[r.useragent.index()], r.ip_hash, ranks[r.uri_path.index()])
-        });
-    }
-
-    /// Group rows by the study's stratification triple τ = (ASN, IP
-    /// hash, **raw** user agent); the normative definition of τ lives
-    /// next to the crawl-delay metric in `botscope-core::metrics`.
-    /// Groups come back sorted lexicographically by resolved (ASN, IP
-    /// hash, user agent), so iteration order is deterministic and
-    /// independent of symbol interning order; within a group, rows keep
-    /// table row order (ascending in time once the table is
-    /// canonically sorted).
-    pub fn by_tau(&self) -> Vec<TauGroup<'_>> {
-        use std::collections::HashMap;
-        let mut map: HashMap<(Sym, u64, Sym), Vec<&RecordRow>> = HashMap::new();
-        for row in &self.rows {
-            map.entry((row.asn, row.ip_hash, row.useragent)).or_default().push(row);
-        }
-        let mut groups: Vec<TauGroup<'_>> = map
-            .into_iter()
-            .map(|((asn, ip, ua), rows)| ((self.resolve(asn), ip, self.resolve(ua)), rows))
+        let times = self.rows.iter().map(|r| r.timestamp.unix());
+        let (Some(min), Some(max)) = (times.clone().min(), times.max()) else {
+            return;
+        };
+        let pos_bits = usize::BITS - self.rows.len().leading_zeros();
+        let shift = (u64::BITS - (max - min).leading_zeros()).saturating_sub(u64::BITS - pos_bits);
+        let mut keys: Vec<u64> = self
+            .rows
+            .iter()
+            .enumerate()
+            .map(|(i, r)| ((r.timestamp.unix() - min) >> shift) << pos_bits | i as u64)
             .collect();
-        groups.sort_by(|a, b| a.0.cmp(&b.0));
-        groups
+        keys.sort_unstable();
+        let pos_mask = (1u64 << pos_bits) - 1;
+        let full_key = |key: u64| {
+            let i = (key & pos_mask) as usize;
+            let r = &self.rows[i];
+            (r.timestamp, self.resolve(r.useragent), r.ip_hash, self.resolve(r.uri_path), i)
+        };
+        for run in keys.chunk_by_mut(|a, b| a >> pos_bits == b >> pos_bits) {
+            if run.len() > 1 {
+                run.sort_unstable_by(|&a, &b| full_key(a).cmp(&full_key(b)));
+            }
+        }
+        // Stripped to its position, `keys[i]` is the row that belongs at
+        // `i`; a visited slot is marked by pointing at itself.
+        for key in &mut keys {
+            *key &= pos_mask;
+        }
+        for start in 0..keys.len() {
+            if keys[start] as usize == start {
+                continue;
+            }
+            let held = self.rows[start];
+            let mut at = start;
+            loop {
+                let from = std::mem::replace(&mut keys[at], at as u64) as usize;
+                if from == start {
+                    self.rows[at] = held;
+                    break;
+                }
+                self.rows[at] = self.rows[from];
+                at = from;
+            }
+        }
     }
 
     /// Group rows by raw user-agent string, sorted by agent name; within
@@ -502,6 +525,17 @@ mod tests {
     }
 
     #[test]
+    fn sort_canonical_keeps_empty_and_single_row_tables() {
+        let mut empty = LogTable::new();
+        empty.sort_canonical();
+        assert!(empty.is_empty());
+        let one = vec![rec("a", 1, u64::MAX, "/")];
+        let mut table = LogTable::from_records(&one);
+        table.sort_canonical();
+        assert_eq!(table.to_records(), one);
+    }
+
+    #[test]
     fn sessionize_splits_entities_at_the_gap() {
         let records = vec![
             rec("a", 1, 0, "/x"),
@@ -544,30 +578,7 @@ mod tests {
         assert!(table.is_empty());
         assert!(table.to_records().is_empty());
         assert!(table.sessionize(300).is_empty());
-        assert!(table.by_tau().is_empty());
         assert!(table.by_useragent().is_empty());
-    }
-
-    #[test]
-    fn tau_grouping() {
-        let records = vec![
-            rec("a", 1, 0, "/x"),
-            rec("a", 1, 5, "/y"),
-            rec("a", 2, 0, "/x"),
-            rec("b", 1, 0, "/x"),
-        ];
-        let table = LogTable::from_records(&records);
-        let groups = table.by_tau();
-        assert_eq!(groups.len(), 3);
-        // Sorted by (asn, ip, ua); all share the GOOGLE ASN.
-        let keys: Vec<(&str, u64, &str)> = groups.iter().map(|(k, _)| *k).collect();
-        assert_eq!(keys, vec![("GOOGLE", 1, "a"), ("GOOGLE", 1, "b"), ("GOOGLE", 2, "a")]);
-        // Two accesses of ("GOOGLE", 1, "a"), in time order.
-        assert_eq!(groups[0].1.len(), 2);
-        assert!(groups[0].1[0].timestamp <= groups[0].1[1].timestamp);
-        // Raw UA is part of the key: same ASN/IP, different agent strings
-        // stratify apart (the §4.2 τ-tuple).
-        assert_ne!(groups[0].0, groups[1].0);
     }
 
     #[test]

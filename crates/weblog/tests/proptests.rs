@@ -188,6 +188,36 @@ fn pooled_record() -> impl Strategy<Value = AccessRecord> {
         })
 }
 
+/// User agents and paths of [`sort_case`], listed so that interning
+/// them in reverse order gives symbol ids against byte order.
+const SORT_AGENTS: [&str; 5] = ["", "Amazonbot", "GPTBot/1.2", "zeta-bot", "é-bot"];
+const SORT_PATHS: [&str; 4] = ["/", "/a", "/robots.txt", "/ü"];
+
+/// Records shaped against [`LogTable::sort_canonical`]: a few instants
+/// on a grid whose step may pass 2^32 s (or 2^61 s, wider than the sort
+/// key's time bits, with a few seconds of jitter), small string pools,
+/// and canonical keys repeated with only `bytes` and `status` apart.
+fn sort_case() -> impl Strategy<Value = Vec<AccessRecord>> {
+    const STEPS: [u64; 4] = [1, 43_200, 1 << 33, 1 << 61];
+    let step = (0..STEPS.len()).prop_map(|i| STEPS[i]);
+    let record = (0u64..4, 0u64..3, 0..SORT_AGENTS.len(), 0u64..2, 0..SORT_PATHS.len(), 0u64..3);
+    (step, prop::collection::vec(record, 0..200)).prop_map(|(step, rows)| {
+        rows.into_iter()
+            .map(|(t, jitter, agent, ip_hash, path, payload)| AccessRecord {
+                useragent: SORT_AGENTS[agent].into(),
+                timestamp: Timestamp::from_unix(t * step + if step > 1 << 40 { jitter } else { 0 }),
+                ip_hash,
+                asn: "GOOGLE".into(),
+                sitename: "site-00.example.edu".into(),
+                uri_path: SORT_PATHS[path].into(),
+                status: 200 + payload as u16,
+                bytes: payload,
+                referer: None,
+            })
+            .collect()
+    })
+}
+
 /// Logs shaped for sessionization: a few entities, instants on a
 /// 150-second grid with a gap of 1–3 grid steps, so deltas of exactly
 /// the gap are common. Half the logs are tie-heavy: every access shares
@@ -551,12 +581,34 @@ proptest! {
     }
 
     #[test]
+    fn sort_canonical_matches_stable_sort_oracle(records in sort_case()) {
+        // Symbols interned against byte order, so an id-ordered sort
+        // would disagree with the string order.
+        let mut table = LogTable::new();
+        for s in SORT_AGENTS.iter().chain(&SORT_PATHS).rev() {
+            table.intern(s);
+        }
+        for r in &records {
+            table.push_record(r);
+        }
+        table.sort_canonical();
+        let mut expect = records;
+        expect.sort_by(|a, b| {
+            (a.timestamp, a.useragent.as_str(), a.ip_hash, a.uri_path.as_str())
+                .cmp(&(b.timestamp, b.useragent.as_str(), b.ip_hash, b.uri_path.as_str()))
+        });
+        prop_assert_eq!(table.to_records(), expect);
+    }
+
+    #[test]
     fn every_sink_through_merge_matches_stable_sorted_reference(
-        runs in prop::collection::vec(prop::collection::vec(pooled_record(), 0..25), 3..6),
+        runs in prop::collection::vec(prop::collection::vec(pooled_record(), 0..8), 40..48),
     ) {
         // Each run interns on its own, so symbol ids disagree across
         // runs; the merge must still emit the concatenate-then-stable-
-        // sort order, and every sink the bytes of that order.
+        // sort order, and every sink the bytes of that order. Forty-odd
+        // runs, some empty, over a few hundred keys: equal keys meet
+        // across many runs and must drain in run order.
         let mut sorted: Vec<AccessRecord> = runs.concat();
         sorted.sort_by(|a, b| {
             (a.timestamp, &a.useragent, a.ip_hash, &a.uri_path)
@@ -664,20 +716,9 @@ proptest! {
     fn table_views_partition_the_rows(
         records in prop::collection::vec(record_strategy(), 0..50),
     ) {
-        // by_tau and by_useragent are partitions of the row set, keyed
-        // and ordered deterministically; τ groups agree with the
-        // record-level τ-tuple.
+        // by_useragent is a partition of the row set, keyed and
+        // ordered deterministically.
         let table = LogTable::from_records(&records);
-        let tau_groups = table.by_tau();
-        let grouped: usize = tau_groups.iter().map(|(_, v)| v.len()).sum();
-        prop_assert_eq!(grouped, records.len());
-        prop_assert!(tau_groups.windows(2).all(|w| w[0].0 < w[1].0), "τ keys sorted + unique");
-        for ((asn, ip, ua), rows) in &tau_groups {
-            for row in rows {
-                let r = table.materialize(row);
-                prop_assert_eq!((r.asn.as_str(), r.ip_hash, r.useragent.as_str()), (*asn, *ip, *ua));
-            }
-        }
         let ua_groups = table.by_useragent();
         let grouped: usize = ua_groups.iter().map(|(_, v)| v.len()).sum();
         prop_assert_eq!(grouped, records.len());
