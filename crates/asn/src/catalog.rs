@@ -134,11 +134,6 @@ pub fn spoof_catalog() -> &'static [SpoofProfile] {
     SPOOF_CATALOG
 }
 
-/// Find a profile by bot name.
-pub fn profile_for(bot: &str) -> Option<&'static SpoofProfile> {
-    SPOOF_CATALOG.iter().find(|p| p.bot.eq_ignore_ascii_case(bot))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,7 +158,7 @@ mod tests {
 
     #[test]
     fn googlebot_has_widest_spoofing() {
-        let g = profile_for("Googlebot").unwrap();
+        let g = SPOOF_CATALOG.iter().find(|p| p.bot == "Googlebot").unwrap();
         assert!(g.suspicious_asns.len() >= 20, "paper: up to 24 ASNs");
         let max = SPOOF_CATALOG.iter().map(|p| p.suspicious_asns.len()).max().unwrap();
         assert_eq!(max, g.suspicious_asns.len());
@@ -178,11 +173,5 @@ mod tests {
                 p.bot
             );
         }
-    }
-
-    #[test]
-    fn lookup_by_name() {
-        assert_eq!(profile_for("gptbot").unwrap().main_asn, "MICROSOFT-CORP-MSN-AS-BLOCK");
-        assert!(profile_for("NoSuchBot").is_none());
     }
 }

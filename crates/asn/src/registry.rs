@@ -148,11 +148,6 @@ impl WhoisDirectory {
         DIRECTORY.iter().find(|r| r.name == name)
     }
 
-    /// Look up a record by AS number.
-    pub fn by_number(&self, number: u32) -> Option<&'static AsnRecord> {
-        DIRECTORY.iter().find(|r| r.number == number)
-    }
-
     /// All records.
     pub fn all(&self) -> &'static [AsnRecord] {
         DIRECTORY
@@ -242,9 +237,7 @@ mod tests {
     #[test]
     fn lookups() {
         let d = WhoisDirectory;
-        assert_eq!(d.by_number(15169).unwrap().name, "GOOGLE");
         assert!(d.by_name("NOPE").is_none());
-        assert!(d.by_number(1).is_none());
         assert!(!d.is_empty());
         assert_eq!(d.len(), DIRECTORY.len());
     }

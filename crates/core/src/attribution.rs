@@ -76,6 +76,17 @@ pub enum PolicyBasis {
     Served,
 }
 
+impl PolicyBasis {
+    /// Parse a CLI token: `believed` or `served`.
+    pub fn parse(s: &str) -> Option<PolicyBasis> {
+        match s {
+            "believed" => Some(PolicyBasis::Believed),
+            "served" => Some(PolicyBasis::Served),
+            _ => None,
+        }
+    }
+}
+
 /// Per-bot attribution of page accesses against served ground truth.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AttributionCounts {
@@ -108,17 +119,6 @@ impl AttributionCounts {
     /// drops from the non-compliant pool.
     pub fn excused(&self) -> u64 {
         self.stale_cache + self.fetch_artifact
-    }
-
-    /// Share of served violations that were deliberate (`None` with no
-    /// violations).
-    pub fn deliberate_share(&self) -> Option<f64> {
-        let v = self.violations_served();
-        if v == 0 {
-            None
-        } else {
-            Some(self.deliberate as f64 / v as f64)
-        }
     }
 
     /// Served-policy compliance ratio (`None` with no accesses).
@@ -522,7 +522,6 @@ mod tests {
         assert_eq!(c.fetch_artifact, 0);
         assert_eq!(c.believed_violations, 0, "its own belief allowed everything");
         assert_eq!(c.violations_served(), 2);
-        assert_eq!(c.deliberate_share(), Some(0.0));
 
         // The excusal mask marks exactly the two stale-cache rows.
         assert_eq!(out.excused, vec![false, true, true, false]);
@@ -542,7 +541,6 @@ mod tests {
         assert_eq!(c.deliberate, 2);
         assert_eq!(c.believed_violations, 2);
         assert_eq!(c.stale_cache + c.fetch_artifact, 0);
-        assert_eq!(c.deliberate_share(), Some(1.0));
         // Deliberate violations are never excused.
         assert_eq!(out.excused, vec![false, false]);
     }

@@ -56,11 +56,6 @@ impl DirectiveCounts {
         self.successes += other.successes;
         self.trials += other.trials;
     }
-
-    /// As a `(successes, trials)` tuple for the z-test API.
-    pub fn as_tuple(&self) -> (u64, u64) {
-        (self.successes, self.trials)
-    }
 }
 
 impl std::iter::Sum for DirectiveCounts {
@@ -325,10 +320,10 @@ mod tests {
     }
 
     #[test]
-    fn merge_and_tuple() {
+    fn merge_adds_successes_and_trials() {
         let mut a = DirectiveCounts { successes: 1, trials: 2 };
         a.merge(DirectiveCounts { successes: 3, trials: 4 });
-        assert_eq!(a.as_tuple(), (4, 6));
+        assert_eq!(a, DirectiveCounts { successes: 4, trials: 6 });
     }
 
     #[test]

@@ -53,11 +53,6 @@ impl SpoofReport {
     pub fn finding_for(&self, bot: &str) -> Option<&SpoofFinding> {
         self.findings.iter().find(|f| f.bot == bot)
     }
-
-    /// Total flagged requests across all bots.
-    pub fn total_spoofed(&self) -> u64 {
-        self.findings.iter().map(|f| f.spoofed_requests).sum()
-    }
 }
 
 /// The §5.2 rule over one bot's request count per ASN (each ASN once,
@@ -243,7 +238,7 @@ mod tests {
         per_bot.insert("clean".into(), rows_b.iter().collect());
         let report = detect_rows(&table, &per_bot);
         assert_eq!(report.findings.len(), 1);
-        assert_eq!(report.total_spoofed(), 1);
+        assert_eq!(report.findings[0].spoofed_requests, 1);
         assert!(report.finding_for("flagged").is_some());
         assert!(report.finding_for("clean").is_none());
     }

@@ -33,9 +33,8 @@
 use botscope_simnet::belief::{BeliefAtlas, BeliefTimeline, ServedOracle};
 use botscope_simnet::engine::simulate_table_oracle;
 use botscope_simnet::fleet::build_fleet;
-use botscope_simnet::site::EXPERIMENT_SITE;
+use botscope_simnet::scenario::phase_study_plan;
 use botscope_simnet::{worker_threads, PhaseSchedule, SimConfig, SimTableOutput};
-use botscope_weblog::time::Timestamp;
 
 use crate::daemon::{
     belief_atlas, run_daemon, DaemonRun, MonitorConfig, MonitorStats, Record, TtlPolicy, TtlSource,
@@ -127,12 +126,10 @@ pub fn run_coupled(cfg: &CoupledConfig) -> CoupledOutput {
 pub fn run_coupled_with_threads(cfg: &CoupledConfig, threads: usize) -> CoupledOutput {
     let obs = botscope_obs::global();
     // The coupled study runs the paper's 8-week experiment window.
-    let start = Timestamp::from_date(2025, 1, 15);
-    let schedule = PhaseSchedule::paper_schedule(start, EXPERIMENT_SITE);
+    let (sim_cfg, schedule) = phase_study_plan(&cfg.sim);
     let (lo, hi) = schedule.bounds();
     let mut run_span = obs.span("coupled_run");
     run_span.event_range(lo.unix(), hi.unix() + 86_400);
-    let sim_cfg = SimConfig { start: lo, days: hi.days_since(lo), ..cfg.sim.clone() };
     sim_cfg.assert_valid();
 
     let models = build_estate_for_schedule(
@@ -219,7 +216,9 @@ mod tests {
     use super::*;
     use botscope_simnet::belief::BelievedPolicy;
     use botscope_simnet::scenario::phase_study_table;
+    use botscope_simnet::site::EXPERIMENT_SITE;
     use botscope_simnet::PolicyVersion;
+    use botscope_weblog::time::Timestamp;
 
     fn small_sim() -> SimConfig {
         SimConfig {

@@ -1,11 +1,11 @@
-//! SHA-256 in safe Rust (FIPS 180-4), plus a [`DigestWriter`] adapter
-//! that fingerprints a byte stream while passing it through unchanged.
+//! SHA-256 in safe Rust (FIPS 180-4), and [`Fingerprint`], a fast
+//! 128-bit content fingerprint.
 //!
-//! The manifest exporter uses this to attach content digests to run
-//! outputs without buffering them: the CLI wraps its output writer in
-//! a [`DigestWriter`] and reads off the hash after the final flush.
-
-use std::io::{self, Write};
+//! The manifest's `manifest_digest` and the benchmark's artifacts use
+//! SHA-256. Run outputs are fingerprinted instead: the CLI feeds every
+//! byte it writes through a [`Fingerprint`] on the writer's critical
+//! path, where SHA-256 cost more than the runs it described. The
+//! fingerprint tells outputs apart; it is not a cryptographic hash.
 
 const K: [u32; 64] = [
     0x428a_2f98,
@@ -215,51 +215,137 @@ pub fn to_hex(bytes: &[u8]) -> String {
     out
 }
 
-/// A pass-through writer that hashes and counts everything written.
-pub struct DigestWriter<W: Write> {
-    inner: W,
-    hasher: Sha256,
-    bytes: u64,
+/// The keys of [`Fingerprint`]: the first hex digits of π's fraction
+/// in 64-bit words, low bit set. Lane `i` keys its low word with key
+/// `2i` and starts from key `2i + 1`; the finish mixes with keys 8–11
+/// and 0.
+const FP_KEYS: [u64; 12] = [
+    0x243f_6a88_85a3_08d3,
+    0x1319_8a2e_0370_7345,
+    0xa409_3822_299f_31d1,
+    0x082e_fa98_ec4e_6c89,
+    0x4528_21e6_38d0_1377,
+    0xbe54_66cf_34e9_0c6d,
+    0xc0ac_29b7_c97c_50dd,
+    0x3f84_d5b5_b547_0917,
+    0x9216_d5d9_8979_fb1b,
+    0xd131_0ba6_98df_b5ad,
+    0x2ffd_72db_d01a_dfb7,
+    0xb8e1_afed_6a26_7e97,
+];
+
+/// Bytes per [`Fingerprint`] block: four lanes of 16 bytes.
+const FP_BLOCK: usize = 64;
+
+/// The 64×64→128-bit product of `a` and `b`, folded to 64 bits.
+fn fold_mul(a: u64, b: u64) -> u64 {
+    let m = u128::from(a) * u128::from(b);
+    (m as u64) ^ ((m >> 64) as u64)
 }
 
-impl<W: Write> DigestWriter<W> {
-    /// Wrap `inner`.
-    pub fn new(inner: W) -> DigestWriter<W> {
-        DigestWriter { inner, hasher: Sha256::new(), bytes: 0 }
+fn le64(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("8-byte word"))
+}
+
+/// An incremental 128-bit content fingerprint of a byte stream.
+///
+/// Four independent lanes each take 16 bytes of every 64-byte block
+/// with one 64×64→128-bit multiply, chained through the lane's state so
+/// the order of blocks matters. A partial block is buffered, so the
+/// value depends only on the bytes, not on how writes split them; the
+/// finish mixes in the length. Not a cryptographic hash: it tells
+/// outputs apart, and an adversary could forge a collision.
+#[derive(Clone)]
+pub struct Fingerprint {
+    lanes: [u64; 4],
+    buf: [u8; FP_BLOCK],
+    buf_len: usize,
+    total_len: u64,
+}
+
+impl Default for Fingerprint {
+    fn default() -> Self {
+        Fingerprint::new()
+    }
+}
+
+impl Fingerprint {
+    /// The fingerprint of the empty stream.
+    pub fn new() -> Fingerprint {
+        Fingerprint {
+            lanes: [FP_KEYS[1], FP_KEYS[3], FP_KEYS[5], FP_KEYS[7]],
+            buf: [0; FP_BLOCK],
+            buf_len: 0,
+            total_len: 0,
+        }
     }
 
-    /// Bytes written so far.
+    /// Absorb whole blocks (`blocks.len()` is a multiple of the block
+    /// size), the lanes held in registers.
+    fn blocks(lanes: &mut [u64; 4], blocks: &[u8]) {
+        let [mut a, mut b, mut c, mut d] = *lanes;
+        for block in blocks.chunks_exact(FP_BLOCK) {
+            let w = |i: usize| le64(&block[8 * i..8 * i + 8]);
+            a = fold_mul(w(0) ^ FP_KEYS[0], w(1) ^ a);
+            b = fold_mul(w(2) ^ FP_KEYS[2], w(3) ^ b);
+            c = fold_mul(w(4) ^ FP_KEYS[4], w(5) ^ c);
+            d = fold_mul(w(6) ^ FP_KEYS[6], w(7) ^ d);
+        }
+        *lanes = [a, b, c, d];
+    }
+
+    /// Absorb `data`.
+    pub fn update(&mut self, mut data: &[u8]) {
+        self.total_len = self.total_len.wrapping_add(data.len() as u64);
+        if self.buf_len > 0 {
+            let take = (FP_BLOCK - self.buf_len).min(data.len());
+            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
+            self.buf_len += take;
+            data = &data[take..];
+            if self.buf_len < FP_BLOCK {
+                return;
+            }
+            Fingerprint::blocks(&mut self.lanes, &self.buf);
+            self.buf_len = 0;
+        }
+        let whole = data.len() - data.len() % FP_BLOCK;
+        Fingerprint::blocks(&mut self.lanes, &data[..whole]);
+        let rest = &data[whole..];
+        self.buf[..rest.len()].copy_from_slice(rest);
+        self.buf_len = rest.len();
+    }
+
+    /// Bytes absorbed so far.
     pub fn bytes(&self) -> u64 {
-        self.bytes
+        self.total_len
     }
 
-    /// Hex digest of everything written so far (does not consume).
-    pub fn hex_digest(&self) -> String {
-        self.hasher.clone().finalize_hex()
+    /// The 128-bit fingerprint of everything absorbed so far.
+    pub fn finish(&self) -> u128 {
+        let mut lanes = self.lanes;
+        if self.buf_len > 0 {
+            let mut last = [0u8; FP_BLOCK];
+            last[..self.buf_len].copy_from_slice(&self.buf[..self.buf_len]);
+            Fingerprint::blocks(&mut lanes, &last);
+        }
+        let [a, b, c, d] = lanes;
+        let x = fold_mul(a ^ FP_KEYS[8], b ^ self.total_len);
+        let y = fold_mul(c ^ FP_KEYS[9], d ^ self.total_len.rotate_left(32));
+        let lo = fold_mul(x ^ FP_KEYS[10], y ^ FP_KEYS[11]);
+        let hi = fold_mul(y ^ lo, x ^ FP_KEYS[0]);
+        (u128::from(hi) << 64) | u128::from(lo)
     }
 
-    /// Unwrap the inner writer.
-    pub fn into_inner(self) -> W {
-        self.inner
-    }
-}
-
-impl<W: Write> Write for DigestWriter<W> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let n = self.inner.write(buf)?;
-        self.hasher.update(&buf[..n]);
-        self.bytes += n as u64;
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
+    /// [`Fingerprint::finish`] as `fp128:` and 32 lowercase hex digits.
+    pub fn hex(&self) -> String {
+        format!("fp128:{:032x}", self.finish())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     // NIST FIPS 180-4 / RFC 6234 vectors.
     #[test]
@@ -295,13 +381,68 @@ mod tests {
         }
     }
 
+    /// Known answers, computed by an independent Python transcription of
+    /// the lanes, keys and finish.
     #[test]
-    fn digest_writer_passthrough() {
-        let mut w = DigestWriter::new(Vec::new());
-        w.write_all(b"hello ").unwrap();
-        w.write_all(b"world").unwrap();
-        assert_eq!(w.bytes(), 11);
-        assert_eq!(w.hex_digest(), sha256_hex(b"hello world"));
-        assert_eq!(w.into_inner(), b"hello world");
+    fn fingerprint_known_answers() {
+        let hex = |data: &[u8]| {
+            let mut f = Fingerprint::new();
+            f.update(data);
+            f.hex()
+        };
+        let million = vec![0x61u8; 1_000_000];
+        assert_eq!(hex(b""), "fp128:d74513cc292a375e105f105b39a03ec6");
+        assert_eq!(hex(b"abc"), "fp128:de28f0941b90352c1b411e72ba139a25");
+        assert_eq!(hex(&million[..64]), "fp128:73e8652b3ff0f300476440ca6aa02193");
+        assert_eq!(hex(&million), "fp128:4b972e36e5af4f24ded2432bd44c76cb");
+    }
+
+    #[test]
+    fn fingerprint_tells_near_streams_apart() {
+        let fp = |data: &[u8]| {
+            let mut f = Fingerprint::new();
+            f.update(data);
+            f.finish()
+        };
+        let base: Vec<u8> = (0..300u32).map(|i| (i % 251) as u8).collect();
+        let mut seen = std::collections::HashSet::new();
+        assert!(seen.insert(fp(&base)));
+        // Zero padding, one flipped bit anywhere, and swapped blocks.
+        let mut padded = base.clone();
+        padded.push(0);
+        assert!(seen.insert(fp(&padded)));
+        for i in 0..base.len() {
+            let mut flipped = base.clone();
+            flipped[i] ^= 1;
+            assert!(seen.insert(fp(&flipped)), "bit flip at {i}");
+        }
+        let mut swapped = base.clone();
+        swapped[..64].copy_from_slice(&base[64..128]);
+        swapped[64..128].copy_from_slice(&base[..64]);
+        assert!(seen.insert(fp(&swapped)));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// The fingerprint depends on the bytes only, not on where the
+        /// writes split them.
+        #[test]
+        fn fingerprint_ignores_split_points(
+            data in prop::collection::vec(any::<u8>(), 0..400),
+            cuts in prop::collection::vec(0usize..400, 0..8),
+        ) {
+            let mut whole = Fingerprint::new();
+            whole.update(&data);
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(data.len())).collect();
+            cuts.sort_unstable();
+            let mut split = Fingerprint::new();
+            let mut at = 0;
+            for cut in cuts.into_iter().chain([data.len()]) {
+                split.update(&data[at..cut]);
+                at = cut;
+            }
+            prop_assert_eq!(split.bytes(), data.len() as u64);
+            prop_assert_eq!(split.finish(), whole.finish());
+        }
     }
 }

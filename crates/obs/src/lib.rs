@@ -85,12 +85,6 @@ impl Gauge {
         self.value.store(v, Ordering::Relaxed);
     }
 
-    /// Raise the value to `v` if larger (peak tracking).
-    #[inline]
-    pub fn set_max(&self, v: u64) {
-        self.value.fetch_max(v, Ordering::Relaxed);
-    }
-
     /// Current value.
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
@@ -177,8 +171,8 @@ pub struct OutputRecord {
     pub target: String,
     /// Bytes written.
     pub bytes: u64,
-    /// SHA-256 of the bytes, lowercase hex.
-    pub sha256: String,
+    /// The bytes' [`digest::Fingerprint`], as `fp128:` and hex.
+    pub fingerprint: String,
 }
 
 #[derive(Default)]
@@ -325,13 +319,13 @@ impl Registry {
 
     // -- outputs -------------------------------------------------------
 
-    /// Record an output artifact digest (the CLI's `write_output`
-    /// funnel calls this when a manifest is requested).
-    pub fn record_output(&self, target: &str, bytes: u64, sha256: String) {
+    /// Record an output artifact's fingerprint (the CLI's output
+    /// writers call this when a manifest is requested).
+    pub fn record_output(&self, target: &str, bytes: u64, fingerprint: String) {
         self.outputs.lock().expect("outputs lock").push(OutputRecord {
             target: target.to_string(),
             bytes,
-            sha256,
+            fingerprint,
         });
     }
 
@@ -505,10 +499,8 @@ mod tests {
         assert_eq!(reg.counter("x_total").get(), 5, "same handle by name");
         let g = reg.gauge("g");
         g.set(7);
-        g.set_max(3);
         assert_eq!(g.get(), 7);
-        g.set_max(11);
-        assert_eq!(g.get(), 11);
+        assert_eq!(reg.gauge("g").get(), 7, "same handle by name");
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! A [`RunManifest`] is the flight recorder's summary artifact: what
 //! command ran, with which config/seed/threads, which counters it
-//! accumulated, what it wrote (sizes + SHA-256 digests), and how it
+//! accumulated, what it wrote (sizes + 128-bit content fingerprints,
+//! see [`crate::digest::Fingerprint`]), and how it
 //! performed (wall time, phase timings, peak RSS, host cores).
 //!
 //! ## Rendering contract
@@ -21,8 +22,9 @@ use crate::{json_escape, OutputRecord};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Current manifest schema version.
-pub const SCHEMA_VERSION: u32 = 1;
+/// Current manifest schema version. Version 2 fingerprints each output
+/// (`"fingerprint": "fp128:…"`) where version 1 recorded its SHA-256.
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// Volatile (machine/run dependent) performance fields; rendered last.
 #[derive(Debug, Clone, Default)]
@@ -100,10 +102,10 @@ impl RunManifest {
             .iter()
             .map(|o| {
                 format!(
-                    "{{\"target\": \"{}\", \"bytes\": {}, \"sha256\": \"{}\"}}",
+                    "{{\"target\": \"{}\", \"bytes\": {}, \"fingerprint\": \"{}\"}}",
                     json_escape(&o.target),
                     o.bytes,
-                    json_escape(&o.sha256)
+                    json_escape(&o.fingerprint)
                 )
             })
             .collect();
@@ -175,7 +177,7 @@ mod tests {
             outputs: vec![OutputRecord {
                 target: "out.csv".into(),
                 bytes: 10,
-                sha256: "ab".into(),
+                fingerprint: "fp128:ab".into(),
             }],
             perf: PerfSection {
                 wall_ms: 12.5,

@@ -121,9 +121,24 @@ pub struct BotBehavior {
 }
 
 impl BotBehavior {
-    /// A neutral default used for registry bots without explicit
-    /// calibration: modest, slow-ish, mostly polite.
-    pub fn default_minor() -> Self {
+    /// Validate invariants.
+    pub fn assert_valid(&self) {
+        assert!(self.daily_hits > 0.0, "daily_hits must be positive");
+        assert!(self.pages_per_session >= 1.0, "sessions need at least one page");
+        assert!(self.fast_pacing_secs > 0.0);
+        assert!(self.bytes_factor > 0.0);
+        assert!(self.ip_pool >= 1);
+        assert!((0.0..=1.0).contains(&self.directory_affinity));
+        self.compliance.assert_valid();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A modest, slow-ish, mostly polite bot.
+    fn minor() -> BotBehavior {
         BotBehavior {
             daily_hits: 3.0,
             pages_per_session: 4.0,
@@ -142,27 +157,11 @@ impl BotBehavior {
         }
     }
 
-    /// Validate invariants.
-    pub fn assert_valid(&self) {
-        assert!(self.daily_hits > 0.0, "daily_hits must be positive");
-        assert!(self.pages_per_session >= 1.0, "sessions need at least one page");
-        assert!(self.fast_pacing_secs > 0.0);
-        assert!(self.bytes_factor > 0.0);
-        assert!(self.ip_pool >= 1);
-        assert!((0.0..=1.0).contains(&self.directory_affinity));
-        self.compliance.assert_valid();
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
     #[test]
     fn presets_valid() {
         CompliancePolicy::obedient().assert_valid();
         CompliancePolicy::defiant().assert_valid();
-        BotBehavior::default_minor().assert_valid();
+        minor().assert_valid();
     }
 
     #[test]
@@ -174,7 +173,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "daily_hits")]
     fn zero_rate_caught() {
-        BotBehavior { daily_hits: 0.0, ..BotBehavior::default_minor() }.assert_valid();
+        BotBehavior { daily_hits: 0.0, ..minor() }.assert_valid();
     }
 
     #[test]

@@ -33,10 +33,30 @@ pub struct PhaseStudyTableOutput {
     pub schedule: PhaseSchedule,
 }
 
+/// Study 1's run: `cfg` as given, under the base file everywhere.
+pub fn full_study_plan(cfg: &SimConfig) -> (SimConfig, PhaseSchedule) {
+    (cfg.clone(), PhaseSchedule::always_base(EXPERIMENT_SITE, cfg.start, cfg.end()))
+}
+
+/// Study 2's schedule: the paper's 8-week four-phase experiment on the
+/// high-traffic site, starting 2025-01-15 (the paper's January
+/// baseline).
+pub fn phase_study_schedule() -> PhaseSchedule {
+    PhaseSchedule::paper_schedule(Timestamp::from_date(2025, 1, 15), EXPERIMENT_SITE)
+}
+
+/// Study 2's run: [`phase_study_schedule`], with `cfg.start`/`cfg.days`
+/// overridden by its window.
+pub fn phase_study_plan(cfg: &SimConfig) -> (SimConfig, PhaseSchedule) {
+    let schedule = phase_study_schedule();
+    let (lo, hi) = schedule.bounds();
+    (SimConfig { start: lo, days: hi.days_since(lo), ..cfg.clone() }, schedule)
+}
+
 /// Study 1: passive observation of the whole estate under the base file.
 pub fn full_study_table(cfg: &SimConfig) -> SimTableOutput {
-    let schedule = PhaseSchedule::always_base(EXPERIMENT_SITE, cfg.start, cfg.end());
-    simulate_table(cfg, &schedule)
+    let (cfg, schedule) = full_study_plan(cfg);
+    simulate_table(&cfg, &schedule)
 }
 
 /// [`full_study_table`] streamed straight into sinks with bounded memory:
@@ -48,18 +68,14 @@ pub fn full_study_stream(
     opts: &StreamOptions,
     sinks: &mut [&mut dyn RowSink],
 ) -> io::Result<SimStreamOutput> {
-    let schedule = PhaseSchedule::always_base(EXPERIMENT_SITE, cfg.start, cfg.end());
-    simulate_stream_with_threads(cfg, &schedule, threads, opts, sinks)
+    let (cfg, schedule) = full_study_plan(cfg);
+    simulate_stream_with_threads(&cfg, &schedule, threads, opts, sinks)
 }
 
-/// Study 2: the controlled robots.txt experiment. `cfg.start`/`cfg.days`
-/// are overridden by the 8-week schedule (starting 2025-01-15, matching
-/// the paper's January baseline).
+/// Study 2: the controlled robots.txt experiment over
+/// [`phase_study_plan`]'s schedule.
 pub fn phase_study_table(cfg: &SimConfig) -> PhaseStudyTableOutput {
-    let start = Timestamp::from_date(2025, 1, 15);
-    let schedule = PhaseSchedule::paper_schedule(start, EXPERIMENT_SITE);
-    let (lo, hi) = schedule.bounds();
-    let cfg = SimConfig { start: lo, days: hi.days_since(lo), ..cfg.clone() };
+    let (cfg, schedule) = phase_study_plan(cfg);
     let sim = simulate_table(&cfg, &schedule);
     PhaseStudyTableOutput { sim, schedule }
 }
@@ -81,10 +97,7 @@ pub fn phase_study_stream(
     opts: &StreamOptions,
     sinks: &mut [&mut dyn RowSink],
 ) -> io::Result<PhaseStudyStreamOutput> {
-    let start = Timestamp::from_date(2025, 1, 15);
-    let schedule = PhaseSchedule::paper_schedule(start, EXPERIMENT_SITE);
-    let (lo, hi) = schedule.bounds();
-    let cfg = SimConfig { start: lo, days: hi.days_since(lo), ..cfg.clone() };
+    let (cfg, schedule) = phase_study_plan(cfg);
     let sim = simulate_stream_with_threads(&cfg, &schedule, threads, opts, sinks)?;
     Ok(PhaseStudyStreamOutput { sim, schedule })
 }

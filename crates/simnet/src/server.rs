@@ -10,7 +10,6 @@
 
 use botscope_robotstxt::compiled::CompiledPolicy;
 use botscope_robotstxt::RobotsTxt;
-use botscope_weblog::time::Timestamp;
 
 use crate::phases::{PhaseSchedule, PolicyVersion};
 
@@ -168,14 +167,10 @@ impl SitePolicyServer {
     }
 }
 
-/// Convenience: the timestamp-typed twin of [`SitePolicyServer::version_at`].
-pub fn served_version(server: &SitePolicyServer, at: Timestamp) -> PolicyVersion {
-    server.version_at(at.unix())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use botscope_weblog::time::Timestamp;
 
     #[test]
     fn corpus_matches_versions() {
@@ -244,7 +239,6 @@ mod tests {
         for (i, v) in PolicyVersion::ALL.iter().enumerate() {
             let mid = start.plus_secs((i as u64 * 14 + 7) * 86_400);
             assert_eq!(s.version_at(mid.unix()), *v, "phase {i}");
-            assert_eq!(served_version(&s, mid), *v);
         }
         let after = start.plus_secs(57 * 86_400);
         assert_eq!(s.version_at(after.unix()), PolicyVersion::Base);

@@ -126,11 +126,6 @@ impl Site {
         (0..total).map(|i| Site::build(i, total)).collect()
     }
 
-    /// Pages of one kind.
-    pub fn pages_of(&self, kind: PageKind) -> Vec<&Page> {
-        self.pages.iter().filter(|p| p.kind == kind).collect()
-    }
-
     /// Pages that are *not* restricted (the legitimate crawl surface).
     pub fn crawlable(&self) -> Vec<&Page> {
         self.pages.iter().filter(|p| p.kind != PageKind::Restricted).collect()
@@ -159,8 +154,9 @@ mod tests {
     #[test]
     fn directory_site_is_people_heavy() {
         let estate = Site::estate(36);
-        let dir_people = estate[DIRECTORY_SITE].pages_of(PageKind::Directory).len();
-        let other_people = estate[3].pages_of(PageKind::Directory).len();
+        let people =
+            |site: &Site| site.pages.iter().filter(|p| p.kind == PageKind::Directory).count();
+        let (dir_people, other_people) = (people(&estate[DIRECTORY_SITE]), people(&estate[3]));
         assert!(dir_people > 10 * other_people);
     }
 
@@ -170,7 +166,7 @@ mod tests {
             assert!(site.pages.iter().any(|p| p.path == "/404"));
             assert!(site.pages.iter().any(|p| p.path == "/dev-404-page"));
             assert!(site.pages.iter().any(|p| p.path.starts_with("/secure/")));
-            assert!(!site.pages_of(PageKind::PageData).is_empty());
+            assert!(site.pages.iter().any(|p| p.kind == PageKind::PageData));
         }
     }
 

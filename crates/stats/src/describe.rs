@@ -71,11 +71,6 @@ impl WeightedMeanAccumulator {
         self.weight += weight;
     }
 
-    /// Total accumulated weight.
-    pub fn total_weight(&self) -> f64 {
-        self.weight
-    }
-
     /// The weighted mean, or `None` if the total weight is zero.
     pub fn finish(&self) -> Option<f64> {
         if self.weight > 0.0 {
@@ -170,7 +165,6 @@ mod tests {
             acc.add(v, w);
         }
         assert_eq!(acc.finish(), weighted_mean(&pairs));
-        assert!((acc.total_weight() - 10.0).abs() < 1e-12);
     }
 
     #[test]

@@ -14,8 +14,7 @@
 //! * **empirical CDFs** over timestamped byte counts (paper Figure 3),
 //! * **time-window coverage** analysis for robots.txt re-check frequency
 //!   (paper §5.1, Figure 10),
-//! * small descriptive-statistics helpers (means, variance, percentiles)
-//!   and fixed-width histograms used by the benches.
+//! * small descriptive-statistics helpers (means, variance, percentiles).
 //!
 //! Everything here is deterministic and allocation-light.
 //!
@@ -38,7 +37,6 @@
 pub mod ci;
 pub mod describe;
 pub mod ecdf;
-pub mod histogram;
 pub mod normal;
 pub mod window;
 pub mod ztest;
@@ -46,7 +44,6 @@ pub mod ztest;
 pub use ci::{wilson, ProportionCi};
 pub use describe::{mean, percentile, stddev, variance, weighted_mean, WeightedMeanAccumulator};
 pub use ecdf::{Ecdf, TimeSeriesCdf};
-pub use histogram::Histogram;
 pub use normal::{erf, erfc, normal_cdf, normal_pdf, normal_quantile};
 pub use window::{window_coverage, WindowCoverage};
 pub use ztest::{two_proportion_z_test, ZTestResult};

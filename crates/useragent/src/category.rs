@@ -88,19 +88,6 @@ impl BotCategory {
             BotCategory::Uncategorized => "Uncategorized",
         }
     }
-
-    /// Whether the category is AI-related (used by the paper's discussion
-    /// of AI-bot re-check rates in §5.1).
-    pub fn is_ai(self) -> bool {
-        matches!(
-            self,
-            BotCategory::AiAgent
-                | BotCategory::AiAssistant
-                | BotCategory::AiDataScraper
-                | BotCategory::AiSearchCrawler
-                | BotCategory::UndocumentedAiAgent
-        )
-    }
 }
 
 impl fmt::Display for BotCategory {
@@ -118,16 +105,6 @@ mod tests {
     fn names_are_unique() {
         let names: BTreeSet<&str> = BotCategory::ALL.iter().map(|c| c.name()).collect();
         assert_eq!(names.len(), BotCategory::ALL.len());
-    }
-
-    #[test]
-    fn ai_flag() {
-        assert!(BotCategory::AiDataScraper.is_ai());
-        assert!(BotCategory::AiAssistant.is_ai());
-        assert!(BotCategory::AiSearchCrawler.is_ai());
-        assert!(!BotCategory::SeoCrawler.is_ai());
-        assert!(!BotCategory::SearchEngineCrawler.is_ai());
-        assert!(!BotCategory::HeadlessBrowser.is_ai());
     }
 
     #[test]

@@ -23,13 +23,6 @@ pub enum AgentClass {
     Unknown,
 }
 
-impl AgentClass {
-    /// Whether the agent is any kind of bot (known or headless).
-    pub fn is_bot(&self) -> bool {
-        matches!(self, AgentClass::KnownBot(_) | AgentClass::HeadlessBrowser(_))
-    }
-}
-
 /// Tokens that indicate an interactive browser when no bot pattern matched.
 const BROWSER_MARKERS: [&str; 6] = ["mozilla/", "chrome/", "safari/", "firefox/", "edg/", "opera/"];
 
@@ -67,7 +60,6 @@ mod tests {
             AgentClass::KnownBot(b) => assert_eq!(b.canonical, "GPTBot"),
             other => panic!("{other:?}"),
         }
-        assert!(c.is_bot());
     }
 
     #[test]
@@ -81,7 +73,6 @@ mod tests {
             AgentClass::HeadlessBrowser(b) => assert_eq!(b.canonical, "HeadlessChrome"),
             other => panic!("{other:?}"),
         }
-        assert!(c.is_bot());
     }
 
     #[test]
@@ -92,7 +83,6 @@ mod tests {
             "Mozilla/5.0 (Macintosh; Intel Mac OS X 10_15_7) AppleWebKit/605.1.15 (KHTML, like Gecko) Version/17.1 Safari/605.1.15",
         );
         assert_eq!(c, AgentClass::Browser);
-        assert!(!c.is_bot());
     }
 
     #[test]

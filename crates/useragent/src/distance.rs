@@ -38,16 +38,6 @@ pub fn levenshtein(a: &str, b: &str) -> usize {
     prev[b.len()]
 }
 
-/// Normalized Levenshtein similarity in `[0, 1]`:
-/// `1 - distance / max(len_a, len_b)`; two empty strings are similarity 1.
-pub fn levenshtein_similarity(a: &str, b: &str) -> f64 {
-    let max_len = a.chars().count().max(b.chars().count());
-    if max_len == 0 {
-        return 1.0;
-    }
-    1.0 - levenshtein(a, b) as f64 / max_len as f64
-}
-
 /// Jaro similarity in `[0, 1]`.
 pub fn jaro(a: &str, b: &str) -> f64 {
     let a: Vec<char> = a.chars().collect();
@@ -123,15 +113,6 @@ mod tests {
     fn levenshtein_unicode() {
         assert_eq!(levenshtein("café", "cafe"), 1);
         assert_eq!(levenshtein("日本語", "日本"), 1);
-    }
-
-    #[test]
-    fn similarity_bounds() {
-        assert_eq!(levenshtein_similarity("", ""), 1.0);
-        assert_eq!(levenshtein_similarity("abc", "abc"), 1.0);
-        assert_eq!(levenshtein_similarity("abc", "xyz"), 0.0);
-        let s = levenshtein_similarity("googlebot", "googlebot-news");
-        assert!(s > 0.6 && s < 1.0);
     }
 
     #[test]

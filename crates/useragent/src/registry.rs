@@ -99,11 +99,6 @@ impl BotRegistry {
     pub fn by_name(&self, name: &str) -> Option<&'static BotSpec> {
         self.bots.iter().find(|b| b.canonical.eq_ignore_ascii_case(name))
     }
-
-    /// All bots in a category.
-    pub fn in_category(&self, category: BotCategory) -> Vec<&'static BotSpec> {
-        self.bots.iter().filter(|b| b.category == category).collect()
-    }
 }
 
 /// The built-in registry (convenience constructor).
@@ -205,9 +200,8 @@ mod tests {
     #[test]
     fn category_query() {
         let reg = registry();
-        let seo = reg.in_category(BotCategory::SeoCrawler);
-        assert!(seo.len() >= 8);
-        assert!(seo.iter().all(|b| b.category == BotCategory::SeoCrawler));
+        let seo = reg.all().iter().filter(|b| b.category == BotCategory::SeoCrawler).count();
+        assert!(seo >= 8);
     }
 
     #[test]

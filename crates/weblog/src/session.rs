@@ -35,13 +35,6 @@ pub struct Session {
     pub urls: Vec<(String, String)>,
 }
 
-impl Session {
-    /// Session duration in seconds.
-    pub fn duration_secs(&self) -> u64 {
-        self.end.secs_since(self.start)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -74,7 +67,7 @@ mod tests {
         assert_eq!(ss.len(), 1);
         assert_eq!(ss[0].accesses, 3);
         assert_eq!(ss[0].bytes, 60);
-        assert_eq!(ss[0].duration_secs(), 250);
+        assert_eq!(ss[0].end.secs_since(ss[0].start), 250);
         assert_eq!(ss[0].urls.len(), 3);
     }
 

@@ -16,17 +16,15 @@
 use std::io::Write as _;
 use std::process::ExitCode;
 
-use botscope::core::pipeline::tally_bots;
-use botscope::core::recheck::{by_category, RecheckAccumulator};
-use botscope::core::spoofdetect::{DOMINANCE_THRESHOLD, MIN_DETECT_REQUESTS};
+use botscope::core::attribution::PolicyBasis;
 use botscope::monitor::daemon::{MonitorConfig, TtlPolicy};
-use botscope::monitor::ScenarioKind;
-use botscope::obs::json_escape;
+use botscope::monitor::{CoupledConfig, RefreshModel, ScenarioKind};
+use botscope::obs::digest::Fingerprint;
+use botscope::pipelines::{self, AnalyzeMode, AuditOptions, LogFormat, MonitorOutputs, Study};
 use botscope::robots::analysis::Severity;
 use botscope::robots::diff::{diff, summarize};
 use botscope::robots::{CompiledPolicy, RobotsTxt};
-use botscope::simnet::{scenario, SimConfig};
-use botscope::weblog::codec;
+use botscope::simnet::{worker_threads, SimConfig};
 
 const USAGE: &str = "botscope — robots.txt compliance toolkit
 
@@ -401,8 +399,8 @@ impl Parsed {
     }
 }
 
-/// Whether `--manifest` is active: the output funnels then wrap every
-/// writer in a digest adapter and record `(target, bytes, sha256)`.
+/// Whether `--manifest` is active: every output writer then
+/// fingerprints its bytes and records `(target, bytes, fingerprint)`.
 static MANIFEST_ACTIVE: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
 
 fn manifest_active() -> bool {
@@ -515,10 +513,6 @@ fn build_manifest(
     }
 }
 
-fn read_file(path: &str) -> Result<String, String> {
-    std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
-}
-
 /// Read and parse a robots.txt file from its raw bytes: octets that are
 /// not UTF-8 (Latin-1 files) are percent-encoded with a parse warning,
 /// never an error.
@@ -558,380 +552,6 @@ fn cmd_check(p: &Parsed) -> Result<(), String> {
         }
         Ok(())
     })
-}
-
-/// Deterministic corpus assignment for `admit` sites without an
-/// explicit robots file: FNV-1a over the site name picks one of the
-/// paper's four policy versions, so repeated runs (and the CLI tests)
-/// always see the same estate.
-fn admit_site_version(site: &str) -> botscope::simnet::PolicyVersion {
-    let h = botscope::obs::bench::fnv1a64(site.as_bytes());
-    botscope::simnet::PolicyVersion::ALL[(h % 4) as usize]
-}
-
-fn cmd_admit(p: &Parsed) -> Result<(), String> {
-    use botscope::robots::PolicyEstate;
-
-    let Some(file) = p.positionals.first() else {
-        return Err("usage: botscope admit [--robots FILE] [--quiet] <queries.csv|->".into());
-    };
-
-    let text = if file == "-" {
-        use std::io::Read as _;
-        let mut buf = String::new();
-        std::io::stdin().read_to_string(&mut buf).map_err(|e| format!("cannot read stdin: {e}"))?;
-        buf
-    } else {
-        read_file(file)?
-    };
-
-    // Parse every query up front so the timed loop measures admission
-    // checks (plus lazy compiles), not file IO. `splitn` keeps commas
-    // inside the path intact.
-    let mut queries: Vec<(&str, &str, &str)> = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || (lineno == 0 && line == "agent,site,path") {
-            continue;
-        }
-        let mut fields = line.splitn(3, ',');
-        match (fields.next(), fields.next(), fields.next()) {
-            (Some(agent), Some(site), Some(path)) if !agent.is_empty() && !site.is_empty() => {
-                queries.push((agent, site, path));
-            }
-            _ => return Err(format!("line {}: want `agent,site,path`, got {line:?}", lineno + 1)),
-        }
-    }
-    if queries.is_empty() {
-        return Err("no queries (want `agent,site,path` rows)".into());
-    }
-
-    // Register every queried site; compilation stays lazy so the first
-    // check against each site pays its compile below, inside the timed
-    // loop — that cost is what the stderr summary reports.
-    let robots_doc = p.value("--robots").map(read_robots).transpose()?;
-    let mut estate = PolicyEstate::new();
-    for &(_, site, _) in &queries {
-        if estate.doc(site).is_none() {
-            match &robots_doc {
-                Some(doc) => estate.insert(site, doc.clone()),
-                None => estate.insert(site, admit_site_version(site).robots_txt()),
-            }
-        }
-    }
-    let sites = estate.len();
-
-    let obs = botscope::obs::global();
-    let check_span = obs.span("admit_check");
-    let started = std::time::Instant::now();
-    let mut verdicts = Vec::with_capacity(queries.len());
-    let mut allowed = 0u64;
-    for &(agent, site, path) in &queries {
-        // Sites were all primed above, so the estate always answers.
-        let allow = estate.check(site, agent, path).unwrap_or(false);
-        allowed += u64::from(allow);
-        verdicts.push(allow);
-    }
-    let elapsed = started.elapsed();
-    drop(check_span);
-    obs.counter("admit_queries_total").add(queries.len() as u64);
-    obs.counter("admit_allowed_total").add(allowed);
-    obs.counter("robotstxt_compiles_total").add(estate.compiles());
-    obs.counter("robotstxt_cache_hits_total").add(estate.cache_hits());
-    obs.gauge("robotstxt_compile_debt").set(estate.compile_debt() as u64);
-
-    if !p.switch("--quiet") {
-        write_output("-", |w| {
-            for (&(agent, site, path), &allow) in queries.iter().zip(&verdicts) {
-                let verdict = if allow { "ALLOW" } else { "DENY " };
-                writeln!(w, "{verdict} {agent} {site} {path}")?;
-            }
-            Ok(())
-        })?;
-    }
-
-    let secs = elapsed.as_secs_f64();
-    let rate = if secs > 0.0 { queries.len() as f64 / secs } else { f64::INFINITY };
-    eprintln!(
-        "{} queries over {} site(s): {} allowed, {} denied; {} policy compile(s); {:.3} ms ({:.0} checks/s)",
-        queries.len(),
-        sites,
-        allowed,
-        queries.len() as u64 - allowed,
-        estate.compiles(),
-        secs * 1e3,
-        rate
-    );
-    Ok(())
-}
-
-/// `--json`, `--severity` and `--deny`, the report options of both
-/// `audit` modes.
-fn audit_report(p: &Parsed) -> Result<(bool, Severity, Option<Severity>), String> {
-    let severity = p.get("--severity", Severity::Info, |v| v.parse().ok(), SEVERITIES)?;
-    let deny = p.get("--deny", None, |v| v.parse().ok().map(Some), SEVERITIES)?;
-    Ok((p.switch("--json"), severity, deny))
-}
-
-/// Render one finding list as JSON objects (stable field order).
-fn findings_json(out: &mut String, analysis: &botscope::robots::analysis::Analysis) {
-    use std::fmt::Write as _;
-    out.push('[');
-    for (i, f) in analysis.findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{{\"severity\":\"{}\",\"code\":\"{}\"", f.severity, f.code);
-        if let Some(agent) = &f.agent {
-            let _ = write!(out, ",\"agent\":\"{}\"", json_escape(agent));
-        }
-        let _ = write!(out, ",\"message\":\"{}\"", json_escape(&f.message));
-        if let Some(w) = &f.witness {
-            let _ = write!(out, ",\"witness\":\"{}\"", json_escape(w));
-        }
-        out.push('}');
-    }
-    out.push(']');
-}
-
-fn audit_files(p: &Parsed) -> Result<(), String> {
-    use botscope::robots::analysis::analyze;
-    use std::fmt::Write as _;
-
-    let (json, severity, deny) = audit_report(p)?;
-    let files = &p.positionals;
-    if files.is_empty() {
-        return Err(
-            "usage: botscope audit [--json] [--severity S] [--deny S] <robots.txt>...".into()
-        );
-    }
-    let docs = files.iter().map(|file| read_robots(file)).collect::<Result<Vec<_>, _>>()?;
-    let mut denied = 0usize;
-    write_output("-", |w| {
-        let mut json_out = String::from("{\"files\":[");
-        for (fi, (file, doc)) in files.iter().zip(&docs).enumerate() {
-            let mut analysis = analyze(doc);
-            analysis.findings.retain(|f| f.severity >= severity);
-            if let Some(threshold) = deny {
-                denied += analysis.at_or_above(threshold);
-            }
-            if json {
-                if fi > 0 {
-                    json_out.push(',');
-                }
-                let _ = write!(
-                    json_out,
-                    "{{\"file\":\"{}\",\"complete\":{},\"parse_warnings\":{},\"findings\":",
-                    json_escape(file),
-                    analysis.complete,
-                    doc.warnings.len()
-                );
-                findings_json(&mut json_out, &analysis);
-                json_out.push('}');
-                continue;
-            }
-            if files.len() > 1 {
-                writeln!(w, "== {file}")?;
-            }
-            for warning in &doc.warnings {
-                writeln!(w, "parse: {warning:?}")?;
-            }
-            if analysis.findings.is_empty() && doc.warnings.is_empty() {
-                writeln!(
-                    w,
-                    "clean: {} group(s), {} rule(s), no findings",
-                    doc.groups.len(),
-                    doc.rule_count()
-                )?;
-            }
-            for f in &analysis.findings {
-                writeln!(w, "{f}")?;
-            }
-        }
-        if json {
-            let _ = write!(json_out, "],\"denied\":{denied}}}");
-            writeln!(w, "{json_out}")?;
-        }
-        Ok(())
-    })?;
-    if denied > 0 {
-        let threshold = deny.expect("denied implies a threshold");
-        return Err(format!("audit: {denied} finding(s) at or above {threshold}"));
-    }
-    Ok(())
-}
-
-/// `audit --estate`: corpus analysis + transition proofs + digest
-/// classification + admission replay.
-fn audit_estate(p: &Parsed) -> Result<(), String> {
-    use botscope::core::recheck::coalesce_behavioral_windows;
-    use botscope::core::report::table7_behavioral;
-    use botscope::monitor::{apply_digests, prime_estate};
-    use botscope::robots::analysis::{analyze, classify_change, ChangeClass};
-    use botscope::robots::PolicyEstate;
-    use botscope::simnet::server::PolicyCorpus;
-    use botscope::simnet::PolicyVersion;
-    use std::fmt::Write as _;
-
-    let cfg = &monitor_config(p)?;
-    let (json, severity, deny) = audit_report(p)?;
-
-    // 1. Analyze every corpus policy.
-    let corpus = PolicyCorpus::new();
-    let started = std::time::Instant::now();
-    let mut analyses = Vec::new();
-    let mut denied = 0usize;
-    for version in PolicyVersion::ALL {
-        let mut analysis = analyze(corpus.doc(version));
-        analysis.findings.retain(|f| f.severity >= severity);
-        if let Some(threshold) = deny {
-            denied += analysis.at_or_above(threshold);
-        }
-        analyses.push((version, analysis));
-    }
-    let analyze_ms = started.elapsed().as_secs_f64() * 1e3;
-
-    // 2. Prove every ordered version transition cosmetic or behavioral.
-    let mut behavioral_matrix = [[false; 4]; 4];
-    let mut behavioral_transitions = 0usize;
-    let mut cosmetic_transitions = 0usize;
-    for from in PolicyVersion::ALL {
-        for to in PolicyVersion::ALL {
-            if from == to {
-                continue;
-            }
-            let class = classify_change(corpus.doc(from), corpus.doc(to));
-            behavioral_matrix[from.index()][to.index()] = class == ChangeClass::Behavioral;
-            match class {
-                ChangeClass::Behavioral => behavioral_transitions += 1,
-                ChangeClass::Cosmetic => cosmetic_transitions += 1,
-            }
-        }
-    }
-
-    // 3. Run the monitor, streaming its fetch log into the
-    // behavioral-only Table 7 (windows coalesced across cosmetic
-    // swaps), and classify its digests.
-    let monitor_run = botscope::monitor::MonitorRun::new(cfg);
-    let site_windows = monitor_run.site_windows();
-    let raw_spans: usize = site_windows.values().map(Vec::len).sum();
-    let coalesced = coalesce_behavioral_windows(&site_windows, |from, to| {
-        behavioral_matrix[from.index()][to.index()]
-    });
-    let coalesced_spans: usize = coalesced.values().map(Vec::len).sum();
-    let mut recheck = RecheckAccumulator::new(coalesced, cfg.horizon_end());
-    let summary = monitor_run
-        .stream(botscope::simnet::worker_threads(), &mut [&mut recheck])
-        .expect("the re-check accumulator never fails a row");
-    let matrix = recheck.phase_rows();
-    let changes = &summary.changes;
-    let behavioral_digests = changes.iter().filter(|c| c.class == ChangeClass::Behavioral).count();
-    let cosmetic_digests = changes.len() - behavioral_digests;
-
-    // 4. Replay the digests against a warmed admission estate.
-    let mut estate = PolicyEstate::new();
-    let deployment: Vec<(&str, PolicyVersion)> = site_windows
-        .iter()
-        .filter_map(|(site, spans)| spans.first().map(|&(v, _, _)| (site.as_str(), v)))
-        .collect();
-    prime_estate(&mut estate, deployment.iter().copied());
-    for (site, _) in &deployment {
-        estate.check(site, "GPTBot", "/");
-    }
-    let warmed = estate.compiled_count();
-    let outcome = apply_digests(&mut estate, changes);
-    let obs = botscope::obs::global();
-    obs.counter("robotstxt_compiles_total").add(estate.compiles());
-    obs.counter("robotstxt_cache_hits_total").add(estate.cache_hits());
-    obs.counter("audit_behavioral_digests_total").add(behavioral_digests as u64);
-    obs.counter("audit_cosmetic_digests_total").add(cosmetic_digests as u64);
-
-    if json {
-        let mut j = String::from("{\"policies\":[");
-        for (i, (version, analysis)) in analyses.iter().enumerate() {
-            if i > 0 {
-                j.push(',');
-            }
-            let _ = write!(
-                j,
-                "{{\"version\":\"{}\",\"complete\":{},\"findings\":",
-                version.label(),
-                analysis.complete
-            );
-            findings_json(&mut j, analysis);
-            j.push('}');
-        }
-        let _ = write!(
-            j,
-            "],\"transitions\":{{\"behavioral\":{behavioral_transitions},\"cosmetic\":{cosmetic_transitions}}}"
-        );
-        let _ = write!(
-            j,
-            ",\"digests\":{{\"total\":{},\"behavioral\":{behavioral_digests},\"cosmetic\":{cosmetic_digests}}}",
-            changes.len()
-        );
-        let _ = write!(
-            j,
-            ",\"admission\":{{\"sites\":{},\"warmed\":{warmed},\"dropped\":{},\"cosmetic_skips\":{}}}",
-            deployment.len(),
-            outcome.dropped,
-            outcome.cosmetic_skips
-        );
-        let _ = write!(
-            j,
-            ",\"windows\":{{\"raw\":{raw_spans},\"coalesced\":{coalesced_spans}}},\"denied\":{denied}}}"
-        );
-        write_output("-", |w| writeln!(w, "{j}"))?;
-    } else {
-        write_output("-", |w| {
-            writeln!(
-                w,
-                "audit --estate: sites={} days={} seed={} scenario={:?} swap-every={}",
-                cfg.sites, cfg.days, cfg.seed, cfg.scenario, cfg.swap_every
-            )?;
-            writeln!(w)?;
-            writeln!(w, "== corpus policies ({analyze_ms:.2} ms analyzer time)")?;
-            for (version, analysis) in &analyses {
-                if analysis.findings.is_empty() {
-                    writeln!(w, "{}: clean", version.label())?;
-                } else {
-                    writeln!(w, "{}: {} finding(s)", version.label(), analysis.findings.len())?;
-                    for f in &analysis.findings {
-                        writeln!(w, "  {f}")?;
-                    }
-                }
-            }
-            writeln!(w)?;
-            writeln!(
-                w,
-                "== version transitions: {behavioral_transitions} behavioral, {cosmetic_transitions} cosmetic (of 12 ordered pairs)"
-            )?;
-            writeln!(
-                w,
-                "== monitored digests: {} total, {behavioral_digests} behavioral, {cosmetic_digests} cosmetic",
-                changes.len()
-            )?;
-            writeln!(
-                w,
-                "== admission replay: {} site(s) primed, {warmed} artifact(s) warmed; dropped={} cosmetic_skips={}",
-                deployment.len(),
-                outcome.dropped,
-                outcome.cosmetic_skips
-            )?;
-            writeln!(
-                w,
-                "== deployment windows: {raw_spans} span(s) -> {coalesced_spans} after cosmetic coalescing"
-            )?;
-            writeln!(w)?;
-            write!(w, "{}", table7_behavioral(&matrix))
-        })?;
-    }
-
-    if denied > 0 {
-        let threshold = deny.expect("denied implies a threshold");
-        return Err(format!("audit: {denied} finding(s) at or above {threshold}"));
-    }
-    Ok(())
 }
 
 fn cmd_diff(p: &Parsed) -> Result<(), String> {
@@ -974,6 +594,59 @@ fn cmd_diff(p: &Parsed) -> Result<(), String> {
     })
 }
 
+fn cmd_admit(p: &Parsed) -> Result<(), String> {
+    let Some(file) = p.positionals.first() else {
+        return Err("usage: botscope admit [--robots FILE] [--quiet] <queries.csv|->".into());
+    };
+    let (source, text) = if file == "-" {
+        ("stdin", std::io::read_to_string(std::io::stdin()))
+    } else {
+        (file.as_str(), std::fs::read_to_string(file))
+    };
+    let text = text.map_err(|e| format!("cannot read {source}: {e}"))?;
+    let queries = pipelines::parse_queries(&text).map_err(pipeline_error)?;
+    let robots = p.value("--robots").map(read_robots).transpose()?;
+    let mut verdicts = (!p.switch("--quiet")).then(|| writer_for("-")).transpose()?;
+    let summary = pipelines::admit(&queries, robots.as_ref(), borrow(&mut verdicts))
+        .map_err(pipeline_error)?;
+    eprint!("{summary}");
+    Ok(())
+}
+
+/// `--json`, `--severity` and `--deny`, the report options of both
+/// `audit` modes.
+fn audit_options(p: &Parsed) -> Result<AuditOptions, String> {
+    Ok(AuditOptions {
+        json: p.switch("--json"),
+        severity: p.get("--severity", Severity::Info, |v| v.parse().ok(), SEVERITIES)?,
+        deny: p.get("--deny", None, |v| v.parse().ok().map(Some), SEVERITIES)?,
+    })
+}
+
+fn audit_files(p: &Parsed) -> Result<(), String> {
+    let opts = audit_options(p)?;
+    if p.positionals.is_empty() {
+        return Err(
+            "usage: botscope audit [--json] [--severity S] [--deny S] <robots.txt>...".into()
+        );
+    }
+    let files = p
+        .positionals
+        .iter()
+        .map(|file| read_robots(file).map(|doc| (file.clone(), doc)))
+        .collect::<Result<Vec<_>, _>>()?;
+    let report = pipelines::audit(&files, opts);
+    print_report(&report.text, false)?;
+    report.verdict().map_err(pipeline_error)
+}
+
+fn audit_estate(p: &Parsed) -> Result<(), String> {
+    let cfg = monitor_config(p)?;
+    let report = pipelines::audit_estate(&cfg, worker_threads(), audit_options(p)?);
+    print_report(&report.text, false)?;
+    report.verdict().map_err(pipeline_error)
+}
+
 /// Read buffer for `analyze`'s input file: large enough that the decoders
 /// make few `read` calls on a multi-megabyte log.
 const ANALYZE_READ_BUFFER: usize = 64 * 1024;
@@ -983,148 +656,52 @@ fn cmd_analyze(p: &Parsed) -> Result<(), String> {
     let Some(file) = p.positionals.first() else {
         return Err("usage: botscope analyze [--phase-report [--table]] <log.csv|log.bin|->".into());
     };
-    if use_table && !phase_report {
-        return Err("--table only applies together with --phase-report".into());
-    }
-
-    let mut reader: Box<dyn std::io::BufRead> = if file == "-" {
+    let mode = match (phase_report, use_table) {
+        (false, false) => AnalyzeMode::Plain,
+        (false, true) => return Err("--table only applies together with --phase-report".into()),
+        (true, false) => AnalyzeMode::PhaseReport,
+        (true, true) => AnalyzeMode::PhaseReportTable,
+    };
+    let reader: Box<dyn std::io::BufRead> = if file == "-" {
         Box::new(std::io::stdin().lock())
     } else {
-        std::fs::File::open(file)
-            .map(|f| {
-                Box::new(std::io::BufReader::with_capacity(ANALYZE_READ_BUFFER, f))
-                    as Box<dyn std::io::BufRead>
-            })
-            .map_err(|e| format!("cannot read {file}: {e}"))?
+        let f = std::fs::File::open(file).map_err(|e| format!("cannot read {file}: {e}"))?;
+        Box::new(std::io::BufReader::with_capacity(ANALYZE_READ_BUFFER, f))
     };
-    // Sniff the columnar magic so either format works, even on a pipe.
-    let is_binary = std::io::BufRead::fill_buf(&mut reader)
-        .map_err(|e| format!("cannot read {file}: {e}"))?
-        .starts_with(&botscope::weblog::colfmt::MAGIC);
-
-    if phase_report {
-        return analyze_phase_report(reader, is_binary, use_table);
-    }
-
-    // Stream the input into the interned table so multi-GB logs never
-    // need a full in-memory copy of their text or their strings.
-    let table = if is_binary {
-        botscope::weblog::colfmt::read_table(reader).map_err(|e| e.to_string())?
-    } else {
-        codec::decode_table_read(reader).map_err(|e| e.to_string())?
-    };
-    let tallies = tally_bots(&table);
-    let spoof = tallies.spoof_report(DOMINANCE_THRESHOLD, MIN_DETECT_REQUESTS);
-    write_output("-", |w| {
-        writeln!(w, "{} records", table.len())?;
-        writeln!(
-            w,
-            "{} known bots ({} records), {} anonymous records\n",
-            tallies.bots.len(),
-            tallies.known_records,
-            tallies.anonymous_records
-        )?;
-        writeln!(w, "{:<28} {:>8} {:>14}", "bot", "records", "pace>=30s")?;
-        for (bot, tally) in &tallies.bots {
-            let counts = tally.crawl_delay();
-            writeln!(
-                w,
-                "{:<28} {:>8} {:>14}",
-                bot.canonical,
-                tally.records,
-                counts.ratio().map(|r| format!("{r:.3}")).unwrap_or_else(|| "-".into())
-            )?;
-        }
-        if spoof.findings.is_empty() {
-            writeln!(w, "\nno spoofing signals (≥90% single-ASN dominance heuristic)")?;
-        } else {
-            writeln!(w, "\npossible spoofing:")?;
-            for f in &spoof.findings {
-                writeln!(
-                    w,
-                    "  {}: {} requests outside {} ({:.1}% dominant)",
-                    f.bot,
-                    f.spoofed_requests,
-                    f.main_asn,
-                    f.main_share * 100.0
-                )?;
-            }
-        }
-        Ok(())
-    })
+    let report = pipelines::analyze(reader, mode).map_err(|e| match e {
+        pipelines::Error::Read(e) => format!("cannot read {file}: {e}"),
+        e => pipeline_error(e),
+    })?;
+    print_report(&report, false)
 }
 
-/// `analyze --phase-report`: reconstruct the paper's 8-week schedule
-/// and print its experiment tables from the single-pass analyzer,
-/// either streaming the log (the default, bounded memory, time-sorted
-/// rows only) or over the materialized table (`--table`, rows in any
-/// order). Both paths print the exact same bytes for a sorted log.
-fn analyze_phase_report(
-    reader: Box<dyn std::io::BufRead>,
-    is_binary: bool,
-    use_table: bool,
-) -> Result<(), String> {
-    use botscope::core::analyze::Experiment;
-    use botscope::weblog::Timestamp;
-
-    let start = Timestamp::from_date(2025, 1, 15);
-    let schedule = botscope::simnet::PhaseSchedule::paper_schedule(
-        start,
-        botscope::simnet::site::EXPERIMENT_SITE,
-    );
-    let exp = if use_table {
-        let table = if is_binary {
-            botscope::weblog::colfmt::read_table(reader).map_err(|e| e.to_string())?
-        } else {
-            codec::decode_table_read(reader).map_err(|e| e.to_string())?
-        };
-        Experiment::analyze_table(&table, &schedule)
-    } else if is_binary {
-        let mut stream =
-            botscope::weblog::colfmt::BinReader::new(reader).map_err(|e| e.to_string())?;
-        Experiment::analyze_stream(&mut stream, &schedule).map_err(|e| e.to_string())?
-    } else {
-        let mut stream =
-            botscope::weblog::stream::CsvRowStream::new(reader).map_err(|e| e.to_string())?;
-        Experiment::analyze_stream(&mut stream, &schedule).map_err(|e| e.to_string())?
-    };
-    write_output("-", |w| w.write_all(phase_report_text(&exp).as_bytes()))
-}
-
-/// The deterministic phase-study report: a pure function of the
-/// analysis result, so streamed and materialized runs byte-compare.
-fn phase_report_text(exp: &botscope::core::analyze::Experiment) -> String {
-    use botscope::core::report;
-    let mut r = String::new();
-    for section in [
-        report::table4(exp),
-        report::table5(exp),
-        report::table6(exp),
-        report::table7(exp),
-        report::table9(exp),
-        report::table10(exp),
-        report::figure9(exp, false),
-        report::figure9(exp, true),
-    ] {
-        r.push_str(&section);
-        if !section.ends_with('\n') {
-            r.push('\n');
-        }
-        r.push('\n');
-    }
-    r
-}
+/// A data writer: a file, or stdout for `-`.
+type Writer = Box<dyn std::io::Write + Send>;
 
 /// Run `f` against a buffered writer for `path` (`-` = stdout), then
 /// flush and surface every error — including the final flush, which a
 /// bare `BufWriter` drop would swallow. The single funnel for all data
-/// output that is not written by a sink.
+/// output that no pipeline writes.
 fn write_output<F>(path: &str, f: F) -> Result<(), String>
 where
     F: FnOnce(&mut dyn std::io::Write) -> std::io::Result<()>,
 {
     let mut w = writer_for(path)?;
     f(&mut w).and_then(|()| w.flush()).map_err(|e| write_error(e, "cannot write"))
+}
+
+/// Print a pipeline's report on stdout through [`write_output`] — or on
+/// stderr when `data_on_stdout`: a data output already claimed stdout.
+/// An empty report prints nothing.
+fn print_report(report: &str, data_on_stdout: bool) -> Result<(), String> {
+    if report.is_empty() {
+        Ok(())
+    } else if data_on_stdout {
+        eprint!("{report}");
+        Ok(())
+    } else {
+        write_output("-", |w| w.write_all(report.as_bytes()))
+    }
 }
 
 /// An I/O error of a data writer, worded `cannot write <target>: <cause>`.
@@ -1149,15 +726,24 @@ fn write_error(e: std::io::Error, context: &str) -> String {
     }
 }
 
+/// The one-line message for a pipeline's error; a write error is worded
+/// by [`write_error`].
+fn pipeline_error(e: pipelines::Error) -> String {
+    match e {
+        pipelines::Error::Write { context, source } => write_error(source, context),
+        e => e.to_string(),
+    }
+}
+
 /// The file end of every data writer, under its `BufWriter`: its I/O
 /// errors name the target ([`TargetError`]), and under `--manifest` it
-/// fingerprints the bytes it passes, recording `(target, bytes, sha256)`
-/// when dropped (after the buffer's last flush: the owning sink decides
-/// when writing ends, so Drop is the only reliable hook).
+/// fingerprints the bytes it passes, recording `(target, bytes,
+/// fingerprint)` when dropped (after the buffer's last flush: the owning
+/// sink decides when writing ends, so Drop is the only reliable hook).
 struct OutputWriter {
     target: String,
-    inner: Box<dyn std::io::Write>,
-    digest: Option<botscope::obs::digest::DigestWriter<std::io::Sink>>,
+    inner: Writer,
+    fingerprint: Option<Fingerprint>,
 }
 
 impl OutputWriter {
@@ -1169,8 +755,8 @@ impl OutputWriter {
 impl std::io::Write for OutputWriter {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
         let n = self.inner.write(buf).map_err(|e| self.tag(e))?;
-        if let Some(digest) = &mut self.digest {
-            digest.write_all(&buf[..n])?;
+        if let Some(fingerprint) = &mut self.fingerprint {
+            fingerprint.update(&buf[..n]);
         }
         Ok(n)
     }
@@ -1182,38 +768,35 @@ impl std::io::Write for OutputWriter {
 
 impl Drop for OutputWriter {
     fn drop(&mut self) {
-        if let Some(digest) = &self.digest {
+        if let Some(fingerprint) = &self.fingerprint {
             botscope::obs::global().record_output(
                 &self.target,
-                digest.bytes(),
-                digest.hex_digest(),
+                fingerprint.bytes(),
+                fingerprint.hex(),
             );
         }
     }
 }
 
 /// A boxed buffered writer for `path` (`-` = stdout), over an
-/// [`OutputWriter`]. Sinks that own their writer flush it in their
-/// `finish`.
-fn writer_for(path: &str) -> Result<Box<dyn std::io::Write>, String> {
-    let (target, inner): (&str, Box<dyn std::io::Write>) = if path == "-" {
+/// [`OutputWriter`]. Pipelines flush the writers they are given.
+fn writer_for(path: &str) -> Result<Writer, String> {
+    let (target, inner): (&str, Writer) = if path == "-" {
         ("stdout", Box::new(std::io::stdout()))
     } else {
         let file = std::fs::File::create(path).map_err(|e| format!("cannot write {path}: {e}"))?;
         (path, Box::new(file))
     };
-    let digest =
-        manifest_active().then(|| botscope::obs::digest::DigestWriter::new(std::io::sink()));
     Ok(Box::new(std::io::BufWriter::new(OutputWriter {
         target: target.to_string(),
         inner,
-        digest,
+        fingerprint: manifest_active().then(Fingerprint::new),
     })))
 }
 
-/// Write `table` as CSV to `path` (`-` = stdout).
-fn write_csv(path: &str, table: &botscope::weblog::LogTable) -> Result<(), String> {
-    write_output(path, |mut w| codec::write_table(&mut w, table))
+/// An optional writer, borrowed for a pipeline.
+fn borrow(w: &mut Option<Writer>) -> Option<&mut dyn std::io::Write> {
+    w.as_deref_mut().map(|w| w as &mut dyn std::io::Write)
 }
 
 /// Read the estate flags shared by `monitor` and `audit --estate`.
@@ -1235,224 +818,35 @@ fn monitor_config(p: &Parsed) -> Result<MonitorConfig, String> {
     Ok(cfg)
 }
 
-/// Run the monitor, streaming its fetch log through row sinks: the
-/// CSV/JSONL encoders and the §5.1 accumulator ride one merge, and the
-/// merged table never exists (`--stream` is accepted and changes
-/// nothing).
-///
-/// Output contract: run *stats* are diagnostics and always go to
-/// stderr; the table-derived *reports* (monitored Table 7, re-check
-/// coverage) are artifacts and go to stdout through the
-/// [`write_output`] funnel — unless a data flag already claimed stdout,
-/// in which case they fall back to stderr.
+/// Run stats go to stderr; the report tables go to stdout, or to
+/// stderr when a data flag claimed stdout.
 fn cmd_monitor(p: &Parsed) -> Result<(), String> {
-    use botscope::weblog::sink::{CsvSink, JsonlSink, RowSink};
-
     let cfg = monitor_config(p)?;
-    let (out_path, jsonl_path, changes_path) =
-        (p.value("--out"), p.value("--jsonl"), p.value("--changes"));
-    let mut csv = match out_path {
-        Some(path) => Some(
-            CsvSink::new(writer_for(path)?).map_err(|e| write_error(e, "cannot write header"))?,
-        ),
-        None => None,
+    let paths = [p.value("--out"), p.value("--jsonl"), p.value("--changes")];
+    let mut csv = paths[0].map(writer_for).transpose()?;
+    let mut jsonl = paths[1].map(writer_for).transpose()?;
+    let mut changes = paths[2].map(writer_for).transpose()?;
+    let outputs = MonitorOutputs {
+        csv: borrow(&mut csv),
+        jsonl: borrow(&mut jsonl),
+        changes: borrow(&mut changes),
     };
-    let mut jsonl = jsonl_path.map(|path| writer_for(path).map(JsonlSink::new)).transpose()?;
-    // The accumulator needs each site's deployment windows before the
-    // first row: the run's own site models give them.
-    let monitor_run = botscope::monitor::MonitorRun::new(&cfg);
-    let site_windows = monitor_run.site_windows();
-    let swapped = any_site_swapped(&site_windows);
-    let mut recheck = RecheckAccumulator::new(site_windows, cfg.horizon_end());
-    let mut sinks: Vec<&mut dyn RowSink> = Vec::new();
-    if let Some(sink) = csv.as_mut() {
-        sinks.push(sink);
-    }
-    if let Some(sink) = jsonl.as_mut() {
-        sinks.push(sink);
-    }
-    sinks.push(&mut recheck);
-    let summary = monitor_run
-        .stream(botscope::simnet::worker_threads(), &mut sinks)
-        .map_err(|e| write_error(e, "monitor streaming failed"))?;
-    let (matrix, agg) = (recheck.phase_rows(), by_category(&recheck.profiles()));
-    if let Some(path) = changes_path {
-        write_changes(path, &summary.changes)?;
-    }
-    eprint!("{}", monitor_summary(&cfg, &summary.stats, &summary.bots, &summary.changes));
-    let data_on_stdout = [out_path, jsonl_path, changes_path].contains(&Some("-"));
-    emit_monitor_report_tables(swapped, &matrix, &agg, data_on_stdout)
+    let report = pipelines::monitor(&cfg, worker_threads(), outputs).map_err(pipeline_error)?;
+    drop(changes);
+    eprint!("{}", report.summary);
+    print_report(&report.tables, paths.contains(&Some("-")))
 }
 
-/// Write detected policy changes as CSV (`-` = stdout).
-fn write_changes(path: &str, changes: &[botscope::monitor::ChangeDigest]) -> Result<(), String> {
-    let mut body = String::from("site,at,from,to,observers,tightened,loosened,delay_changes\n");
-    for c in changes {
-        use std::fmt::Write as _;
-        let _ = writeln!(
-            body,
-            "{},{},{},{},{},{},{},{}",
-            c.site,
-            botscope::weblog::Timestamp::from_unix(c.at).to_iso8601(),
-            c.from.label(),
-            c.to.label(),
-            c.observers,
-            c.tightened,
-            c.loosened,
-            c.delay_changes
-        );
-    }
-    write_output(path, |w| w.write_all(body.as_bytes()))
-}
-
-/// The monitor's run statistics.
-fn monitor_summary(
-    cfg: &MonitorConfig,
-    s: &botscope::monitor::MonitorStats,
-    bots: &[String],
-    changes: &[botscope::monitor::ChangeDigest],
-) -> String {
-    use std::fmt::Write as _;
-    let mut r = String::new();
-    let ttl = match cfg.ttl {
-        TtlPolicy::Spectrum => "spectrum".to_string(),
-        TtlPolicy::FixedHours(h) => format!("{h}h"),
-    };
-    let _ = writeln!(
-        r,
-        "monitored {} sites x {} bots over {} days (seed {}, scenario {}, ttl {})",
-        cfg.sites,
-        bots.len(),
-        cfg.days,
-        cfg.seed,
-        cfg.scenario.label(),
-        ttl
-    );
-    let _ = writeln!(r, "bots: {}", bots.join(", "));
-    let _ = writeln!(
-        r,
-        "{} agents, {} fetches: {} ok ({} revalidated, {} B saved by 304s), {} 4xx, {} 5xx, {} network",
-        s.agents,
-        s.fetches,
-        s.success,
-        s.revalidated,
-        s.revalidated_bytes_saved,
-        s.client_errors,
-        s.server_errors,
-        s.network_errors
-    );
-    let mean_latency = s.latency_ms_sum.checked_div(s.fetches).unwrap_or(0);
-    let _ = writeln!(
-        r,
-        "redirects: {} hops followed, {} chains capped at 5 hops; {} backoff retries; latency mean {} ms max {} ms",
-        s.redirects_followed, s.redirects_capped, s.backoff_retries, mean_latency, s.latency_ms_max
-    );
-    let _ = writeln!(
-        r,
-        "policy changes: {} observations, {} distinct transitions",
-        s.policy_changes_observed,
-        changes.len()
-    );
-    for c in changes.iter().take(8) {
-        let _ = writeln!(
-            r,
-            "  {} @{}: {} -> {} ({} observers, {} tightened, {} loosened, {} delay changes)",
-            c.site,
-            botscope::weblog::Timestamp::from_unix(c.at).to_iso8601(),
-            c.from.label(),
-            c.to.label(),
-            c.observers,
-            c.tightened,
-            c.loosened,
-            c.delay_changes
-        );
-    }
-    if changes.len() > 8 {
-        let _ = writeln!(r, "  ... and {} more", changes.len() - 8);
-    }
-    r
-}
-
-/// Whether any site deploys more than one policy version over the run.
-fn any_site_swapped(site_windows: &botscope::core::recheck::SiteVersionWindows) -> bool {
-    site_windows.values().any(|w| w.len() > 1)
-}
-
-/// Render the monitor's table-derived report artifacts — the monitored
-/// Table 7 (only when `swapped`: some site deployed a policy swap) and the §5.1
-/// re-check coverage table — and emit them on stdout through the
-/// [`write_output`] funnel (stderr when stdout already carries data).
-/// Both monitor run paths funnel through here, so their stdout bytes are
-/// identical by construction.
-fn emit_monitor_report_tables(
-    swapped: bool,
-    matrix: &[botscope::core::recheck::PhaseCheckRow],
-    agg: &botscope::core::recheck::RecheckByCategory,
-    data_on_stdout: bool,
-) -> Result<(), String> {
-    use std::fmt::Write as _;
-    let mut report = String::new();
-
-    // Table 7 digest windows from monitored logs: did each bot fetch
-    // robots.txt on some site *while* each policy version was live?
-    if swapped {
-        let _ = writeln!(report, "{}", botscope::core::report::table7_from_monitor(matrix));
-    }
-
-    // Figure 10 from *monitored* logs: share of checking bots per
-    // category that re-checked within every window.
-    if !agg.checking_bots.is_empty() {
-        let _ =
-            writeln!(report, "re-check coverage from monitored logs (share of bots per window):");
-        let _ = writeln!(
-            report,
-            "  {:<24} {:>5} {:>6} {:>6} {:>6} {:>6} {:>6}",
-            "category", "bots", "12h", "24h", "48h", "72h", "168h"
-        );
-        for (cat, n) in &agg.checking_bots {
-            let mut line = format!("  {:<24} {:>5}", cat.to_string(), n);
-            for h in [12u64, 24, 48, 72, 168] {
-                let p = agg.proportions.get(&(*cat, h)).copied().unwrap_or(0.0);
-                let _ = write!(line, " {p:>6.2}");
-            }
-            let _ = writeln!(report, "{line}");
-        }
-    }
-
-    if report.is_empty() {
-        return Ok(());
-    }
-    if data_on_stdout {
-        eprint!("{report}");
-        Ok(())
-    } else {
-        write_output("-", |w| w.write_all(report.as_bytes()))
-    }
-}
-
-/// `simulate --coupled`: belief-driven generation plus attribution
-/// scoring against served ground truth.
+/// `simulate --coupled`: the report goes to stdout, or to stderr when
+/// the CSV does.
 fn cmd_simulate_coupled(p: &Parsed) -> Result<(), String> {
-    use botscope::core::analyze::Experiment;
-    use botscope::core::attribution::PolicyBasis;
-    use botscope::monitor::{CoupledConfig, RefreshModel};
-
     let mut cfg = CoupledConfig::default();
     cfg.sim.scale = p.num("--scale", 0.05)?;
     cfg.sim.sites = p.num("--sites", cfg.sim.sites)?;
     cfg.sim.seed = p.num("--seed", cfg.sim.seed)?;
     cfg.scenario = p.get("--scenario", cfg.scenario, ScenarioKind::parse, SCENARIOS)?;
     cfg.refresh = p.get("--refresh", cfg.refresh, RefreshModel::parse, "fleet|instant")?;
-    let basis = p.get(
-        "--basis",
-        PolicyBasis::Served,
-        |v| match v {
-            "believed" => Some(PolicyBasis::Believed),
-            "served" => Some(PolicyBasis::Served),
-            _ => None,
-        },
-        "believed|served",
-    )?;
+    let basis = p.get("--basis", PolicyBasis::Served, PolicyBasis::parse, "believed|served")?;
     let out_path = p.value("--out");
     if !(cfg.sim.scale > 0.0 && cfg.sim.scale.is_finite()) {
         return Err(format!("scale must be a positive number, got {}", cfg.sim.scale));
@@ -1460,127 +854,11 @@ fn cmd_simulate_coupled(p: &Parsed) -> Result<(), String> {
     if cfg.sim.sites == 0 || cfg.sim.sites > 64 {
         return Err("--sites must be between 1 and 64".into());
     }
-
-    let out = botscope::monitor::run_coupled(&cfg);
-    let obs = botscope::obs::global();
-    let corpus = botscope::simnet::server::PolicyCorpus::new();
-    let threads = botscope::simnet::worker_threads();
-    // The CSV encode runs beside attribution and analysis; its error
-    // still wins over the report, which prints only after the join.
-    let (counts, exp) = std::thread::scope(|s| {
-        let writer = out_path.map(|path| {
-            s.spawn(|| {
-                let _phase = obs.phase("coupled_csv_encode");
-                write_csv(path, &out.sim.table)
-            })
-        });
-        let attribution = {
-            let _phase = obs.phase("coupled_attribution");
-            botscope::core::attribution::attribute_rows(
-                &out.sim.table,
-                &out.beliefs,
-                &out.served,
-                &corpus,
-                threads,
-            )
-        };
-        // Tables 5/6/10 under the selected basis: served is the plain
-        // analysis; believed drops the excused (stale-cache / fetch-
-        // artifact) rows before scoring.
-        let exp = {
-            let _phase = obs.phase("coupled_basis_analysis");
-            match basis {
-                PolicyBasis::Served => Experiment::analyze_table(&out.sim.table, &out.schedule),
-                PolicyBasis::Believed => Experiment::analyze_table_excluding(
-                    &out.sim.table,
-                    &out.schedule,
-                    &attribution.excused,
-                ),
-            }
-        };
-        if let Some(writer) = writer {
-            writer.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))?;
-        }
-        Ok::<_, String>((attribution.counts, exp))
-    })?;
-
-    use std::fmt::Write as _;
-    let mut r = String::new();
-    let _ = writeln!(
-        r,
-        "coupled run: {} records over {} sites (seed {}, scenario {}, refresh {})",
-        out.sim.table.len(),
-        cfg.sim.sites,
-        cfg.sim.seed,
-        cfg.scenario.label(),
-        cfg.refresh.label()
-    );
-    let _ = writeln!(
-        r,
-        "beliefs: {} bots x {} sites, {} belief transitions",
-        out.beliefs.bots.len(),
-        out.beliefs.n_sites(),
-        out.beliefs.total_transitions()
-    );
-    if let Some(s) = &out.monitor_stats {
-        let _ = writeln!(
-            r,
-            "belief agents: {} fetches, {} ok ({} revalidated, {} B saved), {} 4xx, {} 5xx, {} network",
-            s.fetches,
-            s.success,
-            s.revalidated,
-            s.revalidated_bytes_saved,
-            s.client_errors,
-            s.server_errors,
-            s.network_errors
-        );
-    }
-    let violating: usize = counts.values().filter(|c| c.violations_served() > 0).count();
-    let _ = writeln!(
-        r,
-        "attribution: {} bots scored, {} with served-policy violations",
-        counts.len(),
-        violating
-    );
-    let _ = writeln!(r, "{}", botscope::core::report::attribution_report(&counts));
-
-    match basis {
-        PolicyBasis::Served => {
-            let _ = writeln!(r, "compliance tables (served basis):");
-        }
-        PolicyBasis::Believed => {
-            let excused: u64 = counts.values().map(|c| c.excused()).sum();
-            let _ =
-                writeln!(r, "compliance tables (believed basis, {excused} excused rows dropped):");
-        }
-    }
-    let _ = writeln!(r, "{}", botscope::core::report::table5(&exp));
-    let _ = writeln!(r, "{}", botscope::core::report::table6(&exp));
-    let _ = writeln!(r, "{}", botscope::core::report::table10(&exp));
-
-    if out_path == Some("-") {
-        eprint!("{r}");
-        Ok(())
-    } else {
-        write_output("-", |w| w.write_all(r.as_bytes()))
-    }
-}
-
-/// On-disk log format selector for `simulate`.
-#[derive(Clone, Copy, PartialEq)]
-enum LogFormat {
-    Csv,
-    Bin,
-}
-
-impl LogFormat {
-    fn parse(s: &str) -> Option<LogFormat> {
-        match s {
-            "csv" => Some(LogFormat::Csv),
-            "bin" => Some(LogFormat::Bin),
-            _ => None,
-        }
-    }
+    let mut csv = out_path.map(writer_for).transpose()?;
+    let report = pipelines::coupled(&cfg, basis, worker_threads(), csv.as_deref_mut())
+        .map_err(pipeline_error)?;
+    drop(csv);
+    print_report(&report, out_path == Some("-"))
 }
 
 fn cmd_simulate(p: &Parsed) -> Result<(), String> {
@@ -1601,74 +879,14 @@ fn cmd_simulate(p: &Parsed) -> Result<(), String> {
     if !(scale > 0.0 && scale.is_finite()) {
         return Err(format!("scale must be a positive number, got {scale}"));
     }
-
     let cfg = SimConfig { days, scale, seed, ..SimConfig::default() };
-    cfg.assert_valid();
-
-    let phase_study = p.switch("--phase-study");
-    if p.switch("--stream") {
-        return simulate_streaming(&cfg, phase_study, format, out_path);
-    }
-
-    let table = if phase_study {
-        scenario::phase_study_table(&cfg).sim.table
-    } else {
-        scenario::full_study_table(&cfg).table
-    };
-    match format {
-        LogFormat::Csv => write_csv(out_path, &table)?,
-        LogFormat::Bin => {
-            write_output(out_path, |mut w| botscope::weblog::colfmt::write_table(&mut w, &table))?
-        }
-    }
+    let study = if p.switch("--phase-study") { Study::Phase } else { Study::Estate };
+    let stream = p.switch("--stream");
+    let out = writer_for(out_path)?;
+    let rows = pipelines::simulate(&cfg, study, stream, format, worker_threads(), out)
+        .map_err(pipeline_error)?;
     if out_path != "-" {
-        eprintln!("{} records -> {out_path}", table.len());
-    }
-    Ok(())
-}
-
-/// `simulate --stream`: generation workers spill canonically sorted
-/// runs to disk and the k-way merge streams rows straight into the
-/// output sink, so peak memory is bounded by the string dictionaries
-/// plus one run per worker — never the whole table.
-fn simulate_streaming(
-    cfg: &SimConfig,
-    phase_study: bool,
-    format: LogFormat,
-    out_path: &str,
-) -> Result<(), String> {
-    use botscope::simnet::{worker_threads, StreamOptions};
-    use botscope::weblog::colfmt::BinSink;
-    use botscope::weblog::sink::{CsvSink, RowSink};
-
-    let writer = writer_for(out_path)?;
-    let threads = worker_threads();
-    let opts = StreamOptions::default();
-    let run =
-        |sinks: &mut [&mut dyn RowSink]| -> Result<botscope::simnet::SimStreamOutput, String> {
-            let result = if phase_study {
-                scenario::phase_study_stream(cfg, threads, &opts, sinks).map(|out| out.sim)
-            } else {
-                scenario::full_study_stream(cfg, threads, &opts, sinks)
-            };
-            result.map_err(|e| write_error(e, "streaming simulate failed"))
-        };
-    // `merge_runs` calls `finish` on every sink, which flushes the
-    // buffered writer; errors propagate through the result.
-    let out = match format {
-        LogFormat::Csv => {
-            let mut sink =
-                CsvSink::new(writer).map_err(|e| write_error(e, "cannot write header"))?;
-            run(&mut [&mut sink as &mut dyn RowSink])?
-        }
-        LogFormat::Bin => {
-            let mut sink =
-                BinSink::new(writer).map_err(|e| write_error(e, "cannot write header"))?;
-            run(&mut [&mut sink as &mut dyn RowSink])?
-        }
-    };
-    if out_path != "-" {
-        eprintln!("{} records -> {out_path} (streamed)", out.rows);
+        eprintln!("{rows} records -> {out_path}{}", if stream { " (streamed)" } else { "" });
     }
     Ok(())
 }

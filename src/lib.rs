@@ -18,6 +18,7 @@
 //! | [`core`] | `botscope-core` | the compliance-measurement pipeline and report generation |
 //! | [`monitor`] | `botscope-monitor` | virtual robots.txt transport + live monitoring daemon |
 //! | [`obs`] | `botscope-obs` | flight-recorder telemetry: counters, spans, run manifests |
+//! | [`pipelines`] | this crate | every `botscope` subcommand as a library call |
 //!
 //! ## Quickstart: is this bot allowed?
 //!
@@ -100,3 +101,5 @@ pub mod monitor {
 pub mod obs {
     pub use botscope_obs::*;
 }
+
+pub mod pipelines;

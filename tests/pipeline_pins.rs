@@ -1,0 +1,100 @@
+//! The CI workflow's scale-0.05 byte pins, run in process through
+//! `botscope::pipelines`: the same hashes `.github/workflows/ci.yml`
+//! checks on the binary's output, so `cargo test` sees a drift too.
+
+use botscope::monitor::daemon::MonitorConfig;
+use botscope::obs::digest::sha256_hex;
+use botscope::pipelines::{self, AnalyzeMode, LogFormat, MonitorOutputs, Study};
+use botscope::simnet::SimConfig;
+
+const PHASE_BIN_STREAMED: &str = "3f6cae7e7650a41e4cd390991feeb4b95fc493728f547120f6eb7252965911da";
+const PHASE_BIN_MATERIALIZED: &str =
+    "3d866b44f1388de1146c40d4e305094e80573372119a3ab35331f3c007b6d5f8";
+const PHASE_REPORT: &str = "842c4b65d203fcdaa19e8708ae2a62b940722f2ca3410a5befbd2b4c50cafc9e";
+const PLAIN_REPORT: &str = "027b475b2b5193a8e2047cee4d82833761c014c766b1f34f4c486cbb36337672";
+const MONITOR_CSV: &str = "62b718939f0da76ac033dc25bec5feb9cdd1d90de108430f8958fc412306e175";
+const MONITOR_JSONL: &str = "faf21b3fb66623fd1007e8969698931c55bf1a52fd318d65b90c0ce77e1492c9";
+
+/// `simulate 7 0.05 <out> 42 [--phase-study] [--stream] --format F`.
+fn simulate(study: Study, stream: bool, format: LogFormat, threads: usize) -> Vec<u8> {
+    let cfg = SimConfig { days: 7, scale: 0.05, seed: 42, ..SimConfig::default() };
+    let mut out = Vec::new();
+    pipelines::simulate(&cfg, study, stream, format, threads, &mut out).expect("simulate runs");
+    out
+}
+
+fn analyze(log: &[u8], mode: AnalyzeMode) -> String {
+    pipelines::analyze(log, mode).expect("the log analyzes")
+}
+
+/// The CSV's header, then its data lines in a fixed scrambled order.
+fn shuffled(csv: &[u8]) -> Vec<u8> {
+    let text = std::str::from_utf8(csv).expect("CSV is UTF-8");
+    let mut lines: Vec<&str> = text.lines().collect();
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    for i in (2..lines.len()).rev() {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        lines.swap(i, 1 + (state % i as u64) as usize);
+    }
+    let mut out = lines.join("\n").into_bytes();
+    out.push(b'\n');
+    out
+}
+
+#[test]
+fn phase_study_bscl_bytes_are_pinned_at_one_and_two_workers() {
+    for threads in [1, 2] {
+        let streamed = simulate(Study::Phase, true, LogFormat::Bin, threads);
+        assert_eq!(sha256_hex(&streamed), PHASE_BIN_STREAMED, "streamed, {threads} workers");
+        let materialized = simulate(Study::Phase, false, LogFormat::Bin, threads);
+        assert_eq!(sha256_hex(&materialized), PHASE_BIN_MATERIALIZED, "{threads} workers");
+    }
+}
+
+#[test]
+fn streamed_csv_equals_materialized_csv() {
+    let materialized = simulate(Study::Estate, false, LogFormat::Csv, 2);
+    for threads in [1, 2] {
+        let streamed = simulate(Study::Estate, true, LogFormat::Csv, threads);
+        assert!(streamed == materialized, "streamed CSV differs at {threads} workers");
+    }
+}
+
+#[test]
+fn phase_and_plain_reports_are_pinned_on_sorted_and_shuffled_logs() {
+    let csv = simulate(Study::Phase, false, LogFormat::Csv, 2);
+    let scrambled = shuffled(&csv);
+    assert!(scrambled != csv && scrambled.len() == csv.len());
+    let streamed_bin = simulate(Study::Phase, true, LogFormat::Bin, 2);
+    for (what, report) in [
+        ("streamed BSCL", analyze(&streamed_bin, AnalyzeMode::PhaseReport)),
+        ("streamed CSV", analyze(&csv, AnalyzeMode::PhaseReport)),
+        ("--table", analyze(&csv, AnalyzeMode::PhaseReportTable)),
+        ("--table, shuffled", analyze(&scrambled, AnalyzeMode::PhaseReportTable)),
+    ] {
+        assert_eq!(sha256_hex(report.as_bytes()), PHASE_REPORT, "phase report, {what}");
+    }
+    for (what, log) in [("sorted", &csv), ("shuffled", &scrambled)] {
+        let report = analyze(log, AnalyzeMode::Plain);
+        assert_eq!(sha256_hex(report.as_bytes()), PLAIN_REPORT, "plain analyze, {what}");
+    }
+    // The streamed engine rejects the shuffled log instead of guessing.
+    let err = pipelines::analyze(&scrambled[..], AnalyzeMode::PhaseReport).unwrap_err();
+    assert!(err.to_string().contains("is earlier than the row before it"), "{err}");
+}
+
+#[test]
+fn monitor_logs_are_pinned_at_one_and_two_workers() {
+    let cfg = MonitorConfig { sites: 24, days: 8, bots: 4, ..MonitorConfig::default() };
+    for threads in [1, 2] {
+        let (mut csv, mut jsonl) = (Vec::new(), Vec::new());
+        let outputs =
+            MonitorOutputs { csv: Some(&mut csv), jsonl: Some(&mut jsonl), ..Default::default() };
+        let report = pipelines::monitor(&cfg, threads, outputs).expect("monitor runs");
+        assert!(report.summary.starts_with("monitored 24 sites x 4 bots"), "{}", report.summary);
+        assert_eq!(sha256_hex(&csv), MONITOR_CSV, "{threads} workers");
+        assert_eq!(sha256_hex(&jsonl), MONITOR_JSONL, "{threads} workers");
+    }
+}
