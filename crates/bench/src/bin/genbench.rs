@@ -14,17 +14,6 @@ use std::time::Instant;
 use botscope_simnet::scenario::full_study_table;
 use botscope_simnet::{worker_threads, SimConfig};
 
-/// Peak resident set size of this process in kilobytes (Linux VmHWM).
-fn peak_rss_kb() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmHWM:") {
-            return rest.trim().trim_end_matches(" kB").trim().parse().ok();
-        }
-    }
-    None
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let days: u64 = args.first().and_then(|s| s.parse().ok()).unwrap_or(46);
@@ -48,7 +37,7 @@ fn main() {
             dt.as_secs_f64(),
             n as f64 / dt.as_secs_f64() / 1e3,
             out.table.heap_bytes() as f64 / 1e6,
-            peak_rss_kb().unwrap_or(0) as f64 / 1e3,
+            botscope_obs::rss::sample_self().map_or(0, |m| m.peak_rss_kb) as f64 / 1e3,
         );
     }
 }

@@ -11,12 +11,14 @@
 //! 2. the monitoring daemon runs one fetch agent per (bot, site), TTLs
 //!    derived from each bot's own re-check cadence
 //!    ([`botscope_simnet::behavior::RobotsCheckPolicy`]), and exports a
-//!    [`BeliefAtlas`] of per-(bot, site) believed-policy timelines;
-//! 3. the traffic generator consults that atlas instead of the
-//!    schedule — obedient bots halt through a believed 5xx
-//!    disallow-all window, keep crawling on a stale allow-all cache,
-//!    and never-checking bots (belief stuck at `Unfetched`) ignore
-//!    everything;
+//!    [`BeliefAtlas`] of per-(bot, site) believed-policy timelines
+//!    (under [`RefreshModel::Instant`] no daemon runs: every bot's
+//!    timeline is a copy of its site's served one);
+//! 3. the traffic generator consults that atlas, in either refresh
+//!    model, instead of the schedule — obedient bots halt through a
+//!    believed 5xx disallow-all window, keep crawling on a stale
+//!    allow-all cache, and never-checking bots (belief stuck at
+//!    `Unfetched`) ignore everything;
 //! 4. the output carries both the atlas and the per-site ground-truth
 //!    [`BeliefTimeline`]s, so scoring can attribute every served-policy
 //!    violation to deliberate defiance, a stale cache, or a fetch-layer
@@ -30,7 +32,7 @@
 //! reduces *byte-identically* to the schedule-driven baseline — the
 //! degenerate-equivalence anchor the tests pin.
 
-use botscope_simnet::belief::{BeliefAtlas, BeliefTimeline, ServedOracle};
+use botscope_simnet::belief::{BeliefAtlas, BeliefTimeline};
 use botscope_simnet::engine::simulate_table_oracle;
 use botscope_simnet::fleet::build_fleet;
 use botscope_simnet::scenario::phase_study_plan;
@@ -154,10 +156,9 @@ pub fn run_coupled_with_threads(cfg: &CoupledConfig, threads: usize) -> CoupledO
     };
     let (beliefs, monitor_stats) = match cfg.refresh {
         RefreshModel::Instant => {
-            // Generation is driven by `ServedOracle` directly (below);
-            // the atlas here is pure data plumbing so attribution and
-            // the output carry per-bot beliefs in the same shape as the
-            // fleet mode — every bot's timeline IS the served one.
+            // Every bot's timeline IS the served one, so generation,
+            // attribution and the output read beliefs in the same shape
+            // as in the fleet mode.
             let bots = fleet.iter().map(|b| b.spec.canonical.to_string()).collect();
             let mut atlas = BeliefAtlas::new(bots, sim_cfg.sites);
             for bot in 0..fleet.len() {
@@ -200,12 +201,7 @@ pub fn run_coupled_with_threads(cfg: &CoupledConfig, threads: usize) -> CoupledO
     let sim = {
         let mut span = obs.phase("coupled_generate_stage");
         span.event_range(lo.unix(), hi.unix() + 86_400);
-        match cfg.refresh {
-            RefreshModel::Instant => {
-                simulate_table_oracle(&sim_cfg, &ServedOracle { sites: &served }, threads)
-            }
-            RefreshModel::Fleet => simulate_table_oracle(&sim_cfg, &beliefs, threads),
-        }
+        simulate_table_oracle(&sim_cfg, &beliefs, threads)
     };
     obs.counter("coupled_records_total").add(sim.table.len() as u64);
     CoupledOutput { sim, schedule, beliefs, served, monitor_stats }

@@ -15,6 +15,7 @@ use rand::{Rng, SeedableRng};
 use botscope_simnet::phases::PhaseSchedule;
 use botscope_simnet::server::SitePolicyServer;
 use botscope_simnet::{child_seed, PolicyVersion};
+use botscope_weblog::time::Timestamp;
 
 use crate::daemon::MonitorConfig;
 use crate::transport::{ConditionWindow, LatencyModel, ServeMode, ServerModel};
@@ -159,36 +160,46 @@ fn weather_windows(
     scripted
 }
 
-/// Build the per-site server models for `cfg`.
-pub fn build_estate(cfg: &MonitorConfig) -> Vec<ServerModel> {
-    let start = cfg.start.unix();
-    let horizon_secs = cfg.days * 86_400;
-    let (latency, transient) = climate(cfg.scenario);
-
-    (0..cfg.sites)
+/// The one site-model constructor: site `i` draws from its own seeded
+/// stream, first for `policy` (what it serves), then for its weather.
+fn site_models(
+    seed: u64,
+    sites: usize,
+    kind: ScenarioKind,
+    start: Timestamp,
+    days: u64,
+    policy: impl Fn(usize, &mut StdRng) -> SitePolicyServer,
+) -> Vec<ServerModel> {
+    let (latency, transient) = climate(kind);
+    (0..sites)
         .map(|i| {
-            let mut rng = StdRng::seed_from_u64(child_seed(cfg.seed, SITE_STREAM ^ i as u64));
-            // Policy timeline: every swap_every-th site deploys the
-            // four-phase experiment at a seeded offset into the horizon.
-            let policy = if cfg.swap_every > 0 && i % cfg.swap_every == 0 {
-                let offset = rng.gen_range(0..7 * 86_400);
-                let schedule = PhaseSchedule::paper_schedule(cfg.start.plus_secs(offset), i);
-                SitePolicyServer::from_schedule(&schedule, i)
-            } else {
-                SitePolicyServer::always(PolicyVersion::Base)
-            };
-            let windows = weather_windows(&mut rng, cfg.scenario, start, horizon_secs);
-
+            let mut rng = StdRng::seed_from_u64(child_seed(seed, SITE_STREAM ^ i as u64));
+            let policy = policy(i, &mut rng);
             ServerModel {
                 name: format!("site-{i:02}.example.edu"),
                 policy,
-                windows,
-                seed: child_seed(cfg.seed, SITE_STREAM ^ (i as u64).rotate_left(17)),
+                windows: weather_windows(&mut rng, kind, start.unix(), days * 86_400),
+                seed: child_seed(seed, SITE_STREAM ^ (i as u64).rotate_left(17)),
                 latency,
                 transient_fail_2e16: transient,
             }
         })
         .collect()
+}
+
+/// Build the per-site server models for `cfg`.
+pub fn build_estate(cfg: &MonitorConfig) -> Vec<ServerModel> {
+    site_models(cfg.seed, cfg.sites, cfg.scenario, cfg.start, cfg.days, |i, rng| {
+        // Policy timeline: every swap_every-th site deploys the
+        // four-phase experiment at a seeded offset into the horizon.
+        if cfg.swap_every > 0 && i % cfg.swap_every == 0 {
+            let offset = rng.gen_range(0..7 * 86_400);
+            let schedule = PhaseSchedule::paper_schedule(cfg.start.plus_secs(offset), i);
+            SitePolicyServer::from_schedule(&schedule, i)
+        } else {
+            SitePolicyServer::always(PolicyVersion::Base)
+        }
+    })
 }
 
 /// Build an estate whose served policies follow a *simulation* schedule
@@ -203,26 +214,10 @@ pub fn build_estate_for_schedule(
     sites: usize,
     schedule: &PhaseSchedule,
     kind: ScenarioKind,
-    start: botscope_weblog::time::Timestamp,
+    start: Timestamp,
     days: u64,
 ) -> Vec<ServerModel> {
-    let start_unix = start.unix();
-    let horizon_secs = days * 86_400;
-    let (latency, transient) = climate(kind);
-    (0..sites)
-        .map(|i| {
-            let mut rng = StdRng::seed_from_u64(child_seed(seed, SITE_STREAM ^ i as u64));
-            let windows = weather_windows(&mut rng, kind, start_unix, horizon_secs);
-            ServerModel {
-                name: format!("site-{i:02}.example.edu"),
-                policy: SitePolicyServer::from_schedule(schedule, i),
-                windows,
-                seed: child_seed(seed, SITE_STREAM ^ (i as u64).rotate_left(17)),
-                latency,
-                transient_fail_2e16: transient,
-            }
-        })
-        .collect()
+    site_models(seed, sites, kind, start, days, |i, _| SitePolicyServer::from_schedule(schedule, i))
 }
 
 #[cfg(test)]

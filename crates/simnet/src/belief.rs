@@ -18,9 +18,8 @@
 //! * [`PolicyOracle`] — the generation engine's policy source. The
 //!   schedule-driven baseline ([`ScheduleOracle`]) answers with the
 //!   scheduled version; the coupled mode answers from a
-//!   [`BeliefAtlas`] of monitored belief timelines; [`ServedOracle`]
-//!   answers from per-site ground-truth timelines (a crawler with an
-//!   always-fresh cache).
+//!   [`BeliefAtlas`] of belief timelines, monitored or (for a crawler
+//!   with an always-fresh cache) copied from the per-site ground truth.
 //!
 //! Timelines are plain `(from_unix_sec, policy)` step functions, exactly
 //! like [`crate::server::SitePolicyServer`] — a belief timeline under an
@@ -260,23 +259,6 @@ impl PolicyOracle for ScheduleOracle<'_> {
     }
 }
 
-/// Ground-truth-as-belief: every bot believes, at every instant, what
-/// the server effectively serves (weather included) — a crawler whose
-/// cache refreshes instantly. Under always-healthy servers this is
-/// exactly [`ScheduleOracle`], which is the coupled engine's
-/// degenerate-equivalence anchor.
-#[derive(Debug, Clone)]
-pub struct ServedOracle<'a> {
-    /// Per-site effective served-policy timelines, estate order.
-    pub sites: &'a [BeliefTimeline],
-}
-
-impl PolicyOracle for ServedOracle<'_> {
-    fn believed(&self, _bot: usize, site: usize, at: Timestamp) -> BelievedPolicy {
-        self.sites[site].at(at.unix())
-    }
-}
-
 /// Per-(bot, site) belief timelines, bot-major — the monitoring
 /// daemon's export, and the coupled engine's oracle.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -456,19 +438,5 @@ mod tests {
         assert_eq!(atlas.believed(1, 1, Timestamp::from_unix(60)), BelievedPolicy::Unfetched);
         assert_eq!(atlas.believed(0, 2, Timestamp::from_unix(60)), BelievedPolicy::Unfetched);
         assert_eq!(atlas.total_transitions(), 1);
-    }
-
-    #[test]
-    fn served_oracle_reads_site_timelines() {
-        let mut healthy = BeliefTimeline::always(BelievedPolicy::Version(PolicyVersion::Base));
-        healthy.record(1_000, BelievedPolicy::DisallowAll);
-        let sites = vec![BeliefTimeline::always(BelievedPolicy::AllowAll), healthy];
-        let oracle = ServedOracle { sites: &sites };
-        assert_eq!(oracle.believed(0, 0, Timestamp::from_unix(2_000)), BelievedPolicy::AllowAll);
-        assert_eq!(oracle.believed(9, 1, Timestamp::from_unix(2_000)), BelievedPolicy::DisallowAll);
-        assert_eq!(
-            oracle.believed(9, 1, Timestamp::from_unix(500)),
-            BelievedPolicy::Version(PolicyVersion::Base)
-        );
     }
 }

@@ -9,15 +9,19 @@
 //! configuration, independent even of execution order.
 //!
 //! That independence is what the parallel path exploits: each stream is
-//! a **generation unit** that emits interned rows into its own
-//! [`LogTable`] shard; shards are distributed over the [`run_indexed`]
-//! worker pool, absorbed in unit order (each shard freed once its rows
-//! are copied) and put in the canonical order by
+//! a **generation unit**, and one loop runs the units over the
+//! [`run_indexed`] worker pool, each emitting interned rows into its own
+//! writer. The two entry points differ only in that writer and in the
+//! assembly. [`simulate_table_oracle`] keeps each unit's rows as a
+//! [`LogTable`] shard, absorbs the shards in unit order (each freed once
+//! its rows are copied) and orders the result with
 //! [`LogTable::sort_canonical`], which sorts one key per row and then
-//! moves the rows once, in place. The result is byte-identical for a
-//! fixed seed no matter how many workers run ([`worker_threads`] reads
-//! `BOTSCOPE_THREADS`, defaulting to the machine's available
-//! parallelism).
+//! moves the rows once, in place. [`simulate_stream_with_threads`] has
+//! each unit spill canonically sorted binary runs to disk and k-way
+//! merges them ([`merge_runs`]) into row sinks. Both deliver the same
+//! rows in the same order, byte-identical for a fixed seed no matter how
+//! many workers run ([`worker_threads`] reads `BOTSCOPE_THREADS`,
+//! defaulting to the machine's available parallelism).
 
 use std::collections::BTreeMap;
 use std::fs::File;
@@ -234,13 +238,6 @@ impl<'a> World<'a> {
     }
 }
 
-/// A generation unit's output shard.
-struct Shard {
-    table: LogTable,
-    /// Spoofed request counts (only the spoof unit fills this).
-    planted: BTreeMap<String, u64>,
-}
-
 /// Disk-spill state of a streaming [`ShardWriter`]: where sorted runs
 /// go, and the first write error (surfaced at [`ShardWriter::finish_spill`]
 /// because the emit path is infallible by design).
@@ -378,6 +375,66 @@ pub fn simulate_table_with_threads(
     simulate_table_oracle(cfg, &ScheduleOracle { schedule }, threads)
 }
 
+/// The one generation loop behind both entry points: build the shared
+/// [`World`], run every unit — one per fleet bot, then anonymous
+/// traffic, then spoofing — over the [`run_indexed`] pool into the
+/// writer `open` gives it, and hand each finished writer to `close`.
+/// Returns `close`'s results in unit order (the serial emission
+/// sequence) and the planted ground truth.
+fn generate<O: PolicyOracle, U: Send>(
+    cfg: &SimConfig,
+    oracle: &O,
+    threads: usize,
+    open: impl Fn(&World<'_>, usize) -> ShardWriter + Sync,
+    close: impl Fn(ShardWriter) -> U + Sync,
+) -> (Vec<U>, GroundTruth) {
+    cfg.assert_valid();
+    assert!(threads >= 1, "at least one worker required");
+    let obs = botscope_obs::global();
+    let gen_span = obs.phase("simnet_generate");
+    let estate = Site::estate(cfg.sites);
+    let fleet = build_fleet();
+    let hasher = IpHasher::from_seed(cfg.seed);
+    let world = World::new(cfg, &estate, &hasher);
+
+    let n_units = fleet.len() + 2;
+    let units = run_indexed(n_units, threads, |unit| {
+        let mut writer = open(&world, unit);
+        let mut planted = BTreeMap::new();
+        if unit < fleet.len() {
+            let mut rng = StdRng::seed_from_u64(child_seed(cfg.seed, unit as u64));
+            simulate_bot(&world, oracle, unit, &fleet[unit], &mut rng, &mut writer);
+        } else if unit == fleet.len() {
+            if cfg.anon_traffic {
+                crate::anon::generate(&world, &mut writer);
+            }
+        } else if cfg.spoofing {
+            planted = crate::spoof::generate(&world, &fleet, &mut writer);
+        }
+        (close(writer), planted)
+    });
+    drop(gen_span);
+    obs.counter("simnet_units_total").add(n_units as u64);
+
+    let mut truth = GroundTruth::default();
+    let units = units
+        .into_iter()
+        .map(|(out, planted)| {
+            for (bot, count) in planted {
+                *truth.spoofed_requests.entry(bot).or_default() += count;
+            }
+            out
+        })
+        .collect();
+    for bot in &fleet {
+        truth.behaviors.insert(bot.spec.canonical.to_string(), bot.behavior.clone());
+        if bot.exempt {
+            truth.exempt.push(bot.spec.canonical.to_string());
+        }
+    }
+    (units, truth)
+}
+
 /// [`simulate_table_with_threads`] with an explicit [`PolicyOracle`]:
 /// every fleet bot consults `oracle` for the policy it *believes* is
 /// live instead of reading the schedule directly. With
@@ -395,70 +452,21 @@ pub fn simulate_table_oracle<O: PolicyOracle>(
     oracle: &O,
     threads: usize,
 ) -> SimTableOutput {
-    cfg.assert_valid();
-    assert!(threads >= 1, "at least one worker required");
+    let (shards, truth) =
+        generate(cfg, oracle, threads, |world, _| ShardWriter::new(world), |w| w.table);
     let obs = botscope_obs::global();
-    let gen_span = obs.phase("simnet_generate");
-    let estate = Site::estate(cfg.sites);
-    let fleet = build_fleet();
-    let hasher = IpHasher::from_seed(cfg.seed);
-    let world = World::new(cfg, &estate, &hasher);
-
-    // Units: one per fleet bot, then anonymous traffic, then spoofing.
-    let n_units = fleet.len() + 2;
-    let run_unit = |unit: usize| -> Shard {
-        if unit < fleet.len() {
-            let bot = &fleet[unit];
-            let mut rng = StdRng::seed_from_u64(child_seed(cfg.seed, unit as u64));
-            let mut writer = ShardWriter::new(&world);
-            simulate_bot(&world, oracle, unit, bot, &mut rng, &mut writer);
-            Shard { table: writer.table, planted: BTreeMap::new() }
-        } else if unit == fleet.len() {
-            let mut writer = ShardWriter::new(&world);
-            if cfg.anon_traffic {
-                crate::anon::generate(&world, &mut writer);
-            }
-            Shard { table: writer.table, planted: BTreeMap::new() }
-        } else {
-            let mut writer = ShardWriter::new(&world);
-            let planted = if cfg.spoofing {
-                crate::spoof::generate(&world, &fleet, &mut writer)
-            } else {
-                BTreeMap::new()
-            };
-            Shard { table: writer.table, planted }
-        }
-    };
-
-    // Shards come back in unit order, so the canonical sort below sees
-    // the exact serial emission sequence.
-    let shards: Vec<Shard> = run_indexed(n_units, threads, run_unit);
-
-    drop(gen_span);
-    obs.counter("simnet_units_total").add(n_units as u64);
-
-    let total_rows: usize = shards.iter().map(|s| s.table.len()).sum();
+    let total_rows: usize = shards.iter().map(LogTable::len).sum();
     obs.counter("simnet_rows_total").add(total_rows as u64);
     let merge_span = obs.phase("simnet_absorb_sort");
     let mut table = LogTable::with_capacity(total_rows, 1024);
-    let mut truth = GroundTruth::default();
-    // Each shard is freed as soon as it is absorbed, so the rows are
-    // never held twice.
+    // Shards come in unit order, so the canonical sort sees the exact
+    // serial emission sequence; each is freed as soon as it is
+    // absorbed, so the rows are never held twice.
     for shard in shards {
-        table.absorb(&shard.table);
-        for (bot, count) in shard.planted {
-            *truth.spoofed_requests.entry(bot).or_default() += count;
-        }
+        table.absorb(&shard);
     }
     table.sort_canonical();
     drop(merge_span);
-
-    for bot in &fleet {
-        truth.behaviors.insert(bot.spec.canonical.to_string(), bot.behavior.clone());
-        if bot.exempt {
-            truth.exempt.push(bot.spec.canonical.to_string());
-        }
-    }
     SimTableOutput { table, truth }
 }
 
@@ -494,20 +502,12 @@ pub struct SimStreamOutput {
     pub rows: u64,
 }
 
-/// Run the generator straight into row sinks with bounded memory:
-/// workers spill canonically sorted binary runs to disk, and one serial
-/// k-way merge streams the global canonical order into `sinks` without ever
-/// materializing the table. Output bytes are identical to writing
-/// [`simulate_table`]'s result, at any worker count.
-pub fn simulate_stream(
-    cfg: &SimConfig,
-    schedule: &PhaseSchedule,
-    sinks: &mut [&mut dyn RowSink],
-) -> io::Result<SimStreamOutput> {
-    simulate_stream_with_threads(cfg, schedule, worker_threads(), &StreamOptions::default(), sinks)
-}
-
-/// [`simulate_stream`] with explicit worker count and spill tuning.
+/// Run the generator straight into row sinks with bounded memory, on
+/// `threads` workers: each unit spills canonically sorted binary runs
+/// to disk, and one serial k-way merge streams the global canonical
+/// order into `sinks` without ever materializing the table. Output
+/// bytes are identical to writing [`simulate_table`]'s result, at any
+/// worker count.
 pub fn simulate_stream_with_threads(
     cfg: &SimConfig,
     schedule: &PhaseSchedule,
@@ -515,35 +515,9 @@ pub fn simulate_stream_with_threads(
     opts: &StreamOptions,
     sinks: &mut [&mut dyn RowSink],
 ) -> io::Result<SimStreamOutput> {
-    simulate_stream_oracle(cfg, &ScheduleOracle { schedule }, threads, opts, sinks)
-}
-
-/// Per-unit result of a streaming worker: the unit's final dictionary
-/// (valid for all of its runs) and its run files in emission order.
-struct UnitRuns {
-    interner: Arc<StringInterner>,
-    paths: Vec<PathBuf>,
-    planted: BTreeMap<String, u64>,
-}
-
-/// [`simulate_stream_with_threads`] with an explicit [`PolicyOracle`]
-/// (the streaming dual of [`simulate_table_oracle`]).
-pub fn simulate_stream_oracle<O: PolicyOracle>(
-    cfg: &SimConfig,
-    oracle: &O,
-    threads: usize,
-    opts: &StreamOptions,
-    sinks: &mut [&mut dyn RowSink],
-) -> io::Result<SimStreamOutput> {
+    // An invalid config panics before anything touches the disk.
     cfg.assert_valid();
-    assert!(threads >= 1, "at least one worker required");
     assert!(opts.rows_per_run >= 1, "rows_per_run must be positive");
-    let obs = botscope_obs::global();
-    let gen_span = obs.phase("simnet_generate");
-    let estate = Site::estate(cfg.sites);
-    let fleet = build_fleet();
-    let hasher = IpHasher::from_seed(cfg.seed);
-    let world = World::new(cfg, &estate, &hasher);
 
     // Spill directory: the caller's, or a unique one we own and remove.
     // The counter (not time or randomness) disambiguates concurrent
@@ -560,46 +534,27 @@ pub fn simulate_stream_oracle<O: PolicyOracle>(
     };
     std::fs::create_dir_all(&spill_dir)?;
 
-    let n_units = fleet.len() + 2;
-    let run_unit = |unit: usize| -> io::Result<UnitRuns> {
-        let mut writer =
-            ShardWriter::new_spilling(&world, spill_dir.clone(), unit, opts.rows_per_run);
-        let mut planted = BTreeMap::new();
-        if unit < fleet.len() {
-            let bot = &fleet[unit];
-            let mut rng = StdRng::seed_from_u64(child_seed(cfg.seed, unit as u64));
-            simulate_bot(&world, oracle, unit, bot, &mut rng, &mut writer);
-        } else if unit == fleet.len() {
-            if cfg.anon_traffic {
-                crate::anon::generate(&world, &mut writer);
-            }
-        } else if cfg.spoofing {
-            planted = crate::spoof::generate(&world, &fleet, &mut writer);
-        }
-        let (interner, paths) = writer.finish_spill()?;
-        Ok(UnitRuns { interner, paths, planted })
-    };
-
-    let units: Vec<io::Result<UnitRuns>> = run_indexed(n_units, threads, run_unit);
+    let (units, truth) = generate(
+        cfg,
+        &ScheduleOracle { schedule },
+        threads,
+        |world, unit| ShardWriter::new_spilling(world, spill_dir.clone(), unit, opts.rows_per_run),
+        ShardWriter::finish_spill,
+    );
 
     // Runs enter the merge in (unit, run) order: a unit's runs are
     // consecutive emission-position blocks, so this global order makes
     // the merge byte-identical to concatenate-in-unit-order + stable
     // sort — i.e. to the materialized path.
-    drop(gen_span);
-    obs.counter("simnet_units_total").add(n_units as u64);
+    let obs = botscope_obs::global();
     let merge_span = obs.phase("simnet_spill_merge");
-    let mut truth = GroundTruth::default();
     let mut spilled: Vec<PathBuf> = Vec::new();
     let merged: io::Result<u64> = (|| {
         let mut runs: Vec<MergeRun> = Vec::new();
-        for result in units {
-            let unit_runs = result?;
-            spilled.extend(unit_runs.paths.iter().cloned());
-            for (bot, count) in &unit_runs.planted {
-                *truth.spoofed_requests.entry(bot.clone()).or_default() += count;
-            }
-            for path in &unit_runs.paths {
+        for unit in units {
+            let (interner, paths) = unit?;
+            spilled.extend(paths.iter().cloned());
+            for path in &paths {
                 let reader = BufReader::with_capacity(64 << 10, File::open(path)?);
                 // Raw mode: spill files preserve the unit interner's ids
                 // (`write_table`), so readers need no per-file dictionary
@@ -607,7 +562,7 @@ pub fn simulate_stream_oracle<O: PolicyOracle>(
                 // one per run.
                 let bin = colfmt::BinReader::new_raw(reader)
                     .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-                runs.push(MergeRun::from_sorted_stream(unit_runs.interner.clone(), Box::new(bin)));
+                runs.push(MergeRun::from_sorted_stream(interner.clone(), Box::new(bin)));
             }
         }
         // One serial merge: a per-row cross-thread hand-off costs more
@@ -626,13 +581,6 @@ pub fn simulate_stream_oracle<O: PolicyOracle>(
     }
     let rows = merged?;
     obs.counter("simnet_rows_total").add(rows);
-
-    for bot in &fleet {
-        truth.behaviors.insert(bot.spec.canonical.to_string(), bot.behavior.clone());
-        if bot.exempt {
-            truth.exempt.push(bot.spec.canonical.to_string());
-        }
-    }
     Ok(SimStreamOutput { truth, rows })
 }
 

@@ -8,8 +8,10 @@
 //!   robots.txt experiment on the high-traffic site, two weeks per
 //!   version. Feeds Tables 4/5/6/7/10 and Figures 9/11.
 //!
-//! Each study also has a `_stream` form that delivers the same rows
-//! into sinks with bounded memory.
+//! The phase study also has a `_stream` form
+//! ([`phase_study_stream`]) that delivers the same rows into sinks with
+//! bounded memory; study 1 streams through [`full_study_plan`] and
+//! [`crate::engine::simulate_stream_with_threads`].
 
 use std::io;
 
@@ -57,19 +59,6 @@ pub fn phase_study_plan(cfg: &SimConfig) -> (SimConfig, PhaseSchedule) {
 pub fn full_study_table(cfg: &SimConfig) -> SimTableOutput {
     let (cfg, schedule) = full_study_plan(cfg);
     simulate_table(&cfg, &schedule)
-}
-
-/// [`full_study_table`] streamed straight into sinks with bounded memory:
-/// workers spill sorted runs to disk and a k-way merge delivers the
-/// canonical row order without materializing the table.
-pub fn full_study_stream(
-    cfg: &SimConfig,
-    threads: usize,
-    opts: &StreamOptions,
-    sinks: &mut [&mut dyn RowSink],
-) -> io::Result<SimStreamOutput> {
-    let (cfg, schedule) = full_study_plan(cfg);
-    simulate_stream_with_threads(&cfg, &schedule, threads, opts, sinks)
 }
 
 /// Study 2: the controlled robots.txt experiment over

@@ -6,7 +6,7 @@
 use botscope_simnet::engine::{
     simulate_stream_with_threads, simulate_table_with_threads, StreamOptions,
 };
-use botscope_simnet::scenario::{full_study_stream, full_study_table};
+use botscope_simnet::scenario::{full_study_plan, full_study_table};
 use botscope_simnet::{PhaseSchedule, SimConfig};
 use botscope_weblog::codec;
 use botscope_weblog::colfmt::{read_table, BinSink};
@@ -78,10 +78,16 @@ fn streamed_csv_bytes_identical_to_materialized_at_any_worker_count() {
 fn full_study_stream_matches_full_study_table() {
     let cfg = cfg_with_seed(13);
     let reference = full_study_table(&cfg);
+    let (cfg, schedule) = full_study_plan(&cfg);
     let mut csv = CsvSink::new(Vec::new()).expect("csv sink");
-    let out =
-        full_study_stream(&cfg, 2, &StreamOptions::default(), &mut [&mut csv as &mut dyn RowSink])
-            .expect("streaming scenario");
+    let out = simulate_stream_with_threads(
+        &cfg,
+        &schedule,
+        2,
+        &StreamOptions::default(),
+        &mut [&mut csv as &mut dyn RowSink],
+    )
+    .expect("streaming scenario");
     assert_eq!(out.rows as usize, reference.table.len());
     assert_eq!(csv.into_inner(), codec::encode_table(&reference.table).into_bytes());
     assert_eq!(out.truth.behaviors, reference.truth.behaviors);

@@ -1,54 +1,23 @@
-//! Descriptive statistics: means, weighted means, variance, percentiles.
+//! Descriptive statistics: weighted means and percentiles.
 //!
 //! The study's Table 5 aggregates per-bot compliance ratios into category
 //! scores with an *access-weighted* average ("we weight the average by
-//! number of accesses from a particular bot"); [`weighted_mean`] and
-//! [`WeightedMeanAccumulator`] implement that exact computation.
+//! number of accesses from a particular bot");
+//! [`WeightedMeanAccumulator`] implements that exact computation.
 
-/// Arithmetic mean of a slice. Returns `None` for an empty slice.
-pub fn mean(xs: &[f64]) -> Option<f64> {
-    if xs.is_empty() {
-        return None;
-    }
-    Some(xs.iter().sum::<f64>() / xs.len() as f64)
-}
-
-/// Population variance. Returns `None` for an empty slice.
-pub fn variance(xs: &[f64]) -> Option<f64> {
-    let m = mean(xs)?;
-    Some(xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64)
-}
-
-/// Population standard deviation. Returns `None` for an empty slice.
-pub fn stddev(xs: &[f64]) -> Option<f64> {
-    variance(xs).map(f64::sqrt)
-}
-
-/// Weighted mean of `(value, weight)` pairs.
-///
-/// Returns `None` when the total weight is zero (including the empty case).
-/// Negative weights are a caller logic error and panic.
+/// Streaming weighted-mean accumulator over `(value, weight)`
+/// observations.
 ///
 /// ```
-/// use botscope_stats::describe::weighted_mean;
+/// use botscope_stats::describe::WeightedMeanAccumulator;
 /// // Two bots: one complies 100% but was seen 10 times, one complies 0%
 /// // and was seen 990 times. The category score is dominated by the
 /// // common bot, exactly as in the paper's Table 5.
-/// let m = weighted_mean(&[(1.0, 10.0), (0.0, 990.0)]).unwrap();
-/// assert!((m - 0.01).abs() < 1e-12);
+/// let mut acc = WeightedMeanAccumulator::new();
+/// acc.add(1.0, 10.0);
+/// acc.add(0.0, 990.0);
+/// assert!((acc.finish().unwrap() - 0.01).abs() < 1e-12);
 /// ```
-pub fn weighted_mean(pairs: &[(f64, f64)]) -> Option<f64> {
-    let mut acc = WeightedMeanAccumulator::new();
-    for &(v, w) in pairs {
-        acc.add(v, w);
-    }
-    acc.finish()
-}
-
-/// Streaming weighted-mean accumulator.
-///
-/// Useful when per-bot compliance ratios are produced incrementally by the
-/// pipeline rather than collected up front.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct WeightedMeanAccumulator {
     sum: f64,
@@ -115,31 +84,23 @@ pub fn percentile(xs: &[f64], q: f64) -> Option<f64> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn mean_basic() {
-        assert_eq!(mean(&[]), None);
-        assert_eq!(mean(&[2.0]), Some(2.0));
-        assert_eq!(mean(&[1.0, 2.0, 3.0]), Some(2.0));
+    fn weighted_mean(pairs: &[(f64, f64)]) -> Option<f64> {
+        let mut acc = WeightedMeanAccumulator::new();
+        for &(v, w) in pairs {
+            acc.add(v, w);
+        }
+        acc.finish()
     }
 
     #[test]
-    fn variance_and_stddev() {
-        assert_eq!(variance(&[]), None);
-        assert_eq!(variance(&[5.0]), Some(0.0));
-        let v = variance(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]).unwrap();
-        assert!((v - 4.0).abs() < 1e-12);
-        assert!((stddev(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]).unwrap() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn weighted_mean_reduces_to_mean_with_equal_weights() {
+    fn equal_weights_give_the_arithmetic_mean() {
         let xs = [0.3, 0.8, 0.5, 0.1];
         let pairs: Vec<(f64, f64)> = xs.iter().map(|&x| (x, 7.0)).collect();
-        assert!((weighted_mean(&pairs).unwrap() - mean(&xs).unwrap()).abs() < 1e-12);
+        assert!((weighted_mean(&pairs).unwrap() - 0.425).abs() < 1e-12);
     }
 
     #[test]
-    fn weighted_mean_zero_weight_is_none() {
+    fn zero_total_weight_is_none() {
         assert_eq!(weighted_mean(&[]), None);
         assert_eq!(weighted_mean(&[(0.5, 0.0), (0.9, 0.0)]), None);
     }
@@ -155,16 +116,6 @@ mod tests {
     fn negative_weight_panics() {
         let mut acc = WeightedMeanAccumulator::new();
         acc.add(0.5, -1.0);
-    }
-
-    #[test]
-    fn accumulator_matches_batch() {
-        let pairs = [(0.1, 3.0), (0.9, 1.0), (0.4, 6.0)];
-        let mut acc = WeightedMeanAccumulator::new();
-        for &(v, w) in &pairs {
-            acc.add(v, w);
-        }
-        assert_eq!(acc.finish(), weighted_mean(&pairs));
     }
 
     #[test]

@@ -1,76 +1,9 @@
-//! Empirical cumulative distribution functions.
+//! Empirical cumulative distribution over time.
 //!
-//! Two flavours are needed by the study:
-//!
-//! * [`Ecdf`] — the ordinary ECDF over a sample of values, used by the
-//!   benches and ablations.
-//! * [`TimeSeriesCdf`] — the cumulative *share over time* plot in the
-//!   paper's Figure 3: for each bot category, the fraction of its total
-//!   bytes that had been downloaded by each date. This is a CDF over the
-//!   time axis with byte weights.
-
-/// Ordinary empirical CDF over a sample.
-#[derive(Debug, Clone)]
-pub struct Ecdf {
-    sorted: Vec<f64>,
-}
-
-impl Ecdf {
-    /// Build an ECDF from a sample. NaN values are rejected.
-    ///
-    /// # Panics
-    /// Panics if the sample contains NaN.
-    pub fn new(mut sample: Vec<f64>) -> Self {
-        assert!(sample.iter().all(|x| !x.is_nan()), "NaN in ECDF sample");
-        sample.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        Self { sorted: sample }
-    }
-
-    /// Number of observations.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// Whether the sample is empty.
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
-    }
-
-    /// `F(x)`: the fraction of observations `<= x`. Returns 0 for an empty
-    /// sample.
-    ///
-    /// ```
-    /// use botscope_stats::ecdf::Ecdf;
-    /// let e = Ecdf::new(vec![1.0, 2.0, 3.0, 4.0]);
-    /// assert_eq!(e.eval(0.5), 0.0);
-    /// assert_eq!(e.eval(2.0), 0.5);
-    /// assert_eq!(e.eval(9.0), 1.0);
-    /// ```
-    pub fn eval(&self, x: f64) -> f64 {
-        if self.sorted.is_empty() {
-            return 0.0;
-        }
-        // partition_point: number of elements <= x.
-        let k = self.sorted.partition_point(|&v| v <= x);
-        k as f64 / self.sorted.len() as f64
-    }
-
-    /// The step points of the ECDF as `(value, cumulative_fraction)` pairs,
-    /// deduplicated on the value axis (each distinct value appears once with
-    /// its final cumulative height).
-    pub fn steps(&self) -> Vec<(f64, f64)> {
-        let n = self.sorted.len();
-        let mut out: Vec<(f64, f64)> = Vec::new();
-        for (i, &v) in self.sorted.iter().enumerate() {
-            let frac = (i + 1) as f64 / n as f64;
-            match out.last_mut() {
-                Some(last) if last.0 == v => last.1 = frac,
-                _ => out.push((v, frac)),
-            }
-        }
-        out
-    }
-}
+//! [`TimeSeriesCdf`] is the cumulative *share over time* plot in the
+//! paper's Figure 3: for each bot category, the fraction of its total
+//! bytes that had been downloaded by each date. This is a CDF over the
+//! time axis with byte weights.
 
 /// Cumulative share of a weighted quantity over time (paper Figure 3).
 ///
@@ -153,49 +86,6 @@ impl TimeSeriesCdf {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ecdf_bounds() {
-        let e = Ecdf::new(vec![3.0, 1.0, 2.0]);
-        assert_eq!(e.eval(f64::NEG_INFINITY), 0.0);
-        assert_eq!(e.eval(f64::INFINITY), 1.0);
-        assert_eq!(e.len(), 3);
-    }
-
-    #[test]
-    fn ecdf_monotone() {
-        let e = Ecdf::new(vec![5.0, 3.0, 3.0, 8.0, 1.0]);
-        let mut prev = 0.0;
-        for i in 0..100 {
-            let x = i as f64 / 10.0;
-            let y = e.eval(x);
-            assert!(y >= prev, "ECDF must be nondecreasing");
-            prev = y;
-        }
-    }
-
-    #[test]
-    fn ecdf_empty() {
-        let e = Ecdf::new(vec![]);
-        assert!(e.is_empty());
-        assert_eq!(e.eval(1.0), 0.0);
-        assert!(e.steps().is_empty());
-    }
-
-    #[test]
-    fn ecdf_steps_dedup_ties() {
-        let e = Ecdf::new(vec![1.0, 1.0, 2.0]);
-        let steps = e.steps();
-        assert_eq!(steps.len(), 2);
-        assert!((steps[0].1 - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(steps[1], (2.0, 1.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "NaN")]
-    fn ecdf_rejects_nan() {
-        let _ = Ecdf::new(vec![1.0, f64::NAN]);
-    }
 
     #[test]
     fn timeseries_cdf_basic() {

@@ -11,10 +11,10 @@
 //!   p-value computation,
 //! * **weighted averages** used for the category-level compliance table
 //!   (paper Table 5),
-//! * **empirical CDFs** over timestamped byte counts (paper Figure 3),
+//! * an **empirical CDF** over timestamped byte counts (paper Figure 3),
 //! * **time-window coverage** analysis for robots.txt re-check frequency
 //!   (paper §5.1, Figure 10),
-//! * small descriptive-statistics helpers (means, variance, percentiles).
+//! * percentiles (the adaptation analysis's median lag).
 //!
 //! Everything here is deterministic and allocation-light.
 //!
@@ -42,8 +42,8 @@ pub mod window;
 pub mod ztest;
 
 pub use ci::{wilson, ProportionCi};
-pub use describe::{mean, percentile, stddev, variance, weighted_mean, WeightedMeanAccumulator};
-pub use ecdf::{Ecdf, TimeSeriesCdf};
-pub use normal::{erf, erfc, normal_cdf, normal_pdf, normal_quantile};
+pub use describe::{percentile, WeightedMeanAccumulator};
+pub use ecdf::TimeSeriesCdf;
+pub use normal::{erf, erfc, normal_cdf, normal_quantile};
 pub use window::{window_coverage, WindowCoverage};
 pub use ztest::{two_proportion_z_test, ZTestResult};

@@ -1,4 +1,4 @@
-//! Normal-distribution functions: error function, CDF, PDF and quantile.
+//! Normal-distribution functions: error function, CDF and quantile.
 //!
 //! The study's statistical machinery (paper §4.2) reduces every compliance
 //! comparison to a z-score, which is converted to a p-value through the
@@ -64,12 +64,6 @@ pub fn erfc(x: f64) -> f64 {
 
     let t = 1.0 / (1.0 + P * x);
     (((((A5 * t + A4) * t) + A3) * t + A2) * t + A1) * t * (-x * x).exp()
-}
-
-/// Standard normal probability density function.
-pub fn normal_pdf(x: f64) -> f64 {
-    const INV_SQRT_2PI: f64 = 0.398_942_280_401_432_7;
-    INV_SQRT_2PI * (-0.5 * x * x).exp()
 }
 
 /// Standard normal cumulative distribution function `Φ(x)`.
@@ -237,12 +231,6 @@ mod tests {
         assert_eq!(normal_quantile(1.0), f64::INFINITY);
         assert!(normal_quantile(1e-12) < -6.0);
         assert!(normal_quantile(1.0 - 1e-12) > 6.0);
-    }
-
-    #[test]
-    fn pdf_peak_and_symmetry() {
-        assert!((normal_pdf(0.0) - 0.3989422804).abs() < 1e-9);
-        assert!((normal_pdf(1.3) - normal_pdf(-1.3)).abs() < 1e-15);
     }
 
     #[test]

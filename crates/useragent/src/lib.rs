@@ -19,21 +19,17 @@
 //!   exhaustive.
 //! * [`standardize`] — substring pattern matching plus Levenshtein /
 //!   Jaro-Winkler fuzzy fallback, mirroring the paper's pipeline.
-//! * [`detect`] — coarse agent classification: known bot, headless
-//!   browser, HTTP library, ordinary browser, or unknown.
 //!
 //! ```
-//! use botscope_useragent::{classify, AgentClass, BotCategory, registry};
+//! use botscope_useragent::{BotCategory, Standardizer};
 //!
-//! let reg = registry();
+//! let mut standardizer = Standardizer::new();
 //! let ua = "Mozilla/5.0 AppleWebKit/537.36 (compatible; GPTBot/1.2; +https://openai.com/gptbot)";
-//! match classify(&reg, ua) {
-//!     AgentClass::KnownBot(bot) => {
-//!         assert_eq!(bot.canonical, "GPTBot");
-//!         assert_eq!(bot.category, BotCategory::AiDataScraper);
-//!     }
-//!     other => panic!("expected a known bot, got {other:?}"),
-//! }
+//! let bot = standardizer.standardize(ua).expect("a known bot").bot;
+//! assert_eq!(bot.canonical, "GPTBot");
+//! assert_eq!(bot.category, BotCategory::AiDataScraper);
+//! // A near-miss spelling still standardizes through the fuzzy fallback.
+//! assert_eq!(standardizer.standardize("semrush-bot").map(|s| s.bot.canonical), Some("SemrushBot"));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -41,13 +37,11 @@
 
 pub mod category;
 pub mod data;
-pub mod detect;
 pub mod distance;
 pub mod parse;
 pub mod registry;
 pub mod standardize;
 
 pub use category::BotCategory;
-pub use detect::{classify, AgentClass};
 pub use registry::{registry, BotRegistry, BotSpec, RobotsPromise};
 pub use standardize::Standardizer;

@@ -973,6 +973,51 @@ fn telemetry_flags_do_not_perturb_output_at_any_worker_count() {
     let _ = std::fs::remove_file(queries);
 }
 
+/// Telemetry files are replaced, not truncated: a longer file already at
+/// the `--metrics` target ends up holding exactly the new snapshot, and
+/// a symlinked target is still written through the link.
+#[test]
+fn metrics_file_is_replaced_and_symlinks_are_written_through() {
+    // A snapshot's shape: every line, with span timings cut to their
+    // series name (the only part that repeats from run to run).
+    let shape = |text: &str| -> Vec<String> {
+        text.lines()
+            .map(|line| match line.rsplit_once(' ') {
+                Some((series, _)) if series.contains("_ns") => series.to_string(),
+                _ => line.to_string(),
+            })
+            .collect()
+    };
+    let run = |target: &std::path::Path| {
+        let out = Command::new(env!("CARGO_BIN_EXE_botscope"))
+            .args(["simulate", "1", "0.02", "-", "42", "--metrics"])
+            .arg(target)
+            .env("BOTSCOPE_THREADS", "1")
+            .output()
+            .expect("binary runs");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        shape(&std::fs::read_to_string(target).expect("metrics written"))
+    };
+    let fresh = write_temp("metrics-fresh.prom", "");
+    std::fs::remove_file(&fresh).expect("remove placeholder");
+    let snapshot = run(&fresh);
+    assert!(snapshot.iter().any(|line| line.starts_with("simnet_rows_total ")), "{snapshot:?}");
+
+    let stale = write_temp("metrics-stale.prom", &"# stale line\n".repeat(4096));
+    assert_eq!(run(&stale), snapshot, "a longer stale file must not leave a tail");
+
+    let target = write_temp("metrics-link-target.prom", "old");
+    let link = target.with_extension("link");
+    let _ = std::fs::remove_file(&link);
+    std::os::unix::fs::symlink(&target, &link).expect("create symlink");
+    assert_eq!(run(&link), snapshot);
+    assert!(std::fs::symlink_metadata(&link).unwrap().file_type().is_symlink());
+    assert_eq!(shape(&std::fs::read_to_string(&target).unwrap()), snapshot, "through the link");
+    for path in [&fresh, &stale, &target, &link] {
+        let _ = std::fs::remove_file(path);
+    }
+}
+
 /// The committed fixture pins the manifest's stable prefix (everything
 /// before the volatile `perf` section) for one canonical monitor run.
 /// Regenerate with:

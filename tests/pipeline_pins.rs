@@ -2,7 +2,9 @@
 //! `botscope::pipelines`: the same hashes `.github/workflows/ci.yml`
 //! checks on the binary's output, so `cargo test` sees a drift too.
 
+use botscope::core::attribution::PolicyBasis;
 use botscope::monitor::daemon::MonitorConfig;
+use botscope::monitor::{CoupledConfig, RefreshModel, ScenarioKind};
 use botscope::obs::digest::sha256_hex;
 use botscope::pipelines::{self, AnalyzeMode, LogFormat, MonitorOutputs, Study};
 use botscope::simnet::SimConfig;
@@ -14,6 +16,8 @@ const PHASE_REPORT: &str = "842c4b65d203fcdaa19e8708ae2a62b940722f2ca3410a5befbd
 const PLAIN_REPORT: &str = "027b475b2b5193a8e2047cee4d82833761c014c766b1f34f4c486cbb36337672";
 const MONITOR_CSV: &str = "62b718939f0da76ac033dc25bec5feb9cdd1d90de108430f8958fc412306e175";
 const MONITOR_JSONL: &str = "faf21b3fb66623fd1007e8969698931c55bf1a52fd318d65b90c0ce77e1492c9";
+const INSTANT_CSV: &str = "35da31f2390a3c2e23b272a7a413ea3bb117437655c74729b38e06d21df0a534";
+const INSTANT_REPORT: &str = "a66fbe8eeeef419fc9725e447408c2f6f392761438941a5e9b0e01488a4b2edb";
 
 /// `simulate 7 0.05 <out> 42 [--phase-study] [--stream] --format F`.
 fn simulate(study: Study, stream: bool, format: LogFormat, threads: usize) -> Vec<u8> {
@@ -96,5 +100,24 @@ fn monitor_logs_are_pinned_at_one_and_two_workers() {
         assert!(report.summary.starts_with("monitored 24 sites x 4 bots"), "{}", report.summary);
         assert_eq!(sha256_hex(&csv), MONITOR_CSV, "{threads} workers");
         assert_eq!(sha256_hex(&jsonl), MONITOR_JSONL, "{threads} workers");
+    }
+}
+
+/// `simulate --coupled --scale 0.05 --sites 8 --refresh instant --basis
+/// believed --out -`: every bot believes the served policy, weather
+/// included, so the mixed scenario's outages still shape the traffic.
+#[test]
+fn coupled_instant_refresh_under_weather_is_pinned_at_one_and_two_workers() {
+    let cfg = CoupledConfig {
+        sim: SimConfig { scale: 0.05, sites: 8, seed: 9309, ..SimConfig::default() },
+        scenario: ScenarioKind::Mixed,
+        refresh: RefreshModel::Instant,
+    };
+    for threads in [1, 2] {
+        let mut csv = Vec::new();
+        let report = pipelines::coupled(&cfg, PolicyBasis::Believed, threads, Some(&mut csv))
+            .expect("coupled runs");
+        assert_eq!(sha256_hex(&csv), INSTANT_CSV, "{threads} workers");
+        assert_eq!(sha256_hex(report.as_bytes()), INSTANT_REPORT, "{threads} workers");
     }
 }
