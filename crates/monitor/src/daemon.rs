@@ -1189,31 +1189,59 @@ mod tests {
         table
     }
 
-    #[test]
-    fn merged_log_matches_concatenate_and_sort() {
-        use botscope_weblog::codec::encode_table;
-        use botscope_weblog::sink::CsvSink;
-
-        // A fixed 12 h TTL over a dense estate puts many fetches on one
-        // second, and small IP pools make some of them full canonical
-        // ties (same instant, agent and IP hash; only the site differs).
-        let cfg = MonitorConfig {
+    /// A fixed 12 h TTL over a dense estate puts many fetches on one
+    /// second, and small IP pools make some of them full canonical ties
+    /// (same instant, agent and IP hash; only the site differs).
+    fn tie_heavy() -> MonitorConfig {
+        MonitorConfig {
             sites: 300,
             days: 6,
             bots: 3,
             ttl: TtlPolicy::FixedHours(12),
             ..MonitorConfig::default()
-        };
+        }
+    }
+
+    /// A fetch-log run of `cfg` over its own fleet and estate.
+    fn fetch_log_run<T>(cfg: &MonitorConfig, body: impl FnOnce(&DaemonRun<'_>) -> T) -> T {
         let (fleet, transport) =
-            (monitor_fleet(cfg.bots), VirtualTransport::new(build_estate(&cfg)));
-        let run = DaemonRun {
-            cfg: &cfg,
+            (monitor_fleet(cfg.bots), VirtualTransport::new(build_estate(cfg)));
+        body(&DaemonRun {
+            cfg,
             fleet: &fleet,
             transport: &transport,
             ttl: TtlSource::Config,
             record: Record::FetchLog,
-        };
-        let oracle = concatenate_and_sort(run_daemon(&run, 1).2);
+        })
+    }
+
+    #[test]
+    fn chunk_logs_come_out_in_time_order() {
+        // Each chunk's agents run off a (time, agent) heap, so its log is
+        // already time-ordered and `sort_canonical` only orders ties.
+        let cfg = tie_heavy();
+        for threads in [1, 2] {
+            let records = fetch_log_run(&cfg, |run| run_daemon(run, threads).2);
+            assert!(records.len() > 1, "the estate must span several chunks");
+            for (chunk, record) in records.into_iter().enumerate() {
+                let log = record.into_log();
+                let rows = log.table().rows();
+                assert!(!rows.is_empty());
+                assert!(
+                    rows.is_sorted_by_key(|r| r.timestamp),
+                    "chunk {chunk} at {threads} workers is out of time order"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn merged_log_matches_concatenate_and_sort() {
+        use botscope_weblog::codec::encode_table;
+        use botscope_weblog::sink::CsvSink;
+
+        let cfg = tie_heavy();
+        let oracle = fetch_log_run(&cfg, |run| concatenate_and_sort(run_daemon(run, 1).2));
         let rows = oracle.rows();
         let key = |i: usize| {
             let r = &rows[i];

@@ -15,8 +15,10 @@
 //! assembly. [`simulate_table_oracle`] keeps each unit's rows as a
 //! [`LogTable`] shard, absorbs the shards in unit order (each freed once
 //! its rows are copied) and orders the result with
-//! [`LogTable::sort_canonical`], which sorts one key per row and then
-//! moves the rows once, in place. [`simulate_stream_with_threads`] has
+//! [`LogTable::sort_canonical`]: in place, it deals the rows into time
+//! buckets of a few thousand, then orders each bucket while it sits in
+//! cache, sorting one key per row and moving each row once.
+//! [`simulate_stream_with_threads`] has
 //! each unit spill canonically sorted binary runs to disk and k-way
 //! merges them ([`merge_runs`]) into row sinks. Both deliver the same
 //! rows in the same order, byte-identical for a fixed seed no matter how

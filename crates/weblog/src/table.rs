@@ -215,60 +215,118 @@ impl LogTable {
     /// keeping their table order — the generator's canonical output
     /// order, exactly what a stable sort on that key returns.
     ///
-    /// Only keys are sorted: one `u64` per row, the row's position in
-    /// the low bits under its timestamp (less the table's earliest),
-    /// which is shifted right only when the span of timestamps is too
-    /// wide for the bits left. The position makes every key unique, so
-    /// an unstable sort gives the stable order. Each run of keys with
-    /// equal time bits is then ordered by the full canonical key with
-    /// its strings resolved, position breaking ties; strings are
-    /// compared only there. The rows move once, along the cycles of the
-    /// resulting permutation, so the sort holds no second copy of them.
+    /// The rows move in place, so the sort holds no second copy of
+    /// them. A table already in time order, as every monitor chunk log
+    /// is, only orders its runs of equal timestamps. Any other table is
+    /// sorted in two levels. A row's time key is its timestamp less the
+    /// table's earliest, shifted right only when the span is too wide
+    /// for the bits a row position leaves in a `u64`.
+    ///
+    /// 1. An American-flag pass deals the rows into time buckets, each a
+    ///    whole range of time keys (so equal keys never straddle two),
+    ///    4–16 Ki rows to a bucket on average over an even spread of
+    ///    time. Each row's original position travels with it in a `u32`.
+    /// 2. Each bucket is ordered while its rows sit in cache: one `u64`
+    ///    per row, the time key over the row's index in the bucket, is
+    ///    sorted; each run of equal time keys is ordered by the full
+    ///    canonical key with its strings resolved, original position
+    ///    breaking ties (strings are compared only there); and the rows
+    ///    move once, along the cycles of the bucket's permutation.
     pub fn sort_canonical(&mut self) {
-        let times = self.rows.iter().map(|r| r.timestamp.unix());
-        let (Some(min), Some(max)) = (times.clone().min(), times.max()) else {
-            return;
+        let LogTable { interner, rows } = self;
+        let full_key = |r: &RecordRow, pos: usize| {
+            (
+                r.timestamp,
+                interner.resolve(r.useragent),
+                r.ip_hash,
+                interner.resolve(r.uri_path),
+                pos,
+            )
         };
-        let pos_bits = usize::BITS - self.rows.len().leading_zeros();
-        let shift = (u64::BITS - (max - min).leading_zeros()).saturating_sub(u64::BITS - pos_bits);
-        let mut keys: Vec<u64> = self
-            .rows
-            .iter()
-            .enumerate()
-            .map(|(i, r)| ((r.timestamp.unix() - min) >> shift) << pos_bits | i as u64)
-            .collect();
-        keys.sort_unstable();
-        let pos_mask = (1u64 << pos_bits) - 1;
-        let full_key = |key: u64| {
-            let i = (key & pos_mask) as usize;
-            let r = &self.rows[i];
-            (r.timestamp, self.resolve(r.useragent), r.ip_hash, self.resolve(r.uri_path), i)
-        };
-        for run in keys.chunk_by_mut(|a, b| a >> pos_bits == b >> pos_bits) {
-            if run.len() > 1 {
-                run.sort_unstable_by(|&a, &b| full_key(a).cmp(&full_key(b)));
-            }
-        }
-        // Stripped to its position, `keys[i]` is the row that belongs at
-        // `i`; a visited slot is marked by pointing at itself.
-        for key in &mut keys {
-            *key &= pos_mask;
-        }
-        for start in 0..keys.len() {
-            if keys[start] as usize == start {
-                continue;
-            }
-            let held = self.rows[start];
-            let mut at = start;
-            loop {
-                let from = std::mem::replace(&mut keys[at], at as u64) as usize;
-                if from == start {
-                    self.rows[at] = held;
-                    break;
+        let mut keys: Vec<u64> = Vec::new();
+        if rows.is_sorted_by_key(|r| r.timestamp) {
+            let mut lo = 0;
+            for run in rows.chunk_by_mut(|a, b| a.timestamp == b.timestamp) {
+                if run.len() > 1 {
+                    keys.clear();
+                    keys.extend(0..run.len() as u64);
+                    let key = |i: u64| full_key(&run[i as usize], lo + i as usize);
+                    keys.sort_unstable_by(|&a, &b| key(a).cmp(&key(b)));
+                    permute(run, &mut keys);
                 }
-                self.rows[at] = self.rows[from];
-                at = from;
+                lo += run.len();
             }
+            return;
+        }
+
+        let n = rows.len();
+        let (min, max) = rows.iter().fold((u64::MAX, 0), |(lo, hi), r| {
+            (lo.min(r.timestamp.unix()), hi.max(r.timestamp.unix()))
+        });
+        let pos_bits = usize::BITS - n.leading_zeros();
+        let shift = (u64::BITS - (max - min).leading_zeros()).saturating_sub(u64::BITS - pos_bits);
+        let time_key = |r: &RecordRow| (r.timestamp.unix() - min) >> shift;
+        let span = (max - min) >> shift;
+        // At most 2^bits buckets, for the least `bits` with n < 2^(bits + 13).
+        let bits = usize::BITS - (n >> 13).leading_zeros();
+        let bucket_shift = (u64::BITS - span.leading_zeros()).saturating_sub(bits);
+        let bucket = |r: &RecordRow| (time_key(r) >> bucket_shift) as usize;
+        let buckets = (span >> bucket_shift) as usize + 1;
+
+        // Pass 1. `starts[b]..starts[b + 1]` is bucket `b`'s slice of the
+        // rows, and `heads[b]` the first of its slots not yet dealt.
+        let mut starts = vec![0usize; buckets + 1];
+        for r in rows.iter() {
+            starts[bucket(r) + 1] += 1;
+        }
+        for b in 1..=buckets {
+            starts[b] += starts[b - 1];
+        }
+        let n32 = u32::try_from(n).expect("a table to sort holds fewer than 2^32 rows");
+        let mut origin: Vec<u32> = (0..n32).collect();
+        let mut heads = starts.clone();
+        for b in 0..buckets {
+            while heads[b] < starts[b + 1] {
+                let at = heads[b];
+                let (mut row, mut pos) = (rows[at], origin[at]);
+                let mut to = bucket(&row);
+                while to != b {
+                    // Stops inside bucket `to`: the held row is one of its
+                    // rows, so one of its undealt slots holds a foreign row.
+                    while bucket(&rows[heads[to]]) == to {
+                        heads[to] += 1;
+                    }
+                    std::mem::swap(&mut row, &mut rows[heads[to]]);
+                    std::mem::swap(&mut pos, &mut origin[heads[to]]);
+                    heads[to] += 1;
+                    to = bucket(&row);
+                }
+                (rows[at], origin[at]) = (row, pos);
+                heads[b] += 1;
+            }
+        }
+
+        // Pass 2.
+        let pos_mask = (1u64 << pos_bits) - 1;
+        for b in 0..buckets {
+            let lo = starts[b];
+            let rows = &mut rows[lo..starts[b + 1]];
+            keys.clear();
+            keys.extend(rows.iter().enumerate().map(|(i, r)| time_key(r) << pos_bits | i as u64));
+            keys.sort_unstable();
+            let key = |k: u64| {
+                let i = (k & pos_mask) as usize;
+                full_key(&rows[i], origin[lo + i] as usize)
+            };
+            for run in keys.chunk_by_mut(|a, b| a >> pos_bits == b >> pos_bits) {
+                if run.len() > 1 {
+                    run.sort_unstable_by(|&a, &b| key(a).cmp(&key(b)));
+                }
+            }
+            for key in &mut keys {
+                *key &= pos_mask;
+            }
+            permute(rows, &mut keys);
         }
     }
 
@@ -398,6 +456,28 @@ impl LogTable {
     /// (genbench prints it as `heap_mb`).
     pub fn heap_bytes(&self) -> usize {
         self.rows.capacity() * std::mem::size_of::<RecordRow>() + self.interner.heap_bytes()
+    }
+}
+
+/// Move `rows[from[i]]` to `i` for every `i`, in place: each row moves
+/// once, along the cycles of the permutation. `from` is consumed, each
+/// visited slot marked by pointing at itself.
+fn permute(rows: &mut [RecordRow], from: &mut [u64]) {
+    for start in 0..from.len() {
+        if from[start] as usize == start {
+            continue;
+        }
+        let held = rows[start];
+        let mut at = start;
+        loop {
+            let next = std::mem::replace(&mut from[at], at as u64) as usize;
+            if next == start {
+                rows[at] = held;
+                break;
+            }
+            rows[at] = rows[next];
+            at = next;
+        }
     }
 }
 

@@ -218,6 +218,67 @@ fn sort_case() -> impl Strategy<Value = Vec<AccessRecord>> {
     })
 }
 
+/// Tables long enough to fill several of [`LogTable::sort_canonical`]'s
+/// time buckets: 2,000–20,000 rows on up to a few hundred instants, or
+/// on eight instants 2^61 s apart with a few seconds of jitter (so the
+/// key's time bits drop low bits). The rows come shuffled, in time
+/// order (the bucketing pass is skipped), in reverse time order, or
+/// all at one instant.
+fn bucketed_sort_case() -> impl Strategy<Value = Vec<AccessRecord>> {
+    let record = (0u64..400, 0u64..4, 0..SORT_AGENTS.len(), 0u64..2, 0..SORT_PATHS.len(), 0u64..3);
+    let rows = prop::collection::vec(record, 2_000..20_000);
+    (0u8..4, any::<bool>(), 1u64..400, rows).prop_map(|(order, wide, instants, rows)| {
+        let mut records: Vec<AccessRecord> = rows
+            .into_iter()
+            .map(|(t, jitter, agent, ip_hash, path, payload)| AccessRecord {
+                useragent: SORT_AGENTS[agent].into(),
+                timestamp: Timestamp::from_unix(match (order, wide) {
+                    (3, _) => 1_739_318_400,
+                    (_, true) => (t % 8) << 61 | jitter,
+                    (_, false) => 1_739_318_400 + t % instants * 60,
+                }),
+                ip_hash,
+                asn: "GOOGLE".into(),
+                sitename: "site-00.example.edu".into(),
+                uri_path: SORT_PATHS[path].into(),
+                status: 200 + payload as u16,
+                bytes: payload,
+                referer: None,
+            })
+            .collect();
+        match order {
+            1 => records.sort_by_key(|r| r.timestamp),
+            2 => records.sort_by_key(|r| std::cmp::Reverse(r.timestamp)),
+            _ => {}
+        }
+        records
+    })
+}
+
+/// [`LogTable::sort_canonical`] must give what a stable sort on the
+/// canonical key gives. Symbols are interned against byte order, so an
+/// id-ordered sort would disagree with the string order.
+fn check_sort_against_stable_sort(records: Vec<AccessRecord>) {
+    let mut table = LogTable::new();
+    for s in SORT_AGENTS.iter().chain(&SORT_PATHS).rev() {
+        table.intern(s);
+    }
+    for r in &records {
+        table.push_record(r);
+    }
+    table.sort_canonical();
+    let mut expect = records;
+    expect.sort_by(|a, b| {
+        (a.timestamp, a.useragent.as_str(), a.ip_hash, a.uri_path.as_str()).cmp(&(
+            b.timestamp,
+            b.useragent.as_str(),
+            b.ip_hash,
+            b.uri_path.as_str(),
+        ))
+    });
+    assert_eq!(table.to_records(), expect);
+}
+
 /// Logs shaped for sessionization: a few entities, instants on a
 /// 150-second grid with a gap of 1–3 grid steps, so deltas of exactly
 /// the gap are common. Half the logs are tie-heavy: every access shares
@@ -582,22 +643,7 @@ proptest! {
 
     #[test]
     fn sort_canonical_matches_stable_sort_oracle(records in sort_case()) {
-        // Symbols interned against byte order, so an id-ordered sort
-        // would disagree with the string order.
-        let mut table = LogTable::new();
-        for s in SORT_AGENTS.iter().chain(&SORT_PATHS).rev() {
-            table.intern(s);
-        }
-        for r in &records {
-            table.push_record(r);
-        }
-        table.sort_canonical();
-        let mut expect = records;
-        expect.sort_by(|a, b| {
-            (a.timestamp, a.useragent.as_str(), a.ip_hash, a.uri_path.as_str())
-                .cmp(&(b.timestamp, b.useragent.as_str(), b.ip_hash, b.uri_path.as_str()))
-        });
-        prop_assert_eq!(table.to_records(), expect);
+        check_sort_against_stable_sort(records);
     }
 
     #[test]
@@ -878,5 +924,15 @@ proptest! {
         prop_assert!(s.unique_page_visits <= records.len());
         prop_assert_eq!(s.raw_records, records.len());
         prop_assert_eq!(s.total_bytes, records.iter().map(|r| r.bytes).sum::<u64>());
+    }
+}
+
+proptest! {
+    // Each case sorts thousands of rows.
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn sort_canonical_matches_stable_sort_oracle_across_buckets(records in bucketed_sort_case()) {
+        check_sort_against_stable_sort(records);
     }
 }

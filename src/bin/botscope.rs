@@ -407,25 +407,28 @@ fn manifest_active() -> bool {
     MANIFEST_ACTIVE.load(std::sync::atomic::Ordering::Relaxed)
 }
 
-/// A buffered diagnostics writer: a file, or stderr for `-`.
+/// Create the output file `path`.
 ///
 /// An existing regular file is removed and created afresh rather than
 /// truncated: on ext4, closing a truncated file that held data flushes
 /// the data written before it (a large log just written costs ~10 % of
 /// the run), while a new file's close does not. Symlinks, FIFOs and
 /// devices are opened in place, so writes still go through them.
-fn diag_writer(path: &str) -> Result<Box<dyn std::io::Write + Send>, String> {
-    if path == "-" {
-        Ok(Box::new(std::io::BufWriter::new(std::io::stderr())))
-    } else {
-        if std::fs::symlink_metadata(path).is_ok_and(|m| m.file_type().is_file()) {
-            // A failed removal leaves the truncating create below.
-            let _ = std::fs::remove_file(path);
-        }
-        std::fs::File::create(path)
-            .map(|f| Box::new(std::io::BufWriter::new(f)) as Box<dyn std::io::Write + Send>)
-            .map_err(|e| format!("cannot write {path}: {e}"))
+fn create_output(path: &str) -> Result<std::fs::File, String> {
+    if std::fs::symlink_metadata(path).is_ok_and(|m| m.file_type().is_file()) {
+        // A failed removal leaves the truncating create below.
+        let _ = std::fs::remove_file(path);
     }
+    std::fs::File::create(path).map_err(|e| format!("cannot write {path}: {e}"))
+}
+
+/// A buffered diagnostics writer: a file, or stderr for `-`.
+fn diag_writer(path: &str) -> Result<Box<dyn std::io::Write + Send>, String> {
+    Ok(if path == "-" {
+        Box::new(std::io::BufWriter::new(std::io::stderr()))
+    } else {
+        Box::new(std::io::BufWriter::new(create_output(path)?))
+    })
 }
 
 /// Enable the registry when any telemetry flag is present, and attach
@@ -794,8 +797,7 @@ fn writer_for(path: &str) -> Result<Writer, String> {
     let (target, inner): (&str, Writer) = if path == "-" {
         ("stdout", Box::new(std::io::stdout()))
     } else {
-        let file = std::fs::File::create(path).map_err(|e| format!("cannot write {path}: {e}"))?;
-        (path, Box::new(file))
+        (path, Box::new(create_output(path)?))
     };
     Ok(Box::new(std::io::BufWriter::new(OutputWriter {
         target: target.to_string(),

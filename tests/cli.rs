@@ -1018,6 +1018,45 @@ fn metrics_file_is_replaced_and_symlinks_are_written_through() {
     }
 }
 
+/// Data outputs are replaced the same way: a longer stale file ends up
+/// holding exactly the fresh bytes, as a new file (a hard link to the
+/// stale one keeps the old bytes), and a symlinked output is written
+/// through the link.
+#[test]
+fn data_output_is_replaced_and_symlinks_are_written_through() {
+    let fresh = botscope(&["simulate", "1", "0.02", "-", "42"]);
+    assert!(fresh.status.success(), "{}", String::from_utf8_lossy(&fresh.stderr));
+    let run = |target: &std::path::Path| {
+        let out = Command::new(env!("CARGO_BIN_EXE_botscope"))
+            .args(["simulate", "1", "0.02"])
+            .arg(target)
+            .arg("42")
+            .output()
+            .expect("binary runs");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    };
+
+    let stale_bytes = "stale,row\n".repeat(fresh.stdout.len() / 5);
+    let stale = write_temp("data-stale.csv", &stale_bytes);
+    let old_link = stale.with_extension("hardlink");
+    let _ = std::fs::remove_file(&old_link);
+    std::fs::hard_link(&stale, &old_link).expect("create hard link");
+    run(&stale);
+    assert_eq!(std::fs::read(&stale).unwrap(), fresh.stdout, "no stale tail");
+    assert_eq!(std::fs::read_to_string(&old_link).unwrap(), stale_bytes, "replaced, not truncated");
+
+    let target = write_temp("data-link-target.csv", "old");
+    let link = target.with_extension("link");
+    let _ = std::fs::remove_file(&link);
+    std::os::unix::fs::symlink(&target, &link).expect("create symlink");
+    run(&link);
+    assert!(std::fs::symlink_metadata(&link).unwrap().file_type().is_symlink());
+    assert_eq!(std::fs::read(&target).unwrap(), fresh.stdout, "through the link");
+    for path in [&stale, &old_link, &target, &link] {
+        let _ = std::fs::remove_file(path);
+    }
+}
+
 /// The committed fixture pins the manifest's stable prefix (everything
 /// before the volatile `perf` section) for one canonical monitor run.
 /// Regenerate with:
