@@ -9,7 +9,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 
 use botscope_robotstxt::{CompiledPolicy, PolicyEstate};
-use botscope_simnet::phases::PolicyVersion;
+use botscope_study::PolicyVersion;
 
 /// A representative admission workload over the paper's v2 policy:
 /// allowed page-data endpoints, denied content paths, the implicit

@@ -12,7 +12,7 @@ use botscope_robotstxt::analysis::{
     analyze, classify_change, divergence_hazards, rule_liveness, semantic_diff, ChangeClass,
 };
 use botscope_robotstxt::{CompiledPolicy, PolicyEstate};
-use botscope_simnet::phases::PolicyVersion;
+use botscope_study::PolicyVersion;
 
 fn bench_analyzer(c: &mut Criterion) {
     let docs: Vec<_> = PolicyVersion::ALL.iter().map(|v| v.robots_txt()).collect();

@@ -18,8 +18,8 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use botscope_core::analyze::Experiment;
 use botscope_core::attribution::{attribute_rows, attribute_table_with_threads};
 use botscope_monitor::{run_coupled_with_threads, CoupledConfig, RefreshModel, ScenarioKind};
-use botscope_simnet::server::PolicyCorpus;
 use botscope_simnet::SimConfig;
+use botscope_study::PolicyCorpus;
 use botscope_weblog::codec;
 
 fn config(scale: f64) -> CoupledConfig {

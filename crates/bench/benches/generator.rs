@@ -27,7 +27,12 @@ fn bench_end_to_end(c: &mut Criterion) {
     g.sample_size(10);
     let cfg = SimConfig { scale: 0.05, sites: 8, ..SimConfig::default() };
     g.bench_function("phase_study_generate", |b| b.iter(|| phase_study_table(&cfg)));
-    g.bench_function("phase_study_generate_and_analyze", |b| b.iter(|| Experiment::run(&cfg)));
+    g.bench_function("phase_study_generate_and_analyze", |b| {
+        b.iter(|| {
+            let out = phase_study_table(&cfg);
+            Experiment::analyze_table(&out.sim.table, &out.schedule)
+        });
+    });
     g.finish();
 }
 

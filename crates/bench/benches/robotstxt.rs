@@ -6,7 +6,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughpu
 
 use botscope_robotstxt::parser::parse;
 use botscope_robotstxt::CompiledPolicy;
-use botscope_simnet::phases::PolicyVersion;
+use botscope_study::PolicyVersion;
 
 fn paper_files(c: &mut Criterion) {
     let mut g = c.benchmark_group("parse_paper_files");

@@ -24,8 +24,8 @@ use std::time::Instant;
 use botscope_core::attribution::attribute_table_with_threads;
 use botscope_monitor::{run_coupled_with_threads, CoupledConfig, RefreshModel, ScenarioKind};
 use botscope_obs::bench::{render_bench_json, BenchLine};
-use botscope_simnet::server::PolicyCorpus;
 use botscope_simnet::SimConfig;
+use botscope_study::PolicyCorpus;
 
 /// The ROADMAP bound: paper scale with attribution, single core, < 1 s.
 const BOUND_NS: f64 = 1_000_000_000.0;

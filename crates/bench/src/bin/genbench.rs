@@ -12,7 +12,8 @@
 use std::time::Instant;
 
 use botscope_simnet::scenario::full_study_table;
-use botscope_simnet::{worker_threads, SimConfig};
+use botscope_simnet::SimConfig;
+use botscope_study::worker_threads;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

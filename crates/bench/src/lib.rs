@@ -17,7 +17,7 @@
 
 use botscope_core::report::FullStudyReport;
 use botscope_core::Experiment;
-use botscope_simnet::scenario::full_study_table;
+use botscope_simnet::scenario::{full_study_table, phase_study_table};
 use botscope_simnet::SimConfig;
 
 /// Read an env-var override.
@@ -54,7 +54,8 @@ pub fn full_report() -> FullStudyReport {
 
 /// Generate and analyze the phase study.
 pub fn experiment() -> Experiment {
-    Experiment::run(&phase_config())
+    let out = phase_study_table(&phase_config());
+    Experiment::analyze_table(&out.sim.table, &out.schedule)
 }
 
 #[cfg(test)]

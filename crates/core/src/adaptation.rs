@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 use botscope_stats::describe::percentile;
 use botscope_useragent::BotCategory;
 
-use botscope_simnet::phases::{PhaseSchedule, PolicyVersion};
+use botscope_study::{PhaseSchedule, PolicyVersion};
 
 use crate::pipeline::BotTallies;
 
@@ -122,7 +122,7 @@ pub fn for_bot<'a>(lags: &'a [AwarenessLag], bot: &str) -> Vec<&'a AwarenessLag>
 mod tests {
     use super::*;
     use crate::pipeline::tally_bots;
-    use botscope_simnet::phases::PhaseSchedule;
+    use botscope_study::PhaseSchedule;
     use botscope_weblog::record::AccessRecord;
     use botscope_weblog::table::LogTable;
     use botscope_weblog::time::Timestamp;

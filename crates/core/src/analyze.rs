@@ -27,12 +27,7 @@ use botscope_stats::ztest::ZTestResult;
 use botscope_useragent::{BotCategory, RobotsPromise};
 use botscope_weblog::table::{LogTable, RecordRow};
 
-use botscope_simnet::belief::{BeliefAtlas, BeliefTimeline};
-use botscope_simnet::engine::GroundTruth;
-use botscope_simnet::phases::{PhaseSchedule, PolicyVersion};
-use botscope_simnet::scenario::{phase_study_table, PhaseStudyTableOutput};
-use botscope_simnet::server::PolicyCorpus;
-use botscope_simnet::SimConfig;
+use botscope_study::{BeliefAtlas, BeliefTimeline, PhaseSchedule, PolicyCorpus, PolicyVersion};
 
 use crate::attribution::{attribute_rows, PolicyBasis};
 use crate::metrics::DirectiveCounts;
@@ -153,8 +148,6 @@ pub struct Experiment {
     pub spoof_report: SpoofReport,
     /// Legit vs spoofed request counts per directive phase (Table 9).
     pub spoof_volume: BTreeMap<Directive, (u64, u64)>,
-    /// The generator's planted truth, when the logs came from simnet.
-    pub truth: Option<GroundTruth>,
     /// The schedule analyzed.
     pub schedule: PhaseSchedule,
 }
@@ -176,14 +169,6 @@ pub struct BeliefContext<'a> {
 }
 
 impl Experiment {
-    /// Generate the phase study with `cfg` and analyze it.
-    pub fn run(cfg: &SimConfig) -> Experiment {
-        let PhaseStudyTableOutput { sim, schedule } = phase_study_table(cfg);
-        let mut exp = Experiment::analyze_table(&sim.table, &schedule);
-        exp.truth = Some(sim.truth);
-        exp
-    }
-
     /// Analyze an interned table against a schedule: its rows, in time
     /// order, through one [`StreamAnalyzer`]. The rows may be in any
     /// order; an unsorted table is sorted by timestamp first.
@@ -358,12 +343,14 @@ fn analyze_rows<'t>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use botscope_simnet::phases::is_exempt_agent;
+    use botscope_simnet::scenario::phase_study_table;
+    use botscope_simnet::SimConfig;
+    use botscope_study::is_exempt_agent;
 
     fn test_experiment() -> Experiment {
         // Small but dense enough for per-bot rows to form.
-        let cfg = SimConfig { scale: 0.25, sites: 3, ..SimConfig::default() };
-        Experiment::run(&cfg)
+        let out = phase_study_table(&SimConfig { scale: 0.25, sites: 3, ..SimConfig::default() });
+        Experiment::analyze_table(&out.sim.table, &out.schedule)
     }
 
     #[test]
@@ -501,12 +488,5 @@ mod tests {
             .contains(n)),
             "expected a Table 7 never-checker among {names:?}"
         );
-    }
-
-    #[test]
-    fn truth_is_attached_by_run() {
-        let exp = test_experiment();
-        let truth = exp.truth.as_ref().expect("run() attaches truth");
-        assert!(truth.behaviors.contains_key("GPTBot"));
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! The schedule-driven analysis treats every disallowed fetch as
 //! non-compliance. With the belief layer
-//! ([`botscope_simnet::belief`]) the question splits in two:
+//! ([`botscope_study::timeline`]) the question splits in two:
 //!
 //! * **served** — was the fetch allowed under the policy the site was
 //!   *actually* serving at that instant (outage windows resolved per
@@ -59,9 +59,9 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use botscope_simnet::belief::{BeliefAtlas, BeliefTimeline, BelievedPolicy};
-use botscope_simnet::engine::run_indexed;
-use botscope_simnet::server::PolicyCorpus;
+use botscope_study::{
+    run_indexed, site_name, BeliefAtlas, BeliefTimeline, BelievedPolicy, PolicyCorpus,
+};
 use botscope_weblog::intern::Sym;
 use botscope_weblog::table::LogTable;
 
@@ -168,7 +168,7 @@ impl<'a> AllowCache<'a> {
 fn site_index_of(table: &LogTable, n_sites: usize) -> Vec<Option<usize>> {
     let mut map = vec![None; table.interner().len()];
     for site in 0..n_sites {
-        if let Some(sym) = table.interner().get(&format!("site-{site:02}.example.edu")) {
+        if let Some(sym) = table.interner().get(&site_name(site)) {
             map[sym.index()] = Some(site);
         }
     }
@@ -447,7 +447,7 @@ pub fn attribute_rows(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use botscope_simnet::PolicyVersion;
+    use botscope_study::PolicyVersion;
     use botscope_weblog::record::AccessRecord;
     use botscope_weblog::time::Timestamp;
 
@@ -480,7 +480,7 @@ mod tests {
 
     #[test]
     fn cursor_matches_binary_search_everywhere() {
-        let mut tl = BeliefTimeline::new();
+        let mut tl = BeliefTimeline::always(BelievedPolicy::Unfetched);
         tl.record(100, v(PolicyVersion::Base));
         tl.record(500, BelievedPolicy::AllowAll);
         tl.record(900, v(PolicyVersion::V3DisallowAll));
@@ -548,7 +548,7 @@ mod tests {
     #[test]
     fn never_fetching_robots_is_deliberate() {
         let corpus = PolicyCorpus::new();
-        let beliefs = atlas_with(BeliefTimeline::new()); // Unfetched forever
+        let beliefs = atlas_with(BeliefTimeline::always(BelievedPolicy::Unfetched));
         let served = vec![BeliefTimeline::always(v(PolicyVersion::V3DisallowAll))];
         let table = LogTable::from_records(&[rec(10, "/news/item-001")]);
         let c = attribute_rows(&table, &beliefs, &served, &corpus, 1).counts["GPTBot"];

@@ -6,6 +6,12 @@
 //! confound analyses of *"Scrapers Selectively Respect robots.txt
 //! Directives"* (IMC '25).
 //!
+//! The analysis reads the study's schedule, policy corpus and belief
+//! timelines from `botscope-study`; it does not depend on the traffic
+//! generator (`botscope-simnet` is a dev-dependency, for tests and
+//! examples), so it scores any log in the paper's schema, generated or
+//! real.
+//!
 //! The pipeline stages:
 //!
 //! 1. [`pipeline`] — standardize raw user agents to canonical bot names
@@ -37,12 +43,14 @@
 //!
 //! ```
 //! use botscope_core::analyze::Experiment;
+//! use botscope_simnet::scenario::phase_study_table;
 //! use botscope_simnet::SimConfig;
 //!
 //! // Small-scale end-to-end run: generate the 8-week phase study and
 //! // measure compliance back out of it.
 //! let cfg = SimConfig { scale: 0.02, sites: 4, ..SimConfig::default() };
-//! let exp = Experiment::run(&cfg);
+//! let out = phase_study_table(&cfg);
+//! let exp = Experiment::analyze_table(&out.sim.table, &out.schedule);
 //! let table5 = exp.category_table();
 //! assert!(!table5.rows.is_empty());
 //! ```

@@ -143,13 +143,16 @@ pub fn render(exp: &Experiment) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use botscope_simnet::scenario::phase_study_table;
     use botscope_simnet::SimConfig;
     use std::sync::OnceLock;
 
     fn experiment() -> &'static Experiment {
         static EXP: OnceLock<Experiment> = OnceLock::new();
         EXP.get_or_init(|| {
-            Experiment::run(&SimConfig { scale: 0.2, sites: 4, ..SimConfig::default() })
+            let out =
+                phase_study_table(&SimConfig { scale: 0.2, sites: 4, ..SimConfig::default() });
+            Experiment::analyze_table(&out.sim.table, &out.schedule)
         })
     }
 

@@ -20,8 +20,8 @@
 
 use std::collections::BTreeMap;
 
-use botscope_simnet::PolicyVersion;
 use botscope_stats::window::PAPER_WINDOWS_HOURS;
+use botscope_study::PolicyVersion;
 use botscope_useragent::{BotCategory, BotSpec};
 use botscope_weblog::intern::{StringInterner, Sym};
 use botscope_weblog::table::{LogTable, RecordRow};
@@ -93,7 +93,7 @@ pub fn by_category(profiles: &[RecheckProfile]) -> RecheckByCategory {
 
 /// Per-site policy deployment windows: site name →
 /// `(version, from_unix, to_unix)` spans, time-ascending — the shape
-/// `SitePolicyServer::version_windows` exports per monitored site.
+/// `Timeline::version_windows` exports per monitored site.
 pub type SiteVersionWindows = BTreeMap<String, Vec<(PolicyVersion, u64, u64)>>;
 
 /// Coalesce deployment windows across non-behavioral transitions.
@@ -498,7 +498,7 @@ mod tests {
 
     #[test]
     fn phase_check_matrix_threads_site_windows() {
-        use botscope_simnet::PolicyVersion as V;
+        use botscope_study::PolicyVersion as V;
         // Site A deploys Base then v1; site B stays Base. GPTBot checks
         // A during v1 and B during Base; bingbot checks nothing inside
         // any window; axios never checks at all.

@@ -558,7 +558,7 @@ pub fn figure9(exp: &Experiment, spoofed: bool) -> String {
 
 /// The four policy files, as deployed (Figures 5–8).
 pub fn policies() -> String {
-    use botscope_simnet::phases::PolicyVersion;
+    use botscope_study::PolicyVersion;
     let mut out = String::new();
     for (fig, v) in [
         (5, PolicyVersion::Base),
@@ -576,7 +576,7 @@ pub fn policies() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use botscope_simnet::scenario::full_study_table;
+    use botscope_simnet::scenario::{full_study_table, phase_study_table};
     use botscope_simnet::SimConfig;
 
     fn small_full_study() -> FullStudyReport {
@@ -651,8 +651,8 @@ mod tests {
 
     #[test]
     fn experiment_tables_render() {
-        let cfg = SimConfig { scale: 0.15, sites: 3, ..SimConfig::default() };
-        let exp = crate::analyze::Experiment::run(&cfg);
+        let out = phase_study_table(&SimConfig { scale: 0.15, sites: 3, ..SimConfig::default() });
+        let exp = crate::analyze::Experiment::analyze_table(&out.sim.table, &out.schedule);
         for text in
             [table4(&exp), table5(&exp), table6(&exp), table7(&exp), table9(&exp), table10(&exp)]
         {

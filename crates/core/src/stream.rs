@@ -45,7 +45,7 @@ use botscope_weblog::session::SESSION_GAP_SECS;
 use botscope_weblog::stream::RowStream;
 use botscope_weblog::table::RecordRow;
 
-use botscope_simnet::phases::{is_exempt_agent, PhaseSchedule, PolicyVersion};
+use botscope_study::{is_exempt_agent, site_name, PhaseSchedule, PolicyVersion};
 
 use crate::analyze::{BotDirectiveResult, Directive, Experiment, PhaseTraffic, MIN_ACCESSES};
 use crate::metrics::{DirectiveCounts, PathClasses, TauAcc, CRAWL_DELAY_SECS};
@@ -226,7 +226,7 @@ impl StreamAnalyzer {
             .collect();
         StreamAnalyzer {
             schedule: schedule.clone(),
-            site_name: format!("site-{:02}.example.edu", schedule.experiment_site),
+            site_name: site_name(schedule.experiment_site),
             windows,
             flags: Vec::new(),
             agents: AgentBots::new(BotAcc {
@@ -413,7 +413,6 @@ impl StreamAnalyzer {
             phase_traffic,
             spoof_report: SpoofReport { findings },
             spoof_volume,
-            truth: None,
             schedule: self.schedule,
         }
     }

@@ -17,10 +17,10 @@ use std::collections::{BTreeMap, HashMap};
 use botscope_core::analyze::{BotDirectiveResult, Directive, Experiment};
 use botscope_core::metrics::{DirectiveCounts, PathClasses, CRAWL_DELAY_SECS};
 use botscope_core::spoofdetect::{detect_rows, SpoofFinding};
-use botscope_simnet::phases::{is_exempt_agent, PolicyVersion};
 use botscope_simnet::scenario::phase_study_table;
 use botscope_simnet::SimConfig;
 use botscope_stats::ztest::two_proportion_z_test;
+use botscope_study::{is_exempt_agent, PhaseSchedule, PolicyVersion};
 use botscope_useragent::{BotSpec, Standardizer};
 use botscope_weblog::intern::Sym;
 use botscope_weblog::session::SESSION_GAP_SECS;
@@ -143,10 +143,7 @@ fn counts_rows(
 }
 
 /// Reference analysis: the readable, multi-pass formulation.
-fn reference_analyze(
-    table: &LogTable,
-    schedule: &botscope_simnet::phases::PhaseSchedule,
-) -> Experiment {
+fn reference_analyze(table: &LogTable, schedule: &PhaseSchedule) -> Experiment {
     let site_name = format!("site-{:02}.example.edu", schedule.experiment_site);
     let classes = PathClasses::new(table);
     let site_rows: Vec<&RecordRow> = match table.interner().get(&site_name) {
@@ -276,7 +273,6 @@ fn reference_analyze(
         phase_traffic,
         spoof_report,
         spoof_volume,
-        truth: None,
         schedule: schedule.clone(),
     }
 }

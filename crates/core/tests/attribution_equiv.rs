@@ -25,11 +25,11 @@ use botscope_core::attribution::{
     attribute_rows, attribute_table_with_threads, AttributionCounts, PolicyBasis,
 };
 use botscope_core::pipeline::standardize_table;
-use botscope_simnet::belief::{BeliefAtlas, BeliefTimeline, BelievedPolicy};
-use botscope_simnet::phases::PolicyVersion;
 use botscope_simnet::scenario::phase_study_table;
-use botscope_simnet::server::PolicyCorpus;
 use botscope_simnet::SimConfig;
+use botscope_study::{
+    BeliefAtlas, BeliefTimeline, BelievedPolicy, PhaseSchedule, PolicyCorpus, PolicyVersion,
+};
 use botscope_useragent::Standardizer;
 use botscope_weblog::intern::Sym;
 use botscope_weblog::record::AccessRecord;
@@ -208,7 +208,7 @@ fn random_policy(rng: &mut XorShift) -> BelievedPolicy {
 /// transitions inside `[lo, hi)`.
 fn random_timeline(rng: &mut XorShift, lo: u64, hi: u64, max_transitions: u64) -> BeliefTimeline {
     let mut tl = match rng.below(4) {
-        0 => BeliefTimeline::new(), // Unfetched until the first record
+        0 => BeliefTimeline::always(BelievedPolicy::Unfetched),
         _ => BeliefTimeline::always(random_policy(rng)),
     };
     let n = rng.below(max_transitions + 1);
@@ -224,7 +224,7 @@ fn random_timeline(rng: &mut XorShift, lo: u64, hi: u64, max_transitions: u64) -
 /// Generated traffic plus synthetic belief/served state.
 struct Fixture {
     table: LogTable,
-    schedule: botscope_simnet::phases::PhaseSchedule,
+    schedule: PhaseSchedule,
     beliefs: BeliefAtlas,
     served: Vec<BeliefTimeline>,
 }

@@ -20,8 +20,8 @@ use botscope_core::recheck::{
     by_category, phase_check_matrix, profiles_from_table, PhaseCheckRow, RecheckAccumulator,
     RecheckProfile, SiteVersionWindows,
 };
-use botscope_simnet::PolicyVersion;
 use botscope_stats::window::{window_coverage, PAPER_WINDOWS_HOURS};
+use botscope_study::PolicyVersion;
 use botscope_useragent::{BotCategory, Standardizer};
 use botscope_weblog::record::AccessRecord;
 use botscope_weblog::table::LogTable;

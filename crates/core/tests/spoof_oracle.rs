@@ -17,7 +17,7 @@ use botscope_core::analyze::Experiment;
 use botscope_core::spoofdetect::{
     detect_rows_with, SpoofFinding, SpoofReport, DOMINANCE_THRESHOLD, MIN_DETECT_REQUESTS,
 };
-use botscope_simnet::phases::PhaseSchedule;
+use botscope_study::PhaseSchedule;
 use botscope_weblog::record::AccessRecord;
 use botscope_weblog::table::{LogTable, RecordRow};
 use botscope_weblog::time::Timestamp;

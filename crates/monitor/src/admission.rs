@@ -20,7 +20,7 @@
 
 use botscope_robotstxt::analysis::ChangeClass;
 use botscope_robotstxt::PolicyEstate;
-use botscope_simnet::PolicyVersion;
+use botscope_study::PolicyVersion;
 
 use crate::daemon::ChangeDigest;
 

@@ -32,11 +32,11 @@
 //! reduces *byte-identically* to the schedule-driven baseline — the
 //! degenerate-equivalence anchor the tests pin.
 
-use botscope_simnet::belief::{BeliefAtlas, BeliefTimeline};
 use botscope_simnet::engine::simulate_table_oracle;
 use botscope_simnet::fleet::build_fleet;
 use botscope_simnet::scenario::phase_study_plan;
-use botscope_simnet::{worker_threads, PhaseSchedule, SimConfig, SimTableOutput};
+use botscope_simnet::{SimConfig, SimTableOutput};
+use botscope_study::{worker_threads, BeliefAtlas, BeliefTimeline, PhaseSchedule};
 
 use crate::daemon::{
     belief_atlas, run_daemon, DaemonRun, MonitorConfig, MonitorStats, Record, TtlPolicy, TtlSource,
@@ -210,10 +210,8 @@ pub fn run_coupled_with_threads(cfg: &CoupledConfig, threads: usize) -> CoupledO
 #[cfg(test)]
 mod tests {
     use super::*;
-    use botscope_simnet::belief::BelievedPolicy;
     use botscope_simnet::scenario::phase_study_table;
-    use botscope_simnet::site::EXPERIMENT_SITE;
-    use botscope_simnet::PolicyVersion;
+    use botscope_study::{BelievedPolicy, PolicyVersion, EXPERIMENT_SITE};
     use botscope_weblog::time::Timestamp;
 
     fn small_sim() -> SimConfig {

@@ -33,9 +33,11 @@ use botscope_asn::ip_for;
 use botscope_robotstxt::analysis::{classify_change, ChangeClass};
 use botscope_robotstxt::diff::{diff, summarize, PolicyChange};
 use botscope_robotstxt::fetch::FetchOutcome;
-use botscope_simnet::belief::{BeliefAtlas, BeliefTimeline, BelievedPolicy};
+use botscope_simnet::child_seed;
 use botscope_simnet::fleet::{build_fleet, SimBot};
-use botscope_simnet::{child_seed, run_indexed, worker_threads, PolicyVersion};
+use botscope_study::{
+    run_indexed, worker_threads, BeliefAtlas, BeliefTimeline, BelievedPolicy, PolicyVersion,
+};
 use botscope_weblog::fetchlog::FetchEventLog;
 use botscope_weblog::intern::Sym;
 use botscope_weblog::iphash::IpHasher;
@@ -668,7 +670,9 @@ fn run_agents(run: &DaemonRun<'_>, hasher: &IpHasher, lo: usize, hi: usize) -> S
                 log.intern(&transport.model(site).name),
                 hasher.hash_ipv4(ip),
             )),
-            Recorded::Beliefs(timelines) => timelines.push(BeliefTimeline::new()),
+            Recorded::Beliefs(timelines) => {
+                timelines.push(BeliefTimeline::always(BelievedPolicy::Unfetched));
+            }
         }
         let local = agents.len() as u32;
         agents.push(Agent {
@@ -989,7 +993,7 @@ mod tests {
     #[test]
     fn recovery_after_error_reparses_instead_of_revalidating() {
         use crate::transport::{ConditionWindow, ServeMode, ServerModel, VirtualTransport};
-        use botscope_simnet::server::SitePolicyServer;
+        use botscope_study::Timeline;
 
         let cfg = MonitorConfig {
             sites: 1,
@@ -1005,7 +1009,7 @@ mod tests {
         // the agent's TTL so at least one fetch lands inside it.
         let mut model = ServerModel::healthy(
             "site-00.example.edu".into(),
-            SitePolicyServer::always(PolicyVersion::Base),
+            Timeline::always(PolicyVersion::Base),
             1,
         );
         model.windows = vec![ConditionWindow {
@@ -1063,8 +1067,7 @@ mod tests {
         assert!(s.revalidated > 0);
         // Every revalidation on a healthy static estate is a real 304
         // that saved exactly one Base body.
-        let base_len =
-            botscope_simnet::server::PolicyCorpus::new().text(PolicyVersion::Base).len() as u64;
+        let base_len = botscope_study::PolicyCorpus::new().text(PolicyVersion::Base).len() as u64;
         assert_eq!(s.revalidated_bytes_saved, s.revalidated * base_len, "{s:?}");
         // The 304s are visible in the fetch log.
         assert!(out.table.iter_records().any(|r| r.status == 304 && r.bytes == 0));

@@ -13,8 +13,8 @@
 //!
 //! * [`transport`] — a scripted, in-process HTTP-for-robots.txt
 //!   simulator. Each site's [`transport::ServerModel`] serves the policy
-//!   body live under its `simnet` phase timeline, behind scripted 3xx
-//!   redirect chains, 4xx/5xx windows, flapping and outage schedules,
+//!   body live on its served `botscope_study::Timeline`, behind scripted
+//!   3xx redirect chains, 4xx/5xx windows, flapping and outage schedules,
 //!   and seeded latency/transient-failure distributions. Responses are
 //!   pure functions of `(site, time, requester)`, so any execution
 //!   order yields identical bytes.

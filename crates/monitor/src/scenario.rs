@@ -12,9 +12,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use botscope_simnet::phases::PhaseSchedule;
-use botscope_simnet::server::SitePolicyServer;
-use botscope_simnet::{child_seed, PolicyVersion};
+use botscope_simnet::child_seed;
+use botscope_study::{site_name, PhaseSchedule, PolicyVersion, Timeline};
 use botscope_weblog::time::Timestamp;
 
 use crate::daemon::MonitorConfig;
@@ -168,7 +167,7 @@ fn site_models(
     kind: ScenarioKind,
     start: Timestamp,
     days: u64,
-    policy: impl Fn(usize, &mut StdRng) -> SitePolicyServer,
+    policy: impl Fn(usize, &mut StdRng) -> Timeline<PolicyVersion>,
 ) -> Vec<ServerModel> {
     let (latency, transient) = climate(kind);
     (0..sites)
@@ -176,7 +175,7 @@ fn site_models(
             let mut rng = StdRng::seed_from_u64(child_seed(seed, SITE_STREAM ^ i as u64));
             let policy = policy(i, &mut rng);
             ServerModel {
-                name: format!("site-{i:02}.example.edu"),
+                name: site_name(i),
                 policy,
                 windows: weather_windows(&mut rng, kind, start.unix(), days * 86_400),
                 seed: child_seed(seed, SITE_STREAM ^ (i as u64).rotate_left(17)),
@@ -195,9 +194,9 @@ pub fn build_estate(cfg: &MonitorConfig) -> Vec<ServerModel> {
         if cfg.swap_every > 0 && i % cfg.swap_every == 0 {
             let offset = rng.gen_range(0..7 * 86_400);
             let schedule = PhaseSchedule::paper_schedule(cfg.start.plus_secs(offset), i);
-            SitePolicyServer::from_schedule(&schedule, i)
+            Timeline::from_schedule(&schedule, i)
         } else {
-            SitePolicyServer::always(PolicyVersion::Base)
+            Timeline::always(PolicyVersion::Base)
         }
     })
 }
@@ -217,7 +216,7 @@ pub fn build_estate_for_schedule(
     start: Timestamp,
     days: u64,
 ) -> Vec<ServerModel> {
-    site_models(seed, sites, kind, start, days, |i, _| SitePolicyServer::from_schedule(schedule, i))
+    site_models(seed, sites, kind, start, days, |i, _| Timeline::from_schedule(schedule, i))
 }
 
 #[cfg(test)]
@@ -262,9 +261,9 @@ mod tests {
         let models = build_estate(&c);
         for (i, m) in models.iter().enumerate() {
             if i % 4 == 0 {
-                assert!(!m.policy.is_static(), "site {i} should swap");
+                assert!(m.policy.transitions() > 0, "site {i} should swap");
             } else {
-                assert!(m.policy.is_static(), "site {i} should be static");
+                assert_eq!(m.policy.transitions(), 0, "site {i} should be static");
             }
         }
     }

@@ -18,9 +18,7 @@
 //! responses for a fixed master seed.
 
 use botscope_robotstxt::fetch::{resolve_redirects, RawResponse, ResolvedFetch, MAX_REDIRECT_HOPS};
-use botscope_simnet::belief::{BeliefTimeline, BelievedPolicy};
-use botscope_simnet::server::{PolicyCorpus, SitePolicyServer};
-use botscope_simnet::PolicyVersion;
+use botscope_study::{BeliefTimeline, BelievedPolicy, PolicyCorpus, PolicyVersion, Timeline};
 
 /// How a site serves `/robots.txt` during a scripted window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,8 +65,8 @@ pub struct LatencyModel {
 pub struct ServerModel {
     /// Site hostname (`site-NN.example.edu`).
     pub name: String,
-    /// Which policy body is live when (the simnet adapter).
-    pub policy: SitePolicyServer,
+    /// Which policy body is live when.
+    pub policy: Timeline<PolicyVersion>,
     /// Scripted condition windows, non-overlapping, time-ascending.
     /// Instants outside every window serve [`ServeMode::Ok`].
     pub windows: Vec<ConditionWindow>,
@@ -130,7 +128,7 @@ fn request_hash(seed: u64, now: u64, salt: u64) -> u64 {
 
 impl ServerModel {
     /// A permanently healthy model with default latency.
-    pub fn healthy(name: String, policy: SitePolicyServer, seed: u64) -> ServerModel {
+    pub fn healthy(name: String, policy: Timeline<PolicyVersion>, seed: u64) -> ServerModel {
         ServerModel {
             name,
             policy,
@@ -163,16 +161,13 @@ impl ServerModel {
 
     /// The healthy 200 response at `now`.
     fn healthy_response(&self, corpus: &PolicyCorpus, now: u64) -> (RawResponse, PolicyVersion) {
-        let version = self.policy.version_at(now);
+        let version = self.policy.at(now);
         (RawResponse::Body(200, corpus.text(version).to_string()), version)
     }
 
     /// The validators of the body live at `now`.
     fn validators_at(&self, now: u64) -> Validators {
-        Validators {
-            etag: etag_of(self.policy.version_at(now)),
-            last_modified: self.policy.live_since(now),
-        }
+        Validators { etag: etag_of(self.policy.at(now)), last_modified: self.policy.since(now) }
     }
 
     /// Fetch `/robots.txt` at `now`. `salt` individualizes concurrent
@@ -224,7 +219,7 @@ impl ServerModel {
             ServeMode::Ok => {
                 let served = self.validators_at(now);
                 if conditional.is_some_and(|v| v.etag == served.etag) {
-                    let v = self.policy.version_at(now);
+                    let v = self.policy.at(now);
                     let resolved = resolve_redirects(RawResponse::NotModified, |_| unreachable!());
                     return VirtualFetch {
                         resolved,
@@ -261,7 +256,7 @@ impl ServerModel {
                             followed += 1;
                             RawResponse::Redirect(301, format!("/hop-{followed}"))
                         } else if revalidate {
-                            let v = self.policy.version_at(now);
+                            let v = self.policy.at(now);
                             version = Some(v);
                             saved_bytes = corpus.text(v).len() as u64;
                             RawResponse::NotModified
@@ -319,9 +314,9 @@ impl ServerModel {
     /// yield disallow-all. Request-level transient failures are noise,
     /// not server state, and are excluded.
     pub fn effective_timeline(&self, start: u64, end: u64) -> BeliefTimeline {
-        let mut tl = BeliefTimeline::new();
+        let mut tl = BeliefTimeline::always(BelievedPolicy::Unfetched);
         let serve_ok = |tl: &mut BeliefTimeline, from: u64, to: u64| {
-            tl.record(from, BelievedPolicy::Version(self.policy.version_at(from)));
+            tl.record(from, BelievedPolicy::Version(self.policy.at(from)));
             for &(at, v) in self.policy.segments() {
                 if at > from && at < to {
                     tl.record(at, BelievedPolicy::Version(v));
@@ -435,7 +430,7 @@ impl VirtualTransport {
 mod tests {
     use super::*;
     use botscope_robotstxt::FetchOutcome;
-    use botscope_simnet::phases::PhaseSchedule;
+    use botscope_study::PhaseSchedule;
     use botscope_weblog::time::Timestamp;
 
     fn corpus() -> PolicyCorpus {
@@ -445,7 +440,7 @@ mod tests {
     fn healthy_model() -> ServerModel {
         ServerModel::healthy(
             "site-00.example.edu".into(),
-            SitePolicyServer::always(PolicyVersion::Base),
+            Timeline::always(PolicyVersion::Base),
             42,
         )
     }
@@ -464,7 +459,7 @@ mod tests {
         let start = Timestamp::from_date(2025, 1, 15);
         let schedule = PhaseSchedule::paper_schedule(start, 0);
         let mut m = healthy_model();
-        m.policy = SitePolicyServer::from_schedule(&schedule, 0);
+        m.policy = Timeline::from_schedule(&schedule, 0);
         let c = corpus();
         let in_v3 = start.plus_secs(50 * 86_400).unix();
         let f = m.fetch(&c, in_v3, 0);
@@ -585,7 +580,7 @@ mod tests {
         let start = Timestamp::from_date(2025, 1, 15);
         let schedule = PhaseSchedule::paper_schedule(start, 0);
         let mut m = healthy_model();
-        m.policy = SitePolicyServer::from_schedule(&schedule, 0);
+        m.policy = Timeline::from_schedule(&schedule, 0);
         let c = corpus();
         let in_base = start.plus_secs(3 * 86_400).unix();
         let in_v1 = start.plus_secs(15 * 86_400).unix();
@@ -682,7 +677,7 @@ mod tests {
         let start = Timestamp::from_date(2025, 1, 15);
         let schedule = PhaseSchedule::paper_schedule(start, 0);
         let mut m = healthy_model();
-        m.policy = SitePolicyServer::from_schedule(&schedule, 0);
+        m.policy = Timeline::from_schedule(&schedule, 0);
         let s = start.unix();
         m.windows =
             vec![ConditionWindow { start: s + 100, end: s + 500, mode: ServeMode::Flapping(100) }];
@@ -705,7 +700,7 @@ mod tests {
             .map(|i| {
                 ServerModel::healthy(
                     format!("site-{i:02}.example.edu"),
-                    SitePolicyServer::always(PolicyVersion::Base),
+                    Timeline::always(PolicyVersion::Base),
                     i as u64,
                 )
             })

@@ -29,7 +29,7 @@
 
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
-use crate::audit::{self, AuditFinding};
+use crate::audit;
 use crate::compiled::{rank, CompiledPolicy, GroupView};
 use crate::model::{RobotsTxt, Rule, RuleVerb};
 
@@ -1112,66 +1112,12 @@ fn substituted_allow(
 // The combined analyzer.
 // ---------------------------------------------------------------------------
 
-fn map_audit(f: AuditFinding) -> Finding {
-    match f {
-        AuditFinding::ContradictoryRules { agent, pattern } => Finding {
-            severity: Severity::Warning,
-            code: FindingCode::ContradictoryRules,
-            message: format!("`{pattern}` is both allowed and disallowed; Allow wins the tie"),
-            agent: Some(agent),
-            witness: None,
-        },
-        AuditFinding::DuplicateRule { agent, pattern, verb } => Finding {
-            severity: Severity::Warning,
-            code: FindingCode::DuplicateRule,
-            message: format!("`{}: {pattern}` appears more than once", verb.as_str()),
-            agent: Some(agent),
-            witness: None,
-        },
-        AuditFinding::EmptyPattern { agent, verb } => Finding {
-            severity: Severity::Info,
-            code: FindingCode::EmptyPattern,
-            message: format!("`{}:` with an empty value matches nothing", verb.as_str()),
-            agent: Some(agent),
-            witness: None,
-        },
-        AuditFinding::ShadowedRule { agent, pattern, by } => Finding {
-            severity: Severity::Warning,
-            code: FindingCode::PrefixShadowedRule,
-            message: format!("`{pattern}` is textually shadowed by `{by}`"),
-            agent: Some(agent),
-            witness: None,
-        },
-        AuditFinding::SplitGroup { agent } => Finding {
-            severity: Severity::Info,
-            code: FindingCode::SplitGroup,
-            message: "agent token appears in more than one group".to_string(),
-            agent: Some(agent),
-            witness: None,
-        },
-        AuditFinding::ExcessiveCrawlDelay { agent, seconds } => Finding {
-            severity: Severity::Warning,
-            code: FindingCode::ExcessiveCrawlDelay,
-            message: format!("crawl delay of {seconds}s exceeds what major crawlers honor"),
-            agent: Some(agent),
-            witness: None,
-        },
-        AuditFinding::NoWildcardGroup => Finding {
-            severity: Severity::Info,
-            code: FindingCode::NoWildcardGroup,
-            message: "no `*` group: unlisted bots are entirely unrestricted".to_string(),
-            agent: None,
-            witness: None,
-        },
-    }
-}
-
 /// Run every pass over one document: the syntactic audit plus semantic
 /// liveness and parser-divergence lints, merged into one severity-sorted
 /// finding list. Dead-rule findings are only emitted when their proofs
 /// closed ([`Analysis::complete`]).
 pub fn analyze(doc: &RobotsTxt) -> Analysis {
-    let mut findings: Vec<Finding> = audit::audit(doc).into_iter().map(map_audit).collect();
+    let mut findings = audit::audit(doc);
     let policy = CompiledPolicy::compile(doc);
     let group_rules: HashMap<String, Vec<Rule>> =
         policy.groups().map(|(t, v)| (t.to_string(), v.rules().to_vec())).collect();

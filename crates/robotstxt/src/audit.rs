@@ -10,69 +10,18 @@
 
 use std::collections::BTreeSet;
 
+use crate::analysis::{Finding, FindingCode, Severity};
 use crate::model::{Group, RobotsTxt, RuleVerb};
 
-/// One audit finding.
-#[derive(Debug, Clone, PartialEq)]
-pub enum AuditFinding {
-    /// Two rules in the same merged group have the same pattern and
-    /// opposite verbs; the Allow always wins ties, so the Disallow is
-    /// dead.
-    ContradictoryRules {
-        /// Group agent token.
-        agent: String,
-        /// The pattern written twice.
-        pattern: String,
-    },
-    /// The identical rule appears more than once for the same agent.
-    DuplicateRule {
-        /// Group agent token.
-        agent: String,
-        /// The repeated pattern.
-        pattern: String,
-        /// Allow or Disallow.
-        verb: RuleVerb,
-    },
-    /// An empty-pattern rule matches nothing; `Disallow:` (empty) is a
-    /// common "disallow nothing" trap for authors who meant `Disallow: /`.
-    EmptyPattern {
-        /// Group agent token.
-        agent: String,
-        /// Allow or Disallow.
-        verb: RuleVerb,
-    },
-    /// A rule is shadowed: a strictly more specific rule of the opposite
-    /// verb matches everything this rule matches (prefix relation), so
-    /// this rule never decides an outcome alone on its own prefix.
-    ShadowedRule {
-        /// Group agent token.
-        agent: String,
-        /// The shadowed pattern.
-        pattern: String,
-        /// The pattern that overrides it.
-        by: String,
-    },
-    /// A group's agent token appears in more than one group; legal (they
-    /// merge) but usually an editing accident.
-    SplitGroup {
-        /// The repeated agent token.
-        agent: String,
-    },
-    /// A crawl delay large enough that major crawlers are documented to
-    /// ignore it (Google ignores the directive entirely; Bing caps at
-    /// ~180 s).
-    ExcessiveCrawlDelay {
-        /// Group agent token.
-        agent: String,
-        /// The configured delay.
-        seconds: f64,
-    },
-    /// No wildcard (`*`) group: unlisted bots are entirely unrestricted.
-    NoWildcardGroup,
+/// A group-scoped syntactic finding (no witness path).
+fn finding(severity: Severity, code: FindingCode, agent: &str, message: String) -> Finding {
+    Finding { severity, code, agent: Some(agent.to_string()), message, witness: None }
 }
 
-/// Audit a parsed document.
-pub fn audit(doc: &RobotsTxt) -> Vec<AuditFinding> {
+/// Audit a parsed document: the syntactic findings, in the order the
+/// passes find them ([`crate::analysis::analyze`] sorts them in with
+/// the semantic ones).
+pub fn audit(doc: &RobotsTxt) -> Vec<Finding> {
     let mut findings = Vec::new();
 
     // Split groups.
@@ -86,7 +35,12 @@ pub fn audit(doc: &RobotsTxt) -> Vec<AuditFinding> {
         }
     }
     for agent in split {
-        findings.push(AuditFinding::SplitGroup { agent: agent.to_string() });
+        findings.push(finding(
+            Severity::Info,
+            FindingCode::SplitGroup,
+            agent,
+            "agent token appears in more than one group".to_string(),
+        ));
     }
 
     // Per merged agent: contradictions, duplicates, shadowing, empties.
@@ -110,15 +64,20 @@ pub fn audit(doc: &RobotsTxt) -> Vec<AuditFinding> {
         for rule in &rules {
             let key = (rule.verb, rule.pattern.as_str());
             if !seen.insert(key) {
-                findings.push(AuditFinding::DuplicateRule {
-                    agent: agent.to_string(),
-                    pattern: rule.pattern.as_str().to_string(),
-                    verb: rule.verb,
-                });
+                findings.push(finding(
+                    Severity::Warning,
+                    FindingCode::DuplicateRule,
+                    agent,
+                    format!("`{}: {}` appears more than once", rule.verb.as_str(), rule.pattern),
+                ));
             }
             if rule.pattern.is_empty() {
-                findings
-                    .push(AuditFinding::EmptyPattern { agent: agent.to_string(), verb: rule.verb });
+                findings.push(finding(
+                    Severity::Info,
+                    FindingCode::EmptyPattern,
+                    agent,
+                    format!("`{}:` with an empty value matches nothing", rule.verb.as_str()),
+                ));
             }
         }
         for rule in &rules {
@@ -128,10 +87,15 @@ pub fn audit(doc: &RobotsTxt) -> Vec<AuditFinding> {
             };
             if seen.contains(&(opposite, rule.pattern.as_str())) && rule.verb == RuleVerb::Disallow
             {
-                findings.push(AuditFinding::ContradictoryRules {
-                    agent: agent.to_string(),
-                    pattern: rule.pattern.as_str().to_string(),
-                });
+                findings.push(finding(
+                    Severity::Warning,
+                    FindingCode::ContradictoryRules,
+                    agent,
+                    format!(
+                        "`{}` is both allowed and disallowed; Allow wins the tie",
+                        rule.pattern
+                    ),
+                ));
             }
         }
         // Shadowing: a wildcard-free rule `a` is dead when an
@@ -155,31 +119,41 @@ pub fn audit(doc: &RobotsTxt) -> Vec<AuditFinding> {
                     && b.pattern.as_str().starts_with(a.pattern.as_str())
                     && b.pattern.as_str().trim_start_matches(a.pattern.as_str()) == "*"
                 {
-                    findings.push(AuditFinding::ShadowedRule {
-                        agent: agent.to_string(),
-                        pattern: a.pattern.as_str().to_string(),
-                        by: b.pattern.as_str().to_string(),
-                    });
+                    findings.push(finding(
+                        Severity::Warning,
+                        FindingCode::PrefixShadowedRule,
+                        agent,
+                        format!("`{}` is textually shadowed by `{}`", a.pattern, b.pattern),
+                    ));
                 }
             }
         }
     }
 
-    // Crawl delays.
+    // Crawl delays: Google ignores the directive entirely and Bing caps
+    // it at ~180 s.
     for g in &doc.groups {
         if let Some(delay) = g.crawl_delay {
             if delay > 180.0 {
-                findings.push(AuditFinding::ExcessiveCrawlDelay {
-                    agent: g.user_agents.first().cloned().unwrap_or_default(),
-                    seconds: delay,
-                });
+                findings.push(finding(
+                    Severity::Warning,
+                    FindingCode::ExcessiveCrawlDelay,
+                    g.user_agents.first().map_or("", String::as_str),
+                    format!("crawl delay of {delay}s exceeds what major crawlers honor"),
+                ));
             }
         }
     }
 
     // Wildcard coverage.
     if !doc.groups.iter().any(Group::is_wildcard) && !doc.groups.is_empty() {
-        findings.push(AuditFinding::NoWildcardGroup);
+        findings.push(Finding {
+            severity: Severity::Info,
+            code: FindingCode::NoWildcardGroup,
+            agent: None,
+            message: "no `*` group: unlisted bots are entirely unrestricted".to_string(),
+            witness: None,
+        });
     }
 
     findings
@@ -200,25 +174,25 @@ mod tests {
     fn contradiction_detected() {
         let doc = parse("User-agent: *\nAllow: /x\nDisallow: /x\n");
         let f = audit(&doc);
-        assert!(f.iter().any(
-            |x| matches!(x, AuditFinding::ContradictoryRules { pattern, .. } if pattern == "/x")
-        ));
+        assert!(f.iter().any(|x| x.code == FindingCode::ContradictoryRules
+            && x.message.starts_with("`/x` ")
+            && x.severity == Severity::Warning));
     }
 
     #[test]
     fn duplicate_detected() {
         let doc = parse("User-agent: *\nDisallow: /x\nDisallow: /x\n");
         let f = audit(&doc);
-        assert!(f.iter().any(|x| matches!(x, AuditFinding::DuplicateRule { .. })));
+        assert!(f.iter().any(|x| x.code == FindingCode::DuplicateRule));
     }
 
     #[test]
     fn empty_pattern_detected() {
         let doc = parse("User-agent: *\nDisallow:\n");
         let f = audit(&doc);
-        assert!(f
-            .iter()
-            .any(|x| matches!(x, AuditFinding::EmptyPattern { verb: RuleVerb::Disallow, .. })));
+        assert!(f.iter().any(|x| x.code == FindingCode::EmptyPattern
+            && x.message.starts_with("`Disallow:`")
+            && x.severity == Severity::Info));
     }
 
     #[test]
@@ -228,7 +202,8 @@ mod tests {
         let doc = parse("User-agent: *\nDisallow: /private\nAllow: /private*\n");
         let f = audit(&doc);
         assert!(
-            f.iter().any(|x| matches!(x, AuditFinding::ShadowedRule { pattern, by, .. } if pattern == "/private" && by == "/private*")),
+            f.iter().any(|x| x.code == FindingCode::PrefixShadowedRule
+                && x.message == "`/private` is textually shadowed by `/private*`"),
             "{f:?}"
         );
         // And the matcher agrees the Disallow is dead.
@@ -239,25 +214,28 @@ mod tests {
     fn split_group_detected() {
         let doc = parse("User-agent: a\nDisallow: /x\n\nUser-agent: b\nDisallow: /\n\nUser-agent: a\nDisallow: /y\n");
         let f = audit(&doc);
-        assert!(f.iter().any(|x| matches!(x, AuditFinding::SplitGroup { agent } if agent == "a")));
+        assert!(f
+            .iter()
+            .any(|x| x.code == FindingCode::SplitGroup && x.agent.as_deref() == Some("a")));
     }
 
     #[test]
     fn excessive_delay_detected() {
         let doc = parse("User-agent: slowbot\nCrawl-delay: 3600\n");
         let f = audit(&doc);
-        assert!(f.iter().any(
-            |x| matches!(x, AuditFinding::ExcessiveCrawlDelay { seconds, .. } if *seconds == 3600.0)
-        ));
+        assert!(f.iter().any(|x| x.code == FindingCode::ExcessiveCrawlDelay
+            && x.message.starts_with("crawl delay of 3600s ")
+            && x.agent.as_deref() == Some("slowbot")));
     }
 
     #[test]
     fn missing_wildcard_detected() {
         let doc = parse("User-agent: googlebot\nDisallow: /x\n");
         let f = audit(&doc);
-        assert!(f.contains(&AuditFinding::NoWildcardGroup));
+        let no_wildcard = |f: &[Finding]| f.iter().any(|x| x.code == FindingCode::NoWildcardGroup);
+        assert!(no_wildcard(&f));
         // Empty docs are fine (nothing to protect).
-        assert!(!audit(&parse("")).contains(&AuditFinding::NoWildcardGroup));
+        assert!(!no_wildcard(&audit(&parse(""))));
     }
 
     #[test]

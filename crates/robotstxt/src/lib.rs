@@ -76,7 +76,6 @@ pub use analysis::{
     ChangeClass, DeviantModel, DiffVerdict, Finding, FindingCode, Hazard, Liveness, RuleLiveness,
     SemanticDiff, Severity,
 };
-pub use audit::{audit, AuditFinding};
 pub use builder::RobotsTxtBuilder;
 pub use compiled::{CompiledPolicy, Decision, PolicyEstate};
 pub use diff::{diff, PolicyChange};

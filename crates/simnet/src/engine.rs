@@ -29,13 +29,14 @@ use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use botscope_asn::ip_for;
+use botscope_study::{run_indexed, worker_threads, PhaseSchedule, PolicyCorpus, EXPERIMENT_SITE};
 use botscope_weblog::colfmt;
 use botscope_weblog::intern::{StringInterner, Sym};
 use botscope_weblog::iphash::IpHasher;
@@ -48,9 +49,7 @@ use crate::behavior::{BotBehavior, RobotsCheckPolicy};
 use crate::belief::{LensTable, PolicyOracle, ScheduleOracle};
 use crate::config::SimConfig;
 use crate::fleet::{build_fleet, SimBot};
-use crate::phases::PhaseSchedule;
-use crate::server::PolicyCorpus;
-use crate::site::{Page, PageKind, Site, DIRECTORY_SITE, EXPERIMENT_SITE};
+use crate::site::{Page, PageKind, Site, DIRECTORY_SITE};
 
 /// Ground truth planted by the generator, for validation by tests and the
 /// reproduction binaries.
@@ -91,62 +90,6 @@ pub fn child_seed(seed: u64, stream: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// Generation worker count: `BOTSCOPE_THREADS` when set to a positive
-/// integer, otherwise the machine's available parallelism.
-pub fn worker_threads() -> usize {
-    worker_threads_from(
-        std::env::var("BOTSCOPE_THREADS").ok().as_deref(),
-        std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
-    )
-}
-
-/// The pure core of [`worker_threads`]: `env` is the raw
-/// `BOTSCOPE_THREADS` value (if set), `hardware` the machine's
-/// available parallelism. An explicit positive setting always wins —
-/// output is byte-identical at any worker count, so oversubscription is
-/// safe to *ask* for — but the default never exceeds the hardware:
-/// fanning out 8 workers on a 1-core container measurably loses to
-/// running serial.
-pub fn worker_threads_from(env: Option<&str>, hardware: usize) -> usize {
-    env.and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(|| hardware.max(1))
-}
-
-/// Run `f(0..n)` across `threads` scoped workers and return the results
-/// in index order — the workspace's one fan-out pool (generation units,
-/// monitor chunks, distinct-agent standardization, per-bot analysis and
-/// attribution). Workers claim one index at a time, so very uneven items
-/// (heavy-tailed per-bot row counts) still balance; callers with many
-/// tiny items pre-chunk them. `f` must be a pure function of its index
-/// for the output to be worker-count invariant: the pool only changes
-/// execution order. Serial (no spawns) when `threads` is 1 or there is at
-/// most one item.
-pub fn run_indexed<T: Send>(n: usize, threads: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    assert!(threads >= 1, "at least one worker required");
-    if threads == 1 || n <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(n));
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(n) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let out = f(i);
-                results.lock().expect("no poisoned workers").push((i, out));
-            });
-        }
-    });
-    let mut results = results.into_inner().expect("workers joined");
-    // Completion order is scheduling noise; index order is the contract.
-    results.sort_unstable_by_key(|&(i, _)| i);
-    results.into_iter().map(|(_, out)| out).collect()
 }
 
 /// Precomputed page pools per site, shared read-only across workers so
@@ -441,7 +384,7 @@ fn generate<O: PolicyOracle, U: Send>(
 /// every fleet bot consults `oracle` for the policy it *believes* is
 /// live instead of reading the schedule directly. With
 /// [`ScheduleOracle`] this is byte-identical to the schedule-driven
-/// path; with a monitored [`crate::belief::BeliefAtlas`] it is the
+/// path; with a monitored [`botscope_study::BeliefAtlas`] it is the
 /// coupled mode — obedient bots halt through a believed 5xx
 /// disallow-all window, keep crawling on a stale allow-all cache, and
 /// never-checking bots (belief stuck at `Unfetched`) ignore everything.
@@ -825,7 +768,7 @@ pub(crate) fn crawlable_pool<'w>(world: &'w World<'_>, site_index: usize) -> &'w
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::phases::{PhaseSchedule, PolicyVersion};
+    use botscope_study::{Phase, PolicyVersion};
 
     fn small_cfg() -> SimConfig {
         SimConfig::test_small()
@@ -946,7 +889,7 @@ mod tests {
             ..small_cfg()
         };
         let schedule = PhaseSchedule {
-            phases: vec![crate::phases::Phase {
+            phases: vec![Phase {
                 version: PolicyVersion::V3DisallowAll,
                 start: cfg.start,
                 end: cfg.end().plus_secs(86_400 * 2),
@@ -1013,56 +956,6 @@ mod tests {
         let n2 = simulate_table(&cfg2, &schedule).table.len() as f64;
         let ratio = n2 / n1;
         assert!(ratio > 2.0 && ratio < 8.0, "4x scale gave ratio {ratio}");
-    }
-
-    #[test]
-    fn worker_threads_env_parsing() {
-        // Only asserts the default is sane; the env override is covered
-        // by the explicit-thread-count API used everywhere in tests.
-        assert!(worker_threads() >= 1);
-    }
-
-    #[test]
-    fn worker_threads_default_never_exceeds_hardware() {
-        // The BENCH regression this pins: defaulting to 8 workers on a
-        // 1-core container was slower than running serial.
-        assert_eq!(worker_threads_from(None, 1), 1);
-        assert_eq!(worker_threads_from(None, 4), 4);
-        assert_eq!(worker_threads_from(None, 0), 1); // defensive floor
-    }
-
-    #[test]
-    fn worker_threads_explicit_setting_wins() {
-        // An explicit positive BOTSCOPE_THREADS wins even beyond the
-        // hardware (byte-identity makes oversubscription safe).
-        assert_eq!(worker_threads_from(Some("8"), 1), 8);
-        assert_eq!(worker_threads_from(Some(" 2 "), 16), 2);
-        // Zero, junk, and empty fall back to the hardware default.
-        assert_eq!(worker_threads_from(Some("0"), 3), 3);
-        assert_eq!(worker_threads_from(Some("lots"), 3), 3);
-        assert_eq!(worker_threads_from(Some(""), 3), 3);
-        assert_eq!(worker_threads_from(Some("-1"), 3), 3);
-    }
-
-    #[test]
-    fn run_indexed_returns_index_order_at_any_worker_count() {
-        // Uneven work: every seventh item spins far longer than the rest,
-        // so completion order differs from index order under a pool.
-        let work = |i: usize| -> (usize, u64) {
-            let spins = if i.is_multiple_of(7) { 20_000 } else { 10 };
-            let mut acc = i as u64;
-            for k in 0..spins {
-                acc = std::hint::black_box(acc.wrapping_mul(6364136223846793005).wrapping_add(k));
-            }
-            (i, acc)
-        };
-        for n in [0, 1, 2, 257] {
-            let serial: Vec<(usize, u64)> = (0..n).map(work).collect();
-            for threads in [1, 2, 8] {
-                let pooled = run_indexed(n, threads, work);
-                assert_eq!(pooled, serial, "n={n} threads={threads}");
-            }
-        }
     }
 
     #[test]

@@ -22,7 +22,7 @@ use botscope_useragent::registry::{registry, BotSpec};
 use botscope_useragent::BotCategory;
 
 use crate::behavior::{BotBehavior, CompliancePolicy, RobotsCheckPolicy};
-use crate::phases::is_exempt_agent;
+use botscope_study::is_exempt_agent;
 
 /// One fleet member.
 #[derive(Debug, Clone)]

@@ -22,9 +22,11 @@
 //!   and unlabelled headless scrapers,
 //! * **user-agent spoofers** ([`spoof`]): minority-network impostors
 //!   planted per Table 8/9, which the analysis pipeline must rediscover,
-//! * the **four-phase robots.txt experiment** ([`phases`]): base → crawl
-//!   delay → endpoint-only → disallow-all, two weeks each, on the
-//!   high-traffic experiment site (paper §4.1, Figures 5–8).
+//! * the **four-phase robots.txt experiment**: base → crawl delay →
+//!   endpoint-only → disallow-all, two weeks each, on the high-traffic
+//!   experiment site (paper §4.1, Figures 5–8). The schedule, the policy
+//!   files and the belief timelines are `botscope-study`'s; the engine
+//!   reads a bot's policy through a [`PolicyOracle`] ([`belief`]).
 //!
 //! Everything is a pure function of a single `u64` seed: identical seeds
 //! produce byte-identical record streams. The generator *plants* ground-
@@ -51,21 +53,23 @@ pub mod belief;
 pub mod config;
 pub mod engine;
 pub mod fleet;
-pub mod phases;
 pub mod scenario;
-pub mod server;
 pub mod site;
 pub mod spoof;
+
+/// The policy corpus, now owned by `botscope-study`.
+pub mod server {
+    // Re-exported because botbench imports it from this path.
+    pub use botscope_study::PolicyCorpus;
+}
 
 /// The RFC 9309 test oracle the policy corpus is checked against.
 #[cfg(test)]
 #[path = "../../robotstxt/tests/rep_oracle/mod.rs"]
 mod rep_oracle;
 
-pub use belief::{BeliefAtlas, BeliefTimeline, BelievedPolicy, PolicyOracle, ScheduleOracle};
+pub use belief::{PolicyOracle, ScheduleOracle};
+// Re-exported because botbench imports them from this path.
+pub use botscope_study::{PhaseSchedule, PolicyVersion};
 pub use config::SimConfig;
-pub use engine::{
-    child_seed, run_indexed, worker_threads, worker_threads_from, SimStreamOutput, SimTableOutput,
-    StreamOptions,
-};
-pub use phases::{PhaseSchedule, PolicyVersion};
+pub use engine::{child_seed, SimStreamOutput, SimTableOutput, StreamOptions};

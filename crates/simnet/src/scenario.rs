@@ -15,15 +15,13 @@
 
 use std::io;
 
+use botscope_study::{phase_study_schedule, PhaseSchedule, EXPERIMENT_SITE};
 use botscope_weblog::sink::RowSink;
-use botscope_weblog::time::Timestamp;
 
 use crate::config::SimConfig;
 use crate::engine::{
     simulate_stream_with_threads, simulate_table, SimStreamOutput, SimTableOutput, StreamOptions,
 };
-use crate::phases::PhaseSchedule;
-use crate::site::EXPERIMENT_SITE;
 
 /// Output of the phase study: the interned table plus the schedule that
 /// produced it (the analysis slices per-phase windows out of it).
@@ -40,15 +38,8 @@ pub fn full_study_plan(cfg: &SimConfig) -> (SimConfig, PhaseSchedule) {
     (cfg.clone(), PhaseSchedule::always_base(EXPERIMENT_SITE, cfg.start, cfg.end()))
 }
 
-/// Study 2's schedule: the paper's 8-week four-phase experiment on the
-/// high-traffic site, starting 2025-01-15 (the paper's January
-/// baseline).
-pub fn phase_study_schedule() -> PhaseSchedule {
-    PhaseSchedule::paper_schedule(Timestamp::from_date(2025, 1, 15), EXPERIMENT_SITE)
-}
-
-/// Study 2's run: [`phase_study_schedule`], with `cfg.start`/`cfg.days`
-/// overridden by its window.
+/// Study 2's run: the paper's [`phase_study_schedule`], with
+/// `cfg.start`/`cfg.days` overridden by its window.
 pub fn phase_study_plan(cfg: &SimConfig) -> (SimConfig, PhaseSchedule) {
     let schedule = phase_study_schedule();
     let (lo, hi) = schedule.bounds();
@@ -94,7 +85,7 @@ pub fn phase_study_stream(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::phases::PolicyVersion;
+    use botscope_study::PolicyVersion;
 
     #[test]
     fn full_study_runs() {

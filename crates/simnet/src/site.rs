@@ -47,15 +47,15 @@ pub struct Site {
     pub pages: Vec<Page>,
 }
 
-/// Index of the experiment site (robots.txt phases apply here).
-pub const EXPERIMENT_SITE: usize = 0;
+// Re-exported because botbench imports it from this path.
+pub use botscope_study::EXPERIMENT_SITE;
 /// Index of the people-directory site.
 pub const DIRECTORY_SITE: usize = 1;
 
 impl Site {
     /// Deterministically build site `index` of `total`.
     pub fn build(index: usize, _total: usize) -> Site {
-        let name = format!("site-{index:02}.example.edu");
+        let name = botscope_study::site_name(index);
         let mut pages = Vec::new();
 
         pages.push(Page { path: "/".into(), kind: PageKind::Landing, bytes: 18_000 });

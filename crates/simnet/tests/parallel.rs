@@ -7,7 +7,8 @@ use botscope_simnet::engine::{
     simulate_stream_with_threads, simulate_table_with_threads, StreamOptions,
 };
 use botscope_simnet::scenario::{full_study_plan, full_study_table};
-use botscope_simnet::{PhaseSchedule, SimConfig};
+use botscope_simnet::SimConfig;
+use botscope_study::PhaseSchedule;
 use botscope_weblog::codec;
 use botscope_weblog::colfmt::{read_table, BinSink};
 use botscope_weblog::sink::{CsvSink, RowSink};

@@ -10,9 +10,29 @@
 //!   only fetch `/page-data/*`;
 //! * **V3** (Fig. 8) — eight SEO bots keep base access; everyone else is
 //!   denied entirely.
+//!
+//! [`phase_study_schedule`] is the paper's deployment of those files on
+//! [`EXPERIMENT_SITE`]; [`site_name`] is the hostname every estate site
+//! logs under.
 
 use botscope_robotstxt::{RobotsTxt, RobotsTxtBuilder};
 use botscope_weblog::time::Timestamp;
+
+/// Index of the high-traffic experiment site (robots.txt phases apply
+/// here).
+pub const EXPERIMENT_SITE: usize = 0;
+
+/// The hostname estate site `index` logs under, `site-NN.example.edu`.
+pub fn site_name(index: usize) -> String {
+    format!("site-{index:02}.example.edu")
+}
+
+/// The paper's schedule: the 8-week four-phase experiment on the
+/// high-traffic site, starting 2025-01-15 (the paper's January
+/// baseline).
+pub fn phase_study_schedule() -> PhaseSchedule {
+    PhaseSchedule::paper_schedule(Timestamp::from_date(2025, 1, 15), EXPERIMENT_SITE)
+}
 
 /// The eight search-engine bots exempted from v2/v3 restrictions "per our
 /// institution's request, to ensure the sites remain easily findable
@@ -113,7 +133,7 @@ pub struct Phase {
 }
 
 /// The deployment schedule on the experiment site. Sites other than
-/// [`crate::site::EXPERIMENT_SITE`] always serve the base file.
+/// `experiment_site` always serve the base file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseSchedule {
     /// Phases in time order, contiguous.
@@ -235,6 +255,13 @@ mod tests {
         assert!(is_exempt_agent("googlebot"));
         assert!(is_exempt_agent("ia_archiver"));
         assert!(!is_exempt_agent("GPTBot"));
+    }
+
+    #[test]
+    fn site_names_are_zero_padded() {
+        assert_eq!(site_name(EXPERIMENT_SITE), "site-00.example.edu");
+        assert_eq!(site_name(35), "site-35.example.edu");
+        assert_eq!(site_name(1234), "site-1234.example.edu");
     }
 
     #[test]

@@ -8,6 +8,7 @@
 use botscope::core::analyze::Directive;
 use botscope::core::report;
 use botscope::core::Experiment;
+use botscope::simnet::scenario::phase_study_table;
 use botscope::simnet::SimConfig;
 
 fn main() {
@@ -16,7 +17,8 @@ fn main() {
         "Simulating the 8-week robots.txt experiment (seed {}, scale {})...\n",
         cfg.seed, cfg.scale
     );
-    let exp = Experiment::run(&cfg);
+    let out = phase_study_table(&cfg);
+    let exp = Experiment::analyze_table(&out.sim.table, &out.schedule);
 
     // Traffic stayed stable across deployments (paper Table 4).
     println!("{}", report::table4(&exp));

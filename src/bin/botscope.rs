@@ -24,7 +24,8 @@ use botscope::pipelines::{self, AnalyzeMode, AuditOptions, LogFormat, MonitorOut
 use botscope::robots::analysis::Severity;
 use botscope::robots::diff::{diff, summarize};
 use botscope::robots::{CompiledPolicy, RobotsTxt};
-use botscope::simnet::{worker_threads, SimConfig};
+use botscope::simnet::SimConfig;
+use botscope::study::worker_threads;
 
 const USAGE: &str = "botscope — robots.txt compliance toolkit
 
@@ -512,7 +513,7 @@ fn build_manifest(
         command: command.to_string(),
         args: p.args.clone(),
         seed: seed_arg.and_then(|s| s.parse().ok()),
-        threads: botscope::simnet::worker_threads(),
+        threads: worker_threads(),
         config,
         counters,
         outputs: obs.snapshot_outputs(),

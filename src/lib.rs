@@ -14,6 +14,7 @@
 //! | [`asn`] | `botscope-asn` | whois directory, spoofing catalog, simulated IP allocation |
 //! | [`weblog`] | `botscope-weblog` | access-record schema, civil time, IP hashing, CSV codec, sessionization |
 //! | [`stats`] | `botscope-stats` | two-proportion z-test, normal distribution, ECDFs, window coverage |
+//! | [`study`] | `botscope-study` | the study as data: phase schedule, policy corpus, served/believed timelines, worker pool |
 //! | [`simnet`] | `botscope-simnet` | deterministic synthetic traffic generator (the data substrate) |
 //! | [`core`] | `botscope-core` | the compliance-measurement pipeline and report generation |
 //! | [`monitor`] | `botscope-monitor` | virtual robots.txt transport + live monitoring daemon |
@@ -35,12 +36,14 @@
 //!
 //! ```
 //! use botscope::core::Experiment;
+//! use botscope::simnet::scenario::phase_study_table;
 //! use botscope::simnet::SimConfig;
 //!
 //! // Generate the paper's 8-week robots.txt experiment synthetically and
 //! // measure scraper compliance back out of the logs.
 //! let cfg = SimConfig { scale: 0.02, sites: 4, ..SimConfig::default() };
-//! let experiment = Experiment::run(&cfg);
+//! let out = phase_study_table(&cfg);
+//! let experiment = Experiment::analyze_table(&out.sim.table, &out.schedule);
 //! let table5 = experiment.category_table();
 //! assert!(!table5.rows.is_empty());
 //! ```
@@ -80,6 +83,11 @@ pub mod weblog {
 /// Statistics: z-tests, normal distribution, ECDFs, window coverage.
 pub mod stats {
     pub use botscope_stats::*;
+}
+
+/// The study as data: schedule, policy corpus, timelines, worker pool.
+pub mod study {
+    pub use botscope_study::*;
 }
 
 /// Deterministic synthetic traffic generation.

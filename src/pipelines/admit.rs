@@ -5,7 +5,7 @@ use std::time::Instant;
 
 use botscope_obs::bench::fnv1a64;
 use botscope_robotstxt::{PolicyEstate, RobotsTxt};
-use botscope_simnet::PolicyVersion;
+use botscope_study::PolicyVersion;
 
 use super::Error;
 

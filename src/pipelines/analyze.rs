@@ -7,7 +7,7 @@ use botscope_core::analyze::Experiment;
 use botscope_core::pipeline::tally_bots;
 use botscope_core::report;
 use botscope_core::spoofdetect::{DOMINANCE_THRESHOLD, MIN_DETECT_REQUESTS};
-use botscope_simnet::scenario::phase_study_schedule;
+use botscope_study::phase_study_schedule;
 use botscope_weblog::colfmt::{self, BinReader};
 use botscope_weblog::stream::CsvRowStream;
 use botscope_weblog::{codec, LogTable, RowStream};

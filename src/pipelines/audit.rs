@@ -9,8 +9,7 @@ use botscope_monitor::{apply_digests, prime_estate, MonitorRun};
 use botscope_obs::json_escape;
 use botscope_robotstxt::analysis::{analyze, classify_change, Analysis, ChangeClass, Severity};
 use botscope_robotstxt::{PolicyEstate, RobotsTxt};
-use botscope_simnet::server::PolicyCorpus;
-use botscope_simnet::PolicyVersion;
+use botscope_study::{PolicyCorpus, PolicyVersion};
 
 use super::Error;
 

@@ -9,8 +9,8 @@ use botscope_core::report;
 use botscope_monitor::{run_coupled_with_threads, CoupledConfig};
 use botscope_simnet::engine::{simulate_stream_with_threads, simulate_table_with_threads};
 use botscope_simnet::scenario::{full_study_plan, phase_study_plan};
-use botscope_simnet::server::PolicyCorpus;
 use botscope_simnet::{SimConfig, StreamOptions};
+use botscope_study::PolicyCorpus;
 use botscope_weblog::codec;
 use botscope_weblog::colfmt::{self, BinSink};
 use botscope_weblog::sink::{CsvSink, RowSink};

@@ -6,10 +6,9 @@ use botscope::core::attribution::{attribute_rows, AttributionCounts};
 use botscope::monitor::{
     run_coupled_with_threads, CoupledConfig, CoupledOutput, RefreshModel, ScenarioKind,
 };
-use botscope::simnet::belief::BelievedPolicy;
 use botscope::simnet::scenario::phase_study_table;
-use botscope::simnet::server::PolicyCorpus;
 use botscope::simnet::SimConfig;
+use botscope::study::{BelievedPolicy, PolicyCorpus};
 
 fn small_sim(scale: f64, sites: usize) -> SimConfig {
     SimConfig { scale, sites, spoofing: false, anon_traffic: false, ..SimConfig::default() }

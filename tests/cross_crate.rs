@@ -13,7 +13,7 @@ use botscope::asn::registry::lookup;
 use botscope::robots::parser::parse;
 use botscope::robots::{CompiledPolicy, RobotsTxt};
 use botscope::simnet::fleet::build_fleet;
-use botscope::simnet::phases::{PolicyVersion, EXEMPT_AGENTS};
+use botscope::study::{PolicyVersion, EXEMPT_AGENTS};
 use botscope::useragent::registry::registry;
 
 #[test]

@@ -7,16 +7,19 @@ use std::sync::OnceLock;
 
 use botscope::core::analyze::{Directive, Experiment};
 use botscope::core::report::FullStudyReport;
-use botscope::simnet::scenario::full_study_table;
+use botscope::simnet::scenario::{full_study_table, phase_study_table};
 use botscope::simnet::SimConfig;
 use botscope::useragent::BotCategory;
 
+/// Generate the phase study with `cfg` and analyze it.
+fn run(cfg: &SimConfig) -> Experiment {
+    let out = phase_study_table(cfg);
+    Experiment::analyze_table(&out.sim.table, &out.schedule)
+}
+
 fn experiment() -> &'static Experiment {
     static EXP: OnceLock<Experiment> = OnceLock::new();
-    EXP.get_or_init(|| {
-        let cfg = SimConfig { scale: 0.25, ..SimConfig::default() };
-        Experiment::run(&cfg)
-    })
+    EXP.get_or_init(|| run(&SimConfig { scale: 0.25, ..SimConfig::default() }))
 }
 
 fn full_report() -> &'static FullStudyReport {
@@ -201,8 +204,8 @@ fn figure2_search_categories_lead() {
 #[test]
 fn same_seed_same_analysis() {
     let cfg = SimConfig { scale: 0.05, sites: 6, ..SimConfig::default() };
-    let a = Experiment::run(&cfg);
-    let b = Experiment::run(&cfg);
+    let a = run(&cfg);
+    let b = run(&cfg);
     for d in Directive::ALL {
         let ra = &a.per_directive[&d];
         let rb = &b.per_directive[&d];
