@@ -13,17 +13,12 @@
 //! attribution, in under 1 s of single-core steady-state compute — is
 //! enforced whenever the run is at (or above) that shape: the process
 //! exits non-zero if the bound is missed, so CI can gate on it.
-//!
-//! With `BOTSCOPE_BENCH_JSON=<path>` set, results are also written as
-//! schema-v2 `BENCH_*.json` lines (`coupled/scale_<s>_attributed` and
-//! `attribution/attribute_8w_<n>sites_<s>`), the same format the
-//! vendored criterion harness emits.
 
 use std::time::Instant;
 
+use botscope_bench::positional;
 use botscope_core::attribution::attribute_table_with_threads;
 use botscope_monitor::{run_coupled_with_threads, CoupledConfig, RefreshModel, ScenarioKind};
-use botscope_obs::bench::{render_bench_json, BenchLine};
 use botscope_simnet::SimConfig;
 use botscope_study::PolicyCorpus;
 
@@ -32,10 +27,10 @@ const BOUND_NS: f64 = 1_000_000_000.0;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale: f64 = args.first().and_then(|s| s.parse().ok()).unwrap_or(1.0);
-    let sites: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(36);
-    let reps: u32 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(3).max(1);
-    let threads: usize = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(1).max(1);
+    let scale: f64 = positional(&args, 0, "scale", 1.0);
+    let sites: usize = positional(&args, 1, "sites", 36);
+    let reps: u32 = positional(&args, 2, "reps", 3).max(1);
+    let threads: usize = positional(&args, 3, "threads", 1).max(1);
 
     let cfg = CoupledConfig {
         sim: SimConfig { scale, sites, ..SimConfig::default() },
@@ -47,9 +42,7 @@ fn main() {
 
     // Warmup: first run pays allocator growth and page faults; the
     // bound is stated against steady state.
-    let warm = run_coupled_with_threads(&cfg, threads);
-    let rows = warm.sim.table.len();
-    drop(warm);
+    drop(run_coupled_with_threads(&cfg, threads));
 
     let mut total_ns = 0f64;
     let mut attr_ns = 0f64;
@@ -84,27 +77,6 @@ fn main() {
         mean_ns / 1e9,
         mean_attr_ns / 1e9
     );
-
-    if let Ok(path) = std::env::var("BOTSCOPE_BENCH_JSON") {
-        let lines = vec![
-            BenchLine {
-                label: format!("coupled/scale_{scale:?}_attributed"),
-                mean_ns,
-                iters: u64::from(reps),
-                throughput_per_iter: rows as f64,
-            },
-            BenchLine {
-                label: format!("attribution/attribute_8w_{sites}sites_{scale:?}"),
-                mean_ns: mean_attr_ns,
-                iters: u64::from(reps),
-                throughput_per_iter: rows as f64,
-            },
-        ];
-        let doc = render_bench_json(&lines);
-        if let Err(e) = std::fs::write(&path, doc) {
-            eprintln!("warning: cannot write bench baseline {path}: {e}");
-        }
-    }
 
     // The acceptance bound applies to the paper-scale single-core shape.
     if scale >= 1.0 && sites >= 36 && threads == 1 {

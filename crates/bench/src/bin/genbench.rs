@@ -11,15 +11,16 @@
 
 use std::time::Instant;
 
+use botscope_bench::positional;
 use botscope_simnet::scenario::full_study_table;
 use botscope_simnet::SimConfig;
 use botscope_study::worker_threads;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let days: u64 = args.first().and_then(|s| s.parse().ok()).unwrap_or(46);
-    let scale: f64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(1.0);
-    let reps: u32 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(1);
+    let days: u64 = positional(&args, 0, "days", 46);
+    let scale: f64 = positional(&args, 1, "scale", 1.0);
+    let reps: u32 = positional(&args, 2, "reps", 1);
 
     let cfg = SimConfig { days, scale, ..SimConfig::default() };
     eprintln!(

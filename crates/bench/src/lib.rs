@@ -58,6 +58,25 @@ pub fn experiment() -> Experiment {
     Experiment::analyze_table(&out.sim.table, &out.schedule)
 }
 
+/// The positional argument at `index` of `args` (the program name
+/// excluded), or `default` when absent. An argument that does not parse
+/// prints one `error: invalid <name> …` line and exits 1, so a typo
+/// never runs the default shape.
+pub fn positional<T: std::str::FromStr>(
+    args: &[String],
+    index: usize,
+    name: &str,
+    default: T,
+) -> T {
+    match args.get(index) {
+        None => default,
+        Some(arg) => arg.parse().unwrap_or_else(|_| {
+            eprintln!("error: invalid {name} {arg:?}");
+            std::process::exit(1)
+        }),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

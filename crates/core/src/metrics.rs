@@ -181,25 +181,7 @@ impl TauAcc {
 /// [`crate::pipeline::BotTally::crawl_delay`].
 #[doc(hidden)]
 pub fn crawl_delay_counts_rows(rows: &[&RecordRow], delay_secs: u64) -> DirectiveCounts {
-    tau_counts(rows.to_vec(), delay_secs)
-}
-
-/// Convenience: group a table per raw user agent and compute crawl-delay
-/// counts for each (used by the ablation bench).
-pub fn crawl_delay_by_useragent(
-    table: &LogTable,
-    delay_secs: u64,
-) -> Vec<(String, DirectiveCounts)> {
-    table
-        .by_useragent()
-        .into_iter()
-        .map(|(ua, rows)| (ua.to_string(), tau_counts(rows, delay_secs)))
-        .collect()
-}
-
-/// τ-stratified crawl-delay counts of `rows`: stably sorted by
-/// timestamp, then counted through [`TauAcc`].
-fn tau_counts(mut rows: Vec<&RecordRow>, delay_secs: u64) -> DirectiveCounts {
+    let mut rows = rows.to_vec();
     rows.sort_by_key(|r| r.timestamp);
     let mut by_tau: HashMap<(Sym, u64, Sym), TauAcc> = HashMap::new();
     for r in rows {
@@ -324,15 +306,6 @@ mod tests {
         let mut a = DirectiveCounts { successes: 1, trials: 2 };
         a.merge(DirectiveCounts { successes: 3, trials: 4 });
         assert_eq!(a, DirectiveCounts { successes: 4, trials: 6 });
-    }
-
-    #[test]
-    fn by_useragent_helper() {
-        let table = LogTable::from_records(&[rec(1, 0, "/a"), rec(1, 100, "/b")]);
-        let per_ua = crawl_delay_by_useragent(&table, 30);
-        assert_eq!(per_ua.len(), 1);
-        assert_eq!(per_ua[0].0, "bot");
-        assert_eq!(per_ua[0].1.ratio(), Some(1.0));
     }
 
     /// A raw-UA variant of [`rec`]: same ASN and IP, different agent

@@ -113,9 +113,8 @@ pub fn detect_rows<'a, 't: 'a>(
     detect_rows_with(table, per_bot, DOMINANCE_THRESHOLD, MIN_DETECT_REQUESTS)
 }
 
-/// [`detect_rows`] with explicit parameters (the §5.2 limitations call
-/// the 90 % threshold "somewhat arbitrary"; the ablation bench sweeps it
-/// here): each bot's rows are counted per ASN for `dominance`.
+/// [`detect_rows`] with explicit parameters: each bot's rows are
+/// counted per ASN for `dominance`.
 #[doc(hidden)]
 pub fn detect_rows_with<'a, 't: 'a>(
     table: &LogTable,

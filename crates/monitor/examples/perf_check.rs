@@ -6,26 +6,27 @@
 //!
 //! The acceptance bar for this subsystem: 100 000 sites over a 46-day
 //! simulated horizon in under 10 s on a single core.
-//!
-//! With `BOTSCOPE_BENCH_JSON=<path>` set, the run also writes its result
-//! as a schema-v2 `BENCH_*.json` document (the same line format the
-//! vendored criterion harness emits), so ad-hoc scale checks and the
-//! committed baselines stay machine-comparable.
 
 use botscope_monitor::daemon::{run_with_threads, MonitorConfig};
-use botscope_obs::bench::{render_bench_json, BenchLine};
 
 fn main() {
-    let arg = |i: usize, default: u64| -> u64 {
-        std::env::args().nth(i).and_then(|v| v.parse().ok()).unwrap_or(default)
+    // An argument that does not parse exits 1 naming it, never runs the
+    // default shape.
+    let arg = |i: usize, name: &str, default: u64| -> u64 {
+        std::env::args().nth(i).map_or(default, |v| {
+            v.parse().unwrap_or_else(|_| {
+                eprintln!("error: invalid {name} {v:?}");
+                std::process::exit(1)
+            })
+        })
     };
     let cfg = MonitorConfig {
-        sites: arg(1, 100_000) as usize,
-        days: arg(2, 46),
-        bots: arg(3, 2) as usize,
+        sites: arg(1, "sites", 100_000) as usize,
+        days: arg(2, "days", 46),
+        bots: arg(3, "bots", 2) as usize,
         ..MonitorConfig::default()
     };
-    let threads = arg(4, 1) as usize;
+    let threads = arg(4, "threads", 1) as usize;
     let t = std::time::Instant::now();
     let out = run_with_threads(&cfg, threads);
     let dt = t.elapsed();
@@ -40,16 +41,4 @@ fn main() {
         dt,
         out.stats.fetches as f64 / dt.as_secs_f64()
     );
-    if let Ok(path) = std::env::var("BOTSCOPE_BENCH_JSON") {
-        let line = BenchLine {
-            label: format!("perf_check/daemon_{}d/{}", cfg.days, cfg.sites),
-            mean_ns: dt.as_nanos() as f64,
-            iters: 1,
-            throughput_per_iter: out.stats.fetches as f64,
-        };
-        let doc = render_bench_json(std::slice::from_ref(&line));
-        if let Err(e) = std::fs::write(&path, doc) {
-            eprintln!("warning: cannot write bench baseline {path}: {e}");
-        }
-    }
 }

@@ -189,7 +189,13 @@ mod tests {
         }
         assert_eq!(estate.compiles(), 2);
 
-        // A cosmetic transition owes nothing: no drop, no doc swap.
+        // Serving a corpus version again is a cosmetic transition…
+        for v in PolicyVersion::ALL {
+            let doc = v.robots_txt();
+            let class = botscope_robotstxt::analysis::classify_change(&doc, &doc);
+            assert_eq!(class, ChangeClass::Cosmetic, "{v:?}");
+        }
+        // …and a cosmetic transition owes nothing: no drop, no doc swap.
         let outcome = apply_digests(
             &mut estate,
             &[cosmetic("a.example.edu", PolicyVersion::Base, PolicyVersion::Base)],

@@ -34,7 +34,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod digest;
 pub mod manifest;
 pub mod rss;

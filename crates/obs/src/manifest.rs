@@ -41,6 +41,12 @@ pub struct PerfSection {
     pub phases: Vec<(String, f64)>,
 }
 
+/// Host logical core count (1 when undetectable), for
+/// [`PerfSection::host_cores`].
+pub fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
 /// A per-run manifest; see the module docs for the rendering contract.
 #[derive(Debug, Clone, Default)]
 pub struct RunManifest {

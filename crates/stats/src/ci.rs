@@ -3,8 +3,7 @@
 //! The paper reports point compliance ratios; several of its per-bot cells
 //! rest on a handful of observations. The Wilson interval quantifies that
 //! uncertainty and behaves well at the extremes (ratio 0 or 1, small n),
-//! unlike the naive normal interval. Used by the extension reports and the
-//! ablation benches.
+//! unlike the naive normal interval. Used by the extension reports.
 
 use crate::normal::normal_quantile;
 

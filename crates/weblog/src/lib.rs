@@ -14,8 +14,7 @@
 //! * [`intern`] / [`table`] — the interned data model: [`StringInterner`]
 //!   maps repeated strings to 4-byte [`Sym`] ids and [`LogTable`] stores
 //!   compact 48-byte rows, materializing [`AccessRecord`] views on
-//!   demand (the memory-scalable representation at paper volume); the
-//!   table also groups rows by user agent ([`LogTable::by_useragent`]),
+//!   demand (the memory-scalable representation at paper volume),
 //! * [`codec`] — a CSV reader/writer for record persistence; decoding
 //!   streams through [`stream::CsvRowStream`] ([`codec::decode_table_read`]
 //!   drains it into a table), so logs too large to hold in memory work,

@@ -330,20 +330,6 @@ impl LogTable {
         }
     }
 
-    /// Group rows by raw user-agent string, sorted by agent name; within
-    /// a group, rows keep table row order.
-    pub fn by_useragent(&self) -> Vec<(&str, Vec<&RecordRow>)> {
-        use std::collections::HashMap;
-        let mut map: HashMap<Sym, Vec<&RecordRow>> = HashMap::new();
-        for row in &self.rows {
-            map.entry(row.useragent).or_default().push(row);
-        }
-        let mut groups: Vec<(&str, Vec<&RecordRow>)> =
-            map.into_iter().map(|(ua, rows)| (self.resolve(ua), rows)).collect();
-        groups.sort_by(|a, b| a.0.cmp(b.0));
-        groups
-    }
-
     /// Group rows into [`Session`]s with the given inactivity gap: per
     /// τ entity in time order, a new session starts whenever the gap to
     /// the previous access is at least `gap_secs`. Entities are τ-tuples
@@ -658,18 +644,5 @@ mod tests {
         assert!(table.is_empty());
         assert!(table.to_records().is_empty());
         assert!(table.sessionize(300).is_empty());
-        assert!(table.by_useragent().is_empty());
-    }
-
-    #[test]
-    fn useragent_grouping() {
-        let records = vec![rec("a", 1, 0, "/"), rec("a", 2, 1, "/"), rec("b", 3, 2, "/")];
-        let table = LogTable::from_records(&records);
-        let groups = table.by_useragent();
-        assert_eq!(groups.len(), 2);
-        assert_eq!(groups[0].0, "a");
-        assert_eq!(groups[0].1.len(), 2);
-        assert_eq!(groups[1].0, "b");
-        assert_eq!(groups[1].1.len(), 1);
     }
 }

@@ -519,7 +519,7 @@ fn build_manifest(
         outputs: obs.snapshot_outputs(),
         perf: PerfSection {
             wall_ms: started.elapsed().as_secs_f64() * 1e3,
-            host_cores: botscope::obs::bench::host_cores(),
+            host_cores: botscope::obs::manifest::host_cores(),
             rss_kb: mem.rss_kb,
             peak_rss_kb: mem.peak_rss_kb,
             phases: obs.snapshot_phases(),

@@ -3,7 +3,6 @@
 use std::io::Write;
 use std::time::Instant;
 
-use botscope_obs::bench::fnv1a64;
 use botscope_robotstxt::{PolicyEstate, RobotsTxt};
 use botscope_study::PolicyVersion;
 
@@ -57,6 +56,16 @@ pub fn parse_queries(text: &str) -> Result<Vec<Query<'_>>, Error> {
 /// every run sees the same estate.
 pub fn site_version(site: &str) -> PolicyVersion {
     PolicyVersion::ALL[(fnv1a64(site.as_bytes()) % 4) as usize]
+}
+
+/// FNV-1a 64-bit over `data`.
+fn fnv1a64(data: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in data {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
 }
 
 /// `botscope admit`: answer every query from compiled policy automata
@@ -124,4 +133,17 @@ pub fn admit(
         secs * 1e3,
         rate
     ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::fnv1a64;
+
+    #[test]
+    fn fnv_vectors() {
+        // Classic FNV-1a test vectors.
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+    }
 }

@@ -117,3 +117,31 @@ fn query_file_boundaries() {
         assert!(err.starts_with("line 1: want `agent,site,path`"), "{bad:?}: {err}");
     }
 }
+
+/// `admit` without `--robots` serves each site the corpus version its
+/// name hashes to (FNV-1a 64, mod 4). The estate's decisions depend on
+/// this assignment, so it is pinned for the study's first eight sites
+/// and a few arbitrary names.
+#[test]
+fn site_version_assignment_is_pinned() {
+    use botscope::study::PolicyVersion::{Base, V1CrawlDelay, V2EndpointOnly, V3DisallowAll};
+    let pins = [
+        ("site-00.example.edu", V3DisallowAll),
+        ("site-01.example.edu", Base),
+        ("site-02.example.edu", V1CrawlDelay),
+        ("site-03.example.edu", V2EndpointOnly),
+        ("site-04.example.edu", V3DisallowAll),
+        ("site-05.example.edu", Base),
+        ("site-06.example.edu", V1CrawlDelay),
+        ("site-07.example.edu", V2EndpointOnly),
+        ("site-36.example.edu", V2EndpointOnly),
+        ("example.com", V2EndpointOnly),
+        ("news.example.org", V2EndpointOnly),
+        ("Ünïcode.example", V3DisallowAll),
+        ("a", Base),
+        ("", V1CrawlDelay),
+    ];
+    for (site, version) in pins {
+        assert_eq!(pipelines::site_version(site), version, "{site:?}");
+    }
+}
