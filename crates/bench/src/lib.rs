@@ -11,6 +11,7 @@
 //!
 //! The seed defaults to 9309 and can be overridden with the
 //! `BOTSCOPE_SEED` environment variable; scale with `BOTSCOPE_SCALE`.
+//! A malformed override is an error, never the default.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -20,20 +21,25 @@ use botscope_core::Experiment;
 use botscope_simnet::scenario::{full_study_table, phase_study_table};
 use botscope_simnet::SimConfig;
 
-/// Read an env-var override.
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+/// The env-var override `name`, or `default` when it is unset. A value
+/// that does not parse prints one `error: invalid <name> …` line and
+/// exits 1, as [`positional`] does, so a typo never runs the default
+/// study.
+fn env_or<T: std::str::FromStr>(name: &str, default: T) -> T {
+    let Some(value) = std::env::var_os(name) else {
+        return default;
+    };
+    value.to_str().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
+        eprintln!("error: invalid {name} {value:?}");
+        std::process::exit(1)
+    })
 }
 
 /// Configuration of the 46-day passive study.
 pub fn full_config() -> SimConfig {
     SimConfig {
-        seed: env_u64("BOTSCOPE_SEED", 9309),
-        scale: env_f64("BOTSCOPE_SCALE", 0.1),
+        seed: env_or("BOTSCOPE_SEED", 9309),
+        scale: env_or("BOTSCOPE_SCALE", 0.1),
         ..SimConfig::default()
     }
 }
@@ -41,8 +47,8 @@ pub fn full_config() -> SimConfig {
 /// Configuration of the 8-week phase study.
 pub fn phase_config() -> SimConfig {
     SimConfig {
-        seed: env_u64("BOTSCOPE_SEED", 9309),
-        scale: env_f64("BOTSCOPE_SCALE", 0.25),
+        seed: env_or("BOTSCOPE_SEED", 9309),
+        scale: env_or("BOTSCOPE_SCALE", 0.25),
         ..SimConfig::default()
     }
 }

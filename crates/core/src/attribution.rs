@@ -57,11 +57,12 @@
 //! exactly the same ambiguity, because a bot's internal cache-refresh
 //! timing is not observable from access logs.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use botscope_study::{
     run_indexed, site_name, BeliefAtlas, BeliefTimeline, BelievedPolicy, PolicyCorpus,
 };
+use botscope_weblog::hash::FxHashMap;
 use botscope_weblog::intern::Sym;
 use botscope_weblog::table::LogTable;
 
@@ -147,12 +148,12 @@ impl AttributionCounts {
 struct AllowCache<'a> {
     corpus: &'a PolicyCorpus,
     agent: &'a str,
-    memo: HashMap<(Sym, BelievedPolicy), bool>,
+    memo: FxHashMap<(Sym, BelievedPolicy), bool>,
 }
 
 impl<'a> AllowCache<'a> {
     fn new(corpus: &'a PolicyCorpus, agent: &'a str) -> AllowCache<'a> {
-        AllowCache { corpus, agent, memo: HashMap::new() }
+        AllowCache { corpus, agent, memo: FxHashMap::default() }
     }
 
     fn allows(&mut self, table: &LogTable, policy: BelievedPolicy, path: Sym) -> bool {

@@ -27,8 +27,7 @@
 //! the crate-private `TauAcc` is the one crawl-delay counter, shared by
 //! [`crate::stream::StreamAnalyzer`] and [`crate::pipeline::tally_bots`].
 
-use std::collections::HashMap;
-
+use botscope_weblog::hash::FxHashMap;
 use botscope_weblog::intern::{StringInterner, Sym};
 use botscope_weblog::table::{LogTable, RecordRow};
 
@@ -183,7 +182,7 @@ impl TauAcc {
 pub fn crawl_delay_counts_rows(rows: &[&RecordRow], delay_secs: u64) -> DirectiveCounts {
     let mut rows = rows.to_vec();
     rows.sort_by_key(|r| r.timestamp);
-    let mut by_tau: HashMap<(Sym, u64, Sym), TauAcc> = HashMap::new();
+    let mut by_tau: FxHashMap<(Sym, u64, Sym), TauAcc> = FxHashMap::default();
     for r in rows {
         let tau = by_tau.entry((r.asn, r.ip_hash, r.useragent)).or_default();
         tau.push(r.timestamp.unix(), delay_secs);

@@ -11,9 +11,10 @@
 //! time-ordered pass; plain `analyze`, the §3 report, the honeypot and
 //! the adaptation analyses all read it.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use botscope_useragent::{BotSpec, Standardizer};
+use botscope_weblog::hash::FxHashMap;
 use botscope_weblog::intern::{StringInterner, Sym};
 use botscope_weblog::table::{LogTable, RecordRow};
 
@@ -32,7 +33,7 @@ pub struct BotTally {
     pub robots_fetches: Vec<u64>,
     /// Per τ group (ASN, IP hash, raw user agent): its crawl-delay
     /// state and its trap-path hits.
-    tau: HashMap<(Sym, u64, Sym), (TauAcc, u64)>,
+    tau: FxHashMap<(Sym, u64, Sym), (TauAcc, u64)>,
 }
 
 impl BotTally {
@@ -60,8 +61,8 @@ impl BotTally {
     }
 
     /// Per ASN: (rows, trap-path hits).
-    pub(crate) fn per_asn(&self) -> HashMap<Sym, (u64, u64)> {
-        let mut per_asn: HashMap<Sym, (u64, u64)> = HashMap::new();
+    pub(crate) fn per_asn(&self) -> FxHashMap<Sym, (u64, u64)> {
+        let mut per_asn: FxHashMap<Sym, (u64, u64)> = FxHashMap::default();
         for (&(asn, _, _), (tau, traps)) in &self.tau {
             let (rows, hits) = per_asn.entry(asn).or_default();
             *rows += tau.accesses();

@@ -12,8 +12,8 @@
 //! ([`crate::pipeline::BotTallies::spoof_report`]) feed it their counts.
 
 use std::cmp::Reverse;
-use std::collections::HashMap;
 
+use botscope_weblog::hash::FxHashMap;
 use botscope_weblog::intern::{StringInterner, Sym};
 use botscope_weblog::table::{LogTable, RecordRow};
 
@@ -124,7 +124,7 @@ pub fn detect_rows_with<'a, 't: 'a>(
 ) -> SpoofReport {
     let mut findings: Vec<SpoofFinding> = Vec::new();
     for (bot, rows) in per_bot {
-        let mut per_asn: HashMap<Sym, u64> = HashMap::new();
+        let mut per_asn: FxHashMap<Sym, u64> = FxHashMap::default();
         rows.iter().for_each(|r| *per_asn.entry(r.asn).or_default() += 1);
         let finding = dominance(bot, per_asn, table.interner(), threshold, min_requests);
         findings.extend(finding.map(|(_, finding)| finding));

@@ -35,11 +35,12 @@
 //!   equals sort-then-count on time-sorted rows; a 0 delta never
 //!   starts a session.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use botscope_stats::ztest::two_proportion_z_test;
 use botscope_useragent::BotSpec;
 use botscope_weblog::codec::DecodeError;
+use botscope_weblog::hash::FxHashMap;
 use botscope_weblog::intern::{StringInterner, Sym};
 use botscope_weblog::session::SESSION_GAP_SECS;
 use botscope_weblog::stream::RowStream;
@@ -67,7 +68,7 @@ struct BucketAcc {
     rows: u64,
     robots: u64,
     endpoint: u64,
-    tau: HashMap<(u64, Sym), TauAcc>,
+    tau: FxHashMap<(u64, Sym), TauAcc>,
 }
 
 impl BucketAcc {
@@ -135,7 +136,7 @@ struct BotAcc {
     /// Per-ASN site-row accumulators. Entries exist only for ASNs seen
     /// on *experiment-site* rows, mirroring the table path's detector
     /// input.
-    per_asn: HashMap<Sym, AsnAcc>,
+    per_asn: FxHashMap<Sym, AsnAcc>,
     /// Estate-wide robots.txt fetch seen within each directive window
     /// (the Table 7 "checked robots.txt" signal).
     robots_window: [bool; 3],
@@ -150,7 +151,7 @@ struct BotAcc {
 struct PhaseSessions {
     start: u64,
     end: u64,
-    last_seen: Option<HashMap<(Sym, u64, Sym), u64>>,
+    last_seen: Option<FxHashMap<(Sym, u64, Sym), u64>>,
     sessions: usize,
 }
 
@@ -163,7 +164,7 @@ impl PhaseSessions {
         if t < self.start {
             return;
         }
-        let map = self.last_seen.get_or_insert_with(HashMap::new);
+        let map = self.last_seen.get_or_insert_with(FxHashMap::default);
         match map.insert((row.useragent, row.ip_hash, row.asn), t) {
             None => self.sessions += 1,
             Some(last) => {
@@ -230,7 +231,7 @@ impl StreamAnalyzer {
             windows,
             flags: Vec::new(),
             agents: AgentBots::new(BotAcc {
-                per_asn: HashMap::new(),
+                per_asn: FxHashMap::default(),
                 robots_window: [false; 3],
                 presence: vec![false; schedule.phases.len()],
             }),

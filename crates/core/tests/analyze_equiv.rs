@@ -12,7 +12,9 @@
 //! batch implementations the library once shipped, kept here verbatim
 //! so the engine is checked against code that shares none of it.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
+
+use botscope_weblog::hash::FxHashMap;
 
 use botscope_core::analyze::{BotDirectiveResult, Directive, Experiment};
 use botscope_core::metrics::{DirectiveCounts, PathClasses, CRAWL_DELAY_SECS};
@@ -45,7 +47,7 @@ fn standardize_rows<'t>(
     rows: impl IntoIterator<Item = &'t RecordRow>,
 ) -> BTreeMap<String, BotView<'t>> {
     let mut standardizer = Standardizer::new();
-    let mut verdicts: HashMap<Sym, Option<&'static BotSpec>> = HashMap::new();
+    let mut verdicts: FxHashMap<Sym, Option<&'static BotSpec>> = FxHashMap::default();
     let mut views: BTreeMap<String, BotView<'t>> = BTreeMap::new();
     for row in rows {
         let bot = *verdicts.entry(row.useragent).or_insert_with(|| {
@@ -65,7 +67,7 @@ fn standardize_rows<'t>(
 /// Crawl-delay compliance for a row set, stratified by the full
 /// (ASN, IP hash, raw user agent) τ-tuple; rows may be unsorted.
 fn crawl_delay_counts_rows(rows: &[&RecordRow], delay_secs: u64) -> DirectiveCounts {
-    let mut by_tau: HashMap<(Sym, u64, Sym), Vec<u64>> = HashMap::new();
+    let mut by_tau: FxHashMap<(Sym, u64, Sym), Vec<u64>> = FxHashMap::default();
     for r in rows {
         by_tau.entry((r.asn, r.ip_hash, r.useragent)).or_default().push(r.timestamp.unix());
     }

@@ -19,7 +19,9 @@
 mod rep_oracle;
 
 use botscope_core::analyze::{BeliefContext, Experiment};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
+
+use botscope_weblog::hash::FxHashMap;
 
 use botscope_core::attribution::{
     attribute_rows, attribute_table_with_threads, AttributionCounts, PolicyBasis,
@@ -63,7 +65,7 @@ fn oracle_site(name: &str, n_sites: usize) -> Option<usize> {
 struct OracleAllows<'a> {
     corpus: &'a PolicyCorpus,
     agent: &'a str,
-    memo: HashMap<(BelievedPolicy, Sym), bool>,
+    memo: FxHashMap<(BelievedPolicy, Sym), bool>,
 }
 
 impl OracleAllows<'_> {
@@ -93,7 +95,7 @@ fn attribute_oracle(
         let Some(bot) = beliefs.bots.iter().position(|b| *b == view.name) else {
             continue;
         };
-        let mut allows = OracleAllows { corpus, agent: &view.name, memo: HashMap::new() };
+        let mut allows = OracleAllows { corpus, agent: &view.name, memo: FxHashMap::default() };
         let mut counts = AttributionCounts::default();
         for row in &view.rows {
             if table.resolve(row.uri_path) == "/robots.txt" {
@@ -138,7 +140,7 @@ fn excusal_oracle(
 ) -> Vec<bool> {
     let n_sites = served.len().min(beliefs.n_sites());
     let mut standardizer = Standardizer::new();
-    let mut allows: HashMap<&str, OracleAllows<'_>> = HashMap::new();
+    let mut allows: FxHashMap<&str, OracleAllows<'_>> = FxHashMap::default();
     table
         .rows()
         .iter()
@@ -161,7 +163,7 @@ fn excusal_oracle(
             let allows = allows.entry(agent).or_insert_with(|| OracleAllows {
                 corpus,
                 agent,
-                memo: HashMap::new(),
+                memo: FxHashMap::default(),
             });
             !allows.allows(table, served[site].at(t), row.uri_path)
                 && allows.allows(table, believed, row.uri_path)

@@ -8,11 +8,15 @@
 //!
 //! Ids are assigned in first-intern order, so an interner filled by a
 //! deterministic producer is itself deterministic — a property the
-//! parallel generator's shard-merge relies on.
+//! parallel generator's shard-merge relies on. The lookup is an
+//! open-addressed table of ids keyed by the [`crate::hash`] Fx hash,
+//! which is fast rather than collision-resistant: a log crafted to
+//! collide slows interning down but cannot change an id.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
+use std::hash::BuildHasher;
 use std::num::NonZeroU32;
+
+use crate::hash::FxBuildHasher;
 
 /// An interned string id. 4 bytes, with a niche: `Option<Sym>` is also
 /// 4 bytes, which keeps [`crate::table::RecordRow`] at 48 bytes.
@@ -31,20 +35,21 @@ impl Sym {
     }
 }
 
-/// Deterministic SipHash build (seeded with fixed keys): interner
-/// behaviour must not vary between processes or runs.
-type FixedState = BuildHasherDefault<DefaultHasher>;
-
 /// A deduplicating string table with stable, dense [`Sym`] ids.
 ///
-/// Lookup is a hash map from string hash to candidate ids, so each
-/// distinct string is stored exactly once (in the id-indexed vector).
+/// Each distinct string is stored once, in id order, beside its cached
+/// 64-bit Fx hash. Lookup probes `slots`, an open-addressed
+/// power-of-two table of `index + 1` values (0 marks an empty slot)
+/// kept at most half full: linear probing from the slot the hash picks,
+/// comparing cached hashes before strings. Growing it rehashes from the
+/// cached hashes, never from the strings.
 #[derive(Debug, Clone, Default)]
 pub struct StringInterner {
     strings: Vec<String>,
-    /// string hash → ids of strings with that hash (collision chain).
-    buckets: HashMap<u64, Vec<Sym>, FixedState>,
-    hasher: FixedState,
+    /// `hashes[i]` is the Fx hash of `strings[i]`.
+    hashes: Vec<u64>,
+    /// Open-addressed slot table: 0 = empty, else a dense index + 1.
+    slots: Vec<u32>,
 }
 
 impl StringInterner {
@@ -57,34 +62,74 @@ impl StringInterner {
     pub fn with_capacity(n: usize) -> StringInterner {
         StringInterner {
             strings: Vec::with_capacity(n),
-            buckets: HashMap::with_capacity_and_hasher(n, FixedState::default()),
-            hasher: FixedState::default(),
+            hashes: Vec::with_capacity(n),
+            slots: vec![0; slots_for(n)],
         }
     }
 
-    fn hash_of(&self, s: &str) -> u64 {
-        self.hasher.hash_one(s)
+    fn hash_of(s: &str) -> u64 {
+        FxBuildHasher::default().hash_one(s)
+    }
+
+    /// The slot holding `s` (`Ok`), or the empty slot where it belongs
+    /// (`Err`). The table must have at least one empty slot.
+    fn probe(&self, s: &str, hash: u64) -> Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut at = hash as usize & mask;
+        loop {
+            match self.slots[at] {
+                0 => return Err(at),
+                raw => {
+                    let i = raw as usize - 1;
+                    if self.hashes[i] == hash && self.strings[i] == s {
+                        return Ok(i);
+                    }
+                }
+            }
+            at = (at + 1) & mask;
+        }
     }
 
     /// Intern `s`, returning its id (existing or freshly assigned).
     pub fn intern(&mut self, s: &str) -> Sym {
-        let hash = self.hash_of(s);
-        let bucket = self.buckets.entry(hash).or_default();
-        for &sym in bucket.iter() {
-            if self.strings[sym.index()] == s {
-                return sym;
+        if 2 * (self.strings.len() + 1) > self.slots.len() {
+            self.grow();
+        }
+        let hash = Self::hash_of(s);
+        match self.probe(s, hash) {
+            Ok(i) => Sym::from_index(i),
+            Err(at) => {
+                let sym = Sym::from_index(self.strings.len());
+                self.slots[at] = sym.0.get();
+                self.strings.push(s.to_string());
+                self.hashes.push(hash);
+                sym
             }
         }
-        let sym = Sym::from_index(self.strings.len());
-        self.strings.push(s.to_string());
-        bucket.push(sym);
-        sym
+    }
+
+    /// Double the slot table (or make the first one) and re-seat every
+    /// id from its cached hash.
+    fn grow(&mut self) {
+        let size = slots_for(self.strings.len() + 1);
+        let mask = size - 1;
+        let mut slots = vec![0u32; size];
+        for (i, &hash) in self.hashes.iter().enumerate() {
+            let mut at = hash as usize & mask;
+            while slots[at] != 0 {
+                at = (at + 1) & mask;
+            }
+            slots[at] = Sym::from_index(i).0.get();
+        }
+        self.slots = slots;
     }
 
     /// The id of `s`, if it has been interned.
     pub fn get(&self, s: &str) -> Option<Sym> {
-        let bucket = self.buckets.get(&self.hash_of(s))?;
-        bucket.iter().copied().find(|&sym| self.strings[sym.index()] == s)
+        if self.slots.is_empty() {
+            return None;
+        }
+        self.probe(s, Self::hash_of(s)).ok().map(Sym::from_index)
     }
 
     /// The string behind an id.
@@ -123,12 +168,19 @@ impl StringInterner {
     pub fn heap_bytes(&self) -> usize {
         let strings: usize =
             self.strings.iter().map(|s| s.capacity() + std::mem::size_of::<String>()).sum();
-        let buckets: usize = self
-            .buckets
-            .values()
-            .map(|v| std::mem::size_of::<u64>() + v.capacity() * std::mem::size_of::<Sym>())
-            .sum();
-        strings + buckets
+        strings
+            + self.hashes.capacity() * std::mem::size_of::<u64>()
+            + self.slots.capacity() * std::mem::size_of::<u32>()
+    }
+}
+
+/// The smallest power-of-two slot count that holds `n` ids at most
+/// half full (0 for none).
+fn slots_for(n: usize) -> usize {
+    if n == 0 {
+        0
+    } else {
+        (2 * n).next_power_of_two()
     }
 }
 

@@ -27,11 +27,12 @@
 
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::BinaryHeap;
 use std::io;
 use std::sync::Arc;
 
 use crate::codec::DecodeError;
+use crate::hash::{FxHashMap, FxHashSet};
 use crate::intern::{StringInterner, Sym};
 use crate::sink::RowSink;
 use crate::stream::RowStream;
@@ -149,7 +150,7 @@ pub fn merge_runs(mut runs: Vec<MergeRun>, sinks: &mut [&mut dyn RowSink]) -> io
 /// size, or a wide merge over a large-dictionary unit blows the memory
 /// budget.
 fn merge_interners(runs: &[MergeRun]) -> (StringInterner, Vec<Arc<Vec<Sym>>>) {
-    let mut seen: HashSet<*const StringInterner> = HashSet::new();
+    let mut seen: FxHashSet<*const StringInterner> = FxHashSet::default();
     let mut all: Vec<&str> = Vec::new();
     for run in runs {
         if seen.insert(Arc::as_ptr(&run.interner)) {
@@ -162,7 +163,7 @@ fn merge_interners(runs: &[MergeRun]) -> (StringInterner, Vec<Arc<Vec<Sym>>>) {
     for s in all {
         merged.intern(s);
     }
-    let mut tables: HashMap<*const StringInterner, Arc<Vec<Sym>>> = HashMap::new();
+    let mut tables: FxHashMap<*const StringInterner, Arc<Vec<Sym>>> = FxHashMap::default();
     let remaps = runs
         .iter()
         .map(|run| {

@@ -14,7 +14,7 @@ use crate::codec::{self, DecodeError};
 use crate::colfmt::BinReader;
 use crate::intern::StringInterner;
 use crate::table::{LogTable, RecordRow};
-use crate::time::Timestamp;
+use crate::time::DayCache;
 
 /// A pull-based source of interned rows.
 ///
@@ -49,6 +49,7 @@ pub struct CsvRowStream<R: BufRead> {
     /// The current line's bytes, terminator stripped.
     line: Vec<u8>,
     fields: Fields,
+    day: DayCache,
     /// 1-based number of the last line read (the header is line 1).
     line_no: usize,
     done: bool,
@@ -62,6 +63,7 @@ impl<R: BufRead> CsvRowStream<R> {
             interner: StringInterner::new(),
             line: Vec::new(),
             fields: Fields::default(),
+            day: DayCache::default(),
             line_no: 1,
             done: false,
         };
@@ -89,7 +91,7 @@ impl<R: BufRead> CsvRowStream<R> {
                 Some("") => {}
                 Some(line) => {
                     let err = |message| DecodeError { line: self.line_no, message };
-                    return decode_row(line, &mut self.fields, &mut self.interner)
+                    return decode_row(line, &mut self.fields, &mut self.day, &mut self.interner)
                         .map(Some)
                         .map_err(err);
                 }
@@ -128,6 +130,7 @@ fn read_line<'b>(
 fn decode_row(
     line: &str,
     fields: &mut Fields,
+    day: &mut DayCache,
     interner: &mut StringInterner,
 ) -> Result<RecordRow, String> {
     fields.split(line)?;
@@ -135,10 +138,12 @@ fn decode_row(
         return Err(format!("expected 9 fields, got {}", fields.spans.len()));
     }
     let f = |i| fields.get(line, i);
-    let timestamp = Timestamp::parse_iso8601(f(1)).map_err(|e| e.to_string())?;
-    let ip_hash = u64::from_str_radix(f(2), 16).map_err(|_| format!("bad ip_hash {:?}", f(2)))?;
-    let status = f(6).parse::<u16>().map_err(|_| format!("bad status {:?}", f(6)))?;
-    let bytes = f(7).parse::<u64>().map_err(|_| format!("bad bytes {:?}", f(7)))?;
+    let timestamp = day.parse(f(1)).map_err(|e| e.to_string())?;
+    let ip_hash = parse_u64(f(2), 16).ok_or_else(|| format!("bad ip_hash {:?}", f(2)))?;
+    let status = parse_u64(f(6), 10)
+        .and_then(|n| u16::try_from(n).ok())
+        .ok_or_else(|| format!("bad status {:?}", f(6)))?;
+    let bytes = parse_u64(f(7), 10).ok_or_else(|| format!("bad bytes {:?}", f(7)))?;
     Ok(RecordRow {
         useragent: interner.intern(f(0)),
         asn: interner.intern(f(3)),
@@ -149,6 +154,19 @@ fn decode_row(
         ip_hash,
         bytes,
         status,
+    })
+}
+
+/// `u64::from_str_radix(s, radix)` (`radix` ≤ 16) in one fold: an
+/// optional leading `+`, then at least one digit, `None` on overflow.
+fn parse_u64(s: &str, radix: u32) -> Option<u64> {
+    let digits = s.strip_prefix('+').unwrap_or(s).as_bytes();
+    if digits.is_empty() {
+        return None;
+    }
+    digits.iter().try_fold(0u64, |n, &c| {
+        let digit = char::from(c).to_digit(radix)?;
+        n.checked_mul(u64::from(radix))?.checked_add(u64::from(digit))
     })
 }
 
@@ -295,6 +313,7 @@ impl RowStream for TableRowStream<'_> {
 mod tests {
     use super::*;
     use crate::record::AccessRecord;
+    use crate::time::Timestamp;
 
     fn sample(i: u64) -> AccessRecord {
         AccessRecord {
@@ -307,6 +326,44 @@ mod tests {
             status: 200,
             bytes: 64,
             referer: None,
+        }
+    }
+
+    #[test]
+    fn parse_u64_agrees_with_from_str_radix() {
+        for s in [
+            "",
+            "+",
+            "++1",
+            "-1",
+            "-0",
+            "0",
+            "+0",
+            "7",
+            " 1",
+            "1 ",
+            "1_0",
+            "é",
+            "0x1",
+            "FfE",
+            "fFe",
+            "g",
+            "ffffffffffffffff",
+            "10000000000000000",
+            "00000000000000000000001",
+            "18446744073709551615",
+            "18446744073709551616",
+            "65535",
+            "65536",
+            "+65535",
+        ] {
+            for radix in [10, 16] {
+                assert_eq!(
+                    parse_u64(s, radix),
+                    u64::from_str_radix(s, radix).ok(),
+                    "{s:?} base {radix}"
+                );
+            }
         }
     }
 

@@ -5,7 +5,7 @@
 //! session, unique ASNs, total bytes scraped, total page visits (the
 //! session-collapsed row count) and unique page visits (distinct URLs).
 
-use std::collections::{HashMap, HashSet};
+use crate::hash::{FxHashMap, FxHashSet};
 
 use crate::session::SESSION_GAP_SECS;
 use crate::table::LogTable;
@@ -52,12 +52,12 @@ impl DatasetSummary {
         gap_secs: u64,
     ) -> DatasetSummary {
         assert!(gap_secs > 0, "session gap must be positive");
-        let mut ips: HashSet<u64> = HashSet::new();
-        let mut uas: HashSet<crate::intern::Sym> = HashSet::new();
-        let mut asns: HashSet<crate::intern::Sym> = HashSet::new();
-        let mut urls: HashSet<(crate::intern::Sym, crate::intern::Sym)> = HashSet::new();
-        let mut by_entity: HashMap<(crate::intern::Sym, u64, crate::intern::Sym), Vec<u64>> =
-            HashMap::new();
+        let mut ips: FxHashSet<u64> = FxHashSet::default();
+        let mut uas: FxHashSet<crate::intern::Sym> = FxHashSet::default();
+        let mut asns: FxHashSet<crate::intern::Sym> = FxHashSet::default();
+        let mut urls: FxHashSet<(crate::intern::Sym, crate::intern::Sym)> = FxHashSet::default();
+        let mut by_entity: FxHashMap<(crate::intern::Sym, u64, crate::intern::Sym), Vec<u64>> =
+            FxHashMap::default();
         let mut total_bytes = 0u64;
         let mut raw_records = 0usize;
         for row in rows {

@@ -14,6 +14,7 @@
 //! interns records and [`LogTable::record`] /
 //! [`LogTable::iter_records`] materialize them back.
 
+use crate::hash::FxHashMap;
 use crate::intern::{StringInterner, Sym};
 use crate::record::AccessRecord;
 use crate::session::Session;
@@ -349,8 +350,7 @@ impl LogTable {
         gap_secs: u64,
     ) -> Vec<Session> {
         assert!(gap_secs > 0, "session gap must be positive");
-        use std::collections::HashMap;
-        let mut by_entity: HashMap<(Sym, u64, Sym), Vec<&RecordRow>> = HashMap::new();
+        let mut by_entity: FxHashMap<(Sym, u64, Sym), Vec<&RecordRow>> = FxHashMap::default();
         for row in rows {
             by_entity.entry((row.useragent, row.ip_hash, row.asn)).or_default().push(row);
         }
@@ -405,8 +405,7 @@ impl LogTable {
         rows: impl IntoIterator<Item = &'t RecordRow>,
         gap_secs: u64,
     ) -> usize {
-        use std::collections::HashMap;
-        let mut by_entity: HashMap<(Sym, u64, Sym), Vec<u64>> = HashMap::new();
+        let mut by_entity: FxHashMap<(Sym, u64, Sym), Vec<u64>> = FxHashMap::default();
         for row in rows {
             by_entity
                 .entry((row.useragent, row.ip_hash, row.asn))
@@ -472,7 +471,7 @@ fn permute(rows: &mut [RecordRow], from: &mut [u64]) {
 /// single definition of the session-split rule for row-native counting
 /// (shared by [`LogTable::count_sessions`] and `DatasetSummary`).
 pub(crate) fn count_entity_sessions(
-    mut by_entity: std::collections::HashMap<(Sym, u64, Sym), Vec<u64>>,
+    mut by_entity: FxHashMap<(Sym, u64, Sym), Vec<u64>>,
     gap_secs: u64,
 ) -> usize {
     assert!(gap_secs > 0, "session gap must be positive");

@@ -198,6 +198,49 @@ impl Timestamp {
     }
 }
 
+/// [`Timestamp::parse_iso8601`] for a stream of timestamps that share
+/// their day: the last fully checked `YYYY-MM-DD` (calendar round trip
+/// included) is cached with its midnight, so a later timestamp of that
+/// day parses only its `HH:MM:SS`. Anything else, and every error, goes
+/// through `parse_iso8601`, so the accepted language and the error text
+/// are the same.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct DayCache {
+    day: Option<([u8; 10], u64)>,
+}
+
+impl DayCache {
+    /// Parse `s` as [`Timestamp::parse_iso8601`] does.
+    pub(crate) fn parse(&mut self, s: &str) -> Result<Timestamp, ParseTimeError> {
+        let b = s.as_bytes();
+        let plain = (b.len() == 19 || b.len() == 20 && b[19] == b'Z')
+            && matches!(b[10], b'T' | b' ')
+            && b[13] == b':'
+            && b[16] == b':';
+        if !plain {
+            return Timestamp::parse_iso8601(s);
+        }
+        if let Some((day, midnight)) = self.day {
+            if b[..10] == day {
+                let two = |at: usize| match (b[at], b[at + 1]) {
+                    (hi @ b'0'..=b'9', lo @ b'0'..=b'9') => {
+                        Some(u64::from((hi - b'0') * 10 + lo - b'0'))
+                    }
+                    _ => None,
+                };
+                if let (Some(h @ 0..=23), Some(m @ 0..=59), Some(sec @ 0..=59)) =
+                    (two(11), two(14), two(17))
+                {
+                    return Ok(Timestamp(midnight + h * 3600 + m * 60 + sec));
+                }
+            }
+        }
+        let ts = Timestamp::parse_iso8601(s)?;
+        self.day = Some((b[..10].try_into().expect("10-byte date"), ts.day_start().0));
+        Ok(ts)
+    }
+}
+
 /// The one ISO-8601 timestamp formatter: writes `YYYY-MM-DDTHH:MM:SSZ`
 /// straight into a byte buffer (years past 9999 print in full, as
 /// `{:04}` would).
@@ -255,6 +298,43 @@ impl fmt::Display for Timestamp {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn day_cache_agrees_with_parse_iso8601() {
+        // Days valid and not, signed fields, separators, suffixes and
+        // out-of-range clocks, in an order that revisits cached days.
+        let days =
+            ["2025-02-12", "2025-02-13", "2025-02-30", "2024-02-29", "+025-02-12", "1969-12-31"];
+        let seps = ["T", " ", "X"];
+        let clocks = [
+            "00:00:00", "23:59:59", "08:30:15", "24:00:00", "23:60:00", "00:00:60", "+5:00:00",
+            "-0:00:00", "ab:cd:ef", "1:2:3",
+        ];
+        let suffixes = ["Z", "", "ZZ", " "];
+        let mut inputs = Vec::new();
+        for day in days {
+            for sep in seps {
+                for clock in clocks {
+                    for suffix in suffixes {
+                        inputs.push(format!("{day}{sep}{clock}{suffix}"));
+                    }
+                }
+            }
+        }
+        inputs.extend(
+            [" 2025-02-12T08:30:15Z", "2025-02-12T08:30:15Z ", "", "2025-02-12"].map(String::from),
+        );
+        let mut cache = DayCache::default();
+        for pass in 0..3 {
+            for (i, s) in inputs.iter().enumerate() {
+                // Visit in a different order each pass, so cached days
+                // meet clocks and suffixes they were not cached from.
+                let s = if pass == 1 { &inputs[inputs.len() - 1 - i] } else { s };
+                let s = if pass == 2 { &inputs[(i * 7919) % inputs.len()] } else { s };
+                assert_eq!(cache.parse(s), Timestamp::parse_iso8601(s), "{s:?}");
+            }
+        }
+    }
 
     #[test]
     fn epoch() {

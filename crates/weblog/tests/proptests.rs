@@ -5,6 +5,7 @@ mod paper_oracle;
 
 use botscope_weblog::codec::{self, decode_table, decode_table_read, HEADER};
 use botscope_weblog::colfmt;
+use botscope_weblog::intern::StringInterner;
 use botscope_weblog::jsonl;
 use botscope_weblog::merge::{merge_runs, MergeRun};
 use botscope_weblog::record::AccessRecord;
@@ -927,5 +928,106 @@ proptest! {
     #[test]
     fn sort_canonical_matches_stable_sort_oracle_across_buckets(records in bucketed_sort_case()) {
         check_sort_against_stable_sort(records);
+    }
+}
+
+/// The string an interner operation names: `shape` picks empty, shared
+/// prefix, multi-byte UTF-8, long, trailing-NUL and heavily duplicated
+/// strings, `n` the member.
+fn interner_key(shape: u8, n: usize) -> String {
+    match shape {
+        0 => String::new(),
+        1 => format!("/news/item-{n:04}"),
+        2 => format!("{}{n}", "é日🤖".repeat(n % 5)),
+        3 => format!("{}{n}", "GPTBot/1.2 ".repeat(20 + n % 30)),
+        4 => format!("a{}", "\0".repeat(n % 10)),
+        _ => format!("dup-{}", n % 4),
+    }
+}
+
+/// Apply `ops` (intern, or look up, `interner_key(shape, n)`) to an
+/// interner and to the naive model of one: every string in a `Vec` in
+/// first-sight order, found by linear search.
+fn run_interner_ops(
+    interner: &mut StringInterner,
+    model: &mut Vec<String>,
+    ops: &[(bool, u8, usize)],
+) {
+    for &(intern, shape, n) in ops {
+        let key = interner_key(shape, n);
+        let seen = model.iter().position(|s| *s == key);
+        if intern {
+            let sym = interner.intern(&key);
+            assert_eq!(sym.index(), seen.unwrap_or(model.len()), "dense first-sight id of {key:?}");
+            if seen.is_none() {
+                model.push(key);
+            }
+        } else {
+            assert_eq!(
+                interner.get(&key).map(botscope_weblog::intern::Sym::index),
+                seen,
+                "get {key:?}"
+            );
+        }
+    }
+}
+
+/// Every observable of `interner` agrees with `model`.
+fn check_interner_against_model(interner: &StringInterner, model: &[String], tail_from: usize) {
+    assert_eq!(interner.len(), model.len());
+    assert_eq!(interner.is_empty(), model.is_empty());
+    for (i, s) in model.iter().enumerate() {
+        let sym = interner.get(s).expect("interned string is found");
+        assert_eq!(sym.index(), i);
+        assert_eq!(interner.resolve(sym), s);
+    }
+    let all: Vec<(usize, &str)> = interner.iter().map(|(sym, s)| (sym.index(), s)).collect();
+    let want: Vec<(usize, &str)> = model.iter().map(String::as_str).enumerate().collect();
+    assert_eq!(all, want);
+    let start = tail_from % (model.len() + 2);
+    let tail: Vec<(usize, &str)> =
+        interner.iter_from(start).map(|(sym, s)| (sym.index(), s)).collect();
+    assert_eq!(tail, want.get(start..).unwrap_or_default());
+}
+
+/// Intern/get operations: intern two times in three; `n` ranges wide
+/// enough that a long run holds ~2,000 distinct strings and so crosses
+/// every slot-table growth up to 4,096 slots.
+fn interner_ops(max: usize) -> impl Strategy<Value = Vec<(bool, u8, usize)>> {
+    prop::collection::vec((0u8..3, 0u8..7, 0usize..2_500), 0..max)
+        .prop_map(|ops| ops.into_iter().map(|(op, shape, n)| (op < 2, shape, n)).collect())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn interner_matches_naive_model(
+        ops in interner_ops(4_000),
+        more in interner_ops(600),
+        split in 0usize..4_000,
+        tail_from in 0usize..3_000,
+    ) {
+        let split = split.min(ops.len());
+        let (mut interner, mut model) = (StringInterner::new(), Vec::new());
+        run_interner_ops(&mut interner, &mut model, &ops[..split]);
+        // A clone grows on its own: neither side sees the other's strings.
+        let (mut clone, mut clone_model) = (interner.clone(), model.clone());
+        run_interner_ops(&mut interner, &mut model, &ops[split..]);
+        run_interner_ops(&mut clone, &mut clone_model, &more);
+        check_interner_against_model(&interner, &model, tail_from);
+        check_interner_against_model(&clone, &clone_model, tail_from);
+        let unseen = [1, 2, 3].map(|shape| interner_key(shape, 2_500));
+        for key in unseen.iter().map(String::as_str).chain(["a\0\0\0\0\0\0\0\0\0\0", "dup-4", "\0"]) {
+            prop_assert_eq!(interner.get(key), None, "never-interned {:?}", key);
+            prop_assert_eq!(clone.get(key), None, "never-interned {:?}", key);
+        }
+    }
+
+    #[test]
+    fn interner_with_capacity_matches_naive_model(ops in interner_ops(300), cap in 0usize..600) {
+        let (mut interner, mut model) = (StringInterner::with_capacity(cap), Vec::new());
+        run_interner_ops(&mut interner, &mut model, &ops);
+        check_interner_against_model(&interner, &model, cap);
     }
 }
