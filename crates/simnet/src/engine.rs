@@ -419,7 +419,7 @@ pub fn simulate_table_oracle<O: PolicyOracle>(
 #[derive(Debug, Clone)]
 pub struct StreamOptions {
     /// Rows each worker buffers before spilling a sorted run to disk.
-    /// The default (2^19 rows ≈ 24 MB of row storage per in-flight
+    /// The default (2^16 rows ≈ 3 MB of row storage per in-flight
     /// unit) keeps per-worker memory flat at any simulation scale.
     pub rows_per_run: usize,
     /// Directory for spill files. `None` creates — and afterwards
@@ -432,7 +432,7 @@ pub struct StreamOptions {
 
 impl Default for StreamOptions {
     fn default() -> StreamOptions {
-        StreamOptions { rows_per_run: 1 << 19, spill_dir: None }
+        StreamOptions { rows_per_run: 1 << 16, spill_dir: None }
     }
 }
 
@@ -500,7 +500,9 @@ pub fn simulate_stream_with_threads(
             let (interner, paths) = unit?;
             spilled.extend(paths.iter().cloned());
             for path in &paths {
-                let reader = BufReader::with_capacity(64 << 10, File::open(path)?);
+                // One buffer per run, all open at once: 8 KiB holds 178
+                // rows, and the reader decodes them in place.
+                let reader = BufReader::with_capacity(8 << 10, File::open(path)?);
                 // Raw mode: spill files preserve the unit interner's ids
                 // (`write_table`), so readers need no per-file dictionary
                 // copy — merge memory stays one dictionary per unit, not

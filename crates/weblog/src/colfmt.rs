@@ -26,7 +26,7 @@
 //! stream rows as they are generated ([`BinSink`]) while a whole-table
 //! writer emits one dictionary up front ([`write_table`]). Both decode
 //! identically with [`BinReader`], which needs only `BufRead` — memory
-//! stays bounded by the dictionary plus one row.
+//! stays bounded by the dictionary plus one chunk of [`CHUNK_ROWS`] rows.
 //!
 //! Decoding is hardened against corrupt or hostile input: every failure
 //! is a clean [`DecodeError`] (with the byte offset in the message), and
@@ -66,6 +66,10 @@ pub const MAX_STRING_LEN: u32 = 1 << 20;
 
 /// Default number of rows buffered per row page by [`BinSink`].
 pub const PAGE_ROWS: usize = 4096;
+
+/// Most rows [`BinReader`] decodes at once straight out of its input
+/// buffer (3 KB of encoded rows, so a chunk stays in L1).
+pub const CHUNK_ROWS: usize = 64;
 
 fn encode_row(row: &RecordRow, buf: &mut [u8; ROW_BYTES]) {
     let id = |sym: Sym| sym.index() as u32;
@@ -232,6 +236,47 @@ impl<W: Write> RowSink for BinSink<W> {
     }
 }
 
+#[inline]
+fn u32_at(b: &[u8], i: usize) -> u32 {
+    u32::from_le_bytes(b[i..i + 4].try_into().expect("4 bytes"))
+}
+
+#[inline]
+fn u64_at(b: &[u8], i: usize) -> u64 {
+    u64::from_le_bytes(b[i..i + 8].try_into().expect("8 bytes"))
+}
+
+/// Decode one encoded row whose ids are all defined, mapping each
+/// through `sym`. A `u32::MAX` referer (none) is mapped as id 0 and
+/// dropped, so decoding takes no branch on it.
+fn decode_row(b: &[u8], sym: impl Fn(u32) -> Sym) -> RecordRow {
+    let referer = u32_at(b, 16);
+    let referer_sym = sym(referer.wrapping_add(1).saturating_sub(1));
+    RecordRow {
+        useragent: sym(u32_at(b, 0)),
+        asn: sym(u32_at(b, 4)),
+        sitename: sym(u32_at(b, 8)),
+        uri_path: sym(u32_at(b, 12)),
+        referer: (referer != NO_REFERER).then_some(referer_sym),
+        timestamp: Timestamp::from_unix(u64_at(b, 20)),
+        ip_hash: u64_at(b, 28),
+        bytes: u64_at(b, 36),
+        status: u16::from_le_bytes(b[44..46].try_into().expect("2 bytes")),
+    }
+}
+
+/// The largest dictionary id any of `rows` (whole encoded rows)
+/// references; a row without a referer contributes its other four ids.
+fn max_id(rows: &[u8]) -> u32 {
+    rows.chunks_exact(ROW_BYTES).fold(0, |max, b| {
+        max.max(u32_at(b, 0))
+            .max(u32_at(b, 4))
+            .max(u32_at(b, 8))
+            .max(u32_at(b, 12))
+            .max(u32_at(b, 16).wrapping_add(1).saturating_sub(1))
+    })
+}
+
 /// Streaming binary decoder.
 ///
 /// Yields one [`RecordRow`] at a time; symbols live in the reader's own
@@ -241,9 +286,19 @@ impl<W: Write> RowSink for BinSink<W> {
 /// symbol. All errors — truncation, bad magic, hostile lengths,
 /// undefined ids, trailing garbage — surface as [`DecodeError`] with
 /// the byte offset in the message; decoding never panics.
+///
+/// Rows decode in chunks of up to [`CHUNK_ROWS`] whole rows taken
+/// straight from the input's buffer, with one id check per chunk (its
+/// largest id against the dictionary size). A chunk that fails the
+/// check, or a row split across a buffer refill, is read row by row
+/// instead, so every error names the same field and byte offset as
+/// decoding one row at a time would.
 #[derive(Debug)]
 pub struct BinReader<R: BufRead> {
     reader: R,
+    /// Rows decoded ahead from the input buffer, yielded from `chunk_at`.
+    chunk: Vec<RecordRow>,
+    chunk_at: usize,
     interner: StringInterner,
     /// File dictionary id → symbol in `interner` (empty in raw mode).
     syms: Vec<Sym>,
@@ -289,6 +344,8 @@ impl<R: BufRead> BinReader<R> {
     fn with_mode(reader: R, raw: bool) -> Result<BinReader<R>, DecodeError> {
         let mut r = BinReader {
             reader,
+            chunk: Vec::with_capacity(CHUNK_ROWS),
+            chunk_at: 0,
             interner: StringInterner::new(),
             syms: Vec::new(),
             raw,
@@ -383,44 +440,71 @@ impl<R: BufRead> BinReader<R> {
         Ok(())
     }
 
-    fn sym(&self, id: u32, field: &str) -> Result<Sym, DecodeError> {
+    /// Dictionary entries defined so far: every row id must be below.
+    fn defined(&self) -> u32 {
         if self.raw {
-            if id < self.raw_defined {
-                return Ok(Sym::from_index(id as usize));
-            }
-            return Err(self.err(format!("{field} id {id} not in dictionary")));
+            self.raw_defined
+        } else {
+            u32::try_from(self.syms.len()).unwrap_or(u32::MAX)
         }
-        self.syms
-            .get(id as usize)
-            .copied()
-            .ok_or_else(|| self.err(format!("{field} id {id} not in dictionary")))
     }
 
+    /// The symbol of a defined id.
+    fn sym(raw: bool, syms: &[Sym], id: u32) -> Sym {
+        if raw {
+            Sym::from_index(id as usize)
+        } else {
+            syms[id as usize]
+        }
+    }
+
+    /// Read one row on its own, reporting its first undefined id (the
+    /// referer checked first, then the other ids in field order).
     fn read_row(&mut self) -> Result<RecordRow, DecodeError> {
         let mut buf = [0u8; ROW_BYTES];
         self.read_exact(&mut buf, "row")?;
-        let u32_at = |i: usize| u32::from_le_bytes(buf[i..i + 4].try_into().expect("4 bytes"));
-        let u64_at = |i: usize| u64::from_le_bytes(buf[i..i + 8].try_into().expect("8 bytes"));
-        let referer = match u32_at(16) {
-            NO_REFERER => None,
-            id => Some(self.sym(id, "referer")?),
-        };
-        Ok(RecordRow {
-            useragent: self.sym(u32_at(0), "useragent")?,
-            asn: self.sym(u32_at(4), "asn")?,
-            sitename: self.sym(u32_at(8), "sitename")?,
-            uri_path: self.sym(u32_at(12), "uri_path")?,
-            referer,
-            timestamp: Timestamp::from_unix(u64_at(20)),
-            ip_hash: u64_at(28),
-            bytes: u64_at(36),
-            status: u16::from_le_bytes(buf[44..46].try_into().expect("2 bytes")),
-        })
+        for (at, field) in
+            [(16, "referer"), (0, "useragent"), (4, "asn"), (8, "sitename"), (12, "uri_path")]
+        {
+            let id = u32_at(&buf, at);
+            if id >= self.defined() && !(at == 16 && id == NO_REFERER) {
+                return Err(self.err(format!("{field} id {id} not in dictionary")));
+            }
+        }
+        Ok(decode_row(&buf, |id| Self::sym(self.raw, &self.syms, id)))
+    }
+
+    /// Decode up to [`CHUNK_ROWS`] of the current page's rows that sit
+    /// whole in the input buffer into `chunk`, if every id they hold is
+    /// defined. Returns whether it decoded any; when it did not, the
+    /// next row is for [`BinReader::read_row`].
+    fn read_chunk(&mut self) -> bool {
+        let defined = self.defined();
+        let BinReader { reader, chunk, chunk_at, syms, raw, .. } = self;
+        let Ok(buf) = reader.fill_buf() else { return false };
+        let n = (buf.len() / ROW_BYTES).min(CHUNK_ROWS).min(self.pending_rows as usize);
+        let rows = &buf[..n * ROW_BYTES];
+        if n == 0 || max_id(rows) >= defined {
+            return false;
+        }
+        chunk.clear();
+        *chunk_at = 0;
+        chunk.extend(
+            rows.chunks_exact(ROW_BYTES).map(|b| decode_row(b, |id| Self::sym(*raw, syms, id))),
+        );
+        reader.consume(n * ROW_BYTES);
+        self.offset += (n * ROW_BYTES) as u64;
+        self.pending_rows -= n as u32;
+        true
     }
 
     /// Decode the next row, `None` at (a well-formed) end of file. Fuses
     /// after the first error.
     pub fn next_row(&mut self) -> Option<Result<RecordRow, DecodeError>> {
+        if let Some(&row) = self.chunk.get(self.chunk_at) {
+            self.chunk_at += 1;
+            return Some(Ok(row));
+        }
         if self.done {
             return None;
         }
@@ -435,6 +519,10 @@ impl<R: BufRead> BinReader<R> {
     fn advance(&mut self) -> Option<Result<RecordRow, DecodeError>> {
         loop {
             if self.pending_rows > 0 {
+                if self.read_chunk() {
+                    self.chunk_at = 1;
+                    return Some(Ok(self.chunk[0]));
+                }
                 self.pending_rows -= 1;
                 return Some(self.read_row());
             }
@@ -775,6 +863,107 @@ mod tests {
                 }
             }
             assert!(!ok, "prefix of {cut} bytes should fail to decode");
+        }
+    }
+
+    /// Every row and the final interner of `bytes` read through a
+    /// `BufReader` of `capacity` bytes, in normal or raw mode.
+    fn drain_through(bytes: &[u8], capacity: usize, raw: bool) -> (Vec<RecordRow>, Vec<String>) {
+        let input = io::BufReader::with_capacity(capacity, bytes);
+        let mut r =
+            if raw { BinReader::new_raw(input) } else { BinReader::new(input) }.expect("header");
+        let mut rows = Vec::new();
+        while let Some(row) = r.next_row() {
+            rows.push(row.expect("a clean row"));
+        }
+        (rows, r.interner().iter().map(|(_, s)| s.to_string()).collect())
+    }
+
+    #[test]
+    fn rows_straddling_buffer_refills_decode_like_a_large_buffer() {
+        // Pages of 7 rows with a dictionary page before each: chunks end
+        // at page ends, at refills, and at rows split across refills.
+        let table = sample_table(300);
+        let mut sink = BinSink::new(Vec::new()).unwrap().with_page_rows(7);
+        for row in table.rows() {
+            sink.write_row(row, table.interner()).unwrap();
+        }
+        sink.finish().unwrap();
+        let streamed = sink.into_inner();
+        let mut whole = Vec::new();
+        write_table(&mut whole, &table).unwrap();
+        for bytes in [&streamed, &whole] {
+            for raw in [false, true] {
+                let large = drain_through(bytes, 64 * 1024, raw);
+                assert_eq!(large.0.len(), 300);
+                for capacity in [1, 45, 46, 47, 50, 97, 1000] {
+                    assert!(
+                        drain_through(bytes, capacity, raw) == large,
+                        "{capacity} B, raw {raw}"
+                    );
+                }
+            }
+        }
+        assert_eq!(drain_through(&whole, 50, true).0, table.rows());
+    }
+
+    #[test]
+    fn undefined_id_mid_chunk_names_its_field_and_offset() {
+        // Row 30 of a 64-row chunk names the first asn id past the
+        // dictionary: its 30 predecessors decode, then the error reports
+        // the field and the offset just past the bad row, as a row-by-row
+        // read does.
+        let table = sample_table(100);
+        let mut bytes = Vec::new();
+        write_table(&mut bytes, &table).unwrap();
+        let rows_at = bytes.len() - 1 - 100 * ROW_BYTES;
+        let bad = rows_at + 30 * ROW_BYTES;
+        let undefined = table.interner().len() as u32;
+        bytes[bad + 4..bad + 8].copy_from_slice(&undefined.to_le_bytes());
+        assert_eq!(rows_at, 1011);
+        for raw in [false, true] {
+            for capacity in [50, 97, 64 * 1024] {
+                let input = io::BufReader::with_capacity(capacity, &bytes[..]);
+                let mut r = if raw { BinReader::new_raw(input) } else { BinReader::new(input) }
+                    .expect("header");
+                for i in 0..30 {
+                    assert_eq!(r.next_row().unwrap().unwrap(), table.rows()[i]);
+                }
+                let e = r.next_row().unwrap().unwrap_err();
+                assert_eq!(
+                    e.to_string(),
+                    "decode error: asn id 82 not in dictionary (byte offset 2437)",
+                    "raw {raw}, {capacity} B"
+                );
+                assert!(r.next_row().is_none());
+            }
+        }
+    }
+
+    #[test]
+    fn a_chunk_ends_with_its_page_even_when_the_next_bytes_pass_the_id_check() {
+        // 60,000 empty dictionary strings define ids 0..60,000, so the
+        // dictionary page after the one-row page (tag 0x01, count 1,
+        // length 200, 200 NUL bytes) would pass the chunk's id check if
+        // it were read as rows.
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&MAGIC);
+        bytes.extend_from_slice(&VERSION.to_le_bytes());
+        bytes.push(TAG_DICT);
+        bytes.extend_from_slice(&60_000u32.to_le_bytes());
+        bytes.extend_from_slice(&[0u8; 4 * 60_000]);
+        bytes.push(TAG_ROWS);
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.extend_from_slice(&[0u8; ROW_BYTES]);
+        bytes.push(TAG_DICT);
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.extend_from_slice(&200u32.to_le_bytes());
+        bytes.extend_from_slice(&[0u8; 200]);
+        bytes.push(TAG_END);
+        for raw in [false, true] {
+            let (rows, strings) = drain_through(&bytes, bytes.len(), raw);
+            assert_eq!(rows.len(), 1, "raw {raw}");
+            assert_eq!(strings.len(), if raw { 0 } else { 2 }, "raw {raw}");
         }
     }
 

@@ -6,9 +6,12 @@
 //! engine, the k-way merge) can run off any implementation — an
 //! in-memory table ([`TableRowStream`]), a CSV file ([`CsvRowStream`]),
 //! or the binary format ([`crate::colfmt::BinReader`]) — with memory
-//! bounded by the dictionary plus one row.
+//! bounded by the dictionary plus one row. [`prefetch`] runs any stream
+//! on a decode thread of its own, a few thousand rows ahead of its
+//! consumer.
 
 use std::io::BufRead;
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
 
 use crate::codec::{self, DecodeError};
 use crate::colfmt::BinReader;
@@ -309,6 +312,163 @@ impl RowStream for TableRowStream<'_> {
     }
 }
 
+/// Rows per batch that [`prefetch`]'s decode thread hands over.
+pub const PREFETCH_ROWS: usize = 4096;
+
+/// Full batches that may wait between [`prefetch`]'s decode thread and
+/// its consumer. With the batch the decode thread fills and the one the
+/// consumer reads, at most `PREFETCH_DEPTH + 2` batches exist.
+const PREFETCH_DEPTH: usize = 2;
+
+/// One hand-off from [`prefetch`]'s decode thread.
+#[derive(Debug, Default)]
+struct Batch {
+    /// The strings the stream's interner gained up to the last of `rows`,
+    /// concatenated; `ends[i]` is where the `i`-th ends.
+    text: String,
+    ends: Vec<usize>,
+    rows: Vec<RecordRow>,
+    /// `None` while more batches follow; `Some(None)` when the stream
+    /// ended after `rows`, `Some(Some(e))` when it failed with `e`.
+    end: Option<Option<DecodeError>>,
+}
+
+/// Run `f` over `stream`, decoding on a helper thread when `threads` is
+/// 2 or more.
+///
+/// With `threads` ≥ 2, one scoped thread drains `stream` into batches of
+/// [`PREFETCH_ROWS`] rows, each carrying the strings the stream's
+/// interner gained since the batch before; at most four batches exist at
+/// once and they are recycled, so memory stays bounded. `f` reads a
+/// stream that re-interns those strings in order, so it sees the same
+/// symbols, the same rows, the same interner contents in id order and
+/// the same first error as it would reading `stream` itself. If `f`
+/// returns before the end, the helper stops at its next batch. With
+/// `threads` ≤ 1, `f` reads `stream` directly and no thread starts.
+pub fn prefetch<S, T>(mut stream: S, threads: usize, f: impl FnOnce(&mut dyn RowStream) -> T) -> T
+where
+    S: RowStream + Send,
+{
+    if threads <= 1 {
+        return f(&mut stream);
+    }
+    decode_ahead_of(stream, f).0
+}
+
+/// [`prefetch`] on a helper thread; also returns how many batches the
+/// helper made.
+fn decode_ahead_of<S, T>(stream: S, f: impl FnOnce(&mut dyn RowStream) -> T) -> (T, usize)
+where
+    S: RowStream + Send,
+{
+    std::thread::scope(|scope| {
+        let (full_tx, full) = mpsc::sync_channel(PREFETCH_DEPTH);
+        let (free, free_rx) = mpsc::channel();
+        let helper = scope.spawn(move || decode_ahead(stream, &full_tx, &free_rx));
+        let Ok(batch) = full.recv() else {
+            // The helper sends until the stream's end unless it panicked.
+            std::panic::resume_unwind(helper.join().expect_err("the decode thread panicked"));
+        };
+        let mut rows =
+            Prefetched { full, free, batch, at: 0, interner: StringInterner::new(), done: false };
+        rows.intern_batch();
+        let out = f(&mut rows);
+        drop(rows);
+        (out, helper.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+    })
+}
+
+/// The decode thread of [`prefetch`]: fill batches from `stream` (taking
+/// spent ones back from `free` before making new ones) until the stream
+/// ends or the consumer hangs up. Returns how many batches it made.
+fn decode_ahead<S: RowStream>(
+    mut stream: S,
+    full: &SyncSender<Batch>,
+    free: &Receiver<Batch>,
+) -> usize {
+    let mut made = 0;
+    let mut sent_strings = 0;
+    loop {
+        let mut batch = free.try_recv().unwrap_or_else(|_| {
+            made += 1;
+            Batch { rows: Vec::with_capacity(PREFETCH_ROWS), ..Batch::default() }
+        });
+        batch.text.clear();
+        batch.ends.clear();
+        batch.rows.clear();
+        while batch.end.is_none() && batch.rows.len() < PREFETCH_ROWS {
+            match stream.next_row() {
+                Some(Ok(row)) => batch.rows.push(row),
+                end => batch.end = Some(end.map(|e| e.expect_err("not a row"))),
+            }
+        }
+        let interner = stream.interner();
+        for (_, s) in interner.iter_from(sent_strings) {
+            batch.text.push_str(s);
+            batch.ends.push(batch.text.len());
+        }
+        sent_strings = interner.len();
+        let last = batch.end.is_some();
+        if full.send(batch).is_err() || last {
+            return made;
+        }
+    }
+}
+
+/// The consumer side of [`prefetch`]: the decode thread's batches, read
+/// as one stream.
+struct Prefetched {
+    full: Receiver<Batch>,
+    free: Sender<Batch>,
+    batch: Batch,
+    /// The next row of `batch` to yield.
+    at: usize,
+    interner: StringInterner,
+    done: bool,
+}
+
+impl Prefetched {
+    /// Intern the strings `batch` carries, in order: they get the ids
+    /// they had in the decode thread's interner.
+    fn intern_batch(&mut self) {
+        let mut start = 0;
+        for &end in &self.batch.ends {
+            let sym = self.interner.intern(&self.batch.text[start..end]);
+            debug_assert_eq!(sym.index() + 1, self.interner.len(), "a string arrived twice");
+            start = end;
+        }
+    }
+}
+
+impl RowStream for Prefetched {
+    fn next_row(&mut self) -> Option<Result<RecordRow, DecodeError>> {
+        loop {
+            if let Some(&row) = self.batch.rows.get(self.at) {
+                self.at += 1;
+                return Some(Ok(row));
+            }
+            if let Some(end) = self.batch.end.take() {
+                self.done = true;
+                return end.map(Err);
+            }
+            if self.done {
+                return None;
+            }
+            // Hand the spent batch back before taking the next, so the
+            // consumer never holds two. The decode thread may have
+            // stopped already; then the batch is simply dropped.
+            let _ = self.free.send(std::mem::take(&mut self.batch));
+            self.batch = self.full.recv().expect("the decode thread sends its stream's end");
+            self.at = 0;
+            self.intern_batch();
+        }
+    }
+
+    fn interner(&self) -> &StringInterner {
+        &self.interner
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -423,6 +583,94 @@ mod tests {
         let table = LogTable::from_records(&records);
         let mut s = TableRowStream::new(&table);
         assert_eq!(drain(&mut s), records);
+    }
+
+    /// A stream of `n` copies of one row over a growing interner (one new
+    /// string every 1,000 rows), noting the thread of every call.
+    struct Traced {
+        row: RecordRow,
+        left: usize,
+        interner: StringInterner,
+        threads: std::sync::Arc<std::sync::Mutex<Vec<std::thread::ThreadId>>>,
+    }
+
+    impl Traced {
+        fn new(n: usize) -> Traced {
+            let table = LogTable::from_records(&[sample(0)]);
+            Traced {
+                row: table.rows()[0],
+                left: n,
+                interner: table.interner().clone(),
+                threads: Default::default(),
+            }
+        }
+    }
+
+    impl RowStream for Traced {
+        fn next_row(&mut self) -> Option<Result<RecordRow, DecodeError>> {
+            self.threads.lock().unwrap().push(std::thread::current().id());
+            self.left = self.left.checked_sub(1)?;
+            if self.left.is_multiple_of(1000) {
+                self.interner.intern(&format!("/grown/{}", self.left));
+            }
+            Some(Ok(self.row))
+        }
+
+        fn interner(&self) -> &StringInterner {
+            &self.interner
+        }
+    }
+
+    #[test]
+    fn prefetch_runs_the_stream_on_one_helper_only_from_two_threads() {
+        let me = std::thread::current().id();
+        for threads in [0, 1, 2, 8] {
+            let stream = Traced::new(3 * PREFETCH_ROWS + 5);
+            let log = std::sync::Arc::clone(&stream.threads);
+            let (rows, strings) = prefetch(stream, threads, |s| {
+                let mut n = 0;
+                while let Some(row) = s.next_row() {
+                    row.expect("a row");
+                    n += 1;
+                }
+                (n, s.interner().len())
+            });
+            assert_eq!((rows, strings), (3 * PREFETCH_ROWS + 5, 4 + 13), "{threads} threads");
+            let mut seen = log.lock().unwrap().clone();
+            seen.dedup();
+            if threads <= 1 {
+                assert_eq!(seen, [me], "{threads} threads: no helper");
+            } else {
+                assert_eq!(seen.len(), 1, "{threads} threads: one helper");
+                assert_ne!(seen[0], me, "{threads} threads: the helper decodes");
+            }
+        }
+    }
+
+    #[test]
+    fn prefetch_holds_at_most_four_batches_behind_a_slow_consumer() {
+        let (rows, made) = decode_ahead_of(Traced::new(20 * PREFETCH_ROWS), |s| {
+            let mut n = 0usize;
+            while let Some(row) = s.next_row() {
+                row.expect("a row");
+                n += 1;
+                if n.is_multiple_of(PREFETCH_ROWS) {
+                    std::thread::sleep(std::time::Duration::from_millis(2));
+                }
+            }
+            n
+        });
+        assert_eq!(rows, 20 * PREFETCH_ROWS);
+        assert!((1..=PREFETCH_DEPTH + 2).contains(&made), "{made} batches");
+    }
+
+    #[test]
+    fn prefetch_stops_the_helper_when_the_consumer_quits() {
+        let (first, made) = decode_ahead_of(Traced::new(50 * PREFETCH_ROWS), |s| {
+            s.next_row().expect("a row").expect("not an error")
+        });
+        assert_eq!(first.status, 200);
+        assert!(made <= PREFETCH_DEPTH + 2, "{made} batches");
     }
 
     #[test]

@@ -11,6 +11,7 @@ use botscope_weblog::merge::{merge_runs, MergeRun};
 use botscope_weblog::record::AccessRecord;
 use botscope_weblog::session::Session;
 use botscope_weblog::sink::{CsvSink, JsonlSink, RowSink, TableSink};
+use botscope_weblog::stream::{prefetch, CsvRowStream, RowStream, PREFETCH_ROWS};
 use botscope_weblog::summary::DatasetSummary;
 use botscope_weblog::table::{LogTable, RecordRow};
 use botscope_weblog::time::{Iso8601Writer, Timestamp};
@@ -928,6 +929,125 @@ proptest! {
     #[test]
     fn sort_canonical_matches_stable_sort_oracle_across_buckets(records in bucketed_sort_case()) {
         check_sort_against_stable_sort(records);
+    }
+}
+
+/// What a consumer observes of a stream: each row as it arrives, both
+/// raw and resolved against the interner of that moment, the first
+/// error, and the final interner in id order. The stream must fuse.
+type Observed = (Vec<RecordRow>, Vec<AccessRecord>, Option<String>, Vec<String>);
+
+fn observe(stream: &mut dyn RowStream) -> Observed {
+    let (mut rows, mut records, mut error) = (Vec::new(), Vec::new(), None);
+    while let Some(row) = stream.next_row() {
+        match row {
+            Ok(row) => {
+                let i = stream.interner();
+                records.push(AccessRecord {
+                    useragent: i.resolve(row.useragent).to_string(),
+                    timestamp: row.timestamp,
+                    ip_hash: row.ip_hash,
+                    asn: i.resolve(row.asn).to_string(),
+                    sitename: i.resolve(row.sitename).to_string(),
+                    uri_path: i.resolve(row.uri_path).to_string(),
+                    status: row.status,
+                    bytes: row.bytes,
+                    referer: row.referer.map(|s| i.resolve(s).to_string()),
+                });
+                rows.push(row);
+            }
+            Err(e) => {
+                error = Some(e.to_string());
+                break;
+            }
+        }
+    }
+    assert!(stream.next_row().is_none(), "the stream fuses");
+    let strings = stream.interner().iter().map(|(_, s)| s.to_string()).collect();
+    (rows, records, error, strings)
+}
+
+/// `bytes` as a BSCL or CSV stream, drained directly and through
+/// `prefetch` at 1 and 2 threads: all three must observe the same.
+fn check_prefetch(bytes: &[u8]) {
+    if bytes.starts_with(&colfmt::MAGIC) {
+        check_prefetch_of(|| colfmt::BinReader::new(bytes).ok());
+    } else {
+        check_prefetch_of(|| CsvRowStream::new(bytes).ok());
+    }
+}
+
+fn check_prefetch_of<S: RowStream + Send>(open: impl Fn() -> Option<S>) {
+    let Some(mut direct) = open() else { return };
+    let expect = observe(&mut direct);
+    for threads in [1, 2] {
+        let got = prefetch(open().expect("opens as before"), threads, observe);
+        assert!(got == expect, "{threads} threads: {:?} vs {:?}", got.2, expect.2);
+    }
+}
+
+/// `records` as a BSCL stream with a dictionary page before every
+/// `page_rows` rows, or as CSV; then truncated at or flipped at `at`.
+fn prefetch_case(
+    records: &[AccessRecord],
+    bin: bool,
+    page_rows: usize,
+    cut: u8,
+    at: usize,
+) -> Vec<u8> {
+    let table = LogTable::from_records(records);
+    let mut bytes = if bin {
+        let mut sink =
+            colfmt::BinSink::new(Vec::new()).expect("bin sink").with_page_rows(page_rows);
+        feed(&mut sink, &table);
+        sink.into_inner()
+    } else {
+        csv_text(records).into_bytes()
+    };
+    let at = at % (bytes.len() + 1);
+    match cut {
+        1 => bytes.truncate(at),
+        2 if at < bytes.len() => bytes[at] ^= 0x5A,
+        _ => {}
+    }
+    bytes
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn prefetch_matches_direct_drain(
+        records in prop::collection::vec(record_strategy(), 0..40),
+        bin in any::<bool>(),
+        page_rows in 1usize..9,
+        cut in 0u8..3,
+        at in any::<usize>(),
+    ) {
+        check_prefetch(&prefetch_case(&records, bin, page_rows, cut, at));
+    }
+}
+
+proptest! {
+    // Each case streams several prefetch batches.
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn prefetch_matches_direct_drain_across_batches(
+        seed in prop::collection::vec(record_strategy(), 1..4),
+        n in 0..3 * PREFETCH_ROWS,
+        bin in any::<bool>(),
+        cut in 0u8..3,
+        at in any::<usize>(),
+    ) {
+        // New paths keep arriving, so later batches carry new strings.
+        let records: Vec<AccessRecord> = (0..n)
+            .map(|i| AccessRecord {
+                uri_path: format!("/p/{}", i % 5_000),
+                ..seed[i % seed.len()].clone()
+            })
+            .collect();
+        check_prefetch(&prefetch_case(&records, bin, 1_000, cut, at));
     }
 }
 

@@ -153,8 +153,10 @@ ENVIRONMENT:
   BOTSCOPE_THREADS
       Worker threads for log generation (simulate), the monitor's
       event-queue shards (monitor) and attribution (simulate
-      --coupled). The k-way merges (simulate --stream, monitor) and
-      the §4 analysis are serial. Defaults to the machine's
+      --coupled). At 2 or more, `analyze --phase-report` decodes a
+      BSCL log on one helper thread ahead of the §4 analysis. The
+      k-way merges (simulate --stream, monitor) and the §4 analysis
+      itself are serial. Defaults to the machine's
       available parallelism; the output is byte-identical for a fixed
       seed at any thread count.
 ";
@@ -661,8 +663,8 @@ fn audit_estate(p: &Parsed) -> Result<(), String> {
     report.verdict().map_err(pipeline_error)
 }
 
-/// Read buffer for `analyze`'s input file: large enough that the decoders
-/// make few `read` calls on a multi-megabyte log.
+/// Read buffer for `analyze`'s input, a file or stdin: large enough that
+/// the decoders make few `read` calls on a multi-megabyte log.
 const ANALYZE_READ_BUFFER: usize = 64 * 1024;
 
 fn cmd_analyze(p: &Parsed) -> Result<(), String> {
@@ -676,13 +678,14 @@ fn cmd_analyze(p: &Parsed) -> Result<(), String> {
         (true, false) => AnalyzeMode::PhaseReport,
         (true, true) => AnalyzeMode::PhaseReportTable,
     };
-    let reader: Box<dyn std::io::BufRead> = if file == "-" {
-        Box::new(std::io::stdin().lock())
+    // Not a `StdinLock`: the reader may move to a decode thread.
+    let input: Box<dyn std::io::Read + Send> = if file == "-" {
+        Box::new(std::io::stdin())
     } else {
-        let f = std::fs::File::open(file).map_err(|e| format!("cannot read {file}: {e}"))?;
-        Box::new(std::io::BufReader::with_capacity(ANALYZE_READ_BUFFER, f))
+        Box::new(std::fs::File::open(file).map_err(|e| format!("cannot read {file}: {e}"))?)
     };
-    let report = pipelines::analyze(reader, mode).map_err(|e| match e {
+    let reader = std::io::BufReader::with_capacity(ANALYZE_READ_BUFFER, input);
+    let report = pipelines::analyze(reader, mode, worker_threads()).map_err(|e| match e {
         pipelines::Error::Read(e) => format!("cannot read {file}: {e}"),
         e => pipeline_error(e),
     })?;

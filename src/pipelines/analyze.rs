@@ -4,13 +4,14 @@ use std::fmt::Write as _;
 use std::io::BufRead;
 
 use botscope_core::analyze::Experiment;
-use botscope_core::pipeline::tally_bots;
+use botscope_core::pipeline::{tally_bots, BotTallies};
 use botscope_core::report;
 use botscope_core::spoofdetect::{DOMINANCE_THRESHOLD, MIN_DETECT_REQUESTS};
 use botscope_study::phase_study_schedule;
+use botscope_weblog::codec::{self, DecodeError};
 use botscope_weblog::colfmt::{self, BinReader};
-use botscope_weblog::stream::CsvRowStream;
-use botscope_weblog::{codec, LogTable, RowStream};
+use botscope_weblog::stream::{prefetch, CsvRowStream};
+use botscope_weblog::{LogTable, RowStream, StringInterner};
 
 use super::Error;
 
@@ -30,26 +31,89 @@ pub enum AnalyzeMode {
 
 /// `botscope analyze`: read a CSV or `BSCL` log (told apart by the
 /// binary magic) from `input` and return the report.
-pub fn analyze<R: BufRead>(mut input: R, mode: AnalyzeMode) -> Result<String, Error> {
+///
+/// `--phase-report` on a `BSCL` log decodes on a helper thread ahead of
+/// the fold when `threads` ≥ 2 ([`prefetch`]); every other mode, and the
+/// streamed CSV, whose decoding is itself the slow stage, run on the
+/// calling thread. The report is the same at any `threads`. The phases
+/// `analyze_decode` (where decoding runs apart from the fold: on the
+/// helper, or before the fold of a materialized log), `analyze_fold` and
+/// `analyze_render` go to the run manifest.
+pub fn analyze<R: BufRead + Send>(
+    mut input: R,
+    mode: AnalyzeMode,
+    threads: usize,
+) -> Result<String, Error> {
+    let obs = botscope_obs::global();
     let binary = input.fill_buf().map_err(Error::Read)?.starts_with(&colfmt::MAGIC);
-    let exp = if mode == AnalyzeMode::PhaseReport {
-        let mut rows: Box<dyn RowStream + '_> = if binary {
-            Box::new(BinReader::new(input)?)
-        } else {
-            Box::new(CsvRowStream::new(input)?)
-        };
-        Experiment::analyze_stream(&mut *rows, &phase_study_schedule())?
-    } else {
-        // Decode straight into the interned table, so a multi-GB log
-        // never needs a full in-memory copy of its text or its strings.
-        let table =
-            if binary { colfmt::read_table(input)? } else { codec::decode_table_read(input)? };
-        if mode == AnalyzeMode::Plain {
-            return Ok(plain_report(&table));
-        }
-        Experiment::analyze_table(&table, &phase_study_schedule())
+    let schedule = phase_study_schedule();
+    let fold = |rows: &mut dyn RowStream| {
+        let _phase = obs.phase("analyze_fold");
+        Experiment::analyze_stream(rows, &schedule)
     };
+    let exp = match mode {
+        AnalyzeMode::PhaseReport if binary => {
+            prefetch(DecodePhase::new(BinReader::new(input)?), threads, fold)?
+        }
+        AnalyzeMode::PhaseReport => fold(&mut CsvRowStream::new(input)?)?,
+        AnalyzeMode::Plain | AnalyzeMode::PhaseReportTable => {
+            // Decode straight into the interned table, so a multi-GB log
+            // never needs a full in-memory copy of its text or its strings.
+            let table = {
+                let _phase = obs.phase("analyze_decode");
+                if binary {
+                    colfmt::read_table(input)?
+                } else {
+                    codec::decode_table_read(input)?
+                }
+            };
+            let _phase = obs.phase("analyze_fold");
+            if mode == AnalyzeMode::Plain {
+                let tallies = tally_bots(&table);
+                drop(_phase);
+                let _phase = obs.phase("analyze_render");
+                return Ok(plain_report(&table, &tallies));
+            }
+            Experiment::analyze_table(&table, &schedule)
+        }
+    };
+    let _phase = obs.phase("analyze_render");
     Ok(phase_report_text(&exp))
+}
+
+/// A row stream that records the wall time of its drain, first row to
+/// end, as the `analyze_decode` phase, but only when a thread other than
+/// the one that made it drains it: the time of a decode thread.
+struct DecodePhase<S> {
+    rows: S,
+    /// The maker's thread, until the first row is asked for.
+    made_on: Option<std::thread::ThreadId>,
+    span: Option<botscope_obs::PhaseSpan<'static>>,
+}
+
+impl<S> DecodePhase<S> {
+    fn new(rows: S) -> DecodePhase<S> {
+        DecodePhase { rows, made_on: Some(std::thread::current().id()), span: None }
+    }
+}
+
+impl<S: RowStream> RowStream for DecodePhase<S> {
+    fn next_row(&mut self) -> Option<Result<botscope_weblog::RecordRow, DecodeError>> {
+        if let Some(made_on) = self.made_on.take() {
+            if std::thread::current().id() != made_on {
+                self.span = Some(botscope_obs::global().phase("analyze_decode"));
+            }
+        }
+        let row = self.rows.next_row();
+        if !matches!(row, Some(Ok(_))) {
+            self.span = None;
+        }
+        row
+    }
+
+    fn interner(&self) -> &StringInterner {
+        self.rows.interner()
+    }
 }
 
 /// The phase-study report (Tables 4/5/6/7/9/10, Figure 9 both ways): a
@@ -78,8 +142,7 @@ pub fn phase_report_text(exp: &Experiment) -> String {
 
 /// Plain `analyze`: record counts, each known bot's share of accesses
 /// paced ≥ 30 s, and the §5.2 spoofing findings.
-fn plain_report(table: &LogTable) -> String {
-    let tallies = tally_bots(table);
+fn plain_report(table: &LogTable, tallies: &BotTallies) -> String {
     let spoof = tallies.spoof_report(DOMINANCE_THRESHOLD, MIN_DETECT_REQUESTS);
     let mut r = String::new();
     let _ = writeln!(r, "{} records", table.len());

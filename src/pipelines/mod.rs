@@ -28,7 +28,7 @@
 //! let cfg = SimConfig { days: 1, scale: 0.02, seed: 42, ..SimConfig::default() };
 //! let mut log = Vec::new();
 //! let rows = pipelines::simulate(&cfg, Study::Estate, false, LogFormat::Csv, 2, &mut log)?;
-//! let report = pipelines::analyze(&log[..], AnalyzeMode::Plain)?;
+//! let report = pipelines::analyze(&log[..], AnalyzeMode::Plain, 2)?;
 //! assert!(report.starts_with(&format!("{rows} records\n")));
 //! # Ok::<(), pipelines::Error>(())
 //! ```

@@ -719,6 +719,41 @@ fn monitor_manifest_lists_its_stages() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// `analyze --manifest` splits the phase report into decode, fold and
+/// render; at 2 threads a BSCL log decodes on its own thread. The report
+/// is the same with and without the manifest, and at 1 thread.
+#[test]
+fn analyze_manifest_lists_decode_fold_and_render() {
+    let dir = empty_dir("analyze-phases");
+    let simulate = ["simulate", "7", "0.02", "log.bin", "42", "--phase-study", "--format", "bin"];
+    assert!(botscope_in(&dir, &simulate).status.success());
+    let analyze = |threads: &str, extra: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_botscope"))
+            .current_dir(&dir)
+            .args([&["analyze", "--phase-report", "log.bin"], extra].concat())
+            .env("BOTSCOPE_THREADS", threads)
+            .output()
+            .expect("binary runs");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        out.stdout
+    };
+    let plain = analyze("1", &[]);
+    assert!(String::from_utf8_lossy(&plain).contains("Table 4."));
+    for threads in ["1", "2"] {
+        let report = analyze(threads, &["--manifest", "run.manifest"]);
+        assert!(report == plain, "{threads} threads: --manifest changed the report");
+        let manifest = std::fs::read_to_string(dir.join("run.manifest")).expect("manifest written");
+        let phases = manifest.lines().find(|l| l.contains("\"phases\"")).expect("phases line");
+        for phase in ["analyze_fold", "analyze_render"] {
+            assert!(phases.contains(&format!("[\"{phase}\", ")), "{phase} missing: {phases}");
+        }
+        // Decoding is a phase of its own only on a decode thread.
+        let decode = phases.contains("[\"analyze_decode\", ");
+        assert_eq!(decode, threads == "2", "{threads} threads: {phases}");
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 #[test]
 fn simulate_stream_matches_materialized_at_any_worker_count() {
     let run = |threads: &str, extra: &[&str]| {

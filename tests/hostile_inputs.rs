@@ -1,8 +1,10 @@
 //! Hostile input at the pipeline boundary: truncated, byte-flipped and
-//! spliced logs through `pipelines::analyze` in all three modes, and
-//! mutated robots.txt files through the `botscope check` and `audit`
-//! binary. Every case must succeed or fail with exactly one error line
-//! (one stderr line and exit 1 for the binary), never panic.
+//! spliced logs through `pipelines::analyze` in all three modes at one
+//! and two threads, and mutated robots.txt files through the `botscope
+//! check` and `audit` binary. Every case must succeed or fail with
+//! exactly one error line (one stderr line and exit 1 for the binary),
+//! never panic, and a log must give the same report or the same error
+//! at either thread count.
 
 use std::process::Command;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -101,11 +103,18 @@ proptest! {
         let (log, other) = if which == 0 { (csv, bin) } else { (bin, csv) };
         let log = mutate(log, other, kind, at, byte);
         for mode in MODES {
-            if let Err(e) = pipelines::analyze(&log[..], mode) {
+            let serial = pipelines::analyze(&log[..], mode, 1);
+            if let Err(e) = &serial {
                 let message = e.to_string();
                 prop_assert!(matches!(e, Error::Invalid(_)), "{mode:?}: {message}");
                 prop_assert!(!message.is_empty() && !message.contains('\n'), "{mode:?}: {message:?}");
             }
+            let decoded_ahead = pipelines::analyze(&log[..], mode, 2);
+            prop_assert_eq!(
+                serial.map_err(|e| e.to_string()),
+                decoded_ahead.map_err(|e| e.to_string()),
+                "{:?} at 1 and 2 threads", mode
+            );
         }
     }
 
@@ -129,7 +138,7 @@ proptest! {
 fn unmodified_inputs_pass() {
     for log in logs() {
         for mode in MODES {
-            pipelines::analyze(&log[..], mode).expect("an unmodified log analyzes");
+            pipelines::analyze(&log[..], mode, 2).expect("an unmodified log analyzes");
         }
     }
     for body in robots_fixtures() {

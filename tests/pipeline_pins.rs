@@ -27,8 +27,14 @@ fn simulate(study: Study, stream: bool, format: LogFormat, threads: usize) -> Ve
     out
 }
 
+/// The report of `log`, which must be the same at 1, 2 and 8 threads.
 fn analyze(log: &[u8], mode: AnalyzeMode) -> String {
-    pipelines::analyze(log, mode).expect("the log analyzes")
+    let report = pipelines::analyze(log, mode, 1).expect("the log analyzes");
+    for threads in [2, 8] {
+        let again = pipelines::analyze(log, mode, threads).expect("the log analyzes");
+        assert!(again == report, "{mode:?} differs at {threads} threads");
+    }
+    report
 }
 
 /// The CSV's header, then its data lines in a fixed scrambled order.
@@ -85,8 +91,52 @@ fn phase_and_plain_reports_are_pinned_on_sorted_and_shuffled_logs() {
         assert_eq!(sha256_hex(report.as_bytes()), PLAIN_REPORT, "plain analyze, {what}");
     }
     // The streamed engine rejects the shuffled log instead of guessing.
-    let err = pipelines::analyze(&scrambled[..], AnalyzeMode::PhaseReport).unwrap_err();
-    assert!(err.to_string().contains("is earlier than the row before it"), "{err}");
+    for threads in [1, 2] {
+        let err =
+            pipelines::analyze(&scrambled[..], AnalyzeMode::PhaseReport, threads).unwrap_err();
+        assert!(err.to_string().contains("is earlier than the row before it"), "{err}");
+    }
+}
+
+/// A log reader that notes every thread that reads from it.
+struct ThreadLog<'a> {
+    bytes: &'a [u8],
+    readers: Vec<std::thread::ThreadId>,
+}
+
+impl std::io::Read for ThreadLog<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.readers.push(std::thread::current().id());
+        self.bytes.read(buf)
+    }
+}
+
+impl std::io::BufRead for ThreadLog<'_> {
+    fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
+        self.readers.push(std::thread::current().id());
+        Ok(self.bytes)
+    }
+
+    fn consume(&mut self, n: usize) {
+        self.bytes = &self.bytes[n..];
+    }
+}
+
+/// At 1 thread the phase report reads its BSCL log on the calling thread
+/// only; from 2 threads on, past the header, on exactly one helper.
+#[test]
+fn phase_report_decodes_bscl_on_one_helper_from_two_threads() {
+    let log = simulate(Study::Phase, true, LogFormat::Bin, 2);
+    let me = std::thread::current().id();
+    for threads in [1, 2, 8] {
+        let mut reader = ThreadLog { bytes: &log, readers: Vec::new() };
+        let report = pipelines::analyze(&mut reader, AnalyzeMode::PhaseReport, threads)
+            .expect("the log analyzes");
+        assert_eq!(sha256_hex(report.as_bytes()), PHASE_REPORT, "{threads} threads");
+        let mut helpers: Vec<_> = reader.readers.iter().filter(|&&id| id != me).collect();
+        helpers.dedup();
+        assert_eq!(helpers.len(), usize::from(threads > 1), "{threads} threads: {helpers:?}");
+    }
 }
 
 #[test]
