@@ -19,16 +19,18 @@
 //! buckets of a few thousand, then orders each bucket while it sits in
 //! cache, sorting one key per row and moving each row once.
 //! [`simulate_stream_with_threads`] has
-//! each unit spill canonically sorted binary runs to disk and k-way
-//! merges them ([`merge_runs`]) into row sinks. Both deliver the same
+//! each unit spill canonically sorted binary runs into one shared,
+//! already-unlinked spill file and k-way merges them ([`merge_runs`])
+//! into row sinks. Both deliver the same
 //! rows in the same order, byte-identical for a fixed seed no matter how
 //! many workers run ([`worker_threads`] reads `BOTSCOPE_THREADS`,
 //! defaulting to the machine's available parallelism).
 
 use std::collections::BTreeMap;
-use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Write};
-use std::path::PathBuf;
+use std::fs::{File, OpenOptions};
+use std::io::{self, BufReader, Read, Write};
+use std::os::unix::fs::FileExt;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -40,7 +42,7 @@ use botscope_study::{run_indexed, worker_threads, PhaseSchedule, PolicyCorpus, E
 use botscope_weblog::colfmt;
 use botscope_weblog::intern::{StringInterner, Sym};
 use botscope_weblog::iphash::IpHasher;
-use botscope_weblog::sink::RowSink;
+use botscope_weblog::sink::{RowSink, TargetError};
 use botscope_weblog::table::{LogTable, RecordRow};
 use botscope_weblog::time::Timestamp;
 use botscope_weblog::{merge_runs, MergeRun};
@@ -183,14 +185,113 @@ impl<'a> World<'a> {
     }
 }
 
-/// Disk-spill state of a streaming [`ShardWriter`]: where sorted runs
-/// go, and the first write error (surfaced at [`ShardWriter::finish_spill`]
+/// The one spill file of a streamed run, shared by every unit's writer
+/// and every merge reader. It is unlinked as soon as it is created, so
+/// the kernel frees it when the last `Arc` drops: a run that succeeds,
+/// fails, panics or is killed leaves nothing behind. Each run reserves
+/// its exact byte range with one `fetch_add` and is written and read
+/// back with positional I/O, so threads share no file offset and take
+/// no lock. Where a run lands depends on thread timing; nothing else
+/// does.
+struct SpillFile {
+    file: File,
+    /// Where the file was created, for error messages.
+    path: PathBuf,
+    /// Bytes reserved so far.
+    end: AtomicU64,
+}
+
+impl SpillFile {
+    /// Create a uniquely named file in `dir` and unlink it at once. The
+    /// pid plus a process-wide counter (not time or randomness) keep
+    /// concurrent streams apart.
+    fn create(dir: &Path) -> io::Result<Arc<SpillFile>> {
+        static SPILL_COUNTER: AtomicU64 = AtomicU64::new(0);
+        let n = SPILL_COUNTER.fetch_add(1, Ordering::Relaxed);
+        let path = dir.join(format!("botscope-spill-{}-{n}", std::process::id()));
+        let named = |e: io::Error, verb: &str| {
+            TargetError::wrap(&e, format_args!("{verb} spill file {}", path.display()))
+        };
+        let file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create_new(true)
+            .open(&path)
+            .map_err(|e| named(e, "create"))?;
+        std::fs::remove_file(&path).map_err(|e| named(e, "unlink"))?;
+        Ok(Arc::new(SpillFile { file, path, end: AtomicU64::new(0) }))
+    }
+
+    /// Write `run` as BSCL ([`colfmt::write_table`]) into a freshly
+    /// reserved range and return that range.
+    fn write_run(self: &Arc<SpillFile>, run: &LogTable) -> io::Result<SpillRange> {
+        let len = colfmt::table_bytes(run);
+        // Relaxed: the counter only hands out disjoint ranges; the merge
+        // reads them after `generate` has joined every writer.
+        let start = self.end.fetch_add(len, Ordering::Relaxed);
+        let mut range = SpillRange { spill: Arc::clone(self), pos: start, end: start + len };
+        colfmt::write_table(&mut range, run).map_err(|e| {
+            TargetError::wrap(&e, format_args!("write spill file {}", self.path.display()))
+        })?;
+        if range.pos != range.end {
+            return Err(io::Error::other(format!(
+                "spill run wrote {} bytes into a range of {len}",
+                range.pos - start
+            )));
+        }
+        Ok(SpillRange { pos: start, ..range })
+    }
+}
+
+/// A byte range of the [`SpillFile`] with a cursor: written by the run
+/// that reserved it, then read back by one merge run. Neither direction
+/// can cross `end`, so a run never touches its neighbours' bytes.
+struct SpillRange {
+    spill: Arc<SpillFile>,
+    pos: u64,
+    end: u64,
+}
+
+impl SpillRange {
+    fn left(&self, want: usize) -> usize {
+        want.min(usize::try_from(self.end - self.pos).unwrap_or(usize::MAX))
+    }
+}
+
+impl Write for SpillRange {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        if self.left(buf.len()) < buf.len() {
+            return Err(io::Error::other("spill run overflows its reserved range"));
+        }
+        let n = self.spill.file.write_at(buf, self.pos)?;
+        self.pos += n as u64;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+impl Read for SpillRange {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let want = self.left(buf.len());
+        let n = self.spill.file.read_at(&mut buf[..want], self.pos).map_err(|e| {
+            TargetError::wrap(&e, format_args!("read spill file {}", self.spill.path.display()))
+        })?;
+        self.pos += n as u64;
+        Ok(n)
+    }
+}
+
+/// Disk-spill state of a streaming [`ShardWriter`]: the shared spill
+/// file, the ranges of this unit's runs in emission order, and the
+/// first write error (surfaced at [`ShardWriter::finish_spill`]
 /// because the emit path is infallible by design).
 struct SpillState {
-    dir: PathBuf,
-    unit: usize,
+    file: Arc<SpillFile>,
     rows_per_run: usize,
-    paths: Vec<PathBuf>,
+    runs: Vec<SpillRange>,
     err: Option<io::Error>,
 }
 
@@ -211,25 +312,20 @@ impl ShardWriter {
         ShardWriter { table, robots_path, site_syms, spill: None }
     }
 
-    /// A writer that spills every `rows_per_run` rows to a canonically
-    /// sorted binary run file under `dir`, keeping memory bounded by one
-    /// run plus the unit's dictionary.
-    fn new_spilling(
-        world: &World<'_>,
-        dir: PathBuf,
-        unit: usize,
-        rows_per_run: usize,
-    ) -> ShardWriter {
+    /// A writer that spills every `rows_per_run` rows as a canonically
+    /// sorted binary run into `file`, keeping memory bounded by one run
+    /// plus the unit's dictionary.
+    fn new_spilling(world: &World<'_>, file: Arc<SpillFile>, rows_per_run: usize) -> ShardWriter {
         assert!(rows_per_run >= 1, "rows_per_run must be positive");
         let mut writer = ShardWriter::new(world);
-        writer.spill = Some(SpillState { dir, unit, rows_per_run, paths: Vec::new(), err: None });
+        writer.spill = Some(SpillState { file, rows_per_run, runs: Vec::new(), err: None });
         writer
     }
 
     /// Sort the buffered rows canonically and write them as one binary
-    /// run file. The interner survives intact: the generators hold
-    /// [`Sym`]s (unit UA/ASN, site names, referer templates) across the
-    /// whole unit, so only the rows may drain.
+    /// run into the spill file. The interner survives intact: the
+    /// generators hold [`Sym`]s (unit UA/ASN, site names, referer
+    /// templates) across the whole unit, so only the rows may drain.
     fn flush_run(&mut self) {
         let spill = match self.spill.as_mut() {
             Some(spill) if spill.err.is_none() && !self.table.is_empty() => spill,
@@ -237,14 +333,8 @@ impl ShardWriter {
         };
         let mut run = std::mem::take(&mut self.table);
         run.sort_canonical();
-        let path = spill.dir.join(format!("unit{:04}-run{:05}.bin", spill.unit, spill.paths.len()));
-        let result = File::create(&path).and_then(|file| {
-            let mut w = BufWriter::new(file);
-            colfmt::write_table(&mut w, &run)?;
-            w.flush()
-        });
-        match result {
-            Ok(()) => spill.paths.push(path),
+        match spill.file.write_run(&run) {
+            Ok(range) => spill.runs.push(range),
             Err(e) => spill.err = Some(e),
         }
         let (interner, mut rows) = run.into_parts();
@@ -253,16 +343,16 @@ impl ShardWriter {
     }
 
     /// Flush the final run and hand back the unit's full dictionary (an
-    /// append-only superset of every run's) plus the run paths in
+    /// append-only superset of every run's) plus the run ranges in
     /// emission order.
-    fn finish_spill(mut self) -> io::Result<(Arc<StringInterner>, Vec<PathBuf>)> {
+    fn finish_spill(mut self) -> io::Result<(Arc<StringInterner>, Vec<SpillRange>)> {
         self.flush_run();
         let spill = self.spill.take().expect("finish_spill requires a spilling writer");
         if let Some(err) = spill.err {
             return Err(err);
         }
         let (interner, _) = self.table.into_parts();
-        Ok((Arc::new(interner), spill.paths))
+        Ok((Arc::new(interner), spill.runs))
     }
 
     pub(crate) fn site_sym(&self, index: usize) -> Sym {
@@ -422,11 +512,11 @@ pub struct StreamOptions {
     /// The default (2^16 rows ≈ 3 MB of row storage per in-flight
     /// unit) keeps per-worker memory flat at any simulation scale.
     pub rows_per_run: usize,
-    /// Directory for spill files. `None` creates — and afterwards
-    /// removes — a unique directory under the system temp dir. Spill
-    /// files are always deleted after the merge; with an explicit
-    /// directory, cleanup of files from a unit that *failed* mid-write
-    /// is best-effort.
+    /// Directory for the spill file, created if missing. `None` uses
+    /// the system temp dir (`TMPDIR`). The one spill file of a stream
+    /// is unlinked as soon as it is created, so the directory never
+    /// lists it, and its space is freed when the stream ends however
+    /// it ends.
     pub spill_dir: Option<PathBuf>,
 }
 
@@ -438,7 +528,8 @@ impl Default for StreamOptions {
 
 /// The streaming generator's output: what was planted plus how many
 /// rows went through the sinks. The rows themselves never materialize —
-/// they live on disk as sorted runs until the merge streams them out.
+/// they live as sorted runs in one unlinked spill file until the merge
+/// streams them out.
 #[derive(Debug, Clone, Default)]
 pub struct SimStreamOutput {
     /// What was planted.
@@ -449,10 +540,12 @@ pub struct SimStreamOutput {
 
 /// Run the generator straight into row sinks with bounded memory, on
 /// `threads` workers: each unit spills canonically sorted binary runs
-/// to disk, and one serial k-way merge streams the global canonical
-/// order into `sinks` without ever materializing the table. Output
-/// bytes are identical to writing [`simulate_table`]'s result, at any
-/// worker count.
+/// into one spill file, unlinked as soon as it is opened, and one
+/// serial k-way merge reads the runs back by byte range and streams the
+/// global canonical order into `sinks` without ever materializing the
+/// table. Output bytes are identical to writing [`simulate_table`]'s
+/// result, at any worker count. A spill file that cannot be created or
+/// written fails with an error naming it ([`TargetError`]).
 pub fn simulate_stream_with_threads(
     cfg: &SimConfig,
     schedule: &PhaseSchedule,
@@ -464,26 +557,21 @@ pub fn simulate_stream_with_threads(
     cfg.assert_valid();
     assert!(opts.rows_per_run >= 1, "rows_per_run must be positive");
 
-    // Spill directory: the caller's, or a unique one we own and remove.
-    // The counter (not time or randomness) disambiguates concurrent
-    // streams within one process.
-    static SPILL_COUNTER: AtomicU64 = AtomicU64::new(0);
-    let (spill_dir, own_dir) = match &opts.spill_dir {
-        Some(dir) => (dir.clone(), false),
-        None => {
-            let n = SPILL_COUNTER.fetch_add(1, Ordering::Relaxed);
-            let dir =
-                std::env::temp_dir().join(format!("botscope-spill-{}-{n}", std::process::id()));
-            (dir, true)
+    let spill = match &opts.spill_dir {
+        Some(dir) => {
+            std::fs::create_dir_all(dir).map_err(|e| {
+                TargetError::wrap(&e, format_args!("create spill directory {}", dir.display()))
+            })?;
+            SpillFile::create(dir)?
         }
+        None => SpillFile::create(&std::env::temp_dir())?,
     };
-    std::fs::create_dir_all(&spill_dir)?;
 
     let (units, truth) = generate(
         cfg,
         &ScheduleOracle { schedule },
         threads,
-        |world, unit| ShardWriter::new_spilling(world, spill_dir.clone(), unit, opts.rows_per_run),
+        |world, _| ShardWriter::new_spilling(world, Arc::clone(&spill), opts.rows_per_run),
         ShardWriter::finish_spill,
     );
 
@@ -493,18 +581,16 @@ pub fn simulate_stream_with_threads(
     // sort — i.e. to the materialized path.
     let obs = botscope_obs::global();
     let merge_span = obs.phase("simnet_spill_merge");
-    let mut spilled: Vec<PathBuf> = Vec::new();
     let merged: io::Result<u64> = (|| {
         let mut runs: Vec<MergeRun> = Vec::new();
         for unit in units {
-            let (interner, paths) = unit?;
-            spilled.extend(paths.iter().cloned());
-            for path in &paths {
+            let (interner, ranges) = unit?;
+            for range in ranges {
                 // One buffer per run, all open at once: 8 KiB holds 178
                 // rows, and the reader decodes them in place.
-                let reader = BufReader::with_capacity(8 << 10, File::open(path)?);
-                // Raw mode: spill files preserve the unit interner's ids
-                // (`write_table`), so readers need no per-file dictionary
+                let reader = BufReader::with_capacity(8 << 10, range);
+                // Raw mode: spilled runs preserve the unit interner's ids
+                // (`write_table`), so readers need no per-run dictionary
                 // copy — merge memory stays one dictionary per unit, not
                 // one per run.
                 let bin = colfmt::BinReader::new_raw(reader)
@@ -512,20 +598,13 @@ pub fn simulate_stream_with_threads(
                 runs.push(MergeRun::from_sorted_stream(interner.clone(), Box::new(bin)));
             }
         }
+        obs.counter("simnet_spill_runs_total").add(runs.len() as u64);
         // One serial merge: a per-row cross-thread hand-off costs more
         // than the heap work it would spread, so `threads` drives
         // generation only.
         merge_runs(runs, sinks)
     })();
     drop(merge_span);
-    obs.counter("simnet_spill_runs_total").add(spilled.len() as u64);
-    if own_dir {
-        let _ = std::fs::remove_dir_all(&spill_dir);
-    } else {
-        for path in &spilled {
-            let _ = std::fs::remove_file(path);
-        }
-    }
     let rows = merged?;
     obs.counter("simnet_rows_total").add(rows);
     Ok(SimStreamOutput { truth, rows })
@@ -985,6 +1064,95 @@ mod tests {
             assert_eq!(out.truth.behaviors, reference.truth.behaviors);
             assert_eq!(out.truth.exempt, reference.truth.exempt);
         }
+    }
+
+    /// Counts the rows it gets, lists `dir` when the first one arrives,
+    /// and fails at row `fail_at` if set.
+    struct DirProbe {
+        dir: PathBuf,
+        listed: Option<Vec<PathBuf>>,
+        rows: u64,
+        fail_at: Option<u64>,
+    }
+
+    impl RowSink for DirProbe {
+        fn write_row(&mut self, _: &RecordRow, _: &StringInterner) -> io::Result<()> {
+            if self.listed.is_none() {
+                let entries = std::fs::read_dir(&self.dir).unwrap();
+                self.listed = Some(entries.map(|e| e.unwrap().path()).collect());
+            }
+            self.rows += 1;
+            if Some(self.rows) == self.fail_at {
+                return Err(io::Error::other("sink full"));
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn spill_dir_stays_empty_during_the_merge_and_after_a_failed_sink() {
+        let cfg = SimConfig { days: 1, ..small_cfg() };
+        let schedule = base_schedule(&cfg);
+        for threads in [1, 2] {
+            for fail_at in [None, Some(100)] {
+                let dir = std::env::temp_dir().join(format!(
+                    "botscope-spill-probe-{}-{threads}-{}",
+                    std::process::id(),
+                    fail_at.is_some()
+                ));
+                let opts = StreamOptions { rows_per_run: 128, spill_dir: Some(dir.clone()) };
+                let mut probe = DirProbe { dir: dir.clone(), listed: None, rows: 0, fail_at };
+                let out = simulate_stream_with_threads(
+                    &cfg,
+                    &schedule,
+                    threads,
+                    &opts,
+                    &mut [&mut probe as &mut dyn RowSink],
+                );
+                let case = format!("{threads} workers, fail at {fail_at:?}");
+                match fail_at {
+                    None => assert_eq!(out.expect(&case).rows, probe.rows, "{case}"),
+                    Some(at) => {
+                        assert_eq!(out.unwrap_err().to_string(), "sink full", "{case}");
+                        assert_eq!(probe.rows, at, "{case}");
+                    }
+                }
+                assert_eq!(probe.listed, Some(Vec::new()), "{case}: spill file listed mid-merge");
+                let leftovers: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+                assert!(leftovers.is_empty(), "{case}: {leftovers:?}");
+                std::fs::remove_dir(&dir).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn spill_ranges_keep_to_their_reservation() {
+        let spill = SpillFile::create(&std::env::temp_dir()).unwrap();
+        let table = LogTable::from_records(&[botscope_weblog::AccessRecord {
+            useragent: "bot".into(),
+            timestamp: Timestamp::from_unix(1),
+            ip_hash: 1,
+            asn: "AS1".into(),
+            sitename: "site".into(),
+            uri_path: "/".into(),
+            status: 200,
+            bytes: 1,
+            referer: None,
+        }]);
+        let first = spill.write_run(&table).unwrap();
+        let second = spill.write_run(&table).unwrap();
+        assert_eq!((first.pos, first.end), (0, colfmt::table_bytes(&table)));
+        assert_eq!((second.pos, second.end), (first.end, 2 * first.end));
+        // Each range reads back exactly its own run.
+        for range in [first, second] {
+            let back = colfmt::read_table(BufReader::new(range)).unwrap();
+            assert_eq!(back.to_records(), table.to_records());
+        }
+        // A write past the reserved end fails instead of clobbering the
+        // next run.
+        let mut tight = SpillRange { spill: Arc::clone(&spill), pos: 0, end: 4 };
+        assert!(tight.write_all(b"12345").is_err());
+        assert!(tight.write_all(b"1234").is_ok());
     }
 
     #[test]

@@ -84,52 +84,93 @@ fn encode_row(row: &RecordRow, buf: &mut [u8; ROW_BYTES]) {
     buf[44..46].copy_from_slice(&row.status.to_le_bytes());
 }
 
+/// The format header: magic, then version.
+fn header() -> [u8; 8] {
+    let mut header = [0; 8];
+    header[..4].copy_from_slice(&MAGIC);
+    header[4..].copy_from_slice(&VERSION.to_le_bytes());
+    header
+}
+
 /// Append one dictionary entry (length-prefixed UTF-8) to a page body.
 fn push_dict_entry(body: &mut Vec<u8>, s: &str) {
     body.extend_from_slice(&(s.len() as u32).to_le_bytes());
     body.extend_from_slice(s.as_bytes());
 }
 
-/// Write a dictionary page of `count` entries encoded in `body`.
-fn write_dict_page<W: Write>(w: &mut W, count: u32, body: &[u8]) -> io::Result<()> {
-    w.write_all(&[TAG_DICT])?;
-    w.write_all(&count.to_le_bytes())?;
-    w.write_all(body)
+/// Append a dictionary page of `count` entries encoded in `body`.
+fn encode_dict_page(page: &mut Vec<u8>, count: u32, body: &[u8]) {
+    page.push(TAG_DICT);
+    page.extend_from_slice(&count.to_le_bytes());
+    page.extend_from_slice(body);
 }
 
-fn write_row_page<W: Write>(w: &mut W, rows: &[RecordRow]) -> io::Result<()> {
-    w.write_all(&[TAG_ROWS])?;
-    w.write_all(&(rows.len() as u32).to_le_bytes())?;
+/// Append a row page (tag, count, rows) to `page`.
+fn encode_row_page(page: &mut Vec<u8>, rows: &[RecordRow]) {
+    page.reserve(5 + rows.len() * ROW_BYTES);
+    page.push(TAG_ROWS);
+    page.extend_from_slice(&(rows.len() as u32).to_le_bytes());
     let mut buf = [0u8; ROW_BYTES];
     for row in rows {
         encode_row(row, &mut buf);
-        w.write_all(&buf)?;
+        page.extend_from_slice(&buf);
     }
-    Ok(())
+}
+
+/// Hand the encoded `page` to `w` in one write and empty it, even when
+/// the write fails, so a failed page is never sent twice.
+fn write_page<W: Write>(w: &mut W, page: &mut Vec<u8>) -> io::Result<()> {
+    let written = w.write_all(page);
+    page.clear();
+    written
 }
 
 /// Write a whole table: header, one dictionary page covering the full
 /// interner in id order, then the rows (raw symbol ids) in pages of
 /// [`PAGE_ROWS`], then the end marker. Does not flush.
 ///
+/// Each row page reaches `w` as one write (the header and dictionary
+/// ride on the first, the end marker on the last), so an unbuffered
+/// writer costs one system call per page. [`table_bytes`] says how many
+/// bytes this writes.
+///
 /// Because the dictionary is written in id order, a [`BinReader`]
 /// decoding the file rebuilds an interner with **identical** ids — rows
 /// spilled through this path keep their symbols valid against the
 /// writing table's interner (or any append-only extension of it).
 pub fn write_table<W: Write>(w: &mut W, table: &LogTable) -> io::Result<()> {
-    w.write_all(&MAGIC)?;
-    w.write_all(&VERSION.to_le_bytes())?;
-    if !table.interner().is_empty() {
-        let mut body = Vec::new();
-        for (_, s) in table.interner().iter() {
-            push_dict_entry(&mut body, s);
+    let mut page = header().to_vec();
+    let interner = table.interner();
+    if !interner.is_empty() {
+        page.push(TAG_DICT);
+        page.extend_from_slice(&(interner.len() as u32).to_le_bytes());
+        for (_, s) in interner.iter() {
+            push_dict_entry(&mut page, s);
         }
-        write_dict_page(w, table.interner().len() as u32, &body)?;
     }
-    for chunk in table.rows().chunks(PAGE_ROWS) {
-        write_row_page(w, chunk)?;
+    let mut chunks = table.rows().chunks(PAGE_ROWS).peekable();
+    while let Some(chunk) = chunks.next() {
+        encode_row_page(&mut page, chunk);
+        if chunks.peek().is_some() {
+            write_page(w, &mut page)?;
+        }
     }
-    w.write_all(&[TAG_END])
+    page.push(TAG_END);
+    write_page(w, &mut page)
+}
+
+/// The exact number of bytes [`write_table`] writes for `table`, without
+/// encoding it: header, dictionary page, row pages and end marker.
+pub fn table_bytes(table: &LogTable) -> u64 {
+    let interner = table.interner();
+    let dict = if interner.is_empty() {
+        0
+    } else {
+        5 + interner.iter().map(|(_, s)| 4 + s.len() as u64).sum::<u64>()
+    };
+    let rows = table.len() as u64;
+    let pages = rows.div_ceil(PAGE_ROWS as u64);
+    8 + dict + pages * 5 + rows * ROW_BYTES as u64 + 1
 }
 
 /// Streams rows into the binary format, building the file dictionary
@@ -159,6 +200,8 @@ pub struct BinSink<W: Write> {
     dict_page: Vec<u8>,
     dict_page_entries: u32,
     rows: Vec<RecordRow>,
+    /// The next write, encoded; reused from page to page.
+    page: Vec<u8>,
     page_rows: usize,
     finished: bool,
 }
@@ -166,8 +209,7 @@ pub struct BinSink<W: Write> {
 impl<W: Write> BinSink<W> {
     /// Wrap `writer`, emitting the format header immediately.
     pub fn new(mut writer: W) -> io::Result<BinSink<W>> {
-        writer.write_all(&MAGIC)?;
-        writer.write_all(&VERSION.to_le_bytes())?;
+        writer.write_all(&header())?;
         Ok(BinSink {
             writer,
             ids: SymMap::new(),
@@ -175,6 +217,7 @@ impl<W: Write> BinSink<W> {
             dict_page: Vec::new(),
             dict_page_entries: 0,
             rows: Vec::new(),
+            page: Vec::new(),
             page_rows: PAGE_ROWS,
             finished: false,
         })
@@ -194,17 +237,22 @@ impl<W: Write> BinSink<W> {
         self.writer
     }
 
-    fn flush_page(&mut self) -> io::Result<()> {
+    /// Write the pending dictionary entries and rows as one page, with
+    /// the end marker after them when `end`.
+    fn flush_page(&mut self, end: bool) -> io::Result<()> {
         if self.dict_page_entries > 0 {
-            write_dict_page(&mut self.writer, self.dict_page_entries, &self.dict_page)?;
+            encode_dict_page(&mut self.page, self.dict_page_entries, &self.dict_page);
             self.dict_page.clear();
             self.dict_page_entries = 0;
         }
         if !self.rows.is_empty() {
-            write_row_page(&mut self.writer, &self.rows)?;
+            encode_row_page(&mut self.page, &self.rows);
             self.rows.clear();
         }
-        Ok(())
+        if end {
+            self.page.push(TAG_END);
+        }
+        write_page(&mut self.writer, &mut self.page)
     }
 }
 
@@ -221,15 +269,14 @@ impl<W: Write> RowSink for BinSink<W> {
         });
         self.rows.push(row);
         if self.rows.len() >= self.page_rows {
-            self.flush_page()?;
+            self.flush_page(false)?;
         }
         Ok(())
     }
 
     fn finish(&mut self) -> io::Result<()> {
         if !self.finished {
-            self.flush_page()?;
-            self.writer.write_all(&[TAG_END])?;
+            self.flush_page(true)?;
             self.finished = true;
         }
         self.writer.flush()
@@ -616,6 +663,92 @@ mod tests {
         assert_eq!(bytes.len(), 9); // magic + version + end tag
         let back = read_table(&bytes[..]).unwrap();
         assert!(back.is_empty());
+    }
+
+    /// `n` rows over five user agents, optionally with referers
+    /// and multi-byte strings.
+    fn varied_table(n: usize, referers: bool, multibyte: bool) -> LogTable {
+        let ua = if multibyte { "bøt-ü/ツ" } else { "bot" };
+        let records: Vec<AccessRecord> = (0..n as u64)
+            .map(|i| AccessRecord {
+                useragent: format!("{ua}{}", i % 5),
+                uri_path: if multibyte { format!("/ページ/{i}") } else { format!("/p/{i}") },
+                referer: (referers && i % 3 == 0).then(|| format!("https://réf.example/{}", i % 7)),
+                ..sample(i)
+            })
+            .collect();
+        LogTable::from_records(&records)
+    }
+
+    #[test]
+    fn table_bytes_is_what_write_table_writes() {
+        let mut strings_only = LogTable::new();
+        strings_only.intern("défini mais jamais référencé");
+        strings_only.intern("");
+        let mut tables =
+            vec![("empty".to_string(), LogTable::new()), ("strings only".into(), strings_only)];
+        for n in [1, PAGE_ROWS, PAGE_ROWS + 1] {
+            for referers in [false, true] {
+                for multibyte in [false, true] {
+                    let name = format!("{n} rows, referers {referers}, multibyte {multibyte}");
+                    tables.push((name, varied_table(n, referers, multibyte)));
+                }
+            }
+        }
+        for (name, table) in &tables {
+            let mut bytes = Vec::new();
+            write_table(&mut bytes, table).unwrap();
+            assert_eq!(table_bytes(table), bytes.len() as u64, "{name}");
+        }
+    }
+
+    /// A writer that records every write it is handed.
+    #[derive(Default)]
+    struct Recorder {
+        writes: Vec<usize>,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for Recorder {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.len());
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn writers_hand_over_whole_pages() {
+        let full_page = 5 + PAGE_ROWS * ROW_BYTES;
+        let table = varied_table(2 * PAGE_ROWS + 100, true, true);
+        let mut whole = Vec::new();
+        write_table(&mut whole, &table).unwrap();
+
+        // write_table: one write per row page; the header and dictionary
+        // ride on the first, the end marker on the last.
+        let mut recorder = Recorder::default();
+        write_table(&mut recorder, &table).unwrap();
+        assert_eq!(recorder.bytes, whole);
+        assert_eq!(recorder.writes.len(), 3, "{:?}", recorder.writes);
+        let last = recorder.writes.len() - 1;
+        assert!(recorder.writes[..last].iter().all(|&n| n >= full_page), "{:?}", recorder.writes);
+
+        // BinSink: the header at creation, then one write per page.
+        let mut sink = BinSink::new(Recorder::default()).unwrap();
+        for row in table.rows() {
+            sink.write_row(row, table.interner()).unwrap();
+        }
+        sink.finish().unwrap();
+        let recorder = sink.into_inner();
+        assert_eq!(read_table(&recorder.bytes[..]).unwrap().to_records(), table.to_records());
+        let (header, pages) = recorder.writes.split_at(1);
+        assert_eq!(header, [8]);
+        assert_eq!(pages.len(), 3, "{:?}", recorder.writes);
+        let last = pages.len() - 1;
+        assert!(pages[..last].iter().all(|&n| n >= full_page), "{:?}", recorder.writes);
     }
 
     #[test]

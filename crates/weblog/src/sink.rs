@@ -39,6 +39,33 @@ pub trait RowSink {
     }
 }
 
+/// The payload of an I/O error that already names its target, worded
+/// `cannot <verb> <target>: <cause>` (`cannot write stdout: …`,
+/// `cannot create spill file …: …`), so a caller reports it without
+/// adding a context of its own.
+#[derive(Debug)]
+pub struct TargetError(String);
+
+impl TargetError {
+    /// `e`'s kind with the message `cannot <what>: <e>`.
+    pub fn wrap(e: &io::Error, what: impl std::fmt::Display) -> io::Error {
+        io::Error::new(e.kind(), TargetError(format!("cannot {what}: {e}")))
+    }
+
+    /// Whether `e` already names its target.
+    pub fn names_target(e: &io::Error) -> bool {
+        matches!(e.get_ref(), Some(inner) if inner.is::<TargetError>())
+    }
+}
+
+impl std::fmt::Display for TargetError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for TargetError {}
+
 /// Encoded lines waiting to go out; handed to the writer in blocks of
 /// at least [`BLOCK_BYTES`].
 struct Blocks<W: Write> {

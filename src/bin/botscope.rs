@@ -26,6 +26,7 @@ use botscope::robots::diff::{diff, summarize};
 use botscope::robots::{CompiledPolicy, RobotsTxt};
 use botscope::simnet::SimConfig;
 use botscope::study::worker_threads;
+use botscope::weblog::sink::TargetError;
 
 const USAGE: &str = "botscope — robots.txt compliance toolkit
 
@@ -721,22 +722,10 @@ fn print_report(report: &str, data_on_stdout: bool) -> Result<(), String> {
     }
 }
 
-/// An I/O error of a data writer, worded `cannot write <target>: <cause>`.
-#[derive(Debug)]
-struct TargetError(String);
-
-impl std::fmt::Display for TargetError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
-impl std::error::Error for TargetError {}
-
 /// The one-line message for an I/O error: a [`TargetError`] names its
 /// target itself; any other error is prefixed with `context`.
 fn write_error(e: std::io::Error, context: &str) -> String {
-    if e.get_ref().is_some_and(|inner| inner.is::<TargetError>()) {
+    if TargetError::names_target(&e) {
         e.to_string()
     } else {
         format!("{context}: {e}")
@@ -765,7 +754,7 @@ struct OutputWriter {
 
 impl OutputWriter {
     fn tag(&self, e: std::io::Error) -> std::io::Error {
-        std::io::Error::new(e.kind(), TargetError(format!("cannot write {}: {e}", self.target)))
+        TargetError::wrap(&e, format_args!("write {}", self.target))
     }
 }
 

@@ -442,16 +442,30 @@ fn analyze_reports_malformed_csv_in_one_line_on_every_path() {
 
 /// Run `botscope args` with its stdout piped to a reader that is closed
 /// before the child writes anything; returns the exit code and stderr.
+/// The child gets a fresh `TMPDIR`, which must end empty: a failed
+/// streamed simulate leaves no spill file behind.
 fn run_into_closed_stdout(args: &[&str]) -> (Option<i32>, String) {
     use std::process::Stdio;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    static RUNS: AtomicUsize = AtomicUsize::new(0);
+    let tmpdir = std::env::temp_dir().join(format!(
+        "botscope-test-{}-epipe-tmp-{}",
+        std::process::id(),
+        RUNS.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::create_dir_all(&tmpdir).unwrap();
     let mut child = Command::new(env!("CARGO_BIN_EXE_botscope"))
         .args(args)
+        .env("TMPDIR", &tmpdir)
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
         .expect("binary runs");
     drop(child.stdout.take());
     let out = child.wait_with_output().expect("binary exits");
+    let leftovers: Vec<_> = std::fs::read_dir(&tmpdir).unwrap().collect();
+    assert!(leftovers.is_empty(), "{args:?} left in TMPDIR: {leftovers:?}");
+    std::fs::remove_dir(&tmpdir).unwrap();
     (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
 }
 
@@ -477,6 +491,24 @@ fn report_commands_fail_cleanly_on_a_closed_stdout() {
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
     let _ = std::fs::remove_file(csv);
+}
+
+#[test]
+fn streamed_simulate_names_an_unusable_spill_file() {
+    // TMPDIR is a regular file, so no spill file can be created in it.
+    let not_a_dir = write_temp("tmpdir-file", "not a directory\n");
+    let out = Command::new(env!("CARGO_BIN_EXE_botscope"))
+        .args(["simulate", "1", "0.02", "-", "42", "--stream"])
+        .env("TMPDIR", &not_a_dir)
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    let prefix = format!("error: cannot create spill file {}/botscope-spill-", not_a_dir.display());
+    assert!(stderr.starts_with(&prefix), "{stderr}");
+    assert!(stderr.contains("Not a directory"), "{stderr}");
+    std::fs::remove_file(&not_a_dir).unwrap();
 }
 
 #[test]
