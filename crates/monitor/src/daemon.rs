@@ -444,7 +444,7 @@ impl<'a> MonitorRun<'a> {
             record: Record::FetchLog,
         };
         let (stats, changes, records) = run_daemon(&run, threads);
-        merge_log(records, sinks)?;
+        merge_log(records, threads, sinks)?;
         Ok(MonitorSummary {
             stats,
             changes,
@@ -562,14 +562,19 @@ pub struct MonitorSummary {
 /// full ties keep push order), and the k-way merge breaks ties on the
 /// run index, i.e. the fixed chunk grid: the order is that of a stable
 /// canonical sort of the chunk logs concatenated in chunk order, at any
-/// worker count.
-fn merge_log(records: Vec<Recorded>, sinks: &mut [&mut dyn RowSink]) -> std::io::Result<u64> {
+/// worker count. From 2 `threads` on, the merge runs on a helper
+/// thread beside the sinks.
+fn merge_log(
+    records: Vec<Recorded>,
+    threads: usize,
+    sinks: &mut [&mut dyn RowSink],
+) -> std::io::Result<u64> {
     let _phase = botscope_obs::global().phase("monitor_log_assembly");
     let runs = records
         .into_iter()
         .map(|record| MergeRun::from_table(record.into_log().into_table()))
         .collect();
-    merge_runs(runs, sinks)
+    merge_runs(runs, threads, sinks)
 }
 
 /// Canonical names of the monitored bots.

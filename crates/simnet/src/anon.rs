@@ -73,17 +73,8 @@ pub(crate) fn generate(world: &World<'_>, out: &mut ShardWriter) {
                 }
                 let bytes = (page.bytes as f64 * rng.gen_range(0.8..1.2)) as u64;
                 let referer = if rng.gen_bool(0.4) { Some(referer_sym) } else { None };
-                out.emit(
-                    ua,
-                    asn,
-                    site,
-                    ip_hash,
-                    &page.path,
-                    bytes,
-                    200,
-                    referer,
-                    cfg.start.plus_secs(t),
-                );
+                let path = out.page_path(site_index, page);
+                out.emit(ua, asn, site, ip_hash, path, bytes, 200, referer, cfg.start.plus_secs(t));
                 t += rng.gen_range(5..120);
             }
         }

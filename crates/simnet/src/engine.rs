@@ -21,10 +21,13 @@
 //! [`simulate_stream_with_threads`] has
 //! each unit spill canonically sorted binary runs into one shared,
 //! already-unlinked spill file and k-way merges them ([`merge_runs`])
-//! into row sinks. Both deliver the same
-//! rows in the same order, byte-identical for a fixed seed no matter how
-//! many workers run ([`worker_threads`] reads `BOTSCOPE_THREADS`,
-//! defaulting to the machine's available parallelism).
+//! into row sinks; from 2 workers on, the merge runs on one helper
+//! thread while the sinks encode on the calling one. Both deliver the
+//! same rows in the same order, byte-identical for a fixed seed no
+//! matter how many workers run ([`worker_threads`] reads
+//! `BOTSCOPE_THREADS`, defaulting to the machine's available
+//! parallelism). A unit interns each page path the first time it
+//! emits the page and indexes it after that.
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
@@ -301,6 +304,9 @@ pub(crate) struct ShardWriter {
     pub(crate) table: LogTable,
     robots_path: Sym,
     site_syms: Vec<Sym>,
+    /// Per site, per page, the page's path symbol once this unit has
+    /// emitted the page.
+    page_syms: Vec<Vec<Option<Sym>>>,
     spill: Option<SpillState>,
 }
 
@@ -309,7 +315,8 @@ impl ShardWriter {
         let mut table = LogTable::new();
         let robots_path = table.intern("/robots.txt");
         let site_syms = world.estate.iter().map(|s| table.intern(&s.name)).collect();
-        ShardWriter { table, robots_path, site_syms, spill: None }
+        let page_syms = world.estate.iter().map(|s| vec![None; s.pages.len()]).collect();
+        ShardWriter { table, robots_path, site_syms, page_syms, spill: None }
     }
 
     /// A writer that spills every `rows_per_run` rows as a canonically
@@ -359,7 +366,20 @@ impl ShardWriter {
         self.site_syms[index]
     }
 
-    /// Emit one row. `path` is interned (deduplicated) per shard.
+    /// The symbol of `/robots.txt`.
+    pub(crate) fn robots_path(&self) -> Sym {
+        self.robots_path
+    }
+
+    /// The path symbol of `page` of site `site_index`. The path is
+    /// interned the first time the unit asks, so the dictionary keeps
+    /// first-emit order, and every later row costs an index, not a hash.
+    pub(crate) fn page_path(&mut self, site_index: usize, page: &Page) -> Sym {
+        let slot = &mut self.page_syms[site_index][page.index];
+        *slot.get_or_insert_with(|| self.table.intern(&page.path))
+    }
+
+    /// Emit one row.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn emit(
         &mut self,
@@ -367,14 +387,12 @@ impl ShardWriter {
         asn: Sym,
         site: Sym,
         ip_hash: u64,
-        path: &str,
+        uri_path: Sym,
         bytes: u64,
         status: u16,
         referer: Option<Sym>,
         at: Timestamp,
     ) {
-        let uri_path =
-            if path == "/robots.txt" { self.robots_path } else { self.table.intern(path) };
         self.table.push_row(RecordRow {
             useragent: ua,
             asn,
@@ -541,11 +559,13 @@ pub struct SimStreamOutput {
 /// Run the generator straight into row sinks with bounded memory, on
 /// `threads` workers: each unit spills canonically sorted binary runs
 /// into one spill file, unlinked as soon as it is opened, and one
-/// serial k-way merge reads the runs back by byte range and streams the
+/// k-way merge reads the runs back by byte range and streams the
 /// global canonical order into `sinks` without ever materializing the
-/// table. Output bytes are identical to writing [`simulate_table`]'s
-/// result, at any worker count. A spill file that cannot be created or
-/// written fails with an error naming it ([`TargetError`]).
+/// table. At 2 or more `threads` the merge runs on a helper thread and
+/// the sinks on this one ([`merge_runs`]). Output bytes are identical
+/// to writing [`simulate_table`]'s result, at any worker count. A spill
+/// file that cannot be created or written fails with an error naming it
+/// ([`TargetError`]).
 pub fn simulate_stream_with_threads(
     cfg: &SimConfig,
     schedule: &PhaseSchedule,
@@ -599,10 +619,10 @@ pub fn simulate_stream_with_threads(
             }
         }
         obs.counter("simnet_spill_runs_total").add(runs.len() as u64);
-        // One serial merge: a per-row cross-thread hand-off costs more
-        // than the heap work it would spread, so `threads` drives
-        // generation only.
-        merge_runs(runs, sinks)
+        // From 2 workers on, the run decoding and the heap run on one
+        // helper thread, handing rows over in batches, while the sinks
+        // encode on this one.
+        merge_runs(runs, threads, sinks)
     })();
     drop(merge_span);
     let rows = merged?;
@@ -649,7 +669,7 @@ fn simulate_bot<O: PolicyOracle>(
         let mut t = rng.gen_range(0.0..interval.min(horizon_secs));
         while t < horizon_secs {
             let now = cfg.start.plus_secs(t as u64);
-            out.emit(ua, asn, site, ip_hash, "/robots.txt", 430, 200, None, now);
+            out.emit(ua, asn, site, ip_hash, out.robots_path(), 430, 200, None, now);
             // Small jitter so poll streams don't alias with window edges.
             t += interval * rng.gen_range(0.90..0.99);
         }
@@ -763,7 +783,7 @@ fn session<O: PolicyOracle>(
             Some(at) => now.unix().saturating_sub(at) >= h * 3600,
         };
         if due {
-            out.emit(ua, asn, site, ip_hash, "/robots.txt", 430, 200, None, now);
+            out.emit(ua, asn, site, ip_hash, out.robots_path(), 430, 200, None, now);
             *last_check = Some(now.unix());
             now = now.plus_secs(1 + exp_sample(rng, 2.0) as u64);
         }
@@ -806,7 +826,7 @@ fn session<O: PolicyOracle>(
                 // the paper's fully-compliant bots look like in the
                 // logs (e.g. ChatGPT-User's all-robots.txt traffic
                 // under disallow-all, Table 6).
-                out.emit(ua, asn, site, ip_hash, "/robots.txt", 430, 200, None, now);
+                out.emit(ua, asn, site, ip_hash, out.robots_path(), 430, 200, None, now);
                 continue;
             }
             pick_natural_page(pools, rng, bb.compliance.natural_pagedata)
@@ -837,7 +857,8 @@ fn session<O: PolicyOracle>(
         let jitter: f64 = rng.gen_range(0.5..1.5);
         let bytes = ((page.bytes as f64) * bb.bytes_factor * jitter).max(200.0) as u64;
         let status = if page.path == "/404" || page.path == "/dev-404-page" { 404 } else { 200 };
-        out.emit(ua, asn, site, ip_hash, &page.path, bytes, status, None, now);
+        let path = out.page_path(site_index, page);
+        out.emit(ua, asn, site, ip_hash, path, bytes, status, None, now);
     }
 }
 

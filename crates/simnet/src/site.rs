@@ -34,6 +34,8 @@ pub struct Page {
     pub kind: PageKind,
     /// Nominal transfer size in bytes.
     pub bytes: u64,
+    /// Position in its site's `pages`.
+    pub index: usize,
 }
 
 /// One site with its inventory.
@@ -56,11 +58,14 @@ impl Site {
     /// Deterministically build site `index` of `total`.
     pub fn build(index: usize, _total: usize) -> Site {
         let name = botscope_study::site_name(index);
-        let mut pages = Vec::new();
+        let mut pages: Vec<Page> = Vec::new();
+        let mut page = |path: String, kind, bytes| {
+            pages.push(Page { path, kind, bytes, index: pages.len() });
+        };
 
-        pages.push(Page { path: "/".into(), kind: PageKind::Landing, bytes: 18_000 });
-        pages.push(Page { path: "/about".into(), kind: PageKind::Landing, bytes: 12_000 });
-        pages.push(Page { path: "/contact".into(), kind: PageKind::Landing, bytes: 9_000 });
+        page("/".into(), PageKind::Landing, 18_000);
+        page("/about".into(), PageKind::Landing, 12_000);
+        page("/contact".into(), PageKind::Landing, 9_000);
 
         // Content volume varies by site; the experiment site is rich.
         let content_pages = match index {
@@ -74,48 +79,28 @@ impl Site {
                 1 => ("events", 14_000),
                 _ => ("programs", 31_000),
             };
-            pages.push(Page {
-                path: format!("/{family}/item-{i:03}"),
-                kind: PageKind::Content,
-                bytes,
-            });
+            page(format!("/{family}/item-{i:03}"), PageKind::Content, bytes);
         }
 
         // The directory site carries a large people directory; every site
         // has a small one.
         let people = if index == DIRECTORY_SITE { 400 } else { 12 };
         for i in 0..people {
-            pages.push(Page {
-                path: format!("/people/person-{i:04}"),
-                kind: PageKind::Directory,
-                bytes: 22_000,
-            });
+            page(format!("/people/person-{i:04}"), PageKind::Directory, 22_000);
         }
 
         // Gatsby page-data mirrors of the content pages.
         let page_data = content_pages.min(60);
         for i in 0..page_data {
-            pages.push(Page {
-                path: format!("/page-data/item-{i:03}/page-data.json"),
-                kind: PageKind::PageData,
-                bytes: 4_500,
-            });
+            page(format!("/page-data/item-{i:03}/page-data.json"), PageKind::PageData, 4_500);
         }
-        pages.push(Page {
-            path: "/page-data/index/page-data.json".into(),
-            kind: PageKind::PageData,
-            bytes: 3_000,
-        });
+        page("/page-data/index/page-data.json".into(), PageKind::PageData, 3_000);
 
         // Restricted paths from the base robots.txt (Figure 5).
-        pages.push(Page { path: "/404".into(), kind: PageKind::Restricted, bytes: 2_000 });
-        pages.push(Page { path: "/dev-404-page".into(), kind: PageKind::Restricted, bytes: 2_000 });
+        page("/404".into(), PageKind::Restricted, 2_000);
+        page("/dev-404-page".into(), PageKind::Restricted, 2_000);
         for i in 0..4 {
-            pages.push(Page {
-                path: format!("/secure/admin-{i}"),
-                kind: PageKind::Restricted,
-                bytes: 5_000,
-            });
+            page(format!("/secure/admin-{i}"), PageKind::Restricted, 5_000);
         }
 
         Site { name, index, pages }

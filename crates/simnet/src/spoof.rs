@@ -72,12 +72,13 @@ pub(crate) fn generate(
                 let pool = crawlable_pool(world, site_index);
                 let page = pool[rng.gen_range(0..pool.len())];
                 let bytes = (page.bytes as f64 * rng.gen_range(0.5..1.5)) as u64;
+                let path = out.page_path(site_index, page);
                 out.emit(
                     ua,
                     asn_sym,
                     out.site_sym(site_index),
                     ip_hash,
-                    &page.path,
+                    path,
                     bytes,
                     200,
                     None,

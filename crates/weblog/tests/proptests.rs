@@ -3,6 +3,8 @@
 mod csv_oracle;
 mod paper_oracle;
 
+use std::sync::Arc;
+
 use botscope_weblog::codec::{self, decode_table, decode_table_read, HEADER};
 use botscope_weblog::colfmt;
 use botscope_weblog::intern::StringInterner;
@@ -188,6 +190,31 @@ fn pooled_record() -> impl Strategy<Value = AccessRecord> {
             bytes,
             referer: referer.map(|i| REFERERS[i].into()),
         })
+}
+
+/// `runs` as canonically sorted BSCL runs over one interner that grows
+/// run by run, the way a spilling generation unit writes them, plus
+/// that interner in its final state.
+fn shared_interner_runs(runs: &[Vec<AccessRecord>]) -> (Arc<StringInterner>, Vec<Vec<u8>>) {
+    let mut unit = LogTable::new();
+    let bins = runs
+        .iter()
+        .map(|records| {
+            let rows = records
+                .iter()
+                .map(|r| {
+                    unit.push_record(r);
+                    *unit.rows().last().expect("pushed")
+                })
+                .collect();
+            let mut run = LogTable::from_parts(unit.interner().clone(), rows);
+            run.sort_canonical();
+            let mut bytes = Vec::new();
+            colfmt::write_table(&mut bytes, &run).expect("encode");
+            bytes
+        })
+        .collect();
+    (Arc::new(unit.interner().clone()), bins)
 }
 
 /// User agents and paths of [`sort_case`], listed so that interning
@@ -652,38 +679,57 @@ proptest! {
     fn every_sink_through_merge_matches_stable_sorted_reference(
         runs in prop::collection::vec(prop::collection::vec(pooled_record(), 0..8), 40..48),
     ) {
-        // Each run interns on its own, so symbol ids disagree across
-        // runs; the merge must still emit the concatenate-then-stable-
-        // sort order, and every sink the bytes of that order. Forty-odd
-        // runs, some empty, over a few hundred keys: equal keys meet
-        // across many runs and must drain in run order.
+        // Each table run interns on its own, so symbol ids disagree
+        // across runs; the raw runs share one growing interner, as a
+        // spilling unit's runs do. The merge must still emit the
+        // concatenate-then-stable-sort order, and every sink the bytes
+        // of that order, at any thread count. Forty-odd runs, some
+        // empty, over a few hundred keys: equal keys meet across many
+        // runs and must drain in run order.
         let mut sorted: Vec<AccessRecord> = runs.concat();
         sorted.sort_by(|a, b| {
             (a.timestamp, &a.useragent, a.ip_hash, &a.uri_path)
                 .cmp(&(b.timestamp, &b.useragent, b.ip_hash, &b.uri_path))
         });
-        let merge_runs_of = || runs.iter().map(|rs| MergeRun::from_table(LogTable::from_records(rs)));
-
-        let mut csv = CsvSink::new(Vec::new()).expect("csv sink");
-        let mut json = JsonlSink::new(Vec::new());
-        let mut bin = colfmt::BinSink::new(Vec::new()).expect("bin sink");
-        let mut table = TableSink::new();
-        let n = merge_runs(
-            merge_runs_of().collect(),
-            &mut [&mut csv as &mut dyn RowSink, &mut json, &mut bin, &mut table],
-        )
-        .expect("merge");
-        prop_assert_eq!(n as usize, sorted.len());
-
-        prop_assert_eq!(csv.into_inner(), csv_text(&sorted).into_bytes());
-        prop_assert_eq!(json.into_inner(), jsonl_text(&sorted).into_bytes());
-        prop_assert_eq!(table.table.to_records(), sorted.clone());
+        let (shared, bins) = shared_interner_runs(&runs);
+        let table_runs = || runs.iter().map(|rs| MergeRun::from_table(LogTable::from_records(rs))).collect();
+        let raw_runs = || {
+            bins.iter()
+                .map(|bytes| {
+                    let reader = colfmt::BinReader::new_raw(std::io::Cursor::new(bytes.clone()))
+                        .expect("header");
+                    MergeRun::from_sorted_stream(Arc::clone(&shared), Box::new(reader))
+                })
+                .collect()
+        };
         // BinSink assigns file ids in field order on first sight, as
         // push_record interns: below one page of rows its bytes are the
         // whole-table writer's over the sorted records.
         let mut bin_expect = Vec::new();
         colfmt::write_table(&mut bin_expect, &LogTable::from_records(&sorted)).expect("encode");
-        prop_assert_eq!(bin.into_inner(), bin_expect);
+        for threads in [1, 2, 8] {
+            for (shape, merge_runs_of) in
+                [("table", &table_runs as &dyn Fn() -> Vec<MergeRun>), ("raw", &raw_runs)]
+            {
+                let case = format!("{shape} runs, {threads} threads");
+                let mut csv = CsvSink::new(Vec::new()).expect("csv sink");
+                let mut json = JsonlSink::new(Vec::new());
+                let mut bin = colfmt::BinSink::new(Vec::new()).expect("bin sink");
+                let mut table = TableSink::new();
+                let n = merge_runs(
+                    merge_runs_of(),
+                    threads,
+                    &mut [&mut csv as &mut dyn RowSink, &mut json, &mut bin, &mut table],
+                )
+                .expect("merge");
+                prop_assert_eq!(n as usize, sorted.len(), "{}", case);
+
+                prop_assert_eq!(csv.into_inner(), csv_text(&sorted).into_bytes(), "{}", case);
+                prop_assert_eq!(json.into_inner(), jsonl_text(&sorted).into_bytes(), "{}", case);
+                prop_assert_eq!(table.table.to_records(), sorted.clone(), "{}", case);
+                prop_assert_eq!(bin.into_inner(), bin_expect.clone(), "{}", case);
+            }
+        }
     }
 
     #[test]

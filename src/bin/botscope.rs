@@ -155,9 +155,10 @@ ENVIRONMENT:
       Worker threads for log generation (simulate), the monitor's
       event-queue shards (monitor) and attribution (simulate
       --coupled). At 2 or more, `analyze --phase-report` decodes a
-      BSCL log on one helper thread ahead of the §4 analysis. The
-      k-way merges (simulate --stream, monitor) and the §4 analysis
-      itself are serial. Defaults to the machine's
+      BSCL log on one helper thread ahead of the §4 analysis, and the
+      k-way merges (simulate --stream, monitor) run on one helper
+      thread while the output writers encode on the main one. The §4
+      analysis itself is serial. Defaults to the machine's
       available parallelism; the output is byte-identical for a fixed
       seed at any thread count.
 ";
