@@ -25,11 +25,11 @@ use std::collections::BTreeMap;
 use botscope_stats::describe::WeightedMeanAccumulator;
 use botscope_stats::ztest::ZTestResult;
 use botscope_useragent::{BotCategory, RobotsPromise};
-use botscope_weblog::table::{LogTable, RecordRow};
+use botscope_weblog::table::LogTable;
 
 use botscope_study::{BeliefAtlas, BeliefTimeline, PhaseSchedule, PolicyCorpus, PolicyVersion};
 
-use crate::attribution::{attribute_rows, PolicyBasis};
+use crate::attribution::{score_table, PolicyBasis};
 use crate::metrics::DirectiveCounts;
 use crate::pipeline::for_each_in_time_order;
 use crate::spoofdetect::SpoofReport;
@@ -157,8 +157,8 @@ pub struct Experiment {
 /// under any robots.txt version").
 pub const MIN_ACCESSES: usize = 5;
 
-/// Borrowed belief-layer inputs for basis-corrected analysis
-/// ([`Experiment::analyze_table_with_basis`]).
+/// Borrowed belief-layer inputs for attribution and basis-corrected
+/// analysis ([`score_table`], [`Experiment::analyze_table_with_basis`]).
 pub struct BeliefContext<'a> {
     /// Per-(bot, site) believed-policy timelines from the monitor.
     pub beliefs: &'a BeliefAtlas,
@@ -173,7 +173,10 @@ impl Experiment {
     /// order, through one [`StreamAnalyzer`]. The rows may be in any
     /// order; an unsorted table is sorted by timestamp first.
     pub fn analyze_table(table: &LogTable, schedule: &PhaseSchedule) -> Experiment {
-        analyze_rows(table, schedule, table.rows().iter())
+        let interner = table.interner();
+        let mut analyzer = StreamAnalyzer::new(schedule);
+        for_each_in_time_order(table, table.rows().iter(), |row| analyzer.push_row(row, interner));
+        analyzer.finish(interner)
     }
 
     /// [`Experiment::analyze_table`]; the engine is serial, so the
@@ -187,44 +190,21 @@ impl Experiment {
         Experiment::analyze_table(table, schedule)
     }
 
-    /// Analyze under a policy basis. `Served` is the plain
-    /// [`Experiment::analyze_table`] path; `Believed` first attributes
-    /// every row ([`attribute_rows`] on `threads` workers) and analyzes
-    /// the rows the belief layer does not excuse
-    /// ([`Experiment::analyze_table_excluding`]) — Tables 5/6/10
-    /// recomputed under attribution-corrected compliance. With beliefs
+    /// Analyze under a policy basis: the experiment of
+    /// [`score_table`]'s one sweep — Tables 5/6/10 over every row
+    /// (`Served`) or over the rows the belief layer does not excuse
+    /// (`Believed`, attribution-corrected compliance). With beliefs
     /// that track the served timelines exactly (instant refresh,
     /// always-healthy weather) no row is excused and the two bases
-    /// coincide.
+    /// coincide. The sweep is serial, so the worker count is ignored.
     pub fn analyze_table_with_basis(
         table: &LogTable,
         schedule: &PhaseSchedule,
         ctx: &BeliefContext<'_>,
         basis: PolicyBasis,
-        threads: usize,
+        _threads: usize,
     ) -> Experiment {
-        match basis {
-            PolicyBasis::Served => Experiment::analyze_table(table, schedule),
-            PolicyBasis::Believed => {
-                let excused =
-                    attribute_rows(table, ctx.beliefs, ctx.served, ctx.corpus, threads).excused;
-                Experiment::analyze_table_excluding(table, schedule, &excused)
-            }
-        }
-    }
-
-    /// Analyze `table` without the rows `excused` marks — one flag per
-    /// table row, as in [`Attribution::excused`](crate::attribution::Attribution::excused):
-    /// the believed-basis analysis, given the excusal verdicts of an
-    /// attribution sweep the caller already ran.
-    pub fn analyze_table_excluding(
-        table: &LogTable,
-        schedule: &PhaseSchedule,
-        excused: &[bool],
-    ) -> Experiment {
-        assert_eq!(excused.len(), table.len(), "one excusal verdict per row");
-        let kept = table.rows().iter().zip(excused).filter_map(|(row, &ex)| (!ex).then_some(row));
-        analyze_rows(table, schedule, kept)
+        score_table(table, schedule, ctx, basis).1
     }
 
     /// Table 5: access-weighted category compliance. Categories with no
@@ -322,22 +302,6 @@ pub fn table5_category(cat: BotCategory) -> BotCategory {
         | BotCategory::SearchEngineCrawler => cat,
         _ => BotCategory::Other,
     }
-}
-
-/// The one feed into the §4 engine: push `rows` (a subsequence of
-/// `table`'s rows) through a [`StreamAnalyzer`] in time order (see
-/// [`for_each_in_time_order`]). Ties need no further key: rows sharing
-/// a timestamp give the same result in any order (see the
-/// [`crate::stream`] order contract).
-fn analyze_rows<'t>(
-    table: &'t LogTable,
-    schedule: &PhaseSchedule,
-    rows: impl Iterator<Item = &'t RecordRow>,
-) -> Experiment {
-    let interner = table.interner();
-    let mut analyzer = StreamAnalyzer::new(schedule);
-    for_each_in_time_order(table, rows, |row| analyzer.push_row(row, interner));
-    analyzer.finish(interner)
 }
 
 #[cfg(test)]

@@ -28,22 +28,22 @@
 //! arXiv:2503.06035): a scraper crawling through a disallow on a stale
 //! cache is operating exactly as RFC 9309 permits.
 //!
-//! **Execution shape.** [`attribute_rows`] is one chunked sweep over
-//! the table's rows in storage order: each distinct user agent is
-//! standardized once, and fixed 65,536-row chunks are judged over the
-//! `run_indexed` worker pool. A chunk keeps per-bot counts beside its
-//! slice of the excusal mask, so the attribution report and the rows a
-//! believed-basis analysis drops come from the same verdicts; chunks
-//! merge by summation. The believed-basis compliance tables are not
-//! scored here: [`Experiment::analyze_table_excluding`] runs the one
-//! §4 engine over the rows the mask keeps. Timelines are stepwise and
-//! log rows arrive in chronological order, so per-(bot, site) timeline
-//! cursors replace the per-row binary searches with amortized-O(1)
-//! forward steps. The `attribution_equiv` tests pin the counts and the
-//! mask against serial oracles written over the public belief and
-//! corpus APIs.
-//!
-//! [`Experiment::analyze_table_excluding`]: crate::analyze::Experiment::analyze_table_excluding
+//! **Execution shape.** [`score_table`] is the one scoring sweep, and
+//! this module alone decides which rows are excused. It visits the
+//! table's rows once, serially and in time order: a [`Judge`] gives
+//! each row its [`Verdict`] and counts it against its bot, and every
+//! row the basis keeps goes straight into one [`StreamAnalyzer`] — the
+//! served basis keeps every row, the believed basis drops the excused
+//! ones. So the attribution report and the believed-basis Tables
+//! 5/6/10 come from the same verdicts, with no per-row mask between
+//! them. The judge standardizes each distinct user agent once.
+//! Timelines are stepwise and the rows arrive in time order, so
+//! per-(bot, site) timeline cursors replace the per-row binary
+//! searches with amortized-O(1) forward steps; a row earlier than its
+//! cursor re-seats it, so a verdict never depends on feed order. The
+//! `attribution_equiv` tests pin the counts, each row's verdict and the
+//! believed-basis experiment against serial oracles written over the
+//! public belief and corpus APIs, on sorted and shuffled tables.
 //!
 //! **Granularity caveat.** Scoring is per access, at the access's own
 //! instant — the only vantage point a log analyst has. The generation
@@ -60,13 +60,15 @@
 use std::collections::BTreeMap;
 
 use botscope_study::{
-    run_indexed, site_name, BeliefAtlas, BeliefTimeline, BelievedPolicy, PolicyCorpus,
+    site_name, BeliefAtlas, BeliefTimeline, BelievedPolicy, PhaseSchedule, PolicyCorpus,
 };
 use botscope_weblog::hash::FxHashMap;
 use botscope_weblog::intern::Sym;
-use botscope_weblog::table::LogTable;
+use botscope_weblog::table::{LogTable, RecordRow};
 
-use crate::pipeline::AgentBots;
+use crate::analyze::{BeliefContext, Experiment};
+use crate::pipeline::{for_each_in_time_order, AgentBots};
+use crate::stream::StreamAnalyzer;
 
 /// Which policy a metric is computed against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -129,16 +131,6 @@ impl AttributionCounts {
         } else {
             Some(self.allowed_served as f64 / self.accesses as f64)
         }
-    }
-
-    /// Merge another bot-slice's counts.
-    pub fn merge(&mut self, other: AttributionCounts) {
-        self.accesses += other.accesses;
-        self.allowed_served += other.allowed_served;
-        self.deliberate += other.deliberate;
-        self.stale_cache += other.stale_cache;
-        self.fetch_artifact += other.fetch_artifact;
-        self.believed_violations += other.believed_violations;
     }
 }
 
@@ -217,30 +209,7 @@ impl<'a> TimelineCursor<'a> {
     }
 }
 
-/// One sweep's per-site cursors over a timeline family.
-struct SiteCursors<'a> {
-    cursors: Vec<TimelineCursor<'a>>,
-}
-
-impl<'a> SiteCursors<'a> {
-    fn over_beliefs(beliefs: &'a BeliefAtlas, bot: usize, n_sites: usize) -> SiteCursors<'a> {
-        SiteCursors {
-            cursors: (0..n_sites).map(|s| TimelineCursor::new(beliefs.timeline(bot, s))).collect(),
-        }
-    }
-
-    fn over_served(served: &'a [BeliefTimeline], n_sites: usize) -> SiteCursors<'a> {
-        SiteCursors { cursors: served[..n_sites].iter().map(TimelineCursor::new).collect() }
-    }
-
-    fn at(&mut self, site: usize, t: u64, stats: &mut SweepStats) -> BelievedPolicy {
-        self.cursors[site].at(t, stats)
-    }
-}
-
-/// Telemetry accumulated by one sweep chunk. Chunks return their stats
-/// and the caller merges them serially in chunk order, so counter
-/// totals are worker-count invariant.
+/// Telemetry accumulated by one judge.
 #[derive(Debug, Clone, Copy)]
 struct SweepStats {
     rows: u64,
@@ -263,14 +232,6 @@ impl SweepStats {
         self.event_hi = self.event_hi.max(t);
     }
 
-    fn merge(&mut self, other: SweepStats) {
-        self.rows += other.rows;
-        self.lookups += other.lookups;
-        self.resets += other.resets;
-        self.event_lo = self.event_lo.min(other.event_lo);
-        self.event_hi = self.event_hi.max(other.event_hi);
-    }
-
     /// Flush into the global registry under a per-pass label.
     fn flush(&self, pass: &str) {
         let obs = botscope_obs::global();
@@ -286,163 +247,214 @@ impl SweepStats {
 // Violation attribution.
 // ---------------------------------------------------------------------
 
-/// One attribution sweep's results: the per-bot counts and the per-row
-/// excusal verdicts, both from the same row verdicts.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Attribution {
-    /// Per-bot attribution, keyed by canonical bot name; bots with no
-    /// examined page access are absent.
-    pub counts: BTreeMap<String, AttributionCounts>,
-    /// One verdict per table row: `true` marks a served-policy
-    /// violation the belief layer excuses (stale cache or fetch-layer
-    /// entitlement) — exactly the rows a believed-basis analysis drops
-    /// ([`Experiment::analyze_table_excluding`](crate::analyze::Experiment::analyze_table_excluding)).
-    /// Robots.txt fetches, anonymous rows, unmonitored bots, foreign
-    /// sites, allowed fetches and deliberate violations are all `false`.
-    pub excused: Vec<bool>,
+/// One row's attribution verdict.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verdict {
+    /// Not an attribution target: a robots.txt fetch, an anonymous or
+    /// unmonitored agent, or a site outside the estate.
+    Skipped,
+    /// A page access the served policy allowed.
+    Allowed,
+    /// A served violation committed knowingly: the believed policy
+    /// forbade the fetch too, or the bot never fetched robots.txt.
+    Deliberate,
+    /// A served violation excused by a stale cached document.
+    StaleCache,
+    /// A served violation excused by an RFC 9309 fetch-layer
+    /// entitlement.
+    FetchArtifact,
 }
 
-/// The per-bot counts of [`attribute_rows`]: every fleet bot's page
+impl Verdict {
+    /// Whether the belief layer excuses the row (stale cache or
+    /// fetch-layer entitlement) — exactly the rows a believed-basis
+    /// analysis drops.
+    pub fn excused(self) -> bool {
+        matches!(self, Verdict::StaleCache | Verdict::FetchArtifact)
+    }
+}
+
+/// The per-row attribution judge over one table: feed it rows (in time
+/// order for amortized-O(1) cursor steps; any order gives the same
+/// verdicts), then [`Judge::finish`] returns the per-bot counts.
+pub struct Judge<'a> {
+    table: &'a LogTable,
+    beliefs: &'a BeliefAtlas,
+    /// Estate site of each sitename symbol.
+    site_of: Vec<Option<usize>>,
+    /// Atlas bot of each user-agent symbol (`None` = anonymous or
+    /// unmonitored).
+    bot_of: Vec<Option<usize>>,
+    robots: Option<Sym>,
+    /// Per atlas bot: its counts, its allow cache and its believed
+    /// cursor per site.
+    counts: Vec<AttributionCounts>,
+    caches: Vec<AllowCache<'a>>,
+    believed_cur: Vec<Vec<TimelineCursor<'a>>>,
+    /// The served cursor per site.
+    served_cur: Vec<TimelineCursor<'a>>,
+    stats: SweepStats,
+}
+
+impl<'a> Judge<'a> {
+    /// A judge of `table`'s rows against `ctx`'s beliefs and served
+    /// ground truth.
+    pub fn new(table: &'a LogTable, ctx: &BeliefContext<'a>) -> Judge<'a> {
+        Judge::with_agents(table, ctx, &table_agents(table))
+    }
+
+    /// [`Judge::new`] with the bot of every user agent in `table`
+    /// already standardized.
+    fn with_agents(table: &'a LogTable, ctx: &BeliefContext<'a>, agents: &AgentBots) -> Judge<'a> {
+        let beliefs = ctx.beliefs;
+        let n_sites = ctx.served.len().min(beliefs.n_sites());
+        let bot_index: BTreeMap<&str, usize> =
+            beliefs.bots.iter().enumerate().map(|(i, name)| (name.as_str(), i)).collect();
+        let strings = table.interner();
+        let bot_of = strings
+            .iter()
+            .map(|(ua, _)| agents.get(ua).and_then(|bot| bot_index.get(bot.canonical).copied()))
+            .collect();
+        Judge {
+            table,
+            beliefs,
+            site_of: site_index_of(table, n_sites),
+            bot_of,
+            robots: strings.get("/robots.txt"),
+            counts: vec![AttributionCounts::default(); beliefs.bots.len()],
+            caches: beliefs.bots.iter().map(|name| AllowCache::new(ctx.corpus, name)).collect(),
+            believed_cur: (0..beliefs.bots.len())
+                .map(|bot| {
+                    (0..n_sites).map(|s| TimelineCursor::new(beliefs.timeline(bot, s))).collect()
+                })
+                .collect(),
+            served_cur: ctx.served[..n_sites].iter().map(TimelineCursor::new).collect(),
+            stats: SweepStats::default(),
+        }
+    }
+
+    /// Judge one row of the table and count it against its bot.
+    pub fn judge(&mut self, row: &RecordRow) -> Verdict {
+        let Some(bot) = self.bot_of[row.useragent.index()] else {
+            return Verdict::Skipped;
+        };
+        if Some(row.uri_path) == self.robots {
+            return Verdict::Skipped;
+        }
+        let Some(site) = self.site_of[row.sitename.index()] else {
+            return Verdict::Skipped;
+        };
+        let t = row.timestamp.unix();
+        self.stats.observe_row(t);
+        let believed = self.believed_cur[bot][site].at(t, &mut self.stats);
+        let served_policy = self.served_cur[site].at(t, &mut self.stats);
+        let cache = &mut self.caches[bot];
+        let allowed_believed = cache.allows(self.table, believed, row.uri_path);
+        let allowed_served = cache.allows(self.table, served_policy, row.uri_path);
+
+        let c = &mut self.counts[bot];
+        c.accesses += 1;
+        if !allowed_believed {
+            c.believed_violations += 1;
+        }
+        if allowed_served {
+            c.allowed_served += 1;
+            return Verdict::Allowed;
+        }
+        // A served-policy violation: attribute it.
+        if !allowed_believed || believed == BelievedPolicy::Unfetched {
+            c.deliberate += 1;
+            return Verdict::Deliberate;
+        }
+        match believed {
+            BelievedPolicy::Version(_) => {
+                c.stale_cache += 1;
+                Verdict::StaleCache
+            }
+            BelievedPolicy::AllowAll => {
+                c.fetch_artifact += 1;
+                Verdict::FetchArtifact
+            }
+            // Unfetched handled above; DisallowAll allows only
+            // robots.txt, so an allowed-believed page fetch under it
+            // cannot exist.
+            BelievedPolicy::Unfetched | BelievedPolicy::DisallowAll => {
+                unreachable!("allowed page fetch under {believed:?}")
+            }
+        }
+    }
+
+    /// Per-bot attribution, keyed by canonical bot name; bots with no
+    /// judged page access are absent.
+    pub fn finish(self) -> BTreeMap<String, AttributionCounts> {
+        self.stats.flush("attribute");
+        self.beliefs
+            .bots
+            .iter()
+            .zip(self.counts)
+            .filter(|(_, c)| c.accesses > 0)
+            .map(|(name, c)| (name.clone(), c))
+            .collect()
+    }
+}
+
+/// The bot of every user agent in `table`.
+fn table_agents(table: &LogTable) -> AgentBots {
+    let mut agents = AgentBots::new(());
+    for row in table.rows() {
+        agents.bot_mut(row.useragent, table.interner());
+    }
+    agents
+}
+
+/// Score `table` under `basis` in one serial sweep: its rows, in time
+/// order, go through one [`Judge`], and every row the basis keeps goes
+/// straight into one [`StreamAnalyzer`]. The served basis keeps every
+/// row; the believed basis drops the rows the judge excuses. Returns
+/// the per-bot attribution and Tables 5/6/10's experiment, both from
+/// the same verdicts.
+pub fn score_table(
+    table: &LogTable,
+    schedule: &PhaseSchedule,
+    ctx: &BeliefContext<'_>,
+    basis: PolicyBasis,
+) -> (BTreeMap<String, AttributionCounts>, Experiment) {
+    let mut span = botscope_obs::global().span("attribution_score_table");
+    let strings = table.interner();
+    // Each distinct user agent is standardized once, for both.
+    let agents = table_agents(table);
+    let mut judge = Judge::with_agents(table, ctx, &agents);
+    let mut analyzer = StreamAnalyzer::with_agents(schedule, agents);
+    for_each_in_time_order(table, table.rows().iter(), |row| {
+        let verdict = judge.judge(row);
+        if basis == PolicyBasis::Served || !verdict.excused() {
+            analyzer.push_row(row, strings);
+        }
+    });
+    if judge.stats.rows > 0 {
+        span.event_range(judge.stats.event_lo, judge.stats.event_hi);
+    }
+    (judge.finish(), analyzer.finish(strings))
+}
+
+/// The per-bot counts of [`score_table`]: every fleet bot's page
 /// accesses in `table`, judged against the monitored beliefs and the
 /// served ground truth. Bots absent from the atlas (anonymous traffic,
 /// unknown agents) and rows on sites outside the estate are skipped;
-/// robots.txt fetches are always allowed and not counted. Output is
-/// identical at any worker count.
+/// robots.txt fetches are always allowed and not counted. The sweep is
+/// serial, so the worker count is ignored.
 pub fn attribute_table_with_threads(
     table: &LogTable,
     beliefs: &BeliefAtlas,
     served: &[BeliefTimeline],
     corpus: &PolicyCorpus,
-    threads: usize,
+    _threads: usize,
 ) -> BTreeMap<String, AttributionCounts> {
-    attribute_rows(table, beliefs, served, corpus, threads).counts
-}
-
-/// Rows per sweep chunk. The grid is fixed, independent of `threads`,
-/// so cursor telemetry is worker-count invariant.
-const CHUNK_ROWS: usize = 1 << 16;
-
-/// Attribute every row of `table` in one sweep: each distinct user
-/// agent is standardized once, then contiguous row chunks are judged
-/// over `threads` workers. Each chunk keeps per-bot
-/// [`AttributionCounts`] beside its slice of the excusal mask; chunks
-/// merge by summation and concatenation, so the output is identical at
-/// any worker count.
-pub fn attribute_rows(
-    table: &LogTable,
-    beliefs: &BeliefAtlas,
-    served: &[BeliefTimeline],
-    corpus: &PolicyCorpus,
-    threads: usize,
-) -> Attribution {
-    let obs = botscope_obs::global();
-    let mut span = obs.span("attribution_attribute_rows");
-    let rows = table.rows();
-    let n = rows.len();
-    let n_bots = beliefs.bots.len();
-    let n_sites = served.len().min(beliefs.n_sites());
-    let site_of = site_index_of(table, n_sites);
-    let robots = table.interner().get("/robots.txt");
-    let bot_index: BTreeMap<&str, usize> =
-        beliefs.bots.iter().enumerate().map(|(i, name)| (name.as_str(), i)).collect();
-    // Atlas bot of each user-agent symbol (None = anonymous or
-    // unmonitored), read by every chunk worker.
-    let strings = table.interner();
-    let mut agents = AgentBots::new(());
-    for row in rows {
-        agents.bot_mut(row.useragent, strings);
-    }
-    let bot_of: Vec<Option<usize>> = strings
-        .iter()
-        .map(|(ua, _)| agents.get(ua).and_then(|bot| bot_index.get(bot.canonical).copied()))
-        .collect();
-
-    // Contiguous row chunks: rows are chronological, so each chunk's
-    // cursors sweep forward from a fresh seat.
-    let chunks = n.div_ceil(CHUNK_ROWS).max(1);
-    let parts: Vec<(Vec<AttributionCounts>, Vec<bool>, SweepStats)> =
-        run_indexed(chunks, threads, |c| {
-            let lo = c * CHUNK_ROWS;
-            let hi = ((c + 1) * CHUNK_ROWS).min(n);
-            let mut stats = SweepStats::default();
-            let mut counts = vec![AttributionCounts::default(); n_bots];
-            let mut caches: Vec<Option<AllowCache<'_>>> = (0..n_bots).map(|_| None).collect();
-            let mut believed_cur: Vec<Option<SiteCursors<'_>>> =
-                (0..n_bots).map(|_| None).collect();
-            let mut served_cur = SiteCursors::over_served(served, n_sites);
-            let mut mask = vec![false; hi - lo];
-            for (slot, row) in rows[lo..hi].iter().enumerate() {
-                let Some(bot) = bot_of[row.useragent.index()] else {
-                    continue;
-                };
-                if Some(row.uri_path) == robots {
-                    continue;
-                }
-                let Some(site) = site_of[row.sitename.index()] else {
-                    continue;
-                };
-                let t = row.timestamp.unix();
-                stats.observe_row(t);
-                let believed = believed_cur[bot]
-                    .get_or_insert_with(|| SiteCursors::over_beliefs(beliefs, bot, n_sites))
-                    .at(site, t, &mut stats);
-                let served_policy = served_cur.at(site, t, &mut stats);
-                let cache =
-                    caches[bot].get_or_insert_with(|| AllowCache::new(corpus, &beliefs.bots[bot]));
-                let allowed_believed = cache.allows(table, believed, row.uri_path);
-                let allowed_served = cache.allows(table, served_policy, row.uri_path);
-
-                let c = &mut counts[bot];
-                c.accesses += 1;
-                if !allowed_believed {
-                    c.believed_violations += 1;
-                }
-                if allowed_served {
-                    c.allowed_served += 1;
-                    continue;
-                }
-                // A served-policy violation: attribute it.
-                if !allowed_believed || believed == BelievedPolicy::Unfetched {
-                    c.deliberate += 1;
-                    continue;
-                }
-                match believed {
-                    BelievedPolicy::Version(_) => c.stale_cache += 1,
-                    BelievedPolicy::AllowAll => c.fetch_artifact += 1,
-                    // Unfetched handled above; DisallowAll allows only
-                    // robots.txt, so an allowed-believed page fetch
-                    // under it cannot exist.
-                    BelievedPolicy::Unfetched | BelievedPolicy::DisallowAll => {
-                        unreachable!("allowed page fetch under {believed:?}")
-                    }
-                }
-                mask[slot] = true;
-            }
-            (counts, mask, stats)
-        });
-
-    let mut stats = SweepStats::default();
-    let mut totals = vec![AttributionCounts::default(); n_bots];
-    let mut excused = Vec::with_capacity(n);
-    for (part_counts, part_mask, part_stats) in parts {
-        for (total, part) in totals.iter_mut().zip(part_counts) {
-            total.merge(part);
-        }
-        excused.extend(part_mask);
-        stats.merge(part_stats);
-    }
-    stats.flush("attribute");
-    if stats.rows > 0 {
-        span.event_range(stats.event_lo, stats.event_hi);
-    }
-    let counts = beliefs
-        .bots
-        .iter()
-        .zip(totals)
-        .filter(|(_, c)| c.accesses > 0)
-        .map(|(name, c)| (name.clone(), c))
-        .collect();
-    Attribution { counts, excused }
+    let mut judge = Judge::new(table, &BeliefContext { beliefs, served, corpus });
+    for_each_in_time_order(table, table.rows().iter(), |row| {
+        judge.judge(row);
+    });
+    judge.finish()
 }
 
 #[cfg(test)]
@@ -479,6 +491,20 @@ mod tests {
         BelievedPolicy::Version(version)
     }
 
+    /// Judge every row of `records` in table order: the per-bot counts
+    /// and each row's verdict.
+    fn judge_all(
+        records: &[AccessRecord],
+        beliefs: &BeliefAtlas,
+        served: &[BeliefTimeline],
+    ) -> (BTreeMap<String, AttributionCounts>, Vec<Verdict>) {
+        let corpus = PolicyCorpus::new();
+        let table = LogTable::from_records(records);
+        let mut judge = Judge::new(&table, &BeliefContext { beliefs, served, corpus: &corpus });
+        let verdicts = table.rows().iter().map(|row| judge.judge(row)).collect();
+        (judge.finish(), verdicts)
+    }
+
     #[test]
     fn cursor_matches_binary_search_everywhere() {
         let mut tl = BeliefTimeline::always(BelievedPolicy::Unfetched);
@@ -501,7 +527,6 @@ mod tests {
         // the stale Base document throughout. Page fetches after the
         // swap violate the served policy but attribute to the stale
         // cache — zero deliberate violations.
-        let corpus = PolicyCorpus::new();
         let beliefs = atlas_with(BeliefTimeline::always(v(PolicyVersion::Base)));
         let mut served_tl = BeliefTimeline::always(v(PolicyVersion::Base));
         served_tl.record(1_000, v(PolicyVersion::V3DisallowAll));
@@ -513,9 +538,8 @@ mod tests {
             rec(1_600, "/news/item-002"),
             rec(1_700, "/robots.txt"), // never an attribution target
         ];
-        let table = LogTable::from_records(&records);
-        let out = attribute_rows(&table, &beliefs, &served, &corpus, 1);
-        let c = out.counts["GPTBot"];
+        let (counts, verdicts) = judge_all(&records, &beliefs, &served);
+        let c = counts["GPTBot"];
         assert_eq!(c.accesses, 3);
         assert_eq!(c.allowed_served, 1);
         assert_eq!(c.stale_cache, 2, "{c:?}");
@@ -524,36 +548,38 @@ mod tests {
         assert_eq!(c.believed_violations, 0, "its own belief allowed everything");
         assert_eq!(c.violations_served(), 2);
 
-        // The excusal mask marks exactly the two stale-cache rows.
-        assert_eq!(out.excused, vec![false, true, true, false]);
+        // Exactly the two stale-cache rows are excused.
+        use Verdict::*;
+        assert_eq!(verdicts, [Allowed, StaleCache, StaleCache, Skipped]);
+        let excused: Vec<bool> = verdicts.iter().map(|v| v.excused()).collect();
+        assert_eq!(excused, [false, true, true, false]);
     }
 
     #[test]
     fn believed_violations_are_deliberate() {
         // The bot's own belief is the v3 document (it fetched it!) and
         // it crawls pages anyway: deliberate, whatever is served.
-        let corpus = PolicyCorpus::new();
         let beliefs = atlas_with(BeliefTimeline::always(v(PolicyVersion::V3DisallowAll)));
         let served = vec![BeliefTimeline::always(v(PolicyVersion::V3DisallowAll))];
         let records = vec![rec(10, "/news/item-001"), rec(20, "/people/person-0001")];
-        let table = LogTable::from_records(&records);
-        let out = attribute_rows(&table, &beliefs, &served, &corpus, 1);
-        let c = out.counts["GPTBot"];
+        let (counts, verdicts) = judge_all(&records, &beliefs, &served);
+        let c = counts["GPTBot"];
         assert_eq!(c.deliberate, 2);
         assert_eq!(c.believed_violations, 2);
         assert_eq!(c.stale_cache + c.fetch_artifact, 0);
         // Deliberate violations are never excused.
-        assert_eq!(out.excused, vec![false, false]);
+        assert_eq!(verdicts, [Verdict::Deliberate; 2]);
+        assert!(verdicts.iter().all(|v| !v.excused()));
     }
 
     #[test]
     fn never_fetching_robots_is_deliberate() {
-        let corpus = PolicyCorpus::new();
         let beliefs = atlas_with(BeliefTimeline::always(BelievedPolicy::Unfetched));
         let served = vec![BeliefTimeline::always(v(PolicyVersion::V3DisallowAll))];
-        let table = LogTable::from_records(&[rec(10, "/news/item-001")]);
-        let c = attribute_rows(&table, &beliefs, &served, &corpus, 1).counts["GPTBot"];
+        let (counts, verdicts) = judge_all(&[rec(10, "/news/item-001")], &beliefs, &served);
+        let c = counts["GPTBot"];
         assert_eq!(c.deliberate, 1, "choosing ignorance is not an excuse: {c:?}");
+        assert_eq!(verdicts, [Verdict::Deliberate]);
         assert_eq!(c.believed_violations, 0, "it believed nothing forbade it");
     }
 
@@ -562,44 +588,42 @@ mod tests {
         // The bot's last robots.txt fetch resolved 4xx: RFC 9309 says
         // crawl without restriction. The served file forbids the path —
         // an artifact of the fetch layer, not defiance.
-        let corpus = PolicyCorpus::new();
         let beliefs = atlas_with(BeliefTimeline::always(BelievedPolicy::AllowAll));
         let served = vec![BeliefTimeline::always(v(PolicyVersion::V3DisallowAll))];
-        let table = LogTable::from_records(&[rec(10, "/news/item-001")]);
-        let out = attribute_rows(&table, &beliefs, &served, &corpus, 1);
-        let c = out.counts["GPTBot"];
+        let (counts, verdicts) = judge_all(&[rec(10, "/news/item-001")], &beliefs, &served);
+        let c = counts["GPTBot"];
         assert_eq!(c.fetch_artifact, 1, "{c:?}");
         assert_eq!(c.deliberate, 0);
-        assert_eq!(out.excused, vec![true], "fetch artifacts are excused");
+        assert_eq!(verdicts, [Verdict::FetchArtifact]);
+        assert!(verdicts[0].excused(), "fetch artifacts are excused");
     }
 
     #[test]
     fn restricted_paths_violate_under_base_too() {
         // /secure/* is disallowed even by the Base file: a fetch there
         // with a fresh Base belief is deliberate under both bases.
-        let corpus = PolicyCorpus::new();
         let beliefs = atlas_with(BeliefTimeline::always(v(PolicyVersion::Base)));
         let served = vec![BeliefTimeline::always(v(PolicyVersion::Base))];
-        let table = LogTable::from_records(&[rec(10, "/secure/admin-0"), rec(20, "/about")]);
-        let c = attribute_rows(&table, &beliefs, &served, &corpus, 1).counts["GPTBot"];
+        let records = [rec(10, "/secure/admin-0"), rec(20, "/about")];
+        let (counts, verdicts) = judge_all(&records, &beliefs, &served);
+        let c = counts["GPTBot"];
         assert_eq!(c.accesses, 2);
         assert_eq!(c.allowed_served, 1);
         assert_eq!(c.deliberate, 1);
         assert_eq!(c.believed_violations, 1);
+        assert_eq!(verdicts, [Verdict::Deliberate, Verdict::Allowed]);
     }
 
     #[test]
     fn unknown_agents_and_foreign_sites_are_skipped() {
-        let corpus = PolicyCorpus::new();
         let beliefs = atlas_with(BeliefTimeline::always(v(PolicyVersion::Base)));
         let served = vec![BeliefTimeline::always(v(PolicyVersion::Base))];
         let mut records = vec![rec(10, "/about")];
         records.push(AccessRecord { useragent: "curl/8.0".into(), ..rec(20, "/about") });
         records.push(AccessRecord { sitename: "elsewhere.example.com".into(), ..rec(30, "/x") });
-        let table = LogTable::from_records(&records);
-        let out = attribute_rows(&table, &beliefs, &served, &corpus, 2);
-        assert_eq!(out.counts.len(), 1);
-        assert_eq!(out.counts["GPTBot"].accesses, 1);
-        assert_eq!(out.excused, vec![false, false, false]);
+        let (counts, verdicts) = judge_all(&records, &beliefs, &served);
+        assert_eq!(counts.len(), 1);
+        assert_eq!(counts["GPTBot"].accesses, 1);
+        assert_eq!(verdicts, [Verdict::Allowed, Verdict::Skipped, Verdict::Skipped]);
     }
 }

@@ -36,8 +36,9 @@
 //!    monitored digest-window matrix [`recheck::phase_check_matrix`]);
 //! 6. [`attribution`] — ground-truth-aware attribution over the belief
 //!    layer: a per-bot split of served violations into deliberate /
-//!    stale-cache / fetch-artifact, and the per-row excusal mask that
-//!    turns every compliance metric into its *believed*-policy basis;
+//!    stale-cache / fetch-artifact, scored in one sweep that drops the
+//!    excused rows to turn every compliance metric into its
+//!    *believed*-policy basis;
 //! 7. [`report`] — render every table and figure of the paper's
 //!    evaluation from an analysis result.
 //!

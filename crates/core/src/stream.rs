@@ -207,6 +207,13 @@ impl StreamAnalyzer {
     /// An analyzer for `schedule`. Panics if the schedule is missing
     /// any of the four policy versions.
     pub fn new(schedule: &PhaseSchedule) -> StreamAnalyzer {
+        StreamAnalyzer::with_agents(schedule, AgentBots::new(()))
+    }
+
+    /// An analyzer for `schedule` that starts from `agents`' user-agent
+    /// verdicts, so no agent the caller standardized is standardized
+    /// again. A bot that no pushed row names adds nothing to the result.
+    pub(crate) fn with_agents(schedule: &PhaseSchedule, agents: AgentBots) -> StreamAnalyzer {
         let window_of = |version: PolicyVersion| -> (u64, u64) {
             let (lo, hi) = schedule.window_of(version).expect("version scheduled");
             (lo.unix(), hi.unix())
@@ -230,7 +237,7 @@ impl StreamAnalyzer {
             site_name: site_name(schedule.experiment_site),
             windows,
             flags: Vec::new(),
-            agents: AgentBots::new(BotAcc {
+            agents: agents.with_state(BotAcc {
                 per_asn: FxHashMap::default(),
                 robots_window: [false; 3],
                 presence: vec![false; schedule.phases.len()],

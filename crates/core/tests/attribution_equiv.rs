@@ -1,9 +1,9 @@
-//! Equivalence of the parallel, cursor-based attribution pipeline (its
-//! counts and its per-row excusal mask) with serial oracles — across
-//! worker counts — and of the believed-basis experiment analysis with a
-//! post-hoc correction of the served-basis input.
+//! Equivalence of the cursor-based attribution sweep (its counts and
+//! each row's verdict) with serial oracles, and of the believed-basis
+//! experiment with a post-hoc correction of the served-basis input — on
+//! generated tables in time order and shuffled.
 //!
-//! The oracles below restate attribution and the excusal mask from
+//! The oracles below restate attribution and the excusal verdicts from
 //! their definitions over public APIs only: per-row
 //! [`BeliefTimeline::at`] binary searches, the RFC 9309 test oracle over
 //! [`PolicyCorpus::doc`], and sitenames parsed from their strings. They share no cursor, cache or compiled-automaton code with
@@ -24,7 +24,7 @@ use std::collections::BTreeMap;
 use botscope_weblog::hash::FxHashMap;
 
 use botscope_core::attribution::{
-    attribute_rows, attribute_table_with_threads, AttributionCounts, PolicyBasis,
+    attribute_table_with_threads, score_table, AttributionCounts, Judge, PolicyBasis, Verdict,
 };
 use botscope_core::pipeline::standardize_table;
 use botscope_simnet::scenario::phase_study_table;
@@ -128,7 +128,7 @@ fn attribute_oracle(
     out
 }
 
-/// Serial oracle for the excusal mask: row by row in table order, a row
+/// Serial oracle for the excusal verdicts: row by row in table order, a row
 /// is excused when its agent standardizes to a monitored bot, it is a
 /// page access on an estate site, the served policy forbade it, and a
 /// believed version (stale cache) or fetch-layer allow-all permitted it.
@@ -253,7 +253,49 @@ fn fixture(seed: u64, scale: f64, sites: usize) -> Fixture {
     Fixture { table: out.sim.table, schedule: out.schedule, beliefs, served }
 }
 
-/// Parallel attribution ≡ its serial oracle at 1/2/8 workers.
+/// A copy of `fx` whose table holds the same rows in a scrambled order.
+fn shuffled(fx: &Fixture) -> Fixture {
+    let mut records: Vec<AccessRecord> =
+        fx.table.rows().iter().map(|row| fx.table.materialize(row)).collect();
+    let mut rng = XorShift::new(0x5EED_5EED);
+    for i in (1..records.len()).rev() {
+        records.swap(i, rng.below(i as u64 + 1) as usize);
+    }
+    Fixture {
+        table: LogTable::from_records(&records),
+        schedule: fx.schedule.clone(),
+        beliefs: fx.beliefs.clone(),
+        served: fx.served.clone(),
+    }
+}
+
+/// Each row's verdict, judging the rows in table order.
+fn verdicts(fx: &Fixture, corpus: &PolicyCorpus) -> Vec<Verdict> {
+    let ctx = BeliefContext { beliefs: &fx.beliefs, served: &fx.served, corpus };
+    let mut judge = Judge::new(&fx.table, &ctx);
+    fx.table.rows().iter().map(|row| judge.judge(row)).collect()
+}
+
+/// `fx` scored under `basis` by the one sweep.
+fn score(
+    fx: &Fixture,
+    corpus: &PolicyCorpus,
+    basis: PolicyBasis,
+) -> (BTreeMap<String, AttributionCounts>, Experiment) {
+    let ctx = BeliefContext { beliefs: &fx.beliefs, served: &fx.served, corpus };
+    score_table(&fx.table, &fx.schedule, &ctx, basis)
+}
+
+fn assert_same_experiment(a: &Experiment, b: &Experiment, what: &str) {
+    assert_eq!(a.per_directive, b.per_directive, "{what}");
+    assert_eq!(a.spoofed_per_directive, b.spoofed_per_directive, "{what}");
+    assert_eq!(a.spoof_volume, b.spoof_volume, "{what}");
+    assert_eq!(a.phase_traffic, b.phase_traffic, "{what}");
+    assert_eq!(a.spoof_report, b.spoof_report, "{what}");
+}
+
+/// The sweep's counts ≡ the serial oracle, under both bases and through
+/// `attribute_table_with_threads` (whose worker count is ignored).
 fn check_attribution_equiv(fx: &Fixture) {
     let corpus = PolicyCorpus::new();
     let attr_ref = attribute_oracle(&fx.table, &fx.beliefs, &fx.served, &corpus);
@@ -261,6 +303,9 @@ fn check_attribution_equiv(fx: &Fixture) {
         attr_ref.values().any(|c| c.violations_served() > 0),
         "synthetic timelines should produce violations"
     );
+    for basis in [PolicyBasis::Served, PolicyBasis::Believed] {
+        assert_eq!(score(fx, &corpus, basis).0, attr_ref, "score_table, {basis:?}");
+    }
     for threads in WORKER_COUNTS {
         let attr =
             attribute_table_with_threads(&fx.table, &fx.beliefs, &fx.served, &corpus, threads);
@@ -268,121 +313,100 @@ fn check_attribution_equiv(fx: &Fixture) {
     }
 }
 
-/// One `attribute_rows` sweep ≡ both oracles at 1/2/8 workers, and its
-/// two outputs agree: each bot's excused count is the number of masked
-/// rows whose agent standardizes to that bot.
-fn check_one_sweep(fx: &Fixture) {
+/// Each row's verdict ≡ the excusal oracle, and the verdicts agree with
+/// the counts: each bot's excused count is the number of excused rows
+/// whose agent standardizes to that bot.
+fn check_verdicts(fx: &Fixture) {
     let corpus = PolicyCorpus::new();
     let counts_ref = attribute_oracle(&fx.table, &fx.beliefs, &fx.served, &corpus);
-    let mask_ref = excusal_oracle(&fx.table, &fx.beliefs, &fx.served, &corpus);
+    let excused_ref = excusal_oracle(&fx.table, &fx.beliefs, &fx.served, &corpus);
+    let verdicts = verdicts(fx, &corpus);
+    assert_eq!(verdicts.len(), fx.table.len());
+    for (i, (verdict, &excused)) in verdicts.iter().zip(&excused_ref).enumerate() {
+        assert_eq!(verdict.excused(), excused, "row {i}: {verdict:?}");
+    }
     let mut standardizer = Standardizer::new();
-    let mut masked_per_bot: BTreeMap<&str, u64> = BTreeMap::new();
-    for (row, _) in fx.table.rows().iter().zip(&mask_ref).filter(|&(_, &excused)| excused) {
+    let mut excused_per_bot: BTreeMap<&str, u64> = BTreeMap::new();
+    let judged = fx.table.rows().iter().zip(&verdicts);
+    for (row, _) in judged.filter(|(_, verdict)| verdict.excused()) {
         let spec = standardizer.standardize(fx.table.resolve(row.useragent)).expect("bot row");
-        *masked_per_bot.entry(spec.bot.canonical).or_default() += 1;
+        *excused_per_bot.entry(spec.bot.canonical).or_default() += 1;
     }
-    for threads in WORKER_COUNTS {
-        let attr = attribute_rows(&fx.table, &fx.beliefs, &fx.served, &corpus, threads);
-        assert_eq!(attr.counts, counts_ref, "counts at {threads} workers");
-        assert_eq!(attr.excused, mask_ref, "excused at {threads} workers");
-        for (bot, c) in &attr.counts {
-            let masked = masked_per_bot.get(bot.as_str()).copied().unwrap_or(0);
-            assert_eq!(c.excused(), masked, "{bot} at {threads} workers");
-        }
-        let total: u64 = attr.counts.values().map(AttributionCounts::excused).sum();
-        let masked = attr.excused.iter().filter(|&&excused| excused).count() as u64;
-        assert_eq!(total, masked, "excused totals at {threads} workers");
+    for (bot, c) in &counts_ref {
+        let excused = excused_per_bot.get(bot.as_str()).copied().unwrap_or(0);
+        assert_eq!(c.excused(), excused, "{bot}");
     }
+    let total: u64 = counts_ref.values().map(AttributionCounts::excused).sum();
+    assert_eq!(total, excused_per_bot.values().sum::<u64>(), "excused totals");
 }
 
-/// Believed-basis analysis ≡ dropping the excused rows by hand and
-/// re-running the plain served-basis analysis on a re-interned table.
+/// Believed-basis analysis ≡ dropping the oracle's excused rows by hand
+/// and re-running the plain served-basis analysis on a re-interned
+/// table; the served basis ≡ the plain analysis.
 fn check_believed_basis_equiv(fx: &Fixture) {
     let corpus = PolicyCorpus::new();
     let ctx = BeliefContext { beliefs: &fx.beliefs, served: &fx.served, corpus: &corpus };
 
-    let mask = attribute_rows(&fx.table, &fx.beliefs, &fx.served, &corpus, 2).excused;
+    let excused = excusal_oracle(&fx.table, &fx.beliefs, &fx.served, &corpus);
     let kept: Vec<AccessRecord> = fx
         .table
         .rows()
         .iter()
-        .zip(&mask)
+        .zip(&excused)
         .filter(|&(_, &excused)| !excused)
         .map(|(row, _)| fx.table.materialize(row))
         .collect();
     let posthoc_table = LogTable::from_records(&kept);
     let posthoc = Experiment::analyze_table(&posthoc_table, &fx.schedule);
 
-    for threads in WORKER_COUNTS {
-        let believed = Experiment::analyze_table_with_basis(
-            &fx.table,
-            &fx.schedule,
-            &ctx,
-            PolicyBasis::Believed,
-            threads,
-        );
-        assert_eq!(believed.per_directive, posthoc.per_directive, "{threads} workers");
-        assert_eq!(
-            believed.spoofed_per_directive, posthoc.spoofed_per_directive,
-            "{threads} workers"
-        );
-        assert_eq!(believed.spoof_volume, posthoc.spoof_volume, "{threads} workers");
-        assert_eq!(believed.phase_traffic, posthoc.phase_traffic, "{threads} workers");
-        assert_eq!(believed.spoof_report, posthoc.spoof_report, "{threads} workers");
-    }
-}
-
-/// With beliefs that mirror the served timelines exactly, nothing is
-/// excused and the believed basis degenerates to the served one.
-#[test]
-fn believed_basis_degenerates_when_beliefs_track_served() {
-    let cfg = SimConfig { scale: 0.1, sites: 4, ..SimConfig::default() };
-    let out = phase_study_table(&cfg);
-    let (lo, hi) = out.schedule.bounds();
-    let mut rng = XorShift::new(42);
-    let served: Vec<BeliefTimeline> =
-        (0..4).map(|_| random_timeline(&mut rng, lo.unix(), hi.unix(), 8)).collect();
-    let bots: Vec<String> = standardize_table(&out.sim.table).bots.keys().cloned().collect();
-    let mut beliefs = BeliefAtlas::new(bots, 4);
-    for bot in 0..beliefs.bots.len() {
-        for (site, timeline) in served.iter().enumerate() {
-            *beliefs.timeline_mut(bot, site) = timeline.clone();
-        }
-    }
-    let corpus = PolicyCorpus::new();
-    let mask = attribute_rows(&out.sim.table, &beliefs, &served, &corpus, 2).excused;
-    assert!(mask.iter().all(|&m| !m), "beliefs ≡ served excuses nothing");
-
-    let ctx = BeliefContext { beliefs: &beliefs, served: &served, corpus: &corpus };
+    let (_, believed) = score(fx, &corpus, PolicyBasis::Believed);
+    assert_same_experiment(&believed, &posthoc, "score_table, believed");
     let believed = Experiment::analyze_table_with_basis(
-        &out.sim.table,
-        &out.schedule,
+        &fx.table,
+        &fx.schedule,
         &ctx,
         PolicyBasis::Believed,
         2,
     );
-    let served_exp = Experiment::analyze_table_with_basis(
-        &out.sim.table,
-        &out.schedule,
-        &ctx,
-        PolicyBasis::Served,
-        2,
+    assert_same_experiment(&believed, &posthoc, "analyze_table_with_basis, believed");
+    let (_, served) = score(fx, &corpus, PolicyBasis::Served);
+    let plain = Experiment::analyze_table(&fx.table, &fx.schedule);
+    assert_same_experiment(&served, &plain, "score_table, served");
+}
+
+/// A shuffled copy of the table gives the same counts and the same
+/// believed-basis experiment as the table in time order, and each of
+/// its rows gets the verdict the excusal oracle gives it.
+fn check_shuffled(fx: &Fixture) {
+    let corpus = PolicyCorpus::new();
+    let scrambled = shuffled(fx);
+    assert!(
+        scrambled.table.rows().windows(2).any(|w| w[0].timestamp > w[1].timestamp),
+        "the copy must go back in time"
     );
-    assert_eq!(believed.per_directive, served_exp.per_directive);
-    assert_eq!(believed.phase_traffic, served_exp.phase_traffic);
-    assert_eq!(believed.spoof_report, served_exp.spoof_report);
+    let (counts, believed) = score(fx, &corpus, PolicyBasis::Believed);
+    let (shuffled_counts, shuffled_believed) = score(&scrambled, &corpus, PolicyBasis::Believed);
+    assert_eq!(shuffled_counts, counts, "counts, shuffled");
+    assert_same_experiment(&shuffled_believed, &believed, "believed basis, shuffled");
+    check_verdicts(&scrambled);
 }
 
 #[test]
-fn parallel_attribution_matches_reference_at_default_seed() {
+fn attribution_matches_reference_at_default_seed() {
     let fx = fixture(9309, 0.15, 4);
     check_attribution_equiv(&fx);
 }
 
 #[test]
-fn one_sweep_matches_both_oracles_at_default_seed() {
+fn verdicts_match_excusal_oracle_at_default_seed() {
     let fx = fixture(9309, 0.15, 4);
-    check_one_sweep(&fx);
+    check_verdicts(&fx);
+}
+
+#[test]
+fn shuffled_table_scores_like_sorted_at_default_seed() {
+    let fx = fixture(9309, 0.15, 4);
+    check_shuffled(&fx);
 }
 
 #[test]
@@ -404,7 +428,8 @@ proptest! {
     ) {
         let fx = fixture(seed, scale_pct as f64 / 100.0, sites);
         check_attribution_equiv(&fx);
-        check_one_sweep(&fx);
+        check_verdicts(&fx);
         check_believed_basis_equiv(&fx);
+        check_shuffled(&fx);
     }
 }

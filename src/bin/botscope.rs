@@ -152,15 +152,17 @@ GLOBAL FLAGS (any subcommand):
 
 ENVIRONMENT:
   BOTSCOPE_THREADS
-      Worker threads for log generation (simulate), the monitor's
-      event-queue shards (monitor) and attribution (simulate
-      --coupled). At 2 or more, `analyze --phase-report` decodes a
-      BSCL log on one helper thread ahead of the §4 analysis, and the
-      k-way merges (simulate --stream, monitor) run on one helper
-      thread while the output writers encode on the main one. The §4
-      analysis itself is serial. Defaults to the machine's
-      available parallelism; the output is byte-identical for a fixed
-      seed at any thread count.
+      Worker threads for log generation (simulate, simulate
+      --coupled) and the monitor's event-queue shards (monitor, and
+      the belief stage of simulate --coupled). At 2 or more,
+      `analyze --phase-report` decodes a BSCL log on one helper
+      thread ahead of the §4 analysis, and the k-way merges (simulate
+      --stream, monitor) run on one helper thread while the output
+      writers encode on the main one. Attribution and the §4
+      analysis are serial; the CSV encode of `simulate --coupled
+      --out` runs on its own thread beside them at any count.
+      Defaults to the machine's available parallelism; the output is
+      byte-identical for a fixed seed at any thread count.
 ";
 
 fn main() -> ExitCode {

@@ -3,8 +3,8 @@
 use std::fmt::Write as _;
 use std::io::Write;
 
-use botscope_core::analyze::Experiment;
-use botscope_core::attribution::{attribute_rows, PolicyBasis};
+use botscope_core::analyze::BeliefContext;
+use botscope_core::attribution::{score_table, PolicyBasis};
 use botscope_core::report;
 use botscope_monitor::{run_coupled_with_threads, CoupledConfig};
 use botscope_simnet::engine::{simulate_stream_with_threads, simulate_table_with_threads};
@@ -92,13 +92,14 @@ pub fn simulate(
 
 /// `botscope simulate --coupled`: a monitoring daemon derives each
 /// bot's believed policy per site, traffic generation acts on those
-/// beliefs, and every page access is attributed against the policy the
-/// site served. Returns the report: belief and attribution summaries,
-/// then Tables 5/6/10 under `basis`.
+/// beliefs, and one serial sweep ([`score_table`]) attributes every
+/// page access against the policy the site served and scores Tables
+/// 5/6/10 under `basis`. Returns the report: belief and attribution
+/// summaries, then the tables.
 ///
 /// With a `csv` writer the log's CSV encode runs on its own thread
-/// beside attribution and the basis analysis; a write error wins over
-/// the report, which is rendered only after the join.
+/// beside the scoring sweep, at any worker count; a write error wins
+/// over the report, which is rendered only after the join.
 pub fn coupled(
     cfg: &CoupledConfig,
     basis: PolicyBasis,
@@ -108,6 +109,7 @@ pub fn coupled(
     let out = run_coupled_with_threads(cfg, threads);
     let obs = botscope_obs::global();
     let corpus = PolicyCorpus::new();
+    let ctx = BeliefContext { beliefs: &out.beliefs, served: &out.served, corpus: &corpus };
     let table = &out.sim.table;
     let (counts, exp) = std::thread::scope(|s| {
         let writer = csv.map(|mut w| {
@@ -118,26 +120,14 @@ pub fn coupled(
                     .map_err(Error::write("cannot write"))
             })
         });
-        let attribution = {
-            let _phase = obs.phase("coupled_attribution");
-            attribute_rows(table, &out.beliefs, &out.served, &corpus, threads)
-        };
-        // Tables 5/6/10 under the selected basis: served is the plain
-        // analysis; believed drops the excused (stale-cache / fetch-
-        // artifact) rows before scoring.
-        let exp = {
-            let _phase = obs.phase("coupled_basis_analysis");
-            match basis {
-                PolicyBasis::Served => Experiment::analyze_table(table, &out.schedule),
-                PolicyBasis::Believed => {
-                    Experiment::analyze_table_excluding(table, &out.schedule, &attribution.excused)
-                }
-            }
+        let scored = {
+            let _phase = obs.phase("coupled_score");
+            score_table(table, &out.schedule, &ctx, basis)
         };
         if let Some(writer) = writer {
             writer.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))?;
         }
-        Ok::<_, Error>((attribution.counts, exp))
+        Ok::<_, Error>(scored)
     })?;
 
     let mut r = String::new();

@@ -697,7 +697,7 @@ fn coupled_write_errors_fail_cleanly_before_the_report() {
 }
 
 /// `perf.phases` covers the whole coupled run: belief, generation, and
-/// the encode, attribution and analysis stages of the tail.
+/// the encode and scoring stages of the tail.
 #[test]
 fn coupled_manifest_lists_every_stage() {
     let dir = empty_dir("coupled-phases");
@@ -719,14 +719,14 @@ fn coupled_manifest_lists_every_stage() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let manifest = std::fs::read_to_string(dir.join("run.manifest")).expect("manifest written");
     let phases = manifest.lines().find(|l| l.contains("\"phases\"")).expect("phases line");
-    for phase in [
-        "coupled_belief_stage",
-        "coupled_generate_stage",
-        "coupled_csv_encode",
-        "coupled_attribution",
-        "coupled_basis_analysis",
-    ] {
+    for phase in
+        ["coupled_belief_stage", "coupled_generate_stage", "coupled_csv_encode", "coupled_score"]
+    {
         assert!(phases.contains(&format!("[\"{phase}\", ")), "{phase} missing: {phases}");
+    }
+    // Attribution and the basis analysis are one scoring sweep.
+    for gone in ["coupled_attribution", "coupled_basis_analysis"] {
+        assert!(!phases.contains(gone), "{gone} listed: {phases}");
     }
     // The belief stage runs the monitor's agents but records beliefs
     // only: no fetch log is assembled.

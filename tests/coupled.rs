@@ -2,7 +2,8 @@
 //! and attribution separates deliberate violations from fetch-layer
 //! artifacts (the acceptance scenarios of the belief-coupling work).
 
-use botscope::core::attribution::{attribute_rows, AttributionCounts};
+use botscope::core::analyze::BeliefContext;
+use botscope::core::attribution::{score_table, AttributionCounts, PolicyBasis};
 use botscope::monitor::{
     run_coupled_with_threads, CoupledConfig, CoupledOutput, RefreshModel, ScenarioKind,
 };
@@ -15,7 +16,9 @@ fn small_sim(scale: f64, sites: usize) -> SimConfig {
 }
 
 fn attribution(out: &CoupledOutput) -> std::collections::BTreeMap<String, AttributionCounts> {
-    attribute_rows(&out.sim.table, &out.beliefs, &out.served, &PolicyCorpus::new(), 2).counts
+    let corpus = PolicyCorpus::new();
+    let ctx = BeliefContext { beliefs: &out.beliefs, served: &out.served, corpus: &corpus };
+    score_table(&out.sim.table, &out.schedule, &ctx, PolicyBasis::Served).0
 }
 
 #[test]

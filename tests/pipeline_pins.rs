@@ -18,6 +18,11 @@ const MONITOR_CSV: &str = "62b718939f0da76ac033dc25bec5feb9cdd1d90de108430f8958f
 const MONITOR_JSONL: &str = "faf21b3fb66623fd1007e8969698931c55bf1a52fd318d65b90c0ce77e1492c9";
 const INSTANT_CSV: &str = "35da31f2390a3c2e23b272a7a413ea3bb117437655c74729b38e06d21df0a534";
 const INSTANT_REPORT: &str = "a66fbe8eeeef419fc9725e447408c2f6f392761438941a5e9b0e01488a4b2edb";
+const FLEET_CSV: &str = "ca0e999a619a6545bafea1ae16031f0871df1f1cbbd3cea2b208905a26720038";
+const FLEET_SERVED_REPORT: &str =
+    "8a9e02ab99480bc0c704e4534accef0e38b950bf7e19fcaea7256437131ed859";
+const FLEET_BELIEVED_REPORT: &str =
+    "d2bec8565bda73c6143d7383c0c262b62edf564eebe148dfbbf04824879438e3";
 
 /// `simulate 7 0.05 <out> 42 [--phase-study] [--stream] --format F`.
 fn simulate(study: Study, stream: bool, format: LogFormat, threads: usize) -> Vec<u8> {
@@ -169,5 +174,29 @@ fn coupled_instant_refresh_under_weather_is_pinned_at_one_and_two_workers() {
             .expect("coupled runs");
         assert_eq!(sha256_hex(&csv), INSTANT_CSV, "{threads} workers");
         assert_eq!(sha256_hex(report.as_bytes()), INSTANT_REPORT, "{threads} workers");
+    }
+}
+
+/// `simulate --coupled --scale 0.05 --sites 8 --basis served|believed
+/// --out -`: fleet refresh leaves bots on stale beliefs, so the believed
+/// basis drops excused rows and its report differs from the served one.
+#[test]
+fn coupled_fleet_refresh_reports_are_pinned_under_both_bases() {
+    let cfg = CoupledConfig {
+        sim: SimConfig { scale: 0.05, sites: 8, seed: 9309, ..SimConfig::default() },
+        scenario: ScenarioKind::Mixed,
+        refresh: RefreshModel::Fleet,
+    };
+    for threads in [1, 2] {
+        for (basis, pin) in [
+            (PolicyBasis::Served, FLEET_SERVED_REPORT),
+            (PolicyBasis::Believed, FLEET_BELIEVED_REPORT),
+        ] {
+            let mut csv = Vec::new();
+            let report =
+                pipelines::coupled(&cfg, basis, threads, Some(&mut csv)).expect("coupled runs");
+            assert_eq!(sha256_hex(&csv), FLEET_CSV, "{basis:?}, {threads} workers");
+            assert_eq!(sha256_hex(report.as_bytes()), pin, "{basis:?}, {threads} workers");
+        }
     }
 }
