@@ -391,6 +391,37 @@ fn check_shuffled(fx: &Fixture) {
     check_verdicts(&scrambled);
 }
 
+/// With beliefs that mirror the served timelines exactly, no row's
+/// verdict is excused and the believed basis degenerates to the served
+/// one.
+#[test]
+fn believed_basis_degenerates_when_beliefs_track_served() {
+    let cfg = SimConfig { scale: 0.1, sites: 4, ..SimConfig::default() };
+    let out = phase_study_table(&cfg);
+    let (lo, hi) = out.schedule.bounds();
+    let mut rng = XorShift::new(42);
+    let served: Vec<BeliefTimeline> =
+        (0..4).map(|_| random_timeline(&mut rng, lo.unix(), hi.unix(), 8)).collect();
+    let bots: Vec<String> = standardize_table(&out.sim.table).bots.keys().cloned().collect();
+    let mut beliefs = BeliefAtlas::new(bots, 4);
+    for bot in 0..beliefs.bots.len() {
+        for (site, timeline) in served.iter().enumerate() {
+            *beliefs.timeline_mut(bot, site) = timeline.clone();
+        }
+    }
+    let fx = Fixture { table: out.sim.table, schedule: out.schedule, beliefs, served };
+    let corpus = PolicyCorpus::new();
+
+    let verdicts = verdicts(&fx, &corpus);
+    assert_eq!(verdicts.len(), fx.table.len());
+    assert!(verdicts.iter().all(|verdict| !verdict.excused()), "beliefs ≡ served excuses nothing");
+
+    let (counts, believed) = score(&fx, &corpus, PolicyBasis::Believed);
+    assert!(counts.values().all(|c| c.excused() == 0), "no bot has an excused row");
+    let (_, served) = score(&fx, &corpus, PolicyBasis::Served);
+    assert_same_experiment(&believed, &served, "believed ≡ served");
+}
+
 #[test]
 fn attribution_matches_reference_at_default_seed() {
     let fx = fixture(9309, 0.15, 4);

@@ -178,8 +178,10 @@ fn coupled_instant_refresh_under_weather_is_pinned_at_one_and_two_workers() {
 }
 
 /// `simulate --coupled --scale 0.05 --sites 8 --basis served|believed
-/// --out -`: fleet refresh leaves bots on stale beliefs, so the believed
-/// basis drops excused rows and its report differs from the served one.
+/// --out /dev/null`: the report pins are the hashes of that command's
+/// stdout, and the CSV pin is the hash of the file `--out FILE` writes.
+/// Fleet refresh leaves bots on stale beliefs, so the believed basis
+/// drops excused rows and its report differs from the served one.
 #[test]
 fn coupled_fleet_refresh_reports_are_pinned_under_both_bases() {
     let cfg = CoupledConfig {
